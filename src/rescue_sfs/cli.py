@@ -26,6 +26,7 @@ import rescue_sfs
 from rescue_sfs import gw_trees, montecarlo, simulator, theory
 from rescue_sfs.params import (
     ConfigError,
+    DerivedParams,
     ModelParams,
     ObservationSpec,
     RunConfig,
@@ -33,27 +34,6 @@ from rescue_sfs.params import (
     derive_from_gamma_n,
     load_config,
     observation_time,
-)
-
-FORMULA_IDS = (
-    "I",
-    "hi",
-    "kappa",
-    "K",
-    "L",
-    "Kslope",
-    "thm1",
-    "thm2",
-    "P",
-    "Q",
-    "gn",
-    "tn",
-    "tilde-gn",
-    "tilde-tn",
-    "anc-count",
-    "anc-one",
-    "anc-multi",
-    "clone-sfs",
 )
 
 FIGURES = ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7")
@@ -130,9 +110,19 @@ def _config_dict(cfg: RunConfig) -> dict:
     }
 
 
-def _finish(command: str, cfg: RunConfig, outputs: _OutputSet, started: float) -> None:
+def _run(args: argparse.Namespace) -> int:
+    """Resolve the config and run one command; a failing command leaves
+    none of its outputs behind, a finished one gets a manifest."""
+    started = time.time()
+    cfg = _resolve_config(args)
+    outputs = _OutputSet(args.out_dir)
+    try:
+        rc = args.func(args, cfg, outputs)
+    except Exception:
+        outputs.cleanup()
+        raise
     manifest = RunManifest(
-        command=command,
+        command=f"figures:{args.which}" if args.command == "figures" else args.command,
         config=_config_dict(cfg),
         seed=cfg.seed,
         version=rescue_sfs.__version__,
@@ -141,6 +131,7 @@ def _finish(command: str, cfg: RunConfig, outputs: _OutputSet, started: float) -
         outputs=outputs.manifest_entries(),
     )
     manifest.write(os.path.join(outputs.out_dir, "manifest.json"))
+    return rc
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -175,8 +166,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
     parser.add_argument("--replicates", type=int, default=None, help="override replicate count")
     parser.add_argument("--out-dir", default="out", help="output directory")
-    parser.add_argument("--workers", type=int, default=None, help="worker processes (default: cores)")
-    parser.add_argument("--tol", type=float, default=theory.DEFAULT_TOL, help="quadrature tolerance")
     for key in _OVERRIDE_FLOATS:
         parser.add_argument(f"--{key.replace('_', '-')}", type=float, default=None, dest=key)
     parser.add_argument("--n-init", type=int, default=None, dest="n_init")
@@ -195,108 +184,76 @@ def _workers(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    started = time.time()
-    cfg = _resolve_config(args)
+def cmd_simulate(args: argparse.Namespace, cfg: RunConfig, outputs: _OutputSet) -> int:
     t_obs = observation_time(cfg.observation, cfg.params)
     windows = _parse_grid(args.windows) if args.windows else ()
-    outputs = _OutputSet(args.out_dir)
-    try:
-        dp = derive(cfg.params)
-        per_rep_path = outputs.path("per_replicate.csv")
-        agg = montecarlo.SfsAggregate(
-            cfg.params, t_obs, (cfg.params.n_init, 0), cfg.seed, args.i_max, tuple(windows)
+    with open(outputs.path("per_replicate.csv"), "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["replicate", "i", "s", "sbar", "sunder"])
+
+        def write_record(r: int, record: simulator.SfsRecord) -> None:
+            writer.writerows(
+                [r, i, m, record.s_resistant_origin.get(i, 0), record.s_sensitive_origin.get(i, 0)]
+                for i, m in sorted(record.s.items())
+            )
+
+        agg = montecarlo.replicate_sfs(
+            cfg.params,
+            t_obs,
+            cfg.replicates,
+            cfg.seed,
+            i_max=args.i_max,
+            windows=windows,
+            workers=_workers(args),
+            on_record=write_record,
         )
-        lambda1 = dp.lambda1
-        with open(per_rep_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["replicate", "i", "s", "sbar", "sunder"])
-            for r in range(cfg.replicates):
-                rep_seed = montecarlo.seed_for_replicate(cfg.seed, r)
-                outcome = simulator.run(cfg.params, t_obs, rng=Random(rep_seed))
-                record = simulator.extract_sfs(outcome)
-                s, sbar, sunder = simulator.dense_sfs(record, args.i_max)
-                agg.s.update(np.asarray(s[1:], dtype=float))
-                agg.sbar.update(np.asarray(sbar[1:], dtype=float))
-                agg.sunder.update(np.asarray(sunder[1:], dtype=float))
-                agg.scalars.update(
-                    np.asarray(
-                        [len(outcome.ancestral), outcome.z1_final, record.total_mutations()]
-                    )
-                )
-                if windows:
-                    wc = [
-                        simulator.window_counts(record, x, math.inf, lambda1) for x in windows
-                    ]
-                    agg.window_s.update(np.asarray([w.total for w in wc], dtype=float))
-                    agg.window_sbar.update(
-                        np.asarray([w.resistant_origin for w in wc], dtype=float)
-                    )
-                    agg.window_sunder.update(
-                        np.asarray([w.sensitive_origin for w in wc], dtype=float)
-                    )
-                agg.replicates += 1
-                for i in sorted(record.s):
-                    writer.writerow(
-                        [
-                            r,
-                            i,
-                            record.s[i],
-                            record.s_resistant_origin.get(i, 0),
-                            record.s_sensitive_origin.get(i, 0),
-                        ]
-                    )
-        stats = agg.stats("s")
-        stats_bar = agg.stats("sbar")
-        stats_under = agg.stats("sunder")
-        rows = []
-        for k, i in enumerate(stats.indices):
-            ci = stats.ci_halfwidth[k]
-            rows.append(
+    stats = agg.stats("s")
+    stats_bar = agg.stats("sbar")
+    stats_under = agg.stats("sunder")
+    rows = []
+    for k, i in enumerate(stats.indices):
+        ci = stats.ci_halfwidth[k]
+        rows.append(
+            [
+                int(i),
+                _fmt(stats.mean[k]),
+                _fmt(stats_bar.mean[k]),
+                _fmt(stats_under.mean[k]),
+                _fmt(stats.mean[k] - ci),
+                _fmt(stats.mean[k] + ci),
+                agg.replicates,
+            ]
+        )
+    _write_csv(
+        outputs.path("aggregate.csv"),
+        ["i", "mean_S", "mean_Sbar", "mean_Sunder", "ci_lo", "ci_hi", "replicates"],
+        rows,
+    )
+    if windows:
+        wrows = []
+        wstats = agg.window_stats("s")
+        wbar = agg.window_stats("sbar")
+        wunder = agg.window_stats("sunder")
+        for k, x in enumerate(wstats.indices):
+            wrows.append(
                 [
-                    int(i),
-                    _fmt(stats.mean[k]),
-                    _fmt(stats_bar.mean[k]),
-                    _fmt(stats_under.mean[k]),
-                    _fmt(stats.mean[k] - ci),
-                    _fmt(stats.mean[k] + ci),
+                    _fmt(float(x)),
+                    _fmt(wstats.mean[k]),
+                    _fmt(wbar.mean[k]),
+                    _fmt(wunder.mean[k]),
+                    _fmt(wstats.ci_halfwidth[k]),
                     agg.replicates,
                 ]
             )
         _write_csv(
-            outputs.path("aggregate.csv"),
-            ["i", "mean_S", "mean_Sbar", "mean_Sunder", "ci_lo", "ci_hi", "replicates"],
-            rows,
+            outputs.path("windows.csv"),
+            ["x", "mean_S_window", "mean_Sbar_window", "mean_Sunder_window", "ci_halfwidth", "replicates"],
+            wrows,
         )
-        if windows:
-            wrows = []
-            wstats = agg.window_stats("s")
-            wbar = agg.window_stats("sbar")
-            wunder = agg.window_stats("sunder")
-            for k, x in enumerate(wstats.indices):
-                wrows.append(
-                    [
-                        _fmt(float(x)),
-                        _fmt(wstats.mean[k]),
-                        _fmt(wbar.mean[k]),
-                        _fmt(wunder.mean[k]),
-                        _fmt(wstats.ci_halfwidth[k]),
-                        agg.replicates,
-                    ]
-                )
-            _write_csv(
-                outputs.path("windows.csv"),
-                ["x", "mean_S_window", "mean_Sbar_window", "mean_Sunder_window", "ci_halfwidth", "replicates"],
-                wrows,
-            )
-        config_echo = outputs.path("config_resolved.json")
-        with open(config_echo, "w", encoding="utf-8") as fh:
-            json.dump(_config_dict(cfg) | {"t_obs": t_obs}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except Exception:
-        outputs.cleanup()
-        raise
-    _finish("simulate", cfg, outputs, started)
+    config_echo = outputs.path("config_resolved.json")
+    with open(config_echo, "w", encoding="utf-8") as fh:
+        json.dump(_config_dict(cfg) | {"t_obs": t_obs}, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     return 0
 
 
@@ -326,122 +283,115 @@ def _parse_irange(text: str) -> list[int]:
     return list(range(lo_i, hi_i + 1))
 
 
+@dataclass(frozen=True)
+class _TheoryInputs:
+    """What a theory row reads besides its index."""
+
+    params: ModelParams
+    dp: DerivedParams
+    t: float  # log-time multiplier
+    t_abs: float
+    tol: float
+    i: int  # carrier count for hi
+    u: float  # clone age for kappa
+
+
+def _value(tv: theory.TheoryValue, asymptotic="") -> tuple:
+    """The (exact, asymptotic, error_bound) columns of one theory row."""
+    return tv.value, asymptotic, tv.abs_error_bound
+
+
+def _asymptote(tv: theory.TheoryValue) -> tuple:
+    """Columns of a row whose formula is itself the asymptote."""
+    return _value(tv, tv.value)
+
+
+# formula id -> (index kind, row columns of one index).  Index kinds: "i"
+# runs over --i-range, "x" over --x-grid, "windows" over the consecutive
+# --x-grid windows (x1, x2) with the last one open, "none" is one row at 0.
+_FORMULAS = {
+    "I": ("i", lambda i, c: _value(theory.shape_integral(i, c.dp.rho))),
+    "hi": (
+        "x",
+        lambda x, c: _value(
+            theory.shape_integral_truncated(c.i, x, c.dp.rho),
+            theory.shape_integral(c.i, c.dp.rho).value,
+        ),
+    ),
+    "kappa": ("i", lambda i, c: (theory.clone_size_pmf(i, c.u, c.params.b1, c.params.d1), "", 0.0)),
+    "K": ("x", lambda x, c: _value(theory.window_weight_resistant(x, c.dp, c.tol))),
+    "L": ("x", lambda x, c: _value(theory.window_weight_sensitive(x, c.dp, c.tol))),
+    "Kslope": ("x", lambda x, c: _value(theory.window_weight_resistant_slope(x, c.dp, c.tol))),
+    "thm1": ("i", lambda i, c: _asymptote(theory.sfs_small_asymptotic(i, c.t, c.params))),
+    "thm2": (
+        "windows",
+        lambda w, c: _asymptote(theory.sfs_window_asymptotic(*w, c.t, c.params, c.tol)),
+    ),
+    "P": (
+        "i",
+        lambda i, c: _value(
+            theory.resistant_origin_main_term(i, c.t, c.params, c.tol),
+            theory.sfs_small_asymptotic(i, c.t, c.params).value,
+        ),
+    ),
+    "Q": ("i", lambda i, c: _value(theory.sensitive_origin_main_term(i, c.t, c.params, c.tol))),
+    "gn": ("i", lambda g, c: (theory.generation_pmf(c.dp, g), "", 0.0)),
+    "tn": ("x", lambda x, c: (theory.appearance_time_pdf(c.dp, x), "", 0.0)),
+    "tilde-gn": ("i", lambda g, c: (theory.generation_pmf_any(c.dp, g), "", 0.0)),
+    "tilde-tn": ("x", lambda x, c: (theory.appearance_time_pdf_any(c.dp, x), "", 0.0)),
+    "anc-count": ("none", lambda _, c: (*theory.ancestral_count_mean(c.params), 0.0)),
+    "anc-one": ("none", lambda _, c: (*theory.prob_one_ancestral(c.dp), 0.0)),
+    "anc-multi": ("none", lambda _, c: (*theory.multi_ancestral_mean(c.dp), 0.0)),
+    "clone-sfs": (
+        "i",
+        lambda i, c: _value(
+            theory.single_clone_sfs(i, c.t_abs, c.params.b1, c.params.d1, c.params.omega),
+            theory.single_clone_sfs_asymptotic(i, c.t_abs, c.params.b1, c.params.d1, c.params.omega),
+        ),
+    ),
+}
+
+FORMULA_IDS = tuple(_FORMULAS)
+
+
 def _theory_rows(args, cfg: RunConfig):
     """(header, rows) for one formula id over the requested range."""
-    params = cfg.params
+    params, obs = cfg.params, cfg.observation
     dp = derive(params)
-    t = cfg.observation.t_mult if cfg.observation.t_mult is not None else 1.0 / dp.lambda0
-    if cfg.observation.mode == "absolute":
-        t = cfg.observation.t_abs / math.log(params.n_init)
+    t = obs.t_mult if obs.t_mult is not None else 1.0 / dp.lambda0
+    t_abs = t * math.log(params.n_init)
+    if obs.mode == "absolute":
+        t, t_abs = obs.t_abs / math.log(params.n_init), obs.t_abs
     fid = args.formula
-    tol = args.tol
     i_list = _parse_irange(args.i_range) if args.i_range else None
     x_list = _parse_grid(args.x_grid) if args.x_grid else None
-    rows = []
-
-    def need_i():
+    if fid not in _FORMULAS:
+        raise ConfigError(f"unknown formula id {fid!r}; valid ids: {', '.join(FORMULA_IDS)}")
+    kind, row = _FORMULAS[fid]
+    if kind == "none":
+        points = [(0, None)]
+    elif kind == "i":
         if not i_list:
             raise ConfigError(f"formula {fid!r} needs --i-range")
-        return i_list
-
-    def need_x():
+        points = [(i, i) for i in i_list]
+    else:
         if not x_list:
             raise ConfigError(f"formula {fid!r} needs --x-grid")
-        return x_list
-
-    if fid == "I":
-        for i in need_i():
-            tv = theory.shape_integral(i, dp.rho)
-            rows.append((i, tv.value, "", tv.abs_error_bound, fid))
-    elif fid == "hi":
-        i = args.i if args.i else 1
-        for x in need_x():
-            tv = theory.shape_integral_truncated(i, x, dp.rho)
-            lim = theory.shape_integral(i, dp.rho)
-            rows.append((x, tv.value, lim.value, tv.abs_error_bound, fid))
-    elif fid == "kappa":
-        u = args.u if args.u is not None else 1.0
-        for i in need_i():
-            rows.append((i, theory.clone_size_pmf(i, u, params.b1, params.d1), "", 0.0, fid))
-    elif fid == "K":
-        for x in need_x():
-            tv = theory.window_weight_resistant(x, dp, tol)
-            rows.append((x, tv.value, "", tv.abs_error_bound, fid))
-    elif fid == "L":
-        for x in need_x():
-            tv = theory.window_weight_sensitive(x, dp, tol)
-            rows.append((x, tv.value, "", tv.abs_error_bound, fid))
-    elif fid == "Kslope":
-        for x in need_x():
-            tv = theory.window_weight_resistant_slope(x, dp, tol)
-            rows.append((x, tv.value, "", tv.abs_error_bound, fid))
-    elif fid == "thm1":
-        for i in need_i():
-            tv = theory.sfs_small_asymptotic(i, t, params)
-            rows.append((i, tv.value, tv.value, tv.abs_error_bound, fid))
-    elif fid == "thm2":
-        xs = need_x()
-        if len(xs) < 2:
-            raise ConfigError("thm2 needs an --x-grid with at least two points")
-        for x1, x2 in zip(xs, xs[1:]):
-            tv = theory.sfs_window_asymptotic(x1, x2, t, params, tol)
-            rows.append((x1, tv.value, tv.value, tv.abs_error_bound, fid))
-        tv = theory.sfs_window_asymptotic(xs[-1], math.inf, t, params, tol)
-        rows.append((xs[-1], tv.value, tv.value, tv.abs_error_bound, fid))
-    elif fid == "P":
-        for i in need_i():
-            tv = theory.resistant_origin_main_term(i, t, params, tol)
-            asym = theory.sfs_small_asymptotic(i, t, params)
-            rows.append((i, tv.value, asym.value, tv.abs_error_bound, fid))
-    elif fid == "Q":
-        for i in need_i():
-            tv = theory.sensitive_origin_main_term(i, t, params, tol)
-            rows.append((i, tv.value, "", tv.abs_error_bound, fid))
-    elif fid == "gn":
-        for g in need_i():
-            rows.append((g, theory.generation_pmf(dp, g), "", 0.0, fid))
-    elif fid == "tn":
-        for x in need_x():
-            rows.append((x, theory.appearance_time_pdf(dp, x), "", 0.0, fid))
-    elif fid == "tilde-gn":
-        for g in need_i():
-            rows.append((g, theory.generation_pmf_any(dp, g), "", 0.0, fid))
-    elif fid == "tilde-tn":
-        for x in need_x():
-            rows.append((x, theory.appearance_time_pdf_any(dp, x), "", 0.0, fid))
-    elif fid == "anc-count":
-        pv = theory.ancestral_count_mean(params)
-        rows.append((0, pv.exact, pv.asymptotic, 0.0, fid))
-    elif fid == "anc-one":
-        pv = theory.prob_one_ancestral(dp)
-        rows.append((0, pv.exact, pv.asymptotic, 0.0, fid))
-    elif fid == "anc-multi":
-        pv = theory.multi_ancestral_mean(dp)
-        rows.append((0, pv.exact, pv.asymptotic, 0.0, fid))
-    elif fid == "clone-sfs":
-        t_abs = cfg.observation.t_abs if cfg.observation.mode == "absolute" else t * math.log(
-            params.n_init
-        )
-        for i in need_i():
-            tv = theory.single_clone_sfs(i, t_abs, params.b1, params.d1, params.omega)
-            asym = theory.single_clone_sfs_asymptotic(i, t_abs, params.b1, params.d1, params.omega)
-            rows.append((i, tv.value, asym, tv.abs_error_bound, fid))
-    else:
-        raise ConfigError(f"unknown formula id {fid!r}; valid ids: {', '.join(FORMULA_IDS)}")
+        points = [(x, x) for x in x_list]
+        if kind == "windows":
+            if len(x_list) < 2:
+                raise ConfigError(f"{fid} needs an --x-grid with at least two points")
+            points = [(x1, (x1, x2)) for x1, x2 in zip(x_list, x_list[1:] + [math.inf])]
+    inputs = _TheoryInputs(
+        params, dp, t, t_abs, args.tol, args.i or 1, args.u if args.u is not None else 1.0
+    )
+    rows = [(index, *row(point, inputs), fid) for index, point in points]
     return ["index_or_x", "exact", "asymptotic", "error_bound", "formula_id"], rows
 
 
-def cmd_theory(args: argparse.Namespace) -> int:
-    started = time.time()
-    cfg = _resolve_config(args)
-    outputs = _OutputSet(args.out_dir)
-    try:
-        header, rows = _theory_rows(args, cfg)
-        _write_csv(outputs.path(f"theory_{args.formula.replace('-', '_')}.csv"), header, rows)
-    except Exception:
-        outputs.cleanup()
-        raise
-    _finish("theory", cfg, outputs, started)
+def cmd_theory(args: argparse.Namespace, cfg: RunConfig, outputs: _OutputSet) -> int:
+    header, rows = _theory_rows(args, cfg)
+    _write_csv(outputs.path(f"theory_{args.formula.replace('-', '_')}.csv"), header, rows)
     return 0
 
 
@@ -450,37 +400,27 @@ def cmd_theory(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_gw(args: argparse.Namespace) -> int:
-    started = time.time()
-    cfg = _resolve_config(args)
+def cmd_gw(args: argparse.Namespace, cfg: RunConfig, outputs: _OutputSet) -> int:
     dp = derive(cfg.params)
     p = args.p if args.p is not None else dp.p_n
     beta = args.beta if args.beta is not None else dp.beta_n
     law = gw_trees.GwLaw(p=p, beta=beta)
     rng = Random(cfg.seed)
-    outputs = _OutputSet(args.out_dir)
-    try:
-        samples = []
-        for _ in range(args.samples):
-            s = gw_trees.sample_conditioned(
-                law, args.condition, rng, root_excluded=args.root_excluded
-            )
-            g = s.generation if args.root_excluded else s.generation + 1
-            samples.append(g)
-        if args.condition == gw_trees.CONDITION_EXACTLY_ONE:
-            pmf = lambda g: gw_trees.gen_pmf_one_mark(law, g)  # noqa: E731
-        else:
-            pmf = lambda g: gw_trees.gen_pmf_atleast_one_mark(law, g)  # noqa: E731
-        rows = gw_trees.pmf_table(samples, pmf, g_max=args.g_max)
-        _write_csv(
-            outputs.path("gw_pmf.csv"),
-            ["g", "pmf_theory", "pmf_empirical", "count"],
-            [(g, _fmt(t), _fmt(e), c) for g, t, e, c in rows],
-        )
-    except Exception:
-        outputs.cleanup()
-        raise
-    _finish("gw", cfg, outputs, started)
+    samples = []
+    for _ in range(args.samples):
+        s = gw_trees.sample_conditioned(law, args.condition, rng, root_excluded=args.root_excluded)
+        g = s.generation if args.root_excluded else s.generation + 1
+        samples.append(g)
+    if args.condition == gw_trees.CONDITION_EXACTLY_ONE:
+        pmf = lambda g: gw_trees.gen_pmf_one_mark(law, g)  # noqa: E731
+    else:
+        pmf = lambda g: gw_trees.gen_pmf_atleast_one_mark(law, g)  # noqa: E731
+    rows = gw_trees.pmf_table(samples, pmf, g_max=args.g_max)
+    _write_csv(
+        outputs.path("gw_pmf.csv"),
+        ["g", "pmf_theory", "pmf_empirical", "count"],
+        [(g, _fmt(t), _fmt(e), c) for g, t, e, c in rows],
+    )
     return 0
 
 
@@ -489,90 +429,67 @@ def cmd_gw(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
-    started = time.time()
-    cfg = _resolve_config(args)
+def cmd_compare(args: argparse.Namespace, cfg: RunConfig, outputs: _OutputSet) -> int:
     t_obs = observation_time(cfg.observation, cfg.params)
     t = t_obs / math.log(cfg.params.n_init)
-    outputs = _OutputSet(args.out_dir)
-    try:
-        if args.what == "small-i":
-            i_max = args.i_max
-            agg = montecarlo.replicate_sfs(
-                cfg.params,
-                t_obs,
-                cfg.replicates,
-                cfg.seed,
-                i_max=i_max,
-                workers=_workers(args),
-            )
-            stats = agg.stats("sbar")
-            tvals = [
-                theory.resistant_origin_mean_exact(i, t, cfg.params, args.tol).value
-                for i in range(1, i_max + 1)
-            ]
-            report = montecarlo.compare(
-                stats,
-                tvals,
-                mode=args.mode,
-                threshold=args.threshold,
-                metadata={"what": "sbar vs exact mean", "replicates": cfg.replicates},
-            )
-        else:
-            windows = _parse_grid(args.windows or "0.6,1,2,4,6")
-            agg = montecarlo.replicate_sfs(
-                cfg.params,
-                t_obs,
-                cfg.replicates,
-                cfg.seed,
-                i_max=1,
-                windows=windows,
-                workers=_workers(args),
-            )
-            dp = derive(cfg.params)
-            stats = agg.window_stats("sbar")
-            if args.mode == "z-score":
-                # tight gate: the exact finite-N window expectation
-                tvals = [
-                    theory.resistant_origin_window_exact(x, t, cfg.params, args.tol).value
-                    for x in windows
-                ]
-                what = "sbar windows vs exact"
-            else:
-                scale = (
-                    cfg.params.b0
-                    * cfg.params.gamma
-                    * cfg.params.omega
-                    * dp.lambda1
-                    * cfg.params.n_init ** (1.0 - cfg.params.alpha)
-                )
-                tvals = [
-                    scale * theory.window_weight_resistant(x, dp, args.tol).value
-                    for x in windows
-                ]
-                what = "sbar windows vs asymptotic"
-            report = montecarlo.compare(
-                stats,
-                tvals,
-                mode=args.mode,
-                threshold=args.threshold,
-                metadata={"what": what, "replicates": cfg.replicates},
-            )
-        with open(outputs.path("report.json"), "w", encoding="utf-8") as fh:
-            json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        _write_csv(
-            outputs.path("report.csv"),
-            ["index", "empirical_mean", "empirical_sem", "theory", "z", "rel_gap", "passed"],
-            [
-                (idx, _fmt(m), _fmt(sem), _fmt(th_), _fmt(z), _fmt(rg), passed)
-                for idx, m, sem, th_, z, rg, passed in report.rows()
-            ],
+    if args.what == "small-i":
+        i_max = args.i_max
+        agg = montecarlo.replicate_sfs(
+            cfg.params,
+            t_obs,
+            cfg.replicates,
+            cfg.seed,
+            i_max=i_max,
+            workers=_workers(args),
         )
-    except Exception:
-        outputs.cleanup()
-        raise
-    _finish("compare", cfg, outputs, started)
+        stats = agg.stats("sbar")
+        tvals = [
+            theory.resistant_origin_mean_exact(i, t, cfg.params, args.tol).value
+            for i in range(1, i_max + 1)
+        ]
+        what = "sbar vs exact mean"
+    else:
+        windows = _parse_grid(args.windows or "0.6,1,2,4,6")
+        agg = montecarlo.replicate_sfs(
+            cfg.params,
+            t_obs,
+            cfg.replicates,
+            cfg.seed,
+            i_max=1,
+            windows=windows,
+            workers=_workers(args),
+        )
+        dp = derive(cfg.params)
+        stats = agg.window_stats("sbar")
+        if args.mode == "z-score":
+            # tight gate: the exact finite-N window expectation
+            tvals = [
+                theory.resistant_origin_window_exact(x, t, cfg.params, args.tol).value
+                for x in windows
+            ]
+            what = "sbar windows vs exact"
+        else:
+            scale = theory.window_scale(cfg.params)
+            tvals = [scale * theory.window_weight_resistant(x, dp, args.tol).value for x in windows]
+            what = "sbar windows vs asymptotic"
+    report = montecarlo.compare(
+        stats,
+        tvals,
+        mode=args.mode,
+        threshold=args.threshold,
+        metadata={"what": what, "replicates": cfg.replicates},
+    )
+    with open(outputs.path("report.json"), "w", encoding="utf-8") as fh:
+        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    _write_csv(
+        outputs.path("report.csv"),
+        ["index", "empirical_mean", "empirical_sem", "theory", "z", "rel_gap", "passed"],
+        [
+            (idx, _fmt(m), _fmt(sem), _fmt(th_), _fmt(z), _fmt(rg), passed)
+            for idx, m, sem, th_, z, rg, passed in report.rows()
+        ],
+    )
     if not report.all_passed:
         print(
             f"gate FAILED: {report.pass_fraction:.1%} of indices passed "
@@ -589,16 +506,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_figures(args: argparse.Namespace) -> int:
-    started = time.time()
-    cfg = _resolve_config(args)
-    outputs = _OutputSet(args.out_dir)
-    try:
-        _FIGURE_BUILDERS[args.which](args, cfg, outputs)
-    except Exception:
-        outputs.cleanup()
-        raise
-    _finish(f"figures:{args.which}", cfg, outputs, started)
+def cmd_figures(args: argparse.Namespace, cfg: RunConfig, outputs: _OutputSet) -> int:
+    _FIGURE_BUILDERS[args.which](args, cfg, outputs)
     return 0
 
 
@@ -708,13 +617,7 @@ def _window_figure(args, cfg: RunConfig, outputs: _OutputSet, kind: str, name: s
     xs = [round(0.1 * k, 1) for k in range(1, 71)]
     agg, t_obs = _sfs_figure_aggregate(args, cfg, i_max=1, windows=xs)
     dp = derive(cfg.params)
-    scale = (
-        cfg.params.b0
-        * cfg.params.gamma
-        * cfg.params.omega
-        * dp.lambda1
-        * cfg.params.n_init ** (1.0 - cfg.params.alpha)
-    )
+    scale = theory.window_scale(cfg.params)
     stats = agg.window_stats(kind)
     rows = []
     for k, x in enumerate(xs):
@@ -832,6 +735,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--samples", type=int, default=None, help="tree samples for fig2")
     p_fig.set_defaults(func=cmd_figures)
 
+    for p in (p_sim, p_cmp, p_fig):
+        p.add_argument("--workers", type=int, default=None, help="worker processes (default: cores)")
+    for p in (p_th, p_cmp):
+        p.add_argument("--tol", type=float, default=theory.DEFAULT_TOL, help="quadrature tolerance")
     return parser
 
 
@@ -839,7 +746,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return _run(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -440,11 +440,6 @@ class DirectOneMarkSampler:
         return depth, n_leaves
 
 
-def sample_one_mark_direct(sampler: DirectOneMarkSampler, rng: Random) -> int:
-    """Generation of the marked leaf from the direct sampler."""
-    return sampler.sample(rng)[0]
-
-
 def pmf_table(
     samples: list[int], pmf, g_max: int | None = None
 ) -> list[tuple[int, float, float, int]]:

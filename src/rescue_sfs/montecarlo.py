@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from random import Random
 from typing import Callable, Mapping, Sequence
@@ -19,8 +20,8 @@ import numpy as np
 from scipy.stats import chi2 as chi2_dist
 from scipy.stats import kstest
 
+from rescue_sfs import simulator
 from rescue_sfs.params import ModelParams
-from rescue_sfs.simulator import dense_sfs, extract_sfs, run, window_counts
 
 DEFAULT_CHUNK = 256
 GEN_HIST_MAX = 64
@@ -196,17 +197,17 @@ def _one_replicate(
     agg: SfsAggregate,
     lambda1: float,
     collect_generation_hist: bool,
-) -> None:
-    outcome = run(params, t_obs, initial=initial, rng=Random(rep_seed))
-    record = extract_sfs(outcome)
-    s, sbar, sunder = dense_sfs(record, agg.i_max)
+) -> simulator.SfsRecord:
+    outcome = simulator.run(params, t_obs, initial=initial, rng=Random(rep_seed))
+    record = simulator.extract_sfs(outcome)
+    s, sbar, sunder = simulator.dense_sfs(record, agg.i_max)
     agg.s.update(np.asarray(s[1:], dtype=float))
     agg.sbar.update(np.asarray(sbar[1:], dtype=float))
     agg.sunder.update(np.asarray(sunder[1:], dtype=float))
     if agg.windows:
         ws, wb, wu = [], [], []
         for x in agg.windows:
-            wc = window_counts(record, x, math.inf, lambda1)
+            wc = simulator.window_counts(record, x, math.inf, lambda1)
             ws.append(wc.total)
             wb.append(wc.resistant_origin)
             wu.append(wc.sensitive_origin)
@@ -227,17 +228,23 @@ def _one_replicate(
             if len(gens) == 1:
                 hist[min(gens[0], GEN_HIST_MAX)] += 1
     agg.replicates += 1
+    return record
 
 
-def _run_chunk(args) -> SfsAggregate:
-    (params, t_obs, initial, master_seed, start, stop, i_max, windows, collect_hist) = args
+def _run_chunk(args) -> tuple[SfsAggregate, list[simulator.SfsRecord]]:
+    """Aggregate of one replicate range, plus its records in replicate
+    order when ``keep`` is set (else an empty list)."""
+    (params, t_obs, initial, master_seed, start, stop, i_max, windows, collect_hist, keep) = args
     lambda1 = params.b1 - params.d1
     agg = SfsAggregate(params, t_obs, initial, master_seed, i_max, tuple(windows))
+    records = []
     for r in range(start, stop):
-        _one_replicate(
+        record = _one_replicate(
             params, t_obs, initial, seed_for_replicate(master_seed, r), agg, lambda1, collect_hist
         )
-    return agg
+        if keep:
+            records.append(record)
+    return agg, records
 
 
 def replicate_sfs(
@@ -251,12 +258,16 @@ def replicate_sfs(
     workers: int = 1,
     collect_generation_hist: bool = False,
     chunk_size: int = DEFAULT_CHUNK,
+    on_record: Callable[[int, simulator.SfsRecord], None] | None = None,
 ) -> SfsAggregate:
     """Aggregate ``replicates`` independent runs.
 
     Deterministic given (params, t_obs, replicates, seed, i_max, windows,
     chunk_size) regardless of ``workers``: chunks cover fixed contiguous
-    replicate ranges and merge in order.
+    replicate ranges and merge in order.  A single chunk runs in-process,
+    and no more workers start than there are chunks.  ``on_record(r,
+    record)`` is called in this process for every replicate r, in
+    replicate order, with that replicate's SfsRecord.
     """
     if replicates < 2:
         raise ValueError(f"requires replicates >= 2, got {replicates}")
@@ -273,17 +284,18 @@ def replicate_sfs(
             i_max,
             tuple(windows),
             collect_generation_hist,
+            on_record is not None,
         )
         for start in range(0, replicates, chunk_size)
     ]
     total = SfsAggregate(params, t_obs, initial, seed, i_max, tuple(windows))
-    if workers <= 1:
-        for chunk in chunks:
-            total.merge(_run_chunk(chunk))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for agg in pool.map(_run_chunk, chunks):
-                total.merge(agg)
+    workers = min(workers, len(chunks))
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        results = pool.map(_run_chunk, chunks) if pool else map(_run_chunk, chunks)
+        for start, (agg, records) in zip(range(0, replicates, chunk_size), results):
+            total.merge(agg)
+            for r, record in enumerate(records, start):
+                on_record(r, record)
     return total
 
 

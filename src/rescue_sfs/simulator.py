@@ -427,12 +427,6 @@ def window_counts(
     return WindowCounts(total, res, sen)
 
 
-def ancestral_records(outcome: SimOutcome) -> list[tuple[float, int, int]]:
-    """(birth time, generation, root id) of every ancestral resistant cell,
-    in order of appearance."""
-    return list(outcome.ancestral)
-
-
 def dense_sfs(record: SfsRecord, i_max: int) -> tuple[list[int], list[int], list[int]]:
     """Dense (s, s_resistant_origin, s_sensitive_origin) vectors over
     1..i_max as length-(i_max+1) lists with slot 0 unused."""

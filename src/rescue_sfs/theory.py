@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 from scipy.integrate import quad
 
@@ -50,29 +50,6 @@ class PairedValue(NamedTuple):
 
     exact: float
     asymptotic: float
-
-
-@dataclass(frozen=True)
-class SfsTheoryCurve:
-    """A theory curve over strictly increasing indices (i or x)."""
-
-    indices: tuple[float, ...]
-    values: tuple[TheoryValue, ...]
-    formula_id: str
-    asymptotic: tuple[float, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if len(self.indices) != len(self.values):
-            raise ValueError("indices and values must have equal length")
-        if any(b <= a for a, b in zip(self.indices, self.indices[1:])):
-            raise ValueError("indices must be strictly increasing")
-        if self.asymptotic is not None and len(self.asymptotic) != len(self.indices):
-            raise ValueError("asymptotic column must match indices")
-
-    def rows(self):
-        asym = self.asymptotic or tuple(float("nan") for _ in self.indices)
-        for idx, tv, a in zip(self.indices, self.values, asym):
-            yield (idx, tv.value, a, tv.abs_error_bound, self.formula_id)
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +403,13 @@ def sfs_small_asymptotic(i: int, t: float, params: ModelParams) -> TheoryValue:
     return TheoryValue(shape.value * scale, shape.abs_error_bound * scale, "asymptotic")
 
 
+def window_scale(params: ModelParams) -> float:
+    """b0 gamma omega lambda1 N^(1-alpha): the large-N scale that turns the
+    window weights K, L into expected window counts."""
+    lam1 = params.b1 - params.d1
+    return params.b0 * params.gamma * params.omega * lam1 * params.n_init ** (1.0 - params.alpha)
+
+
 def sfs_window_asymptotic(
     x1: float, x2: float, t: float, params: ModelParams, tol: float = DEFAULT_TOL
 ) -> TheoryValue:
@@ -449,13 +433,7 @@ def sfs_window_asymptotic(
 
     j1 = j_value(x1)
     j2 = j_value(x2)
-    scale = (
-        params.b0
-        * params.gamma
-        * params.omega
-        * dp.lambda1
-        * params.n_init ** (1.0 - params.alpha)
-    )
+    scale = window_scale(params)
     return TheoryValue(
         scale * (j1.value - j2.value),
         scale * (j1.abs_error_bound + j2.abs_error_bound),
@@ -505,17 +483,15 @@ def resistant_origin_main_term(
     return TheoryValue(pref * value, pref * err, "quadrature")
 
 
-def sensitive_origin_main_term(
-    i: int, t: float, params: ModelParams, tol: float = DEFAULT_TOL
+def _sensitive_founder_integral(
+    t: float, params: ModelParams, tol: float, size: Callable[[float], float]
 ) -> TheoryValue:
-    """Single-founder part of E[sensitive-origin S_i(t ln N)]:
+    """Mutations of single founders born at sensitive divisions, carried by
+    a clone of ``size`` (pmf or tail at scale y = e^(-lambda1 u)):
 
-    N gamma_n (1-x_n) delta0 omega / (2 (1-gamma_n))
-      * Int_0^(t_N) kappa_i(e^(-lambda1 (t_N-s))) (1 + s delta0 (1-x_n))
-        e^(-s delta0 x_n) ds.
+    N gamma_n (1-x_n) delta0 omega / (2 (1-gamma_n)) Int_0^(t_N)
+      size(e^(-lambda1 (t_N-s))) (1 + s delta0 (1-x_n)) e^(-s delta0 x_n) ds.
     """
-    if i < 1:
-        raise ValueError(f"requires i >= 1, got {i}")
     if t <= 0:
         raise ValueError(f"requires t > 0, got {t}")
     if params.omega == 0.0:
@@ -523,36 +499,85 @@ def sensitive_origin_main_term(
     dp = derive(params)
     t_n = t * math.log(params.n_init)
     lam1 = dp.lambda1
-    b1, d1 = dp.b1, dp.d1
     x = dp.x_n
     d0 = dp.delta0
 
     def f(s: float) -> float:
         y = math.exp(-lam1 * (t_n - s))
-        return (
-            clone_size_pmf_scaled(i, y, b1, d1)
-            * (1.0 + s * d0 * (1.0 - x))
-            * math.exp(-s * d0 * x)
-        )
+        return size(y) * (1.0 + s * d0 * (1.0 - x)) * math.exp(-s * d0 * x)
 
     pref = params.n_init * dp.gamma_n * (1.0 - x) * d0 * params.omega / (2.0 * (1.0 - dp.gamma_n))
     value, err = _quad_finite(f, 0.0, t_n, tol / max(pref, 1.0))
     return TheoryValue(pref * value, pref * err, "quadrature")
 
 
-def _clone_size_tail(m: int, y: float, b1: float, d1: float) -> float:
-    """P(clone size > m) at scale y = e^(-lambda1 u): closed geometric tail
+def _resistant_division_integral(
+    t: float, params: ModelParams, tol: float, size: Callable[[float], float]
+) -> TheoryValue:
+    """Mutations born at resistant divisions, all founders included: they
+    appear at rate omega b1 E[Z1(s)], each carried by one fresh clone of
+    ``size`` (pmf or tail at scale y = e^(-lambda1 u)) aged t_N - s:
+
+        omega b1 Int_0^(t_N) E[Z1(s)] size(e^(-lambda1 (t_N - s))) ds,
+
+    with E[Z1(s)] = 2 gamma_n b0 N (e^(lambda1 s) - e^(-lt0 s)) / (lambda1 + lt0)
+    and lt0 = lambda0 + 2 gamma_n b0 the sensitive population's decay rate.
+    """
+    if t <= 0:
+        raise ValueError(f"requires t > 0, got {t}")
+    if params.omega == 0.0:
+        return TheoryValue(0.0, 0.0, "exact")
+    dp = derive(params)
+    t_n = t * math.log(params.n_init)
+    lam1 = dp.lambda1
+    lt0 = dp.lambda0 + 2.0 * dp.gamma_n * dp.b0
+
+    def f(s: float) -> float:
+        y = math.exp(-lam1 * (t_n - s))
+        return (math.exp(lam1 * s) - math.exp(-lt0 * s)) * size(y)
+
+    pref = params.omega * dp.b1 * 2.0 * dp.gamma_n * dp.b0 * params.n_init / (lam1 + lt0)
+    value, err = _quad_finite(f, 0.0, t_n, tol / max(pref, 1.0))
+    return TheoryValue(pref * value, pref * err, "quadrature")
+
+
+def _size_pmf(i: int, params: ModelParams) -> Callable[[float], float]:
+    """y -> P(clone size = i) at scale y = e^(-lambda1 u)."""
+    if i < 1:
+        raise ValueError(f"requires i >= 1, got {i}")
+    return lambda y: clone_size_pmf_scaled(i, y, params.b1, params.d1)
+
+
+def _size_tail(x: float, t: float, params: ModelParams) -> Callable[[float], float]:
+    """y -> P(clone size > m) at scale y = e^(-lambda1 u), for the window
+    edge m = floor(x e^(lambda1 t_N)): the closed geometric tail
     (lambda1/b1) q^m / (1 - rho y) with q = (1-y)/(1-rho y); at m = 0 this
     is the survival probability 1 - extinction mass."""
+    if x <= 0:
+        raise ValueError(f"requires x > 0, got {x}")
+    b1, d1 = params.b1, params.d1
     rho = d1 / b1
     lam1 = b1 - d1
-    head = (lam1 / b1) / (1.0 - rho * y)
-    if m == 0:
-        return head
-    q = (1.0 - y) / (1.0 - rho * y)
-    if q <= 0.0:
-        return 0.0
-    return head * math.exp(m * math.log(q))
+    m = math.floor(x * math.exp(lam1 * (t * math.log(params.n_init))))
+
+    def tail(y: float) -> float:
+        head = (lam1 / b1) / (1.0 - rho * y)
+        if m == 0:
+            return head
+        q = (1.0 - y) / (1.0 - rho * y)
+        if q <= 0.0:
+            return 0.0
+        return head * math.exp(m * math.log(q))
+
+    return tail
+
+
+def sensitive_origin_main_term(
+    i: int, t: float, params: ModelParams, tol: float = DEFAULT_TOL
+) -> TheoryValue:
+    """Single-founder part of E[sensitive-origin S_i(t ln N)]: the founder
+    integral with the clone-size pmf kappa_i."""
+    return _sensitive_founder_integral(t, params, tol, _size_pmf(i, params))
 
 
 def sensitive_origin_window_main(
@@ -562,31 +587,7 @@ def sensitive_origin_window_main(
     (x e^(lambda1 t_N), inf)]: the sum of the per-index main terms over the
     open window, collapsed to one quadrature via the geometric tail of the
     clone-size law."""
-    if x <= 0:
-        raise ValueError(f"requires x > 0, got {x}")
-    if t <= 0:
-        raise ValueError(f"requires t > 0, got {t}")
-    if params.omega == 0.0:
-        return TheoryValue(0.0, 0.0, "exact")
-    dp = derive(params)
-    t_n = t * math.log(params.n_init)
-    lam1 = dp.lambda1
-    m = math.floor(x * math.exp(lam1 * t_n))
-    b1, d1 = dp.b1, dp.d1
-    xn = dp.x_n
-    d0 = dp.delta0
-
-    def f(s: float) -> float:
-        y = math.exp(-lam1 * (t_n - s))
-        return (
-            _clone_size_tail(m, y, b1, d1)
-            * (1.0 + s * d0 * (1.0 - xn))
-            * math.exp(-s * d0 * xn)
-        )
-
-    pref = params.n_init * dp.gamma_n * (1.0 - xn) * d0 * params.omega / (2.0 * (1.0 - dp.gamma_n))
-    value, err = _quad_finite(f, 0.0, t_n, tol / max(pref, 1.0))
-    return TheoryValue(pref * value, pref * err, "quadrature")
+    return _sensitive_founder_integral(t, params, tol, _size_tail(x, t, params))
 
 
 def resistant_origin_window_exact(
@@ -595,64 +596,17 @@ def resistant_origin_window_exact(
     """Exact E[resistant-origin window count over (x e^(lambda1 t_N), inf)]:
     the window sum of resistant_origin_mean_exact collapsed to one
     quadrature via the clone-size tail."""
-    if x <= 0:
-        raise ValueError(f"requires x > 0, got {x}")
-    if t <= 0:
-        raise ValueError(f"requires t > 0, got {t}")
-    if params.omega == 0.0:
-        return TheoryValue(0.0, 0.0, "exact")
-    dp = derive(params)
-    t_n = t * math.log(params.n_init)
-    lam1 = dp.lambda1
-    m = math.floor(x * math.exp(lam1 * t_n))
-    lt0 = dp.lambda0 + 2.0 * dp.gamma_n * dp.b0
-    b1, d1 = dp.b1, dp.d1
-
-    def f(s: float) -> float:
-        y = math.exp(-lam1 * (t_n - s))
-        return (math.exp(lam1 * s) - math.exp(-lt0 * s)) * _clone_size_tail(m, y, b1, d1)
-
-    pref = params.omega * b1 * 2.0 * dp.gamma_n * dp.b0 * params.n_init / (lam1 + lt0)
-    value, err = _quad_finite(f, 0.0, t_n, tol / max(pref, 1.0))
-    return TheoryValue(pref * value, pref * err, "quadrature")
+    return _resistant_division_integral(t, params, tol, _size_tail(x, t, params))
 
 
 def resistant_origin_mean_exact(
     i: int, t: float, params: ModelParams, tol: float = DEFAULT_TOL
 ) -> TheoryValue:
-    """Exact E[resistant-origin S_i(t ln N)], all founders included.
-
-    Mutations appear at resistant divisions at rate omega b1 E[Z1(s)] and
-    the carrier count of each is the size of one fresh clone aged t_N - s:
-
-        omega b1 Int_0^(t_N) E[Z1(s)] kappa_i(e^(-lambda1 (t_N - s))) ds,
-
-    with E[Z1(s)] = 2 gamma_n b0 N (e^(lambda1 s) - e^(-lt0 s)) / (lambda1 + lt0)
-    and lt0 = lambda0 + 2 gamma_n b0 the net decay rate of the sensitive
-    population.  This is the single-founder main term plus the multi-founder
-    remainder, so it is the tight Monte Carlo comparator.
-    """
-    if i < 1:
-        raise ValueError(f"requires i >= 1, got {i}")
-    if t <= 0:
-        raise ValueError(f"requires t > 0, got {t}")
-    if params.omega == 0.0:
-        return TheoryValue(0.0, 0.0, "exact")
-    dp = derive(params)
-    t_n = t * math.log(params.n_init)
-    lam1 = dp.lambda1
-    lt0 = dp.lambda0 + 2.0 * dp.gamma_n * dp.b0
-    b1, d1 = dp.b1, dp.d1
-
-    def f(s: float) -> float:
-        y = math.exp(-lam1 * (t_n - s))
-        return (math.exp(lam1 * s) - math.exp(-lt0 * s)) * clone_size_pmf_scaled(i, y, b1, d1)
-
-    pref = (
-        params.omega * b1 * 2.0 * dp.gamma_n * dp.b0 * params.n_init / (lam1 + lt0)
-    )
-    value, err = _quad_finite(f, 0.0, t_n, tol / max(pref, 1.0))
-    return TheoryValue(pref * value, pref * err, "quadrature")
+    """Exact E[resistant-origin S_i(t ln N)], all founders included: the
+    resistant-division integral with the clone-size pmf kappa_i.  This is
+    the single-founder main term plus the multi-founder remainder, so it is
+    the tight Monte Carlo comparator."""
+    return _resistant_division_integral(t, params, tol, _size_pmf(i, params))
 
 
 def expected_resistant_population(t_abs: float, params: ModelParams) -> float:
@@ -722,20 +676,3 @@ def sensitive_origin_main_bound(params: ModelParams) -> float:
         / (2.0 * (1.0 - dp.gamma_n))
         * (1.0 / (dp.delta0 * x) + 1.0 / (dp.delta0 * x**2))
     )
-
-
-# ---------------------------------------------------------------------------
-# Curve helper
-# ---------------------------------------------------------------------------
-
-
-def curve_over_indices(
-    formula_id: str,
-    indices: Sequence[float],
-    exact_fn: Callable[[float], TheoryValue],
-    asymptotic_fn: Callable[[float], float] | None = None,
-) -> SfsTheoryCurve:
-    """Evaluate a formula over indices into an SfsTheoryCurve."""
-    values = tuple(exact_fn(idx) for idx in indices)
-    asym = tuple(asymptotic_fn(idx) for idx in indices) if asymptotic_fn else None
-    return SfsTheoryCurve(tuple(float(i) for i in indices), values, formula_id, asym)

@@ -4,7 +4,8 @@ import os
 
 import pytest
 
-from rescue_sfs import cli
+from rescue_sfs import cli, montecarlo
+from rescue_sfs.params import load_config, observation_time
 
 REF_CFG = """
 b0 = 1.2
@@ -38,6 +39,20 @@ def _read_csv(path):
 def _manifest(out_dir):
     with open(os.path.join(out_dir, "manifest.json")) as fh:
         return json.load(fh)
+
+
+def _digests(out_dir):
+    return {os.path.basename(o["path"]): o["sha256"] for o in _manifest(out_dir)["outputs"]}
+
+
+# pinned `simulate` outputs of REF_CFG with --windows 0.5,2 --i-max 10: one
+# chunk of replicates, so they do not depend on how chunks are merged
+SIMULATE_DIGESTS = {
+    "aggregate.csv": "e4fa0dbf336094f1334683cf59afb8dc2e4679710df3a5c0134412074e71da4c",
+    "config_resolved.json": "89a2f92db45f06a791141f31c94d3437933c412ca54369d063b07092feea301c",
+    "per_replicate.csv": "97c596b3637ef0f855e3baf36fe0d4e3385bea98857e5ec381ff87a62963ce63",
+    "windows.csv": "b71c9ffac63aebf032be1498d0852b5d4b89a99d17525e909775985440723cb6",
+}
 
 
 def test_missing_key_cites_it(tmp_path, capsys):
@@ -87,6 +102,51 @@ def test_simulate_windows_output(cfg_path, tmp_path):
     )
     rows = _read_csv(os.path.join(out, "windows.csv"))
     assert rows[0][0] == "x" and len(rows) == 3
+
+
+def test_simulate_golden_digests(cfg_path, tmp_path):
+    out = str(tmp_path / "out")
+    argv = ["simulate", "--config", cfg_path, "--out-dir", out, "--windows", "0.5,2", "--i-max", "10"]
+    assert cli.main(argv) == 0
+    assert _digests(out) == SIMULATE_DIGESTS
+
+
+def test_simulate_matches_replicate_sfs_for_any_worker_count(cfg_path, tmp_path):
+    # 300 replicates make two chunks, so --workers 2 runs a process pool
+    argv = ["simulate", "--config", cfg_path, "--replicates", "300", "--windows", "0.5,2"]
+    argv += ["--i-max", "10"]
+    out1, out2 = str(tmp_path / "w1"), str(tmp_path / "w2")
+    assert cli.main(argv + ["--out-dir", out1, "--workers", "1"]) == 0
+    assert cli.main(argv + ["--out-dir", out2, "--workers", "2"]) == 0
+    assert _digests(out1) == _digests(out2)
+    cfg = load_config(cfg_path)
+    t_obs = observation_time(cfg.observation, cfg.params)
+    agg = montecarlo.replicate_sfs(
+        cfg.params, t_obs, 300, cfg.seed, i_max=10, windows=(0.5, 2.0)
+    )
+    rows = _read_csv(os.path.join(out1, "aggregate.csv"))[1:]
+    for col, kind in ((1, "s"), (2, "sbar"), (3, "sunder")):
+        assert [float(r[col]) for r in rows] == agg.stats(kind).mean.tolist()
+    wrows = _read_csv(os.path.join(out1, "windows.csv"))[1:]
+    for col, kind in ((1, "s"), (2, "sbar"), (3, "sunder")):
+        assert [float(r[col]) for r in wrows] == agg.window_stats(kind).mean.tolist()
+
+
+def test_flags_only_on_commands_that_read_them(cfg_path):
+    parser = cli.build_parser()
+    for command, flag in (
+        ("simulate", "--tol"),
+        ("gw", "--tol"),
+        ("figures", "--tol"),
+        ("theory", "--workers"),
+        ("gw", "--workers"),
+    ):
+        argv = [command, "--config", cfg_path, flag, "1"]
+        if command == "figures":
+            argv += ["--which", "fig7"]
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv)
+    assert parser.parse_args(["compare", "--config", cfg_path, "--tol", "1e-8", "--workers", "1"])
 
 
 def test_theory_curve_rows(cfg_path, tmp_path):

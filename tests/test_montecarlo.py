@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rescue_sfs import montecarlo as mc
+from rescue_sfs import simulator as sim
 from rescue_sfs.params import ModelParams
 
 TOY = ModelParams(b0=1.0, d0=2.0, b1=1.2, d1=0.5, omega=2.0, gamma=0.4, alpha=1.0, n_init=30)
@@ -78,6 +79,49 @@ def test_replicate_sfs_deterministic_and_worker_independent():
     # different seed should actually change something
     agg5 = mc.replicate_sfs(TOY, T_OBS, replicates=40, seed=8, i_max=10, windows=(0.5,))
     assert not np.array_equal(agg1.s.mean, agg5.s.mean)
+
+
+def test_replicate_sfs_calls_simulator_through_its_module(monkeypatch):
+    # a wrapper set on the simulator module's attribute sees every replicate
+    calls = []
+    run = sim.run
+
+    def counting_run(*args, **kwargs):
+        calls.append(1)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "run", counting_run)
+    mc.replicate_sfs(TOY, T_OBS, replicates=12, seed=3, i_max=5, workers=1)
+    assert len(calls) == 12
+
+
+def test_replicate_sfs_single_chunk_starts_no_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a single chunk must run in-process")
+
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", no_pool)
+    agg = mc.replicate_sfs(TOY, T_OBS, replicates=20, seed=5, i_max=5, workers=4, chunk_size=20)
+    assert agg.replicates == 20
+
+
+def test_on_record_in_replicate_order_for_any_worker_count():
+    def records(workers):
+        seen = []
+        mc.replicate_sfs(
+            TOY,
+            T_OBS,
+            replicates=20,
+            seed=7,
+            i_max=5,
+            workers=workers,
+            chunk_size=8,
+            on_record=lambda r, rec: seen.append((r, rec.s, rec.s_resistant_origin)),
+        )
+        return seen
+
+    serial = records(1)
+    assert [r for r, *_ in serial] == list(range(20))
+    assert records(2) == serial
 
 
 def test_replicate_sfs_requires_two():

@@ -187,13 +187,13 @@ def test_ancestral_records_gamma_zero():
         b0=1.2, d0=2.0, b1=1.2, d1=0.5, omega=2.0, gamma=0.0, alpha=0.9, n_init=50
     )
     out = sim.run(params, 2.0, rng=Random(108))
-    assert sim.ancestral_records(out) == []
+    assert out.ancestral == []
 
 
 def test_ancestral_records_fields():
     rng = Random(109)
     out = sim.run(REF, 1.25 * math.log(500), rng=rng)
-    records = sim.ancestral_records(out)
+    records = out.ancestral
     assert records  # reference set produces ~5.5 founders per run
     for t, gen, rid in records:
         assert 0.0 < t < out.t_obs

@@ -24,13 +24,6 @@ def test_theory_value_invariants():
         th.TheoryValue(1.0, 0.0, "guess")
 
 
-def test_curve_indices_strictly_increasing():
-    with pytest.raises(ValueError):
-        th.SfsTheoryCurve((1.0, 1.0), (th.TheoryValue(0.0), th.TheoryValue(0.0)), "I")
-    curve = th.curve_over_indices("I", [1, 2, 3], lambda i: th.shape_integral(int(i), RHO))
-    assert len(list(curve.rows())) == 3
-
-
 # ---------------------------------------------------------------------------
 # quadrature
 # ---------------------------------------------------------------------------
@@ -404,6 +397,37 @@ def test_window_sums_match_per_index_sums():
         )
         window_e = th.resistant_origin_window_exact(x, T, small).value
         assert window_e == pytest.approx(brute_e, rel=1e-5)
+
+
+# pinned values of the five founder integrals at the reference set
+FOUNDER_INTEGRALS = {
+    ("P", 1): 772.6884874882883,
+    ("P", 5): 62.75991517884779,
+    ("Q", 1): 0.3324204307809116,
+    ("Q", 7): 0.1551156604979159,
+    ("Q", 121): 0.024599970367448248,
+    ("exact_mean", 1): 801.9028586891723,
+    ("exact_mean", 7): 36.15083645103381,
+    ("exact_mean", 121): 0.13824770618923427,
+    ("window_sensitive", 0.6): 3.6756998508541687,
+    ("window_sensitive", 2.0): 0.8067137888806878,
+    ("window_sensitive", 6.0): 0.03162633316747549,
+    ("window_exact", 0.6): 9.477134095707001,
+    ("window_exact", 2.0): 0.9128346510978265,
+    ("window_exact", 6.0): 0.017289712132718748,
+}
+
+
+def test_founder_integrals_pinned():
+    fns = {
+        "P": th.resistant_origin_main_term,
+        "Q": th.sensitive_origin_main_term,
+        "exact_mean": th.resistant_origin_mean_exact,
+        "window_sensitive": th.sensitive_origin_window_main,
+        "window_exact": th.resistant_origin_window_exact,
+    }
+    for (name, idx), want in FOUNDER_INTEGRALS.items():
+        assert fns[name](idx, T, REF).value == pytest.approx(want, rel=1e-13, abs=0.0), (name, idx)
 
 
 def test_window_sums_decreasing_in_x():
