@@ -29,6 +29,7 @@ from rescue_sfs.params import (
     DerivedParams,
     ModelParams,
     ObservationSpec,
+    ParameterError,
     RunConfig,
     derive,
     derive_from_gamma_n,
@@ -73,9 +74,23 @@ def _write_csv(path: str, header: list[str], rows) -> None:
         writer.writerow(header)
         writer.writerows(rows)
 
+
 def _fmt(x) -> str:
     """Shortest-roundtrip decimal form of a float for CSV cells."""
     return repr(float(x))
+
+
+def _write_columns(path: str, header: list[str], *columns) -> None:
+    """Write equal-length columns side by side.  Int cells are written as
+    ints and every other cell through _fmt; a bare int (the replicate
+    count) fills its whole column."""
+    n = max(len(c) for c in columns if not isinstance(c, int))
+    cells = [
+        [c] * n if isinstance(c, int) else [v if isinstance(v, int) else _fmt(v) for v in c]
+        for c in columns
+    ]
+    _write_csv(path, header, zip(*cells))
+
 
 class _OutputSet:
     """Tracks files written by one command; removes them all on failure."""
@@ -179,13 +194,39 @@ def _workers(args: argparse.Namespace) -> int:
     return os.cpu_count() or 1
 
 
+def _replicates(args, cfg: RunConfig, i_max: int, windows=(), on_record=None):
+    """The configured Monte Carlo run, aggregated over i = 1..i_max and
+    the given window lower edges."""
+    return montecarlo.replicate_sfs(
+        cfg.params,
+        observation_time(cfg.observation, cfg.params),
+        cfg.replicates,
+        cfg.seed,
+        i_max=i_max,
+        windows=windows,
+        workers=_workers(args),
+        on_record=on_record,
+    )
+
+
+def _log_time(cfg: RunConfig) -> float:
+    """The observation time as a multiple of ln N, the t of the theory
+    formulas: t_mult (default 1/lambda0) in log-scaled mode, t_abs / ln N in
+    absolute mode."""
+    obs, params = cfg.observation, cfg.params
+    if obs.mode == "log-scaled":
+        return obs.t_mult if obs.t_mult is not None else 1.0 / (params.d0 - params.b0)
+    if params.n_init == 1:
+        raise ConfigError("absolute t_mode needs n_init > 1: t_abs / ln N is undefined at N = 1")
+    return obs.t_abs / math.log(params.n_init)
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
 
 
 def cmd_simulate(args: argparse.Namespace, cfg: RunConfig, outputs: _OutputSet) -> int:
-    t_obs = observation_time(cfg.observation, cfg.params)
     windows = _parse_grid(args.windows) if args.windows else ()
     with open(outputs.path("per_replicate.csv"), "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -197,62 +238,34 @@ def cmd_simulate(args: argparse.Namespace, cfg: RunConfig, outputs: _OutputSet) 
                 for i, m in sorted(record.s.items())
             )
 
-        agg = montecarlo.replicate_sfs(
-            cfg.params,
-            t_obs,
-            cfg.replicates,
-            cfg.seed,
-            i_max=args.i_max,
-            windows=windows,
-            workers=_workers(args),
-            on_record=write_record,
-        )
-    stats = agg.stats("s")
-    stats_bar = agg.stats("sbar")
-    stats_under = agg.stats("sunder")
-    rows = []
-    for k, i in enumerate(stats.indices):
-        ci = stats.ci_halfwidth[k]
-        rows.append(
-            [
-                int(i),
-                _fmt(stats.mean[k]),
-                _fmt(stats_bar.mean[k]),
-                _fmt(stats_under.mean[k]),
-                _fmt(stats.mean[k] - ci),
-                _fmt(stats.mean[k] + ci),
-                agg.replicates,
-            ]
-        )
-    _write_csv(
+        agg = _replicates(args, cfg, args.i_max, windows, on_record=write_record)
+    s, sbar, sunder = (agg.stats(kind) for kind in ("s", "sbar", "sunder"))
+    _write_columns(
         outputs.path("aggregate.csv"),
         ["i", "mean_S", "mean_Sbar", "mean_Sunder", "ci_lo", "ci_hi", "replicates"],
-        rows,
+        range(1, agg.i_max + 1),
+        s.mean,
+        sbar.mean,
+        sunder.mean,
+        s.mean - s.ci_halfwidth,
+        s.mean + s.ci_halfwidth,
+        agg.replicates,
     )
     if windows:
-        wrows = []
-        wstats = agg.window_stats("s")
-        wbar = agg.window_stats("sbar")
-        wunder = agg.window_stats("sunder")
-        for k, x in enumerate(wstats.indices):
-            wrows.append(
-                [
-                    _fmt(float(x)),
-                    _fmt(wstats.mean[k]),
-                    _fmt(wbar.mean[k]),
-                    _fmt(wunder.mean[k]),
-                    _fmt(wstats.ci_halfwidth[k]),
-                    agg.replicates,
-                ]
-            )
-        _write_csv(
+        s, sbar, sunder = (agg.window_stats(kind) for kind in ("s", "sbar", "sunder"))
+        _write_columns(
             outputs.path("windows.csv"),
             ["x", "mean_S_window", "mean_Sbar_window", "mean_Sunder_window", "ci_halfwidth", "replicates"],
-            wrows,
+            agg.windows,
+            s.mean,
+            sbar.mean,
+            sunder.mean,
+            s.ci_halfwidth,
+            agg.replicates,
         )
     config_echo = outputs.path("config_resolved.json")
     with open(config_echo, "w", encoding="utf-8") as fh:
-        json.dump(_config_dict(cfg) | {"t_obs": t_obs}, fh, indent=2, sort_keys=True)
+        json.dump(_config_dict(cfg) | {"t_obs": agg.t_obs}, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return 0
 
@@ -278,6 +291,8 @@ def _parse_irange(text: str) -> list[int]:
         lo_i, hi_i = int(lo), int(hi)
     except ValueError as exc:
         raise ConfigError(f"bad i-range {text!r} (want LO:HI)") from exc
+    if lo_i < 1:
+        raise ConfigError(f"i-range {text!r} starts below 1")
     if hi_i < lo_i:
         raise ConfigError(f"empty i-range {text!r}")
     return list(range(lo_i, hi_i + 1))
@@ -356,12 +371,9 @@ FORMULA_IDS = tuple(_FORMULAS)
 
 def _theory_rows(args, cfg: RunConfig):
     """(header, rows) for one formula id over the requested range."""
-    params, obs = cfg.params, cfg.observation
+    params = cfg.params
     dp = derive(params)
-    t = obs.t_mult if obs.t_mult is not None else 1.0 / dp.lambda0
-    t_abs = t * math.log(params.n_init)
-    if obs.mode == "absolute":
-        t, t_abs = obs.t_abs / math.log(params.n_init), obs.t_abs
+    t, t_abs = _log_time(cfg), observation_time(cfg.observation, params)
     fid = args.formula
     i_list = _parse_irange(args.i_range) if args.i_range else None
     x_list = _parse_grid(args.x_grid) if args.x_grid else None
@@ -430,37 +442,17 @@ def cmd_gw(args: argparse.Namespace, cfg: RunConfig, outputs: _OutputSet) -> int
 
 
 def cmd_compare(args: argparse.Namespace, cfg: RunConfig, outputs: _OutputSet) -> int:
-    t_obs = observation_time(cfg.observation, cfg.params)
-    t = t_obs / math.log(cfg.params.n_init)
+    t = _log_time(cfg)
     if args.what == "small-i":
-        i_max = args.i_max
-        agg = montecarlo.replicate_sfs(
-            cfg.params,
-            t_obs,
-            cfg.replicates,
-            cfg.seed,
-            i_max=i_max,
-            workers=_workers(args),
-        )
-        stats = agg.stats("sbar")
+        stats = _replicates(args, cfg, args.i_max).stats("sbar")
         tvals = [
             theory.resistant_origin_mean_exact(i, t, cfg.params, args.tol).value
-            for i in range(1, i_max + 1)
+            for i in range(1, args.i_max + 1)
         ]
         what = "sbar vs exact mean"
     else:
         windows = _parse_grid(args.windows or "0.6,1,2,4,6")
-        agg = montecarlo.replicate_sfs(
-            cfg.params,
-            t_obs,
-            cfg.replicates,
-            cfg.seed,
-            i_max=1,
-            windows=windows,
-            workers=_workers(args),
-        )
-        dp = derive(cfg.params)
-        stats = agg.window_stats("sbar")
+        stats = _replicates(args, cfg, 1, windows).window_stats("sbar")
         if args.mode == "z-score":
             # tight gate: the exact finite-N window expectation
             tvals = [
@@ -469,6 +461,7 @@ def cmd_compare(args: argparse.Namespace, cfg: RunConfig, outputs: _OutputSet) -
             ]
             what = "sbar windows vs exact"
         else:
+            dp = derive(cfg.params)
             scale = theory.window_scale(cfg.params)
             tvals = [scale * theory.window_weight_resistant(x, dp, args.tol).value for x in windows]
             what = "sbar windows vs asymptotic"
@@ -480,7 +473,7 @@ def cmd_compare(args: argparse.Namespace, cfg: RunConfig, outputs: _OutputSet) -
         metadata={"what": what, "replicates": cfg.replicates},
     )
     with open(outputs.path("report.json"), "w", encoding="utf-8") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
+        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     _write_csv(
         outputs.path("report.csv"),
@@ -491,9 +484,11 @@ def cmd_compare(args: argparse.Namespace, cfg: RunConfig, outputs: _OutputSet) -
         ],
     )
     if not report.all_passed:
+        zero_sem = ", ".join(f"{x:g}" for x in report.indices[report.empirical_sem == 0])
         print(
             f"gate FAILED: {report.pass_fraction:.1%} of indices passed "
-            f"({args.mode} <= {args.threshold})",
+            f"({args.mode} <= {args.threshold})"
+            + (f"; SEM is 0 at index {zero_sem}" if zero_sem else ""),
             file=sys.stderr,
         )
         return 1
@@ -551,89 +546,48 @@ def _fig2(args, cfg: RunConfig, outputs: _OutputSet) -> None:
     )
 
 
-def _sfs_figure_aggregate(args, cfg: RunConfig, i_max: int, windows=()):
-    t_obs = observation_time(cfg.observation, cfg.params)
-    return (
-        montecarlo.replicate_sfs(
-            cfg.params,
-            t_obs,
-            cfg.replicates,
-            cfg.seed,
-            i_max=i_max,
-            windows=windows,
-            workers=_workers(args),
-        ),
-        t_obs,
-    )
-
-
 def _fig3(args, cfg: RunConfig, outputs: _OutputSet) -> None:
     """Small-i expected SFS: empirical S and Sbar vs the fixed-i asymptote."""
-    agg, t_obs = _sfs_figure_aggregate(args, cfg, i_max=121)
-    t = t_obs / math.log(cfg.params.n_init)
+    t = _log_time(cfg)
+    agg = _replicates(args, cfg, 121)
     s = agg.stats("s")
-    sbar = agg.stats("sbar")
-    rows = []
-    for k in range(121):
-        i = k + 1
-        thm1 = theory.sfs_small_asymptotic(i, t, cfg.params).value
-        rows.append(
-            (
-                i,
-                _fmt(s.mean[k]),
-                _fmt(sbar.mean[k]),
-                _fmt(s.ci_halfwidth[k]),
-                _fmt(thm1),
-                agg.replicates,
-            )
-        )
-    _write_csv(
+    _write_columns(
         outputs.path("fig3.csv"),
         ["i", "mean_S", "mean_Sbar", "ci_halfwidth", "thm1", "replicates"],
-        rows,
+        range(1, 122),
+        s.mean,
+        agg.stats("sbar").mean,
+        s.ci_halfwidth,
+        [theory.sfs_small_asymptotic(i, t, cfg.params).value for i in range(1, 122)],
+        agg.replicates,
     )
 
 
 def _fig4(args, cfg: RunConfig, outputs: _OutputSet) -> None:
     """Large-i expected SFS around the typical clone size scale."""
-    agg, t_obs = _sfs_figure_aggregate(args, cfg, i_max=700)
-    s = agg.stats("s")
-    sbar = agg.stats("sbar")
-    sunder = agg.stats("sunder")
-    rows = []
-    for i in range(200, 701):
-        k = i - 1
-        rows.append(
-            (i, _fmt(s.mean[k]), _fmt(sbar.mean[k]), _fmt(sunder.mean[k]), agg.replicates)
-        )
-    _write_csv(
+    agg = _replicates(args, cfg, 700)
+    _write_columns(
         outputs.path("fig4.csv"),
         ["i", "mean_S", "mean_Sbar", "mean_Sunder", "replicates"],
-        rows,
+        range(200, 701),
+        *(agg.stats(kind).mean[199:] for kind in ("s", "sbar", "sunder")),
+        agg.replicates,
     )
 
 
 def _window_figure(args, cfg: RunConfig, outputs: _OutputSet, kind: str, name: str, weight_fn):
     xs = [round(0.1 * k, 1) for k in range(1, 71)]
-    agg, t_obs = _sfs_figure_aggregate(args, cfg, i_max=1, windows=xs)
+    stats = _replicates(args, cfg, 1, xs).window_stats(kind)
     dp = derive(cfg.params)
     scale = theory.window_scale(cfg.params)
-    stats = agg.window_stats(kind)
-    rows = []
-    for k, x in enumerate(xs):
-        rows.append(
-            (
-                _fmt(float(x)),
-                _fmt(stats.mean[k]),
-                _fmt(stats.ci_halfwidth[k]),
-                _fmt(scale * weight_fn(x, dp).value),
-                agg.replicates,
-            )
-        )
-    _write_csv(
+    _write_columns(
         outputs.path(name),
         ["x", "empirical_mean", "ci_halfwidth", "theory", "replicates"],
-        rows,
+        xs,
+        stats.mean,
+        stats.ci_halfwidth,
+        [scale * weight_fn(x, dp).value for x in xs],
+        stats.count,
     )
 
 
@@ -747,7 +701,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    except ConfigError as exc:
+    except (ConfigError, ParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -24,7 +24,6 @@ from rescue_sfs import simulator
 from rescue_sfs.params import ModelParams
 
 DEFAULT_CHUNK = 256
-GEN_HIST_MAX = 64
 
 SCALAR_FIELDS = ("ancestral_count", "z1_final", "total_mutations")
 
@@ -129,9 +128,6 @@ class SfsAggregate:
     Index grids: SFS vectors run over i = 1..i_max; window vectors follow
     the configured ``windows`` lower edges, each window being the open
     interval (x e^(lambda1 t_obs), infinity); scalars follow SCALAR_FIELDS.
-    ``onefounder_gen_hist[g]`` counts ancestral resistant cells at
-    generation g among roots whose progeny produced exactly one of them
-    (the final slot absorbs the tail).
     """
 
     params: ModelParams
@@ -141,27 +137,23 @@ class SfsAggregate:
     i_max: int
     windows: tuple[float, ...]
     replicates: int = 0
-    s: VectorStat = None  # type: ignore[assignment]
-    sbar: VectorStat = None  # type: ignore[assignment]
-    sunder: VectorStat = None  # type: ignore[assignment]
-    window_s: VectorStat = None  # type: ignore[assignment]
-    window_sbar: VectorStat = None  # type: ignore[assignment]
-    window_sunder: VectorStat = None  # type: ignore[assignment]
-    scalars: VectorStat = None  # type: ignore[assignment]
-    onefounder_gen_hist: np.ndarray = field(
-        default_factory=lambda: np.zeros(GEN_HIST_MAX + 1, dtype=np.int64)
-    )
+    s: VectorStat = field(init=False)
+    sbar: VectorStat = field(init=False)
+    sunder: VectorStat = field(init=False)
+    window_s: VectorStat = field(init=False)
+    window_sbar: VectorStat = field(init=False)
+    window_sunder: VectorStat = field(init=False)
+    scalars: VectorStat = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.s is None:
-            self.s = VectorStat.zeros(self.i_max)
-            self.sbar = VectorStat.zeros(self.i_max)
-            self.sunder = VectorStat.zeros(self.i_max)
-            nw = len(self.windows)
-            self.window_s = VectorStat.zeros(nw)
-            self.window_sbar = VectorStat.zeros(nw)
-            self.window_sunder = VectorStat.zeros(nw)
-            self.scalars = VectorStat.zeros(len(SCALAR_FIELDS))
+        self.s = VectorStat.zeros(self.i_max)
+        self.sbar = VectorStat.zeros(self.i_max)
+        self.sunder = VectorStat.zeros(self.i_max)
+        nw = len(self.windows)
+        self.window_s = VectorStat.zeros(nw)
+        self.window_sbar = VectorStat.zeros(nw)
+        self.window_sunder = VectorStat.zeros(nw)
+        self.scalars = VectorStat.zeros(len(SCALAR_FIELDS))
 
     def merge(self, other: "SfsAggregate") -> None:
         self.replicates += other.replicates
@@ -172,7 +164,6 @@ class SfsAggregate:
         self.window_sbar.merge(other.window_sbar)
         self.window_sunder.merge(other.window_sunder)
         self.scalars.merge(other.scalars)
-        self.onefounder_gen_hist += other.onefounder_gen_hist
 
     def stats(self, kind: str) -> ReplicateStats:
         """ReplicateStats for one of s/sbar/sunder over i = 1..i_max."""
@@ -196,7 +187,6 @@ def _one_replicate(
     rep_seed: int,
     agg: SfsAggregate,
     lambda1: float,
-    collect_generation_hist: bool,
 ) -> simulator.SfsRecord:
     outcome = simulator.run(params, t_obs, initial=initial, rng=Random(rep_seed))
     record = simulator.extract_sfs(outcome)
@@ -219,14 +209,6 @@ def _one_replicate(
             [len(outcome.ancestral), outcome.z1_final, record.total_mutations()], dtype=float
         )
     )
-    if collect_generation_hist and outcome.ancestral:
-        per_root: dict[int, list[int]] = {}
-        for _t, gen, rid in outcome.ancestral:
-            per_root.setdefault(rid, []).append(gen)
-        hist = agg.onefounder_gen_hist
-        for gens in per_root.values():
-            if len(gens) == 1:
-                hist[min(gens[0], GEN_HIST_MAX)] += 1
     agg.replicates += 1
     return record
 
@@ -234,13 +216,13 @@ def _one_replicate(
 def _run_chunk(args) -> tuple[SfsAggregate, list[simulator.SfsRecord]]:
     """Aggregate of one replicate range, plus its records in replicate
     order when ``keep`` is set (else an empty list)."""
-    (params, t_obs, initial, master_seed, start, stop, i_max, windows, collect_hist, keep) = args
+    (params, t_obs, initial, master_seed, start, stop, i_max, windows, keep) = args
     lambda1 = params.b1 - params.d1
     agg = SfsAggregate(params, t_obs, initial, master_seed, i_max, tuple(windows))
     records = []
     for r in range(start, stop):
         record = _one_replicate(
-            params, t_obs, initial, seed_for_replicate(master_seed, r), agg, lambda1, collect_hist
+            params, t_obs, initial, seed_for_replicate(master_seed, r), agg, lambda1
         )
         if keep:
             records.append(record)
@@ -256,7 +238,6 @@ def replicate_sfs(
     i_max: int = 130,
     windows: Sequence[float] = (),
     workers: int = 1,
-    collect_generation_hist: bool = False,
     chunk_size: int = DEFAULT_CHUNK,
     on_record: Callable[[int, simulator.SfsRecord], None] | None = None,
 ) -> SfsAggregate:
@@ -283,7 +264,6 @@ def replicate_sfs(
             min(start + chunk_size, replicates),
             i_max,
             tuple(windows),
-            collect_generation_hist,
             on_record is not None,
         )
         for start in range(0, replicates, chunk_size)
@@ -425,6 +405,9 @@ class ComparisonReport:
             )
 
     def to_json_dict(self) -> dict:
+        """Strict-JSON form: a value with no JSON number (the infinite z of
+        a zero SEM, the infinite rel_gap of a zero theory value) is null."""
+        keys = ("index", "empirical_mean", "empirical_sem", "theory", "z", "rel_gap")
         return {
             "mode": self.mode,
             "threshold": self.threshold,
@@ -432,15 +415,7 @@ class ComparisonReport:
             "all_passed": self.all_passed,
             "metadata": self.metadata,
             "rows": [
-                {
-                    "index": r[0],
-                    "empirical_mean": r[1],
-                    "empirical_sem": r[2],
-                    "theory": r[3],
-                    "z": r[4],
-                    "rel_gap": r[5],
-                    "passed": r[6],
-                }
+                {k: x if math.isfinite(x) else None for k, x in zip(keys, r)} | {"passed": r[6]}
                 for r in self.rows()
             ],
         }

@@ -61,9 +61,6 @@ class SimOutcome:
     cell_type: list[int]
     origin: list[int]
     edge_mutations: list[int]
-    birth_time: list[float]
-    generation: list[int]
-    root_id: list[int]
     status: list[int]
     n_roots: int
     z0_final: int
@@ -189,11 +186,10 @@ def run(
     cell_type: list[int] = []
     origin: list[int] = []
     edge_mutations: list[int] = []
-    birth_time: list[float] = []
-    generation: list[int] = []
-    root_id: list[int] = []
     status: list[int] = []
-    alive0: list[int] = []
+    # alive sensitive cells carry (node, generation, root id) to label the
+    # resistant founders they produce; alive resistant cells are node ids
+    alive0: list[tuple[int, int, int]] = []
     alive1: list[int] = []
     for k in range(n0_init + n1_init):
         typ = SENSITIVE if k < n0_init else RESISTANT
@@ -201,11 +197,11 @@ def run(
         cell_type.append(typ)
         origin.append(ORIGIN_ROOT)
         edge_mutations.append(0)
-        birth_time.append(0.0)
-        generation.append(0)
-        root_id.append(k)
         status.append(STATUS_ALIVE)
-        (alive0 if typ == SENSITIVE else alive1).append(k)
+        if typ == SENSITIVE:
+            alive0.append((k, 0, k))
+        else:
+            alive1.append(k)
 
     event_counts = [0, 0, 0, 0, 0]
     expected = [0.0, 0.0, 0.0, 0.0, 0.0] if track_rates else None
@@ -233,12 +229,11 @@ def run(
             if u < b0 * n0:
                 # sensitive division
                 j = int(rand() * n0)
-                mother = alive0[j]
+                mother, g, rid = alive0[j]
                 alive0[j] = alive0[-1]
                 alive0.pop()
                 status[mother] = STATUS_DIVIDED
-                g = generation[mother] + 1
-                rid = root_id[mother]
+                g += 1
                 flips = 0
                 for _ in (0, 1):
                     resistant = rand() < gamma_n
@@ -246,9 +241,6 @@ def run(
                     parent.append(mother)
                     origin.append(ORIGIN_SENSITIVE_DIVISION)
                     edge_mutations.append(draw_muts(rand))
-                    birth_time.append(t)
-                    generation.append(g)
-                    root_id.append(rid)
                     status.append(STATUS_ALIVE)
                     if resistant:
                         flips += 1
@@ -257,7 +249,7 @@ def run(
                         ancestral.append((t, g, rid))
                     else:
                         cell_type.append(SENSITIVE)
-                        alive0.append(child)
+                        alive0.append((child, g, rid))
                 delta = (1, 0) if flips == 0 else ((0, 1) if flips == 1 else (-1, 2))
                 event_counts[_CLASS_INDEX[delta]] += 1
                 if len(parent) > max_cells:
@@ -268,7 +260,7 @@ def run(
             else:
                 # sensitive death
                 j = int(rand() * n0)
-                status[alive0[j]] = STATUS_DEAD
+                status[alive0[j][0]] = STATUS_DEAD
                 alive0[j] = alive0[-1]
                 alive0.pop()
                 event_counts[1] += 1
@@ -280,17 +272,12 @@ def run(
                 alive1[j] = alive1[-1]
                 alive1.pop()
                 status[mother] = STATUS_DIVIDED
-                g = generation[mother] + 1
-                rid = root_id[mother]
                 for _ in (0, 1):
                     child = len(parent)
                     parent.append(mother)
                     cell_type.append(RESISTANT)
                     origin.append(ORIGIN_RESISTANT_DIVISION)
                     edge_mutations.append(draw_muts(rand))
-                    birth_time.append(t)
-                    generation.append(g)
-                    root_id.append(rid)
                     status.append(STATUS_ALIVE)
                     alive1.append(child)
                 event_counts[2] += 1
@@ -316,9 +303,6 @@ def run(
         cell_type=cell_type,
         origin=origin,
         edge_mutations=edge_mutations,
-        birth_time=birth_time,
-        generation=generation,
-        root_id=root_id,
         status=status,
         n_roots=n0_init + n1_init,
         z0_final=len(alive0),

@@ -41,7 +41,6 @@ def ref_agg_10k():
         replicates=10_000,
         seed=20111,
         i_max=20,
-        collect_generation_hist=True,
     )
 
 

@@ -79,27 +79,27 @@ def build_single_root_example(params: ModelParams) -> SimOutcome:
     S, R = SENSITIVE, RESISTANT
     RT, SD, RD = ORIGIN_ROOT, ORIGIN_SENSITIVE_DIVISION, ORIGIN_RESISTANT_DIVISION
     AL, DE, DV = STATUS_ALIVE, STATUS_DEAD, STATUS_DIVIDED
-    #          parent type origin muts status gen
+    #          parent type origin muts status
     rows = [
-        (-1, S, RT, 0, DV, 0),  # 0 root
-        (0, S, SD, 2, DV, 1),  # 1 A, mutations {1,2}
-        (0, S, SD, 1, DV, 1),  # 2 B, {3}
-        (2, S, SD, 1, AL, 2),  # 3 B1, {5}
-        (2, S, SD, 1, AL, 2),  # 4 B2, {6}
-        (1, R, SD, 0, DV, 2),  # 5 A1, the ancestral resistant cell
-        (1, S, SD, 1, DE, 2),  # 6 A2, {10}
-        (5, R, RD, 1, DV, 3),  # 7 C, {4}
-        (5, R, RD, 0, DV, 3),  # 8 D
-        (7, R, RD, 1, AL, 4),  # 9 C1, {7}
-        (7, R, RD, 0, DV, 4),  # 10 C2
-        (10, R, RD, 1, AL, 5),  # 11 C2a, {8}
-        (10, R, RD, 0, AL, 5),  # 12 C2b
-        (8, R, RD, 1, AL, 4),  # 13 D1, {9}
-        (8, R, RD, 0, DV, 4),  # 14 D2
-        (14, R, RD, 0, AL, 5),  # 15 D2a
-        (14, R, RD, 0, DV, 5),  # 16 D2b
-        (16, R, RD, 0, AL, 6),  # 17
-        (16, R, RD, 0, AL, 6),  # 18
+        (-1, S, RT, 0, DV),  # 0 root
+        (0, S, SD, 2, DV),  # 1 A, mutations {1,2}
+        (0, S, SD, 1, DV),  # 2 B, {3}
+        (2, S, SD, 1, AL),  # 3 B1, {5}
+        (2, S, SD, 1, AL),  # 4 B2, {6}
+        (1, R, SD, 0, DV),  # 5 A1, the ancestral resistant cell
+        (1, S, SD, 1, DE),  # 6 A2, {10}
+        (5, R, RD, 1, DV),  # 7 C, {4}
+        (5, R, RD, 0, DV),  # 8 D
+        (7, R, RD, 1, AL),  # 9 C1, {7}
+        (7, R, RD, 0, DV),  # 10 C2
+        (10, R, RD, 1, AL),  # 11 C2a, {8}
+        (10, R, RD, 0, AL),  # 12 C2b
+        (8, R, RD, 1, AL),  # 13 D1, {9}
+        (8, R, RD, 0, DV),  # 14 D2
+        (14, R, RD, 0, AL),  # 15 D2a
+        (14, R, RD, 0, DV),  # 16 D2b
+        (16, R, RD, 0, AL),  # 17
+        (16, R, RD, 0, AL),  # 18
     ]
     return SimOutcome(
         params=params,
@@ -108,9 +108,6 @@ def build_single_root_example(params: ModelParams) -> SimOutcome:
         cell_type=[r[1] for r in rows],
         origin=[r[2] for r in rows],
         edge_mutations=[r[3] for r in rows],
-        birth_time=[0.0] * len(rows),
-        generation=[r[5] for r in rows],
-        root_id=[0] * len(rows),
         status=[r[4] for r in rows],
         n_roots=1,
         z0_final=2,

@@ -54,6 +54,78 @@ SIMULATE_DIGESTS = {
     "windows.csv": "b71c9ffac63aebf032be1498d0852b5d4b89a99d17525e909775985440723cb6",
 }
 
+# pinned outputs of the other commands at REF_CFG: one theory id per index
+# kind, gw, the figures that simulate (fig3, fig5) or only evaluate (fig7),
+# and compare over both index sets and both gate modes
+GOLDEN_DIGESTS = [
+    (
+        ["theory", "--formula", "I", "--i-range", "1:20"],
+        {"theory_I.csv": "eb99f5d5c18bb0b412adb41980dceb937dc01ff06e68d80f0a62758f2f0f6d5b"},
+    ),
+    (
+        ["theory", "--formula", "K", "--x-grid", "0.6,1,2,4"],
+        {"theory_K.csv": "6d54d2edc80b408a3f58f2698d4b028c200bf4844a8df4cd60418dc077b749d2"},
+    ),
+    (
+        ["theory", "--formula", "thm2", "--x-grid", "0.6,1,2"],
+        {"theory_thm2.csv": "aef800c8713ae981a6e9a198a95a83896c738abd775e5e62c5814a8ffb313b26"},
+    ),
+    (
+        ["theory", "--formula", "P", "--i-range", "1:5"],
+        {"theory_P.csv": "96a1073b2321eae7f94730bcbae0c2ee7767ad500a3c49afd3ae1a1198e05098"},
+    ),
+    (
+        ["theory", "--formula", "Q", "--i-range", "1:5"],
+        {"theory_Q.csv": "d0714a726219831c7e6e2ff9a58060005297ff3853ac9a54d5063fd32b2e0a72"},
+    ),
+    (
+        ["theory", "--formula", "anc-one"],
+        {"theory_anc_one.csv": "0beab41baacea4a803d421878e5ab04030daec361bf55efc54e0b109b1c72280"},
+    ),
+    (
+        ["theory", "--formula", "clone-sfs", "--i-range", "1:10"],
+        {"theory_clone_sfs.csv": "df9b4d249f24d2a9e02bc4252c78a5e7b4be4464b7e915a3be7b666d46102090"},
+    ),
+    (
+        ["gw", "--samples", "2000"],
+        {"gw_pmf.csv": "a3c941a8570a40475b2da89aa11209088dbfec2b1c544b8b0c2d5e7a8f8fc33c"},
+    ),
+    (
+        ["figures", "--which", "fig3", "--workers", "1"],
+        {"fig3.csv": "e55be2838a57ec0f2e8751439d0bf368f0e91a0e5f847ebeaa4cfd476dd8c025"},
+    ),
+    (
+        ["figures", "--which", "fig5", "--workers", "1"],
+        {"fig5.csv": "8088b35bbee507ca735ccfd3f25682f290bd0d63e90bc799f77fd7709d63008d"},
+    ),
+    (
+        ["figures", "--which", "fig7"],
+        {"fig7.csv": "9eb5ba69d64dab50788a8707daeb642b8eb66d6880a4af088a35b00cad3f5213"},
+    ),
+    (
+        ["compare", "--what", "small-i", "--i-max", "5", "--workers", "1"],
+        {
+            "report.csv": "91002f64102b50ac135cbd790ad78a68197cc3b21985d9beb240f3e4ede09f2d",
+            "report.json": "f797b563ddcfabdf2c7ddcfb4118fbc2f1316552e2c1443516dc07aa54174c9c",
+        },
+    ),
+    (
+        ["compare", "--what", "windows", "--windows", "0.5,1", "--workers", "1"],
+        {
+            "report.csv": "e9a0afad0a1d75ed17eb0fb590fb359ab79d22ff2db3ed1deecd67636e8e967d",
+            "report.json": "7b11fed72f49f524f04cc4ebd7d3fe4e4920f8ad6fb6b1592da48c29479471e1",
+        },
+    ),
+    (
+        ["compare", "--what", "windows", "--windows", "0.5,1", "--mode", "relative"]
+        + ["--threshold", "1", "--workers", "1"],
+        {
+            "report.csv": "a049dab254542bad13d85e15710df141c4d6dc5b40749106ab6bce63a9b0babe",
+            "report.json": "82e3c70d6b3338b2ec094676f81151e3562b80bb16e17a52f8da52630d1c2acc",
+        },
+    ),
+]
+
 
 def test_missing_key_cites_it(tmp_path, capsys):
     path = tmp_path / "broken.cfg"
@@ -109,6 +181,15 @@ def test_simulate_golden_digests(cfg_path, tmp_path):
     argv = ["simulate", "--config", cfg_path, "--out-dir", out, "--windows", "0.5,2", "--i-max", "10"]
     assert cli.main(argv) == 0
     assert _digests(out) == SIMULATE_DIGESTS
+
+
+@pytest.mark.parametrize(
+    "argv, digests", GOLDEN_DIGESTS, ids=["-".join(a[:3]) for a, _ in GOLDEN_DIGESTS]
+)
+def test_golden_digests(cfg_path, tmp_path, argv, digests):
+    out = str(tmp_path / "out")
+    assert cli.main(argv[:1] + ["--config", cfg_path, "--out-dir", out] + argv[1:]) == 0
+    assert _digests(out) == digests
 
 
 def test_simulate_matches_replicate_sfs_for_any_worker_count(cfg_path, tmp_path):
@@ -268,6 +349,60 @@ def test_compare_gate_exit_codes(cfg_path, tmp_path):
         ]
     )
     assert rc == 1
+
+
+def _reject_constant(name):
+    raise ValueError(f"report.json holds {name}, which is not JSON")
+
+
+def test_compare_report_is_strict_json(tmp_path, capsys):
+    # windows far above the clone sizes at N=500: every replicate counts 0,
+    # so the SEM is 0 and the z-score is infinite
+    cfg = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "reference.cfg")
+    out = str(tmp_path / "o")
+    argv = ["compare", "--config", cfg, "--what", "windows", "--windows", "40,80"]
+    rc = cli.main(argv + ["--replicates", "20", "--workers", "1", "--out-dir", out])
+    assert rc == 1
+    with open(os.path.join(out, "report.json")) as fh:
+        report = json.load(fh, parse_constant=_reject_constant)
+    assert [r["empirical_sem"] for r in report["rows"]] == [0.0, 0.0]
+    assert [r["z"] for r in report["rows"]] == [None, None]
+    err = capsys.readouterr().err
+    assert "gate FAILED" in err and "SEM is 0 at index 40, 80" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--d0", "0.5"],
+        ["simulate", "--t-mode", "bogus"],
+        ["gw", "--gamma", "1", "--n-init", "1"],
+        ["theory", "--formula", "I", "--i-range", "0:3"],
+    ],
+    ids=["d0-below-b0", "unknown-t-mode", "gamma-n-one", "i-range-from-0"],
+)
+def test_bad_flag_values_exit_2(cfg_path, tmp_path, capsys, argv):
+    rc = cli.main(argv[:1] + ["--config", cfg_path, "--out-dir", str(tmp_path / "o")] + argv[1:])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_single_cell_start(cfg_path, tmp_path, capsys):
+    # ln N = 0 at n_init = 1: log-scaled t needs no division by it, absolute
+    # t_abs / ln N is undefined
+    one = ["--n-init", "1", "--gamma", "0.5"]
+    for argv in (
+        ["compare", "--i-max", "3", "--workers", "1"],
+        ["figures", "--which", "fig3", "--workers", "1"],
+        ["theory", "--formula", "P", "--i-range", "1:3"],
+    ):
+        out = str(tmp_path / argv[0])
+        assert cli.main(argv[:1] + ["--config", cfg_path, "--out-dir", out] + argv[1:] + one) == 0
+    capsys.readouterr()
+    argv = ["theory", "--config", cfg_path, "--formula", "I", "--i-range", "1:3"]
+    argv += ["--t-mode", "absolute", "--t-abs", "2", "--out-dir", str(tmp_path / "abs")]
+    assert cli.main(argv + one) == 2
+    assert "n_init > 1" in capsys.readouterr().err
 
 
 def test_figures_fig7(cfg_path, tmp_path):

@@ -259,12 +259,3 @@ def test_window_means_match_window_theory():
         lo = q_sum - 3.5 * sunder.sem()[k]
         hi = q_sum + r_bound + 3.5 * sunder.sem()[k]
         assert lo <= sunder.mean[k] <= hi
-
-
-def test_generation_histogram_collection():
-    agg = mc.replicate_sfs(
-        TOY, T_OBS, replicates=300, seed=9, i_max=3, collect_generation_hist=True
-    )
-    hist = agg.onefounder_gen_hist
-    assert hist.sum() > 0
-    assert hist[0] == 0  # generations start at 1
