@@ -397,7 +397,10 @@ def _theory_rows(args, cfg: RunConfig):
     inputs = _TheoryInputs(
         params, dp, t, t_abs, args.tol, args.i or 1, args.u if args.u is not None else 1.0
     )
-    rows = [(index, *row(point, inputs), fid) for index, point in points]
+    try:
+        rows = [(index, *row(point, inputs), fid) for index, point in points]
+    except ValueError as exc:  # a flag value outside the formula's domain
+        raise ConfigError(f"formula {fid!r}: {exc}") from exc
     return ["index_or_x", "exact", "asymptotic", "error_bound", "formula_id"], rows
 
 

@@ -185,47 +185,61 @@ def _one_replicate(
     t_obs: float,
     initial: tuple[int, int],
     rep_seed: int,
-    agg: SfsAggregate,
+    i_max: int,
+    windows: tuple[float, ...],
     lambda1: float,
+    row: VectorStat,
 ) -> simulator.SfsRecord:
+    """Simulate one replicate and add its row (s | sbar | sunder | window
+    s | window sbar | window sunder | scalars) to ``row``."""
     outcome = simulator.run(params, t_obs, initial=initial, rng=Random(rep_seed))
     record = simulator.extract_sfs(outcome)
-    s, sbar, sunder = simulator.dense_sfs(record, agg.i_max)
-    agg.s.update(np.asarray(s[1:], dtype=float))
-    agg.sbar.update(np.asarray(sbar[1:], dtype=float))
-    agg.sunder.update(np.asarray(sunder[1:], dtype=float))
-    if agg.windows:
-        ws, wb, wu = [], [], []
-        for x in agg.windows:
-            wc = simulator.window_counts(record, x, math.inf, lambda1)
-            ws.append(wc.total)
-            wb.append(wc.resistant_origin)
-            wu.append(wc.sensitive_origin)
-        agg.window_s.update(np.asarray(ws, dtype=float))
-        agg.window_sbar.update(np.asarray(wb, dtype=float))
-        agg.window_sunder.update(np.asarray(wu, dtype=float))
-    agg.scalars.update(
-        np.asarray(
-            [len(outcome.ancestral), outcome.z1_final, record.total_mutations()], dtype=float
-        )
-    )
-    agg.replicates += 1
+    s, sbar, sunder = simulator.dense_sfs(record, i_max)
+    values = s[1:] + sbar[1:] + sunder[1:]
+    wcs = [simulator.window_counts(record, x, math.inf, lambda1) for x in windows]
+    values += [wc.total for wc in wcs]
+    values += [wc.resistant_origin for wc in wcs]
+    values += [wc.sensitive_origin for wc in wcs]
+    values += [len(outcome.ancestral), outcome.z1_final, record.total_mutations()]
+    row.update(np.asarray(values, dtype=float))
     return record
 
 
 def _run_chunk(args) -> tuple[SfsAggregate, list[simulator.SfsRecord]]:
     """Aggregate of one replicate range, plus its records in replicate
-    order when ``keep`` is set (else an empty list)."""
+    order when ``keep`` is set (else an empty list).
+
+    One Welford accumulator takes each replicate's whole row; its update is
+    elementwise, so splitting it into the aggregate's statistics afterwards
+    gives them bit for bit what separate accumulators would hold.  Without
+    windows the window statistics stay empty (n = 0)."""
     (params, t_obs, initial, master_seed, start, stop, i_max, windows, keep) = args
     lambda1 = params.b1 - params.d1
     agg = SfsAggregate(params, t_obs, initial, master_seed, i_max, tuple(windows))
+    fields = ("s", "sbar", "sunder")
+    if windows:
+        fields += ("window_s", "window_sbar", "window_sunder")
+    fields += ("scalars",)
+    row = VectorStat.zeros(sum(getattr(agg, name).mean.size for name in fields))
     records = []
     for r in range(start, stop):
-        record = _one_replicate(
-            params, t_obs, initial, seed_for_replicate(master_seed, r), agg, lambda1
-        )
+        rep_seed = seed_for_replicate(master_seed, r)
+        try:
+            record = _one_replicate(
+                params, t_obs, initial, rep_seed, i_max, agg.windows, lambda1, row
+            )
+        except simulator.PopulationCapError as exc:
+            raise simulator.PopulationCapError(
+                f"replicate {r} (seed_for_replicate({master_seed}, {r}) = {rep_seed}): {exc}"
+            ) from exc
         if keep:
             records.append(record)
+    lo = 0
+    for name in fields:
+        hi = lo + getattr(agg, name).mean.size
+        setattr(agg, name, VectorStat(row.n, row.mean[lo:hi].copy(), row.m2[lo:hi].copy()))
+        lo = hi
+    agg.replicates = row.n
     return agg, records
 
 

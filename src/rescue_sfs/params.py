@@ -47,6 +47,11 @@ class ConfigError(ValueError):
     """A configuration file cannot be parsed into a valid run setup."""
 
 
+def _check_gamma_n(gamma_n: float) -> None:
+    if not 0 <= gamma_n < 1:
+        raise ParameterError(f"requires 0 <= gamma_n < 1, got gamma_n={gamma_n}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Raw rates of the two-type branching process.
@@ -90,6 +95,7 @@ class ModelParams:
             raise ParameterError(f"requires 0 < alpha <= 1, got alpha={self.alpha}")
         if not (isinstance(self.n_init, int) and self.n_init >= 1):
             raise ParameterError(f"requires integer n_init >= 1, got n_init={self.n_init!r}")
+        _check_gamma_n(self.gamma_n)
         if self.mutation_law not in MUTATION_LAWS:
             raise ParameterError(
                 f"unknown mutation_law {self.mutation_law!r}; valid: {MUTATION_LAWS}"
@@ -134,8 +140,7 @@ def derive_from_gamma_n(
     b0: float, d0: float, b1: float, d1: float, gamma_n: float
 ) -> DerivedParams:
     """Derived quantities with the resistance probability given directly."""
-    if not 0 <= gamma_n < 1:
-        raise ParameterError(f"requires 0 <= gamma_n < 1, got gamma_n={gamma_n}")
+    _check_gamma_n(gamma_n)
     lambda0 = d0 - b0
     lambda1 = b1 - d1
     delta0 = b0 + d0

@@ -293,7 +293,7 @@ def test_criterion_09_rate_table_and_decay():
         obs = np.zeros(5)
         exp = np.zeros(5)
         while obs.sum() < 1_000_000:
-            out = sim.run(REF, T_N, rng=rng, track_rates=True)
+            out = sim.gillespie(REF, T_N, rng=rng, track_rates=True)
             obs += out.event_counts
             exp += out.expected_class_weights
         gof = mc.gof_pooled_counts(obs, exp)

@@ -95,6 +95,24 @@ def test_replicate_sfs_calls_simulator_through_its_module(monkeypatch):
     assert len(calls) == 12
 
 
+def test_cap_hit_names_replicate_and_seed(monkeypatch):
+    calls = []
+    run = sim.run
+
+    def capped_at_replicate_3(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 4:
+            raise sim.PopulationCapError("genealogy exceeded max_cells=10")
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "run", capped_at_replicate_3)
+    with pytest.raises(sim.PopulationCapError) as info:
+        mc.replicate_sfs(TOY, T_OBS, replicates=8, seed=3, i_max=5, workers=1)
+    message = str(info.value)
+    assert f"replicate 3 (seed_for_replicate(3, 3) = {mc.seed_for_replicate(3, 3)})" in message
+    assert "max_cells=10" in message
+
+
 def test_replicate_sfs_single_chunk_starts_no_pool(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a single chunk must run in-process")

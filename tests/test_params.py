@@ -30,6 +30,7 @@ REF = ModelParams(b0=1.2, d0=2.0, b1=1.2, d1=0.5, omega=2.0, gamma=1.0, alpha=0.
         (dict(n_init=0), "n_init"),
         (dict(mutation_law="uniform"), "mutation_law"),
         (dict(omega=3.0, mutation_law="bernoulli"), "omega <= 2"),
+        (dict(gamma=1.0, n_init=1), "gamma_n < 1"),
     ],
 )
 def test_validation_names_constraint(kwargs, fragment):
@@ -100,7 +101,7 @@ def test_observation_time():
     assert t_n == pytest.approx(7.7683, abs=1e-4)
     assert math.exp(0.7 * t_n) == pytest.approx(230.0, rel=1e-3)
     assert observation_time(ObservationSpec(mode="absolute", t_abs=2.0), REF) == 2.0
-    one = ModelParams(b0=1.2, d0=2.0, b1=1.2, d1=0.5, omega=2.0, gamma=1.0, alpha=0.9, n_init=1)
+    one = ModelParams(b0=1.2, d0=2.0, b1=1.2, d1=0.5, omega=2.0, gamma=0.5, alpha=0.9, n_init=1)
     assert observation_time(ObservationSpec(mode="log-scaled", t_mult=1.0), one) == 0.0
     # default multiplier is 1/lambda0
     assert observation_time(ObservationSpec(), REF) == pytest.approx(t_n, rel=1e-12)

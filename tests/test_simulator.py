@@ -4,12 +4,15 @@ from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from scipy.stats import ks_2samp
 
 from helpers import build_single_root_example, carried_copy_total, naive_sfs
 from rescue_sfs import simulator as sim
 from rescue_sfs import theory as th
 from rescue_sfs.montecarlo import gof_discrete, gof_pooled_counts
-from rescue_sfs.params import ModelParams, derive
+from rescue_sfs.params import MUTATION_LAWS, ModelParams, derive
 
 REF = ModelParams(b0=1.2, d0=2.0, b1=1.2, d1=0.5, omega=2.0, gamma=1.0, alpha=0.9, n_init=500)
 SMALL = ModelParams(b0=1.0, d0=2.0, b1=1.2, d1=0.5, omega=2.0, gamma=0.3, alpha=1.0, n_init=8)
@@ -24,7 +27,7 @@ def test_initial_validation():
 
 def test_debug_checks_pass_on_small_runs():
     for seed in range(5):
-        out = sim.run(SMALL, 2.0, rng=Random(seed), debug_checks=True)
+        out = sim.gillespie(SMALL, 2.0, rng=Random(seed), debug_checks=True)
         z0, z1 = out.alive_counts()
         assert (z0, z1) == (out.z0_final, out.z1_final)
 
@@ -93,7 +96,7 @@ def test_rate_table_frequencies():
     exp = np.zeros(5)
     t_n = 1.25 * math.log(500)
     while obs.sum() < 150_000:
-        out = sim.run(REF, t_n, rng=rng, track_rates=True)
+        out = sim.gillespie(REF, t_n, rng=rng, track_rates=True)
         obs += out.event_counts
         exp += out.expected_class_weights
     assert gof_pooled_counts(obs, exp).pvalue > 0.001
@@ -255,3 +258,150 @@ def test_mean_sfs_insensitive_to_mutation_law():
     (m1, s1), (m2, s2) = means["poisson"], means["bernoulli"]
     # 95% confidence intervals overlap
     assert m1 - 1.96 * s1 <= m2 + 1.96 * s2 and m2 - 1.96 * s2 <= m1 + 1.96 * s1
+
+
+# ---------------------------------------------------------------------------
+# the lifetime simulator against the Gillespie oracle
+# ---------------------------------------------------------------------------
+
+
+def _welch_z(a, b) -> float:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    se = math.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
+    return 0.0 if se == 0 else float((a.mean() - b.mean()) / se)
+
+
+def test_run_agrees_with_gillespie_in_distribution():
+    params = ModelParams(
+        b0=1.2, d0=2.0, b1=1.2, d1=0.5, omega=2.0, gamma=1.0, alpha=0.9, n_init=40
+    )
+    t_obs = 1.25 * math.log(40)
+    lambda1 = params.b1 - params.d1
+    windows = (0.5, 2.0)
+    samples = {}
+    for name, simulate, seed in (("run", sim.run, 401), ("gillespie", sim.gillespie, 402)):
+        rng = Random(seed)
+        rows = []
+        for _ in range(3000):
+            out = simulate(params, t_obs, rng=rng)
+            rec = sim.extract_sfs(out)
+            row = [out.z1_final, len(out.ancestral), *out.event_counts]
+            row += [rec.s.get(i, 0) for i in range(1, 6)]
+            for x in windows:
+                wc = sim.window_counts(rec, x, math.inf, lambda1)
+                row += [wc.total, wc.resistant_origin, wc.sensitive_origin]
+            rows.append(row)
+        samples[name] = np.asarray(rows, dtype=float)
+    a, b = samples["run"], samples["gillespie"]
+    # z1_final in law; every other column (founders, five event classes,
+    # S_1..S_5, three counts per window) in mean
+    assert ks_2samp(a[:, 0], b[:, 0]).pvalue > 0.001
+    zs = [_welch_z(a[:, k], b[:, k]) for k in range(a.shape[1])]
+    assert max(abs(z) for z in zs) <= 4.0, zs
+    assert a[:, 5].sum() > 0 and b[:, 5].sum() > 0  # double flips happen in both
+
+
+# ---------------------------------------------------------------------------
+# properties of run over random small parameter sets
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def small_runs(draw):
+    law = draw(st.sampled_from(MUTATION_LAWS))
+    b0 = draw(st.floats(0.2, 2.0))
+    b1 = draw(st.floats(0.2, 2.0))
+    params = ModelParams(
+        b0=b0,
+        d0=b0 + draw(st.floats(0.1, 2.0)),
+        b1=b1,
+        d1=b1 * draw(st.one_of(st.just(0.0), st.floats(0.0, 0.9))),
+        omega=draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0 if law == "bernoulli" else 4.0))),
+        gamma=draw(st.one_of(st.just(0.0), st.floats(0.0, 0.9))),
+        alpha=draw(st.one_of(st.just(1.0), st.floats(0.1, 1.0))),
+        n_init=draw(st.integers(1, 12)),
+        mutation_law=law,
+    )
+    initial = draw(st.one_of(st.none(), st.tuples(st.just(0), st.integers(1, 4))))
+    return params, initial, draw(st.floats(0.0, 1.5)), draw(st.integers(0, 2**32))
+
+
+def _edge(**overrides):
+    base = dict(b0=1.0, d0=2.0, b1=1.2, d1=0.5, omega=2.0, gamma=0.5, alpha=0.8, n_init=6)
+    return ModelParams(**(base | overrides))
+
+
+def _check_forest(out: sim.SimOutcome, initial: tuple[int, int]) -> None:
+    """The SimOutcome contract of a run started from ``initial``."""
+    n = out.n_nodes
+    assert out.n_roots == sum(initial)
+    assert all(len(col) == n for col in (out.cell_type, out.origin, out.edge_mutations, out.status))
+    children = [[] for _ in range(n)]
+    founders = 0
+    for idx in range(n):
+        p = out.parent[idx]
+        if idx < out.n_roots:
+            assert p == -1 and out.origin[idx] == sim.ORIGIN_ROOT and out.edge_mutations[idx] == 0
+            assert out.cell_type[idx] == (sim.SENSITIVE if idx < initial[0] else sim.RESISTANT)
+            continue
+        assert 0 <= p < idx
+        children[p].append(idx)
+        assert out.edge_mutations[idx] >= 0
+        if out.cell_type[p] == sim.RESISTANT:
+            assert out.cell_type[idx] == sim.RESISTANT
+            assert out.origin[idx] == sim.ORIGIN_RESISTANT_DIVISION
+        else:
+            assert out.origin[idx] == sim.ORIGIN_SENSITIVE_DIVISION
+            founders += out.cell_type[idx] == sim.RESISTANT
+    events = [0, 0, 0, 0, 0]
+    for idx in range(n):
+        divided = out.status[idx] == sim.STATUS_DIVIDED
+        assert len(children[idx]) == (2 if divided else 0)
+        if out.cell_type[idx] == sim.RESISTANT:
+            events[2] += divided
+            events[4] += out.status[idx] == sim.STATUS_DEAD
+        elif divided:
+            flips = sum(out.cell_type[c] == sim.RESISTANT for c in children[idx])
+            events[(0, 2, 3)[flips]] += 1
+        else:
+            events[1] += out.status[idx] == sim.STATUS_DEAD
+    assert events == out.event_counts
+    assert out.alive_counts() == (out.z0_final, out.z1_final)
+    assert len(out.ancestral) == founders
+    times = [t for t, _, _ in out.ancestral]
+    assert times == sorted(times) and all(0.0 < t < out.t_obs for t in times)
+    assert all(g >= 1 and 0 <= rid < initial[0] for _, g, rid in out.ancestral)
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(small_runs())
+@example((_edge(gamma=0.0), None, 1.5, 1))
+@example((_edge(omega=0.0), None, 1.5, 2))
+@example((_edge(d1=0.0), None, 1.5, 3))
+@example((_edge(alpha=1.0, n_init=1), None, 1.5, 4))
+@example((_edge(mutation_law="bernoulli", omega=1.5), None, 1.5, 5))
+@example((_edge(), (0, 3), 1.5, 6))
+@example((_edge(), (3, 2), 0.0, 7))
+def test_run_properties(case):
+    params, initial, t_obs, seed = case
+    out = sim.run(params, t_obs, initial=initial, rng=Random(seed))
+    initial = initial or (params.n_init, 0)
+    _check_forest(out, initial)
+    if t_obs == 0.0:
+        assert out.n_nodes == out.n_roots
+    if params.gamma == 0.0:
+        assert out.ancestral == []
+    if params.omega == 0.0:
+        assert not any(out.edge_mutations)
+    if params.mutation_law == "bernoulli":
+        assert set(out.edge_mutations) <= {0, 1}
+    rec = sim.extract_sfs(out)
+    rec.validate()
+    assert (rec.s, rec.s_resistant_origin, rec.s_sensitive_origin) == naive_sfs(out)
+    assert sum(i * m for i, m in rec.s.items()) == carried_copy_total(out)
