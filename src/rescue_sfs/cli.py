@@ -39,6 +39,11 @@ from rescue_sfs.params import (
 
 FIGURES = ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7")
 
+# below this many replicates the SEM behind compare's z-score gate is itself
+# noisy: at 25 replicates |z| <= 3 fails on about 5% of seeds for an exact
+# simulator
+_Z_GATE_MIN_REPLICATES = 200
+
 _OVERRIDE_FLOATS = ("b0", "d0", "b1", "d1", "omega", "gamma", "alpha", "t_mult", "t_abs")
 
 
@@ -446,6 +451,12 @@ def cmd_gw(args: argparse.Namespace, cfg: RunConfig, outputs: _OutputSet) -> int
 
 def cmd_compare(args: argparse.Namespace, cfg: RunConfig, outputs: _OutputSet) -> int:
     t = _log_time(cfg)
+    if args.mode == "z-score" and cfg.replicates < _Z_GATE_MIN_REPLICATES:
+        print(
+            f"warning: the z-score gate runs on {cfg.replicates} replicates, fewer than "
+            f"{_Z_GATE_MIN_REPLICATES}; its SEM is too noisy for a failure to say much",
+            file=sys.stderr,
+        )
     if args.what == "small-i":
         stats = _replicates(args, cfg, args.i_max).stats("sbar")
         tvals = [

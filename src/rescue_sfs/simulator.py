@@ -128,29 +128,6 @@ class WindowCounts:
     sensitive_origin: int
 
 
-def _make_mutation_sampler(law: str, omega: float):
-    """Per-daughter neutral mutation count sampler (mean omega/2)."""
-    mean = omega / 2.0
-    if mean == 0.0:
-        return lambda rng_random: 0
-    if law == "bernoulli":
-        if mean > 1.0:
-            raise ValueError("bernoulli mutation law requires omega <= 2")
-        return lambda rng_random: 1 if rng_random() < mean else 0
-    # Knuth's product-of-uniforms Poisson; fine for the small means used here
-    limit = math.exp(-mean)
-
-    def poisson(rng_random) -> int:
-        k = 0
-        prod = rng_random()
-        while prod > limit:
-            prod *= rng_random()
-            k += 1
-        return k
-
-    return poisson
-
-
 @functools.lru_cache(maxsize=64)
 def _mutation_cdf(law: str, omega: float) -> tuple[float, ...]:
     """Cumulative probabilities of the per-daughter mutation count (mean
@@ -362,9 +339,16 @@ def gillespie(
     gamma_n = params.gamma_n
     c0 = b0 + d0
     c1 = b1 + d1
-    draw_muts = _make_mutation_sampler(params.mutation_law, params.omega)
+    cdf = _mutation_cdf(params.mutation_law, params.omega)
     rand = rng.random
     expo = rng.expovariate
+
+    def draw_muts() -> int:
+        u = rand()
+        m = 0
+        while u >= cdf[m]:
+            m += 1
+        return m
 
     parent: list[int] = []
     cell_type: list[int] = []
@@ -424,7 +408,7 @@ def gillespie(
                     child = len(parent)
                     parent.append(mother)
                     origin.append(ORIGIN_SENSITIVE_DIVISION)
-                    edge_mutations.append(draw_muts(rand))
+                    edge_mutations.append(draw_muts())
                     status.append(STATUS_ALIVE)
                     if resistant:
                         flips += 1
@@ -461,7 +445,7 @@ def gillespie(
                     parent.append(mother)
                     cell_type.append(RESISTANT)
                     origin.append(ORIGIN_RESISTANT_DIVISION)
-                    edge_mutations.append(draw_muts(rand))
+                    edge_mutations.append(draw_muts())
                     status.append(STATUS_ALIVE)
                     alive1.append(child)
                 event_counts[2] += 1

@@ -6,8 +6,8 @@ the log-time multiplier (observation at t * ln N); ``x`` parameterizes
 windows of carrier counts around x * e^(lambda1 * t_N).
 
 Every numerically evaluated quantity is returned as a TheoryValue carrying
-a certified absolute error bound (series tail or quadrature estimate plus
-truncation tail).
+a certified absolute error bound (series tail, rounding bound of a
+recurrence, or quadrature estimate plus truncation tail).
 """
 
 from __future__ import annotations
@@ -97,58 +97,118 @@ def _quad_finite(integrand, lo: float, hi: float, tol: float) -> tuple[float, fl
 # ---------------------------------------------------------------------------
 
 
-def shape_integral(i: int, rho: float, tol: float = 1e-12) -> TheoryValue:
-    """Integral of (1-y) y^(i-1) / (1 - rho y) over [0, 1].
+SHAPE_TOL = 1e-12
+_U = 2.0**-53  # unit roundoff of a double
+_SERIES_TERMS = 64  # the series is kept wherever it converges in max(i, 64) terms
 
-    The limiting per-founder SFS shape factor.  Evaluated by the series
-    sum_k rho^k / ((i+k)(i+k+1)) with a certified geometric tail bound.
+
+def _shape(i: int, x: float, rho: float, tol: float) -> tuple[float, float]:
+    """(value, absolute error bound) of h_i(x) = Int_0^Y (1-y) y^(i-1) / (1-rho y) dy
+    with Y = (x-1)/(x-rho), Y = 1 at x = inf.  Arguments are not checked.
+
+    Where the series in rho converges within max(i, _SERIES_TERMS) terms it
+    is summed term by term with its geometric tail bound.  Past that (rho Y
+    near 1, O(1/(1 - rho Y)) terms) the value comes in i - 1 steps from
+    M_a = Int_0^Y y^(a-1) / (1-rho y) dy = sum_k rho^k Y^(a+k) / (a+k):
+    M_1 = -log1p(-rho Y)/rho, M_(a+1) = (M_a - Y^a/a)/rho and
+    h_i = (Y^i/i - (1-rho) M_i)/rho, wherever its rounding bound certifies tol.
     """
+    complete = x == math.inf
+    y = 1.0 if complete else (x - 1.0) / (x - rho)
+    if y <= 0.0:
+        return 0.0, 0.0
+    y_i = y**i
+    if rho == 0.0:
+        # one closed-form term, so the bound is its rounding (with that of Y)
+        if complete:
+            value = 1.0 / (i * (i + 1))
+            return value, _U * value
+        return y_i * (1.0 / i - y / (i + 1)), 10.0 * _U * y_i
+    r = rho * y
+    n = max(i, _SERIES_TERMS)
+    if complete:
+        long_series = rho**n / ((i + n) * (i + n + 1) * (1.0 - rho)) >= tol
+    else:
+        long_series = y_i * r**n / ((i + n) * (1.0 - r)) >= tol
+    if long_series:
+        m1 = -math.log1p(-r) / rho
+        # Rounding bound, u = 2^-53, libm log1p within 1 ulp.  The error e_1
+        # of M_1 is at most u (3.01 M_1 + 2.03 r/((1-r) rho)), the second
+        # part from rounding r = rho Y.  A step gives |e_(a+1)| <= g (|e_a| +
+        # 1.01u Y^a) + 2.02u M_(a+1) with g = (1 + 2.02u)/rho, so with Y <= 1
+        # and M_a <= M_1, |e_i| <= g^(i-1) (|e_1| + (i-1)(1.01u + 2.02u M_1))
+        # <= err_m.  The last line adds 1.02u Y^i for Y^i/i, (1-rho)(1.01 err_m
+        # + 2.02u M_1) for (1-rho) M_i and 2.02u |h_i| <= 2.02u Y^i for the
+        # subtraction and division, all over rho; rounding Y moves h_i by at
+        # most 3.2u Y^i, since |dh_i/dY| <= Y^(i-1).
+        err_m = rho ** (1 - i) * _U * ((3 * i + 3) * m1 + 2 * i + 3.0 * r / ((1.0 - r) * rho))
+        bound = 1.1 * (6.1 * _U * y_i + (1.0 - rho) * (1.1 * err_m + 2.1 * _U * m1)) / rho
+        if bound <= tol:
+            m = m1
+            y_a = 1.0
+            for a in range(1, i):
+                y_a *= y
+                m = (m - y_a / a) / rho
+            return (y_a * y / i - (1.0 - rho) * m) / rho, bound
+    total = 0.0
+    k = 0
+    if complete:
+        # term_k = rho^k / ((i+k)(i+k+1))
+        rk = 1.0
+        while True:
+            total += rk / ((i + k) * (i + k + 1))
+            rk *= rho
+            k += 1
+            tail = rk / ((i + k) * (i + k + 1) * (1.0 - rho))
+            if tail < tol:
+                return total, tail
+    # term_k = rho^k [ Y^(i+k)/(i+k) - Y^(i+k+1)/(i+k+1) ]
+    rk = y_i
+    while True:
+        total += rk * (1.0 / (i + k) - y / (i + k + 1))
+        rk *= r
+        k += 1
+        tail = rk / ((i + k) * (1.0 - r))
+        if tail < tol:
+            return total, tail
+
+
+def _check_shape_args(i: int, rho: float, tol: float) -> None:
     if i < 1:
         raise ValueError(f"requires i >= 1, got {i}")
     if not 0 <= rho < 1:
         raise ValueError(f"requires 0 <= rho < 1, got {rho}")
-    if rho == 0.0:
-        return TheoryValue(1.0 / (i * (i + 1)), 0.0, "exact")
-    total = 0.0
-    rk = 1.0
-    k = 0
-    while True:
-        total += rk / ((i + k) * (i + k + 1))
-        rk *= rho
-        k += 1
-        tail = rk / ((i + k) * (i + k + 1) * (1.0 - rho))
-        if tail < tol:
-            return TheoryValue(total, tail, "quadrature")
+    if not tol > 0:
+        raise ValueError(f"requires tol > 0, got {tol}")
 
 
-def shape_integral_truncated(i: int, x: float, rho: float, tol: float = 1e-12) -> TheoryValue:
+def shape_integral(i: int, rho: float, tol: float = SHAPE_TOL) -> TheoryValue:
+    """Integral of (1-y) y^(i-1) / (1 - rho y) over [0, 1].
+
+    The limiting per-founder SFS shape factor I(i): the series
+    sum_k rho^k / ((i+k)(i+k+1)) with a certified geometric tail bound, or
+    near rho = 1 the log1p-seeded recurrence of ``_shape`` with a certified
+    rounding bound.
+    """
+    _check_shape_args(i, rho, tol)
+    value, bound = _shape(i, math.inf, rho, tol)
+    return TheoryValue(value, bound, "exact" if rho == 0.0 else "quadrature")
+
+
+def shape_integral_truncated(i: int, x: float, rho: float, tol: float = SHAPE_TOL) -> TheoryValue:
     """Integral of (1-y) y^(i-1) / (1 - rho y) over [0, (x-1)/(x-rho)].
 
     Defined for x >= 1 (zero at x = 1); tends to shape_integral(i, rho) as
-    x -> inf.  Series in rho with the upper limit's powers.
+    x -> inf.  Series in rho with the upper limit's powers, or the
+    recurrence of ``_shape`` where rho (x-1)/(x-rho) is near 1.
     """
-    if i < 1:
-        raise ValueError(f"requires i >= 1, got {i}")
-    if not 0 <= rho < 1:
-        raise ValueError(f"requires 0 <= rho < 1, got {rho}")
+    _check_shape_args(i, rho, tol)
     if x == math.inf:
         return shape_integral(i, rho, tol)
     if x < 1.0:
         raise ValueError(f"requires x >= 1, got {x}")
-    y_up = (x - 1.0) / (x - rho)
-    if y_up <= 0.0:
-        return TheoryValue(0.0, 0.0, "exact")
-    # term_k = rho^k [ y^(i+k)/(i+k) - y^(i+k+1)/(i+k+1) ]
-    total = 0.0
-    rk = y_up**i
-    k = 0
-    while True:
-        total += rk * (1.0 / (i + k) - y_up / (i + k + 1))
-        rk *= rho * y_up
-        k += 1
-        tail = rk / ((i + k) * (1.0 - rho * y_up))
-        if tail < tol:
-            return TheoryValue(total, tail, "quadrature")
+    value, bound = _shape(i, x, rho, tol)
+    return TheoryValue(value, bound, "exact" if x == 1.0 else "quadrature")
 
 
 def clone_size_pmf_scaled(i: int, y: float, b1: float, d1: float) -> float:
@@ -185,7 +245,7 @@ def clone_extinction_prob(u: float, b1: float, d1: float) -> float:
 
 
 def single_clone_sfs(
-    i: int, t: float, b1: float, d1: float, omega: float, tol: float = 1e-12
+    i: int, t: float, b1: float, d1: float, omega: float, tol: float = SHAPE_TOL
 ) -> TheoryValue:
     """Expected number of mutations carried by exactly i cells at time t in
     a clone grown from one founder: omega e^(lambda1 t) h_i(e^(lambda1 t))."""
@@ -467,9 +527,7 @@ def resistant_origin_main_term(
     rho = dp.rho
 
     def f(s: float) -> float:
-        return shape_integral_truncated(i, math.exp(lam1 * (t_n - s)), rho).value * math.exp(
-            -rate * s
-        )
+        return _shape(i, math.exp(lam1 * (t_n - s)), rho, SHAPE_TOL)[0] * math.exp(-rate * s)
 
     pref = (
         params.n_init ** (1.0 + lam1 * t - params.alpha)

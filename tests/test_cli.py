@@ -358,6 +358,25 @@ def test_compare_gate_exit_codes(cfg_path, tmp_path):
     assert rc == 1
 
 
+def test_compare_warns_below_z_gate_minimum(cfg_path, tmp_path, capsys):
+    # REF_CFG's 25 replicates: the z-score gate warns once, naming the
+    # count, and exits as before (see GATE_FAILED)
+    argv = ["compare", "--config", cfg_path, "--what", "small-i", "--i-max", "5"]
+    assert cli.main(argv + ["--workers", "1", "--out-dir", str(tmp_path / "z")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("warning:") == 1 and "25 replicates" in err
+    # the relative gate reads no SEM
+    argv = ["compare", "--config", cfg_path, "--what", "windows", "--windows", "0.5,1"]
+    argv += ["--mode", "relative", "--threshold", "1", "--workers", "1"]
+    assert cli.main(argv + ["--out-dir", str(tmp_path / "r")]) == 0
+    assert "warning:" not in capsys.readouterr().err
+    # 200 replicates are enough
+    argv = ["compare", "--config", cfg_path, "--what", "small-i", "--i-max", "3"]
+    argv += ["--replicates", "200", "--workers", "1", "--out-dir", str(tmp_path / "n")]
+    cli.main(argv)
+    assert "warning:" not in capsys.readouterr().err
+
+
 def _reject_constant(name):
     raise ValueError(f"report.json holds {name}, which is not JSON")
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 from random import Random
@@ -258,6 +259,20 @@ def test_mean_sfs_insensitive_to_mutation_law():
     (m1, s1), (m2, s2) = means["poisson"], means["bernoulli"]
     # 95% confidence intervals overlap
     assert m1 - 1.96 * s1 <= m2 + 1.96 * s2 and m2 - 1.96 * s2 <= m1 + 1.96 * s1
+
+
+@pytest.mark.parametrize("simulate", [sim.run, sim.gillespie], ids=["run", "gillespie"])
+def test_mutation_count_mean_at_large_omega(simulate):
+    # mean omega/2 = 1000 per daughter, past the 745 where a product of
+    # uniforms against e^(-omega/2) underflows
+    params = dataclasses.replace(SMALL, omega=2000.0)
+    rng = Random(113)
+    counts = []
+    while len(counts) < 1000:
+        out = simulate(params, 2.0, rng=rng)
+        counts += [m for m, p in zip(out.edge_mutations, out.parent) if p >= 0]
+    sem = np.std(counts, ddof=1) / math.sqrt(len(counts))
+    assert abs(np.mean(counts) - 1000.0) <= 5.0 * sem
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
+import dataclasses
 import math
+import time
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -98,6 +101,82 @@ def test_shape_integral_truncated():
     xs = [1.0, 1.5, 2.0, 5.0, 50.0]
     vals = [th.shape_integral_truncated(3, x, RHO).value for x in xs]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize(
+    "fn, args, match",
+    [
+        (th.shape_integral, (0, RHO), "i >= 1"),
+        (th.shape_integral, (1, 1.0), "rho < 1"),
+        (th.shape_integral, (1, RHO, 0.0), "tol > 0"),
+        (th.shape_integral_truncated, (1, 0.5, RHO), "x >= 1"),
+        (th.shape_integral_truncated, (1, 2.0, RHO, 0.0), "tol > 0"),
+    ],
+)
+def test_shape_integral_rejects_bad_arguments(fn, args, match):
+    # at tol = 0 the series would never stop
+    with pytest.raises(ValueError, match=match):
+        fn(*args)
+
+
+def _shape_exact(i, x, rho):
+    """h_i(x) to 50 digits: with Y = (x-1)/(x-rho) and
+    M_i = Int_0^Y y^(i-1)/(1-rho y) dy = Y^i 2F1(1, i; i+1; rho Y)/i,
+    h_i = (Y^i/i - (1-rho) M_i)/rho."""
+    with mpmath.workdps(50):
+        rho = mpmath.mpf(rho)
+        y = mpmath.mpf(1) if x == math.inf else (mpmath.mpf(x) - 1) / (mpmath.mpf(x) - rho)
+        if rho == 0:
+            return y**i / i - y ** (i + 1) / (i + 1)
+        m = y**i * mpmath.hyp2f1(1, i, i + 1, rho * y) / i
+        return (y**i / i - (1 - rho) * m) / rho
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.417, 0.9, 0.99, 0.9999, 0.99999])
+def test_shape_integral_bounds_hold(rho):
+    for i in (1, 2, 5, 40, 121):
+        for x in (1.5, 10.0, 1e3, math.inf):
+            if x == math.inf:
+                tv = th.shape_integral(i, rho)
+                assert th.shape_integral_truncated(i, x, rho) == tv
+            else:
+                tv = th.shape_integral_truncated(i, x, rho)
+            with mpmath.workdps(50):
+                err = abs(mpmath.mpf(tv.value) - _shape_exact(i, x, rho))
+            assert err <= tv.abs_error_bound <= 1e-12, (i, x, float(err), tv.abs_error_bound)
+
+
+def _timed(fn, arg_list):
+    """fn's values over arg_list and the seconds they took."""
+    t0 = time.perf_counter()
+    values = [fn(*args) for args in arg_list]
+    return values, time.perf_counter() - t0
+
+
+# Near rho = 1 the series needs O(1/(1-rho)) terms.  The limits below are
+# about 100 times the time the i-step recurrence takes on a 2-core machine.
+
+
+def test_shape_integral_cost_near_critical():
+    curve, seconds = _timed(th.shape_integral, [(i, 0.99999) for i in range(1, 122)])
+    assert seconds < 0.5
+    assert all(a.value > b.value > 0 for a, b in zip(curve, curve[1:]))
+
+
+def test_shape_integral_truncated_cost_near_critical():
+    xs = [1.5 * 10.0**k for k in range(10)]
+    vals, seconds = _timed(th.shape_integral_truncated, [(5, x, 0.99999) for x in xs])
+    assert seconds < 0.1
+    assert all(0 < a.value <= b.value for a, b in zip(vals, vals[1:]))
+
+
+def test_resistant_origin_main_term_cost_near_critical():
+    # d1/b1 = 0.999 observed at t = 400 (growth e^(lambda1 t_N) about 20):
+    # each quadrature node evaluates h_i where rho Y is near 1
+    params = dataclasses.replace(REF, d1=0.999 * REF.b1)
+    vals, seconds = _timed(th.resistant_origin_main_term, [(i, 400.0, params) for i in (1, 20)])
+    assert seconds < 0.5
+    assert all(math.isfinite(v.value) and v.value > 0 for v in vals)
 
 
 # ---------------------------------------------------------------------------
