@@ -1,7 +1,8 @@
 """Site frequency spectrum of neutral mutations under two-type rescue dynamics.
 
-Exact event-driven simulation of a subcritical sensitive population rescued
-by rare resistance mutations, marked Galton-Watson tree machinery for the
+Exact simulation of a subcritical sensitive population rescued by rare
+resistance mutations (one cell lifetime at a time, with an event-driven
+reference simulator), marked Galton-Watson tree machinery for the
 resistant founders, closed-form / quadrature evaluation of the expected
 site frequency spectrum, and Monte Carlo comparison tooling.
 """

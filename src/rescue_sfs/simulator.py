@@ -36,17 +36,9 @@ from rescue_sfs.params import ModelParams
 SENSITIVE = 0
 RESISTANT = 1
 
-ORIGIN_ROOT = 0
-ORIGIN_SENSITIVE_DIVISION = 1
-ORIGIN_RESISTANT_DIVISION = 2
-
 STATUS_ALIVE = 0
 STATUS_DEAD = 1
 STATUS_DIVIDED = 2
-
-# rows of the aggregate transition table, keyed by (dz0, dz1)
-EVENT_CLASSES = ((1, 0), (-1, 0), (0, 1), (-1, 2), (0, -1))
-_CLASS_INDEX = {delta: k for k, delta in enumerate(EVENT_CLASSES)}
 
 
 class PopulationCapError(RuntimeError):
@@ -58,14 +50,14 @@ class SimOutcome:
     """Full genealogy forest of one run plus run-level counters.
 
     Node arrays are parallel; parents always precede children.  ``status``
-    is the node's state at the observation time.
+    is the node's state at the observation time.  An edge's origin is its
+    mother's type: ``cell_type[parent[idx]]``.
     """
 
     params: ModelParams
     t_obs: float
     parent: list[int]
     cell_type: list[int]
-    origin: list[int]
     edge_mutations: list[int]
     status: list[int]
     n_roots: int
@@ -93,39 +85,39 @@ class SimOutcome:
 
 @dataclass
 class SfsRecord:
-    """Sparse site frequency spectrum with origin split.
+    """Sparse site frequency spectrum split by origin.
 
-    ``s[i]`` counts mutations carried by exactly i living resistant cells;
-    ``s = s_resistant_origin + s_sensitive_origin`` index-wise.
+    ``s_resistant_origin[i]`` and ``s_sensitive_origin[i]`` count mutations
+    carried by exactly i living resistant cells that were born at resistant
+    and at sensitive divisions; only nonzero counts are stored.
     """
 
-    s: dict[int, int]
     s_resistant_origin: dict[int, int]
     s_sensitive_origin: dict[int, int]
     t_obs: float
-    z1_final: int
 
-    def validate(self) -> None:
-        keys = set(self.s) | set(self.s_resistant_origin) | set(self.s_sensitive_origin)
-        for i in keys:
-            if i < 1:
-                raise ValueError(f"SFS index {i} < 1")
-            total = self.s.get(i, 0)
-            parts = self.s_resistant_origin.get(i, 0) + self.s_sensitive_origin.get(i, 0)
-            if total != parts or total < 0:
-                raise ValueError(f"origin split broken at i={i}: {total} != {parts}")
+    @property
+    def s(self) -> dict[int, int]:
+        """The total spectrum, s_resistant_origin + s_sensitive_origin index-wise."""
+        s = dict(self.s_resistant_origin)
+        for i, m in self.s_sensitive_origin.items():
+            s[i] = s.get(i, 0) + m
+        return s
 
     def total_mutations(self) -> int:
-        return sum(self.s.values())
+        return sum(self.s_resistant_origin.values()) + sum(self.s_sensitive_origin.values())
 
 
 @dataclass(frozen=True)
 class WindowCounts:
     """Mutation counts inside one open carrier-count window."""
 
-    total: int
     resistant_origin: int
     sensitive_origin: int
+
+    @property
+    def total(self) -> int:
+        return self.resistant_origin + self.sensitive_origin
 
 
 @functools.lru_cache(maxsize=64)
@@ -153,35 +145,42 @@ def _mutation_cdf(law: str, omega: float) -> tuple[float, ...]:
     return tuple(cdf)
 
 
-def run(
-    params: ModelParams,
-    t_obs: float,
-    initial: tuple[int, int] | None = None,
-    rng: Random | None = None,
-    seed: int | None = None,
-    max_cells: int = 5_000_000,
-) -> SimOutcome:
-    """Simulate the process exactly up to ``t_obs``, one cell at a time.
-
-    ``initial`` is the starting (sensitive, resistant) population; it
-    defaults to (n_init, 0).  Supply either an explicit ``rng`` or a
-    ``seed``.  Cells come off a LIFO stack, sensitive cells first and then
-    the resistant cells they produced.  Each cell born at time s dies or
-    divides at s + Exp(b+d); a cell whose lifetime reaches ``t_obs`` is
-    alive, otherwise it divides with probability b/(b+d) and dies
-    otherwise.  Daughters get their type and mutation count at birth.
-    Raises PopulationCapError once the genealogy exceeds ``max_cells``
-    nodes.  ``gillespie`` simulates the same law event by event.
-    """
+def _initial(
+    params: ModelParams, t_obs: float, initial: tuple[int, int] | None
+) -> tuple[int, int]:
+    """The checked starting (sensitive, resistant) population of a run to
+    ``t_obs``; ``initial`` defaults to (n_init, 0)."""
     if t_obs < 0:
         raise ValueError(f"requires t_obs >= 0, got {t_obs}")
-    if rng is None:
-        rng = Random(seed)
     if initial is None:
         initial = (params.n_init, 0)
     n0_init, n1_init = initial
     if n0_init < 0 or n1_init < 0 or n0_init + n1_init == 0:
         raise ValueError(f"initial population must be nonnegative and nonempty, got {initial}")
+    return n0_init, n1_init
+
+
+def run(
+    params: ModelParams,
+    t_obs: float,
+    initial: tuple[int, int] | None = None,
+    *,
+    rng: Random,
+    max_cells: int = 5_000_000,
+) -> SimOutcome:
+    """Simulate the process exactly up to ``t_obs``, one cell at a time,
+    drawing every random number from ``rng``.
+
+    ``initial`` is the starting (sensitive, resistant) population; it
+    defaults to (n_init, 0).  Cells come off a LIFO stack, sensitive cells
+    first and then the resistant cells they produced.  Each cell born at
+    time s dies or divides at s + Exp(b+d); a cell whose lifetime reaches
+    ``t_obs`` is alive, otherwise it divides with probability b/(b+d) and
+    dies otherwise.  Daughters get their type and mutation count at birth.
+    Raises PopulationCapError once the genealogy exceeds ``max_cells``
+    nodes.  ``gillespie`` simulates the same law event by event.
+    """
+    n0_init, n1_init = _initial(params, t_obs, initial)
 
     c0 = params.b0 + params.d0
     c1 = params.b1 + params.d1
@@ -282,18 +281,12 @@ def run(
     n_resistant_daughters = len(parent) - first_resistant_daughter
     event_counts[2] += n_resistant_daughters // 2
     cell_type += [RESISTANT] * n_resistant_daughters
-    origin = (
-        [ORIGIN_ROOT] * n_roots
-        + [ORIGIN_SENSITIVE_DIVISION] * (first_resistant_daughter - n_roots)
-        + [ORIGIN_RESISTANT_DIVISION] * n_resistant_daughters
-    )
     ancestral.sort()
     return SimOutcome(
         params=params,
         t_obs=t_obs,
         parent=parent,
         cell_type=cell_type,
-        origin=origin,
         edge_mutations=edge_mutations,
         status=status,
         n_roots=n_roots,
@@ -309,31 +302,23 @@ def gillespie(
     params: ModelParams,
     t_obs: float,
     initial: tuple[int, int] | None = None,
-    rng: Random | None = None,
-    seed: int | None = None,
+    *,
+    rng: Random,
     max_cells: int = 5_000_000,
     track_rates: bool = False,
     debug_checks: bool = False,
 ) -> SimOutcome:
-    """Simulate the process exactly up to ``t_obs``, event by event: the
-    reference oracle for ``run``, which samples the same law.
+    """Simulate the process exactly up to ``t_obs``, event by event, drawing
+    every random number from ``rng``: the reference oracle for ``run``,
+    which samples the same law.
 
     ``initial`` is the starting (sensitive, resistant) population; it
-    defaults to (n_init, 0).  Supply either an explicit ``rng`` or a
-    ``seed``.  ``track_rates`` accumulates the per-event expected class
-    probabilities of the five-row transition table (the chi-square oracle
-    for rate faithfulness).  ``debug_checks`` asserts per-event population
-    deltas against the table and forest consistency at the end.
+    defaults to (n_init, 0).  ``track_rates`` accumulates the per-event
+    expected class probabilities of the five-row transition table (the
+    chi-square oracle for rate faithfulness).  ``debug_checks`` checks the
+    alive lists against the forest after every event and at the end.
     """
-    if t_obs < 0:
-        raise ValueError(f"requires t_obs >= 0, got {t_obs}")
-    if rng is None:
-        rng = Random(seed)
-    if initial is None:
-        initial = (params.n_init, 0)
-    n0_init, n1_init = initial
-    if n0_init < 0 or n1_init < 0 or n0_init + n1_init == 0:
-        raise ValueError(f"initial population must be nonnegative and nonempty, got {initial}")
+    n0_init, n1_init = _initial(params, t_obs, initial)
 
     b0, d0, b1, d1 = params.b0, params.d0, params.b1, params.d1
     gamma_n = params.gamma_n
@@ -350,26 +335,15 @@ def gillespie(
             m += 1
         return m
 
-    parent: list[int] = []
-    cell_type: list[int] = []
-    origin: list[int] = []
-    edge_mutations: list[int] = []
-    status: list[int] = []
+    n_roots = n0_init + n1_init
+    parent = [-1] * n_roots
+    cell_type = [SENSITIVE] * n0_init + [RESISTANT] * n1_init
+    edge_mutations = [0] * n_roots
+    status = [STATUS_ALIVE] * n_roots
     # alive sensitive cells carry (node, generation, root id) to label the
     # resistant founders they produce; alive resistant cells are node ids
-    alive0: list[tuple[int, int, int]] = []
-    alive1: list[int] = []
-    for k in range(n0_init + n1_init):
-        typ = SENSITIVE if k < n0_init else RESISTANT
-        parent.append(-1)
-        cell_type.append(typ)
-        origin.append(ORIGIN_ROOT)
-        edge_mutations.append(0)
-        status.append(STATUS_ALIVE)
-        if typ == SENSITIVE:
-            alive0.append((k, 0, k))
-        else:
-            alive1.append(k)
+    alive0 = [(k, 0, k) for k in range(n0_init)]
+    alive1 = list(range(n0_init, n_roots))
 
     event_counts = [0, 0, 0, 0, 0]
     expected = [0.0, 0.0, 0.0, 0.0, 0.0] if track_rates else None
@@ -407,7 +381,6 @@ def gillespie(
                     resistant = rand() < gamma_n
                     child = len(parent)
                     parent.append(mother)
-                    origin.append(ORIGIN_SENSITIVE_DIVISION)
                     edge_mutations.append(draw_muts())
                     status.append(STATUS_ALIVE)
                     if resistant:
@@ -418,13 +391,7 @@ def gillespie(
                     else:
                         cell_type.append(SENSITIVE)
                         alive0.append((child, g, rid))
-                delta = (1, 0) if flips == 0 else ((0, 1) if flips == 1 else (-1, 2))
-                event_counts[_CLASS_INDEX[delta]] += 1
-                if len(parent) > max_cells:
-                    raise PopulationCapError(
-                        f"genealogy exceeded max_cells={max_cells} at t={t:.4f} "
-                        f"(z0={len(alive0)}, z1={len(alive1)})"
-                    )
+                event_counts[(0, 2, 3)[flips]] += 1
             else:
                 # sensitive death
                 j = int(rand() * n0)
@@ -444,16 +411,10 @@ def gillespie(
                     child = len(parent)
                     parent.append(mother)
                     cell_type.append(RESISTANT)
-                    origin.append(ORIGIN_RESISTANT_DIVISION)
                     edge_mutations.append(draw_muts())
                     status.append(STATUS_ALIVE)
                     alive1.append(child)
                 event_counts[2] += 1
-                if len(parent) > max_cells:
-                    raise PopulationCapError(
-                        f"genealogy exceeded max_cells={max_cells} at t={t:.4f} "
-                        f"(z0={len(alive0)}, z1={len(alive1)})"
-                    )
             else:
                 # resistant death
                 j = int(rand() * n1)
@@ -461,6 +422,11 @@ def gillespie(
                 alive1[j] = alive1[-1]
                 alive1.pop()
                 event_counts[4] += 1
+        if len(parent) > max_cells:
+            raise PopulationCapError(
+                f"genealogy exceeded max_cells={max_cells} at t={t:.4f} "
+                f"(z0={len(alive0)}, z1={len(alive1)})"
+            )
         if debug_checks:
             _check_population(alive0, alive1, status, cell_type)
 
@@ -469,10 +435,9 @@ def gillespie(
         t_obs=t_obs,
         parent=parent,
         cell_type=cell_type,
-        origin=origin,
         edge_mutations=edge_mutations,
         status=status,
-        n_roots=n0_init + n1_init,
+        n_roots=n_roots,
         z0_final=len(alive0),
         z1_final=len(alive1),
         event_counts=event_counts,
@@ -525,10 +490,8 @@ def extract_sfs(outcome: SimOutcome) -> SfsRecord:
     status = outcome.status
     cell_type = outcome.cell_type
     muts = outcome.edge_mutations
-    origin = outcome.origin
     n = len(parent)
     desc = [0] * n
-    s: dict[int, int] = {}
     s_res: dict[int, int] = {}
     s_sen: dict[int, int] = {}
     for idx in range(n - 1, -1, -1):
@@ -542,17 +505,13 @@ def extract_sfs(outcome: SimOutcome) -> SfsRecord:
                 desc[p] += c
             m = muts[idx]
             if m:
-                s[c] = s.get(c, 0) + m
-                if origin[idx] == ORIGIN_RESISTANT_DIVISION:
-                    s_res[c] = s_res.get(c, 0) + m
-                else:
-                    s_sen[c] = s_sen.get(c, 0) + m
+                # roots carry no mutations, so p >= 0 here
+                bucket = s_res if cell_type[p] == RESISTANT else s_sen
+                bucket[c] = bucket.get(c, 0) + m
     return SfsRecord(
-        s=s,
         s_resistant_origin=s_res,
         s_sensitive_origin=s_sen,
         t_obs=outcome.t_obs,
-        z1_final=outcome.z1_final,
     )
 
 
@@ -566,32 +525,25 @@ def window_counts(
     scale = math.exp(lambda1 * record.t_obs)
     lo = x1 * scale
     hi = x2 * scale if x2 != math.inf else math.inf
-    total = res = sen = 0
-    for i, m in record.s.items():
-        if lo < i < hi:
-            total += m
+    res = sen = 0
     for i, m in record.s_resistant_origin.items():
         if lo < i < hi:
             res += m
     for i, m in record.s_sensitive_origin.items():
         if lo < i < hi:
             sen += m
-    return WindowCounts(total, res, sen)
+    return WindowCounts(res, sen)
 
 
 def dense_sfs(record: SfsRecord, i_max: int) -> tuple[list[int], list[int], list[int]]:
     """Dense (s, s_resistant_origin, s_sensitive_origin) vectors over
     1..i_max as length-(i_max+1) lists with slot 0 unused."""
-    s = [0] * (i_max + 1)
     sr = [0] * (i_max + 1)
     ss = [0] * (i_max + 1)
-    for i, m in record.s.items():
-        if i <= i_max:
-            s[i] = m
     for i, m in record.s_resistant_origin.items():
         if i <= i_max:
             sr[i] = m
     for i, m in record.s_sensitive_origin.items():
         if i <= i_max:
             ss[i] = m
-    return s, sr, ss
+    return [a + b for a, b in zip(sr, ss)], sr, ss

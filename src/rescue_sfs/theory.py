@@ -33,13 +33,10 @@ class TheoryValue:
 
     value: float
     abs_error_bound: float = 0.0
-    kind: str = "exact"  # exact | quadrature | asymptotic
 
     def __post_init__(self) -> None:
         if self.abs_error_bound < 0:
             raise ValueError("abs_error_bound must be >= 0")
-        if self.kind not in ("exact", "quadrature", "asymptotic"):
-            raise ValueError(f"unknown kind {self.kind!r}")
 
     def __float__(self) -> float:
         return self.value
@@ -59,30 +56,22 @@ class PairedValue(NamedTuple):
 
 def quad_semi_infinite(
     integrand: Callable[[float], float],
-    tol: float = DEFAULT_TOL,
-    tail_bound: Callable[[float], float] | None = None,
-    s_max: float | None = None,
+    tol: float,
+    tail_bound: Callable[[float], float],
+    s_max: float,
 ) -> TheoryValue:
     """Integrate a nonnegative-decaying integrand on (0, inf).
 
     ``tail_bound(s)`` must bound the integral of |integrand| over (s, inf);
-    the truncation point is grown until the tail is below tol/2, then
-    adaptive Gauss-Kronrod handles [0, s_max] to tol/2.
+    adaptive Gauss-Kronrod handles [0, s_max] to tol/2, and the certified
+    bound is its error estimate plus ``tail_bound(s_max)``.
     """
-    if s_max is None:
-        if tail_bound is None:
-            raise ValueError("either s_max or tail_bound is required")
-        s_max = 1.0
-        while tail_bound(s_max) > tol / 2:
-            s_max *= 2.0
-            if s_max > 1e9:
-                raise QuadratureError("tail bound does not fall below tol/2")
-    tail = tail_bound(s_max) if tail_bound is not None else 0.0
+    tail = tail_bound(s_max)
     value, err = quad(integrand, 0.0, s_max, epsabs=tol / 2, epsrel=1e-11, limit=400)
     bound = err + tail
     if bound > tol:
         raise QuadratureError(f"requested tol {tol:g}, achieved bound {bound:g}")
-    return TheoryValue(value, bound, "quadrature")
+    return TheoryValue(value, bound)
 
 
 def _quad_finite(integrand, lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -192,7 +181,7 @@ def shape_integral(i: int, rho: float, tol: float = SHAPE_TOL) -> TheoryValue:
     """
     _check_shape_args(i, rho, tol)
     value, bound = _shape(i, math.inf, rho, tol)
-    return TheoryValue(value, bound, "exact" if rho == 0.0 else "quadrature")
+    return TheoryValue(value, bound)
 
 
 def shape_integral_truncated(i: int, x: float, rho: float, tol: float = SHAPE_TOL) -> TheoryValue:
@@ -208,7 +197,7 @@ def shape_integral_truncated(i: int, x: float, rho: float, tol: float = SHAPE_TO
     if x < 1.0:
         raise ValueError(f"requires x >= 1, got {x}")
     value, bound = _shape(i, x, rho, tol)
-    return TheoryValue(value, bound, "exact" if x == 1.0 else "quadrature")
+    return TheoryValue(value, bound)
 
 
 def clone_size_pmf_scaled(i: int, y: float, b1: float, d1: float) -> float:
@@ -252,11 +241,11 @@ def single_clone_sfs(
     if t < 0:
         raise ValueError(f"requires t >= 0, got {t}")
     if omega == 0.0 or t == 0.0:
-        return TheoryValue(0.0, 0.0, "exact")
+        return TheoryValue(0.0, 0.0)
     lam1 = b1 - d1
     growth = math.exp(lam1 * t)
     h = shape_integral_truncated(i, growth, d1 / b1, tol)
-    return TheoryValue(omega * growth * h.value, omega * growth * h.abs_error_bound, h.kind)
+    return TheoryValue(omega * growth * h.value, omega * growth * h.abs_error_bound)
 
 
 def single_clone_sfs_asymptotic(i: int, t: float, b1: float, d1: float, omega: float) -> float:
@@ -449,7 +438,7 @@ def sfs_small_asymptotic(i: int, t: float, params: ModelParams) -> TheoryValue:
     if t <= 0:
         raise ValueError(f"requires t > 0, got {t}")
     if params.omega == 0.0:
-        return TheoryValue(0.0, 0.0, "asymptotic")
+        return TheoryValue(0.0, 0.0)
     dp = derive(params)
     shape = shape_integral(i, dp.rho)
     scale = (
@@ -460,7 +449,7 @@ def sfs_small_asymptotic(i: int, t: float, params: ModelParams) -> TheoryValue:
         / (dp.lambda0 + dp.lambda1)
         * params.n_init ** (dp.lambda1 * t + 1.0 - params.alpha)
     )
-    return TheoryValue(shape.value * scale, shape.abs_error_bound * scale, "asymptotic")
+    return TheoryValue(shape.value * scale, shape.abs_error_bound * scale)
 
 
 def window_scale(params: ModelParams) -> float:
@@ -481,15 +470,15 @@ def sfs_window_asymptotic(
     if not 0 < x1 < x2:
         raise ValueError(f"requires 0 < x1 < x2, got x1={x1}, x2={x2}")
     if params.omega == 0.0:
-        return TheoryValue(0.0, 0.0, "asymptotic")
+        return TheoryValue(0.0, 0.0)
     dp = derive(params)
 
     def j_value(x: float) -> TheoryValue:
         if x == math.inf:
-            return TheoryValue(0.0, 0.0, "exact")
+            return TheoryValue(0.0, 0.0)
         k = window_weight_resistant(x, dp, tol)
         l = window_weight_sensitive(x, dp, tol)
-        return TheoryValue(k.value + l.value, k.abs_error_bound + l.abs_error_bound, "quadrature")
+        return TheoryValue(k.value + l.value, k.abs_error_bound + l.abs_error_bound)
 
     j1 = j_value(x1)
     j2 = j_value(x2)
@@ -497,7 +486,6 @@ def sfs_window_asymptotic(
     return TheoryValue(
         scale * (j1.value - j2.value),
         scale * (j1.abs_error_bound + j2.abs_error_bound),
-        "asymptotic",
     )
 
 
@@ -519,7 +507,7 @@ def resistant_origin_main_term(
     if t <= 0:
         raise ValueError(f"requires t > 0, got {t}")
     if params.omega == 0.0:
-        return TheoryValue(0.0, 0.0, "exact")
+        return TheoryValue(0.0, 0.0)
     dp = derive(params)
     t_n = t * math.log(params.n_init)
     lam1 = dp.lambda1
@@ -538,7 +526,10 @@ def resistant_origin_main_term(
         / (1.0 - dp.gamma_n)
     )
     value, err = _quad_finite(f, 0.0, t_n, tol / max(pref, 1.0))
-    return TheoryValue(pref * value, pref * err, "quadrature")
+    # each h_i node is within SHAPE_TOL, so the integrand's own error adds
+    # at most SHAPE_TOL Int_0^(t_N) e^(-rate s) ds to the quadrature's
+    integrand_err = SHAPE_TOL * -math.expm1(-rate * t_n) / rate
+    return TheoryValue(pref * value, pref * (err + integrand_err))
 
 
 def _sensitive_founder_integral(
@@ -553,7 +544,7 @@ def _sensitive_founder_integral(
     if t <= 0:
         raise ValueError(f"requires t > 0, got {t}")
     if params.omega == 0.0:
-        return TheoryValue(0.0, 0.0, "exact")
+        return TheoryValue(0.0, 0.0)
     dp = derive(params)
     t_n = t * math.log(params.n_init)
     lam1 = dp.lambda1
@@ -566,7 +557,7 @@ def _sensitive_founder_integral(
 
     pref = params.n_init * dp.gamma_n * (1.0 - x) * d0 * params.omega / (2.0 * (1.0 - dp.gamma_n))
     value, err = _quad_finite(f, 0.0, t_n, tol / max(pref, 1.0))
-    return TheoryValue(pref * value, pref * err, "quadrature")
+    return TheoryValue(pref * value, pref * err)
 
 
 def _resistant_division_integral(
@@ -584,7 +575,7 @@ def _resistant_division_integral(
     if t <= 0:
         raise ValueError(f"requires t > 0, got {t}")
     if params.omega == 0.0:
-        return TheoryValue(0.0, 0.0, "exact")
+        return TheoryValue(0.0, 0.0)
     dp = derive(params)
     t_n = t * math.log(params.n_init)
     lam1 = dp.lambda1
@@ -596,7 +587,7 @@ def _resistant_division_integral(
 
     pref = params.omega * dp.b1 * 2.0 * dp.gamma_n * dp.b0 * params.n_init / (lam1 + lt0)
     value, err = _quad_finite(f, 0.0, t_n, tol / max(pref, 1.0))
-    return TheoryValue(pref * value, pref * err, "quadrature")
+    return TheoryValue(pref * value, pref * err)
 
 
 def _size_pmf(i: int, params: ModelParams) -> Callable[[float], float]:

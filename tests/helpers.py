@@ -8,9 +8,6 @@ from collections import Counter
 
 from rescue_sfs.params import ModelParams
 from rescue_sfs.simulator import (
-    ORIGIN_RESISTANT_DIVISION,
-    ORIGIN_ROOT,
-    ORIGIN_SENSITIVE_DIVISION,
     RESISTANT,
     SENSITIVE,
     STATUS_ALIVE,
@@ -22,7 +19,8 @@ from rescue_sfs.simulator import (
 
 def naive_sfs(outcome: SimOutcome):
     """Independent SFS oracle: every cell inherits its ancestors' mutation
-    sets top-down (one id per mutated edge); carriers are counted per id.
+    sets top-down (one id per mutated edge); carriers are counted per id,
+    and an edge's origin is its mother's type.
 
     Returns (s, s_resistant_origin, s_sensitive_origin) dicts.
     """
@@ -46,7 +44,7 @@ def naive_sfs(outcome: SimOutcome):
     for edge, count in carriers.items():
         m = outcome.edge_mutations[edge]
         s[count] += m
-        if outcome.origin[edge] == ORIGIN_RESISTANT_DIVISION:
+        if outcome.cell_type[outcome.parent[edge]] == RESISTANT:
             s_res[count] += m
         else:
             s_sen[count] += m
@@ -77,38 +75,36 @@ def build_single_root_example(params: ModelParams) -> SimOutcome:
     resistant descendants.
     """
     S, R = SENSITIVE, RESISTANT
-    RT, SD, RD = ORIGIN_ROOT, ORIGIN_SENSITIVE_DIVISION, ORIGIN_RESISTANT_DIVISION
     AL, DE, DV = STATUS_ALIVE, STATUS_DEAD, STATUS_DIVIDED
-    #          parent type origin muts status
+    #          parent type muts status
     rows = [
-        (-1, S, RT, 0, DV),  # 0 root
-        (0, S, SD, 2, DV),  # 1 A, mutations {1,2}
-        (0, S, SD, 1, DV),  # 2 B, {3}
-        (2, S, SD, 1, AL),  # 3 B1, {5}
-        (2, S, SD, 1, AL),  # 4 B2, {6}
-        (1, R, SD, 0, DV),  # 5 A1, the ancestral resistant cell
-        (1, S, SD, 1, DE),  # 6 A2, {10}
-        (5, R, RD, 1, DV),  # 7 C, {4}
-        (5, R, RD, 0, DV),  # 8 D
-        (7, R, RD, 1, AL),  # 9 C1, {7}
-        (7, R, RD, 0, DV),  # 10 C2
-        (10, R, RD, 1, AL),  # 11 C2a, {8}
-        (10, R, RD, 0, AL),  # 12 C2b
-        (8, R, RD, 1, AL),  # 13 D1, {9}
-        (8, R, RD, 0, DV),  # 14 D2
-        (14, R, RD, 0, AL),  # 15 D2a
-        (14, R, RD, 0, DV),  # 16 D2b
-        (16, R, RD, 0, AL),  # 17
-        (16, R, RD, 0, AL),  # 18
+        (-1, S, 0, DV),  # 0 root
+        (0, S, 2, DV),  # 1 A, mutations {1,2}
+        (0, S, 1, DV),  # 2 B, {3}
+        (2, S, 1, AL),  # 3 B1, {5}
+        (2, S, 1, AL),  # 4 B2, {6}
+        (1, R, 0, DV),  # 5 A1, the ancestral resistant cell
+        (1, S, 1, DE),  # 6 A2, {10}
+        (5, R, 1, DV),  # 7 C, {4}
+        (5, R, 0, DV),  # 8 D
+        (7, R, 1, AL),  # 9 C1, {7}
+        (7, R, 0, DV),  # 10 C2
+        (10, R, 1, AL),  # 11 C2a, {8}
+        (10, R, 0, AL),  # 12 C2b
+        (8, R, 1, AL),  # 13 D1, {9}
+        (8, R, 0, DV),  # 14 D2
+        (14, R, 0, AL),  # 15 D2a
+        (14, R, 0, DV),  # 16 D2b
+        (16, R, 0, AL),  # 17
+        (16, R, 0, AL),  # 18
     ]
     return SimOutcome(
         params=params,
         t_obs=1.0,
         parent=[r[0] for r in rows],
         cell_type=[r[1] for r in rows],
-        origin=[r[2] for r in rows],
-        edge_mutations=[r[3] for r in rows],
-        status=[r[4] for r in rows],
+        edge_mutations=[r[2] for r in rows],
+        status=[r[3] for r in rows],
         n_roots=1,
         z0_final=2,
         z1_final=7,

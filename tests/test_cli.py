@@ -72,7 +72,7 @@ GOLDEN_DIGESTS = [
     ),
     (
         ["theory", "--formula", "P", "--i-range", "1:5"],
-        {"theory_P.csv": "96a1073b2321eae7f94730bcbae0c2ee7767ad500a3c49afd3ae1a1198e05098"},
+        {"theory_P.csv": "c1fc49408799217d2c81a70948a0f7dbe5bbb57aa3ec7de2e790fe9f06ed8ab0"},
     ),
     (
         ["theory", "--formula", "Q", "--i-range", "1:5"],

@@ -21,9 +21,9 @@ SMALL = ModelParams(b0=1.0, d0=2.0, b1=1.2, d1=0.5, omega=2.0, gamma=0.3, alpha=
 
 def test_initial_validation():
     with pytest.raises(ValueError):
-        sim.run(REF, -1.0, seed=0)
+        sim.run(REF, -1.0, rng=Random(0))
     with pytest.raises(ValueError):
-        sim.run(REF, 1.0, initial=(0, 0), seed=0)
+        sim.run(REF, 1.0, initial=(0, 0), rng=Random(0))
 
 
 def test_debug_checks_pass_on_small_runs():
@@ -37,7 +37,6 @@ def test_roots_have_no_mutations_and_resistance_is_permanent():
     out = sim.run(SMALL, 3.0, rng=Random(42))
     for idx in range(out.n_roots):
         assert out.edge_mutations[idx] == 0
-        assert out.origin[idx] == sim.ORIGIN_ROOT
     for idx in range(out.n_nodes):
         p = out.parent[idx]
         if p >= 0 and out.cell_type[p] == sim.RESISTANT:
@@ -48,6 +47,8 @@ def test_population_cap():
     grow = ModelParams(b0=1.2, d0=2.0, b1=2.0, d1=0.0, omega=0.0, gamma=1.0, alpha=0.5, n_init=10)
     with pytest.raises(sim.PopulationCapError, match="max_cells"):
         sim.run(grow, 50.0, initial=(0, 5), rng=Random(1), max_cells=300)
+    with pytest.raises(sim.PopulationCapError, match="max_cells"):
+        sim.gillespie(grow, 50.0, initial=(0, 5), rng=Random(1), max_cells=300)
 
 
 def test_event_class_probabilities_normalize():
@@ -111,14 +112,23 @@ def test_rate_table_frequencies():
 def test_worked_single_root_example():
     out = build_single_root_example(SMALL)
     rec = sim.extract_sfs(out)
-    rec.validate()
     assert rec.s == {1: 3, 3: 1, 7: 2}
     assert rec.s_resistant_origin == {1: 3, 3: 1}
     assert rec.s_sensitive_origin == {7: 2}
-    assert rec.z1_final == 7
     # the naive per-cell oracle agrees on the fixture
     s, sres, ssen = naive_sfs(out)
     assert s == rec.s and sres == rec.s_resistant_origin and ssen == rec.s_sensitive_origin
+
+
+def test_dense_sfs_on_worked_example():
+    rec = sim.extract_sfs(build_single_root_example(SMALL))
+    s, sres, ssen = sim.dense_sfs(rec, 8)
+    assert s == [0, 3, 0, 1, 0, 0, 0, 2, 0]
+    assert sres == [0, 3, 0, 1, 0, 0, 0, 0, 0]
+    assert ssen == [0, 0, 0, 0, 0, 0, 0, 2, 0]
+    assert all(s[i] == sres[i] + ssen[i] for i in range(9))
+    # slot 0 stays unused; S_7 lies past i_max = 3
+    assert sim.dense_sfs(rec, 3) == ([0, 3, 0, 1], [0, 3, 0, 1], [0, 0, 0, 0])
 
 
 def test_extract_matches_naive_oracle_on_small_runs():
@@ -129,7 +139,6 @@ def test_extract_matches_naive_oracle_on_small_runs():
         if out.n_nodes > 200:
             continue
         rec = sim.extract_sfs(out)
-        rec.validate()
         s, sres, ssen = naive_sfs(out)
         assert rec.s == s
         assert rec.s_resistant_origin == sres
@@ -145,13 +154,6 @@ def test_mutation_copy_conservation_single_clone():
         out = sim.run(REF, 1.5, initial=(0, 1), rng=rng)
         rec = sim.extract_sfs(out)
         assert sum(i * m for i, m in rec.s.items()) == carried_copy_total(out)
-
-
-def test_origin_split_identity_holds():
-    rng = Random(107)
-    for _ in range(30):
-        rec = sim.extract_sfs(sim.run(SMALL, 2.0, rng=rng))
-        rec.validate()
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +179,7 @@ def test_window_counts():
     assert a.total + b.total == wc_all.total
     with pytest.raises(ValueError):
         sim.window_counts(rec, 2.0, 1.0, lam1)
-    empty = sim.SfsRecord({}, {}, {}, 1.0, 0)
+    empty = sim.SfsRecord({}, {}, 1.0)
     assert sim.window_counts(empty, 0.5, math.inf, lam1).total == 0
 
 
@@ -350,13 +352,13 @@ def _check_forest(out: sim.SimOutcome, initial: tuple[int, int]) -> None:
     """The SimOutcome contract of a run started from ``initial``."""
     n = out.n_nodes
     assert out.n_roots == sum(initial)
-    assert all(len(col) == n for col in (out.cell_type, out.origin, out.edge_mutations, out.status))
+    assert all(len(col) == n for col in (out.cell_type, out.edge_mutations, out.status))
     children = [[] for _ in range(n)]
     founders = 0
     for idx in range(n):
         p = out.parent[idx]
         if idx < out.n_roots:
-            assert p == -1 and out.origin[idx] == sim.ORIGIN_ROOT and out.edge_mutations[idx] == 0
+            assert p == -1 and out.edge_mutations[idx] == 0
             assert out.cell_type[idx] == (sim.SENSITIVE if idx < initial[0] else sim.RESISTANT)
             continue
         assert 0 <= p < idx
@@ -364,9 +366,7 @@ def _check_forest(out: sim.SimOutcome, initial: tuple[int, int]) -> None:
         assert out.edge_mutations[idx] >= 0
         if out.cell_type[p] == sim.RESISTANT:
             assert out.cell_type[idx] == sim.RESISTANT
-            assert out.origin[idx] == sim.ORIGIN_RESISTANT_DIVISION
         else:
-            assert out.origin[idx] == sim.ORIGIN_SENSITIVE_DIVISION
             founders += out.cell_type[idx] == sim.RESISTANT
     events = [0, 0, 0, 0, 0]
     for idx in range(n):
@@ -417,6 +417,5 @@ def test_run_properties(case):
     if params.mutation_law == "bernoulli":
         assert set(out.edge_mutations) <= {0, 1}
     rec = sim.extract_sfs(out)
-    rec.validate()
     assert (rec.s, rec.s_resistant_origin, rec.s_sensitive_origin) == naive_sfs(out)
     assert sum(i * m for i, m in rec.s.items()) == carried_copy_total(out)
