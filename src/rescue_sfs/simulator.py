@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from random import Random
 
@@ -124,8 +125,8 @@ class WindowCounts:
 def _mutation_cdf(law: str, omega: float) -> tuple[float, ...]:
     """Cumulative probabilities of the per-daughter mutation count (mean
     omega/2) for inverse-CDF sampling: the count is the first k with
-    u < cdf[k].  The last entry is inf, so the scan always stops; it takes
-    the Poisson tail beyond a term below 1e-18."""
+    u < cdf[k], bisect_right(cdf, u).  The last entry is inf, so a scan from
+    k = 0 always stops; it takes the Poisson tail beyond a term below 1e-18."""
     mean = omega / 2.0
     if mean == 0.0:
         return (math.inf,)
@@ -328,13 +329,6 @@ def gillespie(
     rand = rng.random
     expo = rng.expovariate
 
-    def draw_muts() -> int:
-        u = rand()
-        m = 0
-        while u >= cdf[m]:
-            m += 1
-        return m
-
     n_roots = n0_init + n1_init
     parent = [-1] * n_roots
     cell_type = [SENSITIVE] * n0_init + [RESISTANT] * n1_init
@@ -381,7 +375,7 @@ def gillespie(
                     resistant = rand() < gamma_n
                     child = len(parent)
                     parent.append(mother)
-                    edge_mutations.append(draw_muts())
+                    edge_mutations.append(bisect_right(cdf, rand()))
                     status.append(STATUS_ALIVE)
                     if resistant:
                         flips += 1
@@ -411,7 +405,7 @@ def gillespie(
                     child = len(parent)
                     parent.append(mother)
                     cell_type.append(RESISTANT)
-                    edge_mutations.append(draw_muts())
+                    edge_mutations.append(bisect_right(cdf, rand()))
                     status.append(STATUS_ALIVE)
                     alive1.append(child)
                 event_counts[2] += 1

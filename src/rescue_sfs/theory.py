@@ -74,8 +74,20 @@ def quad_semi_infinite(
     return TheoryValue(value, bound)
 
 
-def _quad_finite(integrand, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    value, err = quad(integrand, lo, hi, epsabs=tol, epsrel=1e-11, limit=400)
+def _quad_finite(
+    integrand: Callable[[float], float],
+    lo: float,
+    hi: float,
+    tol: float,
+    rounding: Callable[[float, float], float] | None = None,
+    epsrel: float = 1e-11,
+) -> tuple[float, float]:
+    """(value, bound) of Int_lo^hi integrand: quad's error estimate, plus
+    ``rounding(value, err)`` for the integrand's own error when given; raises
+    where the bound exceeds both tol and 1e-8 |value|."""
+    value, err = quad(integrand, lo, hi, epsabs=tol, epsrel=epsrel, limit=400)
+    if rounding is not None:
+        err += rounding(value, err)
     if err > max(tol, abs(value) * 1e-8):
         raise QuadratureError(f"requested tol {tol:g}, achieved bound {err:g}")
     return value, err
@@ -93,7 +105,9 @@ _SERIES_TERMS = 64  # the series is kept wherever it converges in max(i, 64) ter
 
 def _shape(i: int, x: float, rho: float, tol: float) -> tuple[float, float]:
     """(value, absolute error bound) of h_i(x) = Int_0^Y (1-y) y^(i-1) / (1-rho y) dy
-    with Y = (x-1)/(x-rho), Y = 1 at x = inf.  Arguments are not checked.
+    with Y = (x-1)/(x-rho), Y = 1 at x = inf, for shape_integral and
+    shape_integral_truncated (resistant_origin_main_term integrates h_i in
+    closed form instead).  Arguments are not checked.
 
     Where the series in rho converges within max(i, _SERIES_TERMS) terms it
     is summed term by term with its geometric tail bound.  Past that (rho Y
@@ -200,21 +214,27 @@ def shape_integral_truncated(i: int, x: float, rho: float, tol: float = SHAPE_TO
     return TheoryValue(value, bound)
 
 
+def _size_pmf(i: int, b1: float, d1: float) -> Callable[[float], float]:
+    """y -> P(clone size = i) at scale y = e^(-lambda1 u), y not checked."""
+    if i < 1:
+        raise ValueError(f"requires i >= 1, got {i}")
+    rho = d1 / b1
+    c = ((b1 - d1) / b1) ** 2
+    if i == 1:
+        return lambda y: c * y / (1.0 - rho * y) ** 2
+    a, b = i - 1, i + 1
+    return lambda y: c * y * math.exp(a * math.log1p(-y) - b * math.log1p(-rho * y))
+
+
 def clone_size_pmf_scaled(i: int, y: float, b1: float, d1: float) -> float:
     """P(linear birth-death clone of age u has size i) at scale y = e^(-lambda1 u):
 
     (lambda1/b1)^2 y (1-y)^(i-1) / (1 - (d1/b1) y)^(i+1).
     """
-    if i < 1:
-        raise ValueError(f"requires i >= 1, got {i}")
+    pmf = _size_pmf(i, b1, d1)
     if not 0 < y <= 1:
         raise ValueError(f"requires 0 < y <= 1, got {y}")
-    lam1 = b1 - d1
-    rho = d1 / b1
-    if i == 1:
-        return (lam1 / b1) ** 2 * y / (1.0 - rho * y) ** 2
-    log_val = (i - 1) * math.log1p(-y) - (i + 1) * math.log1p(-rho * y)
-    return (lam1 / b1) ** 2 * y * math.exp(log_val)
+    return pmf(y)
 
 
 def clone_size_pmf(i: int, u: float, b1: float, d1: float) -> float:
@@ -499,8 +519,15 @@ def resistant_origin_main_term(
 ) -> TheoryValue:
     """Single-founder part of E[resistant-origin S_i(t ln N)]:
 
-    N^(1+lambda1 t-alpha) delta0 (1-x_n) gamma omega / (1-gamma_n)
-      * Int_0^(t_N) h_i(e^(lambda1 (t_N-s))) e^(-(lambda1 + x_n delta0) s) ds.
+    pref Int_0^(t_N) h_i(e^(lambda1 (t_N-s))) e^(-r s) ds,  r = lambda1 + x_n delta0,
+    pref = N^(1+lambda1 t-alpha) delta0 (1-x_n) gamma omega / (1-gamma_n).
+
+    y <= Y(e^(lambda1 (t_N-s))) exactly when s <= t_N - ln X(y)/lambda1,
+    X(y) = (1-rho y)/(1-y), so swapping the order of integration and putting
+    X = e^u leaves one quadrature with a closed-form integrand:
+
+    pref (1-rho)/r Int_0^(lambda1 t_N) ((e^u-1)/(e^u-rho))^(i-1) (e^u-rho)^(-2)
+      (1 - e^((r/lambda1) u - r t_N)) du.
     """
     if i < 1:
         raise ValueError(f"requires i >= 1, got {i}")
@@ -512,10 +539,14 @@ def resistant_origin_main_term(
     t_n = t * math.log(params.n_init)
     lam1 = dp.lambda1
     rate = lam1 + dp.x_n * dp.delta0
-    rho = dp.rho
+    c = 1.0 - dp.rho
+    slope = rate / lam1
+    rt_n = rate * t_n
 
-    def f(s: float) -> float:
-        return _shape(i, math.exp(lam1 * (t_n - s)), rho, SHAPE_TOL)[0] * math.exp(-rate * s)
+    def f(u: float) -> float:
+        em1 = math.expm1(u)
+        d = em1 + c  # e^u - rho
+        return (em1 / d) ** (i - 1) / (d * d) * -math.expm1(slope * u - rt_n)
 
     pref = (
         params.n_init ** (1.0 + lam1 * t - params.alpha)
@@ -525,11 +556,25 @@ def resistant_origin_main_term(
         * params.omega
         / (1.0 - dp.gamma_n)
     )
-    value, err = _quad_finite(f, 0.0, t_n, tol / max(pref, 1.0))
-    # each h_i node is within SHAPE_TOL, so the integrand's own error adds
-    # at most SHAPE_TOL Int_0^(t_N) e^(-rate s) ds to the quadrature's
-    integrand_err = SHAPE_TOL * -math.expm1(-rate * t_n) / rate
-    return TheoryValue(pref * value, pref * (err + integrand_err))
+    scale = pref * c / rate
+    hi = lam1 * t_n
+    # w >= Int_0^hi B(u) e^(slope u - r t_N) du with B(u) = ((e^u-1)/(e^u-rho))^(i-1)
+    # (e^u-rho)^(-2): below hi/2 the exponential is at most e^(-r t_N/2) and
+    # Int_0^hi B du <= 1/(i (1-rho)); above it B <= (e^(hi/2)-rho)^(-2)
+    w = math.exp(-rt_n / 2.0) / (i * c) + 1.0 / (slope * (math.expm1(hi / 2.0) + c) ** 2)
+
+    def rounding(value: float, err: float) -> float:
+        # u = 2^-53, libm within 1 ulp, the rates and rho taken as given.
+        # Relative: 6u per factor of the base em1/d and 13u for the rest of f,
+        # 3u (ln N + lambda1 t_N) from the exponent of N in pref and 13u for
+        # the rest of scale * value.  Absolute: slope u - r t_N is off by at
+        # most 4.1u r t_N and t_N by 2u t_N, which moves the integral by at
+        # most 6.1u r t_N w.
+        rel = 6 * i + 20 + 3.0 * (math.log(params.n_init) + hi)
+        return 1.1 * _U * (rel * (value + err) + 6.1 * rt_n * w)
+
+    value, err = _quad_finite(f, 0.0, hi, tol / max(scale, 1.0), rounding, epsrel=1e-13)
+    return TheoryValue(scale * value, scale * err)
 
 
 def _sensitive_founder_integral(
@@ -590,13 +635,6 @@ def _resistant_division_integral(
     return TheoryValue(pref * value, pref * err)
 
 
-def _size_pmf(i: int, params: ModelParams) -> Callable[[float], float]:
-    """y -> P(clone size = i) at scale y = e^(-lambda1 u)."""
-    if i < 1:
-        raise ValueError(f"requires i >= 1, got {i}")
-    return lambda y: clone_size_pmf_scaled(i, y, params.b1, params.d1)
-
-
 def _size_tail(x: float, t: float, params: ModelParams) -> Callable[[float], float]:
     """y -> P(clone size > m) at scale y = e^(-lambda1 u), for the window
     edge m = floor(x e^(lambda1 t_N)): the closed geometric tail
@@ -608,15 +646,15 @@ def _size_tail(x: float, t: float, params: ModelParams) -> Callable[[float], flo
     rho = d1 / b1
     lam1 = b1 - d1
     m = math.floor(x * math.exp(lam1 * (t * math.log(params.n_init))))
+    c = lam1 / b1
+    if m == 0:
+        return lambda y: c / (1.0 - rho * y)
 
     def tail(y: float) -> float:
-        head = (lam1 / b1) / (1.0 - rho * y)
-        if m == 0:
-            return head
         q = (1.0 - y) / (1.0 - rho * y)
         if q <= 0.0:
             return 0.0
-        return head * math.exp(m * math.log(q))
+        return c / (1.0 - rho * y) * math.exp(m * math.log(q))
 
     return tail
 
@@ -626,7 +664,7 @@ def sensitive_origin_main_term(
 ) -> TheoryValue:
     """Single-founder part of E[sensitive-origin S_i(t ln N)]: the founder
     integral with the clone-size pmf kappa_i."""
-    return _sensitive_founder_integral(t, params, tol, _size_pmf(i, params))
+    return _sensitive_founder_integral(t, params, tol, _size_pmf(i, params.b1, params.d1))
 
 
 def sensitive_origin_window_main(
@@ -655,7 +693,7 @@ def resistant_origin_mean_exact(
     resistant-division integral with the clone-size pmf kappa_i.  This is
     the single-founder main term plus the multi-founder remainder, so it is
     the tight Monte Carlo comparator."""
-    return _resistant_division_integral(t, params, tol, _size_pmf(i, params))
+    return _resistant_division_integral(t, params, tol, _size_pmf(i, params.b1, params.d1))
 
 
 def expected_resistant_population(t_abs: float, params: ModelParams) -> float:

@@ -72,7 +72,7 @@ GOLDEN_DIGESTS = [
     ),
     (
         ["theory", "--formula", "P", "--i-range", "1:5"],
-        {"theory_P.csv": "c1fc49408799217d2c81a70948a0f7dbe5bbb57aa3ec7de2e790fe9f06ed8ab0"},
+        {"theory_P.csv": "b6a40f20ae0c7925f445b2cfb1ad147a749a447b697e932665ab29386e3fc661"},
     ),
     (
         ["theory", "--formula", "Q", "--i-range", "1:5"],

@@ -394,30 +394,66 @@ def test_resistant_origin_main_term_zero_cases():
     assert th.sensitive_origin_main_term(1, T, zero).value == 0.0
 
 
-@pytest.mark.parametrize("i", [1, 20, 121])
-def test_resistant_origin_main_term_bound_holds(i):
-    # P against a quadrature over the 50-digit h_i: its bound must cover the
-    # error of every h_i node as well as the quadrature's own
-    dp = derive(REF)
-    t_n = T * math.log(REF.n_init)
+NEAR_CRITICAL = dataclasses.replace(REF, d1=0.999 * REF.b1)
+
+
+@pytest.mark.parametrize(
+    "params, t, i",
+    [pytest.param(REF, T, i, id=str(i)) for i in (1, 20, 121)]
+    + [
+        pytest.param(NEAR_CRITICAL, t, i, id=f"near-critical-t{t:g}-{i}")
+        for t in (T, 400.0)
+        for i in (1, 20, 121)
+    ],
+)
+def test_resistant_origin_main_term_bound_holds(params, t, i):
+    # P against the s-integral it is defined by, taken over the 50-digit h_i
+    dp = derive(params)
+    t_n = t * math.log(params.n_init)
     rate = dp.lambda1 + dp.x_n * dp.delta0
     pref = (
-        REF.n_init ** (1 + dp.lambda1 * T - REF.alpha)
+        params.n_init ** (1 + dp.lambda1 * t - params.alpha)
         * dp.delta0
         * (1 - dp.x_n)
-        * REF.gamma
-        * REF.omega
+        * params.gamma
+        * params.omega
         / (1 - dp.gamma_n)
     )
 
-    def f(s):
-        h_i = _shape_exact(i, math.exp(dp.lambda1 * (t_n - s)), dp.rho)
-        return float(h_i) * math.exp(-rate * s)
+    tv = th.resistant_origin_main_term(i, t, params)
+    with mpmath.workdps(30):
+        exact = mpmath.quad(
+            lambda s: _shape_exact(i, mpmath.exp(dp.lambda1 * (t_n - s)), dp.rho)
+            * mpmath.exp(-rate * s),
+            [0, t_n],
+        )
+        assert abs(tv.value - pref * exact) <= tv.abs_error_bound
 
-    exact, quad_err = quad(f, 0.0, t_n, epsabs=1e-16, epsrel=1e-14, limit=200)
-    tv = th.resistant_origin_main_term(i, T, REF)
-    assert pref * quad_err < 1e-12
-    assert abs(tv.value - pref * exact) <= tv.abs_error_bound
+
+def test_resistant_origin_main_term_bound_meets_tol():
+    # the policy _quad_finite enforces: the bound is within tol, or within
+    # 1e-8 relative where tol is out of reach; at the reference set the
+    # default tol itself is met
+    for i in range(1, 122):
+        assert th.resistant_origin_main_term(i, T, REF).abs_error_bound <= th.DEFAULT_TOL, i
+        tv = th.resistant_origin_main_term(i, T, REF, tol=1e-12)
+        assert tv.abs_error_bound <= max(1e-12, 1e-8 * abs(tv.value)), i
+
+
+def test_resistant_origin_main_term_sums_no_shape_series(monkeypatch):
+    # the swapped integral has a closed-form integrand: no quadrature node
+    # evaluates h_i
+    calls = []
+    shape = th._shape
+
+    def counting_shape(*args):
+        calls.append(args)
+        return shape(*args)
+
+    monkeypatch.setattr(th, "_shape", counting_shape)
+    for params, t in ((REF, T), (NEAR_CRITICAL, 400.0)):
+        assert th.resistant_origin_main_term(7, t, params).value > 0
+    assert calls == []
 
 
 def test_resistant_origin_main_term_converges_to_asymptote():
@@ -495,8 +531,8 @@ def test_window_sums_match_per_index_sums():
 
 # pinned values of the five founder integrals at the reference set
 FOUNDER_INTEGRALS = {
-    ("P", 1): 772.6884874882883,
-    ("P", 5): 62.75991517884779,
+    ("P", 1): 772.6884874883111,
+    ("P", 5): 62.759915178871786,
     ("Q", 1): 0.3324204307809116,
     ("Q", 7): 0.1551156604979159,
     ("Q", 121): 0.024599970367448248,
