@@ -25,44 +25,23 @@ import numpy as np
 import rescue_sfs
 from rescue_sfs import gw_trees, montecarlo, simulator, theory
 from rescue_sfs.params import (
+    CONFIG_SCHEMA,
     ConfigError,
     DerivedParams,
     ModelParams,
-    ObservationSpec,
     ParameterError,
     RunConfig,
     derive,
     derive_from_gamma_n,
-    load_config,
+    make_config,
     observation_time,
+    parse_config_values,
 )
-
-FIGURES = ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7")
 
 # below this many replicates the SEM behind compare's z-score gate is itself
 # noisy: at 25 replicates |z| <= 3 fails on about 5% of seeds for an exact
 # simulator
 _Z_GATE_MIN_REPLICATES = 200
-
-_OVERRIDE_FLOATS = ("b0", "d0", "b1", "d1", "omega", "gamma", "alpha", "t_mult", "t_abs")
-
-
-@dataclass
-class RunManifest:
-    """Reproducibility record written next to every command's outputs."""
-
-    command: str
-    config: dict
-    seed: int
-    version: str
-    started: float
-    finished: float
-    outputs: list[dict]
-
-    def write(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(dataclasses.asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def _sha256(path: str) -> str:
@@ -121,15 +100,6 @@ class _OutputSet:
         return [{"path": p, "sha256": _sha256(p)} for p in self.paths if os.path.exists(p)]
 
 
-def _config_dict(cfg: RunConfig) -> dict:
-    return {
-        "params": dataclasses.asdict(cfg.params),
-        "observation": dataclasses.asdict(cfg.observation),
-        "replicates": cfg.replicates,
-        "seed": cfg.seed,
-    }
-
-
 def _run(args: argparse.Namespace) -> int:
     """Resolve the config and run one command; a failing command leaves
     none of its outputs behind, a finished one gets a manifest."""
@@ -141,56 +111,36 @@ def _run(args: argparse.Namespace) -> int:
     except Exception:
         outputs.cleanup()
         raise
-    manifest = RunManifest(
-        command=f"figures:{args.which}" if args.command == "figures" else args.command,
-        config=_config_dict(cfg),
-        seed=cfg.seed,
-        version=rescue_sfs.__version__,
-        started=started,
-        finished=time.time(),
-        outputs=outputs.manifest_entries(),
-    )
-    manifest.write(os.path.join(outputs.out_dir, "manifest.json"))
+    manifest = {
+        "command": f"figures:{args.which}" if args.command == "figures" else args.command,
+        "config": dataclasses.asdict(cfg),
+        "seed": cfg.seed,
+        "version": rescue_sfs.__version__,
+        "started": started,
+        "finished": time.time(),
+        "outputs": outputs.manifest_entries(),
+    }
+    with open(os.path.join(outputs.out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     return rc
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    cfg = load_config(args.config)
-    params_kwargs = dataclasses.asdict(cfg.params)
-    obs_kwargs = dataclasses.asdict(cfg.observation)
-    for key in _OVERRIDE_FLOATS:
-        val = getattr(args, key, None)
-        if val is not None:
-            if key in ("t_mult", "t_abs"):
-                obs_kwargs[key] = val
-            else:
-                params_kwargs[key] = val
-    if getattr(args, "n_init", None) is not None:
-        params_kwargs["n_init"] = args.n_init
-    if getattr(args, "mutation_law", None) is not None:
-        params_kwargs["mutation_law"] = args.mutation_law
-    if getattr(args, "t_mode", None) is not None:
-        obs_kwargs["mode"] = args.t_mode
-    replicates = args.replicates if getattr(args, "replicates", None) is not None else cfg.replicates
-    seed = args.seed if getattr(args, "seed", None) is not None else cfg.seed
-    return RunConfig(
-        params=ModelParams(**params_kwargs),
-        observation=ObservationSpec(**obs_kwargs),
-        replicates=replicates,
-        seed=seed,
-    )
+    """The config file's values with the flags that were given on top,
+    validated together once."""
+    with open(args.config, encoding="utf-8") as fh:
+        values = parse_config_values(fh.read(), source=args.config)
+    flags = {key: getattr(args, key) for key in CONFIG_SCHEMA if getattr(args, key) is not None}
+    return make_config(values | flags)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="flat key=value config file")
-    parser.add_argument("--seed", type=int, default=None, help="override config seed")
-    parser.add_argument("--replicates", type=int, default=None, help="override replicate count")
     parser.add_argument("--out-dir", default="out", help="output directory")
-    for key in _OVERRIDE_FLOATS:
-        parser.add_argument(f"--{key.replace('_', '-')}", type=float, default=None, dest=key)
-    parser.add_argument("--n-init", type=int, default=None, dest="n_init")
-    parser.add_argument("--mutation-law", default=None, dest="mutation_law")
-    parser.add_argument("--t-mode", default=None, dest="t_mode")
+    for key, kind in CONFIG_SCHEMA.items():
+        flag = f"--{key.replace('_', '-')}"
+        parser.add_argument(flag, type=kind, dest=key, help=f"override config key {key}")
 
 
 def _workers(args: argparse.Namespace) -> int:
@@ -232,7 +182,7 @@ def _log_time(cfg: RunConfig) -> float:
 
 
 def cmd_simulate(args: argparse.Namespace, cfg: RunConfig, outputs: _OutputSet) -> int:
-    windows = _parse_grid(args.windows) if args.windows else ()
+    windows = _parse_windows(args.windows) if args.windows else ()
     with open(outputs.path("per_replicate.csv"), "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["replicate", "i", "s", "sbar", "sunder"])
@@ -270,7 +220,7 @@ def cmd_simulate(args: argparse.Namespace, cfg: RunConfig, outputs: _OutputSet) 
         )
     config_echo = outputs.path("config_resolved.json")
     with open(config_echo, "w", encoding="utf-8") as fh:
-        json.dump(_config_dict(cfg) | {"t_obs": agg.t_obs}, fh, indent=2, sort_keys=True)
+        json.dump(dataclasses.asdict(cfg) | {"t_obs": agg.t_obs}, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return 0
 
@@ -288,6 +238,22 @@ def _parse_grid(text: str) -> list[float]:
     if not vals:
         raise ConfigError(f"empty grid {text!r}")
     return vals
+
+
+def _parse_windows(text: str) -> list[float]:
+    edges = _parse_grid(text)
+    if min(edges) <= 0:
+        raise ConfigError(f"window edges must be > 0, got {text!r}")
+    return edges
+
+
+def _samples(args: argparse.Namespace, default: int) -> int:
+    """--samples, or the command's default when it is not given."""
+    if args.samples is None:
+        return default
+    if args.samples < 1:
+        raise ConfigError(f"--samples must be >= 1, got {args.samples}")
+    return args.samples
 
 
 def _parse_irange(text: str) -> list[int]:
@@ -404,7 +370,8 @@ def _theory_rows(args, cfg: RunConfig):
     )
     try:
         rows = [(index, *row(point, inputs), fid) for index, point in points]
-    except ValueError as exc:  # a flag value outside the formula's domain
+    # a flag value outside the formula's domain, or a value too large for a float
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"formula {fid!r}: {exc}") from exc
     return ["index_or_x", "exact", "asymptotic", "error_bound", "formula_id"], rows
 
@@ -427,7 +394,7 @@ def cmd_gw(args: argparse.Namespace, cfg: RunConfig, outputs: _OutputSet) -> int
     law = gw_trees.GwLaw(p=p, beta=beta)
     rng = Random(cfg.seed)
     samples = []
-    for _ in range(args.samples):
+    for _ in range(_samples(args, 10_000)):
         s = gw_trees.sample_conditioned(law, args.condition, rng, root_excluded=args.root_excluded)
         g = s.generation if args.root_excluded else s.generation + 1
         samples.append(g)
@@ -451,12 +418,6 @@ def cmd_gw(args: argparse.Namespace, cfg: RunConfig, outputs: _OutputSet) -> int
 
 def cmd_compare(args: argparse.Namespace, cfg: RunConfig, outputs: _OutputSet) -> int:
     t = _log_time(cfg)
-    if args.mode == "z-score" and cfg.replicates < _Z_GATE_MIN_REPLICATES:
-        print(
-            f"warning: the z-score gate runs on {cfg.replicates} replicates, fewer than "
-            f"{_Z_GATE_MIN_REPLICATES}; its SEM is too noisy for a failure to say much",
-            file=sys.stderr,
-        )
     if args.what == "small-i":
         stats = _replicates(args, cfg, args.i_max).stats("sbar")
         tvals = [
@@ -465,7 +426,7 @@ def cmd_compare(args: argparse.Namespace, cfg: RunConfig, outputs: _OutputSet) -
         ]
         what = "sbar vs exact mean"
     else:
-        windows = _parse_grid(args.windows or "0.6,1,2,4,6")
+        windows = _parse_windows(args.windows or "0.6,1,2,4,6")
         stats = _replicates(args, cfg, 1, windows).window_stats("sbar")
         if args.mode == "z-score":
             # tight gate: the exact finite-N window expectation
@@ -479,6 +440,12 @@ def cmd_compare(args: argparse.Namespace, cfg: RunConfig, outputs: _OutputSet) -
             scale = theory.window_scale(cfg.params)
             tvals = [scale * theory.window_weight_resistant(x, dp, args.tol).value for x in windows]
             what = "sbar windows vs asymptotic"
+    if args.mode == "z-score" and cfg.replicates < _Z_GATE_MIN_REPLICATES:
+        print(
+            f"warning: the z-score gate runs on {cfg.replicates} replicates, fewer than "
+            f"{_Z_GATE_MIN_REPLICATES}; its SEM is too noisy for a failure to say much",
+            file=sys.stderr,
+        )
     report = montecarlo.compare(
         stats,
         tvals,
@@ -522,7 +489,7 @@ def cmd_figures(args: argparse.Namespace, cfg: RunConfig, outputs: _OutputSet) -
 
 def _fig2(args, cfg: RunConfig, outputs: _OutputSet) -> None:
     """Founder generation and appearance-time laws at two resistance levels."""
-    samples = args.samples or 100_000
+    samples = _samples(args, 100_000)
     rows_g = []
     rows_t = []
     for gamma_n in (0.2, 0.002):
@@ -605,16 +572,6 @@ def _window_figure(args, cfg: RunConfig, outputs: _OutputSet, kind: str, name: s
     )
 
 
-def _fig5(args, cfg: RunConfig, outputs: _OutputSet) -> None:
-    """Sensitive-origin window counts vs the hitch-hiking weight L."""
-    _window_figure(args, cfg, outputs, "sunder", "fig5.csv", theory.window_weight_sensitive)
-
-
-def _fig6(args, cfg: RunConfig, outputs: _OutputSet) -> None:
-    """Resistant-origin window counts vs the weight K."""
-    _window_figure(args, cfg, outputs, "sbar", "fig6.csv", theory.window_weight_resistant)
-
-
 def _fig7(args, cfg: RunConfig, outputs: _OutputSet) -> None:
     """K and L on [0.6, 6] for four (b0, lambda0) combinations."""
     rows = []
@@ -641,8 +598,10 @@ _FIGURE_BUILDERS = {
     "fig2": _fig2,
     "fig3": _fig3,
     "fig4": _fig4,
-    "fig5": _fig5,
-    "fig6": _fig6,
+    # sensitive-origin window counts vs the hitch-hiking weight L
+    "fig5": lambda *a: _window_figure(*a, "sunder", "fig5.csv", theory.window_weight_sensitive),
+    # resistant-origin window counts vs the weight K
+    "fig6": lambda *a: _window_figure(*a, "sbar", "fig6.csv", theory.window_weight_resistant),
     "fig7": _fig7,
 }
 
@@ -684,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[gw_trees.CONDITION_EXACTLY_ONE, gw_trees.CONDITION_AT_LEAST_ONE],
     )
     p_gw.add_argument("--root-excluded", action="store_true", dest="root_excluded")
-    p_gw.add_argument("--samples", type=int, default=10_000)
+    p_gw.add_argument("--samples", type=int, help="tree samples (default 10000)")
     p_gw.add_argument("--g-max", type=int, default=12, dest="g_max")
     p_gw.set_defaults(func=cmd_gw)
 
@@ -699,8 +658,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fig = sub.add_parser("figures", help="emit plot-ready CSVs for one figure")
     _add_common(p_fig)
-    p_fig.add_argument("--which", required=True, choices=FIGURES)
-    p_fig.add_argument("--samples", type=int, default=None, help="tree samples for fig2")
+    p_fig.add_argument("--which", required=True, choices=tuple(_FIGURE_BUILDERS))
+    p_fig.add_argument("--samples", type=int, help="tree samples for fig2 (default 100000)")
     p_fig.set_defaults(func=cmd_figures)
 
     for p in (p_sim, p_cmp, p_fig):

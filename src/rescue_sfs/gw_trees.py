@@ -109,18 +109,9 @@ def catalan_series_sum(p: float, tol: float = 1e-12, max_terms: int = 100_000):
     return total, bound
 
 
-def leaf_count_pmf(law: GwLaw, n: int) -> float:
-    """P(the tree has exactly n leaves) = a_n (1-p)^n p^(n-1)."""
-    if n < 1:
-        raise ValueError(f"requires n >= 1, got {n}")
-    p = law.p
-    if p == 0.0:
-        return 1.0 if n == 1 else 0.0
-    return math.exp(_log_catalan(n) + n * math.log1p(-p) + (n - 1) * math.log(p))
-
-
 def leaf_count_pmf_array(law: GwLaw, n_max: int) -> np.ndarray:
-    """Vector of leaf-count probabilities; entry [n] is u_n, entry [0] is 0."""
+    """Vector of leaf-count probabilities; entry [n] is
+    u_n = P(the tree has exactly n leaves) = a_n (1-p)^n p^(n-1), entry [0] is 0."""
     p = law.p
     out = np.zeros(n_max + 1)
     if p == 0.0:
@@ -161,15 +152,6 @@ def joint_gen_leafcount_array(law: GwLaw, g_max: int, n_max: int) -> np.ndarray:
         row[:g] = 0.0  # v_{g,n} = 0 for n < g
         v[g] = row
     return v
-
-
-def joint_gen_leafcount(law: GwLaw, g: int, n: int) -> float:
-    """P(generation of a uniform leaf = g, leaf count = n), node convention."""
-    if g < 1 or n < 1:
-        raise ValueError(f"requires g >= 1 and n >= 1, got g={g}, n={n}")
-    if n < g:
-        return 0.0
-    return float(joint_gen_leafcount_array(law, g, n)[g, n])
 
 
 def p_tilde(y: float, p: float) -> float:
@@ -250,14 +232,13 @@ class GwTree:
     ``marked=False``.
     """
 
-    parent: list[int]
     generation: list[int]
     is_leaf: list[bool]
     marked: list[bool]
 
     @property
     def n_nodes(self) -> int:
-        return len(self.parent)
+        return len(self.generation)
 
     @property
     def n_leaves(self) -> int:
@@ -294,7 +275,6 @@ def sample_tree(
     p, beta = law.p, law.beta
     p_root = _root_division_prob(law) if root_excluded else p
     rand = rng.random
-    parent = [-1]
     generation = [0]
     is_leaf = [False]
     marked = [False]
@@ -305,18 +285,17 @@ def sample_tree(
         if rand() < p_div:
             g = generation[v] + 1
             for _ in range(2):
-                parent.append(v)
                 generation.append(g)
                 is_leaf.append(False)
                 marked.append(False)
-                stack.append(len(parent) - 1)
-            if len(parent) > max_nodes:
+                stack.append(len(generation) - 1)
+            if len(generation) > max_nodes:
                 raise TreeSizeError(f"tree exceeded max_nodes={max_nodes}")
         else:
             is_leaf[v] = True
             if not (v == 0 and root_excluded):
                 marked[v] = rand() < beta
-    return GwTree(parent, generation, is_leaf, marked)
+    return GwTree(generation, is_leaf, marked)
 
 
 def sample_mark_stats(law: GwLaw, rng: Random, root_excluded: bool = False) -> tuple[int, int]:

@@ -13,31 +13,11 @@ lost.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 MUTATION_LAWS = ("poisson", "bernoulli")
 
 T_MODES = ("log-scaled", "absolute")
-
-CONFIG_KEYS = (
-    "b0",
-    "d0",
-    "b1",
-    "d1",
-    "omega",
-    "gamma",
-    "alpha",
-    "n_init",
-    "mutation_law",
-    "t_mode",
-    "t_mult",
-    "t_abs",
-    "replicates",
-    "seed",
-)
-
-_REQUIRED_KEYS = ("b0", "d0", "b1", "d1", "omega", "gamma", "alpha", "n_init")
-
 
 class ParameterError(ValueError):
     """A model parameter violates one of its constraints."""
@@ -214,79 +194,120 @@ class RunConfig:
 
     params: ModelParams
     observation: ObservationSpec
-    replicates: int
-    seed: int
+    replicates: int = 1000
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if not (isinstance(self.replicates, int) and self.replicates >= 2):
+            raise ParameterError(
+                f"requires integer replicates >= 2, got replicates={self.replicates!r}"
+            )
+        if not (isinstance(self.seed, int) and self.seed >= 0):
+            raise ParameterError(f"requires integer seed >= 0, got seed={self.seed!r}")
 
 
-def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
-    """Parse a flat ``key = value`` config into a RunConfig.
+# every config key and the type of its value, in file and flag order: the
+# ModelParams fields, then the ObservationSpec fields (t_mode is its mode),
+# then the RunConfig counts
+CONFIG_SCHEMA = {
+    "b0": float,
+    "d0": float,
+    "b1": float,
+    "d1": float,
+    "omega": float,
+    "gamma": float,
+    "alpha": float,
+    "n_init": int,
+    "mutation_law": str,
+    "t_mode": str,
+    "t_mult": float,
+    "t_abs": float,
+    "replicates": int,
+    "seed": int,
+}
+
+CONFIG_KEYS = tuple(CONFIG_SCHEMA)
+
+_REQUIRED_KEYS = tuple(f.name for f in fields(ModelParams) if f.default is MISSING)
+
+
+# ObservationSpec.mode is read from the config key t_mode
+_RENAMED = {"mode": "t_mode"}
+
+
+def make_config(values: dict) -> RunConfig:
+    """Route typed config values (key -> value of its CONFIG_SCHEMA type)
+    to a RunConfig and validate them together once.
+
+    Keys left out take the dataclass defaults (1000 replicates, seed 0);
+    a missing required key or an unknown key raises ConfigError, a violated
+    constraint ParameterError.
+    """
+    for key in _REQUIRED_KEYS:
+        if key not in values:
+            raise ConfigError(f"missing required key {key!r}")
+    unknown = sorted(values.keys() - CONFIG_SCHEMA.keys())
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r}")
+
+    def given(cls) -> dict:
+        return {
+            f.name: values[key]
+            for f in fields(cls)
+            if (key := _RENAMED.get(f.name, f.name)) in values
+        }
+
+    return RunConfig(
+        params=ModelParams(**given(ModelParams)),
+        observation=ObservationSpec(**given(ObservationSpec)),
+        **given(RunConfig),
+    )
+
+
+def parse_config_values(text: str, source: str = "<config>") -> dict:
+    """Typed values of a flat ``key = value`` config, not yet validated
+    together.
 
     Lines are ``key = value``; blank lines and ``#`` comments are ignored.
-    Unknown keys, malformed values, and missing required keys raise
-    ConfigError citing the key (and line where applicable).
+    Unknown keys, duplicate keys and malformed values raise ConfigError
+    citing ``source:line``.
     """
-    values: dict[str, str] = {}
+    values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        where = f"{source}:{lineno}"
         if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
+            raise ConfigError(f"{where}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in CONFIG_KEYS:
-            raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
+        if key not in CONFIG_SCHEMA:
+            raise ConfigError(f"{where}: unknown key {key!r}")
         if key in values:
-            raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
+            raise ConfigError(f"{where}: duplicate key {key!r}")
         if not value:
-            raise ConfigError(f"{source}:{lineno}: empty value for key {key!r}")
-        values[key] = value
-
-    for key in _REQUIRED_KEYS:
-        if key not in values:
-            raise ConfigError(f"{source}: missing required key {key!r}")
-
-    def _float(key: str) -> float:
+            raise ConfigError(f"{where}: empty value for key {key!r}")
+        kind = CONFIG_SCHEMA[key]
         try:
-            return float(values[key])
+            values[key] = kind(value)
         except ValueError as exc:
-            raise ConfigError(f"{source}: key {key!r}: not a number: {values[key]!r}") from exc
+            raise ConfigError(
+                f"{where}: key {key!r}: cannot read {value!r} as {kind.__name__}"
+            ) from exc
+    return values
 
-    def _int(key: str, default: int | None = None) -> int:
-        if key not in values:
-            return default  # type: ignore[return-value]
-        try:
-            return int(values[key])
-        except ValueError as exc:
-            raise ConfigError(f"{source}: key {key!r}: not an integer: {values[key]!r}") from exc
 
+def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
+    """Parse a flat ``key = value`` config into a RunConfig: its typed
+    values (see parse_config_values), then make_config.  Every error is a
+    ConfigError that names the source."""
+    values = parse_config_values(text, source)
     try:
-        params = ModelParams(
-            b0=_float("b0"),
-            d0=_float("d0"),
-            b1=_float("b1"),
-            d1=_float("d1"),
-            omega=_float("omega"),
-            gamma=_float("gamma"),
-            alpha=_float("alpha"),
-            n_init=_int("n_init"),
-            mutation_law=values.get("mutation_law", "poisson"),
-        )
-        observation = ObservationSpec(
-            mode=values.get("t_mode", "log-scaled"),
-            t_mult=_float("t_mult") if "t_mult" in values else None,
-            t_abs=_float("t_abs") if "t_abs" in values else None,
-        )
-    except ParameterError as exc:
+        return make_config(values)
+    except (ConfigError, ParameterError) as exc:
         raise ConfigError(f"{source}: {exc}") from exc
-
-    return RunConfig(
-        params=params,
-        observation=observation,
-        replicates=_int("replicates", 1000),
-        seed=_int("seed", 0),
-    )
 
 
 def load_config(path: str) -> RunConfig:

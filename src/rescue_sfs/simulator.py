@@ -74,14 +74,12 @@ class SimOutcome:
 
     def alive_counts(self) -> tuple[int, int]:
         """(sensitive, resistant) alive counts recomputed from the forest."""
-        z0 = z1 = 0
-        for status, typ in zip(self.status, self.cell_type):
-            if status == STATUS_ALIVE:
-                if typ == SENSITIVE:
-                    z0 += 1
-                else:
-                    z1 += 1
-        return z0, z1
+        return _alive_counts(self.status, self.cell_type)
+
+
+def _alive_counts(status: list[int], cell_type: list[int]) -> tuple[int, int]:
+    alive = [typ for st, typ in zip(status, cell_type) if st == STATUS_ALIVE]
+    return alive.count(SENSITIVE), alive.count(RESISTANT)
 
 
 @dataclass
@@ -421,8 +419,8 @@ def gillespie(
                 f"genealogy exceeded max_cells={max_cells} at t={t:.4f} "
                 f"(z0={len(alive0)}, z1={len(alive1)})"
             )
-        if debug_checks:
-            _check_population(alive0, alive1, status, cell_type)
+        if debug_checks and _alive_counts(status, cell_type) != (len(alive0), len(alive1)):
+            raise AssertionError("alive lists inconsistent with status array")
 
     outcome = SimOutcome(
         params=params,
@@ -446,13 +444,6 @@ def gillespie(
                 f"({outcome.z0_final},{outcome.z1_final})"
             )
     return outcome
-
-
-def _check_population(alive0, alive1, status, cell_type) -> None:
-    z0 = sum(1 for i, s in enumerate(status) if s == STATUS_ALIVE and cell_type[i] == SENSITIVE)
-    z1 = sum(1 for i, s in enumerate(status) if s == STATUS_ALIVE and cell_type[i] == RESISTANT)
-    if z0 != len(alive0) or z1 != len(alive1):
-        raise AssertionError("alive lists inconsistent with status array")
 
 
 def event_class_probabilities(params: ModelParams, z0: int, z1: int) -> list[float]:

@@ -226,22 +226,15 @@ def _size_pmf(i: int, b1: float, d1: float) -> Callable[[float], float]:
     return lambda y: c * y * math.exp(a * math.log1p(-y) - b * math.log1p(-rho * y))
 
 
-def clone_size_pmf_scaled(i: int, y: float, b1: float, d1: float) -> float:
-    """P(linear birth-death clone of age u has size i) at scale y = e^(-lambda1 u):
+def clone_size_pmf(i: int, u: float, b1: float, d1: float) -> float:
+    """Classical linear birth-death size law from one founder (Harris form):
+    P(clone of age u has size i) at scale y = e^(-lambda1 u) is
 
     (lambda1/b1)^2 y (1-y)^(i-1) / (1 - (d1/b1) y)^(i+1).
     """
-    pmf = _size_pmf(i, b1, d1)
-    if not 0 < y <= 1:
-        raise ValueError(f"requires 0 < y <= 1, got {y}")
-    return pmf(y)
-
-
-def clone_size_pmf(i: int, u: float, b1: float, d1: float) -> float:
-    """Classical linear birth-death size law from one founder (Harris form)."""
     if u < 0:
         raise ValueError(f"requires u >= 0, got {u}")
-    return clone_size_pmf_scaled(i, math.exp(-(b1 - d1) * u), b1, d1)
+    return _size_pmf(i, b1, d1)(math.exp(-(b1 - d1) * u))
 
 
 def clone_extinction_prob(u: float, b1: float, d1: float) -> float:

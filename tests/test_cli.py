@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -335,7 +336,8 @@ def test_compare_gate_exit_codes(cfg_path, tmp_path):
         ]
     )
     assert rc == 0
-    report = json.load(open(tmp_path / "pass" / "report.json"))
+    with open(tmp_path / "pass" / "report.json") as fh:
+        report = json.load(fh)
     assert report["all_passed"] is True
     assert len(report["rows"]) == 3
     rc = cli.main(
@@ -407,6 +409,13 @@ def test_compare_report_is_strict_json(tmp_path, capsys):
         ["theory", "--formula", "hi", "--x-grid", "0.6", "--i", "3"],
         ["theory", "--formula", "kappa", "--i-range", "1:3", "--u", "-1"],
         ["simulate", "--gamma", "1", "--n-init", "1"],
+        ["theory", "--formula", "P", "--i-range", "1:2", "--t-mult", "400"],
+        ["simulate", "--replicates", "1"],
+        ["simulate", "--seed", "-1"],
+        ["simulate", "--windows", "0,1"],
+        ["compare", "--what", "windows", "--windows", "0,1"],
+        ["gw", "--samples", "0"],
+        ["figures", "--which", "fig2", "--samples", "0"],
     ],
     ids=[
         "d0-below-b0",
@@ -416,12 +425,72 @@ def test_compare_report_is_strict_json(tmp_path, capsys):
         "hi-x-below-1",
         "kappa-negative-u",
         "simulate-gamma-n-one",
+        "theory-overflow",
+        "one-replicate",
+        "negative-seed",
+        "simulate-window-at-0",
+        "compare-window-at-0",
+        "gw-no-samples",
+        "fig2-no-samples",
     ],
 )
 def test_bad_flag_values_exit_2(cfg_path, tmp_path, capsys, argv):
     rc = cli.main(argv[:1] + ["--config", cfg_path, "--out-dir", str(tmp_path / "o")] + argv[1:])
     assert rc == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize(
+    "edit, flags",
+    [(("d0 = 2.0", "d0 = 0.5"), ["--d0", "2.0"]), (("b0 = 1.2\n", ""), ["--b0", "1.2"])],
+    ids=["invalid-value", "missing-key"],
+)
+def test_flags_and_file_are_validated_together(cfg_path, tmp_path, capsys, edit, flags):
+    # a file that is invalid on its own runs once a flag mends it, with the
+    # config and outputs of the whole file
+    path = tmp_path / "edited.cfg"
+    path.write_text(REF_CFG.replace(*edit))
+    argv = ["theory", "--formula", "anc-one"]
+    rc = cli.main(argv + ["--config", str(path), "--out-dir", str(tmp_path / "o")] + flags)
+    assert rc == 0
+    assert cli.main(argv + ["--config", cfg_path, "--out-dir", str(tmp_path / "ref")]) == 0
+    assert _digests(tmp_path / "o") == _digests(tmp_path / "ref")
+    assert _manifest(tmp_path / "o")["config"] == _manifest(tmp_path / "ref")["config"]
+    # unmended, the merged value is reported without the file's name: it may
+    # have come from a flag
+    assert cli.main(argv + ["--config", str(path), "--out-dir", str(tmp_path / "bad")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(path) not in err
+
+
+# one flag per config key
+_CONFIG_FLAGS = set(
+    "--b0 --d0 --b1 --d1 --omega --gamma --alpha --n-init --mutation-law --t-mode --t-mult "
+    "--t-abs --replicates --seed".split()
+)
+_COMMON_OPTIONS = _CONFIG_FLAGS | {"-h", "--help", "--config", "--out-dir"}
+
+COMMAND_OPTIONS = {
+    "simulate": _COMMON_OPTIONS | {"--i-max", "--windows", "--workers"},
+    "theory": _COMMON_OPTIONS | {"--formula", "--i-range", "--x-grid", "--i", "--u", "--tol"},
+    "gw": _COMMON_OPTIONS
+    | {"--p", "--beta", "--condition", "--root-excluded", "--samples", "--g-max"},
+    "compare": _COMMON_OPTIONS
+    | {"--what", "--i-max", "--windows", "--mode", "--threshold", "--tol", "--workers"},
+    "figures": _COMMON_OPTIONS | {"--which", "--samples", "--workers"},
+}
+
+
+def test_option_strings_pinned():
+    parser = cli.build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert {
+        name: {o for a in p._actions for o in a.option_strings} for name, p in sub.choices.items()
+    } == COMMAND_OPTIONS
+    # each config flag parses to its key's type
+    args = parser.parse_args(["gw", "--config", "c", "--n-init", "7", "--b0", "1", "--seed", "3"])
+    assert (args.n_init, args.b0, args.seed) == (7, 1.0, 3)
+    assert type(args.b0) is float
 
 
 def test_single_cell_start(cfg_path, tmp_path, capsys):

@@ -38,14 +38,15 @@ def test_catalan_series_identity(p):
 
 
 def test_leaf_count_pmf():
-    assert gw.leaf_count_pmf(LAW, 1) == pytest.approx(1 - LAW.p, rel=1e-14)
+    assert gw.leaf_count_pmf_array(LAW, 1)[1] == pytest.approx(1 - LAW.p, rel=1e-14)
     law = gw.GwLaw(p=0.25, beta=0.5)
-    assert gw.leaf_count_pmf(law, 2) == pytest.approx(0.140625, rel=1e-12)
+    u = gw.leaf_count_pmf_array(law, 40)
+    assert u[2] == pytest.approx(0.140625, rel=1e-12)
     # matches the exact integer form for moderate n
     cat = gw.catalan_sequence(40)
     for n in (3, 10, 40):
         exact = cat[n - 1] * (1 - law.p) ** n * law.p ** (n - 1)
-        assert gw.leaf_count_pmf(law, n) == pytest.approx(exact, rel=1e-11)
+        assert u[n] == pytest.approx(exact, rel=1e-11)
 
 
 @pytest.mark.parametrize("p", [0.1, 0.3, 0.45])
@@ -56,12 +57,11 @@ def test_leaf_count_normalization(p):
 
 
 def test_joint_gen_leafcount_base_cases():
-    assert gw.joint_gen_leafcount(LAW, 1, 1) == pytest.approx(1 - LAW.p, rel=1e-14)
-    assert gw.joint_gen_leafcount(LAW, 1, 2) == 0.0
-    assert gw.joint_gen_leafcount(LAW, 2, 2) == pytest.approx(
-        LAW.p * (1 - LAW.p) ** 2, rel=1e-12
-    )
-    assert gw.joint_gen_leafcount(LAW, 5, 3) == 0.0  # n < g
+    v = gw.joint_gen_leafcount_array(LAW, 5, 3)
+    assert v[1, 1] == pytest.approx(1 - LAW.p, rel=1e-14)
+    assert v[1, 2] == 0.0
+    assert v[2, 2] == pytest.approx(LAW.p * (1 - LAW.p) ** 2, rel=1e-12)
+    assert v[5, 3] == 0.0  # n < g
 
 
 @pytest.mark.parametrize("g", range(1, 11))
@@ -197,7 +197,8 @@ def test_sample_tree_leaf_count_law():
     rng = Random(3)
     law = gw.GwLaw(p=0.25, beta=0.5)
     counts = [gw.sample_mark_stats(law, rng)[0] for _ in range(100_000)]
-    res = gof_discrete(counts, lambda n: gw.leaf_count_pmf(law, n))
+    u = gw.leaf_count_pmf_array(law, max(counts))
+    res = gof_discrete(counts, lambda n: u[n])
     assert res.pvalue > 0.001
 
 

@@ -9,6 +9,7 @@ from rescue_sfs.params import (
     ParameterError,
     derive,
     derive_from_gamma_n,
+    make_config,
     observation_time,
     parse_config_text,
 )
@@ -178,3 +179,17 @@ def test_parse_config_defaults():
     assert cfg.observation.mode == "log-scaled"
     assert cfg.observation.t_mult is None  # resolves to 1/lambda0 at use
     assert cfg.replicates == 1000
+
+
+def test_make_config_routes_keys_and_rejects_strays():
+    values = dict(b0=1.2, d0=2.0, b1=1.2, d1=0.5, omega=2.0, gamma=1.0, alpha=0.9, n_init=500)
+    cfg = make_config(values | {"t_mode": "absolute", "t_abs": 2.0, "seed": 7})
+    assert cfg.params == REF
+    assert cfg.observation == ObservationSpec(mode="absolute", t_abs=2.0)
+    assert (cfg.replicates, cfg.seed) == (1000, 7)
+    with pytest.raises(ConfigError, match="unknown key 't_mul'"):
+        make_config(values | {"t_mul": 1.0})
+    with pytest.raises(ParameterError, match="replicates >= 2"):
+        make_config(values | {"replicates": 1})
+    with pytest.raises(ParameterError, match="seed >= 0"):
+        make_config(values | {"seed": -1})

@@ -174,7 +174,6 @@ def test_resistant_origin_main_term_cost_near_critical():
 
 
 def test_clone_size_pmf_founder():
-    assert th.clone_size_pmf_scaled(1, 1.0, 1.2, 0.5) == pytest.approx(1.0, rel=1e-12)
     assert th.clone_size_pmf(1, 0.0, 1.2, 0.5) == pytest.approx(1.0, rel=1e-12)
 
 
