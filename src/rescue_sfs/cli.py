@@ -129,8 +129,12 @@ def _run(args: argparse.Namespace) -> int:
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     """The config file's values with the flags that were given on top,
     validated together once."""
-    with open(args.config, encoding="utf-8") as fh:
-        values = parse_config_values(fh.read(), source=args.config)
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
+    values = parse_config_values(text, source=args.config)
     flags = {key: getattr(args, key) for key in CONFIG_SCHEMA if getattr(args, key) is not None}
     return make_config(values | flags)
 

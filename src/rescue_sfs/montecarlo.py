@@ -3,13 +3,16 @@ and theory-vs-empirics comparison reports.
 
 Replicates are reproducible and worker-count independent: replicate r of a
 run with master seed s uses the generator seeded by seed_for_replicate(s, r)
-(a numpy SeedSequence spawn), chunk accumulators cover fixed contiguous
-replicate ranges, and chunks merge in index order.
+(a numpy SeedSequence spawn; a chunk hashes its seeds in one vectorised
+pass, replicate_seeds), chunk accumulators cover fixed contiguous replicate
+ranges, and chunks merge in index order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -36,17 +39,107 @@ class DegenerateSampleError(ValueError):
     """A goodness-of-fit sample is degenerate (all values equal)."""
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), all of it in
+# 32-bit words: every step masks to 32 bits, so the same code runs on
+# Python ints and elementwise on uint64 arrays, where a product of two
+# words fits and a wrapped difference keeps its low 32 bits
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hashmix(value, hash_const: list[int], mult: int):
+    """Hash one word under the running constant ``hash_const[0]``, which
+    advances by ``mult``."""
+    value = (value ^ hash_const[0]) & _MASK32
+    hash_const[0] = (hash_const[0] * mult) & _MASK32
+    value = (value * hash_const[0]) & _MASK32
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ (result >> 16)
+
+
+def _mix_in(pool: list, word, hash_const: list[int]) -> list:
+    """The pool with one more entropy word mixed into each of its words."""
+    return [_mix(p, _hashmix(word, hash_const, _MULT_A)) for p in pool]
+
+
+# cached so that seed_for_replicate, called replicate by replicate, hashes
+# its master seed once: that part costs as much as the rest of a child's hash
+@functools.lru_cache(maxsize=16)
+def _master_pool(master_seed: int) -> tuple[tuple[int, ...], int]:
+    """(pool, hash constant) after mixing in a master seed's entropy: the
+    part of every child's hash that does not depend on the spawn key."""
+    if master_seed < 0:
+        raise ValueError(f"requires master seed >= 0, got {master_seed}")
+    entropy = []
+    while True:
+        entropy.append(master_seed & _MASK32)
+        master_seed >>= 32
+        if not master_seed:
+            break
+    # a spawned child pads its seed's words with zeros to the pool size
+    entropy += [0] * (_POOL_SIZE - len(entropy))
+    hash_const = [_INIT_A]
+    pool = [_hashmix(w, hash_const, _MULT_A) for w in entropy[:_POOL_SIZE]]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = _mix(pool[i_dst], _hashmix(pool[i_src], hash_const, _MULT_A))
+    for word in entropy[_POOL_SIZE:]:
+        pool = _mix_in(pool, word, hash_const)
+    return tuple(pool), hash_const[0]
+
+
+def _child_state(master_seed: int, replicate):
+    """The four words of ``SeedSequence(master_seed, spawn_key=(replicate,))
+    .generate_state(4)`` for one int replicate, or elementwise for a uint64
+    array of them."""
+    pool, const = _master_pool(operator.index(master_seed))
+    hash_const = [const]
+    pool = _mix_in(pool, replicate & _MASK32, hash_const)
+    # an index of 2**32 or more is a spawn key of two words
+    high = replicate >> 32
+    if isinstance(replicate, np.ndarray):
+        if high.any():
+            wide = _mix_in(pool, high, hash_const)
+            pool = [np.where(high > 0, w, p) for w, p in zip(wide, pool)]
+    elif high:
+        pool = _mix_in(pool, high, hash_const)
+    hash_const = [_INIT_B]
+    return [_hashmix(p, hash_const, _MULT_B) for p in pool]
+
+
+def _check_replicates(start: int, stop: int) -> None:
+    if not 0 <= start <= stop <= 1 << 64:
+        raise ValueError(f"replicate indices must lie in [0, 2**64), got range({start}, {stop})")
+
+
+def replicate_seeds(master_seed: int, start: int, stop: int) -> list[int]:
+    """``seed_for_replicate(master_seed, r)`` for r in range(start, stop),
+    hashed in one vectorised pass over the indices."""
+    _check_replicates(start, stop)
+    state = _child_state(master_seed, np.arange(start, stop, dtype=np.uint64))
+    buf = np.stack(state, axis=1).astype(">u4").tobytes()
+    return [int.from_bytes(buf[k : k + 16], "big") for k in range(0, len(buf), 16)]
+
+
 def seed_for_replicate(master_seed: int, replicate: int) -> int:
     """Documented split function: 128-bit child seed for one replicate.
 
     Child r is numpy ``SeedSequence(master_seed, spawn_key=(r,))``; the
-    four generated 32-bit words are packed into one integer.
+    four generated 32-bit words are packed big-endian into one integer.
+    Requires master_seed >= 0 and 0 <= replicate < 2**64.
     """
-    words = np.random.SeedSequence(master_seed, spawn_key=(replicate,)).generate_state(4)
-    out = 0
-    for w in words:
-        out = (out << 32) | int(w)
-    return out
+    replicate = operator.index(replicate)
+    _check_replicates(replicate, replicate + 1)
+    w0, w1, w2, w3 = _child_state(master_seed, replicate)
+    return (w0 << 96) | (w1 << 64) | (w2 << 32) | w3
 
 
 # ---------------------------------------------------------------------------
@@ -61,16 +154,29 @@ class VectorStat:
     n: int
     mean: np.ndarray
     m2: np.ndarray
+    # scratch of update(), so that a step allocates no arrays
+    _delta: np.ndarray = field(init=False, repr=False, compare=False)
+    _step: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._delta = np.empty_like(self.mean)
+        self._step = np.empty_like(self.mean)
 
     @classmethod
     def zeros(cls, length: int) -> "VectorStat":
         return cls(0, np.zeros(length), np.zeros(length))
 
     def update(self, x: np.ndarray) -> None:
+        """Add one vector: delta = x - mean; mean += delta / n; m2 += delta
+        * (x - mean), each operation written into the scratch arrays."""
         self.n += 1
-        delta = x - self.mean
-        self.mean += delta / self.n
-        self.m2 += delta * (x - self.mean)
+        mean, delta, step = self.mean, self._delta, self._step
+        np.subtract(x, mean, delta)
+        np.divide(delta, self.n, step)
+        np.add(mean, step, mean)
+        np.subtract(x, mean, step)
+        np.multiply(delta, step, step)
+        np.add(self.m2, step, self.m2)
 
     def merge(self, other: "VectorStat") -> None:
         if other.n == 0:
@@ -180,39 +286,16 @@ class SfsAggregate:
         return float(self.scalars.mean[k]), float(self.scalars.sem()[k])
 
 
-def _one_replicate(
-    params: ModelParams,
-    t_obs: float,
-    initial: tuple[int, int],
-    rep_seed: int,
-    i_max: int,
-    windows: tuple[float, ...],
-    lambda1: float,
-    row: VectorStat,
-) -> simulator.SfsRecord:
-    """Simulate one replicate and add its row (s | sbar | sunder | window
-    s | window sbar | window sunder | scalars) to ``row``."""
-    outcome = simulator.run(params, t_obs, initial=initial, rng=Random(rep_seed))
-    record = simulator.extract_sfs(outcome)
-    s, sbar, sunder = simulator.dense_sfs(record, i_max)
-    values = s[1:] + sbar[1:] + sunder[1:]
-    wcs = [simulator.window_counts(record, x, math.inf, lambda1) for x in windows]
-    values += [wc.total for wc in wcs]
-    values += [wc.resistant_origin for wc in wcs]
-    values += [wc.sensitive_origin for wc in wcs]
-    values += [len(outcome.ancestral), outcome.z1_final, record.total_mutations()]
-    row.update(np.asarray(values, dtype=float))
-    return record
-
-
 def _run_chunk(args) -> tuple[SfsAggregate, list[simulator.SfsRecord]]:
     """Aggregate of one replicate range, plus its records in replicate
     order when ``keep`` is set (else an empty list).
 
-    One Welford accumulator takes each replicate's whole row; its update is
-    elementwise, so splitting it into the aggregate's statistics afterwards
-    gives them bit for bit what separate accumulators would hold.  Without
-    windows the window statistics stay empty (n = 0)."""
+    Each replicate's row (s | sbar | sunder | window s | window sbar |
+    window sunder | scalars) is written into one array and added to one
+    Welford accumulator; its update is elementwise, so splitting it into the
+    aggregate's statistics afterwards gives them bit for bit what separate
+    accumulators would hold.  Without windows the window statistics stay
+    empty (n = 0)."""
     (params, t_obs, initial, master_seed, start, stop, i_max, windows, keep) = args
     lambda1 = params.b1 - params.d1
     agg = SfsAggregate(params, t_obs, initial, master_seed, i_max, tuple(windows))
@@ -220,26 +303,41 @@ def _run_chunk(args) -> tuple[SfsAggregate, list[simulator.SfsRecord]]:
     if windows:
         fields += ("window_s", "window_sbar", "window_sunder")
     fields += ("scalars",)
-    row = VectorStat.zeros(sum(getattr(agg, name).mean.size for name in fields))
+    stat = VectorStat.zeros(sum(getattr(agg, name).mean.size for name in fields))
+    row = np.empty(stat.mean.size)
+    s, sbar, sunder = row[:i_max], row[i_max : 2 * i_max], row[2 * i_max : 3 * i_max]
+    origin_parts = row[i_max : 3 * i_max]
+    # column k holds window k's (s, sbar, sunder)
+    window_part = row[3 * i_max : 3 * (i_max + len(agg.windows))].reshape(3, -1)
     records = []
-    for r in range(start, stop):
-        rep_seed = seed_for_replicate(master_seed, r)
+    for r, rep_seed in enumerate(replicate_seeds(master_seed, start, stop), start):
         try:
-            record = _one_replicate(
-                params, t_obs, initial, rep_seed, i_max, agg.windows, lambda1, row
-            )
+            outcome = simulator.run(params, t_obs, initial=initial, rng=Random(rep_seed))
         except simulator.PopulationCapError as exc:
             raise simulator.PopulationCapError(
                 f"replicate {r} (seed_for_replicate({master_seed}, {r}) = {rep_seed}): {exc}"
             ) from exc
+        record = simulator.extract_sfs(outcome)
+        origin_parts.fill(0.0)
+        # slot i of a dense spectrum lands at offset + i
+        simulator.dense_into(record.s_resistant_origin, i_max, row, i_max - 1)
+        simulator.dense_into(record.s_sensitive_origin, i_max, row, 2 * i_max - 1)
+        np.add(sbar, sunder, out=s)
+        for k, x in enumerate(agg.windows):
+            wc = simulator.window_counts(record, x, math.inf, lambda1)
+            window_part[:, k] = wc.total, wc.resistant_origin, wc.sensitive_origin
+        row[-3] = len(outcome.ancestral)
+        row[-2] = outcome.z1_final
+        row[-1] = record.total_mutations()
+        stat.update(row)
         if keep:
             records.append(record)
     lo = 0
     for name in fields:
         hi = lo + getattr(agg, name).mean.size
-        setattr(agg, name, VectorStat(row.n, row.mean[lo:hi].copy(), row.m2[lo:hi].copy()))
+        setattr(agg, name, VectorStat(stat.n, stat.mean[lo:hi].copy(), stat.m2[lo:hi].copy()))
         lo = hi
-    agg.replicates = row.n
+    agg.replicates = stat.n
     return agg, records
 
 

@@ -142,6 +142,19 @@ def test_missing_key_cites_it(tmp_path, capsys):
     assert "b0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [None, b"b0 = 1.2\xff\n"], ids=["missing", "not-utf8"])
+def test_unreadable_config_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "run.cfg"
+    if content is not None:
+        path.write_bytes(content)
+    argv = ["theory", "--formula", "anc-one", "--config", str(path)]
+    rc = cli.main(argv + ["--out-dir", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(path) in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_outputs_and_digest_stability(cfg_path, tmp_path):
     out1 = str(tmp_path / "run1")
     out2 = str(tmp_path / "run2")

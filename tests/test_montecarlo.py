@@ -1,4 +1,5 @@
 import math
+from random import Random
 
 import numpy as np
 import pytest
@@ -16,6 +17,50 @@ def test_seed_for_replicate_distinct_and_stable():
     assert len(set(seeds)) == 50
     assert seeds == [mc.seed_for_replicate(99, r) for r in range(50)]
     assert mc.seed_for_replicate(98, 0) != mc.seed_for_replicate(99, 0)
+
+
+def _spawned_seed(master_seed, r):
+    """The documented split: numpy's spawned child state, packed big-endian."""
+    words = np.random.SeedSequence(master_seed, spawn_key=(r,)).generate_state(4)
+    return int.from_bytes(words.astype(">u4").tobytes(), "big")
+
+
+@pytest.mark.parametrize("master_seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 2**130 + 5, 20240601])
+def test_replicate_seeds_match_seed_sequence(master_seed):
+    chunk = mc.replicate_seeds(master_seed, 0, mc.DEFAULT_CHUNK)
+    assert chunk == [_spawned_seed(master_seed, r) for r in range(mc.DEFAULT_CHUNK)]
+    # a range across 2**32, where the spawn key grows to two words
+    wide = range(2**32 - 2, 2**32 + 2)
+    assert mc.replicate_seeds(master_seed, wide.start, wide.stop) == [
+        _spawned_seed(master_seed, r) for r in wide
+    ]
+    for r in (0, 77, 2**32 - 1, 2**32):
+        assert mc.seed_for_replicate(master_seed, r) == _spawned_seed(master_seed, r)
+
+
+def test_replicate_seeds_reject_negative_seed_or_index():
+    with pytest.raises(ValueError):
+        mc.replicate_seeds(-1, 0, 4)
+    with pytest.raises(ValueError):
+        mc.seed_for_replicate(-1, 0)
+    with pytest.raises(ValueError):
+        mc.seed_for_replicate(1, -1)
+
+
+def test_vector_stat_update_is_the_textbook_step():
+    rng = np.random.default_rng(3)
+    data = rng.poisson(3.0, size=(50, 7)).astype(float)
+    stat = mc.VectorStat.zeros(7)
+    n, mean, m2 = 0, np.zeros(7), np.zeros(7)
+    for x in data:
+        stat.update(x)
+        n += 1
+        delta = x - mean
+        mean = mean + delta / n
+        m2 = m2 + delta * (x - mean)
+    assert stat.n == n
+    np.testing.assert_array_equal(stat.mean, mean)
+    np.testing.assert_array_equal(stat.m2, m2)
 
 
 def test_vector_stat_matches_numpy():
@@ -79,6 +124,55 @@ def test_replicate_sfs_deterministic_and_worker_independent():
     # different seed should actually change something
     agg5 = mc.replicate_sfs(TOY, T_OBS, replicates=40, seed=8, i_max=10, windows=(0.5,))
     assert not np.array_equal(agg1.s.mean, agg5.s.mean)
+
+
+def _per_field_aggregate(params, t_obs, replicates, seed, i_max, windows, chunk_size):
+    """replicate_sfs rebuilt from the public steps: seven VectorStats fed
+    field by field from run -> extract_sfs -> dense_sfs / window_counts,
+    chunk by chunk, the chunks merged in order."""
+    lambda1 = params.b1 - params.d1
+    initial = (params.n_init, 0)
+    total = mc.SfsAggregate(params, t_obs, initial, seed, i_max, windows)
+    for start in range(0, replicates, chunk_size):
+        chunk = mc.SfsAggregate(params, t_obs, initial, seed, i_max, windows)
+        for r in range(start, min(start + chunk_size, replicates)):
+            out = sim.run(params, t_obs, rng=Random(mc.seed_for_replicate(seed, r)))
+            rec = sim.extract_sfs(out)
+            s, sbar, sunder = sim.dense_sfs(rec, i_max)
+            wcs = [sim.window_counts(rec, x, math.inf, lambda1) for x in windows]
+            parts = [
+                (chunk.s, s[1:]),
+                (chunk.sbar, sbar[1:]),
+                (chunk.sunder, sunder[1:]),
+                (chunk.scalars, [len(out.ancestral), out.z1_final, rec.total_mutations()]),
+            ]
+            if windows:
+                parts += [
+                    (chunk.window_s, [wc.total for wc in wcs]),
+                    (chunk.window_sbar, [wc.resistant_origin for wc in wcs]),
+                    (chunk.window_sunder, [wc.sensitive_origin for wc in wcs]),
+                ]
+            for stat, values in parts:
+                stat.update(np.asarray(values, dtype=float))
+            chunk.replicates += 1
+        total.merge(chunk)
+    return total
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("windows", [(), (0.5, 2.0)], ids=["no-windows", "windows"])
+def test_replicate_sfs_equals_per_field_welford(windows, workers):
+    # 23 replicates in chunks of 8: the last chunk is short
+    agg = mc.replicate_sfs(
+        TOY, T_OBS, 23, seed=11, i_max=6, windows=windows, workers=workers, chunk_size=8
+    )
+    ref = _per_field_aggregate(TOY, T_OBS, 23, 11, 6, windows, 8)
+    assert agg.replicates == ref.replicates == 23
+    for name in ("s", "sbar", "sunder", "window_s", "window_sbar", "window_sunder", "scalars"):
+        got, want = getattr(agg, name), getattr(ref, name)
+        assert got.n == want.n == (23 if windows or not name.startswith("window") else 0)
+        np.testing.assert_array_equal(got.mean, want.mean)
+        np.testing.assert_array_equal(got.m2, want.m2)
 
 
 def test_replicate_sfs_calls_simulator_through_its_module(monkeypatch):

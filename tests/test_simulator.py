@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 import math
 from collections import Counter
 from random import Random
@@ -261,6 +263,32 @@ def test_mean_sfs_insensitive_to_mutation_law():
     (m1, s1), (m2, s2) = means["poisson"], means["bernoulli"]
     # 95% confidence intervals overlap
     assert m1 - 1.96 * s1 <= m2 + 1.96 * s2 and m2 - 1.96 * s2 <= m1 + 1.96 * s1
+
+
+# sha256 of run's forests (parent, cell_type, edge_mutations, status) over
+# seeds 0, 1 and 2 at N = 40, t = 1.25 ln N: per-seed outputs of the
+# mutation-count sampler, pinned across changes to how it searches the cdf
+FOREST_DIGESTS = {
+    ("poisson", 0.0): "5d3b5000ed09d1092297e13221713928bd51c18a84ad9671b3380167bc56262c",
+    ("poisson", 2.0): "00e0a4ba7f19549aed09c3e7ca60adb2be1269030be8a3db7659c4bcd7adfa7f",
+    ("poisson", 30.0): "49950970beeb41f2b15efa8a7b5119eee1d0e510b7b52da82a9176108eadaa2e",
+    ("poisson", 2000.0): "09fa5a01a4a7e8b2d067772b8ac8fbdfce7a6f36ec53be326a990cb2e72f80b6",
+    ("bernoulli", 0.0): "5d3b5000ed09d1092297e13221713928bd51c18a84ad9671b3380167bc56262c",
+    ("bernoulli", 2.0): "2f489aa1cb52bf21daad749d8cb6729c4aa041e7500de372743abf01d2583de9",
+}
+
+
+@pytest.mark.parametrize("law, omega", FOREST_DIGESTS, ids=str)
+def test_run_forests_pinned(law, omega):
+    params = ModelParams(
+        b0=1.2, d0=2.0, b1=1.2, d1=0.5, omega=omega, gamma=1.0, alpha=0.9, n_init=40,
+        mutation_law=law,
+    )
+    h = hashlib.sha256()
+    for seed in (0, 1, 2):
+        out = sim.run(params, 1.25 * math.log(40), rng=Random(seed))
+        h.update(json.dumps([out.parent, out.cell_type, out.edge_mutations, out.status]).encode())
+    assert h.hexdigest() == FOREST_DIGESTS[law, omega]
 
 
 @pytest.mark.parametrize("simulate", [sim.run, sim.gillespie], ids=["run", "gillespie"])
