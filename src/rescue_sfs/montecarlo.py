@@ -10,7 +10,6 @@ ranges, and chunks merge in index order.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from concurrent.futures import ProcessPoolExecutor
@@ -69,12 +68,10 @@ def _mix_in(pool: list, word, hash_const: list[int]) -> list:
     return [_mix(p, _hashmix(word, hash_const, _MULT_A)) for p in pool]
 
 
-# cached so that seed_for_replicate, called replicate by replicate, hashes
-# its master seed once: that part costs as much as the rest of a child's hash
-@functools.lru_cache(maxsize=16)
-def _master_pool(master_seed: int) -> tuple[tuple[int, ...], int]:
-    """(pool, hash constant) after mixing in a master seed's entropy: the
-    part of every child's hash that does not depend on the spawn key."""
+def _child_states(master_seed: int, replicates: np.ndarray) -> list[np.ndarray]:
+    """The four words of ``SeedSequence(master_seed, spawn_key=(r,))
+    .generate_state(4)``, elementwise over a uint64 array of replicates r."""
+    master_seed = operator.index(master_seed)
     if master_seed < 0:
         raise ValueError(f"requires master seed >= 0, got {master_seed}")
     entropy = []
@@ -93,38 +90,22 @@ def _master_pool(master_seed: int) -> tuple[tuple[int, ...], int]:
                 pool[i_dst] = _mix(pool[i_dst], _hashmix(pool[i_src], hash_const, _MULT_A))
     for word in entropy[_POOL_SIZE:]:
         pool = _mix_in(pool, word, hash_const)
-    return tuple(pool), hash_const[0]
-
-
-def _child_state(master_seed: int, replicate):
-    """The four words of ``SeedSequence(master_seed, spawn_key=(replicate,))
-    .generate_state(4)`` for one int replicate, or elementwise for a uint64
-    array of them."""
-    pool, const = _master_pool(operator.index(master_seed))
-    hash_const = [const]
-    pool = _mix_in(pool, replicate & _MASK32, hash_const)
-    # an index of 2**32 or more is a spawn key of two words
-    high = replicate >> 32
-    if isinstance(replicate, np.ndarray):
-        if high.any():
-            wide = _mix_in(pool, high, hash_const)
-            pool = [np.where(high > 0, w, p) for w, p in zip(wide, pool)]
-    elif high:
-        pool = _mix_in(pool, high, hash_const)
+    # the spawn key's words: an index of 2**32 or more takes two
+    pool = _mix_in(pool, replicates & _MASK32, hash_const)
+    high = replicates >> 32
+    if high.any():
+        wide = _mix_in(pool, high, hash_const)
+        pool = [np.where(high > 0, w, p) for w, p in zip(wide, pool)]
     hash_const = [_INIT_B]
     return [_hashmix(p, hash_const, _MULT_B) for p in pool]
-
-
-def _check_replicates(start: int, stop: int) -> None:
-    if not 0 <= start <= stop <= 1 << 64:
-        raise ValueError(f"replicate indices must lie in [0, 2**64), got range({start}, {stop})")
 
 
 def replicate_seeds(master_seed: int, start: int, stop: int) -> list[int]:
     """``seed_for_replicate(master_seed, r)`` for r in range(start, stop),
     hashed in one vectorised pass over the indices."""
-    _check_replicates(start, stop)
-    state = _child_state(master_seed, np.arange(start, stop, dtype=np.uint64))
+    if not 0 <= start <= stop <= 1 << 64:
+        raise ValueError(f"replicate indices must lie in [0, 2**64), got range({start}, {stop})")
+    state = _child_states(master_seed, np.arange(start, stop, dtype=np.uint64))
     buf = np.stack(state, axis=1).astype(">u4").tobytes()
     return [int.from_bytes(buf[k : k + 16], "big") for k in range(0, len(buf), 16)]
 
@@ -137,9 +118,7 @@ def seed_for_replicate(master_seed: int, replicate: int) -> int:
     Requires master_seed >= 0 and 0 <= replicate < 2**64.
     """
     replicate = operator.index(replicate)
-    _check_replicates(replicate, replicate + 1)
-    w0, w1, w2, w3 = _child_state(master_seed, replicate)
-    return (w0 << 96) | (w1 << 64) | (w2 << 32) | w3
+    return replicate_seeds(master_seed, replicate, replicate + 1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -154,29 +133,16 @@ class VectorStat:
     n: int
     mean: np.ndarray
     m2: np.ndarray
-    # scratch of update(), so that a step allocates no arrays
-    _delta: np.ndarray = field(init=False, repr=False, compare=False)
-    _step: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self._delta = np.empty_like(self.mean)
-        self._step = np.empty_like(self.mean)
 
     @classmethod
     def zeros(cls, length: int) -> "VectorStat":
         return cls(0, np.zeros(length), np.zeros(length))
 
     def update(self, x: np.ndarray) -> None:
-        """Add one vector: delta = x - mean; mean += delta / n; m2 += delta
-        * (x - mean), each operation written into the scratch arrays."""
         self.n += 1
-        mean, delta, step = self.mean, self._delta, self._step
-        np.subtract(x, mean, delta)
-        np.divide(delta, self.n, step)
-        np.add(mean, step, mean)
-        np.subtract(x, mean, step)
-        np.multiply(delta, step, step)
-        np.add(self.m2, step, self.m2)
+        delta = x - self.mean
+        self.mean += delta / self.n
+        self.m2 += delta * (x - self.mean)
 
     def merge(self, other: "VectorStat") -> None:
         if other.n == 0:

@@ -47,22 +47,6 @@ def test_replicate_seeds_reject_negative_seed_or_index():
         mc.seed_for_replicate(1, -1)
 
 
-def test_vector_stat_update_is_the_textbook_step():
-    rng = np.random.default_rng(3)
-    data = rng.poisson(3.0, size=(50, 7)).astype(float)
-    stat = mc.VectorStat.zeros(7)
-    n, mean, m2 = 0, np.zeros(7), np.zeros(7)
-    for x in data:
-        stat.update(x)
-        n += 1
-        delta = x - mean
-        mean = mean + delta / n
-        m2 = m2 + delta * (x - mean)
-    assert stat.n == n
-    np.testing.assert_array_equal(stat.mean, mean)
-    np.testing.assert_array_equal(stat.m2, m2)
-
-
 def test_vector_stat_matches_numpy():
     rng = np.random.default_rng(1)
     data = rng.normal(size=(40, 6))
