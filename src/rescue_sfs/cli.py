@@ -9,6 +9,7 @@ config and seed reproduces identical digests.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -372,12 +373,19 @@ def _theory_rows(args, cfg: RunConfig):
     inputs = _TheoryInputs(
         params, dp, t, t_abs, args.tol, args.i or 1, args.u if args.u is not None else 1.0
     )
-    try:
+    with _theory_domain(f"formula {fid!r}"):
         rows = [(index, *row(point, inputs), fid) for index, point in points]
-    # a flag value outside the formula's domain, or a value too large for a float
-    except (ValueError, OverflowError) as exc:
-        raise ConfigError(f"formula {fid!r}: {exc}") from exc
     return ["index_or_x", "exact", "asymptotic", "error_bound", "formula_id"], rows
+
+
+@contextlib.contextmanager
+def _theory_domain(what: str):
+    """Report a theory call outside its formula's domain, or with a value
+    too large for a float, as a config error."""
+    try:
+        yield
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
 
 
 def cmd_theory(args: argparse.Namespace, cfg: RunConfig, outputs: _OutputSet) -> int:
@@ -422,28 +430,34 @@ def cmd_gw(args: argparse.Namespace, cfg: RunConfig, outputs: _OutputSet) -> int
 
 def cmd_compare(args: argparse.Namespace, cfg: RunConfig, outputs: _OutputSet) -> int:
     t = _log_time(cfg)
+    # theory before the simulation, so that parameters the theory cannot
+    # evaluate fail at once
     if args.what == "small-i":
+        with _theory_domain("exact mean"):
+            tvals = [
+                theory.resistant_origin_mean_exact(i, t, cfg.params, args.tol).value
+                for i in range(1, args.i_max + 1)
+            ]
         stats = _replicates(args, cfg, args.i_max).stats("sbar")
-        tvals = [
-            theory.resistant_origin_mean_exact(i, t, cfg.params, args.tol).value
-            for i in range(1, args.i_max + 1)
-        ]
         what = "sbar vs exact mean"
     else:
         windows = _parse_windows(args.windows or "0.6,1,2,4,6")
+        with _theory_domain("window theory"):
+            if args.mode == "z-score":
+                # tight gate: the exact finite-N window expectation
+                tvals = [
+                    theory.resistant_origin_window_exact(x, t, cfg.params, args.tol).value
+                    for x in windows
+                ]
+                what = "sbar windows vs exact"
+            else:
+                dp = derive(cfg.params)
+                scale = theory.window_scale(cfg.params)
+                tvals = [
+                    scale * theory.window_weight_resistant(x, dp, args.tol).value for x in windows
+                ]
+                what = "sbar windows vs asymptotic"
         stats = _replicates(args, cfg, 1, windows).window_stats("sbar")
-        if args.mode == "z-score":
-            # tight gate: the exact finite-N window expectation
-            tvals = [
-                theory.resistant_origin_window_exact(x, t, cfg.params, args.tol).value
-                for x in windows
-            ]
-            what = "sbar windows vs exact"
-        else:
-            dp = derive(cfg.params)
-            scale = theory.window_scale(cfg.params)
-            tvals = [scale * theory.window_weight_resistant(x, dp, args.tol).value for x in windows]
-            what = "sbar windows vs asymptotic"
     if args.mode == "z-score" and cfg.replicates < _Z_GATE_MIN_REPLICATES:
         print(
             f"warning: the z-score gate runs on {cfg.replicates} replicates, fewer than "
@@ -534,6 +548,8 @@ def _fig2(args, cfg: RunConfig, outputs: _OutputSet) -> None:
 def _fig3(args, cfg: RunConfig, outputs: _OutputSet) -> None:
     """Small-i expected SFS: empirical S and Sbar vs the fixed-i asymptote."""
     t = _log_time(cfg)
+    with _theory_domain("thm1"):
+        thm1 = [theory.sfs_small_asymptotic(i, t, cfg.params).value for i in range(1, 122)]
     agg = _replicates(args, cfg, 121)
     s = agg.stats("s")
     _write_columns(
@@ -543,7 +559,7 @@ def _fig3(args, cfg: RunConfig, outputs: _OutputSet) -> None:
         s.mean,
         agg.stats("sbar").mean,
         s.ci_halfwidth,
-        [theory.sfs_small_asymptotic(i, t, cfg.params).value for i in range(1, 122)],
+        thm1,
         agg.replicates,
     )
 
@@ -678,7 +694,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    except (ConfigError, ParameterError) as exc:
+    # a cap hit names its replicate and seed; the parameters grow a
+    # population past the simulator's cap before the observation time
+    except (ConfigError, ParameterError, simulator.PopulationCapError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -278,12 +278,13 @@ def _run_chunk(args) -> tuple[SfsAggregate, list[simulator.SfsRecord]]:
     records = []
     for r, rep_seed in enumerate(replicate_seeds(master_seed, start, stop), start):
         try:
-            outcome = simulator.run(params, t_obs, initial=initial, rng=Random(rep_seed))
+            record, founders, z1_final = simulator.sample_sfs(
+                params, t_obs, initial=initial, rng=Random(rep_seed)
+            )
         except simulator.PopulationCapError as exc:
             raise simulator.PopulationCapError(
                 f"replicate {r} (seed_for_replicate({master_seed}, {r}) = {rep_seed}): {exc}"
             ) from exc
-        record = simulator.extract_sfs(outcome)
         origin_parts.fill(0.0)
         # slot i of a dense spectrum lands at offset + i
         simulator.dense_into(record.s_resistant_origin, i_max, row, i_max - 1)
@@ -292,8 +293,8 @@ def _run_chunk(args) -> tuple[SfsAggregate, list[simulator.SfsRecord]]:
         for k, x in enumerate(agg.windows):
             wc = simulator.window_counts(record, x, math.inf, lambda1)
             window_part[:, k] = wc.total, wc.resistant_origin, wc.sensitive_origin
-        row[-3] = len(outcome.ancestral)
-        row[-2] = outcome.z1_final
+        row[-3] = founders
+        row[-2] = z1_final
         row[-1] = record.total_mutations()
         stat.update(row)
         if keep:

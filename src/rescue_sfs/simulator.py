@@ -22,6 +22,15 @@ in time order, and can verify each event against the table above.
 Mutations are stored as counts on genealogy edges; the site frequency
 spectrum is extracted in one bottom-up pass counting living resistant
 descendants per edge.
+
+``sample_sfs`` is the sampler replicates run.  It is ``run``'s loop with the
+same stacks and the same draws in the same order, but it keeps no genealogy:
+only a dividing cell gets a slot (its mother's slot and its edge's mutation
+count), a resistant cell alive at the observation time counts itself into its
+mother's slot, and one reverse pass over the slots propagates the carrier
+counts and fills the spectrum.  Its record, founder count and final resistant
+count equal ``extract_sfs(run(...))``, ``len(ancestral)`` and ``z1_final`` on
+the same generator, so ``run`` remains the full-genealogy reference.
 """
 
 from __future__ import annotations
@@ -294,6 +303,127 @@ def run(
         expected_class_weights=None,
         ancestral=ancestral,
     )
+
+
+def sample_sfs(
+    params: ModelParams,
+    t_obs: float,
+    initial: tuple[int, int] | None = None,
+    *,
+    rng: Random,
+    max_cells: int = 5_000_000,
+) -> tuple[SfsRecord, int, int]:
+    """``(extract_sfs(out), len(out.ancestral), out.z1_final)`` of
+    ``out = run(params, t_obs, initial, rng=rng, max_cells=max_cells)``,
+    bit for bit, without building the genealogy.
+
+    The loop is ``run``'s, with the same stacks and the same draws in the
+    same order, so a given ``rng`` gives the same record.  Only dividing
+    cells are stored, each as one slot holding its mother's slot and its
+    edge's mutation count; a resistant cell alive at ``t_obs`` adds 1 to
+    its mother's slot and puts its own edge's mutations in bucket 1.  One
+    reverse pass over the slots (mothers come before daughters) then adds
+    each slot's carrier count to its mother's and fills the buckets.
+    Raises ``run``'s PopulationCapError at the same division.
+    """
+    n0_init, n1_init = _initial(params, t_obs, initial)
+
+    c0 = params.b0 + params.d0
+    c1 = params.b1 + params.d1
+    divide0 = params.b0 / c0
+    divide1 = params.b1 / c1
+    gamma_n = params.gamma_n
+    cdf = _mutation_cdf(params.mutation_law, params.omega)
+    cdf0 = cdf[0]
+    cdf1, cdf2 = (cdf + (math.inf, math.inf))[1:3]
+    rand = rng.random
+    log = math.log
+    n_roots = n0_init + n1_init
+    # the genealogy has n_roots + 2 * divisions nodes, so the division that
+    # makes slot max_slots + 1 is the one at which run exceeds max_cells
+    max_slots = (max_cells - n_roots) // 2
+
+    # slot 0 stands for the mothers of the roots; slot k > 0 is the k-th
+    # cell to divide.  A pending cell is (birth time, edge mutations, slot
+    # of its mother); roots carry no mutations
+    mother = [0]
+    muts = [0]
+    stack0 = [(0.0, 0, 0)] * n0_init
+    stack1 = [(0.0, 0, 0)] * n1_init
+    pop0, push0 = stack0.pop, stack0.append
+    pop1, push1 = stack1.pop, stack1.append
+    founders = 0
+
+    while stack0:
+        born, m, ms = pop0()
+        t = born - log(1.0 - rand()) / c0
+        if t >= t_obs or rand() >= divide0:
+            continue
+        slot = len(mother)
+        mother.append(ms)
+        muts.append(m)
+        for _ in (0, 1):
+            u = rand()
+            m = 0
+            if u >= cdf0:
+                m = 1 if u < cdf1 else 2 if u < cdf2 else bisect_right(cdf, u, 3)
+            if rand() < gamma_n:
+                founders += 1
+                push1((t, m, slot))
+            else:
+                push0((t, m, slot))
+        if slot > max_slots:
+            raise PopulationCapError(
+                f"genealogy exceeded max_cells={max_cells} before t_obs={t_obs:.4f}"
+            )
+
+    # an edge is of sensitive origin exactly when its mother's slot is
+    # below first_resistant
+    first_resistant = len(mother)
+    carriers = [0] * first_resistant
+    ones_res = ones_sen = 0
+    z1 = 0
+    while stack1:
+        born, m, ms = pop1()
+        t = born - log(1.0 - rand()) / c1
+        if t >= t_obs:
+            z1 += 1
+            carriers[ms] += 1
+            if m:
+                if ms < first_resistant:
+                    ones_sen += m
+                else:
+                    ones_res += m
+            continue
+        if rand() >= divide1:
+            continue
+        slot = len(mother)
+        mother.append(ms)
+        muts.append(m)
+        carriers.append(0)
+        for _ in (0, 1):
+            u = rand()
+            m = 0
+            if u >= cdf0:
+                m = 1 if u < cdf1 else 2 if u < cdf2 else bisect_right(cdf, u, 3)
+            push1((t, m, slot))
+        if slot > max_slots:
+            raise PopulationCapError(
+                f"genealogy exceeded max_cells={max_cells} before t_obs={t_obs:.4f}"
+            )
+
+    s_res: dict[int, int] = {1: ones_res} if ones_res else {}
+    s_sen: dict[int, int] = {1: ones_sen} if ones_sen else {}
+    for slot in range(len(mother) - 1, 0, -1):
+        c = carriers[slot]
+        if c:
+            ms = mother[slot]
+            carriers[ms] += c
+            m = muts[slot]
+            if m:
+                bucket = s_sen if ms < first_resistant else s_res
+                bucket[c] = bucket.get(c, 0) + m
+    return SfsRecord(s_resistant_origin=s_res, s_sensitive_origin=s_sen, t_obs=t_obs), founders, z1
 
 
 def gillespie(

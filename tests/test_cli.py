@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from rescue_sfs import cli, montecarlo
+from rescue_sfs import cli, montecarlo, simulator
 from rescue_sfs.params import load_config, observation_time
 
 REF_CFG = """
@@ -423,6 +423,8 @@ def test_compare_report_is_strict_json(tmp_path, capsys):
         ["theory", "--formula", "kappa", "--i-range", "1:3", "--u", "-1"],
         ["simulate", "--gamma", "1", "--n-init", "1"],
         ["theory", "--formula", "P", "--i-range", "1:2", "--t-mult", "400"],
+        ["compare", "--what", "small-i", "--t-mult", "300", "--alpha", "1", "--gamma", "0.001"],
+        ["figures", "--which", "fig3", "--t-mult", "300", "--alpha", "1", "--gamma", "0.001"],
         ["simulate", "--replicates", "1"],
         ["simulate", "--seed", "-1"],
         ["simulate", "--windows", "0,1"],
@@ -439,6 +441,8 @@ def test_compare_report_is_strict_json(tmp_path, capsys):
         "kappa-negative-u",
         "simulate-gamma-n-one",
         "theory-overflow",
+        "compare-theory-overflow",
+        "fig3-theory-overflow",
         "one-replicate",
         "negative-seed",
         "simulate-window-at-0",
@@ -451,6 +455,23 @@ def test_bad_flag_values_exit_2(cfg_path, tmp_path, capsys, argv):
     rc = cli.main(argv[:1] + ["--config", cfg_path, "--out-dir", str(tmp_path / "o")] + argv[1:])
     assert rc == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_cap_hit_exits_2_naming_replicate_and_seed(cfg_path, tmp_path, capsys, monkeypatch):
+    def capped(*args, **kwargs):
+        raise simulator.PopulationCapError("genealogy exceeded max_cells=5000000")
+
+    monkeypatch.setattr(simulator, "sample_sfs", capped)
+    out = tmp_path / "o"
+    argv = ["compare", "--config", cfg_path, "--out-dir", str(out), "--workers", "1"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    seed = montecarlo.seed_for_replicate(4242, 0)
+    assert err == (
+        f"config error: replicate 0 (seed_for_replicate(4242, 0) = {seed}): "
+        "genealogy exceeded max_cells=5000000\n"
+    )
+    assert not os.path.exists(out / "report.json")
 
 
 @pytest.mark.parametrize(

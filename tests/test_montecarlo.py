@@ -162,28 +162,28 @@ def test_replicate_sfs_equals_per_field_welford(windows, workers):
 def test_replicate_sfs_calls_simulator_through_its_module(monkeypatch):
     # a wrapper set on the simulator module's attribute sees every replicate
     calls = []
-    run = sim.run
+    sample_sfs = sim.sample_sfs
 
-    def counting_run(*args, **kwargs):
+    def counting_sample_sfs(*args, **kwargs):
         calls.append(1)
-        return run(*args, **kwargs)
+        return sample_sfs(*args, **kwargs)
 
-    monkeypatch.setattr(sim, "run", counting_run)
+    monkeypatch.setattr(sim, "sample_sfs", counting_sample_sfs)
     mc.replicate_sfs(TOY, T_OBS, replicates=12, seed=3, i_max=5, workers=1)
     assert len(calls) == 12
 
 
 def test_cap_hit_names_replicate_and_seed(monkeypatch):
     calls = []
-    run = sim.run
+    sample_sfs = sim.sample_sfs
 
     def capped_at_replicate_3(*args, **kwargs):
         calls.append(1)
         if len(calls) == 4:
             raise sim.PopulationCapError("genealogy exceeded max_cells=10")
-        return run(*args, **kwargs)
+        return sample_sfs(*args, **kwargs)
 
-    monkeypatch.setattr(sim, "run", capped_at_replicate_3)
+    monkeypatch.setattr(sim, "sample_sfs", capped_at_replicate_3)
     with pytest.raises(sim.PopulationCapError) as info:
         mc.replicate_sfs(TOY, T_OBS, replicates=8, seed=3, i_max=5, workers=1)
     message = str(info.value)

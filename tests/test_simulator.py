@@ -53,6 +53,23 @@ def test_population_cap():
         sim.gillespie(grow, 50.0, initial=(0, 5), rng=Random(1), max_cells=300)
 
 
+def test_sample_sfs_hits_the_cap_where_run_does():
+    # d1 = 0 from (2, 1) to t = 6: most seeds exceed max_cells=400, some do not
+    grow = dataclasses.replace(REF, d1=0.0)
+    hits = 0
+    for seed in range(40):
+        errors = []
+        for simulate in (sim.run, sim.sample_sfs):
+            try:
+                simulate(grow, 6.0, initial=(2, 1), rng=Random(seed), max_cells=400)
+                errors.append(None)
+            except sim.PopulationCapError as exc:
+                errors.append(str(exc))
+        assert errors[0] == errors[1]
+        hits += errors[0] is not None
+    assert 0 < hits < 40
+
+
 def test_event_class_probabilities_normalize():
     probs = sim.event_class_probabilities(REF, 100, 7)
     assert sum(probs) == pytest.approx(1.0, rel=1e-12)
@@ -447,3 +464,6 @@ def test_run_properties(case):
     rec = sim.extract_sfs(out)
     assert (rec.s, rec.s_resistant_origin, rec.s_sensitive_origin) == naive_sfs(out)
     assert sum(i * m for i, m in rec.s.items()) == carried_copy_total(out)
+    # the genealogy-free sampler makes the same draws, so the same record
+    sampled = sim.sample_sfs(params, t_obs, initial=initial, rng=Random(seed))
+    assert sampled == (rec, len(out.ancestral), out.z1_final)
