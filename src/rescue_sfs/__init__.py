@@ -1,10 +1,10 @@
 """Site frequency spectrum of neutral mutations under two-type rescue dynamics.
 
 Exact simulation of a subcritical sensitive population rescued by rare
-resistance mutations (one cell lifetime at a time, with an event-driven
-reference simulator), marked Galton-Watson tree machinery for the
-resistant founders, closed-form / quadrature evaluation of the expected
-site frequency spectrum, and Monte Carlo comparison tooling.
+resistance mutations (one cell lifetime at a time), marked Galton-Watson
+tree machinery for the resistant founders, closed-form / quadrature
+evaluation of the expected site frequency spectrum, and Monte Carlo
+comparison tooling.
 """
 
 from rescue_sfs.gw_trees import GwLaw, GwTree, sample_conditioned, sample_tree

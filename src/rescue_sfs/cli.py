@@ -60,21 +60,11 @@ def _write_csv(path: str, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _fmt(x) -> str:
-    """Shortest-roundtrip decimal form of a float for CSV cells."""
-    return repr(float(x))
-
-
 def _write_columns(path: str, header: list[str], *columns) -> None:
-    """Write equal-length columns side by side.  Int cells are written as
-    ints and every other cell through _fmt; a bare int (the replicate
+    """Write equal-length columns side by side; a bare int (the replicate
     count) fills its whole column."""
     n = max(len(c) for c in columns if not isinstance(c, int))
-    cells = [
-        [c] * n if isinstance(c, int) else [v if isinstance(v, int) else _fmt(v) for v in c]
-        for c in columns
-    ]
-    _write_csv(path, header, zip(*cells))
+    _write_csv(path, header, zip(*([c] * n if isinstance(c, int) else c for c in columns)))
 
 
 class _OutputSet:
@@ -187,6 +177,7 @@ def _log_time(cfg: RunConfig) -> float:
 
 
 def cmd_simulate(args: argparse.Namespace, cfg: RunConfig, outputs: _OutputSet) -> int:
+    i_max = _at_least_one("--i-max", args.i_max)
     windows = _parse_windows(args.windows) if args.windows else ()
     with open(outputs.path("per_replicate.csv"), "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -198,7 +189,7 @@ def cmd_simulate(args: argparse.Namespace, cfg: RunConfig, outputs: _OutputSet) 
                 for i, m in sorted(record.s.items())
             )
 
-        agg = _replicates(args, cfg, args.i_max, windows, on_record=write_record)
+        agg = _replicates(args, cfg, i_max, windows, on_record=write_record)
     s, sbar, sunder = (agg.stats(kind) for kind in ("s", "sbar", "sunder"))
     _write_columns(
         outputs.path("aggregate.csv"),
@@ -252,13 +243,15 @@ def _parse_windows(text: str) -> list[float]:
     return edges
 
 
+def _at_least_one(flag: str, value: int) -> int:
+    if value < 1:
+        raise ConfigError(f"{flag} must be >= 1, got {value}")
+    return value
+
+
 def _samples(args: argparse.Namespace, default: int) -> int:
     """--samples, or the command's default when it is not given."""
-    if args.samples is None:
-        return default
-    if args.samples < 1:
-        raise ConfigError(f"--samples must be >= 1, got {args.samples}")
-    return args.samples
+    return default if args.samples is None else _at_least_one("--samples", args.samples)
 
 
 def _parse_irange(text: str) -> list[int]:
@@ -380,8 +373,8 @@ def _theory_rows(args, cfg: RunConfig):
 
 @contextlib.contextmanager
 def _theory_domain(what: str):
-    """Report a theory call outside its formula's domain, or with a value
-    too large for a float, as a config error."""
+    """Report a theory call or tree law outside its domain, or a value too
+    large for a float, as a config error."""
     try:
         yield
     except (ValueError, OverflowError) as exc:
@@ -403,7 +396,9 @@ def cmd_gw(args: argparse.Namespace, cfg: RunConfig, outputs: _OutputSet) -> int
     dp = derive(cfg.params)
     p = args.p if args.p is not None else dp.p_n
     beta = args.beta if args.beta is not None else dp.beta_n
-    law = gw_trees.GwLaw(p=p, beta=beta)
+    g_max = _at_least_one("--g-max", args.g_max)
+    with _theory_domain("tree law"):
+        law = gw_trees.GwLaw(p=p, beta=beta)
     rng = Random(cfg.seed)
     samples = []
     for _ in range(_samples(args, 10_000)):
@@ -414,12 +409,8 @@ def cmd_gw(args: argparse.Namespace, cfg: RunConfig, outputs: _OutputSet) -> int
         pmf = lambda g: gw_trees.gen_pmf_one_mark(law, g)  # noqa: E731
     else:
         pmf = lambda g: gw_trees.gen_pmf_atleast_one_mark(law, g)  # noqa: E731
-    rows = gw_trees.pmf_table(samples, pmf, g_max=args.g_max)
-    _write_csv(
-        outputs.path("gw_pmf.csv"),
-        ["g", "pmf_theory", "pmf_empirical", "count"],
-        [(g, _fmt(t), _fmt(e), c) for g, t, e, c in rows],
-    )
+    rows = gw_trees.pmf_table(samples, pmf, g_max=g_max)
+    _write_csv(outputs.path("gw_pmf.csv"), ["g", "pmf_theory", "pmf_empirical", "count"], rows)
     return 0
 
 
@@ -430,15 +421,18 @@ def cmd_gw(args: argparse.Namespace, cfg: RunConfig, outputs: _OutputSet) -> int
 
 def cmd_compare(args: argparse.Namespace, cfg: RunConfig, outputs: _OutputSet) -> int:
     t = _log_time(cfg)
+    if not 0 <= args.threshold < math.inf:
+        raise ConfigError(f"--threshold must be finite and >= 0, got {args.threshold}")
     # theory before the simulation, so that parameters the theory cannot
     # evaluate fail at once
     if args.what == "small-i":
+        i_max = _at_least_one("--i-max", args.i_max)
         with _theory_domain("exact mean"):
             tvals = [
                 theory.resistant_origin_mean_exact(i, t, cfg.params, args.tol).value
-                for i in range(1, args.i_max + 1)
+                for i in range(1, i_max + 1)
             ]
-        stats = _replicates(args, cfg, args.i_max).stats("sbar")
+        stats = _replicates(args, cfg, i_max).stats("sbar")
         what = "sbar vs exact mean"
     else:
         windows = _parse_windows(args.windows or "0.6,1,2,4,6")
@@ -477,10 +471,7 @@ def cmd_compare(args: argparse.Namespace, cfg: RunConfig, outputs: _OutputSet) -
     _write_csv(
         outputs.path("report.csv"),
         ["index", "empirical_mean", "empirical_sem", "theory", "z", "rel_gap", "passed"],
-        [
-            (idx, _fmt(m), _fmt(sem), _fmt(th_), _fmt(z), _fmt(rg), passed)
-            for idx, m, sem, th_, z, rg, passed in report.rows()
-        ],
+        report.rows(),
     )
     if not report.all_passed:
         zero_sem = ", ".join(f"{x:g}" for x in report.indices[report.empirical_sem == 0])
@@ -523,7 +514,7 @@ def _fig2(args, cfg: RunConfig, outputs: _OutputSet) -> None:
             gens.append(s.generation)
             times.append(s.lifetime)
         table = gw_trees.pmf_table(gens, lambda g: theory.generation_pmf(dp, g))
-        rows_g += [(gamma_n, g, _fmt(t), _fmt(e), c) for g, t, e, c in table]
+        rows_g += [(gamma_n, *row) for row in table]
         hist, edges = np.histogram(times, bins=60, range=(0.0, max(times)))
         widths = np.diff(edges)
         for k, count in enumerate(hist):
@@ -531,9 +522,9 @@ def _fig2(args, cfg: RunConfig, outputs: _OutputSet) -> None:
             rows_t.append(
                 (
                     gamma_n,
-                    _fmt(float(mid)),
-                    _fmt(theory.appearance_time_pdf(dp, mid)),
-                    _fmt(count / (samples * widths[k])),
+                    mid,
+                    theory.appearance_time_pdf(dp, mid),
+                    count / (samples * widths[k]),
                     int(count),
                 )
             )
@@ -606,9 +597,9 @@ def _fig7(args, cfg: RunConfig, outputs: _OutputSet) -> None:
                     (
                         b0,
                         lam0,
-                        _fmt(float(x)),
-                        _fmt(theory.window_weight_resistant(x, dp).value),
-                        _fmt(theory.window_weight_sensitive(x, dp).value),
+                        x,
+                        theory.window_weight_resistant(x, dp).value,
+                        theory.window_weight_sensitive(x, dp).value,
                     )
                 )
     _write_csv(outputs.path("fig7.csv"), ["b0", "lambda0", "x", "K", "L"], rows)

@@ -369,56 +369,6 @@ def sample_conditioned(
     )
 
 
-class DirectOneMarkSampler:
-    """Importance-style direct sampler of the exactly-one-mark tree.
-
-    Size-biased construction: draw the leaf count n from the pmf
-    proportional to n beta (1-beta)^(n-1) u_n, draw a tree conditioned on
-    n leaves by recursive splitting with weights u_i u_{n-i}, and mark one
-    uniformly chosen leaf.  Distributionally identical to rejection
-    sampling on exactly one mark; used to validate the rejection sampler.
-    """
-
-    def __init__(self, law: GwLaw, root_excluded: bool = True, tail_tol: float = 1e-12):
-        self.law = law
-        self.root_excluded = root_excluded
-        n_max = DEFAULT_CUTOFF
-        u = leaf_count_pmf_array(law, n_max)
-        weights = _mark_damping(law.beta, n_max) * u
-        if root_excluded:
-            weights[1] = 0.0  # a 1-leaf tree has the root marked
-        total = weights.sum()
-        if total <= 0:
-            raise ValueError("degenerate law: exactly-one-mark has zero probability")
-        tail = weights[-1] / max(total, 1e-300)
-        if tail > tail_tol:
-            raise ValueError("leaf-count pmf not converged at the cutoff; lower p or beta")
-        self._u = u
-        self._n_cdf = np.cumsum(weights / total)
-
-    def sample(self, rng: Random) -> tuple[int, int]:
-        """Return (generation of the marked leaf, leaf count)."""
-        n = int(np.searchsorted(self._n_cdf, rng.random(), side="right"))
-        n = max(1, min(n, len(self._n_cdf) - 1))
-        n_leaves = n
-        k = rng.randrange(n)  # index of the marked leaf among n leaves
-        u = self._u
-        depth = 0
-        while n > 1:
-            # split n leaves into (i, n-i) with probability u_i u_{n-i} / c_n
-            w = u[1:n] * u[n - 1 : 0 : -1]
-            cdf = np.cumsum(w)
-            i = 1 + int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
-            i = min(i, n - 1)
-            depth += 1
-            if k < i:
-                n = i
-            else:
-                k -= i
-                n = n - i
-        return depth, n_leaves
-
-
 def pmf_table(
     samples: list[int], pmf, g_max: int | None = None
 ) -> list[tuple[int, float, float, int]]:

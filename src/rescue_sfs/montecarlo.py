@@ -331,6 +331,8 @@ def replicate_sfs(
     """
     if replicates < 2:
         raise ValueError(f"requires replicates >= 2, got {replicates}")
+    if chunk_size < 1:
+        raise ValueError(f"requires chunk_size >= 1, got {chunk_size}")
     if initial is None:
         initial = (params.n_init, 0)
     chunks = [

@@ -3,21 +3,11 @@ per-edge neutral mutation counts.
 
 Divisions are simulated at the mechanism level: a sensitive division picks
 two daughters, each independently resistant with probability gamma_n and
-each receiving an independent neutral-mutation count of mean omega/2.  The
-induced aggregate transition rates equal the five-row table
-
-    (z0, z1) -> (z0+1, z1)    at (1-gamma_n)^2 b0 z0
-    (z0, z1) -> (z0-1, z1)    at d0 z0
-    (z0, z1) -> (z0,   z1+1)  at 2 gamma_n (1-gamma_n) b0 z0 + b1 z1
-    (z0, z1) -> (z0-1, z1+2)  at gamma_n^2 b0 z0
-    (z0, z1) -> (z0,   z1-1)  at d1 z1
-
-Two simulators produce the same SimOutcome.  ``run`` uses that the process
-is a Markov branching process (Harris 1963): every cell lives an independent
-Exp(b+d) lifetime and then divides or dies, so cells are simulated one
-lifetime at a time, depth first, with no global event clock.  ``gillespie``
-is the event-driven reference: it draws every event of the whole population
-in time order, and can verify each event against the table above.
+each receiving an independent neutral-mutation count of mean omega/2.
+``run`` uses that the process is a Markov branching process (Harris 1963):
+every cell lives an independent Exp(b+d) lifetime and then divides or dies,
+so cells are simulated one lifetime at a time, depth first, with no global
+event clock.
 
 Mutations are stored as counts on genealogy edges; the site frequency
 spectrum is extracted in one bottom-up pass counting living resistant
@@ -74,21 +64,11 @@ class SimOutcome:
     z0_final: int
     z1_final: int
     event_counts: list[int]
-    expected_class_weights: list[float] | None
     ancestral: list[tuple[float, int, int]]  # (birth time, generation, root id)
 
     @property
     def n_nodes(self) -> int:
         return len(self.parent)
-
-    def alive_counts(self) -> tuple[int, int]:
-        """(sensitive, resistant) alive counts recomputed from the forest."""
-        return _alive_counts(self.status, self.cell_type)
-
-
-def _alive_counts(status: list[int], cell_type: list[int]) -> tuple[int, int]:
-    alive = [typ for st, typ in zip(status, cell_type) if st == STATUS_ALIVE]
-    return alive.count(SENSITIVE), alive.count(RESISTANT)
 
 
 @dataclass
@@ -186,7 +166,7 @@ def run(
     ``t_obs`` is alive, otherwise it divides with probability b/(b+d) and
     dies otherwise.  Daughters get their type and mutation count at birth.
     Raises PopulationCapError once the genealogy exceeds ``max_cells``
-    nodes.  ``gillespie`` simulates the same law event by event.
+    nodes.
     """
     n0_init, n1_init = _initial(params, t_obs, initial)
 
@@ -300,7 +280,6 @@ def run(
         z0_final=z0,
         z1_final=z1,
         event_counts=event_counts,
-        expected_class_weights=None,
         ancestral=ancestral,
     )
 
@@ -424,171 +403,6 @@ def sample_sfs(
                 bucket = s_sen if ms < first_resistant else s_res
                 bucket[c] = bucket.get(c, 0) + m
     return SfsRecord(s_resistant_origin=s_res, s_sensitive_origin=s_sen, t_obs=t_obs), founders, z1
-
-
-def gillespie(
-    params: ModelParams,
-    t_obs: float,
-    initial: tuple[int, int] | None = None,
-    *,
-    rng: Random,
-    max_cells: int = 5_000_000,
-    track_rates: bool = False,
-    debug_checks: bool = False,
-) -> SimOutcome:
-    """Simulate the process exactly up to ``t_obs``, event by event, drawing
-    every random number from ``rng``: the reference oracle for ``run``,
-    which samples the same law.
-
-    ``initial`` is the starting (sensitive, resistant) population; it
-    defaults to (n_init, 0).  ``track_rates`` accumulates the per-event
-    expected class probabilities of the five-row transition table (the
-    chi-square oracle for rate faithfulness).  ``debug_checks`` checks the
-    alive lists against the forest after every event and at the end.
-    """
-    n0_init, n1_init = _initial(params, t_obs, initial)
-
-    b0, d0, b1, d1 = params.b0, params.d0, params.b1, params.d1
-    gamma_n = params.gamma_n
-    c0 = b0 + d0
-    c1 = b1 + d1
-    cdf = _mutation_cdf(params.mutation_law, params.omega)
-    rand = rng.random
-    expo = rng.expovariate
-
-    n_roots = n0_init + n1_init
-    parent = [-1] * n_roots
-    cell_type = [SENSITIVE] * n0_init + [RESISTANT] * n1_init
-    edge_mutations = [0] * n_roots
-    status = [STATUS_ALIVE] * n_roots
-    # alive sensitive cells carry (node, generation, root id) to label the
-    # resistant founders they produce; alive resistant cells are node ids
-    alive0 = [(k, 0, k) for k in range(n0_init)]
-    alive1 = list(range(n0_init, n_roots))
-
-    event_counts = [0, 0, 0, 0, 0]
-    expected = [0.0, 0.0, 0.0, 0.0, 0.0] if track_rates else None
-    ancestral: list[tuple[float, int, int]] = []
-
-    t = 0.0
-    while True:
-        n0 = len(alive0)
-        n1 = len(alive1)
-        total = c0 * n0 + c1 * n1
-        if total <= 0.0:
-            break
-        t += expo(total)
-        if t >= t_obs:
-            break
-        if track_rates:
-            sdiv = b0 * n0
-            expected[0] += (1.0 - gamma_n) ** 2 * sdiv / total
-            expected[1] += d0 * n0 / total
-            expected[2] += (2.0 * gamma_n * (1.0 - gamma_n) * sdiv + b1 * n1) / total
-            expected[3] += gamma_n**2 * sdiv / total
-            expected[4] += d1 * n1 / total
-        u = rand() * total
-        if u < c0 * n0:
-            if u < b0 * n0:
-                # sensitive division
-                j = int(rand() * n0)
-                mother, g, rid = alive0[j]
-                alive0[j] = alive0[-1]
-                alive0.pop()
-                status[mother] = STATUS_DIVIDED
-                g += 1
-                flips = 0
-                for _ in (0, 1):
-                    resistant = rand() < gamma_n
-                    child = len(parent)
-                    parent.append(mother)
-                    edge_mutations.append(bisect_right(cdf, rand()))
-                    status.append(STATUS_ALIVE)
-                    if resistant:
-                        flips += 1
-                        cell_type.append(RESISTANT)
-                        alive1.append(child)
-                        ancestral.append((t, g, rid))
-                    else:
-                        cell_type.append(SENSITIVE)
-                        alive0.append((child, g, rid))
-                event_counts[(0, 2, 3)[flips]] += 1
-            else:
-                # sensitive death
-                j = int(rand() * n0)
-                status[alive0[j][0]] = STATUS_DEAD
-                alive0[j] = alive0[-1]
-                alive0.pop()
-                event_counts[1] += 1
-        else:
-            if u < c0 * n0 + b1 * n1:
-                # resistant division
-                j = int(rand() * n1)
-                mother = alive1[j]
-                alive1[j] = alive1[-1]
-                alive1.pop()
-                status[mother] = STATUS_DIVIDED
-                for _ in (0, 1):
-                    child = len(parent)
-                    parent.append(mother)
-                    cell_type.append(RESISTANT)
-                    edge_mutations.append(bisect_right(cdf, rand()))
-                    status.append(STATUS_ALIVE)
-                    alive1.append(child)
-                event_counts[2] += 1
-            else:
-                # resistant death
-                j = int(rand() * n1)
-                status[alive1[j]] = STATUS_DEAD
-                alive1[j] = alive1[-1]
-                alive1.pop()
-                event_counts[4] += 1
-        if len(parent) > max_cells:
-            raise PopulationCapError(
-                f"genealogy exceeded max_cells={max_cells} at t={t:.4f} "
-                f"(z0={len(alive0)}, z1={len(alive1)})"
-            )
-        if debug_checks and _alive_counts(status, cell_type) != (len(alive0), len(alive1)):
-            raise AssertionError("alive lists inconsistent with status array")
-
-    outcome = SimOutcome(
-        params=params,
-        t_obs=t_obs,
-        parent=parent,
-        cell_type=cell_type,
-        edge_mutations=edge_mutations,
-        status=status,
-        n_roots=n_roots,
-        z0_final=len(alive0),
-        z1_final=len(alive1),
-        event_counts=event_counts,
-        expected_class_weights=expected,
-        ancestral=ancestral,
-    )
-    if debug_checks:
-        z0, z1 = outcome.alive_counts()
-        if (z0, z1) != (outcome.z0_final, outcome.z1_final):
-            raise AssertionError(
-                f"forest/trajectory mismatch: forest ({z0},{z1}) vs tracked "
-                f"({outcome.z0_final},{outcome.z1_final})"
-            )
-    return outcome
-
-
-def event_class_probabilities(params: ModelParams, z0: int, z1: int) -> list[float]:
-    """Instantaneous probabilities of the five transition classes."""
-    gn = params.gamma_n
-    rates = [
-        (1.0 - gn) ** 2 * params.b0 * z0,
-        params.d0 * z0,
-        2.0 * gn * (1.0 - gn) * params.b0 * z0 + params.b1 * z1,
-        gn**2 * params.b0 * z0,
-        params.d1 * z1,
-    ]
-    total = sum(rates)
-    if total <= 0:
-        raise ValueError("empty population has no events")
-    return [r / total for r in rates]
 
 
 def extract_sfs(outcome: SimOutcome) -> SfsRecord:

@@ -1,11 +1,32 @@
-"""Test-only oracles: a naive per-cell mutation-set SFS algorithm and a
-hand-built genealogy mirroring the worked one-root example (seven living
-resistant cells; spectrum S1=3, S3=1, S7=2)."""
+"""Test-only oracles: the event-driven Gillespie simulator the lifetime
+simulator ``run`` is checked against, a direct sampler of the exactly-one-mark
+tree the rejection sampler is checked against, a naive per-cell mutation-set
+SFS algorithm, and a hand-built genealogy mirroring the worked one-root
+example (seven living resistant cells; spectrum S1=3, S3=1, S7=2).
+
+``gillespie`` (Gillespie 1977) draws every event of the whole population in
+time order.  The mechanism-level divisions of ``run`` induce the aggregate
+transition rates of the five-row table
+
+    (z0, z1) -> (z0+1, z1)    at (1-gamma_n)^2 b0 z0
+    (z0, z1) -> (z0-1, z1)    at d0 z0
+    (z0, z1) -> (z0,   z1+1)  at 2 gamma_n (1-gamma_n) b0 z0 + b1 z1
+    (z0, z1) -> (z0-1, z1+2)  at gamma_n^2 b0 z0
+    (z0, z1) -> (z0,   z1-1)  at d1 z1
+
+and ``gillespie`` can verify each event against it.
+"""
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
+from dataclasses import dataclass
+from random import Random
 
+import numpy as np
+
+from rescue_sfs.gw_trees import DEFAULT_CUTOFF, GwLaw, _mark_damping, leaf_count_pmf_array
 from rescue_sfs.params import ModelParams
 from rescue_sfs.simulator import (
     RESISTANT,
@@ -13,8 +34,244 @@ from rescue_sfs.simulator import (
     STATUS_ALIVE,
     STATUS_DEAD,
     STATUS_DIVIDED,
+    PopulationCapError,
     SimOutcome,
+    _initial,
+    _mutation_cdf,
 )
+
+
+@dataclass
+class OracleOutcome(SimOutcome):
+    """A ``gillespie`` run: the SimOutcome plus, with ``track_rates``, the
+    per-event expected class probabilities summed over the run."""
+
+    expected_class_weights: list[float] | None = None
+
+
+def alive_counts(outcome: SimOutcome) -> tuple[int, int]:
+    """(sensitive, resistant) alive counts recomputed from the forest."""
+    return _alive_counts(outcome.status, outcome.cell_type)
+
+
+def _alive_counts(status: list[int], cell_type: list[int]) -> tuple[int, int]:
+    alive = [typ for st, typ in zip(status, cell_type) if st == STATUS_ALIVE]
+    return alive.count(SENSITIVE), alive.count(RESISTANT)
+
+
+def gillespie(
+    params: ModelParams,
+    t_obs: float,
+    initial: tuple[int, int] | None = None,
+    *,
+    rng: Random,
+    max_cells: int = 5_000_000,
+    track_rates: bool = False,
+    debug_checks: bool = False,
+) -> OracleOutcome:
+    """Simulate the process exactly up to ``t_obs``, event by event, drawing
+    every random number from ``rng``: the reference oracle for ``run``,
+    which samples the same law.
+
+    ``initial`` is the starting (sensitive, resistant) population; it
+    defaults to (n_init, 0).  ``track_rates`` accumulates the per-event
+    expected class probabilities of the five-row transition table (the
+    chi-square oracle for rate faithfulness).  ``debug_checks`` checks the
+    alive lists against the forest after every event and at the end.
+    """
+    n0_init, n1_init = _initial(params, t_obs, initial)
+
+    b0, d0, b1, d1 = params.b0, params.d0, params.b1, params.d1
+    gamma_n = params.gamma_n
+    c0 = b0 + d0
+    c1 = b1 + d1
+    cdf = _mutation_cdf(params.mutation_law, params.omega)
+    rand = rng.random
+    expo = rng.expovariate
+
+    n_roots = n0_init + n1_init
+    parent = [-1] * n_roots
+    cell_type = [SENSITIVE] * n0_init + [RESISTANT] * n1_init
+    edge_mutations = [0] * n_roots
+    status = [STATUS_ALIVE] * n_roots
+    # alive sensitive cells carry (node, generation, root id) to label the
+    # resistant founders they produce; alive resistant cells are node ids
+    alive0 = [(k, 0, k) for k in range(n0_init)]
+    alive1 = list(range(n0_init, n_roots))
+
+    event_counts = [0, 0, 0, 0, 0]
+    expected = [0.0, 0.0, 0.0, 0.0, 0.0] if track_rates else None
+    ancestral: list[tuple[float, int, int]] = []
+
+    t = 0.0
+    while True:
+        n0 = len(alive0)
+        n1 = len(alive1)
+        total = c0 * n0 + c1 * n1
+        if total <= 0.0:
+            break
+        t += expo(total)
+        if t >= t_obs:
+            break
+        if track_rates:
+            sdiv = b0 * n0
+            expected[0] += (1.0 - gamma_n) ** 2 * sdiv / total
+            expected[1] += d0 * n0 / total
+            expected[2] += (2.0 * gamma_n * (1.0 - gamma_n) * sdiv + b1 * n1) / total
+            expected[3] += gamma_n**2 * sdiv / total
+            expected[4] += d1 * n1 / total
+        u = rand() * total
+        if u < c0 * n0:
+            if u < b0 * n0:
+                # sensitive division
+                j = int(rand() * n0)
+                mother, g, rid = alive0[j]
+                alive0[j] = alive0[-1]
+                alive0.pop()
+                status[mother] = STATUS_DIVIDED
+                g += 1
+                flips = 0
+                for _ in (0, 1):
+                    resistant = rand() < gamma_n
+                    child = len(parent)
+                    parent.append(mother)
+                    edge_mutations.append(bisect_right(cdf, rand()))
+                    status.append(STATUS_ALIVE)
+                    if resistant:
+                        flips += 1
+                        cell_type.append(RESISTANT)
+                        alive1.append(child)
+                        ancestral.append((t, g, rid))
+                    else:
+                        cell_type.append(SENSITIVE)
+                        alive0.append((child, g, rid))
+                event_counts[(0, 2, 3)[flips]] += 1
+            else:
+                # sensitive death
+                j = int(rand() * n0)
+                status[alive0[j][0]] = STATUS_DEAD
+                alive0[j] = alive0[-1]
+                alive0.pop()
+                event_counts[1] += 1
+        else:
+            if u < c0 * n0 + b1 * n1:
+                # resistant division
+                j = int(rand() * n1)
+                mother = alive1[j]
+                alive1[j] = alive1[-1]
+                alive1.pop()
+                status[mother] = STATUS_DIVIDED
+                for _ in (0, 1):
+                    child = len(parent)
+                    parent.append(mother)
+                    cell_type.append(RESISTANT)
+                    edge_mutations.append(bisect_right(cdf, rand()))
+                    status.append(STATUS_ALIVE)
+                    alive1.append(child)
+                event_counts[2] += 1
+            else:
+                # resistant death
+                j = int(rand() * n1)
+                status[alive1[j]] = STATUS_DEAD
+                alive1[j] = alive1[-1]
+                alive1.pop()
+                event_counts[4] += 1
+        if len(parent) > max_cells:
+            raise PopulationCapError(
+                f"genealogy exceeded max_cells={max_cells} at t={t:.4f} "
+                f"(z0={len(alive0)}, z1={len(alive1)})"
+            )
+        if debug_checks and _alive_counts(status, cell_type) != (len(alive0), len(alive1)):
+            raise AssertionError("alive lists inconsistent with status array")
+
+    outcome = OracleOutcome(
+        params=params,
+        t_obs=t_obs,
+        parent=parent,
+        cell_type=cell_type,
+        edge_mutations=edge_mutations,
+        status=status,
+        n_roots=n_roots,
+        z0_final=len(alive0),
+        z1_final=len(alive1),
+        event_counts=event_counts,
+        expected_class_weights=expected,
+        ancestral=ancestral,
+    )
+    if debug_checks:
+        z0, z1 = alive_counts(outcome)
+        if (z0, z1) != (outcome.z0_final, outcome.z1_final):
+            raise AssertionError(
+                f"forest/trajectory mismatch: forest ({z0},{z1}) vs tracked "
+                f"({outcome.z0_final},{outcome.z1_final})"
+            )
+    return outcome
+
+
+def event_class_probabilities(params: ModelParams, z0: int, z1: int) -> list[float]:
+    """Instantaneous probabilities of the five transition classes."""
+    gn = params.gamma_n
+    rates = [
+        (1.0 - gn) ** 2 * params.b0 * z0,
+        params.d0 * z0,
+        2.0 * gn * (1.0 - gn) * params.b0 * z0 + params.b1 * z1,
+        gn**2 * params.b0 * z0,
+        params.d1 * z1,
+    ]
+    total = sum(rates)
+    if total <= 0:
+        raise ValueError("empty population has no events")
+    return [r / total for r in rates]
+
+
+class DirectOneMarkSampler:
+    """Importance-style direct sampler of the exactly-one-mark tree.
+
+    Size-biased construction: draw the leaf count n from the pmf
+    proportional to n beta (1-beta)^(n-1) u_n, draw a tree conditioned on
+    n leaves by recursive splitting with weights u_i u_{n-i}, and mark one
+    uniformly chosen leaf.  Distributionally identical to rejection
+    sampling on exactly one mark; used to validate the rejection sampler.
+    """
+
+    def __init__(self, law: GwLaw, root_excluded: bool = True, tail_tol: float = 1e-12):
+        self.law = law
+        self.root_excluded = root_excluded
+        n_max = DEFAULT_CUTOFF
+        u = leaf_count_pmf_array(law, n_max)
+        weights = _mark_damping(law.beta, n_max) * u
+        if root_excluded:
+            weights[1] = 0.0  # a 1-leaf tree has the root marked
+        total = weights.sum()
+        if total <= 0:
+            raise ValueError("degenerate law: exactly-one-mark has zero probability")
+        tail = weights[-1] / max(total, 1e-300)
+        if tail > tail_tol:
+            raise ValueError("leaf-count pmf not converged at the cutoff; lower p or beta")
+        self._u = u
+        self._n_cdf = np.cumsum(weights / total)
+
+    def sample(self, rng: Random) -> tuple[int, int]:
+        """Return (generation of the marked leaf, leaf count)."""
+        n = int(np.searchsorted(self._n_cdf, rng.random(), side="right"))
+        n = max(1, min(n, len(self._n_cdf) - 1))
+        n_leaves = n
+        k = rng.randrange(n)  # index of the marked leaf among n leaves
+        u = self._u
+        depth = 0
+        while n > 1:
+            # split n leaves into (i, n-i) with probability u_i u_{n-i} / c_n
+            w = u[1:n] * u[n - 1 : 0 : -1]
+            cdf = np.cumsum(w)
+            i = 1 + int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
+            i = min(i, n - 1)
+            depth += 1
+            if k < i:
+                n = i
+            else:
+                k -= i
+                n = n - i
+        return depth, n_leaves
 
 
 def naive_sfs(outcome: SimOutcome):
@@ -109,6 +366,5 @@ def build_single_root_example(params: ModelParams) -> SimOutcome:
         z0_final=2,
         z1_final=7,
         event_counts=[0, 0, 0, 0, 0],
-        expected_class_weights=None,
         ancestral=[(0.0, 2, 0)],
     )

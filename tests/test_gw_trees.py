@@ -6,6 +6,7 @@ from random import Random
 import numpy as np
 import pytest
 
+from helpers import DirectOneMarkSampler
 from rescue_sfs import gw_trees as gw
 from rescue_sfs.montecarlo import gof_discrete, gof_geometric
 
@@ -333,7 +334,7 @@ def two_sample_chi2_pvalue(a, b, min_combined=10):
 
 def test_direct_sampler_matches_rejection():
     rng = Random(13)
-    sampler = gw.DirectOneMarkSampler(LAW, root_excluded=True)
+    sampler = DirectOneMarkSampler(LAW, root_excluded=True)
     direct = [sampler.sample(rng)[0] for _ in range(40_000)]
     assert gof_geometric(direct, X).pvalue > 0.001
     # leaf-count law agrees with the rejection sampler's accepted trees

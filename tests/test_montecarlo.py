@@ -225,6 +225,13 @@ def test_replicate_sfs_requires_two():
         mc.replicate_sfs(TOY, T_OBS, replicates=1, seed=0)
 
 
+@pytest.mark.parametrize("chunk_size", [0, -3])
+def test_replicate_sfs_rejects_chunk_size_below_1(chunk_size):
+    # -3 once gave an aggregate of 0 replicates, 0 a range() error
+    with pytest.raises(ValueError, match="chunk_size"):
+        mc.replicate_sfs(TOY, T_OBS, replicates=4, seed=0, chunk_size=chunk_size)
+
+
 def test_replicate_sfs_all_zero_without_mutations():
     inert = ModelParams(
         b0=1.0, d0=2.0, b1=1.2, d1=0.5, omega=0.0, gamma=0.0, alpha=1.0, n_init=30

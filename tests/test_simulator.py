@@ -11,7 +11,14 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
-from helpers import build_single_root_example, carried_copy_total, naive_sfs
+from helpers import (
+    alive_counts,
+    build_single_root_example,
+    carried_copy_total,
+    event_class_probabilities,
+    gillespie,
+    naive_sfs,
+)
 from rescue_sfs import simulator as sim
 from rescue_sfs import theory as th
 from rescue_sfs.montecarlo import gof_discrete, gof_pooled_counts
@@ -30,8 +37,8 @@ def test_initial_validation():
 
 def test_debug_checks_pass_on_small_runs():
     for seed in range(5):
-        out = sim.gillespie(SMALL, 2.0, rng=Random(seed), debug_checks=True)
-        z0, z1 = out.alive_counts()
+        out = gillespie(SMALL, 2.0, rng=Random(seed), debug_checks=True)
+        z0, z1 = alive_counts(out)
         assert (z0, z1) == (out.z0_final, out.z1_final)
 
 
@@ -50,7 +57,7 @@ def test_population_cap():
     with pytest.raises(sim.PopulationCapError, match="max_cells"):
         sim.run(grow, 50.0, initial=(0, 5), rng=Random(1), max_cells=300)
     with pytest.raises(sim.PopulationCapError, match="max_cells"):
-        sim.gillespie(grow, 50.0, initial=(0, 5), rng=Random(1), max_cells=300)
+        gillespie(grow, 50.0, initial=(0, 5), rng=Random(1), max_cells=300)
 
 
 def test_sample_sfs_hits_the_cap_where_run_does():
@@ -71,11 +78,11 @@ def test_sample_sfs_hits_the_cap_where_run_does():
 
 
 def test_event_class_probabilities_normalize():
-    probs = sim.event_class_probabilities(REF, 100, 7)
+    probs = event_class_probabilities(REF, 100, 7)
     assert sum(probs) == pytest.approx(1.0, rel=1e-12)
     assert all(p >= 0 for p in probs)
     with pytest.raises(ValueError):
-        sim.event_class_probabilities(REF, 0, 0)
+        event_class_probabilities(REF, 0, 0)
 
 
 def test_subcritical_decay_gamma_zero():
@@ -117,7 +124,7 @@ def test_rate_table_frequencies():
     exp = np.zeros(5)
     t_n = 1.25 * math.log(500)
     while obs.sum() < 150_000:
-        out = sim.gillespie(REF, t_n, rng=rng, track_rates=True)
+        out = gillespie(REF, t_n, rng=rng, track_rates=True)
         obs += out.event_counts
         exp += out.expected_class_weights
     assert gof_pooled_counts(obs, exp).pvalue > 0.001
@@ -308,7 +315,7 @@ def test_run_forests_pinned(law, omega):
     assert h.hexdigest() == FOREST_DIGESTS[law, omega]
 
 
-@pytest.mark.parametrize("simulate", [sim.run, sim.gillespie], ids=["run", "gillespie"])
+@pytest.mark.parametrize("simulate", [sim.run, gillespie], ids=["run", "gillespie"])
 def test_mutation_count_mean_at_large_omega(simulate):
     # mean omega/2 = 1000 per daughter, past the 745 where a product of
     # uniforms against e^(-omega/2) underflows
@@ -341,7 +348,7 @@ def test_run_agrees_with_gillespie_in_distribution():
     lambda1 = params.b1 - params.d1
     windows = (0.5, 2.0)
     samples = {}
-    for name, simulate, seed in (("run", sim.run, 401), ("gillespie", sim.gillespie, 402)):
+    for name, simulate, seed in (("run", sim.run, 401), ("gillespie", gillespie, 402)):
         rng = Random(seed)
         rows = []
         for _ in range(3000):
@@ -426,7 +433,7 @@ def _check_forest(out: sim.SimOutcome, initial: tuple[int, int]) -> None:
         else:
             events[1] += out.status[idx] == sim.STATUS_DEAD
     assert events == out.event_counts
-    assert out.alive_counts() == (out.z0_final, out.z1_final)
+    assert alive_counts(out) == (out.z0_final, out.z1_final)
     assert len(out.ancestral) == founders
     times = [t for t, _, _ in out.ancestral]
     assert times == sorted(times) and all(0.0 < t < out.t_obs for t in times)
