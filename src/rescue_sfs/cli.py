@@ -249,6 +249,12 @@ def _at_least_one(flag: str, value: int) -> int:
     return value
 
 
+def _tol(args: argparse.Namespace) -> float:
+    if not 0 < args.tol < math.inf:
+        raise ConfigError(f"--tol must be finite and > 0, got {args.tol}")
+    return args.tol
+
+
 def _samples(args: argparse.Namespace, default: int) -> int:
     """--samples, or the command's default when it is not given."""
     return default if args.samples is None else _at_least_one("--samples", args.samples)
@@ -364,7 +370,7 @@ def _theory_rows(args, cfg: RunConfig):
                 raise ConfigError(f"{fid} needs an --x-grid with at least two points")
             points = [(x1, (x1, x2)) for x1, x2 in zip(x_list, x_list[1:] + [math.inf])]
     inputs = _TheoryInputs(
-        params, dp, t, t_abs, args.tol, args.i or 1, args.u if args.u is not None else 1.0
+        params, dp, t, t_abs, _tol(args), args.i or 1, args.u if args.u is not None else 1.0
     )
     with _theory_domain(f"formula {fid!r}"):
         rows = [(index, *row(point, inputs), fid) for index, point in points]
@@ -399,6 +405,8 @@ def cmd_gw(args: argparse.Namespace, cfg: RunConfig, outputs: _OutputSet) -> int
     g_max = _at_least_one("--g-max", args.g_max)
     with _theory_domain("tree law"):
         law = gw_trees.GwLaw(p=p, beta=beta)
+    if args.root_excluded and p == 0:
+        raise ConfigError("--root-excluded with p = 0: the root never divides, so no tree has a mark")
     rng = Random(cfg.seed)
     samples = []
     for _ in range(_samples(args, 10_000)):
@@ -421,6 +429,7 @@ def cmd_gw(args: argparse.Namespace, cfg: RunConfig, outputs: _OutputSet) -> int
 
 def cmd_compare(args: argparse.Namespace, cfg: RunConfig, outputs: _OutputSet) -> int:
     t = _log_time(cfg)
+    tol = _tol(args)
     if not 0 <= args.threshold < math.inf:
         raise ConfigError(f"--threshold must be finite and >= 0, got {args.threshold}")
     # theory before the simulation, so that parameters the theory cannot
@@ -429,7 +438,7 @@ def cmd_compare(args: argparse.Namespace, cfg: RunConfig, outputs: _OutputSet) -
         i_max = _at_least_one("--i-max", args.i_max)
         with _theory_domain("exact mean"):
             tvals = [
-                theory.resistant_origin_mean_exact(i, t, cfg.params, args.tol).value
+                theory.resistant_origin_mean_exact(i, t, cfg.params, tol).value
                 for i in range(1, i_max + 1)
             ]
         stats = _replicates(args, cfg, i_max).stats("sbar")
@@ -440,7 +449,7 @@ def cmd_compare(args: argparse.Namespace, cfg: RunConfig, outputs: _OutputSet) -
             if args.mode == "z-score":
                 # tight gate: the exact finite-N window expectation
                 tvals = [
-                    theory.resistant_origin_window_exact(x, t, cfg.params, args.tol).value
+                    theory.resistant_origin_window_exact(x, t, cfg.params, tol).value
                     for x in windows
                 ]
                 what = "sbar windows vs exact"
@@ -448,7 +457,7 @@ def cmd_compare(args: argparse.Namespace, cfg: RunConfig, outputs: _OutputSet) -
                 dp = derive(cfg.params)
                 scale = theory.window_scale(cfg.params)
                 tvals = [
-                    scale * theory.window_weight_resistant(x, dp, args.tol).value for x in windows
+                    scale * theory.window_weight_resistant(x, dp, tol).value for x in windows
                 ]
                 what = "sbar windows vs asymptotic"
         stats = _replicates(args, cfg, 1, windows).window_stats("sbar")
@@ -686,8 +695,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _run(args)
     # a cap hit names its replicate and seed; the parameters grow a
-    # population past the simulator's cap before the observation time
-    except (ConfigError, ParameterError, simulator.PopulationCapError) as exc:
+    # population past the simulator's cap before the observation time.  A
+    # rejection limit means the tree law's acceptance probability is too
+    # small to sample
+    except (
+        ConfigError,
+        ParameterError,
+        simulator.PopulationCapError,
+        gw_trees.RejectionLimitError,
+    ) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

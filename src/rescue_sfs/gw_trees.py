@@ -82,9 +82,10 @@ def catalan_sequence(n_max: int) -> list[int]:
     return seq[1:]
 
 
-def _log_catalan(n: int) -> float:
-    # log of the n-th sequence term a_n = C_{n-1} = (2n-2)! / (n! (n-1)!)
-    return float(gammaln(2 * n - 1) - gammaln(n + 1) - gammaln(n))
+def _log_catalan(n):
+    # log of the n-th sequence term a_n = C_{n-1} = (2n-2)! / (n! (n-1)!), n
+    # an int or an array
+    return gammaln(2 * n - 1) - gammaln(n + 1) - gammaln(n)
 
 
 def catalan_series_sum(p: float, tol: float = 1e-12, max_terms: int = 100_000):
@@ -118,8 +119,7 @@ def leaf_count_pmf_array(law: GwLaw, n_max: int) -> np.ndarray:
         out[1] = 1.0
         return out
     n = np.arange(1, n_max + 1, dtype=float)
-    log_cat = gammaln(2 * n - 1) - gammaln(n + 1) - gammaln(n)
-    out[1:] = np.exp(log_cat + n * math.log1p(-p) + (n - 1) * math.log(p))
+    out[1:] = np.exp(_log_catalan(n) + n * math.log1p(-p) + (n - 1) * math.log(p))
     return out
 
 
@@ -193,30 +193,35 @@ def weighted_leaf_sums(law: GwLaw, g: int | None = None, cutoff: int = DEFAULT_C
     return float(np.dot(damp, v[g]))
 
 
-def gen_pmf_one_mark(law: GwLaw, g: int) -> float:
-    """Geometric law x (1-x)^(g-1) of the marked leaf's generation given
-    exactly one mark (edge generations, root-conditioned tree)."""
+def geometric_pmf(x: float, g: int) -> float:
+    """Generation law of the marked leaf given exactly one mark: the
+    geometric pmf x (1-x)^(g-1), g >= 1."""
     if g < 1:
         raise ValueError(f"requires g >= 1, got {g}")
-    x = law.x
     return x * (1.0 - x) ** (g - 1)
 
 
-def gen_pmf_atleast_one_mark(law: GwLaw, g: int) -> float:
-    """Generation pmf of a uniformly chosen marked leaf given >= 1 mark.
-
-    Closed form in terms of p and pt = p_tilde(1-beta):
-    2^(g-1)/(p-pt) * [ (p^g - pt^g)/g - 2 (p^(g+1) - pt^(g+1))/(g+1) ].
-    """
+def any_mark_pmf(p: float, pt: float, g: int) -> float:
+    """Generation law of a uniformly chosen marked leaf given >= 1 mark, in
+    p and pt = p_tilde(1-beta):
+    2^(g-1)/(p-pt) * [ (p^g - pt^g)/g - 2 (p^(g+1) - pt^(g+1))/(g+1) ]."""
     if g < 1:
         raise ValueError(f"requires g >= 1, got {g}")
-    p = law.p
-    pt = p_tilde(1.0 - law.beta, p)
     return (
         2.0 ** (g - 1)
         / (p - pt)
         * ((p**g - pt**g) / g - 2.0 * (p ** (g + 1) - pt ** (g + 1)) / (g + 1))
     )
+
+
+def gen_pmf_one_mark(law: GwLaw, g: int) -> float:
+    """geometric_pmf at the law's x (edge generations, root-conditioned tree)."""
+    return geometric_pmf(law.x, g)
+
+
+def gen_pmf_atleast_one_mark(law: GwLaw, g: int) -> float:
+    """any_mark_pmf at the law's p and p_tilde(1-beta)."""
+    return any_mark_pmf(law.p, p_tilde(1.0 - law.beta, law.p), g)
 
 
 # ---------------------------------------------------------------------------
@@ -298,31 +303,6 @@ def sample_tree(
     return GwTree(generation, is_leaf, marked)
 
 
-def sample_mark_stats(law: GwLaw, rng: Random, root_excluded: bool = False) -> tuple[int, int]:
-    """(leaf count, mark count) of one sampled tree, without building it."""
-    p, beta = law.p, law.beta
-    rand = rng.random
-    leaves = 0
-    marks = 0
-    # root first
-    if rand() < (_root_division_prob(law) if root_excluded else p):
-        pending = 2
-    else:
-        leaves = 1
-        if not root_excluded and rand() < beta:
-            marks = 1
-        return leaves, marks
-    while pending:
-        pending -= 1
-        if rand() < p:
-            pending += 2
-        else:
-            leaves += 1
-            if rand() < beta:
-                marks += 1
-    return leaves, marks
-
-
 @dataclass
 class ConditionedSample:
     """An accepted conditioned tree plus the chosen marked leaf's data."""
@@ -330,7 +310,6 @@ class ConditionedSample:
     tree: GwTree
     generation: int
     lifetime: float | None
-    attempts: int
     mark_count: int
 
 
@@ -352,7 +331,7 @@ def sample_conditioned(
     if condition not in _CONDITIONS:
         raise ValueError(f"unknown condition {condition!r}; valid: {_CONDITIONS}")
     exactly_one = condition == CONDITION_EXACTLY_ONE
-    for attempt in range(1, max_attempts + 1):
+    for _ in range(max_attempts):
         tree = sample_tree(law, rng, root_excluded=root_excluded, max_nodes=max_nodes)
         marks = tree.mark_count
         if (marks == 1) if exactly_one else (marks >= 1):
@@ -362,7 +341,7 @@ def sample_conditioned(
             if delta0 is not None:
                 expo = rng.expovariate
                 lifetime = sum(expo(delta0) for _ in range(generation))
-            return ConditionedSample(tree, generation, lifetime, attempt, marks)
+            return ConditionedSample(tree, generation, lifetime, marks)
     raise RejectionLimitError(
         f"no accepted tree in {max_attempts} attempts for condition {condition!r}; "
         f"estimated acceptance probability < {1.0 / max_attempts:.2e}"

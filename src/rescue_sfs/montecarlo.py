@@ -16,13 +16,14 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from random import Random
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.stats import chi2 as chi2_dist
 from scipy.stats import kstest
 
 from rescue_sfs import simulator
+from rescue_sfs.gw_trees import geometric_pmf
 from rescue_sfs.params import ModelParams
 
 DEFAULT_CHUNK = 256
@@ -406,10 +407,10 @@ def gof_discrete(
 
 
 def gof_geometric(samples: Sequence[int], x: float, min_expected: float = 5.0) -> GofResult:
-    """Chi-square test against the geometric law x (1-x)^(g-1), g >= 1."""
+    """Chi-square test against gw_trees.geometric_pmf(x, .)."""
     if not 0 < x < 1:
         raise ValueError(f"requires 0 < x < 1, got {x}")
-    return gof_discrete(samples, lambda g: x * (1.0 - x) ** (g - 1), min_expected)
+    return gof_discrete(samples, lambda g: geometric_pmf(x, g), min_expected)
 
 
 def gof_exponential(samples: Sequence[float], rate: float) -> GofResult:
@@ -504,35 +505,22 @@ class ComparisonReport:
 
 def compare(
     stats: ReplicateStats,
-    theory: Mapping[float, float] | Sequence[float],
+    theory: Sequence[float],
     mode: str = "z-score",
     threshold: float = 3.0,
     metadata: dict | None = None,
 ) -> ComparisonReport:
     """Compare per-index empirical means against theory values.
 
-    ``theory`` is either a mapping index -> value whose key set must equal
-    the stats index set, or a sequence aligned with it.  ``mode`` is
+    ``theory`` is a sequence aligned with the stats indices.  ``mode`` is
     ``z-score`` (|mean - theory| <= threshold * SEM) or ``relative``
     (|mean - theory| <= threshold * |theory|).
     """
     if mode not in ("z-score", "relative"):
         raise ValueError(f"unknown mode {mode!r}")
-    if isinstance(theory, Mapping):
-        keys = sorted(theory)
-        if len(keys) != stats.indices.size or any(
-            not math.isclose(a, b) for a, b in zip(keys, stats.indices)
-        ):
-            raise IndexMismatchError(
-                f"theory indices {keys} do not match empirical indices {stats.indices.tolist()}"
-            )
-        tvals = np.asarray([theory[k] for k in keys], dtype=float)
-    else:
-        tvals = np.asarray(theory, dtype=float)
-        if tvals.size != stats.indices.size:
-            raise IndexMismatchError(
-                f"theory has {tvals.size} entries, empirics {stats.indices.size}"
-            )
+    tvals = np.asarray(theory, dtype=float)
+    if tvals.size != stats.indices.size:
+        raise IndexMismatchError(f"theory has {tvals.size} entries, empirics {stats.indices.size}")
     sem = stats.sem()
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(sem > 0, (stats.mean - tvals) / sem, np.inf * np.sign(stats.mean - tvals))

@@ -226,8 +226,6 @@ CONFIG_SCHEMA = {
     "seed": int,
 }
 
-CONFIG_KEYS = tuple(CONFIG_SCHEMA)
-
 _REQUIRED_KEYS = tuple(f.name for f in fields(ModelParams) if f.default is MISSING)
 
 

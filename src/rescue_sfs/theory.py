@@ -18,6 +18,7 @@ from typing import Callable, NamedTuple
 
 from scipy.integrate import quad
 
+from rescue_sfs.gw_trees import any_mark_pmf, geometric_pmf
 from rescue_sfs.params import DerivedParams, ModelParams, derive
 
 DEFAULT_TOL = 1e-10
@@ -75,22 +76,24 @@ def quad_semi_infinite(
 
 
 def _quad_finite(
+    scale: float,
     integrand: Callable[[float], float],
-    lo: float,
     hi: float,
     tol: float,
     rounding: Callable[[float, float], float] | None = None,
     epsrel: float = 1e-11,
-) -> tuple[float, float]:
-    """(value, bound) of Int_lo^hi integrand: quad's error estimate, plus
-    ``rounding(value, err)`` for the integrand's own error when given; raises
-    where the bound exceeds both tol and 1e-8 |value|."""
-    value, err = quad(integrand, lo, hi, epsabs=tol, epsrel=epsrel, limit=400)
+) -> TheoryValue:
+    """scale * Int_0^hi integrand.  The integral's bound is quad's error
+    estimate, plus ``rounding(value, err)`` for the integrand's own error
+    when given; it is asked to meet tol / max(scale, 1), and this raises
+    where it exceeds both that and 1e-8 |value|."""
+    tol = tol / max(scale, 1.0)
+    value, err = quad(integrand, 0.0, hi, epsabs=tol, epsrel=epsrel, limit=400)
     if rounding is not None:
         err += rounding(value, err)
     if err > max(tol, abs(value) * 1e-8):
         raise QuadratureError(f"requested tol {tol:g}, achieved bound {err:g}")
-    return value, err
+    return TheoryValue(scale * value, scale * err)
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +276,7 @@ def single_clone_sfs_asymptotic(i: int, t: float, b1: float, d1: float, omega: f
 
 def generation_pmf(dp: DerivedParams, g: int) -> float:
     """Generation of the founder given exactly one founder: geometric(x_n)."""
-    if g < 1:
-        raise ValueError(f"requires g >= 1, got {g}")
-    return dp.x_n * (1.0 - dp.x_n) ** (g - 1)
+    return geometric_pmf(dp.x_n, g)
 
 
 def appearance_time_pdf(dp: DerivedParams, t: float) -> float:
@@ -288,18 +289,9 @@ def appearance_time_pdf(dp: DerivedParams, t: float) -> float:
 
 
 def generation_pmf_any(dp: DerivedParams, g: int) -> float:
-    """Generation of a uniformly chosen founder given at least one founder.
-
-    Closed form in p = p_n and pt = p_tilde_n = (1-x_n)/2.
-    """
-    if g < 1:
-        raise ValueError(f"requires g >= 1, got {g}")
-    p, pt = dp.p_n, dp.p_tilde_n
-    return (
-        2.0 ** (g - 1)
-        / (p - pt)
-        * ((p**g - pt**g) / g - 2.0 * (p ** (g + 1) - pt ** (g + 1)) / (g + 1))
-    )
+    """Generation of a uniformly chosen founder given at least one founder:
+    the closed form in p = p_n and pt = p_tilde_n = (1-x_n)/2."""
+    return any_mark_pmf(dp.p_n, dp.p_tilde_n, g)
 
 
 def appearance_time_pdf_any(dp: DerivedParams, t: float) -> float:
@@ -549,7 +541,6 @@ def resistant_origin_main_term(
         * params.omega
         / (1.0 - dp.gamma_n)
     )
-    scale = pref * c / rate
     hi = lam1 * t_n
     # w >= Int_0^hi B(u) e^(slope u - r t_N) du with B(u) = ((e^u-1)/(e^u-rho))^(i-1)
     # (e^u-rho)^(-2): below hi/2 the exponential is at most e^(-r t_N/2) and
@@ -560,14 +551,13 @@ def resistant_origin_main_term(
         # u = 2^-53, libm within 1 ulp, the rates and rho taken as given.
         # Relative: 6u per factor of the base em1/d and 13u for the rest of f,
         # 3u (ln N + lambda1 t_N) from the exponent of N in pref and 13u for
-        # the rest of scale * value.  Absolute: slope u - r t_N is off by at
+        # the rest of pref (1-rho)/r times the integral.  Absolute: slope u - r t_N is off by at
         # most 4.1u r t_N and t_N by 2u t_N, which moves the integral by at
         # most 6.1u r t_N w.
         rel = 6 * i + 20 + 3.0 * (math.log(params.n_init) + hi)
         return 1.1 * _U * (rel * (value + err) + 6.1 * rt_n * w)
 
-    value, err = _quad_finite(f, 0.0, hi, tol / max(scale, 1.0), rounding, epsrel=1e-13)
-    return TheoryValue(scale * value, scale * err)
+    return _quad_finite(pref * c / rate, f, hi, tol, rounding, epsrel=1e-13)
 
 
 def _sensitive_founder_integral(
@@ -594,8 +584,7 @@ def _sensitive_founder_integral(
         return size(y) * (1.0 + s * d0 * (1.0 - x)) * math.exp(-s * d0 * x)
 
     pref = params.n_init * dp.gamma_n * (1.0 - x) * d0 * params.omega / (2.0 * (1.0 - dp.gamma_n))
-    value, err = _quad_finite(f, 0.0, t_n, tol / max(pref, 1.0))
-    return TheoryValue(pref * value, pref * err)
+    return _quad_finite(pref, f, t_n, tol)
 
 
 def _resistant_division_integral(
@@ -624,8 +613,7 @@ def _resistant_division_integral(
         return (math.exp(lam1 * s) - math.exp(-lt0 * s)) * size(y)
 
     pref = params.omega * dp.b1 * 2.0 * dp.gamma_n * dp.b0 * params.n_init / (lam1 + lt0)
-    value, err = _quad_finite(f, 0.0, t_n, tol / max(pref, 1.0))
-    return TheoryValue(pref * value, pref * err)
+    return _quad_finite(pref, f, t_n, tol)
 
 
 def _size_tail(x: float, t: float, params: ModelParams) -> Callable[[float], float]:

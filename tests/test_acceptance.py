@@ -112,7 +112,7 @@ def test_criterion_04_founder_count_probabilities():
         rng = Random(20404)
         n_one = 100_000
         ones = sum(
-            gw.sample_mark_stats(FIG_LAW, rng, root_excluded=True)[1] == 1
+            gw.sample_tree(FIG_LAW, rng, root_excluded=True).mark_count == 1
             for _ in range(n_one)
         )
         freq = ones / n_one
@@ -123,7 +123,7 @@ def test_criterion_04_founder_count_probabilities():
         total = 0.0
         total_sq = 0.0
         for _ in range(n_multi):
-            marks = gw.sample_mark_stats(FIG_LAW, rng, root_excluded=True)[1]
+            marks = gw.sample_tree(FIG_LAW, rng, root_excluded=True).mark_count
             if marks >= 2:
                 total += marks
                 total_sq += marks * marks

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from rescue_sfs import cli, montecarlo, simulator
+from rescue_sfs import cli, gw_trees, montecarlo, simulator
 from rescue_sfs.params import load_config, observation_time
 
 REF_CFG = """
@@ -56,7 +56,8 @@ SIMULATE_DIGESTS = {
 }
 
 # pinned outputs of the other commands at REF_CFG: one theory id per index
-# kind, gw, the figures that sample trees (fig2), simulate (fig3, fig4, fig5)
+# kind, both founder generation laws (theory gn and tilde-gn, gw under both
+# conditions), the figures that sample trees (fig2), simulate (fig3, fig4, fig5)
 # or only evaluate (fig7), and compare over both index sets and both gate
 # modes
 GOLDEN_DIGESTS = [
@@ -89,8 +90,20 @@ GOLDEN_DIGESTS = [
         {"theory_clone_sfs.csv": "df9b4d249f24d2a9e02bc4252c78a5e7b4be4464b7e915a3be7b666d46102090"},
     ),
     (
+        ["theory", "--formula", "gn", "--i-range", "1:10"],
+        {"theory_gn.csv": "a783e51832b6f10ce2cbb2fb1cbd0ce6854d58d85f791f56192c0b1f8857eec3"},
+    ),
+    (
+        ["theory", "--formula", "tilde-gn", "--i-range", "1:10"],
+        {"theory_tilde_gn.csv": "b84df6d86b711f6133305968a28228980cb741ff01ab5778cac7e4783742d3bc"},
+    ),
+    (
         ["gw", "--samples", "2000"],
         {"gw_pmf.csv": "a3c941a8570a40475b2da89aa11209088dbfec2b1c544b8b0c2d5e7a8f8fc33c"},
+    ),
+    (
+        ["gw", "--condition", "at-least-one-mark", "--samples", "2000"],
+        {"gw_pmf.csv": "ddce6faa0dce895cc946d308c12a9a1dca3005145d244719d536802a739fbcb4"},
     ),
     (
         ["figures", "--which", "fig2", "--samples", "2000"],
@@ -452,6 +465,10 @@ def test_compare_report_is_strict_json(tmp_path, capsys):
         ["gw", "--g-max", "-1"],
         ["gw", "--p", "0.6"],
         ["gw", "--beta", "0"],
+        ["theory", "--formula", "P", "--i-range", "1:2", "--tol", "nan"],
+        ["theory", "--formula", "P", "--i-range", "1:2", "--tol", "0"],
+        ["compare", "--tol", "-1"],
+        ["gw", "--p", "0", "--root-excluded"],
     ],
     ids=[
         "d0-below-b0",
@@ -478,6 +495,10 @@ def test_compare_report_is_strict_json(tmp_path, capsys):
         "gw-g-max-negative",
         "gw-p-supercritical",
         "gw-beta-0",
+        "theory-tol-nan",
+        "theory-tol-0",
+        "compare-tol-negative",
+        "gw-p-0-root-excluded",
     ],
 )
 def test_bad_flag_values_exit_2(cfg_path, tmp_path, capsys, argv):
@@ -501,6 +522,17 @@ def test_cap_hit_exits_2_naming_replicate_and_seed(cfg_path, tmp_path, capsys, m
         "genealogy exceeded max_cells=5000000\n"
     )
     assert not os.path.exists(out / "report.json")
+
+
+def test_rejection_limit_exits_2(cfg_path, tmp_path, capsys, monkeypatch):
+    def starved(*args, **kwargs):
+        raise gw_trees.RejectionLimitError("no accepted tree in 1000000 attempts")
+
+    monkeypatch.setattr(gw_trees, "sample_conditioned", starved)
+    out = tmp_path / "o"
+    assert cli.main(["gw", "--config", cfg_path, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: no accepted tree in 1000000 attempts\n"
+    assert not os.path.exists(out / "gw_pmf.csv")
 
 
 @pytest.mark.parametrize(

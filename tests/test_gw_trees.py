@@ -197,7 +197,7 @@ def test_sample_tree_size_cap():
 def test_sample_tree_leaf_count_law():
     rng = Random(3)
     law = gw.GwLaw(p=0.25, beta=0.5)
-    counts = [gw.sample_mark_stats(law, rng)[0] for _ in range(100_000)]
+    counts = [gw.sample_tree(law, rng).n_leaves for _ in range(100_000)]
     u = gw.leaf_count_pmf_array(law, max(counts))
     res = gof_discrete(counts, lambda n: u[n])
     assert res.pvalue > 0.001
@@ -208,9 +208,9 @@ def test_sample_tree_mark_binomial_given_leaves():
     law = gw.GwLaw(p=0.3, beta=0.4)
     marks_given_3 = []
     for _ in range(60_000):
-        leaves, marks = gw.sample_mark_stats(law, rng)
-        if leaves == 3:
-            marks_given_3.append(marks)
+        tree = gw.sample_tree(law, rng)
+        if tree.n_leaves == 3:
+            marks_given_3.append(tree.mark_count)
     counts = Counter(marks_given_3)
     n = len(marks_given_3)
     for k in range(4):

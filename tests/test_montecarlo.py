@@ -310,8 +310,6 @@ def test_compare_index_mismatch_is_error():
     stats = agg.stats("s")
     with pytest.raises(mc.IndexMismatchError):
         mc.compare(stats, [1.0, 2.0])
-    with pytest.raises(mc.IndexMismatchError):
-        mc.compare(stats, {1.0: 0.0, 2.0: 0.0})
 
 
 def test_compare_relative_mode():
