@@ -201,12 +201,35 @@ def geometric_pmf(x: float, g: int) -> float:
     return x * (1.0 - x) ** (g - 1)
 
 
+# relative gap |p - pt| / p at or below which any_mark_pmf sums its divided
+# differences: the quotient loses about 2e-16 / gap of relative accuracy to
+# cancellation, so above the band it stays within about 2e-13 and is kept,
+# which leaves the law's outputs there bit for bit
+_DIVIDED_DIFFERENCE_BAND = 1e-3
+
+
+def _divided_power_difference(p: float, pt: float, m: int) -> float:
+    # (p^m - pt^m)/(p - pt) as sum_{k<m} p^k pt^(m-1-k): no cancellation, and
+    # its limit m p^(m-1) at pt = p (0^0 = 1, so p = pt = 0 gives [m == 1])
+    return sum(p**k * pt ** (m - 1 - k) for k in range(m))
+
+
 def any_mark_pmf(p: float, pt: float, g: int) -> float:
     """Generation law of a uniformly chosen marked leaf given >= 1 mark, in
     p and pt = p_tilde(1-beta):
-    2^(g-1)/(p-pt) * [ (p^g - pt^g)/g - 2 (p^(g+1) - pt^(g+1))/(g+1) ]."""
+    2^(g-1)/(p-pt) * [ (p^g - pt^g)/g - 2 (p^(g+1) - pt^(g+1))/(g+1) ].
+
+    Where |p - pt| <= 1e-3 p (p = 0 and beta -> 0 included) each divided
+    difference (p^m - pt^m)/(p - pt) is summed instead, so the law tends to
+    (2p)^(g-1) (1-2p) as beta -> 0 and is 1 at g = 1 for p = 0.
+    """
     if g < 1:
         raise ValueError(f"requires g >= 1, got {g}")
+    if abs(p - pt) <= _DIVIDED_DIFFERENCE_BAND * p:
+        return 2.0 ** (g - 1) * (
+            _divided_power_difference(p, pt, g) / g
+            - 2.0 * _divided_power_difference(p, pt, g + 1) / (g + 1)
+        )
     return (
         2.0 ** (g - 1)
         / (p - pt)

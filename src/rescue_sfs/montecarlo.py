@@ -19,8 +19,7 @@ from random import Random
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import chi2 as chi2_dist
-from scipy.stats import kstest
+from scipy.special import chdtrc
 
 from rescue_sfs import simulator
 from rescue_sfs.gw_trees import geometric_pmf
@@ -403,7 +402,7 @@ def gof_discrete(
     exp = np.append(n * probs[:cut], n * (1.0 - probs[:cut].sum()))
     stat = float(((obs - exp) ** 2 / exp).sum())
     dof = obs.size - 1
-    return GofResult(stat, float(chi2_dist.sf(stat, dof)), dof, obs.size)
+    return GofResult(stat, float(chdtrc(dof, stat)), dof, obs.size)
 
 
 def gof_geometric(samples: Sequence[int], x: float, min_expected: float = 5.0) -> GofResult:
@@ -420,6 +419,10 @@ def gof_exponential(samples: Sequence[float], rate: float) -> GofResult:
         raise DegenerateSampleError("need a non-degenerate sample")
     if rate <= 0:
         raise ValueError(f"requires rate > 0, got {rate}")
+    # imported here: scipy.stats costs about 0.5 s and 20 MB to load, and
+    # nothing else on the package's import path needs it
+    from scipy.stats import kstest
+
     res = kstest(data, "expon", args=(0.0, 1.0 / rate))
     return GofResult(float(res.statistic), float(res.pvalue), data.size, 0)
 
@@ -443,7 +446,7 @@ def gof_pooled_counts(
     e[big_pos] += exp[small].sum()
     stat = float(((o - e) ** 2 / e).sum())
     dof = o.size - 1
-    return GofResult(stat, float(chi2_dist.sf(stat, dof)), dof, o.size)
+    return GofResult(stat, float(chdtrc(dof, stat)), dof, o.size)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Shared fixtures: reference parameter set and the heavy Monte Carlo runs
-reused across acceptance criteria."""
+reused across acceptance criteria.
+
+The heavy runs use two workers; replicate_sfs aggregates do not depend on
+the worker count (test_replicate_sfs_equals_per_field_welford)."""
 
 from __future__ import annotations
 
@@ -41,6 +44,7 @@ def ref_agg_10k():
         replicates=10_000,
         seed=20111,
         i_max=20,
+        workers=2,
     )
 
 
@@ -54,4 +58,5 @@ def ref_agg_50k():
         seed=20222,
         i_max=121,
         windows=(0.6, 1.0, 2.0, 4.0, 6.0),
+        workers=2,
     )

@@ -165,7 +165,13 @@ def test_criterion_05_expected_founder_total(ref_agg_10k):
 def test_criterion_06_single_clone_sfs():
     with stopwatch() as sw:
         agg = mc.replicate_sfs(
-            REF, 2.0, replicates=100_000, seed=20606, initial=(0, 1), i_max=10
+            REF,
+            2.0,
+            replicates=100_000,
+            seed=20606,
+            initial=(0, 1),
+            i_max=10,
+            workers=2,
         )
         stats = agg.stats("s")
         theory_vals = [

@@ -2,6 +2,8 @@ import argparse
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -356,6 +358,36 @@ def test_gw_table(cfg_path, tmp_path):
     assert float(rows[1][1]) == pytest.approx(0.656591, abs=1e-5)
     counts = [int(r[3]) for r in rows[1:]]
     assert sum(counts) <= 2000 and counts[0] > 1000
+
+
+def test_gw_any_mark_at_p_zero(cfg_path, tmp_path):
+    # p = pt = 0: only the single-node tree, so generation 1 with probability 1
+    out = str(tmp_path / "o")
+    argv = ["gw", "--config", cfg_path, "--p", "0", "--condition", "at-least-one-mark"]
+    assert cli.main(argv + ["--samples", "10", "--out-dir", out]) == 0
+    rows = _read_csv(os.path.join(out, "gw_pmf.csv"))[1:]
+    assert [float(r[1]) for r in rows] == [1.0] + [0.0] * (len(rows) - 1)
+    assert rows[0][3] == "10"
+
+
+def test_theory_tilde_gn_at_gamma_zero(cfg_path, tmp_path):
+    # beta_n = 0: the beta -> 0 limit (2p)^(g-1) (1-2p) at p = 0.375
+    out = str(tmp_path / "o")
+    argv = ["theory", "--config", cfg_path, "--gamma", "0", "--formula", "tilde-gn"]
+    assert cli.main(argv + ["--i-range", "1:3", "--out-dir", out]) == 0
+    rows = _read_csv(os.path.join(out, "theory_tilde_gn.csv"))[1:]
+    assert [float(r[1]) for r in rows] == pytest.approx([0.25, 0.1875, 0.140625], rel=1e-14)
+
+
+def test_import_path_does_not_load_scipy_stats():
+    # scipy.stats takes about 0.5 s and 20 MB to import; only the KS test
+    # needs it, and it loads it on its first call
+    code = (
+        "import sys, rescue_sfs, rescue_sfs.theory, rescue_sfs.cli; "
+        "print(sorted(k for k in sys.modules if k.startswith('scipy.stats')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_compare_gate_exit_codes(cfg_path, tmp_path):

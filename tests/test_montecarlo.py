@@ -297,6 +297,22 @@ def test_gof_pooled_counts():
         mc.gof_pooled_counts([1, 2], [1.0, 2.0, 3.0])
 
 
+def test_chi_square_pvalues_equal_scipy_stats_chi2_sf():
+    from scipy.stats import chi2
+
+    rng = np.random.default_rng(14)
+    for x in (0.5, 0.48):
+        res = mc.gof_geometric(rng.geometric(x, size=5_000), 0.5)
+        assert 0.0 < res.pvalue < 1.0
+        assert res.pvalue == chi2.sf(res.statistic, res.dof)
+    for obs, exp in (
+        ([520, 480, 3], [500.0, 500.0, 3.0]),
+        ([10, 31, 60, 99], [25.0, 25.0, 50.0, 100.0]),
+    ):
+        res = mc.gof_pooled_counts(obs, exp)
+        assert res.pvalue == chi2.sf(res.statistic, res.dof)
+
+
 def test_compare_self_passes():
     agg = mc.replicate_sfs(TOY, T_OBS, replicates=60, seed=5, i_max=6)
     stats = agg.stats("s")

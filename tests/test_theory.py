@@ -247,6 +247,32 @@ def test_any_founder_time_pdf_taylor_branch():
     assert th.appearance_time_pdf_any(FIG_DP, 0.0) == pytest.approx(limit, rel=1e-12)
 
 
+def _generation_pmf_any_exact(b0, d0, gamma_n, g):
+    # 50-digit any-founder law: the closed form for beta_n > 0, its limit
+    # (2p)^(g-1) (1-2p) at beta_n = 0
+    with mpmath.workdps(50):
+        b0, d0, gn = mpmath.mpf(b0), mpmath.mpf(d0), mpmath.mpf(gamma_n)
+        p = (1 - gn) * b0 / (b0 + d0)
+        lam = d0 - b0
+        x = lam / (b0 + d0) * mpmath.sqrt(1 + 4 * b0 * d0 * gn * (2 - gn) / lam**2)
+        pt = (1 - x) / 2
+        if gn == 0:
+            return (2 * p) ** (g - 1) * (1 - 2 * p)
+        bracket = (p**g - pt**g) / g - 2 * (p ** (g + 1) - pt ** (g + 1)) / (g + 1)
+        return 2 ** (g - 1) / (p - pt) * bracket
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1e-12, 1e-6])
+def test_any_founder_generation_law_as_beta_vanishes(gamma):
+    # p_n - p_tilde_n is 0 or nearly so: the quotient form would be rounding
+    # noise (gamma = 0) or good to about 5e-9 (gamma = 1e-6)
+    params = dataclasses.replace(REF, gamma=gamma)
+    dp = derive(params)
+    for g in range(1, 51):
+        want = _generation_pmf_any_exact(dp.b0, dp.d0, params.gamma_n, g)
+        assert th.generation_pmf_any(dp, g) == pytest.approx(float(want), rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # founder counts
 # ---------------------------------------------------------------------------
