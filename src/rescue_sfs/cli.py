@@ -34,9 +34,9 @@ from rescue_sfs.params import (
     RunConfig,
     derive,
     derive_from_gamma_n,
-    make_config,
+    load_config,
+    log_time,
     observation_time,
-    parse_config_values,
 )
 
 # below this many replicates the SEM behind compare's z-score gate is itself
@@ -92,10 +92,12 @@ class _OutputSet:
 
 
 def _run(args: argparse.Namespace) -> int:
-    """Resolve the config and run one command; a failing command leaves
-    none of its outputs behind, a finished one gets a manifest."""
+    """Resolve the config (the file's values with the flags that were
+    given on top) and run one command; a failing command leaves none of its
+    outputs behind, a finished one gets a manifest."""
     started = time.time()
-    cfg = _resolve_config(args)
+    overrides = {key: getattr(args, key) for key in CONFIG_SCHEMA if getattr(args, key) is not None}
+    cfg = load_config(args.config, overrides)
     outputs = _OutputSet(args.out_dir)
     try:
         rc = args.func(args, cfg, outputs)
@@ -117,19 +119,6 @@ def _run(args: argparse.Namespace) -> int:
     return rc
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    """The config file's values with the flags that were given on top,
-    validated together once."""
-    try:
-        with open(args.config, encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
-    values = parse_config_values(text, source=args.config)
-    flags = {key: getattr(args, key) for key in CONFIG_SCHEMA if getattr(args, key) is not None}
-    return make_config(values | flags)
-
-
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="flat key=value config file")
     parser.add_argument("--out-dir", default="out", help="output directory")
@@ -140,7 +129,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _workers(args: argparse.Namespace) -> int:
     if args.workers is not None:
-        return max(1, args.workers)
+        return _at_least_one("--workers", args.workers)
     return os.cpu_count() or 1
 
 
@@ -157,18 +146,6 @@ def _replicates(args, cfg: RunConfig, i_max: int, windows=(), on_record=None):
         workers=_workers(args),
         on_record=on_record,
     )
-
-
-def _log_time(cfg: RunConfig) -> float:
-    """The observation time as a multiple of ln N, the t of the theory
-    formulas: t_mult (default 1/lambda0) in log-scaled mode, t_abs / ln N in
-    absolute mode."""
-    obs, params = cfg.observation, cfg.params
-    if obs.mode == "log-scaled":
-        return obs.t_mult if obs.t_mult is not None else 1.0 / (params.d0 - params.b0)
-    if params.n_init == 1:
-        raise ConfigError("absolute t_mode needs n_init > 1: t_abs / ln N is undefined at N = 1")
-    return obs.t_abs / math.log(params.n_init)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +325,7 @@ def _theory_rows(args, cfg: RunConfig):
     """(header, rows) for one formula id over the requested range."""
     params = cfg.params
     dp = derive(params)
-    t, t_abs = _log_time(cfg), observation_time(cfg.observation, params)
+    t, t_abs = log_time(cfg.observation, params), observation_time(cfg.observation, params)
     fid = args.formula
     i_list = _parse_irange(args.i_range) if args.i_range else None
     x_list = _parse_grid(args.x_grid) if args.x_grid else None
@@ -369,9 +346,7 @@ def _theory_rows(args, cfg: RunConfig):
             if len(x_list) < 2:
                 raise ConfigError(f"{fid} needs an --x-grid with at least two points")
             points = [(x1, (x1, x2)) for x1, x2 in zip(x_list, x_list[1:] + [math.inf])]
-    inputs = _TheoryInputs(
-        params, dp, t, t_abs, _tol(args), args.i or 1, args.u if args.u is not None else 1.0
-    )
+    inputs = _TheoryInputs(params, dp, t, t_abs, _tol(args), args.i, args.u)
     with _theory_domain(f"formula {fid!r}"):
         rows = [(index, *row(point, inputs), fid) for index, point in points]
     return ["index_or_x", "exact", "asymptotic", "error_bound", "formula_id"], rows
@@ -428,7 +403,7 @@ def cmd_gw(args: argparse.Namespace, cfg: RunConfig, outputs: _OutputSet) -> int
 
 
 def cmd_compare(args: argparse.Namespace, cfg: RunConfig, outputs: _OutputSet) -> int:
-    t = _log_time(cfg)
+    t = log_time(cfg.observation, cfg.params)
     tol = _tol(args)
     if not 0 <= args.threshold < math.inf:
         raise ConfigError(f"--threshold must be finite and >= 0, got {args.threshold}")
@@ -547,7 +522,7 @@ def _fig2(args, cfg: RunConfig, outputs: _OutputSet) -> None:
 
 def _fig3(args, cfg: RunConfig, outputs: _OutputSet) -> None:
     """Small-i expected SFS: empirical S and Sbar vs the fixed-i asymptote."""
-    t = _log_time(cfg)
+    t = log_time(cfg.observation, cfg.params)
     with _theory_domain("thm1"):
         thm1 = [theory.sfs_small_asymptotic(i, t, cfg.params).value for i in range(1, 122)]
     agg = _replicates(args, cfg, 121)
@@ -649,8 +624,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_th.add_argument("--formula", required=True, help=f"one of {', '.join(FORMULA_IDS)}")
     p_th.add_argument("--i-range", default=None, dest="i_range", help="LO:HI inclusive")
     p_th.add_argument("--x-grid", default=None, dest="x_grid", help="comma-separated x values")
-    p_th.add_argument("--i", type=int, default=None, help="carrier count for hi")
-    p_th.add_argument("--u", type=float, default=None, help="clone age for kappa")
+    p_th.add_argument("--i", type=int, default=1, help="carrier count for hi (default 1)")
+    p_th.add_argument("--u", type=float, default=1.0, help="clone age for kappa (default 1)")
     p_th.set_defaults(func=cmd_theory)
 
     p_gw = sub.add_parser("gw", help="sample conditioned trees, dump generation pmf table")

@@ -15,6 +15,7 @@ import operator
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from random import Random
 from typing import Callable, Sequence
 
@@ -43,18 +44,18 @@ class DegenerateSampleError(ValueError):
 # Python ints and elementwise on uint64 arrays, where a product of two
 # words fits and a wrapped difference keeps its low 32 bits
 _MASK32 = 0xFFFFFFFF
-_POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
-def _hashmix(value, hash_const: list[int], mult: int):
-    """Hash one word under the running constant ``hash_const[0]``, which
-    advances by ``mult``."""
-    value = (value ^ hash_const[0]) & _MASK32
-    hash_const[0] = (hash_const[0] * mult) & _MASK32
-    value = (value * hash_const[0]) & _MASK32
+def _hashmix(value, init: int, mult: int, k: int):
+    """Hash one word as the hash's call number k (from 0), whose running
+    constant starts at ``init`` and advances by ``mult`` once per call: it
+    is init * mult**k before the call."""
+    hash_const = init * pow(mult, k, 1 << 32) & _MASK32
+    value = (value ^ hash_const) & _MASK32
+    value = (value * (hash_const * mult & _MASK32)) & _MASK32
     return value ^ (value >> 16)
 
 
@@ -63,41 +64,24 @@ def _mix(x, y):
     return result ^ (result >> 16)
 
 
-def _mix_in(pool: list, word, hash_const: list[int]) -> list:
-    """The pool with one more entropy word mixed into each of its words."""
-    return [_mix(p, _hashmix(word, hash_const, _MULT_A)) for p in pool]
-
-
 def _child_states(master_seed: int, replicates: np.ndarray) -> list[np.ndarray]:
     """The four words of ``SeedSequence(master_seed, spawn_key=(r,))
     .generate_state(4)``, elementwise over a uint64 array of replicates r."""
     master_seed = operator.index(master_seed)
     if master_seed < 0:
         raise ValueError(f"requires master seed >= 0, got {master_seed}")
-    entropy = []
-    while True:
-        entropy.append(master_seed & _MASK32)
-        master_seed >>= 32
-        if not master_seed:
-            break
-    # a spawned child pads its seed's words with zeros to the pool size
-    entropy += [0] * (_POOL_SIZE - len(entropy))
-    hash_const = [_INIT_A]
-    pool = [_hashmix(w, hash_const, _MULT_A) for w in entropy[:_POOL_SIZE]]
-    for i_src in range(_POOL_SIZE):
-        for i_dst in range(_POOL_SIZE):
-            if i_src != i_dst:
-                pool[i_dst] = _mix(pool[i_dst], _hashmix(pool[i_src], hash_const, _MULT_A))
-    for word in entropy[_POOL_SIZE:]:
-        pool = _mix_in(pool, word, hash_const)
+    # a child pads its seed's words with zeros to the pool size, as the
+    # master's hash runs on with zeros, so it starts from the master's pool;
+    # mixing w words takes 4 * max(4, w) hashmix calls
+    pool = [int(word) for word in np.random.SeedSequence(master_seed).pool]
+    k = 4 * max(4, (master_seed.bit_length() + 31) // 32)
     # the spawn key's words: an index of 2**32 or more takes two
-    pool = _mix_in(pool, replicates & _MASK32, hash_const)
-    high = replicates >> 32
+    low, high = replicates & _MASK32, replicates >> 32
+    pool = [_mix(p, _hashmix(low, _INIT_A, _MULT_A, k + j)) for j, p in enumerate(pool)]
     if high.any():
-        wide = _mix_in(pool, high, hash_const)
+        wide = [_mix(p, _hashmix(high, _INIT_A, _MULT_A, k + 4 + j)) for j, p in enumerate(pool)]
         pool = [np.where(high > 0, w, p) for w, p in zip(wide, pool)]
-    hash_const = [_INIT_B]
-    return [_hashmix(p, hash_const, _MULT_B) for p in pool]
+    return [_hashmix(p, _INIT_B, _MULT_B, j) for j, p in enumerate(pool)]
 
 
 def replicate_seeds(master_seed: int, start: int, stop: int) -> list[int]:
@@ -252,9 +236,12 @@ class SfsAggregate:
         return float(self.scalars.mean[k]), float(self.scalars.sem()[k])
 
 
-def _run_chunk(args) -> tuple[SfsAggregate, list[simulator.SfsRecord]]:
-    """Aggregate of one replicate range, plus its records in replicate
-    order when ``keep`` is set (else an empty list).
+def _run_chunk(
+    start: int, stop: int, *, params: ModelParams, t_obs: float, initial: tuple[int, int],
+    master_seed: int, i_max: int, windows: tuple[float, ...], keep: bool,
+) -> tuple[SfsAggregate, list[simulator.SfsRecord]]:
+    """Aggregate of replicates start..stop-1, plus their records in
+    replicate order when ``keep`` is set (else an empty list).
 
     Each replicate's row (s | sbar | sunder | window s | window sbar |
     window sunder | scalars) is written into one array and added to one
@@ -262,9 +249,8 @@ def _run_chunk(args) -> tuple[SfsAggregate, list[simulator.SfsRecord]]:
     aggregate's statistics afterwards gives them bit for bit what separate
     accumulators would hold.  Without windows the window statistics stay
     empty (n = 0)."""
-    (params, t_obs, initial, master_seed, start, stop, i_max, windows, keep) = args
     lambda1 = params.b1 - params.d1
-    agg = SfsAggregate(params, t_obs, initial, master_seed, i_max, tuple(windows))
+    agg = SfsAggregate(params, t_obs, initial, master_seed, i_max, windows)
     fields = ("s", "sbar", "sunder")
     if windows:
         fields += ("window_s", "window_sbar", "window_sunder")
@@ -335,25 +321,18 @@ def replicate_sfs(
         raise ValueError(f"requires chunk_size >= 1, got {chunk_size}")
     if initial is None:
         initial = (params.n_init, 0)
-    chunks = [
-        (
-            params,
-            t_obs,
-            initial,
-            seed,
-            start,
-            min(start + chunk_size, replicates),
-            i_max,
-            tuple(windows),
-            on_record is not None,
-        )
-        for start in range(0, replicates, chunk_size)
-    ]
-    total = SfsAggregate(params, t_obs, initial, seed, i_max, tuple(windows))
-    workers = min(workers, len(chunks))
+    windows = tuple(windows)
+    run_chunk = partial(
+        _run_chunk, params=params, t_obs=t_obs, initial=initial, master_seed=seed, i_max=i_max,
+        windows=windows, keep=on_record is not None,
+    )
+    starts = range(0, replicates, chunk_size)
+    stops = [min(start + chunk_size, replicates) for start in starts]
+    total = SfsAggregate(params, t_obs, initial, seed, i_max, windows)
+    workers = min(workers, len(starts))
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        results = pool.map(_run_chunk, chunks) if pool else map(_run_chunk, chunks)
-        for start, (agg, records) in zip(range(0, replicates, chunk_size), results):
+        results = (pool.map if pool else map)(run_chunk, starts, stops)
+        for start, (agg, records) in zip(starts, results):
             total.merge(agg)
             for r, record in enumerate(records, start):
                 on_record(r, record)

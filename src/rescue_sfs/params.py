@@ -178,14 +178,22 @@ class ObservationSpec:
                 raise ParameterError(f"absolute mode requires t_abs > 0, got t_abs={self.t_abs}")
 
 
+def log_time(spec: ObservationSpec, params: ModelParams) -> float:
+    """The observation time as a multiple of ln N, the t of the theory
+    formulas: t_mult (default 1/lambda0) in log-scaled mode, t_abs / ln N in
+    absolute mode."""
+    if spec.mode == "log-scaled":
+        return spec.t_mult if spec.t_mult is not None else 1.0 / (params.d0 - params.b0)
+    if params.n_init == 1:
+        raise ConfigError("absolute t_mode needs n_init > 1: t_abs / ln N is undefined at N = 1")
+    return spec.t_abs / math.log(params.n_init)
+
+
 def observation_time(spec: ObservationSpec, params: ModelParams) -> float:
     """Resolve the observation time for a parameter set."""
     if spec.mode == "absolute":
         return float(spec.t_abs)
-    t_mult = spec.t_mult
-    if t_mult is None:
-        t_mult = 1.0 / (params.d0 - params.b0)
-    return t_mult * math.log(params.n_init)
+    return log_time(spec, params) * math.log(params.n_init)
 
 
 @dataclass(frozen=True)
@@ -297,18 +305,14 @@ def parse_config_values(text: str, source: str = "<config>") -> dict:
     return values
 
 
-def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
-    """Parse a flat ``key = value`` config into a RunConfig: its typed
-    values (see parse_config_values), then make_config.  Every error is a
-    ConfigError that names the source."""
-    values = parse_config_values(text, source)
+def load_config(path: str, overrides: dict | None = None) -> RunConfig:
+    """Read a config file and validate its values, with ``overrides`` (key
+    -> typed value) on top, together once (make_config).  An unreadable file
+    or a malformed line raises ConfigError naming the path; a violated
+    constraint, which may come from an override, ParameterError without it."""
     try:
-        return make_config(values)
-    except (ConfigError, ParameterError) as exc:
-        raise ConfigError(f"{source}: {exc}") from exc
-
-
-def load_config(path: str) -> RunConfig:
-    """Read and parse a config file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), source=str(path))
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    return make_config(parse_config_values(text, source=str(path)) | (overrides or {}))

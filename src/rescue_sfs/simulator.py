@@ -148,6 +148,10 @@ def _initial(
     return n0_init, n1_init
 
 
+def _cap_error(max_cells: int, t_obs: float) -> PopulationCapError:
+    return PopulationCapError(f"genealogy exceeded max_cells={max_cells} before t_obs={t_obs:.4f}")
+
+
 def run(
     params: ModelParams,
     t_obs: float,
@@ -234,9 +238,7 @@ def run(
                 push0((child, t, g, rid))
         event_counts[(0, 2, 3)[flips]] += 1
         if len(parent) > max_cells:
-            raise PopulationCapError(
-                f"genealogy exceeded max_cells={max_cells} before t_obs={t_obs:.4f}"
-            )
+            raise _cap_error(max_cells, t_obs)
 
     # every node made from here on is a daughter of a resistant division
     first_resistant_daughter = len(parent)
@@ -261,9 +263,7 @@ def run(
             edge_mutations.append(m)
             status.append(STATUS_ALIVE)
         if len(parent) > max_cells:
-            raise PopulationCapError(
-                f"genealogy exceeded max_cells={max_cells} before t_obs={t_obs:.4f}"
-            )
+            raise _cap_error(max_cells, t_obs)
 
     n_resistant_daughters = len(parent) - first_resistant_daughter
     event_counts[2] += n_resistant_daughters // 2
@@ -352,9 +352,7 @@ def sample_sfs(
             else:
                 push0((t, m, slot))
         if slot > max_slots:
-            raise PopulationCapError(
-                f"genealogy exceeded max_cells={max_cells} before t_obs={t_obs:.4f}"
-            )
+            raise _cap_error(max_cells, t_obs)
 
     # an edge is of sensitive origin exactly when its mother's slot is
     # below first_resistant
@@ -387,9 +385,7 @@ def sample_sfs(
                 m = 1 if u < cdf1 else 2 if u < cdf2 else bisect_right(cdf, u, 3)
             push1((t, m, slot))
         if slot > max_slots:
-            raise PopulationCapError(
-                f"genealogy exceeded max_cells={max_cells} before t_obs={t_obs:.4f}"
-            )
+            raise _cap_error(max_cells, t_obs)
 
     s_res: dict[int, int] = {1: ones_res} if ones_res else {}
     s_sen: dict[int, int] = {1: ones_sen} if ones_sen else {}

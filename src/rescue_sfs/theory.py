@@ -297,20 +297,29 @@ def generation_pmf_any(dp: DerivedParams, g: int) -> float:
 def appearance_time_pdf_any(dp: DerivedParams, t: float) -> float:
     """Appearance time of a uniformly chosen founder given at least one.
 
-    Gamma mixture of generation_pmf_any; the closed form is 0/0 at t -> 0,
-    handled by a second-order expansion for tiny t delta0 (p - pt).
+    Gamma mixture of generation_pmf_any: with eps = 2 t delta0 (p - pt),
+    E = 1 - e^-eps and phi = (eps - E) / eps^2, it is
+    delta0 e^(-t delta0 (1 - 2p)) [(E/eps)(1 - 2pt) - 2(p - pt) phi].
+    Both E/eps and phi cancel as eps -> 0, so below eps = 0.1 phi comes
+    from its series sum_k (-eps)^k / (k+2)! and E/eps = 1 - eps phi.
     """
     if t < 0:
         raise ValueError(f"requires t >= 0, got {t}")
     p, pt, d0 = dp.p_n, dp.p_tilde_n, dp.delta0
     eps = 2.0 * t * d0 * (p - pt)
-    front = math.exp(-t * d0 * (1.0 - 2.0 * p))
-    if eps < 1e-6:
-        # bracket/(2t(p-pt)) = delta0 [ (1-p-pt) + eps (pt - 1/2 + (p-pt)/3) + O(eps^2) ]
-        return front * d0 * ((1.0 - p - pt) + eps * (pt - 0.5 + (p - pt) / 3.0))
-    one_minus_en = -math.expm1(-eps)  # 1 - e_n without cancellation
-    bracket = one_minus_en * (1.0 + 1.0 / (t * d0)) - 2.0 * (p - pt * (1.0 - one_minus_en))
-    return front * bracket / (2.0 * t * (p - pt))
+    if eps < 0.1:
+        # Horner form phi = (1 - eps/3 (1 - eps/4 (1 - ...))) / 2 to the
+        # eps^9 / 11! term: the first term dropped is below 1e-18 of phi
+        nested = 1.0
+        for k in range(11, 2, -1):
+            nested = 1.0 - eps * nested / k
+        phi = nested / 2.0
+        e_over_eps = 1.0 - eps * phi
+    else:
+        e_over_eps = -math.expm1(-eps) / eps
+        phi = (1.0 - e_over_eps) / eps
+    bracket = e_over_eps * (1.0 - 2.0 * pt) - 2.0 * (p - pt) * phi
+    return math.exp(-t * d0 * (1.0 - 2.0 * p)) * d0 * bracket
 
 
 # ---------------------------------------------------------------------------

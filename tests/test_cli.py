@@ -501,6 +501,9 @@ def test_compare_report_is_strict_json(tmp_path, capsys):
         ["theory", "--formula", "P", "--i-range", "1:2", "--tol", "0"],
         ["compare", "--tol", "-1"],
         ["gw", "--p", "0", "--root-excluded"],
+        ["theory", "--formula", "hi", "--x-grid", "2", "--i", "0"],
+        ["simulate", "--workers", "0"],
+        ["compare", "--workers", "-5"],
     ],
     ids=[
         "d0-below-b0",
@@ -531,6 +534,9 @@ def test_compare_report_is_strict_json(tmp_path, capsys):
         "theory-tol-0",
         "compare-tol-negative",
         "gw-p-0-root-excluded",
+        "hi-i-0",
+        "simulate-workers-0",
+        "compare-workers-negative",
     ],
 )
 def test_bad_flag_values_exit_2(cfg_path, tmp_path, capsys, argv):

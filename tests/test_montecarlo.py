@@ -25,7 +25,12 @@ def _spawned_seed(master_seed, r):
     return int.from_bytes(words.astype(">u4").tobytes(), "big")
 
 
-@pytest.mark.parametrize("master_seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 2**130 + 5, 20240601])
+# 2**96, 2**128 - 1 and 2**128 take 4, 4 and 5 words: the master's hash runs
+# 4 * max(4, words) steps before the spawn key's words
+@pytest.mark.parametrize(
+    "master_seed",
+    [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 2**96, 2**128 - 1, 2**128, 2**130 + 5, 20240601],
+)
 def test_replicate_seeds_match_seed_sequence(master_seed):
     chunk = mc.replicate_seeds(master_seed, 0, mc.DEFAULT_CHUNK)
     assert chunk == [_spawned_seed(master_seed, r) for r in range(mc.DEFAULT_CHUNK)]

@@ -9,9 +9,11 @@ from rescue_sfs.params import (
     ParameterError,
     derive,
     derive_from_gamma_n,
+    load_config,
+    log_time,
     make_config,
     observation_time,
-    parse_config_text,
+    parse_config_values,
 )
 
 REF = ModelParams(b0=1.2, d0=2.0, b1=1.2, d1=0.5, omega=2.0, gamma=1.0, alpha=0.9, n_init=500)
@@ -106,6 +108,12 @@ def test_observation_time():
     assert observation_time(ObservationSpec(mode="log-scaled", t_mult=1.0), one) == 0.0
     # default multiplier is 1/lambda0
     assert observation_time(ObservationSpec(), REF) == pytest.approx(t_n, rel=1e-12)
+    # the theory formulas' t is the observation time over ln N
+    assert log_time(ObservationSpec(), REF) == 1.0 / 0.8
+    absolute = ObservationSpec(mode="absolute", t_abs=2.0)
+    assert log_time(absolute, REF) == pytest.approx(2.0 / math.log(500), rel=1e-15)
+    with pytest.raises(ConfigError, match="n_init > 1"):
+        log_time(absolute, one)
 
 
 def test_observation_spec_validation():
@@ -136,7 +144,7 @@ seed = 42
 
 
 def test_parse_config_roundtrip():
-    cfg = parse_config_text(CONFIG, source="ref.cfg")
+    cfg = make_config(parse_config_values(CONFIG, source="ref.cfg"))
     assert cfg.params == REF
     assert cfg.replicates == 100
     assert cfg.seed == 42
@@ -146,18 +154,19 @@ def test_parse_config_roundtrip():
 def test_parse_config_missing_key_names_it():
     text = "\n".join(l for l in CONFIG.splitlines() if not l.startswith("b0"))
     with pytest.raises(ConfigError, match="'b0'"):
-        parse_config_text(text)
+        make_config(parse_config_values(text))
 
 
 def test_parse_config_errors_cite_key_and_line():
     with pytest.raises(ConfigError, match=r"cfg:2: unknown key 'bo'"):
-        parse_config_text("b0 = 1.0\nbo = 2.0", source="cfg")
+        make_config(parse_config_values("b0 = 1.0\nbo = 2.0", source="cfg"))
     with pytest.raises(ConfigError, match=r"cfg:3: duplicate key 'b0'"):
-        parse_config_text("b0 = 1.0\nd0 = 2.0\nb0 = 1.5", source="cfg")
+        make_config(parse_config_values("b0 = 1.0\nd0 = 2.0\nb0 = 1.5", source="cfg"))
     with pytest.raises(ConfigError, match="'n_init'"):
-        parse_config_text(CONFIG.replace("n_init = 500", "n_init = many"), source="cfg")
+        text = CONFIG.replace("n_init = 500", "n_init = many")
+        make_config(parse_config_values(text, source="cfg"))
     with pytest.raises(ConfigError, match="expected 'key = value'"):
-        parse_config_text("b0 : 1.0", source="cfg")
+        make_config(parse_config_values("b0 : 1.0", source="cfg"))
 
 
 def test_parse_config_defaults():
@@ -174,11 +183,25 @@ def test_parse_config_defaults():
             ("n_init", 500),
         ]
     )
-    cfg = parse_config_text(minimal)
+    cfg = make_config(parse_config_values(minimal))
     assert cfg.params.mutation_law == "poisson"
     assert cfg.observation.mode == "log-scaled"
     assert cfg.observation.t_mult is None  # resolves to 1/lambda0 at use
     assert cfg.replicates == 1000
+
+
+def test_load_config_overrides_and_errors(tmp_path):
+    path = tmp_path / "ref.cfg"
+    path.write_text(CONFIG.replace("d0 = 2.0", "d0 = 0.5"))
+    # an override mends the file's value; the merged values are checked once
+    cfg = load_config(str(path), {"d0": 2.0, "seed": 7})
+    assert (cfg.params, cfg.replicates, cfg.seed) == (REF, 100, 7)
+    # a violated constraint may come from an override, so it names no file
+    with pytest.raises(ParameterError, match="d0 > b0") as info:
+        load_config(str(path))
+    assert str(path) not in str(info.value)
+    with pytest.raises(ConfigError, match=f"cannot read config file {tmp_path / 'none.cfg'}"):
+        load_config(str(tmp_path / "none.cfg"))
 
 
 def test_make_config_routes_keys_and_rejects_strays():

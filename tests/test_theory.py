@@ -247,6 +247,26 @@ def test_any_founder_time_pdf_taylor_branch():
     assert th.appearance_time_pdf_any(FIG_DP, 0.0) == pytest.approx(limit, rel=1e-12)
 
 
+def _appearance_time_pdf_any_exact(dp, t):
+    # 50-digit closed form on the float inputs p_n, p_tilde_n, delta0 and t
+    with mpmath.workdps(50):
+        p, pt, d0, t = (mpmath.mpf(v) for v in (dp.p_n, dp.p_tilde_n, dp.delta0, t))
+        e = -mpmath.expm1(-2 * t * d0 * (p - pt))
+        bracket = e * (1 + 1 / (t * d0)) - 2 * (p - pt * (1 - e))
+        return mpmath.exp(-t * d0 * (1 - 2 * p)) * bracket / (2 * t * (p - pt))
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1e-3, 1e-6])
+def test_any_founder_time_pdf_matches_mpmath(gamma):
+    # the closed form cancels for small t delta0 (p - pt); at gamma = 1 and
+    # 1e-3 it used to be off by up to 1.5e-10 relative
+    dp = derive(dataclasses.replace(REF, gamma=gamma))
+    for k in range(-90, 14):
+        t = 10 ** (k / 10)
+        want = _appearance_time_pdf_any_exact(dp, t)
+        assert th.appearance_time_pdf_any(dp, t) == pytest.approx(float(want), rel=1e-13)
+
+
 def _generation_pmf_any_exact(b0, d0, gamma_n, g):
     # 50-digit any-founder law: the closed form for beta_n > 0, its limit
     # (2p)^(g-1) (1-2p) at beta_n = 0
