@@ -210,13 +210,15 @@ def _parse_grid(text: str) -> list[float]:
         raise ConfigError(f"bad grid {text!r}: {exc}") from exc
     if not vals:
         raise ConfigError(f"empty grid {text!r}")
+    if any(math.isnan(v) for v in vals):
+        raise ConfigError(f"grid {text!r} holds nan")
     return vals
 
 
 def _parse_windows(text: str) -> list[float]:
     edges = _parse_grid(text)
-    if min(edges) <= 0:
-        raise ConfigError(f"window edges must be > 0, got {text!r}")
+    if not all(0 < x < math.inf for x in edges):
+        raise ConfigError(f"window edges must be finite and > 0, got {text!r}")
     return edges
 
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from random import Random
 
 import numpy as np
-from scipy.special import gammaln
 
 DEFAULT_CUTOFF = 2000
 
@@ -85,6 +84,8 @@ def catalan_sequence(n_max: int) -> list[int]:
 def _log_catalan(n):
     # log of the n-th sequence term a_n = C_{n-1} = (2n-2)! / (n! (n-1)!), n
     # an int or an array
+    from scipy.special import gammaln
+
     return gammaln(2 * n - 1) - gammaln(n + 1) - gammaln(n)
 
 

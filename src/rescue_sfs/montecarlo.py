@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import operator
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
@@ -20,7 +19,6 @@ from random import Random
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import chdtrc
 
 from rescue_sfs import simulator
 from rescue_sfs.gw_trees import geometric_pmf
@@ -319,9 +317,11 @@ def replicate_sfs(
         raise ValueError(f"requires replicates >= 2, got {replicates}")
     if chunk_size < 1:
         raise ValueError(f"requires chunk_size >= 1, got {chunk_size}")
+    windows = tuple(windows)
+    if not all(0 < x < math.inf for x in windows):
+        raise ValueError(f"requires finite window edges > 0, got {windows}")
     if initial is None:
         initial = (params.n_init, 0)
-    windows = tuple(windows)
     run_chunk = partial(
         _run_chunk, params=params, t_obs=t_obs, initial=initial, master_seed=seed, i_max=i_max,
         windows=windows, keep=on_record is not None,
@@ -330,8 +330,13 @@ def replicate_sfs(
     stops = [min(start + chunk_size, replicates) for start in starts]
     total = SfsAggregate(params, t_obs, initial, seed, i_max, windows)
     workers = min(workers, len(starts))
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        results = (pool.map if pool else map)(run_chunk, starts, stops)
+    pool = nullcontext()
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=workers)
+    with pool:
+        results = (pool.map if workers > 1 else map)(run_chunk, starts, stops)
         for start, (agg, records) in zip(starts, results):
             total.merge(agg)
             for r, record in enumerate(records, start):
@@ -379,6 +384,8 @@ def gof_discrete(
         raise DegenerateSampleError("sample too small for a pooled chi-square test")
     obs = np.append(counts[1 : cut + 1], counts[cut + 1 :].sum()).astype(float)
     exp = np.append(n * probs[:cut], n * (1.0 - probs[:cut].sum()))
+    from scipy.special import chdtrc
+
     stat = float(((obs - exp) ** 2 / exp).sum())
     dof = obs.size - 1
     return GofResult(stat, float(chdtrc(dof, stat)), dof, obs.size)
@@ -398,8 +405,9 @@ def gof_exponential(samples: Sequence[float], rate: float) -> GofResult:
         raise DegenerateSampleError("need a non-degenerate sample")
     if rate <= 0:
         raise ValueError(f"requires rate > 0, got {rate}")
-    # imported here: scipy.stats costs about 0.5 s and 20 MB to load, and
-    # nothing else on the package's import path needs it
+    # scipy (and the process pool) are imported by the call that uses them,
+    # so importing the package loads numpy and the standard library only:
+    # scipy.stats alone costs about 0.5 s and 20 MB to load
     from scipy.stats import kstest
 
     res = kstest(data, "expon", args=(0.0, 1.0 / rate))
@@ -423,6 +431,8 @@ def gof_pooled_counts(
     big_pos = int(np.flatnonzero(np.flatnonzero(keep) == big)[0])
     o[big_pos] += obs[small].sum()
     e[big_pos] += exp[small].sum()
+    from scipy.special import chdtrc
+
     stat = float(((o - e) ** 2 / e).sum())
     dof = o.size - 1
     return GofResult(stat, float(chdtrc(dof, stat)), dof, o.size)

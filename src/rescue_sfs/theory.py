@@ -8,6 +8,10 @@ windows of carrier counts around x * e^(lambda1 * t_N).
 Every numerically evaluated quantity is returned as a TheoryValue carrying
 a certified absolute error bound (series tail, rounding bound of a
 recurrence, or quadrature estimate plus truncation tail).
+
+Domain checks and quadrature acceptance are written so that NaN fails
+them (``not x > 0``, ``not bound <= tol``): NaN fails every comparison, so
+``x <= 0`` would let it through to a wrong value or an endless series.
 """
 
 from __future__ import annotations
@@ -15,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
-
-from scipy.integrate import quad
 
 from rescue_sfs.gw_trees import any_mark_pmf, geometric_pmf
 from rescue_sfs.params import DerivedParams, ModelParams, derive
@@ -36,7 +38,7 @@ class TheoryValue:
     abs_error_bound: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.abs_error_bound < 0:
+        if not self.abs_error_bound >= 0:
             raise ValueError("abs_error_bound must be >= 0")
 
     def __float__(self) -> float:
@@ -67,10 +69,12 @@ def quad_semi_infinite(
     adaptive Gauss-Kronrod handles [0, s_max] to tol/2, and the certified
     bound is its error estimate plus ``tail_bound(s_max)``.
     """
+    from scipy.integrate import quad
+
     tail = tail_bound(s_max)
     value, err = quad(integrand, 0.0, s_max, epsabs=tol / 2, epsrel=1e-11, limit=400)
     bound = err + tail
-    if bound > tol:
+    if not bound <= tol:
         raise QuadratureError(f"requested tol {tol:g}, achieved bound {bound:g}")
     return TheoryValue(value, bound)
 
@@ -87,11 +91,13 @@ def _quad_finite(
     estimate, plus ``rounding(value, err)`` for the integrand's own error
     when given; it is asked to meet tol / max(scale, 1), and this raises
     where it exceeds both that and 1e-8 |value|."""
+    from scipy.integrate import quad
+
     tol = tol / max(scale, 1.0)
     value, err = quad(integrand, 0.0, hi, epsabs=tol, epsrel=epsrel, limit=400)
     if rounding is not None:
         err += rounding(value, err)
-    if err > max(tol, abs(value) * 1e-8):
+    if not err <= max(tol, abs(value) * 1e-8):
         raise QuadratureError(f"requested tol {tol:g}, achieved bound {err:g}")
     return TheoryValue(scale * value, scale * err)
 
@@ -180,7 +186,7 @@ def _shape(i: int, x: float, rho: float, tol: float) -> tuple[float, float]:
 
 
 def _check_shape_args(i: int, rho: float, tol: float) -> None:
-    if i < 1:
+    if not i >= 1:
         raise ValueError(f"requires i >= 1, got {i}")
     if not 0 <= rho < 1:
         raise ValueError(f"requires 0 <= rho < 1, got {rho}")
@@ -211,7 +217,7 @@ def shape_integral_truncated(i: int, x: float, rho: float, tol: float = SHAPE_TO
     _check_shape_args(i, rho, tol)
     if x == math.inf:
         return shape_integral(i, rho, tol)
-    if x < 1.0:
+    if not x >= 1.0:
         raise ValueError(f"requires x >= 1, got {x}")
     value, bound = _shape(i, x, rho, tol)
     return TheoryValue(value, bound)
@@ -219,7 +225,7 @@ def shape_integral_truncated(i: int, x: float, rho: float, tol: float = SHAPE_TO
 
 def _size_pmf(i: int, b1: float, d1: float) -> Callable[[float], float]:
     """y -> P(clone size = i) at scale y = e^(-lambda1 u), y not checked."""
-    if i < 1:
+    if not i >= 1:
         raise ValueError(f"requires i >= 1, got {i}")
     rho = d1 / b1
     c = ((b1 - d1) / b1) ** 2
@@ -235,14 +241,14 @@ def clone_size_pmf(i: int, u: float, b1: float, d1: float) -> float:
 
     (lambda1/b1)^2 y (1-y)^(i-1) / (1 - (d1/b1) y)^(i+1).
     """
-    if u < 0:
+    if not u >= 0:
         raise ValueError(f"requires u >= 0, got {u}")
     return _size_pmf(i, b1, d1)(math.exp(-(b1 - d1) * u))
 
 
 def clone_extinction_prob(u: float, b1: float, d1: float) -> float:
     """P(the clone of one founder is extinct by age u)."""
-    if u < 0:
+    if not u >= 0:
         raise ValueError(f"requires u >= 0, got {u}")
     lam1 = b1 - d1
     e = math.exp(-lam1 * u)
@@ -254,7 +260,7 @@ def single_clone_sfs(
 ) -> TheoryValue:
     """Expected number of mutations carried by exactly i cells at time t in
     a clone grown from one founder: omega e^(lambda1 t) h_i(e^(lambda1 t))."""
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"requires t >= 0, got {t}")
     if omega == 0.0 or t == 0.0:
         return TheoryValue(0.0, 0.0)
@@ -282,7 +288,7 @@ def generation_pmf(dp: DerivedParams, g: int) -> float:
 def appearance_time_pdf(dp: DerivedParams, t: float) -> float:
     """Appearance time of the founder given exactly one founder:
     exponential with rate delta0 * x_n."""
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"requires t >= 0, got {t}")
     rate = dp.delta0 * dp.x_n
     return rate * math.exp(-rate * t)
@@ -303,7 +309,7 @@ def appearance_time_pdf_any(dp: DerivedParams, t: float) -> float:
     Both E/eps and phi cancel as eps -> 0, so below eps = 0.1 phi comes
     from its series sum_k (-eps)^k / (k+2)! and E/eps = 1 - eps phi.
     """
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"requires t >= 0, got {t}")
     p, pt, d0 = dp.p_n, dp.p_tilde_n, dp.delta0
     eps = 2.0 * t * d0 * (p - pt)
@@ -372,7 +378,7 @@ def window_weight_resistant(x: float, dp: DerivedParams, tol: float = DEFAULT_TO
 
     Positive and strictly decreasing in x (sign-normalized magnitude).
     """
-    if x <= 0:
+    if not x > 0:
         raise ValueError(f"requires x > 0, got {x}")
     lam0, lam1 = dp.lambda0, dp.lambda1
     a = x * lam1 / dp.b1
@@ -394,7 +400,7 @@ def window_weight_sensitive(x: float, dp: DerivedParams, tol: float = DEFAULT_TO
 
     (1/b1) Int_0^inf (1 + 2 b0 s) e^(-lambda0 s) e^(-x (lambda1/b1) e^(lambda1 s)) ds.
     """
-    if x <= 0:
+    if not x > 0:
         raise ValueError(f"requires x > 0, got {x}")
     b0, b1 = dp.b0, dp.b1
     lam0, lam1 = dp.lambda0, dp.lambda1
@@ -420,7 +426,7 @@ def window_weight_resistant_slope(
     (2 lambda1/(b1 (lambda0+lambda1))) Int_0^inf (1 - e^(-(lambda0+lambda1)s))
     e^(2 lambda1 s) e^(-x (lambda1/b1) e^(lambda1 s)) ds.
     """
-    if x <= 0:
+    if not x > 0:
         raise ValueError(f"requires x > 0, got {x}")
     lam0, lam1 = dp.lambda0, dp.lambda1
     a = x * lam1 / dp.b1
@@ -449,7 +455,7 @@ def sfs_small_asymptotic(i: int, t: float, params: ModelParams) -> TheoryValue:
 
     I(i) * 2 b0 gamma omega / (lambda0 + lambda1) * N^(lambda1 t + 1 - alpha).
     """
-    if t <= 0:
+    if not t > 0:
         raise ValueError(f"requires t > 0, got {t}")
     if params.omega == 0.0:
         return TheoryValue(0.0, 0.0)
@@ -523,9 +529,9 @@ def resistant_origin_main_term(
     pref (1-rho)/r Int_0^(lambda1 t_N) ((e^u-1)/(e^u-rho))^(i-1) (e^u-rho)^(-2)
       (1 - e^((r/lambda1) u - r t_N)) du.
     """
-    if i < 1:
+    if not i >= 1:
         raise ValueError(f"requires i >= 1, got {i}")
-    if t <= 0:
+    if not t > 0:
         raise ValueError(f"requires t > 0, got {t}")
     if params.omega == 0.0:
         return TheoryValue(0.0, 0.0)
@@ -578,7 +584,7 @@ def _sensitive_founder_integral(
     N gamma_n (1-x_n) delta0 omega / (2 (1-gamma_n)) Int_0^(t_N)
       size(e^(-lambda1 (t_N-s))) (1 + s delta0 (1-x_n)) e^(-s delta0 x_n) ds.
     """
-    if t <= 0:
+    if not t > 0:
         raise ValueError(f"requires t > 0, got {t}")
     if params.omega == 0.0:
         return TheoryValue(0.0, 0.0)
@@ -608,7 +614,7 @@ def _resistant_division_integral(
     with E[Z1(s)] = 2 gamma_n b0 N (e^(lambda1 s) - e^(-lt0 s)) / (lambda1 + lt0)
     and lt0 = lambda0 + 2 gamma_n b0 the sensitive population's decay rate.
     """
-    if t <= 0:
+    if not t > 0:
         raise ValueError(f"requires t > 0, got {t}")
     if params.omega == 0.0:
         return TheoryValue(0.0, 0.0)
@@ -630,7 +636,7 @@ def _size_tail(x: float, t: float, params: ModelParams) -> Callable[[float], flo
     edge m = floor(x e^(lambda1 t_N)): the closed geometric tail
     (lambda1/b1) q^m / (1 - rho y) with q = (1-y)/(1-rho y); at m = 0 this
     is the survival probability 1 - extinction mass."""
-    if x <= 0:
+    if not x > 0:
         raise ValueError(f"requires x > 0, got {x}")
     b1, d1 = params.b1, params.d1
     rho = d1 / b1

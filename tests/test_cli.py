@@ -379,15 +379,44 @@ def test_theory_tilde_gn_at_gamma_zero(cfg_path, tmp_path):
     assert [float(r[1]) for r in rows] == pytest.approx([0.25, 0.1875, 0.140625], rel=1e-14)
 
 
-def test_import_path_does_not_load_scipy_stats():
-    # scipy.stats takes about 0.5 s and 20 MB to import; only the KS test
-    # needs it, and it loads it on its first call
-    code = (
-        "import sys, rescue_sfs, rescue_sfs.theory, rescue_sfs.cli; "
-        "print(sorted(k for k in sys.modules if k.startswith('scipy.stats')))"
+def test_theory_x_grid_takes_inf(cfg_path, tmp_path):
+    # the grid rejects nan, but x = inf is the complete shape integral for hi
+    # and a zero density for tn
+    for formula, expected in (("hi", lambda row: float(row[2])), ("tn", lambda row: 0.0)):
+        out = str(tmp_path / formula)
+        argv = ["theory", "--config", cfg_path, "--formula", formula, "--x-grid", "inf"]
+        assert cli.main(argv + ["--out-dir", out]) == 0
+        (row,) = _read_csv(os.path.join(out, f"theory_{formula}.csv"))[1:]
+        assert float(row[1]) == expected(row)
+
+
+def test_import_path_loads_numpy_only(cfg_path, tmp_path):
+    # scipy takes about 0.75 s and 50 MB to import on top of numpy, and the
+    # process pool about 33 ms; each loads on the first call that uses it, so
+    # neither the imports nor a single-worker simulation load them
+    code = f"""
+import sys
+import rescue_sfs, rescue_sfs.cli, rescue_sfs.gw_trees, rescue_sfs.montecarlo, rescue_sfs.theory
+from rescue_sfs import cli, montecarlo, theory
+from rescue_sfs.params import load_config, observation_time
+
+def loaded():
+    return sorted(
+        k for k in sys.modules
+        if k == "scipy" or k.startswith("scipy.") or k == "concurrent.futures.process"
     )
+
+print(loaded())
+cfg = load_config({cfg_path!r})
+t_obs = observation_time(cfg.observation, cfg.params)
+montecarlo.replicate_sfs(cfg.params, t_obs, 20, seed=1, initial=(0, 1), workers=1)
+print(loaded())
+argv = ["simulate", "--config", {cfg_path!r}, "--out-dir", {str(tmp_path / "o")!r}]
+print(cli.main(argv + ["--workers", "1"]), loaded())
+print(theory.resistant_origin_mean_exact(1, 1.25, cfg.params).value > 0)
+"""
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines() == ["[]", "[]", "0 []", "True"]
 
 
 def test_compare_gate_exit_codes(cfg_path, tmp_path):
@@ -504,6 +533,9 @@ def test_compare_report_is_strict_json(tmp_path, capsys):
         ["theory", "--formula", "hi", "--x-grid", "2", "--i", "0"],
         ["simulate", "--workers", "0"],
         ["compare", "--workers", "-5"],
+        ["simulate", "--windows", "inf"],
+        ["simulate", "--windows", "1,nan"],
+        ["theory", "--formula", "K", "--x-grid", "nan"],
     ],
     ids=[
         "d0-below-b0",
@@ -537,6 +569,9 @@ def test_compare_report_is_strict_json(tmp_path, capsys):
         "hi-i-0",
         "simulate-workers-0",
         "compare-workers-negative",
+        "simulate-window-inf",
+        "simulate-window-nan",
+        "K-x-nan",
     ],
 )
 def test_bad_flag_values_exit_2(cfg_path, tmp_path, capsys, argv):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 from random import Random
 
@@ -200,7 +201,7 @@ def test_replicate_sfs_single_chunk_starts_no_pool(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a single chunk must run in-process")
 
-    monkeypatch.setattr(mc, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     agg = mc.replicate_sfs(TOY, T_OBS, replicates=20, seed=5, i_max=5, workers=4, chunk_size=20)
     assert agg.replicates == 20
 
@@ -235,6 +236,17 @@ def test_replicate_sfs_rejects_chunk_size_below_1(chunk_size):
     # -3 once gave an aggregate of 0 replicates, 0 a range() error
     with pytest.raises(ValueError, match="chunk_size"):
         mc.replicate_sfs(TOY, T_OBS, replicates=4, seed=0, chunk_size=chunk_size)
+
+
+@pytest.mark.parametrize("windows", [(math.inf,), (1.0, math.nan), (0.5, -1.0)])
+def test_replicate_sfs_rejects_bad_windows_before_any_replicate(monkeypatch, windows):
+    # an infinite or nan edge once failed inside the first replicate
+    def no_replicate(*args, **kwargs):
+        raise AssertionError("windows must be checked before any replicate runs")
+
+    monkeypatch.setattr(sim, "sample_sfs", no_replicate)
+    with pytest.raises(ValueError, match="finite window edges > 0"):
+        mc.replicate_sfs(TOY, T_OBS, replicates=4, seed=0, windows=windows)
 
 
 def test_replicate_sfs_all_zero_without_mutations():
