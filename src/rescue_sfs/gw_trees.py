@@ -197,7 +197,7 @@ def weighted_leaf_sums(law: GwLaw, g: int | None = None, cutoff: int = DEFAULT_C
 def geometric_pmf(x: float, g: int) -> float:
     """Generation law of the marked leaf given exactly one mark: the
     geometric pmf x (1-x)^(g-1), g >= 1."""
-    if g < 1:
+    if not g >= 1:
         raise ValueError(f"requires g >= 1, got {g}")
     return x * (1.0 - x) ** (g - 1)
 
@@ -224,7 +224,7 @@ def any_mark_pmf(p: float, pt: float, g: int) -> float:
     difference (p^m - pt^m)/(p - pt) is summed instead, so the law tends to
     (2p)^(g-1) (1-2p) as beta -> 0 and is 1 at g = 1 for p = 0.
     """
-    if g < 1:
+    if not g >= 1:
         raise ValueError(f"requires g >= 1, got {g}")
     if abs(p - pt) <= _DIVIDED_DIFFERENCE_BAND * p:
         return 2.0 ** (g - 1) * (

@@ -7,7 +7,8 @@ windows of carrier counts around x * e^(lambda1 * t_N).
 
 Every numerically evaluated quantity is returned as a TheoryValue carrying
 a certified absolute error bound (series tail, rounding bound of a
-recurrence, or quadrature estimate plus truncation tail).
+recurrence, or quadrature estimate plus truncation tail or the integrand's
+rounding bound).
 
 Domain checks and quadrature acceptance are written so that NaN fails
 them (``not x > 0``, ``not bound <= tol``): NaN fails every comparison, so
@@ -16,7 +17,9 @@ them (``not x > 0``, ``not bound <= tol``): NaN fails every comparison, so
 
 from __future__ import annotations
 
+import heapq
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -57,6 +60,116 @@ class PairedValue(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
+# Gauss-Kronrod G30/K61 rule on [-1, 1] (the rule of QUADPACK's qk61,
+# Piessens et al. 1983): the 31 nonnegative abscissae in decreasing order,
+# where entries 1, 3, ..., 29 (from 0) are the Gauss-Legendre nodes and the
+# rest the Kronrod nodes; the Kronrod weights in the same order; and the
+# Gauss weights of entries 1, 3, ..., 29.  The Kronrod nodes are the roots of
+# the Stieltjes polynomial E_31, solved from Int P_30 E_31 x^k = 0 (k <= 30)
+# at 120 digits, and the weights come from the moment equations (Laurie
+# 1997); each literal is the double nearest to its 120-digit value.  The
+# same construction at n = 10 gives qk21's table bit for bit.
+_XGK = (
+    0.9994844100504906, 0.99689348407464951, 0.99163099687040457,
+    0.98366812327974718, 0.97311632250112623, 0.96002186496830755,
+    0.94437444474856003, 0.92620004742927431, 0.90557330769990785,
+    0.88256053579205274, 0.85720523354606115, 0.82956576238276836,
+    0.79972783582183904, 0.76777743210482619, 0.73379006245322675,
+    0.69785049479331585, 0.66006106412662691, 0.62052618298924289,
+    0.57934523582636166, 0.53662414814201986, 0.49248046786177857,
+    0.44703376953808915, 0.4004012548303944, 0.35270472553087812,
+    0.30407320227362505, 0.25463692616788985, 0.20452511668230988,
+    0.15386991360858354, 0.10280693796673702, 0.051471842555317698,
+    0.0,
+)
+_WGK = (
+    0.0013890136986770077, 0.003890461127099884, 0.0066307039159312926,
+    0.0092732796595177639, 0.011823015253496341, 0.014369729507045804,
+    0.016920889189053271, 0.019414141193942382, 0.021828035821609193,
+    0.0241911620780806, 0.026509954882333101, 0.028754048765041292,
+    0.030907257562387762, 0.032981447057483723, 0.034979338028060025,
+    0.03688236465182123, 0.038678945624727595, 0.040374538951535956,
+    0.041969810215164244, 0.043452539701356069, 0.044814800133162663,
+    0.04605923827100699, 0.047185546569299151, 0.048185861757087133,
+    0.049055434555029781, 0.04979568342707421, 0.050405921402782349,
+    0.05088179589874961, 0.051221547849258774, 0.051426128537459023,
+    0.051494729429451568,
+)
+_WG = (
+    0.007968192496166605, 0.018466468311090958, 0.028784707883323369,
+    0.03879919256962705, 0.048402672830594053, 0.057493156217619065,
+    0.065974229882180491, 0.073755974737705204, 0.080755895229420213,
+    0.086899787201082976, 0.092122522237786122, 0.096368737174644253,
+    0.099593420586795267, 0.1017623897484055, 0.10285265289355884,
+)
+
+# the full rule over its 61 nodes, left to right: the Gauss nodes are the
+# odd positions
+_GK_X = tuple(-x for x in _XGK[:-1]) + _XGK[::-1]
+_GK_WK = _WGK[:-1] + _WGK[::-1]
+_GK_WG = _WG + _WG[::-1]
+_U = 2.0**-53  # unit roundoff of a double
+_EPS = 2.0 * _U  # machine epsilon
+_TINY = 2.0**-1022  # smallest normal double
+
+
+def _gk61(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
+    """(value, error estimate) of Int_a^b f by the 61-point rule.
+
+    The estimate is QUADPACK's: |K - G| scaled to resasc min(1, (200 |K - G|
+    / resasc)^1.5), where resasc is the rule's mean absolute deviation of f
+    from its mean, and never below 50 eps resabs, the rule applied to |f|.
+    """
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    fv = [f(c + h * x) for x in _GK_X]
+    k = math.fsum(map(operator.mul, _GK_WK, fv))
+    g = math.fsum(map(operator.mul, _GK_WG, fv[1::2]))
+    half = 0.5 * k
+    dh = abs(h)
+    resasc = dh * math.fsum(w * abs(v - half) for w, v in zip(_GK_WK, fv))
+    # the rule on |f| is K itself where f >= 0
+    resabs = dh * (k if min(fv) >= 0.0 else math.fsum(map(operator.mul, _GK_WK, map(abs, fv))))
+    err = abs((k - g) * h)
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    if resabs > _TINY / (50.0 * _EPS):
+        err = max(50.0 * _EPS * resabs, err)
+    return k * h, err
+
+
+def _gauss_kronrod(
+    f: Callable[[float], float],
+    a: float,
+    b: float,
+    epsabs: float,
+    epsrel: float,
+    limit: int = 400,
+) -> tuple[float, float]:
+    """(value, error estimate) of Int_a^b f by globally adaptive G30/K61.
+
+    The panel with the largest error estimate is halved until the summed
+    estimate is at most max(epsabs, epsrel |value|) or there are ``limit``
+    panels; both sums are then taken again with math.fsum.  A NaN estimate
+    stops the loop at once (NaN fails the comparison), so the caller's
+    acceptance test sees it.
+    """
+    if a == b:
+        return 0.0, 0.0
+    value, err = _gk61(f, a, b)
+    panels = [(-err, a, b, value)]
+    while err > max(epsabs, epsrel * abs(value)) and len(panels) < limit:
+        neg_e, lo, hi, v = heapq.heappop(panels)
+        mid = 0.5 * (lo + hi)
+        v1, e1 = _gk61(f, lo, mid)
+        v2, e2 = _gk61(f, mid, hi)
+        heapq.heappush(panels, (-e1, lo, mid, v1))
+        heapq.heappush(panels, (-e2, mid, hi, v2))
+        value += v1 + v2 - v
+        err += e1 + e2 + neg_e
+    return math.fsum(p[3] for p in panels), math.fsum(-p[0] for p in panels)
+
+
 def quad_semi_infinite(
     integrand: Callable[[float], float],
     tol: float,
@@ -69,10 +182,8 @@ def quad_semi_infinite(
     adaptive Gauss-Kronrod handles [0, s_max] to tol/2, and the certified
     bound is its error estimate plus ``tail_bound(s_max)``.
     """
-    from scipy.integrate import quad
-
     tail = tail_bound(s_max)
-    value, err = quad(integrand, 0.0, s_max, epsabs=tol / 2, epsrel=1e-11, limit=400)
+    value, err = _gauss_kronrod(integrand, 0.0, s_max, tol / 2, 1e-11)
     bound = err + tail
     if not bound <= tol:
         raise QuadratureError(f"requested tol {tol:g}, achieved bound {bound:g}")
@@ -87,19 +198,24 @@ def _quad_finite(
     rounding: Callable[[float, float], float] | None = None,
     epsrel: float = 1e-11,
 ) -> TheoryValue:
-    """scale * Int_0^hi integrand.  The integral's bound is quad's error
-    estimate, plus ``rounding(value, err)`` for the integrand's own error
-    when given; it is asked to meet tol / max(scale, 1), and this raises
-    where it exceeds both that and 1e-8 |value|."""
-    from scipy.integrate import quad
-
+    """scale * Int_0^hi integrand.  The integral's bound is the Gauss-Kronrod
+    error estimate, plus ``rounding(value, err)`` for the integrand's own
+    error when given; it is asked to meet tol / max(scale, 1), and this
+    raises where it exceeds both that and 1e-8 |value|."""
     tol = tol / max(scale, 1.0)
-    value, err = quad(integrand, 0.0, hi, epsabs=tol, epsrel=epsrel, limit=400)
+    value, err = _gauss_kronrod(integrand, 0.0, hi, tol, epsrel)
     if rounding is not None:
         err += rounding(value, err)
     if not err <= max(tol, abs(value) * 1e-8):
         raise QuadratureError(f"requested tol {tol:g}, achieved bound {err:g}")
     return TheoryValue(scale * value, scale * err)
+
+
+def _relative_rounding(rel: float) -> Callable[[float, float], float]:
+    """``rounding`` for _quad_finite where the integrand is nonnegative and
+    each evaluation is within rel units of u = 2^-53: the integral of |f| is
+    at most value + err, and 1.1 covers the second-order terms."""
+    return lambda value, err: 1.1 * rel * _U * (value + err)
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +224,6 @@ def _quad_finite(
 
 
 SHAPE_TOL = 1e-12
-_U = 2.0**-53  # unit roundoff of a double
 _SERIES_TERMS = 64  # the series is kept wherever it converges in max(i, 64) terms
 
 
@@ -223,16 +338,50 @@ def shape_integral_truncated(i: int, x: float, rho: float, tol: float = SHAPE_TO
     return TheoryValue(value, bound)
 
 
-def _size_pmf(i: int, b1: float, d1: float) -> Callable[[float], float]:
-    """y -> P(clone size = i) at scale y = e^(-lambda1 u), y not checked."""
+# A size law below is a function of the clone's scaled age z = lambda1 u,
+# y = e^-z, paired with a bound on its relative rounding error, in units of
+# u = 2^-53, for z up to a given z_max: z within 2u, rho taken as given,
+# libm calls within 1 ulp (2u) and the other steps within u each.  Both
+# laws hold q^n, q = (1-y)/(1-rho y); see _q_power for its bound.
+_SizeLaw = tuple[Callable[[float], float], Callable[[float], float]]
+
+
+def _q_power(z: float, y: float, rho: float, c: float, n: int) -> tuple[float, float]:
+    """(1 - rho y, q^n) at y = e^-z, given c = 1 - rho.
+
+    Where y <= 1/2, q^n = exp(n (log1p(-y) - log1p(-rho y))): q is near 1
+    there, and q rounded to a double would lose (n/2)u.  With e^-z within
+    (2 + 2z)u, the log1p difference is within (2.4 + 2z)u + (3.4 + 2z)u +
+    0.7u, so q^n is within n (9.6 + 4z) + 2 units, and 1 - rho y within
+    4 + 2z.  Where y > 1/2, 1 - y = -expm1(-z) is within 4u, since
+    z/(e^z - 1) <= 1, and 1 - rho y = (1 - rho) + rho (1 - y), a sum of
+    positives, within 6u, so q is within 11u and q^n within 11n + 2.
+    Either way: 1 - rho y within 6 + 2z units and q^n within n (11 + 4z) + 2.
+    """
+    if y <= 0.5:
+        return 1.0 - rho * y, math.exp(n * (math.log1p(-y) - math.log1p(-rho * y)))
+    omy = -math.expm1(-z)  # 1 - y
+    d = c + rho * omy  # 1 - rho y
+    return d, (omy / d) ** n
+
+
+def _size_pmf(i: int, b1: float, d1: float) -> _SizeLaw:
+    """z -> P(clone size = i) at scaled age z, z not checked, and its
+    rounding bound: (1 - rho)^2 (3u), e^-z, q^(i-1), (1 - rho y)^2 and
+    three products or quotients."""
     if not i >= 1:
         raise ValueError(f"requires i >= 1, got {i}")
     rho = d1 / b1
-    c = ((b1 - d1) / b1) ** 2
-    if i == 1:
-        return lambda y: c * y / (1.0 - rho * y) ** 2
-    a, b = i - 1, i + 1
-    return lambda y: c * y * math.exp(a * math.log1p(-y) - b * math.log1p(-rho * y))
+    c1 = 1.0 - rho  # lambda1 / b1
+    c = c1 * c1
+    a = i - 1
+
+    def pmf(z: float) -> float:
+        y = math.exp(-z)
+        d, q_a = _q_power(z, y, rho, c1, a)
+        return c * y * q_a / (d * d)
+
+    return pmf, lambda z_max: a * (11.0 + 4.0 * z_max) + 23.0 + 6.0 * z_max
 
 
 def clone_size_pmf(i: int, u: float, b1: float, d1: float) -> float:
@@ -243,7 +392,7 @@ def clone_size_pmf(i: int, u: float, b1: float, d1: float) -> float:
     """
     if not u >= 0:
         raise ValueError(f"requires u >= 0, got {u}")
-    return _size_pmf(i, b1, d1)(math.exp(-(b1 - d1) * u))
+    return _size_pmf(i, b1, d1)[0]((b1 - d1) * u)
 
 
 def clone_extinction_prob(u: float, b1: float, d1: float) -> float:
@@ -272,6 +421,8 @@ def single_clone_sfs(
 
 def single_clone_sfs_asymptotic(i: int, t: float, b1: float, d1: float, omega: float) -> float:
     """Large-time form omega e^(lambda1 t) I(i)."""
+    if not t >= 0:
+        raise ValueError(f"requires t >= 0, got {t}")
     return omega * math.exp((b1 - d1) * t) * shape_integral(i, d1 / b1).value
 
 
@@ -576,13 +727,13 @@ def resistant_origin_main_term(
 
 
 def _sensitive_founder_integral(
-    t: float, params: ModelParams, tol: float, size: Callable[[float], float]
+    t: float, params: ModelParams, tol: float, size: _SizeLaw
 ) -> TheoryValue:
     """Mutations of single founders born at sensitive divisions, carried by
-    a clone of ``size`` (pmf or tail at scale y = e^(-lambda1 u)):
+    a clone of ``size`` (pmf or tail law and its rounding bound, see above):
 
     N gamma_n (1-x_n) delta0 omega / (2 (1-gamma_n)) Int_0^(t_N)
-      size(e^(-lambda1 (t_N-s))) (1 + s delta0 (1-x_n)) e^(-s delta0 x_n) ds.
+      size(lambda1 (t_N-s)) (1 + s delta0 (1-x_n)) e^(-s delta0 x_n) ds.
     """
     if not t > 0:
         raise ValueError(f"requires t > 0, got {t}")
@@ -593,23 +744,27 @@ def _sensitive_founder_integral(
     lam1 = dp.lambda1
     x = dp.x_n
     d0 = dp.delta0
+    law, law_rel = size
 
     def f(s: float) -> float:
-        y = math.exp(-lam1 * (t_n - s))
-        return size(y) * (1.0 + s * d0 * (1.0 - x)) * math.exp(-s * d0 * x)
+        return law(lam1 * (t_n - s)) * (1.0 + s * d0 * (1.0 - x)) * math.exp(-s * d0 * x)
 
     pref = params.n_init * dp.gamma_n * (1.0 - x) * d0 * params.omega / (2.0 * (1.0 - dp.gamma_n))
-    return _quad_finite(pref, f, t_n, tol)
+    # the rates, rho and t_N taken as given: the law, 4u for the linear
+    # factor, 2u + 2u s delta0 x_n for the exponential, 2u for the products
+    # and 9u for pref times the integral
+    rel = law_rel(lam1 * t_n) + 17.0 + 2.0 * d0 * x * t_n
+    return _quad_finite(pref, f, t_n, tol, _relative_rounding(rel))
 
 
 def _resistant_division_integral(
-    t: float, params: ModelParams, tol: float, size: Callable[[float], float]
+    t: float, params: ModelParams, tol: float, size: _SizeLaw
 ) -> TheoryValue:
     """Mutations born at resistant divisions, all founders included: they
     appear at rate omega b1 E[Z1(s)], each carried by one fresh clone of
-    ``size`` (pmf or tail at scale y = e^(-lambda1 u)) aged t_N - s:
+    ``size`` (pmf or tail law and its rounding bound, see above) aged t_N - s:
 
-        omega b1 Int_0^(t_N) E[Z1(s)] size(e^(-lambda1 (t_N - s))) ds,
+        omega b1 Int_0^(t_N) E[Z1(s)] size(lambda1 (t_N - s)) ds,
 
     with E[Z1(s)] = 2 gamma_n b0 N (e^(lambda1 s) - e^(-lt0 s)) / (lambda1 + lt0)
     and lt0 = lambda0 + 2 gamma_n b0 the sensitive population's decay rate.
@@ -622,37 +777,42 @@ def _resistant_division_integral(
     t_n = t * math.log(params.n_init)
     lam1 = dp.lambda1
     lt0 = dp.lambda0 + 2.0 * dp.gamma_n * dp.b0
+    k = lam1 + lt0
+    law, law_rel = size
 
     def f(s: float) -> float:
-        y = math.exp(-lam1 * (t_n - s))
-        return (math.exp(lam1 * s) - math.exp(-lt0 * s)) * size(y)
+        # e^(lambda1 s) - e^(-lt0 s) without its cancellation at small s
+        return math.exp(lam1 * s) * -math.expm1(-k * s) * law(lam1 * (t_n - s))
 
-    pref = params.omega * dp.b1 * 2.0 * dp.gamma_n * dp.b0 * params.n_init / (lam1 + lt0)
-    return _quad_finite(pref, f, t_n, tol)
+    pref = params.omega * dp.b1 * 2.0 * dp.gamma_n * dp.b0 * params.n_init / k
+    # the rates, rho and t_N taken as given: the law, 2u + u lambda1 s for
+    # e^(lambda1 s), 7u for the expm1 (k within 4u), 2u for the products and
+    # 12u for pref times the integral
+    rel = law_rel(lam1 * t_n) + lam1 * t_n + 23.0
+    return _quad_finite(pref, f, t_n, tol, _relative_rounding(rel))
 
 
-def _size_tail(x: float, t: float, params: ModelParams) -> Callable[[float], float]:
-    """y -> P(clone size > m) at scale y = e^(-lambda1 u), for the window
-    edge m = floor(x e^(lambda1 t_N)): the closed geometric tail
-    (lambda1/b1) q^m / (1 - rho y) with q = (1-y)/(1-rho y); at m = 0 this
-    is the survival probability 1 - extinction mass."""
+def _size_tail(x: float, t: float, params: ModelParams) -> _SizeLaw:
+    """z -> P(clone size > m) at scaled age z, for the window edge
+    m = floor(x e^(lambda1 t_N)): the closed geometric tail
+    (1 - rho) q^m / (1 - rho y); at m = 0 this is the survival probability
+    1 - extinction mass, and the window (inf, inf) is empty, so its tail is
+    0.  With its rounding bound: 1 - rho (u), 1 - rho y, q^m and two
+    quotients or products."""
     if not x > 0:
         raise ValueError(f"requires x > 0, got {x}")
+    if x == math.inf:
+        return (lambda z: 0.0), (lambda z_max: 0.0)
     b1, d1 = params.b1, params.d1
     rho = d1 / b1
-    lam1 = b1 - d1
-    m = math.floor(x * math.exp(lam1 * (t * math.log(params.n_init))))
-    c = lam1 / b1
-    if m == 0:
-        return lambda y: c / (1.0 - rho * y)
+    c = 1.0 - rho  # lambda1 / b1
+    m = math.floor(x * math.exp((b1 - d1) * (t * math.log(params.n_init))))
 
-    def tail(y: float) -> float:
-        q = (1.0 - y) / (1.0 - rho * y)
-        if q <= 0.0:
-            return 0.0
-        return c / (1.0 - rho * y) * math.exp(m * math.log(q))
+    def tail(z: float) -> float:
+        d, q_m = _q_power(z, math.exp(-z), rho, c, m)
+        return c / d * q_m
 
-    return tail
+    return tail, lambda z_max: m * (11.0 + 4.0 * z_max) + 11.0 + 2.0 * z_max
 
 
 def sensitive_origin_main_term(
@@ -694,6 +854,8 @@ def resistant_origin_mean_exact(
 
 def expected_resistant_population(t_abs: float, params: ModelParams) -> float:
     """Exact E[Z1(t)] from (N, 0) at absolute time t."""
+    if not t_abs >= 0:
+        raise ValueError(f"requires t_abs >= 0, got {t_abs}")
     dp = derive(params)
     lt0 = dp.lambda0 + 2.0 * dp.gamma_n * dp.b0
     lam1 = dp.lambda1
@@ -717,6 +879,8 @@ def resistant_origin_remainder_bound(t: float, params: ModelParams) -> float:
 
     omega (b1/lambda1) N^(1+lambda1 t) sum_{k>=2} k P(A_k), uniform in i.
     """
+    if not t > 0:
+        raise ValueError(f"requires t > 0, got {t}")
     dp = derive(params)
     multi = multi_ancestral_mean(dp).exact
     return (

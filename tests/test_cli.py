@@ -69,19 +69,19 @@ GOLDEN_DIGESTS = [
     ),
     (
         ["theory", "--formula", "K", "--x-grid", "0.6,1,2,4"],
-        {"theory_K.csv": "6d54d2edc80b408a3f58f2698d4b028c200bf4844a8df4cd60418dc077b749d2"},
+        {"theory_K.csv": "2d14b0870601b4274355f0df8dd92cd2799e93e635c6b13064e68958e7d1ce36"},
     ),
     (
         ["theory", "--formula", "thm2", "--x-grid", "0.6,1,2"],
-        {"theory_thm2.csv": "aef800c8713ae981a6e9a198a95a83896c738abd775e5e62c5814a8ffb313b26"},
+        {"theory_thm2.csv": "479886146ffbf114f2d0ecc44eab80044f9729bbbdb1753bee74418ac7675bf3"},
     ),
     (
         ["theory", "--formula", "P", "--i-range", "1:5"],
-        {"theory_P.csv": "b6a40f20ae0c7925f445b2cfb1ad147a749a447b697e932665ab29386e3fc661"},
+        {"theory_P.csv": "0578994d6581cb9fed676fdb1ff1063c3bb81ecdca661835772275fbf8c00246"},
     ),
     (
         ["theory", "--formula", "Q", "--i-range", "1:5"],
-        {"theory_Q.csv": "d0714a726219831c7e6e2ff9a58060005297ff3853ac9a54d5063fd32b2e0a72"},
+        {"theory_Q.csv": "5b097ac776a4ac10d6a61d7eaeea036410db705acb7f095dc8f13f792130af6b"},
     ),
     (
         ["theory", "--formula", "anc-one"],
@@ -124,32 +124,32 @@ GOLDEN_DIGESTS = [
     ),
     (
         ["figures", "--which", "fig5", "--workers", "1"],
-        {"fig5.csv": "c30140123acf8cc4e4ea139b4d5fd4255967ffd0d44cbf025d2ece006005be3b"},
+        {"fig5.csv": "874a435fd5a7d584669dc981858903db735daf867311511c5cb59a32eec2cf37"},
     ),
     (
         ["figures", "--which", "fig7"],
-        {"fig7.csv": "9eb5ba69d64dab50788a8707daeb642b8eb66d6880a4af088a35b00cad3f5213"},
+        {"fig7.csv": "784ce426ab2f4b8fd022c673dd9b7fbfefc92492cf0900d3bf2ce15cdb98ad6b"},
     ),
     (
         ["compare", "--what", "small-i", "--i-max", "5", "--workers", "1"],
         {
-            "report.csv": "11d92860dd73179135580298f6538e634c21b2d6d4cd68c1e16c6603704cb0c6",
-            "report.json": "c3bea537233e9ed3189a218b32cfc8e95d4c60426ffba2e5b836223c23b6fbf0",
+            "report.csv": "98fb5d4ab846bd4074f49fc1d9b4bafa720ef6d6d4bbb7bd5fe2bb049db715f7",
+            "report.json": "5bf223142b4f2948d6471971e76efd843783a96544ffb16028056871ef40424c",
         },
     ),
     (
         ["compare", "--what", "windows", "--windows", "0.5,1", "--workers", "1"],
         {
-            "report.csv": "63fe7de7b50215ad2a116c07072d348ca1f4657a747176d19f4d36e65a67d139",
-            "report.json": "3ac8805529faae507bb1d6df4e16f23b6d0163218812068d023560d40cce99e9",
+            "report.csv": "e0a5e6b52a05d1628367d37f23b5e7642ee5a11877738d6fc6d68c1d3fd95b9f",
+            "report.json": "56730df1294571a99325986e1b4362911a14405df477487a3d5a820377be01f8",
         },
     ),
     (
         ["compare", "--what", "windows", "--windows", "0.5,1", "--mode", "relative"]
         + ["--threshold", "1", "--workers", "1"],
         {
-            "report.csv": "3db589bba9d769e907f0cb1688c872df3900add72444893c87a4b5070a4bb865",
-            "report.json": "d949ee441e878e03116d98f1ae010a64a705dd85bdf8f8483eaf87ca4207898a",
+            "report.csv": "a90b59a5394e45bac3d55b8545fdf9d381bfdbd8fd17df45b15e3f261cc5c909",
+            "report.json": "379e013ee21ac49e828f1cf0d13e940307955d787f1db11cba21b1c9493e909e",
         },
     ),
 ]
@@ -392,13 +392,14 @@ def test_theory_x_grid_takes_inf(cfg_path, tmp_path):
 
 def test_import_path_loads_numpy_only(cfg_path, tmp_path):
     # scipy takes about 0.75 s and 50 MB to import on top of numpy, and the
-    # process pool about 33 ms; each loads on the first call that uses it, so
-    # neither the imports nor a single-worker simulation load them
+    # process pool about 33 ms: neither the imports, a single-worker
+    # simulation, nor the theory quadratures (theory integrates with its own
+    # Gauss-Kronrod rule) load them
     code = f"""
 import sys
 import rescue_sfs, rescue_sfs.cli, rescue_sfs.gw_trees, rescue_sfs.montecarlo, rescue_sfs.theory
 from rescue_sfs import cli, montecarlo, theory
-from rescue_sfs.params import load_config, observation_time
+from rescue_sfs.params import derive, load_config, observation_time
 
 def loaded():
     return sorted(
@@ -413,10 +414,26 @@ montecarlo.replicate_sfs(cfg.params, t_obs, 20, seed=1, initial=(0, 1), workers=
 print(loaded())
 argv = ["simulate", "--config", {cfg_path!r}, "--out-dir", {str(tmp_path / "o")!r}]
 print(cli.main(argv + ["--workers", "1"]), loaded())
-print(theory.resistant_origin_mean_exact(1, 1.25, cfg.params).value > 0)
+print(theory.resistant_origin_mean_exact(1, 1.25, cfg.params).value > 0, loaded())
+print(theory.window_weight_resistant(1.0, derive(cfg.params)).value > 0, loaded())
+for formula, grid in (("P", ["--i-range", "1:2"]), ("K", ["--x-grid", "0.6,1"])):
+    argv = ["theory", "--config", {cfg_path!r}, "--formula", formula] + grid
+    print(cli.main(argv + ["--out-dir", {str(tmp_path / "t")!r} + formula]), loaded())
+argv = ["compare", "--config", {cfg_path!r}, "--what", "windows", "--windows", "0.5,1"]
+print(cli.main(argv + ["--workers", "1", "--out-dir", {str(tmp_path / "c")!r}]), loaded())
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert proc.stdout.splitlines() == ["[]", "[]", "0 []", "True"]
+    assert proc.stdout.splitlines() == [
+        "[]",
+        "[]",
+        "0 []",
+        "True []",
+        "True []",
+        "0 []",
+        "0 []",
+        "gate passed: all 2 indices within threshold",
+        "0 []",
+    ]
 
 
 def test_compare_gate_exit_codes(cfg_path, tmp_path):

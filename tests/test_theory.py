@@ -32,7 +32,6 @@ NAN = math.nan
 # through; shape_integral_truncated and single_clone_sfs then looped forever
 # (the series' tail test is never true), and the rest returned NaN, the
 # quadratures with a NaN bound they called certified
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 @pytest.mark.parametrize(
     "call",
     [
@@ -51,6 +50,11 @@ NAN = math.nan
         lambda: th.quad_semi_infinite(lambda s: NAN, 1e-10, lambda s: 0.0, s_max=1.0),
         lambda: th._quad_finite(1.0, lambda s: NAN, 1.0, 1e-10),
         lambda: th.TheoryValue(1.0, NAN),
+        lambda: gw.geometric_pmf(0.5, NAN),
+        lambda: gw.any_mark_pmf(0.3, 0.2, NAN),
+        lambda: th.expected_resistant_population(NAN, REF),
+        lambda: th.single_clone_sfs_asymptotic(1, NAN, 1.2, 0.5, 2.0),
+        lambda: th.resistant_origin_remainder_bound(NAN, REF),
     ],
     ids=[
         "hi",
@@ -68,6 +72,11 @@ NAN = math.nan
         "quad-semi-infinite",
         "quad-finite",
         "theory-value",
+        "gn",
+        "tilde-gn",
+        "resistant-population",
+        "clone-sfs-asymptotic",
+        "remainder-bound",
     ],
 )
 def test_nan_inputs_fail_loudly(call):
@@ -78,6 +87,38 @@ def test_nan_inputs_fail_loudly(call):
 # ---------------------------------------------------------------------------
 # quadrature
 # ---------------------------------------------------------------------------
+
+
+def test_gauss_kronrod_rule_table():
+    # K61 integrates x^k over [-1, 1] exactly up to degree 3 * 30 + 1 = 91,
+    # its 30-point Gauss part up to degree 59
+    x, wk, wg = th._GK_X, th._GK_WK, th._GK_WG
+    xg = x[1::2]
+    assert len(x) == len(wk) == 61 and len(xg) == len(wg) == 30
+    for k in range(92):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(math.fsum(w * v**k for w, v in zip(wk, x)) - exact) <= 1e-15, k
+        if k <= 59:
+            assert abs(math.fsum(w * v**k for w, v in zip(wg, xg)) - exact) <= 1e-15, k
+    # numpy's Gauss weights are off by up to 2.4e-15, the table's are the
+    # nearest doubles, so only the nodes are compared
+    nodes, _ = np.polynomial.legendre.leggauss(30)
+    assert np.max(np.abs(np.array(xg) - nodes)) <= 1e-15
+    assert all(w > 0 for w in wk + wg)
+    assert math.fsum(wk) == pytest.approx(2.0, abs=1e-15)
+    assert math.fsum(wg) == pytest.approx(2.0, abs=1e-15)
+
+
+def test_gauss_kronrod_edge_cases():
+    calls = []
+    assert th._gauss_kronrod(lambda s: calls.append(s) or 1.0, 0.5, 0.5, 1e-10, 1e-11) == (0.0, 0.0)
+    assert calls == []
+    # a NaN integrand stops after the first panel
+    value, err = th._gauss_kronrod(lambda s: calls.append(s) or NAN, 0.0, 1.0, 1e-10, 1e-11)
+    assert len(calls) == 61 and math.isnan(value) and math.isnan(err)
+    # a kink needs many panels; the estimate still bounds the error
+    value, err = th._gauss_kronrod(lambda s: abs(s - 0.3), 0.0, 1.0, 1e-12, 1e-12)
+    assert abs(value - 0.29) <= err <= 1e-12
 
 
 def test_quad_semi_infinite_exponential():
@@ -496,11 +537,11 @@ NEAR_CRITICAL = dataclasses.replace(REF, d1=0.999 * REF.b1)
 
 @pytest.mark.parametrize(
     "params, t, i",
-    [pytest.param(REF, T, i, id=str(i)) for i in (1, 20, 121)]
+    [pytest.param(REF, T, i, id=str(i)) for i in (1, 2, 20, 121)]
     + [
         pytest.param(NEAR_CRITICAL, t, i, id=f"near-critical-t{t:g}-{i}")
         for t in (T, 400.0)
-        for i in (1, 20, 121)
+        for i in (1, 2, 20, 121)
     ],
 )
 def test_resistant_origin_main_term_bound_holds(params, t, i):
@@ -645,16 +686,103 @@ FOUNDER_INTEGRALS = {
 }
 
 
+FOUNDER_FNS = {
+    "P": th.resistant_origin_main_term,
+    "Q": th.sensitive_origin_main_term,
+    "exact_mean": th.resistant_origin_mean_exact,
+    "window_sensitive": th.sensitive_origin_window_main,
+    "window_exact": th.resistant_origin_window_exact,
+}
+
+
 def test_founder_integrals_pinned():
-    fns = {
-        "P": th.resistant_origin_main_term,
-        "Q": th.sensitive_origin_main_term,
-        "exact_mean": th.resistant_origin_mean_exact,
-        "window_sensitive": th.sensitive_origin_window_main,
-        "window_exact": th.resistant_origin_window_exact,
-    }
     for (name, idx), want in FOUNDER_INTEGRALS.items():
-        assert fns[name](idx, T, REF).value == pytest.approx(want, rel=1e-13, abs=0.0), (name, idx)
+        value = FOUNDER_FNS[name](idx, T, REF).value
+        assert value == pytest.approx(want, rel=1e-13, abs=0.0), (name, idx)
+
+
+def _weight_exact(name, x, dp):
+    """K, L or Kslope to 30 digits on the float rates, integrated over
+    w = e^(lambda1 s) in [1, inf) (the code integrates over s)."""
+    with mpmath.workdps(30):
+        b0, b1, lam0, lam1 = (mpmath.mpf(v) for v in (dp.b0, dp.b1, dp.lambda0, dp.lambda1))
+        a = mpmath.mpf(x) * lam1 / b1
+        r = (lam0 + lam1) / lam1
+        if name == "K":
+            f = lambda w: 2 / (lam0 + lam1) * (1 - w**-r) * mpmath.exp(-a * w)
+        elif name == "Kslope":
+            f = lambda w: 2 * lam1 / (b1 * (lam0 + lam1)) * (1 - w**-r) * w * mpmath.exp(-a * w)
+        else:
+            f = lambda w: (1 + 2 * b0 * mpmath.log(w) / lam1) * w**-r * mpmath.exp(-a * w) / b1
+        # breakpoints where w^-r and e^(-a w) turn
+        pts = [1, 1 + 1 / r, 2] + [2.0**k / a for k in range(-4, 7) if 2.0**k / a > 2]
+        return mpmath.quad(lambda w: f(w) / lam1, pts + [mpmath.inf])
+
+
+def _founder_integral_exact(name, arg, params, t):
+    """exact_mean, Q and the two window counts to 30 digits, from their
+    s-integrals over the clone-size law on the float rates and rho, with
+    t_N = t ln N exact."""
+    dp = derive(params)
+    with mpmath.workdps(30):
+        b0, b1, lam0, lam1, d0, gn, xn, rho = (
+            mpmath.mpf(v)
+            for v in (dp.b0, dp.b1, dp.lambda0, dp.lambda1, dp.delta0, dp.gamma_n, dp.x_n, dp.rho)
+        )
+        n, omega = mpmath.mpf(params.n_init), mpmath.mpf(params.omega)
+        t_n = mpmath.mpf(t) * mpmath.log(n)
+        if name in ("exact_mean", "Q"):
+            size = lambda y: (1 - rho) ** 2 * y * (1 - y) ** (arg - 1) / (1 - rho * y) ** (arg + 1)
+        else:
+            m = math.floor(arg * math.exp(dp.lambda1 * t * math.log(params.n_init)))
+            size = lambda y: (1 - rho) * ((1 - y) / (1 - rho * y)) ** m / (1 - rho * y)
+        if name in ("exact_mean", "window_exact"):
+            lt0 = lam0 + 2 * gn * b0
+            pref = omega * b1 * 2 * gn * b0 * n / (lam1 + lt0)
+            g = lambda s: pref * (mpmath.exp(lam1 * s) - mpmath.exp(-lt0 * s))
+        else:
+            pref = n * gn * (1 - xn) * d0 * omega / (2 * (1 - gn))
+            g = lambda s: pref * (1 + s * d0 * (1 - xn)) * mpmath.exp(-s * d0 * xn)
+        f = lambda s: g(s) * size(mpmath.exp(-lam1 * (t_n - s)))
+        return mpmath.quad(f, mpmath.linspace(0, t_n, 9))
+
+
+_WEIGHT_FNS = {
+    "K": th.window_weight_resistant,
+    "L": th.window_weight_sensitive,
+    "Kslope": th.window_weight_resistant_slope,
+}
+
+
+@pytest.mark.parametrize("params", [REF, NEAR_CRITICAL], ids=["reference", "near-critical"])
+@pytest.mark.parametrize(
+    "name", ["exact_mean", "Q", "window_exact", "window_sensitive", *_WEIGHT_FNS]
+)
+def test_quadrature_values_hold_their_bounds(params, name):
+    # every quadrature-backed value (P has its own test above) against a
+    # 30-digit reference, the rates and rho taken as given.  Near critical,
+    # K and Kslope are about 1e6, and the default tol of 1e-10 is out of
+    # reach of a double, so they are asked for 1e-4 there
+    dp = derive(params)
+    if name in FOUNDER_FNS:
+        args = (1, 2, 20, 121) if name in ("exact_mean", "Q") else (0.6, 1.0, 6.0)
+        for arg in args:
+            tv = FOUNDER_FNS[name](arg, T, params)
+            want = _founder_integral_exact(name, arg, params, T)
+            err = abs(mpmath.mpf(tv.value) - want)
+            assert err <= tv.abs_error_bound, (arg, float(err), tv.abs_error_bound)
+        return
+    tol = 1e-4 if params is NEAR_CRITICAL and name != "L" else th.DEFAULT_TOL
+    for x in (0.6, 1.0, 6.0):
+        tv = _WEIGHT_FNS[name](x, dp, tol)
+        err = abs(mpmath.mpf(tv.value) - _weight_exact(name, x, dp))
+        assert err <= tv.abs_error_bound, (x, float(err), tv.abs_error_bound)
+
+
+def test_window_counts_vanish_at_infinite_edge():
+    # the window (inf, inf) is empty, as sfs_window_asymptotic has it
+    for fn in (th.resistant_origin_window_exact, th.sensitive_origin_window_main):
+        assert fn(math.inf, T, REF) == th.TheoryValue(0.0, 0.0)
 
 
 def test_window_sums_decreasing_in_x():
