@@ -8,7 +8,7 @@ comparison tooling.
 """
 
 from rescue_sfs.gw_trees import GwLaw, GwTree, sample_conditioned, sample_tree
-from rescue_sfs.montecarlo import compare, gof_exponential, gof_geometric, replicate_sfs
+from rescue_sfs.montecarlo import compare, replicate_sfs
 from rescue_sfs.params import (
     ConfigError,
     DerivedParams,
@@ -40,8 +40,6 @@ __all__ = [
     "derive",
     "derive_from_gamma_n",
     "extract_sfs",
-    "gof_exponential",
-    "gof_geometric",
     "load_config",
     "observation_time",
     "replicate_sfs",

@@ -83,13 +83,16 @@ def catalan_sequence(n_max: int) -> list[int]:
 
 def _log_catalan(n):
     # log of the n-th sequence term a_n = C_{n-1} = (2n-2)! / (n! (n-1)!), n
-    # an int or an array
-    from scipy.special import gammaln
+    # an int or an array of them
+    if isinstance(n, np.ndarray):
+        return np.array([_log_catalan(k) for k in n.tolist()])
+    return math.lgamma(2 * n - 1) - math.lgamma(n + 1) - math.lgamma(n)
 
-    return gammaln(2 * n - 1) - gammaln(n + 1) - gammaln(n)
+
+_CATALAN_MAX_TERMS = 100_000
 
 
-def catalan_series_sum(p: float, tol: float = 1e-12, max_terms: int = 100_000):
+def catalan_series_sum(p: float, tol: float = 1e-12):
     """Partial sum of sum_n a_n p^n (1-p)^n with a certified tail bound.
 
     The term ratio is bounded by r = 4 p (1-p) < 1, so the tail after a
@@ -102,7 +105,7 @@ def catalan_series_sum(p: float, tol: float = 1e-12, max_terms: int = 100_000):
     log_w = math.log(p * (1.0 - p))
     total = 0.0
     bound = math.inf
-    for n in range(1, max_terms + 1):
+    for n in range(1, _CATALAN_MAX_TERMS + 1):
         term = math.exp(_log_catalan(n) + n * log_w)
         total += term
         bound = term * r / (1.0 - r)

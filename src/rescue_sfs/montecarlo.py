@@ -1,5 +1,5 @@
-"""Replicate orchestration, mergeable statistics, goodness-of-fit tests,
-and theory-vs-empirics comparison reports.
+"""Replicate orchestration, mergeable statistics and theory-vs-empirics
+comparison reports.
 
 Replicates are reproducible and worker-count independent: replicate r of a
 run with master seed s uses the generator seeded by seed_for_replicate(s, r)
@@ -21,7 +21,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from rescue_sfs import simulator
-from rescue_sfs.gw_trees import geometric_pmf
 from rescue_sfs.params import ModelParams
 
 DEFAULT_CHUNK = 256
@@ -31,10 +30,6 @@ SCALAR_FIELDS = ("ancestral_count", "z1_final", "total_mutations")
 
 class IndexMismatchError(ValueError):
     """Empirical and theoretical index sets differ."""
-
-
-class DegenerateSampleError(ValueError):
-    """A goodness-of-fit sample is degenerate (all values equal)."""
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx), all of it in
@@ -342,100 +337,6 @@ def replicate_sfs(
             for r, record in enumerate(records, start):
                 on_record(r, record)
     return total
-
-
-# ---------------------------------------------------------------------------
-# Goodness of fit
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GofResult:
-    statistic: float
-    pvalue: float
-    dof: int
-    bins: int
-
-
-def gof_discrete(
-    samples: Sequence[int], pmf: Callable[[int], float], min_expected: float = 5.0
-) -> GofResult:
-    """Chi-square test of integer samples (support 1, 2, ...) against a pmf,
-    pooling the tail so every bin's expected count is >= min_expected."""
-    data = np.asarray(samples, dtype=np.int64)
-    if data.size < 2 or data.min() == data.max():
-        raise DegenerateSampleError("need a non-degenerate sample")
-    if data.min() < 1:
-        raise ValueError("samples must be >= 1")
-    n = data.size
-    g_top = int(data.max())
-    counts = np.bincount(data, minlength=g_top + 1)
-    probs = np.array([pmf(g) for g in range(1, g_top + 1)])
-    # choose the last unpooled bin: expected in every kept bin and in the
-    # pooled tail must reach min_expected
-    cut = 0
-    for g in range(1, g_top + 1):
-        if n * probs[g - 1] < min_expected:
-            break
-        cut = g
-    while cut > 0 and n * (1.0 - probs[:cut].sum()) < min_expected:
-        cut -= 1
-    if cut < 1:
-        raise DegenerateSampleError("sample too small for a pooled chi-square test")
-    obs = np.append(counts[1 : cut + 1], counts[cut + 1 :].sum()).astype(float)
-    exp = np.append(n * probs[:cut], n * (1.0 - probs[:cut].sum()))
-    from scipy.special import chdtrc
-
-    stat = float(((obs - exp) ** 2 / exp).sum())
-    dof = obs.size - 1
-    return GofResult(stat, float(chdtrc(dof, stat)), dof, obs.size)
-
-
-def gof_geometric(samples: Sequence[int], x: float, min_expected: float = 5.0) -> GofResult:
-    """Chi-square test against gw_trees.geometric_pmf(x, .)."""
-    if not 0 < x < 1:
-        raise ValueError(f"requires 0 < x < 1, got {x}")
-    return gof_discrete(samples, lambda g: geometric_pmf(x, g), min_expected)
-
-
-def gof_exponential(samples: Sequence[float], rate: float) -> GofResult:
-    """One-sample Kolmogorov-Smirnov test against Exponential(rate)."""
-    data = np.asarray(samples, dtype=float)
-    if data.size < 2 or data.min() == data.max():
-        raise DegenerateSampleError("need a non-degenerate sample")
-    if rate <= 0:
-        raise ValueError(f"requires rate > 0, got {rate}")
-    # scipy (and the process pool) are imported by the call that uses them,
-    # so importing the package loads numpy and the standard library only:
-    # scipy.stats alone costs about 0.5 s and 20 MB to load
-    from scipy.stats import kstest
-
-    res = kstest(data, "expon", args=(0.0, 1.0 / rate))
-    return GofResult(float(res.statistic), float(res.pvalue), data.size, 0)
-
-
-def gof_pooled_counts(
-    observed: Sequence[float], expected: Sequence[float], min_expected: float = 5.0
-) -> GofResult:
-    """Chi-square on categorical counts, pooling low-expectation cells into
-    the largest cell (used for the transition-rate table)."""
-    obs = np.asarray(observed, dtype=float)
-    exp = np.asarray(expected, dtype=float)
-    if obs.shape != exp.shape:
-        raise IndexMismatchError("observed and expected shapes differ")
-    big = int(np.argmax(exp))
-    small = (exp < min_expected) & (np.arange(exp.size) != big)
-    keep = ~small
-    o = obs[keep].copy()
-    e = exp[keep].copy()
-    big_pos = int(np.flatnonzero(np.flatnonzero(keep) == big)[0])
-    o[big_pos] += obs[small].sum()
-    e[big_pos] += exp[small].sum()
-    from scipy.special import chdtrc
-
-    stat = float(((o - e) ** 2 / e).sum())
-    dof = o.size - 1
-    return GofResult(stat, float(chdtrc(dof, stat)), dof, o.size)
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,7 @@ _GK_WG = _WG + _WG[::-1]
 _U = 2.0**-53  # unit roundoff of a double
 _EPS = 2.0 * _U  # machine epsilon
 _TINY = 2.0**-1022  # smallest normal double
+_GK_LIMIT = 400  # most panels one integral is split into
 
 
 def _gk61(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
@@ -139,17 +140,12 @@ def _gk61(f: Callable[[float], float], a: float, b: float) -> tuple[float, float
 
 
 def _gauss_kronrod(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    epsabs: float,
-    epsrel: float,
-    limit: int = 400,
+    f: Callable[[float], float], a: float, b: float, epsabs: float, epsrel: float
 ) -> tuple[float, float]:
     """(value, error estimate) of Int_a^b f by globally adaptive G30/K61.
 
     The panel with the largest error estimate is halved until the summed
-    estimate is at most max(epsabs, epsrel |value|) or there are ``limit``
+    estimate is at most max(epsabs, epsrel |value|) or there are _GK_LIMIT
     panels; both sums are then taken again with math.fsum.  A NaN estimate
     stops the loop at once (NaN fails the comparison), so the caller's
     acceptance test sees it.
@@ -158,7 +154,7 @@ def _gauss_kronrod(
         return 0.0, 0.0
     value, err = _gk61(f, a, b)
     panels = [(-err, a, b, value)]
-    while err > max(epsabs, epsrel * abs(value)) and len(panels) < limit:
+    while err > max(epsabs, epsrel * abs(value)) and len(panels) < _GK_LIMIT:
         neg_e, lo, hi, v = heapq.heappop(panels)
         mid = 0.5 * (lo + hi)
         v1, e1 = _gk61(f, lo, mid)
@@ -170,49 +166,30 @@ def _gauss_kronrod(
     return math.fsum(p[3] for p in panels), math.fsum(-p[0] for p in panels)
 
 
-def quad_semi_infinite(
-    integrand: Callable[[float], float],
-    tol: float,
-    tail_bound: Callable[[float], float],
-    s_max: float,
-) -> TheoryValue:
-    """Integrate a nonnegative-decaying integrand on (0, inf).
-
-    ``tail_bound(s)`` must bound the integral of |integrand| over (s, inf);
-    adaptive Gauss-Kronrod handles [0, s_max] to tol/2, and the certified
-    bound is its error estimate plus ``tail_bound(s_max)``.
-    """
-    tail = tail_bound(s_max)
-    value, err = _gauss_kronrod(integrand, 0.0, s_max, tol / 2, 1e-11)
-    bound = err + tail
-    if not bound <= tol:
-        raise QuadratureError(f"requested tol {tol:g}, achieved bound {bound:g}")
-    return TheoryValue(value, bound)
-
-
-def _quad_finite(
+def _integrate(
     scale: float,
-    integrand: Callable[[float], float],
+    f: Callable[[float], float],
     hi: float,
     tol: float,
-    rounding: Callable[[float, float], float] | None = None,
+    extra: Callable[[float, float], float],
     epsrel: float = 1e-11,
 ) -> TheoryValue:
-    """scale * Int_0^hi integrand.  The integral's bound is the Gauss-Kronrod
-    error estimate, plus ``rounding(value, err)`` for the integrand's own
-    error when given; it is asked to meet tol / max(scale, 1), and this
-    raises where it exceeds both that and 1e-8 |value|."""
+    """scale * Int_0^hi f, for every quadrature of this module.  The
+    integral's bound is the Gauss-Kronrod error estimate plus
+    ``extra(value, err)``: the tail past hi where the integral runs to
+    infinity, else the integrand's own rounding bound.  It is asked to meet
+    tol / max(scale, 1), and this raises where it exceeds both that and
+    1e-8 |value|, as a large value in doubles cannot meet an absolute tol."""
     tol = tol / max(scale, 1.0)
-    value, err = _gauss_kronrod(integrand, 0.0, hi, tol, epsrel)
-    if rounding is not None:
-        err += rounding(value, err)
+    value, err = _gauss_kronrod(f, 0.0, hi, tol, epsrel)
+    err += extra(value, err)
     if not err <= max(tol, abs(value) * 1e-8):
         raise QuadratureError(f"requested tol {tol:g}, achieved bound {err:g}")
     return TheoryValue(scale * value, scale * err)
 
 
 def _relative_rounding(rel: float) -> Callable[[float, float], float]:
-    """``rounding`` for _quad_finite where the integrand is nonnegative and
+    """``extra`` for _integrate where the integrand is nonnegative and
     each evaluation is within rel units of u = 2^-53: the integral of |f| is
     at most value + err, and 1.1 covers the second-order terms."""
     return lambda value, err: 1.1 * rel * _U * (value + err)
@@ -515,9 +492,17 @@ def ancestral_count_mean(params: ModelParams) -> PairedValue:
 # ---------------------------------------------------------------------------
 
 
-def _double_exp_smax(a: float, lam1: float, exponent_target: float = 45.0) -> float:
-    # s beyond which the factor e^(-a e^(lambda1 s)) is below e^-45
-    return max(1.0, math.log(exponent_target / a) / lam1)
+def _window_cut(x: float, dp: DerivedParams) -> tuple[float, float]:
+    """(a, s_max) of the window weights at edge x: a = x lambda1/b1, and
+    s_max past which their factor e^(-a e^(lambda1 s)) is below e^-45.
+
+    Each weight integrates over [0, s_max] with its tail past s_max as the
+    extra bound, asked for tol/2, so that J = K + L, which
+    sfs_window_asymptotic takes at each edge, meets tol."""
+    if not x > 0:
+        raise ValueError(f"requires x > 0, got {x}")
+    a = x * dp.lambda1 / dp.b1
+    return a, max(1.0, math.log(45.0 / a) / dp.lambda1)
 
 
 def window_weight_resistant(x: float, dp: DerivedParams, tol: float = DEFAULT_TOL) -> TheoryValue:
@@ -529,10 +514,8 @@ def window_weight_resistant(x: float, dp: DerivedParams, tol: float = DEFAULT_TO
 
     Positive and strictly decreasing in x (sign-normalized magnitude).
     """
-    if not x > 0:
-        raise ValueError(f"requires x > 0, got {x}")
+    a, s_max = _window_cut(x, dp)
     lam0, lam1 = dp.lambda0, dp.lambda1
-    a = x * lam1 / dp.b1
     pref = 2.0 / (lam0 + lam1)
 
     def f(s: float) -> float:
@@ -542,7 +525,7 @@ def window_weight_resistant(x: float, dp: DerivedParams, tol: float = DEFAULT_TO
         # integrand <= pref e^(lam1 s) e^(-a e^(lam1 s)); exact tail integral
         return pref * math.exp(-a * math.exp(lam1 * s)) / (a * lam1)
 
-    return quad_semi_infinite(f, tol, tail_bound=tail, s_max=_double_exp_smax(a, lam1))
+    return _integrate(1.0, f, s_max, tol / 2, lambda value, err: tail(s_max))
 
 
 def window_weight_sensitive(x: float, dp: DerivedParams, tol: float = DEFAULT_TOL) -> TheoryValue:
@@ -551,11 +534,9 @@ def window_weight_sensitive(x: float, dp: DerivedParams, tol: float = DEFAULT_TO
 
     (1/b1) Int_0^inf (1 + 2 b0 s) e^(-lambda0 s) e^(-x (lambda1/b1) e^(lambda1 s)) ds.
     """
-    if not x > 0:
-        raise ValueError(f"requires x > 0, got {x}")
+    a, s_max = _window_cut(x, dp)
     b0, b1 = dp.b0, dp.b1
     lam0, lam1 = dp.lambda0, dp.lambda1
-    a = x * lam1 / b1
 
     def f(s: float) -> float:
         return (1.0 + 2.0 * b0 * s) * math.exp(-lam0 * s - a * math.exp(lam1 * s)) / b1
@@ -566,7 +547,7 @@ def window_weight_sensitive(x: float, dp: DerivedParams, tol: float = DEFAULT_TO
         rest = math.exp(-lam0 * s) * ((1.0 + 2.0 * b0 * s) / lam0 + 2.0 * b0 / lam0**2)
         return damp * rest / b1
 
-    return quad_semi_infinite(f, tol, tail_bound=tail, s_max=_double_exp_smax(a, lam1))
+    return _integrate(1.0, f, s_max, tol / 2, lambda value, err: tail(s_max))
 
 
 def window_weight_resistant_slope(
@@ -577,10 +558,8 @@ def window_weight_resistant_slope(
     (2 lambda1/(b1 (lambda0+lambda1))) Int_0^inf (1 - e^(-(lambda0+lambda1)s))
     e^(2 lambda1 s) e^(-x (lambda1/b1) e^(lambda1 s)) ds.
     """
-    if not x > 0:
-        raise ValueError(f"requires x > 0, got {x}")
+    a, s_max = _window_cut(x, dp)
     lam0, lam1 = dp.lambda0, dp.lambda1
-    a = x * lam1 / dp.b1
     pref = 2.0 * lam1 / (dp.b1 * (lam0 + lam1))
 
     def f(s: float) -> float:
@@ -593,7 +572,7 @@ def window_weight_resistant_slope(
         w = math.exp(lam1 * s)
         return pref * (w / a + 1.0 / a**2) * math.exp(-a * w) / lam1
 
-    return quad_semi_infinite(f, tol, tail_bound=tail, s_max=_double_exp_smax(a, lam1))
+    return _integrate(1.0, f, s_max, tol / 2, lambda value, err: tail(s_max))
 
 
 # ---------------------------------------------------------------------------
@@ -723,7 +702,7 @@ def resistant_origin_main_term(
         rel = 6 * i + 20 + 3.0 * (math.log(params.n_init) + hi)
         return 1.1 * _U * (rel * (value + err) + 6.1 * rt_n * w)
 
-    return _quad_finite(pref * c / rate, f, hi, tol, rounding, epsrel=1e-13)
+    return _integrate(pref * c / rate, f, hi, tol, rounding, epsrel=1e-13)
 
 
 def _sensitive_founder_integral(
@@ -754,7 +733,7 @@ def _sensitive_founder_integral(
     # factor, 2u + 2u s delta0 x_n for the exponential, 2u for the products
     # and 9u for pref times the integral
     rel = law_rel(lam1 * t_n) + 17.0 + 2.0 * d0 * x * t_n
-    return _quad_finite(pref, f, t_n, tol, _relative_rounding(rel))
+    return _integrate(pref, f, t_n, tol, _relative_rounding(rel))
 
 
 def _resistant_division_integral(
@@ -789,7 +768,7 @@ def _resistant_division_integral(
     # e^(lambda1 s), 7u for the expm1 (k within 4u), 2u for the products and
     # 12u for pref times the integral
     rel = law_rel(lam1 * t_n) + lam1 * t_n + 23.0
-    return _quad_finite(pref, f, t_n, tol, _relative_rounding(rel))
+    return _integrate(pref, f, t_n, tol, _relative_rounding(rel))
 
 
 def _size_tail(x: float, t: float, params: ModelParams) -> _SizeLaw:

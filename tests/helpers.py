@@ -2,7 +2,9 @@
 simulator ``run`` is checked against, a direct sampler of the exactly-one-mark
 tree the rejection sampler is checked against, a naive per-cell mutation-set
 SFS algorithm, and a hand-built genealogy mirroring the worked one-root
-example (seven living resistant cells; spectrum S1=3, S3=1, S7=2).
+example (seven living resistant cells; spectrum S1=3, S3=1, S7=2), and the
+chi-square and Kolmogorov-Smirnov goodness-of-fit tests (p-values from
+scipy.special.chdtrc and scipy.stats.kstest) the statistical checks use.
 
 ``gillespie`` (Gillespie 1977) draws every event of the whole population in
 time order.  The mechanism-level divisions of ``run`` induce the aggregate
@@ -23,10 +25,20 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from random import Random
+from typing import Callable, Sequence
 
 import numpy as np
+from scipy.special import chdtrc
+from scipy.stats import kstest
 
-from rescue_sfs.gw_trees import DEFAULT_CUTOFF, GwLaw, _mark_damping, leaf_count_pmf_array
+from rescue_sfs.gw_trees import (
+    DEFAULT_CUTOFF,
+    GwLaw,
+    _mark_damping,
+    geometric_pmf,
+    leaf_count_pmf_array,
+)
+from rescue_sfs.montecarlo import IndexMismatchError
 from rescue_sfs.params import ModelParams
 from rescue_sfs.simulator import (
     RESISTANT,
@@ -368,3 +380,92 @@ def build_single_root_example(params: ModelParams) -> SimOutcome:
         event_counts=[0, 0, 0, 0, 0],
         ancestral=[(0.0, 2, 0)],
     )
+
+
+# ---------------------------------------------------------------------------
+# Goodness of fit
+# ---------------------------------------------------------------------------
+
+
+class DegenerateSampleError(ValueError):
+    """A goodness-of-fit sample is degenerate (all values equal)."""
+
+
+@dataclass(frozen=True)
+class GofResult:
+    statistic: float
+    pvalue: float
+    dof: int
+    bins: int
+
+
+def gof_discrete(
+    samples: Sequence[int], pmf: Callable[[int], float], min_expected: float = 5.0
+) -> GofResult:
+    """Chi-square test of integer samples (support 1, 2, ...) against a pmf,
+    pooling the tail so every bin's expected count is >= min_expected."""
+    data = np.asarray(samples, dtype=np.int64)
+    if data.size < 2 or data.min() == data.max():
+        raise DegenerateSampleError("need a non-degenerate sample")
+    if data.min() < 1:
+        raise ValueError("samples must be >= 1")
+    n = data.size
+    g_top = int(data.max())
+    counts = np.bincount(data, minlength=g_top + 1)
+    probs = np.array([pmf(g) for g in range(1, g_top + 1)])
+    # choose the last unpooled bin: expected in every kept bin and in the
+    # pooled tail must reach min_expected
+    cut = 0
+    for g in range(1, g_top + 1):
+        if n * probs[g - 1] < min_expected:
+            break
+        cut = g
+    while cut > 0 and n * (1.0 - probs[:cut].sum()) < min_expected:
+        cut -= 1
+    if cut < 1:
+        raise DegenerateSampleError("sample too small for a pooled chi-square test")
+    obs = np.append(counts[1 : cut + 1], counts[cut + 1 :].sum()).astype(float)
+    exp = np.append(n * probs[:cut], n * (1.0 - probs[:cut].sum()))
+    stat = float(((obs - exp) ** 2 / exp).sum())
+    dof = obs.size - 1
+    return GofResult(stat, float(chdtrc(dof, stat)), dof, obs.size)
+
+
+def gof_geometric(samples: Sequence[int], x: float, min_expected: float = 5.0) -> GofResult:
+    """Chi-square test against gw_trees.geometric_pmf(x, .)."""
+    if not 0 < x < 1:
+        raise ValueError(f"requires 0 < x < 1, got {x}")
+    return gof_discrete(samples, lambda g: geometric_pmf(x, g), min_expected)
+
+
+def gof_exponential(samples: Sequence[float], rate: float) -> GofResult:
+    """One-sample Kolmogorov-Smirnov test against Exponential(rate)."""
+    data = np.asarray(samples, dtype=float)
+    if data.size < 2 or data.min() == data.max():
+        raise DegenerateSampleError("need a non-degenerate sample")
+    if rate <= 0:
+        raise ValueError(f"requires rate > 0, got {rate}")
+    res = kstest(data, "expon", args=(0.0, 1.0 / rate))
+    return GofResult(float(res.statistic), float(res.pvalue), data.size, 0)
+
+
+def gof_pooled_counts(
+    observed: Sequence[float], expected: Sequence[float], min_expected: float = 5.0
+) -> GofResult:
+    """Chi-square on categorical counts, pooling low-expectation cells into
+    the largest cell (used for the transition-rate table)."""
+    obs = np.asarray(observed, dtype=float)
+    exp = np.asarray(expected, dtype=float)
+    if obs.shape != exp.shape:
+        raise IndexMismatchError("observed and expected shapes differ")
+    big = int(np.argmax(exp))
+    small = (exp < min_expected) & (np.arange(exp.size) != big)
+    keep = ~small
+    o = obs[keep].copy()
+    e = exp[keep].copy()
+    big_pos = int(np.flatnonzero(np.flatnonzero(keep) == big)[0])
+    o[big_pos] += obs[small].sum()
+    e[big_pos] += exp[small].sum()
+    stat = float(((o - e) ** 2 / e).sum())
+    dof = o.size - 1
+    return GofResult(stat, float(chdtrc(dof, stat)), dof, o.size)

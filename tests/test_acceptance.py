@@ -14,7 +14,14 @@ from random import Random
 import numpy as np
 
 from conftest import REF, T_MULT, T_N, record_criterion
-from helpers import build_single_root_example, gillespie, naive_sfs
+from helpers import (
+    build_single_root_example,
+    gillespie,
+    gof_exponential,
+    gof_geometric,
+    gof_pooled_counts,
+    naive_sfs,
+)
 from rescue_sfs import gw_trees as gw
 from rescue_sfs import montecarlo as mc
 from rescue_sfs import simulator as sim
@@ -95,8 +102,8 @@ def test_criterion_03_founder_laws_monte_carlo():
             )
             gens.append(s.generation)
             times.append(s.lifetime)
-        g_res = mc.gof_geometric(gens, 0.656591)
-        t_res = mc.gof_exponential(times, 1.969773)
+        g_res = gof_geometric(gens, 0.656591)
+        t_res = gof_exponential(times, 1.969773)
     ok = g_res.pvalue > 0.001 and t_res.pvalue > 0.001 and sw.elapsed < 60.0
     record_criterion(
         "03",
@@ -302,7 +309,7 @@ def test_criterion_09_rate_table_and_decay():
             out = gillespie(REF, T_N, rng=rng, track_rates=True)
             obs += out.event_counts
             exp += out.expected_class_weights
-        gof = mc.gof_pooled_counts(obs, exp)
+        gof = gof_pooled_counts(obs, exp)
 
         decay_params = ModelParams(
             b0=1.2, d0=2.0, b1=1.2, d1=0.5, omega=0.0, gamma=0.0, alpha=0.9, n_init=100

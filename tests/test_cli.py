@@ -1,4 +1,5 @@
 import argparse
+import ast
 import csv
 import json
 import os
@@ -390,6 +391,20 @@ def test_theory_x_grid_takes_inf(cfg_path, tmp_path):
         assert float(row[1]) == expected(row)
 
 
+@pytest.mark.parametrize("formula", ["K", "Kslope"])
+def test_theory_window_weights_near_critical(cfg_path, tmp_path, formula):
+    # at d1/b1 = 0.999 the weights are about 1e6, beyond an absolute 1e-10 in
+    # doubles: each row holds its bound to 1e-8 of the value instead
+    out = str(tmp_path / formula)
+    argv = ["theory", "--config", cfg_path, "--d1", "1.1988", "--formula", formula]
+    assert cli.main(argv + ["--x-grid", "0.6,1", "--out-dir", out]) == 0
+    rows = _read_csv(os.path.join(out, f"theory_{formula}.csv"))
+    assert rows[0][:4] == ["index_or_x", "exact", "asymptotic", "error_bound"]
+    assert len(rows) == 3
+    for row in rows[1:]:
+        assert float(row[3]) <= 1e-8 * float(row[1]), row
+
+
 def test_import_path_loads_numpy_only(cfg_path, tmp_path):
     # scipy takes about 0.75 s and 50 MB to import on top of numpy, and the
     # process pool about 33 ms: neither the imports, a single-worker
@@ -433,6 +448,53 @@ print(cli.main(argv + ["--workers", "1", "--out-dir", {str(tmp_path / "c")!r}]),
         "0 []",
         "gate passed: all 2 indices within threshold",
         "0 []",
+    ]
+
+
+def test_runtime_needs_no_scipy(cfg_path, tmp_path):
+    # scipy is a test-only dependency: no package module imports it, and every
+    # command runs in an interpreter where importing it fails
+    src = os.path.dirname(cli.__file__)
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                tree = ast.parse(fh.read())
+            imported = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
+            imported += [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.module]
+            assert not [m for m in imported if m.split(".")[0] == "scipy"], name
+    code = f"""
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{{name}} is not installed")
+
+sys.meta_path.insert(0, NoScipy())
+from rescue_sfs import cli
+
+runs = [["simulate", "--windows", "0.5,2", "--workers", "1"]]
+runs += [["theory", "--formula", "P", "--i-range", "1:2"]]
+runs += [["theory", "--formula", f, "--x-grid", "0.6,1"] for f in ("K", "L", "Kslope")]
+runs += [["gw", "--samples", "200"]]
+runs += [["compare", "--what", "windows", "--windows", "0.5,1", "--workers", "1"]]
+runs += [["figures", "--which", "fig7"]]
+for k, argv in enumerate(runs):
+    out = ["--config", {cfg_path!r}, "--out-dir", {str(tmp_path)!r} + f"/{{k}}"]
+    print(argv[0], cli.main(argv + out))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    codes = [line for line in proc.stdout.splitlines() if not line.startswith("gate ")]
+    assert codes == [
+        "simulate 0",
+        "theory 0",
+        "theory 0",
+        "theory 0",
+        "theory 0",
+        "gw 0",
+        "compare 0",
+        "figures 0",
     ]
 
 

@@ -6,9 +6,8 @@ from random import Random
 import numpy as np
 import pytest
 
-from helpers import DirectOneMarkSampler
+from helpers import DirectOneMarkSampler, gof_discrete, gof_geometric
 from rescue_sfs import gw_trees as gw
-from rescue_sfs.montecarlo import gof_discrete, gof_geometric
 
 LAW = gw.GwLaw(p=4 / 15, beta=3 / 11)  # b0=1, d0=2, gamma_n=0.2
 X = LAW.x

@@ -5,6 +5,7 @@ from random import Random
 import numpy as np
 import pytest
 
+from helpers import DegenerateSampleError, gof_exponential, gof_geometric, gof_pooled_counts
 from rescue_sfs import montecarlo as mc
 from rescue_sfs import simulator as sim
 from rescue_sfs.params import ModelParams
@@ -277,7 +278,7 @@ def test_gof_geometric_self_consistency():
     rng = np.random.default_rng(11)
     x = 0.656591
     samples = rng.geometric(x, size=100_000)
-    res = mc.gof_geometric(samples, x)
+    res = gof_geometric(samples, x)
     assert res.pvalue > 0.001
     assert res.bins >= 4
 
@@ -285,33 +286,33 @@ def test_gof_geometric_self_consistency():
 def test_gof_geometric_detects_wrong_parameter():
     rng = np.random.default_rng(12)
     samples = rng.geometric(0.4, size=100_000)
-    assert mc.gof_geometric(samples, 0.5).pvalue < 1e-6
+    assert gof_geometric(samples, 0.5).pvalue < 1e-6
 
 
 def test_gof_exponential_self_consistency():
     rng = np.random.default_rng(13)
     rate = 1.969773
     samples = rng.exponential(1.0 / rate, size=100_000)
-    res = mc.gof_exponential(samples, rate)
+    res = gof_exponential(samples, rate)
     assert res.pvalue > 0.001
-    assert mc.gof_exponential(samples, 2.5 * rate).pvalue < 1e-6
+    assert gof_exponential(samples, 2.5 * rate).pvalue < 1e-6
 
 
 def test_gof_degenerate_samples_rejected():
-    with pytest.raises(mc.DegenerateSampleError):
-        mc.gof_geometric([3, 3, 3, 3], 0.5)
-    with pytest.raises(mc.DegenerateSampleError):
-        mc.gof_exponential([1.0, 1.0], 2.0)
+    with pytest.raises(DegenerateSampleError):
+        gof_geometric([3, 3, 3, 3], 0.5)
+    with pytest.raises(DegenerateSampleError):
+        gof_exponential([1.0, 1.0], 2.0)
 
 
 def test_gof_pooled_counts():
     obs = [520, 480, 3]
     exp = [500.0, 500.0, 3.0]
-    res = mc.gof_pooled_counts(obs, exp)
+    res = gof_pooled_counts(obs, exp)
     assert res.bins == 2  # the tiny cell is pooled into the largest
     assert res.pvalue > 0.05
     with pytest.raises(mc.IndexMismatchError):
-        mc.gof_pooled_counts([1, 2], [1.0, 2.0, 3.0])
+        gof_pooled_counts([1, 2], [1.0, 2.0, 3.0])
 
 
 def test_chi_square_pvalues_equal_scipy_stats_chi2_sf():
@@ -319,14 +320,14 @@ def test_chi_square_pvalues_equal_scipy_stats_chi2_sf():
 
     rng = np.random.default_rng(14)
     for x in (0.5, 0.48):
-        res = mc.gof_geometric(rng.geometric(x, size=5_000), 0.5)
+        res = gof_geometric(rng.geometric(x, size=5_000), 0.5)
         assert 0.0 < res.pvalue < 1.0
         assert res.pvalue == chi2.sf(res.statistic, res.dof)
     for obs, exp in (
         ([520, 480, 3], [500.0, 500.0, 3.0]),
         ([10, 31, 60, 99], [25.0, 25.0, 50.0, 100.0]),
     ):
-        res = mc.gof_pooled_counts(obs, exp)
+        res = gof_pooled_counts(obs, exp)
         assert res.pvalue == chi2.sf(res.statistic, res.dof)
 
 

@@ -17,11 +17,12 @@ from helpers import (
     carried_copy_total,
     event_class_probabilities,
     gillespie,
+    gof_discrete,
+    gof_pooled_counts,
     naive_sfs,
 )
 from rescue_sfs import simulator as sim
 from rescue_sfs import theory as th
-from rescue_sfs.montecarlo import gof_discrete, gof_pooled_counts
 from rescue_sfs.params import MUTATION_LAWS, ModelParams, derive
 
 REF = ModelParams(b0=1.2, d0=2.0, b1=1.2, d1=0.5, omega=2.0, gamma=1.0, alpha=0.9, n_init=500)
