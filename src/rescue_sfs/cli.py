@@ -356,11 +356,11 @@ def _theory_rows(args, cfg: RunConfig):
 
 @contextlib.contextmanager
 def _theory_domain(what: str):
-    """Report a theory call or tree law outside its domain, or a value too
-    large for a float, as a config error."""
+    """Report a theory call or tree law outside its domain, a value too large
+    for a float, or a quadrature that cannot meet its tol as a config error."""
     try:
         yield
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, theory.QuadratureError) as exc:
         raise ConfigError(f"{what}: {exc}") from exc
 
 

@@ -90,28 +90,31 @@ def _log_catalan(n):
 
 
 _CATALAN_MAX_TERMS = 100_000
+_CATALAN_TOL = 1e-12
 
 
-def catalan_series_sum(p: float, tol: float = 1e-12):
+def catalan_series_sum(p: float):
     """Partial sum of sum_n a_n p^n (1-p)^n with a certified tail bound.
 
     The term ratio is bounded by r = 4 p (1-p) < 1, so the tail after a
-    term ``t`` is below ``t * r / (1 - r)``.  Returns (sum, tail_bound).
-    The limit is p for every p < 1/2.
+    term ``t`` is below ``t * r / (1 - r)``.  Returns (sum, tail_bound) once
+    the bound is below 1e-12, and raises ValueError where _CATALAN_MAX_TERMS
+    terms do not get there (p near 1/2).  The limit is p for every p < 1/2.
     """
     if not 0 < p < 0.5:
         raise ValueError(f"requires 0 < p < 1/2, got p={p}")
     r = 4.0 * p * (1.0 - p)
     log_w = math.log(p * (1.0 - p))
     total = 0.0
-    bound = math.inf
     for n in range(1, _CATALAN_MAX_TERMS + 1):
         term = math.exp(_log_catalan(n) + n * log_w)
         total += term
         bound = term * r / (1.0 - r)
-        if bound < tol:
+        if bound < _CATALAN_TOL:
             return total, bound
-    return total, bound
+    raise ValueError(
+        f"p={p}: tail bound {bound:g} after {_CATALAN_MAX_TERMS} terms exceeds tol {_CATALAN_TOL:g}"
+    )
 
 
 def leaf_count_pmf_array(law: GwLaw, n_max: int) -> np.ndarray:
@@ -205,13 +208,6 @@ def geometric_pmf(x: float, g: int) -> float:
     return x * (1.0 - x) ** (g - 1)
 
 
-# relative gap |p - pt| / p at or below which any_mark_pmf sums its divided
-# differences: the quotient loses about 2e-16 / gap of relative accuracy to
-# cancellation, so above the band it stays within about 2e-13 and is kept,
-# which leaves the law's outputs there bit for bit
-_DIVIDED_DIFFERENCE_BAND = 1e-3
-
-
 def _divided_power_difference(p: float, pt: float, m: int) -> float:
     # (p^m - pt^m)/(p - pt) as sum_{k<m} p^k pt^(m-1-k): no cancellation, and
     # its limit m p^(m-1) at pt = p (0^0 = 1, so p = pt = 0 gives [m == 1])
@@ -221,23 +217,15 @@ def _divided_power_difference(p: float, pt: float, m: int) -> float:
 def any_mark_pmf(p: float, pt: float, g: int) -> float:
     """Generation law of a uniformly chosen marked leaf given >= 1 mark, in
     p and pt = p_tilde(1-beta):
-    2^(g-1)/(p-pt) * [ (p^g - pt^g)/g - 2 (p^(g+1) - pt^(g+1))/(g+1) ].
-
-    Where |p - pt| <= 1e-3 p (p = 0 and beta -> 0 included) each divided
-    difference (p^m - pt^m)/(p - pt) is summed instead, so the law tends to
-    (2p)^(g-1) (1-2p) as beta -> 0 and is 1 at g = 1 for p = 0.
+    2^(g-1)/(p-pt) * [ (p^g - pt^g)/g - 2 (p^(g+1) - pt^(g+1))/(g+1) ],
+    with each divided difference (p^m - pt^m)/(p - pt) summed, so that it
+    tends to (2p)^(g-1) (1-2p) as beta -> 0 and is 1 at g = 1 for p = 0.
     """
     if not g >= 1:
         raise ValueError(f"requires g >= 1, got {g}")
-    if abs(p - pt) <= _DIVIDED_DIFFERENCE_BAND * p:
-        return 2.0 ** (g - 1) * (
-            _divided_power_difference(p, pt, g) / g
-            - 2.0 * _divided_power_difference(p, pt, g + 1) / (g + 1)
-        )
-    return (
-        2.0 ** (g - 1)
-        / (p - pt)
-        * ((p**g - pt**g) / g - 2.0 * (p ** (g + 1) - pt ** (g + 1)) / (g + 1))
+    return 2.0 ** (g - 1) * (
+        _divided_power_difference(p, pt, g) / g
+        - 2.0 * _divided_power_difference(p, pt, g + 1) / (g + 1)
     )
 
 

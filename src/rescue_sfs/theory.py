@@ -180,6 +180,8 @@ def _integrate(
     infinity, else the integrand's own rounding bound.  It is asked to meet
     tol / max(scale, 1), and this raises where it exceeds both that and
     1e-8 |value|, as a large value in doubles cannot meet an absolute tol."""
+    if not tol > 0:
+        raise ValueError(f"requires tol > 0, got {tol}")
     tol = tol / max(scale, 1.0)
     value, err = _gauss_kronrod(f, 0.0, hi, tol, epsrel)
     err += extra(value, err)
@@ -204,7 +206,7 @@ SHAPE_TOL = 1e-12
 _SERIES_TERMS = 64  # the series is kept wherever it converges in max(i, 64) terms
 
 
-def _shape(i: int, x: float, rho: float, tol: float) -> tuple[float, float]:
+def _shape(i: int, x: float, rho: float) -> tuple[float, float]:
     """(value, absolute error bound) of h_i(x) = Int_0^Y (1-y) y^(i-1) / (1-rho y) dy
     with Y = (x-1)/(x-rho), Y = 1 at x = inf, for shape_integral and
     shape_integral_truncated (resistant_origin_main_term integrates h_i in
@@ -215,7 +217,7 @@ def _shape(i: int, x: float, rho: float, tol: float) -> tuple[float, float]:
     near 1, O(1/(1 - rho Y)) terms) the value comes in i - 1 steps from
     M_a = Int_0^Y y^(a-1) / (1-rho y) dy = sum_k rho^k Y^(a+k) / (a+k):
     M_1 = -log1p(-rho Y)/rho, M_(a+1) = (M_a - Y^a/a)/rho and
-    h_i = (Y^i/i - (1-rho) M_i)/rho, wherever its rounding bound certifies tol.
+    h_i = (Y^i/i - (1-rho) M_i)/rho, wherever its rounding bound certifies SHAPE_TOL.
     """
     complete = x == math.inf
     y = 1.0 if complete else (x - 1.0) / (x - rho)
@@ -231,9 +233,9 @@ def _shape(i: int, x: float, rho: float, tol: float) -> tuple[float, float]:
     r = rho * y
     n = max(i, _SERIES_TERMS)
     if complete:
-        long_series = rho**n / ((i + n) * (i + n + 1) * (1.0 - rho)) >= tol
+        long_series = rho**n / ((i + n) * (i + n + 1) * (1.0 - rho)) >= SHAPE_TOL
     else:
-        long_series = y_i * r**n / ((i + n) * (1.0 - r)) >= tol
+        long_series = y_i * r**n / ((i + n) * (1.0 - r)) >= SHAPE_TOL
     if long_series:
         m1 = -math.log1p(-r) / rho
         # Rounding bound, u = 2^-53, libm log1p within 1 ulp.  The error e_1
@@ -247,7 +249,7 @@ def _shape(i: int, x: float, rho: float, tol: float) -> tuple[float, float]:
         # most 3.2u Y^i, since |dh_i/dY| <= Y^(i-1).
         err_m = rho ** (1 - i) * _U * ((3 * i + 3) * m1 + 2 * i + 3.0 * r / ((1.0 - r) * rho))
         bound = 1.1 * (6.1 * _U * y_i + (1.0 - rho) * (1.1 * err_m + 2.1 * _U * m1)) / rho
-        if bound <= tol:
+        if bound <= SHAPE_TOL:
             m = m1
             y_a = 1.0
             for a in range(1, i):
@@ -264,7 +266,7 @@ def _shape(i: int, x: float, rho: float, tol: float) -> tuple[float, float]:
             rk *= rho
             k += 1
             tail = rk / ((i + k) * (i + k + 1) * (1.0 - rho))
-            if tail < tol:
+            if tail < SHAPE_TOL:
                 return total, tail
     # term_k = rho^k [ Y^(i+k)/(i+k) - Y^(i+k+1)/(i+k+1) ]
     rk = y_i
@@ -273,46 +275,35 @@ def _shape(i: int, x: float, rho: float, tol: float) -> tuple[float, float]:
         rk *= r
         k += 1
         tail = rk / ((i + k) * (1.0 - r))
-        if tail < tol:
+        if tail < SHAPE_TOL:
             return total, tail
 
 
-def _check_shape_args(i: int, rho: float, tol: float) -> None:
-    if not i >= 1:
-        raise ValueError(f"requires i >= 1, got {i}")
-    if not 0 <= rho < 1:
-        raise ValueError(f"requires 0 <= rho < 1, got {rho}")
-    if not tol > 0:
-        raise ValueError(f"requires tol > 0, got {tol}")
-
-
-def shape_integral(i: int, rho: float, tol: float = SHAPE_TOL) -> TheoryValue:
-    """Integral of (1-y) y^(i-1) / (1 - rho y) over [0, 1].
+def shape_integral(i: int, rho: float) -> TheoryValue:
+    """Integral of (1-y) y^(i-1) / (1 - rho y) over [0, 1], to SHAPE_TOL.
 
     The limiting per-founder SFS shape factor I(i): the series
     sum_k rho^k / ((i+k)(i+k+1)) with a certified geometric tail bound, or
     near rho = 1 the log1p-seeded recurrence of ``_shape`` with a certified
     rounding bound.
     """
-    _check_shape_args(i, rho, tol)
-    value, bound = _shape(i, math.inf, rho, tol)
-    return TheoryValue(value, bound)
+    return shape_integral_truncated(i, math.inf, rho)
 
 
-def shape_integral_truncated(i: int, x: float, rho: float, tol: float = SHAPE_TOL) -> TheoryValue:
-    """Integral of (1-y) y^(i-1) / (1 - rho y) over [0, (x-1)/(x-rho)].
+def shape_integral_truncated(i: int, x: float, rho: float) -> TheoryValue:
+    """Integral of (1-y) y^(i-1) / (1 - rho y) over [0, (x-1)/(x-rho)], to SHAPE_TOL.
 
-    Defined for x >= 1 (zero at x = 1); tends to shape_integral(i, rho) as
-    x -> inf.  Series in rho with the upper limit's powers, or the
-    recurrence of ``_shape`` where rho (x-1)/(x-rho) is near 1.
+    Defined for x >= 1 (zero at x = 1); shape_integral(i, rho) at x = inf.
+    Series in rho with the upper limit's powers, or the recurrence of
+    ``_shape`` where rho (x-1)/(x-rho) is near 1.
     """
-    _check_shape_args(i, rho, tol)
-    if x == math.inf:
-        return shape_integral(i, rho, tol)
+    if not i >= 1:
+        raise ValueError(f"requires i >= 1, got {i}")
+    if not 0 <= rho < 1:
+        raise ValueError(f"requires 0 <= rho < 1, got {rho}")
     if not x >= 1.0:
         raise ValueError(f"requires x >= 1, got {x}")
-    value, bound = _shape(i, x, rho, tol)
-    return TheoryValue(value, bound)
+    return TheoryValue(*_shape(i, x, rho))
 
 
 # A size law below is a function of the clone's scaled age z = lambda1 u,
@@ -381,9 +372,7 @@ def clone_extinction_prob(u: float, b1: float, d1: float) -> float:
     return d1 * (1.0 - e) / (b1 - d1 * e)
 
 
-def single_clone_sfs(
-    i: int, t: float, b1: float, d1: float, omega: float, tol: float = SHAPE_TOL
-) -> TheoryValue:
+def single_clone_sfs(i: int, t: float, b1: float, d1: float, omega: float) -> TheoryValue:
     """Expected number of mutations carried by exactly i cells at time t in
     a clone grown from one founder: omega e^(lambda1 t) h_i(e^(lambda1 t))."""
     if not t >= 0:
@@ -392,7 +381,7 @@ def single_clone_sfs(
         return TheoryValue(0.0, 0.0)
     lam1 = b1 - d1
     growth = math.exp(lam1 * t)
-    h = shape_integral_truncated(i, growth, d1 / b1, tol)
+    h = shape_integral_truncated(i, growth, d1 / b1)
     return TheoryValue(omega * growth * h.value, omega * growth * h.abs_error_bound)
 
 
@@ -521,11 +510,9 @@ def window_weight_resistant(x: float, dp: DerivedParams, tol: float = DEFAULT_TO
     def f(s: float) -> float:
         return pref * (1.0 - math.exp(-(lam0 + lam1) * s)) * math.exp(lam1 * s - a * math.exp(lam1 * s))
 
-    def tail(s: float) -> float:
-        # integrand <= pref e^(lam1 s) e^(-a e^(lam1 s)); exact tail integral
-        return pref * math.exp(-a * math.exp(lam1 * s)) / (a * lam1)
-
-    return _integrate(1.0, f, s_max, tol / 2, lambda value, err: tail(s_max))
+    # integrand <= pref e^(lam1 s) e^(-a e^(lam1 s)); exact tail integral
+    tail = pref * math.exp(-a * math.exp(lam1 * s_max)) / (a * lam1)
+    return _integrate(1.0, f, s_max, tol / 2, lambda value, err: tail)
 
 
 def window_weight_sensitive(x: float, dp: DerivedParams, tol: float = DEFAULT_TOL) -> TheoryValue:
@@ -541,13 +528,10 @@ def window_weight_sensitive(x: float, dp: DerivedParams, tol: float = DEFAULT_TO
     def f(s: float) -> float:
         return (1.0 + 2.0 * b0 * s) * math.exp(-lam0 * s - a * math.exp(lam1 * s)) / b1
 
-    def tail(s: float) -> float:
-        damp = math.exp(-a * math.exp(lam1 * s))
-        # Int_s^inf (1+2 b0 u) e^(-lam0 u) du in closed form
-        rest = math.exp(-lam0 * s) * ((1.0 + 2.0 * b0 * s) / lam0 + 2.0 * b0 / lam0**2)
-        return damp * rest / b1
-
-    return _integrate(1.0, f, s_max, tol / 2, lambda value, err: tail(s_max))
+    # Int_s_max^inf (1+2 b0 u) e^(-lam0 u) du in closed form
+    rest = math.exp(-lam0 * s_max) * ((1.0 + 2.0 * b0 * s_max) / lam0 + 2.0 * b0 / lam0**2)
+    tail = math.exp(-a * math.exp(lam1 * s_max)) * rest / b1
+    return _integrate(1.0, f, s_max, tol / 2, lambda value, err: tail)
 
 
 def window_weight_resistant_slope(
@@ -567,12 +551,10 @@ def window_weight_resistant_slope(
             2.0 * lam1 * s - a * math.exp(lam1 * s)
         )
 
-    def tail(s: float) -> float:
-        # Int w e^(-a w) dw / lam1 over w >= e^(lam1 s), in closed form
-        w = math.exp(lam1 * s)
-        return pref * (w / a + 1.0 / a**2) * math.exp(-a * w) / lam1
-
-    return _integrate(1.0, f, s_max, tol / 2, lambda value, err: tail(s_max))
+    # Int w e^(-a w) dw / lam1 over w >= e^(lam1 s_max), in closed form
+    w = math.exp(lam1 * s_max)
+    tail = pref * (w / a + 1.0 / a**2) * math.exp(-a * w) / lam1
+    return _integrate(1.0, f, s_max, tol / 2, lambda value, err: tail)
 
 
 # ---------------------------------------------------------------------------

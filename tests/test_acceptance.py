@@ -74,7 +74,7 @@ def test_criterion_02_catalan_and_exact_recursion():
     with stopwatch() as sw:
         series_gaps = {}
         for p in (0.1, 0.25, 0.4):
-            total, bound = gw.catalan_series_sum(p, tol=1e-12)
+            total, bound = gw.catalan_series_sum(p)
             series_gaps[p] = abs(total - p)
         v_rec, v_closed = exact_v_tables(Fraction(1, 4), 60)
         rational_equal = all(

@@ -98,7 +98,7 @@ GOLDEN_DIGESTS = [
     ),
     (
         ["theory", "--formula", "tilde-gn", "--i-range", "1:10"],
-        {"theory_tilde_gn.csv": "b84df6d86b711f6133305968a28228980cb741ff01ab5778cac7e4783742d3bc"},
+        {"theory_tilde_gn.csv": "6feaafe9f704dc5a4908d62650d937db8bb712ef25c75d10e4d31045541ef5a4"},
     ),
     (
         ["gw", "--samples", "2000"],
@@ -106,7 +106,7 @@ GOLDEN_DIGESTS = [
     ),
     (
         ["gw", "--condition", "at-least-one-mark", "--samples", "2000"],
-        {"gw_pmf.csv": "ddce6faa0dce895cc946d308c12a9a1dca3005145d244719d536802a739fbcb4"},
+        {"gw_pmf.csv": "fe34088e56e67aeb0b418f3558ee7542aaa3a4ef22c94f5265ced5eed80c65a7"},
     ),
     (
         ["figures", "--which", "fig2", "--samples", "2000"],
@@ -685,6 +685,20 @@ def test_rejection_limit_exits_2(cfg_path, tmp_path, capsys, monkeypatch):
     assert cli.main(["gw", "--config", cfg_path, "--out-dir", str(out)]) == 2
     assert capsys.readouterr().err == "config error: no accepted tree in 1000000 attempts\n"
     assert not os.path.exists(out / "gw_pmf.csv")
+
+
+def test_unreachable_quadrature_exits_2(tmp_path, capsys):
+    # at N = 1e5 and t = 3 the window count's rounding bound is 3.4e-4, so
+    # its quadrature cannot be certified; the theory runs before any
+    # replicate, so this fails at once
+    cfg = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "reference.cfg")
+    out = tmp_path / "o"
+    argv = ["compare", "--config", cfg, "--out-dir", str(out), "--n-init", "100000"]
+    argv += ["--t-mult", "3", "--what", "windows", "--windows", "0.6", "--workers", "1"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: window theory: requested tol") and "achieved" in err
+    assert os.listdir(out) == []
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ from collections import Counter
 from fractions import Fraction
 from random import Random
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -32,9 +33,22 @@ def test_catalan_sequence():
 
 @pytest.mark.parametrize("p", [0.1, 0.25, 0.4])
 def test_catalan_series_identity(p):
-    total, bound = gw.catalan_series_sum(p, tol=1e-12)
+    total, bound = gw.catalan_series_sum(p)
     assert bound < 1e-12
     assert abs(total - p) < 1e-10
+
+
+@pytest.mark.parametrize("p", [0.1, 0.4, 0.45, 0.49])
+def test_catalan_series_meets_its_tolerance(p):
+    total, bound = gw.catalan_series_sum(p)
+    assert abs(total - p) <= bound < 1e-12
+
+
+def test_catalan_series_fails_loudly_near_one_half():
+    # 100000 terms leave a tail bound of 7.5e-4 at p = 0.499; it used to be
+    # returned as if it were the sum's accuracy
+    with pytest.raises(ValueError, match=r"p=0\.499: tail bound 0\.000747.* tol 1e-12"):
+        gw.catalan_series_sum(0.499)
 
 
 def test_leaf_count_pmf():
@@ -123,6 +137,33 @@ def test_gen_pmf_atleast_one_mark_beta_to_one():
     for g in range(1, 8):
         marginal = (2 * law.p) ** (g - 1) * (1.0 / g - 2.0 * law.p / (g + 1))
         assert gw.gen_pmf_atleast_one_mark(law, g) == pytest.approx(marginal, rel=1e-6)
+
+
+def _any_mark_exact(p, pt, g):
+    # 50-digit law on the float inputs: the quotient, or its limit
+    # (2p)^(g-1) (1-2p) at pt = p
+    with mpmath.workdps(50):
+        p, pt = mpmath.mpf(p), mpmath.mpf(pt)
+        if p == pt:
+            return (2 * p) ** (g - 1) * (1 - 2 * p)
+        bracket = (p**g - pt**g) / g - 2 * (p ** (g + 1) - pt ** (g + 1)) / (g + 1)
+        return 2 ** (g - 1) / (p - pt) * bracket
+
+
+@pytest.mark.parametrize("p", [0.0, 0.1, 0.3736, 0.45, 0.49, 0.499])
+def test_any_mark_pmf_matches_mpmath(p):
+    # pt from beta in [1e-9, 1], pt = p (beta -> 0) and pt on both sides of
+    # |p - pt| = 1e-3 p, where the law used to switch from the quotient to
+    # the divided-difference sums
+    pts = [gw.p_tilde(1.0 - beta, p) for beta in (1e-9, 1e-6, 1e-3, 0.01, 0.1, 0.5, 1.0)]
+    pts += [p, p * (1 - 0.999e-3), p * (1 - 1.001e-3)]
+    for pt in pts:
+        for g in range(1, 41):
+            want = _any_mark_exact(p, pt, g)
+            got = gw.any_mark_pmf(p, pt, g)
+            bound = (g + 1) * 2.0**-53 / (1 - 2 * max(p, pt))
+            with mpmath.workdps(50):
+                assert abs(got - want) <= bound * abs(want), (pt, g, got, float(want))
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,9 @@ def test_theory_value_invariants():
 
 
 NAN = math.nan
+# a quadrature tolerance that is not above 0: 0 and -1 used to fall back to
+# the 1e-8 relative floor, NaN to fail as a QuadratureError
+TOLS = (NAN, 0.0, -1.0)
 
 
 # NaN fails every comparison, so a domain check written as x < lo lets it
@@ -55,6 +58,9 @@ NAN = math.nan
         lambda: th.expected_resistant_population(NAN, REF),
         lambda: th.single_clone_sfs_asymptotic(1, NAN, 1.2, 0.5, 2.0),
         lambda: th.resistant_origin_remainder_bound(NAN, REF),
+        *(lambda tol=tol: th.window_weight_resistant(1.0, DP, tol) for tol in TOLS),
+        *(lambda tol=tol: th.resistant_origin_mean_exact(1, T, REF, tol) for tol in TOLS),
+        *(lambda tol=tol: th.sfs_window_asymptotic(0.6, 1.0, T, REF, tol) for tol in TOLS),
     ],
     ids=[
         "hi",
@@ -77,6 +83,7 @@ NAN = math.nan
         "resistant-population",
         "clone-sfs-asymptotic",
         "remainder-bound",
+        *(f"{name}-tol{tol}" for name in ("K", "exact-mean", "thm2") for tol in TOLS),
     ],
 )
 def test_nan_inputs_fail_loudly(call):
@@ -183,13 +190,10 @@ def test_shape_integral_truncated():
     [
         (th.shape_integral, (0, RHO), "i >= 1"),
         (th.shape_integral, (1, 1.0), "rho < 1"),
-        (th.shape_integral, (1, RHO, 0.0), "tol > 0"),
         (th.shape_integral_truncated, (1, 0.5, RHO), "x >= 1"),
-        (th.shape_integral_truncated, (1, 2.0, RHO, 0.0), "tol > 0"),
     ],
 )
 def test_shape_integral_rejects_bad_arguments(fn, args, match):
-    # at tol = 0 the series would never stop
     with pytest.raises(ValueError, match=match):
         fn(*args)
 
