@@ -4,6 +4,10 @@ Every command resolves its configuration (config file plus overrides),
 writes CSV outputs under --out-dir, and finishes with a manifest.json
 listing each output file with its SHA-256 digest; re-running with the same
 config and seed reproduces identical digests.
+
+Only the commands that build arrays load numpy: the Monte Carlo runs import
+``montecarlo`` on first use and fig2 imports numpy for its histogram, so
+``theory``, ``gw`` and fig7 run on the standard library.
 """
 
 from __future__ import annotations
@@ -21,10 +25,8 @@ import time
 from dataclasses import dataclass
 from random import Random
 
-import numpy as np
-
 import rescue_sfs
-from rescue_sfs import gw_trees, montecarlo, simulator, theory
+from rescue_sfs import gw_trees, simulator, theory
 from rescue_sfs.params import (
     CONFIG_SCHEMA,
     ConfigError,
@@ -136,6 +138,8 @@ def _workers(args: argparse.Namespace) -> int:
 def _replicates(args, cfg: RunConfig, i_max: int, windows=(), on_record=None):
     """The configured Monte Carlo run, aggregated over i = 1..i_max and
     the given window lower edges."""
+    from rescue_sfs import montecarlo
+
     return montecarlo.replicate_sfs(
         cfg.params,
         observation_time(cfg.observation, cfg.params),
@@ -444,6 +448,8 @@ def cmd_compare(args: argparse.Namespace, cfg: RunConfig, outputs: _OutputSet) -
             f"{_Z_GATE_MIN_REPLICATES}; its SEM is too noisy for a failure to say much",
             file=sys.stderr,
         )
+    from rescue_sfs import montecarlo
+
     report = montecarlo.compare(
         stats,
         tvals,
@@ -484,6 +490,8 @@ def cmd_figures(args: argparse.Namespace, cfg: RunConfig, outputs: _OutputSet) -
 
 def _fig2(args, cfg: RunConfig, outputs: _OutputSet) -> None:
     """Founder generation and appearance-time laws at two resistance levels."""
+    import numpy as np
+
     samples = _samples(args, 100_000)
     rows_g = []
     rows_t = []

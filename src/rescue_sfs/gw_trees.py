@@ -12,6 +12,9 @@ Conventions: a leaf's *generation* is its edge distance to the root (the
 root has generation 0).  The joint pmfs ``u_n`` / ``v_{g,n}`` follow the
 node-count convention of the underlying recursions, in which a single-node
 tree's leaf sits at g = 1; i.e. their ``g`` equals edge generation + 1.
+
+The laws and the sampler use only the standard library; numpy is imported
+inside the four array helpers, the only places that build arrays.
 """
 
 from __future__ import annotations
@@ -19,8 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from random import Random
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_CUTOFF = 2000
 
@@ -81,11 +86,8 @@ def catalan_sequence(n_max: int) -> list[int]:
     return seq[1:]
 
 
-def _log_catalan(n):
-    # log of the n-th sequence term a_n = C_{n-1} = (2n-2)! / (n! (n-1)!), n
-    # an int or an array of them
-    if isinstance(n, np.ndarray):
-        return np.array([_log_catalan(k) for k in n.tolist()])
+def _log_catalan(n: float) -> float:
+    # log of the n-th sequence term a_n = C_{n-1} = (2n-2)! / (n! (n-1)!)
     return math.lgamma(2 * n - 1) - math.lgamma(n + 1) - math.lgamma(n)
 
 
@@ -120,13 +122,16 @@ def catalan_series_sum(p: float):
 def leaf_count_pmf_array(law: GwLaw, n_max: int) -> np.ndarray:
     """Vector of leaf-count probabilities; entry [n] is
     u_n = P(the tree has exactly n leaves) = a_n (1-p)^n p^(n-1), entry [0] is 0."""
+    import numpy as np
+
     p = law.p
     out = np.zeros(n_max + 1)
     if p == 0.0:
         out[1] = 1.0
         return out
     n = np.arange(1, n_max + 1, dtype=float)
-    out[1:] = np.exp(_log_catalan(n) + n * math.log1p(-p) + (n - 1) * math.log(p))
+    log_a = np.array([_log_catalan(k) for k in n.tolist()])
+    out[1:] = np.exp(log_a + n * math.log1p(-p) + (n - 1) * math.log(p))
     return out
 
 
@@ -140,6 +145,8 @@ def joint_gen_leafcount_array(law: GwLaw, g_max: int, n_max: int) -> np.ndarray:
     """
     if g_max < 1:
         raise ValueError(f"requires g_max >= 1, got {g_max}")
+    import numpy as np
+
     p = law.p
     v = np.zeros((g_max + 1, n_max + 1))
     v[1, 1] = 1.0 - p
@@ -176,6 +183,8 @@ def p_tilde(y: float, p: float) -> float:
 
 def _mark_damping(beta: float, n_max: int) -> np.ndarray:
     """Vector n (1-beta)^(n-1) with entry [n]; degenerates cleanly at beta=1."""
+    import numpy as np
+
     n = np.arange(n_max + 1, dtype=float)
     if beta == 1.0:
         damp = np.zeros(n_max + 1)
@@ -192,6 +201,8 @@ def weighted_leaf_sums(law: GwLaw, g: int | None = None, cutoff: int = DEFAULT_C
     """
     if cutoff < 1:
         raise ValueError(f"requires cutoff >= 1, got {cutoff}")
+    import numpy as np
+
     damp = _mark_damping(law.beta, cutoff)
     if g is None:
         u = leaf_count_pmf_array(law, cutoff)
@@ -203,6 +214,8 @@ def weighted_leaf_sums(law: GwLaw, g: int | None = None, cutoff: int = DEFAULT_C
 def geometric_pmf(x: float, g: int) -> float:
     """Generation law of the marked leaf given exactly one mark: the
     geometric pmf x (1-x)^(g-1), g >= 1."""
+    if not 0 < x <= 1:
+        raise ValueError(f"requires 0 < x <= 1, got x={x}")
     if not g >= 1:
         raise ValueError(f"requires g >= 1, got {g}")
     return x * (1.0 - x) ** (g - 1)
@@ -221,6 +234,8 @@ def any_mark_pmf(p: float, pt: float, g: int) -> float:
     with each divided difference (p^m - pt^m)/(p - pt) summed, so that it
     tends to (2p)^(g-1) (1-2p) as beta -> 0 and is 1 at g = 1 for p = 0.
     """
+    if not (0 <= p < 0.5 and 0 <= pt < 0.5):
+        raise ValueError(f"requires 0 <= p, pt < 1/2, got p={p}, pt={pt}")
     if not g >= 1:
         raise ValueError(f"requires g >= 1, got {g}")
     return 2.0 ** (g - 1) * (

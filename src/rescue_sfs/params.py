@@ -171,11 +171,13 @@ class ObservationSpec:
         if self.mode not in T_MODES:
             raise ParameterError(f"unknown t_mode {self.mode!r}; valid: {T_MODES}")
         if self.mode == "log-scaled":
-            if self.t_mult is not None and not self.t_mult > 0:
-                raise ParameterError(f"requires t_mult > 0, got t_mult={self.t_mult}")
+            if self.t_mult is not None and not 0 < self.t_mult < math.inf:
+                raise ParameterError(f"requires finite t_mult > 0, got t_mult={self.t_mult}")
         else:
-            if self.t_abs is None or not self.t_abs > 0:
-                raise ParameterError(f"absolute mode requires t_abs > 0, got t_abs={self.t_abs}")
+            if self.t_abs is None or not 0 < self.t_abs < math.inf:
+                raise ParameterError(
+                    f"absolute mode requires finite t_abs > 0, got t_abs={self.t_abs}"
+                )
 
 
 def log_time(spec: ObservationSpec, params: ModelParams) -> float:
@@ -193,7 +195,10 @@ def observation_time(spec: ObservationSpec, params: ModelParams) -> float:
     """Resolve the observation time for a parameter set."""
     if spec.mode == "absolute":
         return float(spec.t_abs)
-    return log_time(spec, params) * math.log(params.n_init)
+    t_obs = log_time(spec, params) * math.log(params.n_init)
+    if t_obs == math.inf:
+        raise ConfigError(f"t_mult * ln(n_init) overflows: t_mult={spec.t_mult}")
+    return t_obs
 
 
 @dataclass(frozen=True)

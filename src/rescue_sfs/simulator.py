@@ -138,8 +138,8 @@ def _initial(
 ) -> tuple[int, int]:
     """The checked starting (sensitive, resistant) population of a run to
     ``t_obs``; ``initial`` defaults to (n_init, 0)."""
-    if t_obs < 0:
-        raise ValueError(f"requires t_obs >= 0, got {t_obs}")
+    if not 0 <= t_obs < math.inf:
+        raise ValueError(f"requires finite t_obs >= 0, got {t_obs}")
     if initial is None:
         initial = (params.n_init, 0)
     n0_init, n1_init = initial

@@ -352,6 +352,14 @@ def _size_pmf(i: int, b1: float, d1: float) -> _SizeLaw:
     return pmf, lambda z_max: a * (11.0 + 4.0 * z_max) + 23.0 + 6.0 * z_max
 
 
+def _check_clone(b1: float, d1: float, omega: float = 0.0) -> None:
+    # a supercritical resistant clone, ModelParams' rule
+    if not 0 <= d1 < b1:
+        raise ValueError(f"requires 0 <= d1 < b1, got b1={b1}, d1={d1}")
+    if not omega >= 0:
+        raise ValueError(f"requires omega >= 0, got omega={omega}")
+
+
 def clone_size_pmf(i: int, u: float, b1: float, d1: float) -> float:
     """Classical linear birth-death size law from one founder (Harris form):
     P(clone of age u has size i) at scale y = e^(-lambda1 u) is
@@ -360,6 +368,7 @@ def clone_size_pmf(i: int, u: float, b1: float, d1: float) -> float:
     """
     if not u >= 0:
         raise ValueError(f"requires u >= 0, got {u}")
+    _check_clone(b1, d1)
     return _size_pmf(i, b1, d1)[0]((b1 - d1) * u)
 
 
@@ -367,6 +376,7 @@ def clone_extinction_prob(u: float, b1: float, d1: float) -> float:
     """P(the clone of one founder is extinct by age u)."""
     if not u >= 0:
         raise ValueError(f"requires u >= 0, got {u}")
+    _check_clone(b1, d1)
     lam1 = b1 - d1
     e = math.exp(-lam1 * u)
     return d1 * (1.0 - e) / (b1 - d1 * e)
@@ -377,6 +387,7 @@ def single_clone_sfs(i: int, t: float, b1: float, d1: float, omega: float) -> Th
     a clone grown from one founder: omega e^(lambda1 t) h_i(e^(lambda1 t))."""
     if not t >= 0:
         raise ValueError(f"requires t >= 0, got {t}")
+    _check_clone(b1, d1, omega)
     if omega == 0.0 or t == 0.0:
         return TheoryValue(0.0, 0.0)
     lam1 = b1 - d1
@@ -389,6 +400,7 @@ def single_clone_sfs_asymptotic(i: int, t: float, b1: float, d1: float, omega: f
     """Large-time form omega e^(lambda1 t) I(i)."""
     if not t >= 0:
         raise ValueError(f"requires t >= 0, got {t}")
+    _check_clone(b1, d1, omega)
     return omega * math.exp((b1 - d1) * t) * shape_integral(i, d1 / b1).value
 
 

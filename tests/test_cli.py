@@ -498,6 +498,53 @@ for k, argv in enumerate(runs):
     ]
 
 
+def test_theory_and_trees_run_without_numpy(cfg_path, tmp_path):
+    # numpy costs about 150 ms of a cold theory command: the package, the
+    # theory and tree layers and these commands run where importing it fails
+    code = f"""
+import sys
+
+class NoNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "numpy":
+            raise ImportError(f"{{name}} is not installed")
+
+sys.meta_path.insert(0, NoNumpy())
+import rescue_sfs, rescue_sfs.cli, rescue_sfs.theory, rescue_sfs.gw_trees
+import rescue_sfs.params, rescue_sfs.simulator
+from rescue_sfs import cli
+
+index = {{"i": ["--i-range", "1:3"], "x": ["--x-grid", "1,2"], "windows": ["--x-grid", "0.6,1"]}}
+runs = [["theory", "--formula", f] + index.get(kind, []) for f, (kind, _) in cli._FORMULAS.items()]
+runs += [["gw", "--samples", "200", "--condition", c] for c in ("exactly-one-mark", "at-least-one-mark")]
+runs += [["figures", "--which", "fig7"]]
+for k, argv in enumerate(runs):
+    out = ["--config", {cfg_path!r}, "--out-dir", {str(tmp_path)!r} + f"/{{k}}"]
+    print(argv[0], argv[2], cli.main(argv + out))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    codes = proc.stdout.splitlines()
+    assert codes == [f"theory {f} 0" for f in cli.FORMULA_IDS] + [
+        "gw 200 0",
+        "gw 200 0",
+        "figures fig7 0",
+    ]
+    # the Monte Carlo names of the package still resolve, numpy loading with them
+    code = """
+import sys
+import rescue_sfs
+print("numpy" in sys.modules)
+from rescue_sfs import compare, replicate_sfs
+print(compare.__module__, replicate_sfs.__module__, "numpy" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines() == [
+        "False",
+        "rescue_sfs.montecarlo rescue_sfs.montecarlo True",
+    ]
+
+
 def test_compare_gate_exit_codes(cfg_path, tmp_path):
     rc = cli.main(
         [
@@ -615,6 +662,9 @@ def test_compare_report_is_strict_json(tmp_path, capsys):
         ["simulate", "--windows", "inf"],
         ["simulate", "--windows", "1,nan"],
         ["theory", "--formula", "K", "--x-grid", "nan"],
+        ["simulate", "--t-mult", "inf"],
+        ["simulate", "--t-mult", "1e308"],
+        ["simulate", "--t-mode", "absolute", "--t-abs", "inf"],
     ],
     ids=[
         "d0-below-b0",
@@ -651,6 +701,9 @@ def test_compare_report_is_strict_json(tmp_path, capsys):
         "simulate-window-inf",
         "simulate-window-nan",
         "K-x-nan",
+        "t-mult-inf",
+        "t-mult-overflow",
+        "t-abs-inf",
     ],
 )
 def test_bad_flag_values_exit_2(cfg_path, tmp_path, capsys, argv):

@@ -114,13 +114,19 @@ def test_observation_time():
     assert log_time(absolute, REF) == pytest.approx(2.0 / math.log(500), rel=1e-15)
     with pytest.raises(ConfigError, match="n_init > 1"):
         log_time(absolute, one)
+    # a finite t_mult whose product with ln N overflows to an infinite t_obs
+    with pytest.raises(ConfigError, match="overflows"):
+        observation_time(ObservationSpec(t_mult=1e308), REF)
 
 
 def test_observation_spec_validation():
     with pytest.raises(ParameterError):
         ObservationSpec(mode="absolute")
-    with pytest.raises(ParameterError):
-        ObservationSpec(mode="log-scaled", t_mult=-1.0)
+    for t in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ParameterError, match="t_mult"):
+            ObservationSpec(mode="log-scaled", t_mult=t)
+        with pytest.raises(ParameterError, match="t_abs"):
+            ObservationSpec(mode="absolute", t_abs=t)
     with pytest.raises(ParameterError):
         ObservationSpec(mode="sometimes")
 

@@ -30,8 +30,13 @@ SMALL = ModelParams(b0=1.0, d0=2.0, b1=1.2, d1=0.5, omega=2.0, gamma=0.3, alpha=
 
 
 def test_initial_validation():
-    with pytest.raises(ValueError):
-        sim.run(REF, -1.0, rng=Random(0))
+    # NaN and inf used to pass the t_obs < 0 check: sample_sfs returned an
+    # empty record at NaN, and run went on to the cell cap at inf
+    for t_obs in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="t_obs"):
+            sim.run(REF, t_obs, rng=Random(0))
+        with pytest.raises(ValueError, match="t_obs"):
+            sim.sample_sfs(REF, t_obs, initial=(0, 1), rng=Random(1))
     with pytest.raises(ValueError):
         sim.run(REF, 1.0, initial=(0, 0), rng=Random(0))
 

@@ -34,7 +34,9 @@ TOLS = (NAN, 0.0, -1.0)
 # NaN fails every comparison, so a domain check written as x < lo lets it
 # through; shape_integral_truncated and single_clone_sfs then looped forever
 # (the series' tail test is never true), and the rest returned NaN, the
-# quadratures with a NaN bound they called certified
+# quadratures with a NaN bound they called certified.  The law functions
+# also check their rates: geometric_pmf(1.5, 2) returned -0.75 and
+# single_clone_sfs(omega=nan) failed on its own NaN error bound
 @pytest.mark.parametrize(
     "call",
     [
@@ -58,6 +60,15 @@ TOLS = (NAN, 0.0, -1.0)
         lambda: th.expected_resistant_population(NAN, REF),
         lambda: th.single_clone_sfs_asymptotic(1, NAN, 1.2, 0.5, 2.0),
         lambda: th.resistant_origin_remainder_bound(NAN, REF),
+        lambda: gw.geometric_pmf(1.5, 2),
+        lambda: gw.geometric_pmf(NAN, 2),
+        lambda: gw.any_mark_pmf(0.7, 0.2, 2),
+        lambda: gw.any_mark_pmf(0.3, NAN, 2),
+        lambda: th.clone_size_pmf(2, 1.0, NAN, 0.5),
+        lambda: th.clone_extinction_prob(1.0, NAN, 0.5),
+        lambda: th.single_clone_sfs_asymptotic(1, 1.0, 1.2, 0.5, NAN),
+        lambda: th.single_clone_sfs(1, 1.0, 1.2, 0.5, NAN),
+        lambda: th.single_clone_sfs(1, 1.0, 1.2, 0.5, -1.0),
         *(lambda tol=tol: th.window_weight_resistant(1.0, DP, tol) for tol in TOLS),
         *(lambda tol=tol: th.resistant_origin_mean_exact(1, T, REF, tol) for tol in TOLS),
         *(lambda tol=tol: th.sfs_window_asymptotic(0.6, 1.0, T, REF, tol) for tol in TOLS),
@@ -83,6 +94,15 @@ TOLS = (NAN, 0.0, -1.0)
         "resistant-population",
         "clone-sfs-asymptotic",
         "remainder-bound",
+        "gn-x-above-1",
+        "gn-x-nan",
+        "tilde-gn-p-above-half",
+        "tilde-gn-pt-nan",
+        "kappa-b1-nan",
+        "extinction-b1-nan",
+        "clone-sfs-asymptotic-omega-nan",
+        "clone-sfs-omega-nan",
+        "clone-sfs-omega-negative",
         *(f"{name}-tol{tol}" for name in ("K", "exact-mean", "thm2") for tol in TOLS),
     ],
 )
