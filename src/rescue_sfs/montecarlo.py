@@ -2,10 +2,13 @@
 comparison reports.
 
 Replicates are reproducible and worker-count independent: replicate r of a
-run with master seed s uses the generator seeded by seed_for_replicate(s, r)
-(a numpy SeedSequence spawn; a chunk hashes its seeds in one vectorised
-pass, replicate_seeds), chunk accumulators cover fixed contiguous replicate
-ranges, and chunks merge in index order.
+run with master seed s is keyed by ``Random(seed_for_replicate(s, r))
+.getrandbits(64)``, the key ``simulator.run`` draws from that generator
+(seed_for_replicate is numpy's SeedSequence spawn, hashed here in one
+vectorised pass per chunk, replicate_seeds).  A chunk of replicates runs in
+one ``simulator.sample_chunk`` call and folds its rows into one Welford
+accumulator in replicate order; chunks cover fixed contiguous replicate
+ranges and merge in index order.
 """
 
 from __future__ import annotations
@@ -57,6 +60,24 @@ def _mix(x, y):
     return result ^ (result >> 16)
 
 
+def _master_pool(words: list[int]) -> list[int]:
+    """``SeedSequence(seed).pool`` of a seed with these 32-bit words (least
+    significant first): hash the first four, padded with zeros, cross-mix
+    them, then mix in each further word; 4 * max(4, len(words)) calls."""
+    pool = [_hashmix(words[j] if j < len(words) else 0, _INIT_A, _MULT_A, j) for j in range(4)]
+    k = 4
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], _INIT_A, _MULT_A, k))
+                k += 1
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], _hashmix(word, _INIT_A, _MULT_A, k))
+            k += 1
+    return pool
+
+
 def _child_states(master_seed: int, replicates: np.ndarray) -> list[np.ndarray]:
     """The four words of ``SeedSequence(master_seed, spawn_key=(r,))
     .generate_state(4)``, elementwise over a uint64 array of replicates r."""
@@ -64,10 +85,11 @@ def _child_states(master_seed: int, replicates: np.ndarray) -> list[np.ndarray]:
     if master_seed < 0:
         raise ValueError(f"requires master seed >= 0, got {master_seed}")
     # a child pads its seed's words with zeros to the pool size, as the
-    # master's hash runs on with zeros, so it starts from the master's pool;
-    # mixing w words takes 4 * max(4, w) hashmix calls
-    pool = [int(word) for word in np.random.SeedSequence(master_seed).pool]
-    k = 4 * max(4, (master_seed.bit_length() + 31) // 32)
+    # master's hash runs on with zeros, so it starts from the master's pool
+    shifts = range(0, master_seed.bit_length(), 32)
+    words = [master_seed >> shift & _MASK32 for shift in shifts] or [0]
+    pool = _master_pool(words)
+    k = 4 * max(4, len(words))
     # the spawn key's words: an index of 2**32 or more takes two
     low, high = replicates & _MASK32, replicates >> 32
     pool = [_mix(p, _hashmix(low, _INIT_A, _MULT_A, k + j)) for j, p in enumerate(pool)]
@@ -236,48 +258,32 @@ def _run_chunk(
     """Aggregate of replicates start..stop-1, plus their records in
     replicate order when ``keep`` is set (else an empty list).
 
-    Each replicate's row (s | sbar | sunder | window s | window sbar |
-    window sunder | scalars) is written into one array and added to one
-    Welford accumulator; its update is elementwise, so splitting it into the
-    aggregate's statistics afterwards gives them bit for bit what separate
-    accumulators would hold.  Without windows the window statistics stay
-    empty (n = 0)."""
-    lambda1 = params.b1 - params.d1
+    ``sample_chunk`` returns one row per replicate (s | sbar | sunder |
+    window s | window sbar | window sunder | scalars), and the rows go into
+    one Welford accumulator in replicate order; its update is elementwise,
+    so splitting it into the aggregate's statistics afterwards gives them
+    bit for bit what separate accumulators would hold.  Without windows the
+    window statistics stay empty (n = 0)."""
     agg = SfsAggregate(params, t_obs, initial, master_seed, i_max, windows)
+    seeds = replicate_seeds(master_seed, start, stop)
+    keys = [Random(rep_seed).getrandbits(64) for rep_seed in seeds]
+    try:
+        rows, records = simulator.sample_chunk(
+            params, t_obs, initial, keys, i_max=i_max, windows=windows, keep=keep
+        )
+    except simulator.PopulationCapError as exc:
+        r = start + exc.replicate
+        seed = seeds[exc.replicate]
+        raise simulator.PopulationCapError(
+            f"replicate {r} (seed_for_replicate({master_seed}, {r}) = {seed}): {exc}"
+        ) from exc
     fields = ("s", "sbar", "sunder")
     if windows:
         fields += ("window_s", "window_sbar", "window_sunder")
     fields += ("scalars",)
-    stat = VectorStat.zeros(sum(getattr(agg, name).mean.size for name in fields))
-    row = np.empty(stat.mean.size)
-    s, sbar, sunder = row[:i_max], row[i_max : 2 * i_max], row[2 * i_max : 3 * i_max]
-    origin_parts = row[i_max : 3 * i_max]
-    # column k holds window k's (s, sbar, sunder)
-    window_part = row[3 * i_max : 3 * (i_max + len(agg.windows))].reshape(3, -1)
-    records = []
-    for r, rep_seed in enumerate(replicate_seeds(master_seed, start, stop), start):
-        try:
-            record, founders, z1_final = simulator.sample_sfs(
-                params, t_obs, initial=initial, rng=Random(rep_seed)
-            )
-        except simulator.PopulationCapError as exc:
-            raise simulator.PopulationCapError(
-                f"replicate {r} (seed_for_replicate({master_seed}, {r}) = {rep_seed}): {exc}"
-            ) from exc
-        origin_parts.fill(0.0)
-        # slot i of a dense spectrum lands at offset + i
-        simulator.dense_into(record.s_resistant_origin, i_max, row, i_max - 1)
-        simulator.dense_into(record.s_sensitive_origin, i_max, row, 2 * i_max - 1)
-        np.add(sbar, sunder, out=s)
-        for k, x in enumerate(agg.windows):
-            wc = simulator.window_counts(record, x, math.inf, lambda1)
-            window_part[:, k] = wc.total, wc.resistant_origin, wc.sensitive_origin
-        row[-3] = founders
-        row[-2] = z1_final
-        row[-1] = record.total_mutations()
+    stat = VectorStat.zeros(rows.shape[1])
+    for row in rows:
         stat.update(row)
-        if keep:
-            records.append(record)
     lo = 0
     for name in fields:
         hi = lo + getattr(agg, name).mean.size

@@ -27,6 +27,23 @@ class ConfigError(ValueError):
     """A configuration file cannot be parsed into a valid run setup."""
 
 
+def _check_rates(b0: float, d0: float, b1: float, d1: float) -> None:
+    """Sensitive cells subcritical, resistant cells supercritical; a NaN
+    fails every check."""
+    if not b0 > 0:
+        raise ParameterError(f"requires b0 > 0, got b0={b0}")
+    if not d0 > b0:
+        raise ParameterError(
+            f"requires d0 > b0 (sensitive cells subcritical), got b0={b0}, d0={d0}"
+        )
+    if not d1 >= 0:
+        raise ParameterError(f"requires d1 >= 0, got d1={d1}")
+    if not b1 > d1:
+        raise ParameterError(
+            f"requires b1 > d1 (resistant cells supercritical), got b1={b1}, d1={d1}"
+        )
+
+
 def _check_gamma_n(gamma_n: float) -> None:
     if not 0 <= gamma_n < 1:
         raise ParameterError(f"requires 0 <= gamma_n < 1, got gamma_n={gamma_n}")
@@ -53,18 +70,7 @@ class ModelParams:
     mutation_law: str = "poisson"
 
     def __post_init__(self) -> None:
-        if not self.b0 > 0:
-            raise ParameterError(f"requires b0 > 0, got b0={self.b0}")
-        if not self.d0 > self.b0:
-            raise ParameterError(
-                f"requires d0 > b0 (sensitive cells subcritical), got b0={self.b0}, d0={self.d0}"
-            )
-        if not self.d1 >= 0:
-            raise ParameterError(f"requires d1 >= 0, got d1={self.d1}")
-        if not self.b1 > self.d1:
-            raise ParameterError(
-                f"requires b1 > d1 (resistant cells supercritical), got b1={self.b1}, d1={self.d1}"
-            )
+        _check_rates(self.b0, self.d0, self.b1, self.d1)
         if not self.omega >= 0:
             raise ParameterError(f"requires omega >= 0, got omega={self.omega}")
         # gamma == 0 is admitted: it switches resistance off entirely, which
@@ -119,7 +125,9 @@ class DerivedParams:
 def derive_from_gamma_n(
     b0: float, d0: float, b1: float, d1: float, gamma_n: float
 ) -> DerivedParams:
-    """Derived quantities with the resistance probability given directly."""
+    """Derived quantities with the resistance probability given directly;
+    the rates must satisfy the rules ``ModelParams`` checks."""
+    _check_rates(b0, d0, b1, d1)
     _check_gamma_n(gamma_n)
     lambda0 = d0 - b0
     lambda1 = b1 - d1

@@ -4,23 +4,32 @@ per-edge neutral mutation counts.
 Divisions are simulated at the mechanism level: a sensitive division picks
 two daughters, each independently resistant with probability gamma_n and
 each receiving an independent neutral-mutation count of mean omega/2.
-``run`` uses that the process is a Markov branching process (Harris 1963):
-every cell lives an independent Exp(b+d) lifetime and then divides or dies,
-so cells are simulated one lifetime at a time, depth first, with no global
-event clock.
+The process is a Markov branching process (Harris 1963): every cell lives
+an independent Exp(b+d) lifetime and then divides or dies, so cells can be
+simulated one lifetime at a time, in any order, with no global event clock.
 
-Mutations are stored as counts on genealogy edges; the site frequency
-spectrum is extracted in one bottom-up pass counting living resistant
-descendants per edge.
+Every random number is keyed by the cell it belongs to.  A replicate has a
+64-bit key K; a root and a daughter get 64-bit ids hashed from K and from
+their mother's id (SplitMix64, Steele, Lea & Flood 2014), and each of a
+cell's uniforms is hashed from its id (a counter-based stream, Salmon et
+al. 2011).  A replicate's realization therefore does not depend on the order
+its cells are simulated in:
 
-``sample_sfs`` is the sampler replicates run.  It is ``run``'s loop with the
-same stacks and the same draws in the same order, but it keeps no genealogy:
-only a dividing cell gets a slot (its mother's slot and its edge's mutation
-count), a resistant cell alive at the observation time counts itself into its
-mother's slot, and one reverse pass over the slots propagates the carrier
-counts and fills the spectrum.  Its record, founder count and final resistant
-count equal ``extract_sfs(run(...))``, ``len(ancestral)`` and ``z1_final`` on
-the same generator, so ``run`` remains the full-genealogy reference.
+- ``run`` simulates one replicate depth first and keeps the full genealogy,
+  with mutations stored as counts on its edges; ``extract_sfs`` then counts
+  living resistant descendants per edge in one bottom-up pass.
+- ``sample_chunk`` simulates a chunk of replicates breadth first with numpy,
+  in blocks of replicates whose genealogies stay within a node budget,
+  advancing a block's pending cells in batches, one lifetime each.  It
+  keeps only one slot per dividing cell and returns each replicate's dense
+  spectrum, window counts, founder count, final resistant count and total
+  mutation count as one row.  For the same key its row equals what
+  ``extract_sfs(run(...))`` gives, bit for bit, so ``run`` is its
+  full-genealogy twin.
+
+The lifetimes take a logarithm, and numpy's SIMD ``log`` can differ from
+libm's in the last bit; both paths therefore evaluate ``_plog``, one fixed
+sequence of IEEE operations.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass
 from random import Random
 
@@ -42,7 +52,12 @@ STATUS_DIVIDED = 2
 
 
 class PopulationCapError(RuntimeError):
-    """The genealogy exceeded the configured safety cap."""
+    """The genealogy exceeded the configured safety cap.  ``replicate`` is
+    the position, within its chunk, of the replicate that exceeded it."""
+
+    def __init__(self, message: str, replicate: int | None = None) -> None:
+        super().__init__(message)
+        self.replicate = replicate
 
 
 @dataclass
@@ -108,6 +123,91 @@ class WindowCounts:
         return self.resistant_origin + self.sensitive_origin
 
 
+# ---------------------------------------------------------------------------
+# Cell-keyed draws
+# ---------------------------------------------------------------------------
+
+_M64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15  # the SplitMix64 increment G
+_ROOT = 0x5851F42D4C957F2D  # xored into the replicate key before roots are numbered
+_MUL1, _MUL2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+# a cell x draws its lifetime uniform from x itself and the rest from
+# _mix64(x + k G): daughters k = 1, 2, divide-or-die 3, mutation count 4,
+# resistance 5
+_DIVIDE, _MUTATION, _RESISTANCE = (k * _GOLDEN & _M64 for k in (3, 4, 5))
+_TWO_M53 = 2.0**-53
+# ``sample_chunk`` runs its keys in blocks of at most _BLOCK_NODES genealogy
+# nodes together (it aims at half that, some 30 reference replicates),
+# advances about _BATCH cells at a time, which bounds the arrays a batch
+# allocates, and pads a batch to a multiple of _PAD cells.  numpy keeps up
+# to seven freed buffers of every size below 1 KiB for reuse; with padded
+# batches and 8-byte gathers few such sizes occur, so that cache stays
+# small.  No result depends on any of these numbers
+_BLOCK_NODES = 1 << 18
+_BATCH = 4096
+_PAD = 128
+
+# fdlibm e_log.c (Sun Microsystems 1993): ln 2 split in two and the minimax
+# coefficients of log(1+f) = f - f^2/2 + s R(s^2), s = f/(2+f)
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
+_LG1, _LG2, _LG3 = 6.666666666666735130e-01, 3.999999999940941908e-01, 2.857142874366239149e-01
+_LG4, _LG5 = 2.222219843214978396e-01, 1.818357216161805012e-01
+_LG6, _LG7 = 1.531383769920937332e-01, 1.479819860511658591e-01
+_SQRT_HALF = 0.7071067811865476
+
+
+def _mix64(z: int) -> int:
+    """The SplitMix64 finalizer H of a 64-bit integer."""
+    z = (z ^ (z >> 30)) * _MUL1 & _M64
+    z = (z ^ (z >> 27)) * _MUL2 & _M64
+    return z ^ (z >> 31)
+
+
+def _mix64_array(z):
+    """``_mix64`` over a np.uint64 array, in place (the products wrap)."""
+    import numpy as np
+
+    u = np.uint64
+    z ^= z >> u(30)
+    z *= u(_MUL1)
+    z ^= z >> u(27)
+    z *= u(_MUL2)
+    z ^= z >> u(31)
+    return z
+
+
+def _uniform(z: int) -> float:
+    """The uniform on [0, 1) of a 64-bit word: its top 53 bits over 2^53."""
+    return (z >> 11) * _TWO_M53
+
+
+def _uniform_array(z):
+    """``_uniform`` over a np.uint64 array."""
+    import numpy as np
+
+    return (z >> np.uint64(11)).astype(np.float64) * _TWO_M53
+
+
+def _plog(x, frexp=math.frexp):
+    """log(x) for x > 0 by fdlibm's kernel, within one ulp.
+
+    x = m 2^k with m in [sqrt(1/2), sqrt(2)), then log x = k ln 2 + log(1 +
+    f), f = m - 1.  After ``frexp`` it is a fixed sequence of IEEE + - * /,
+    with no branch, so a Python float (``frexp=math.frexp``) and a numpy
+    float64 array (``frexp=numpy.frexp``) get the same bits."""
+    m, k = frexp(x)
+    low = m < _SQRT_HALF
+    m = m * (1.0 + low)  # doubling is exact
+    k = k - low
+    f = m - 1.0  # exact: m lies within a factor 2 of 1
+    s = f / (2.0 + f)
+    z = s * s
+    w = z * z
+    r = z * (_LG1 + w * (_LG3 + w * (_LG5 + w * _LG7))) + w * (_LG2 + w * (_LG4 + w * _LG6))
+    hfsq = 0.5 * f * f
+    return k * _LN2_HI - ((hfsq - (s * (hfsq + r) + k * _LN2_LO)) - f)
+
+
 @functools.lru_cache(maxsize=64)
 def _mutation_cdf(law: str, omega: float) -> tuple[float, ...]:
     """Cumulative probabilities of the per-daughter mutation count (mean
@@ -148,8 +248,10 @@ def _initial(
     return n0_init, n1_init
 
 
-def _cap_error(max_cells: int, t_obs: float) -> PopulationCapError:
-    return PopulationCapError(f"genealogy exceeded max_cells={max_cells} before t_obs={t_obs:.4f}")
+def _cap_error(max_cells: int, t_obs: float, replicate: int | None = None) -> PopulationCapError:
+    return PopulationCapError(
+        f"genealogy exceeded max_cells={max_cells} before t_obs={t_obs:.4f}", replicate
+    )
 
 
 def run(
@@ -160,19 +262,22 @@ def run(
     rng: Random,
     max_cells: int = 5_000_000,
 ) -> SimOutcome:
-    """Simulate the process exactly up to ``t_obs``, one cell at a time,
-    drawing every random number from ``rng``.
+    """Simulate the process exactly up to ``t_obs``, one cell at a time.
 
-    ``initial`` is the starting (sensitive, resistant) population; it
-    defaults to (n_init, 0).  Cells come off a LIFO stack, sensitive cells
-    first and then the resistant cells they produced.  Each cell born at
-    time s dies or divides at s + Exp(b+d); a cell whose lifetime reaches
-    ``t_obs`` is alive, otherwise it divides with probability b/(b+d) and
-    dies otherwise.  Daughters get their type and mutation count at birth.
+    ``rng`` supplies one number, the replicate key ``rng.getrandbits(64)``;
+    every draw after it is keyed by its cell (see the module docstring), so
+    ``sample_chunk`` on that key gives this run's spectrum.  ``initial`` is
+    the starting (sensitive, resistant) population; it defaults to (n_init,
+    0).  Cells come off a LIFO stack, sensitive cells first and then the
+    resistant cells they produced.  Each cell born at time s dies or
+    divides at s + Exp(b+d); a cell whose lifetime reaches ``t_obs`` is
+    alive, otherwise it divides with probability b/(b+d) and dies
+    otherwise.  Daughters get their type and mutation count at birth.
     Raises PopulationCapError once the genealogy exceeds ``max_cells``
     nodes.
     """
     n0_init, n1_init = _initial(params, t_obs, initial)
+    key = rng.getrandbits(64) ^ _ROOT
 
     c0 = params.b0 + params.d0
     c1 = params.b1 + params.d1
@@ -180,10 +285,9 @@ def run(
     divide1 = params.b1 / c1
     gamma_n = params.gamma_n
     cdf = _mutation_cdf(params.mutation_law, params.omega)
-    cdf0 = cdf[0]
-    cdf1, cdf2 = (cdf + (math.inf, math.inf))[1:3]
-    rand = rng.random
+    mix, uniform, plog = _mix64, _uniform, _plog
     n_roots = n0_init + n1_init
+    ids = [mix(key + (k + 1) * _GOLDEN & _M64) for k in range(n_roots)]
 
     parent = [-1] * n_roots
     cell_type = [SENSITIVE] * n0_init + [RESISTANT] * n1_init
@@ -191,11 +295,11 @@ def run(
     # every node enters alive; a cell that dies or divides before t_obs is
     # marked when it comes off its stack
     status = [STATUS_ALIVE] * n_roots
-    # pending sensitive cells are (node, birth time, generation, root id),
-    # so that the resistant founders they produce can be labelled;
-    # pending resistant cells are (node, birth time)
-    stack0 = [(k, 0.0, 0, k) for k in range(n0_init)]
-    stack1 = [(k, 0.0) for k in range(n0_init, n_roots)]
+    # pending sensitive cells are (node, id, birth time, generation, root
+    # id), so that the resistant founders they produce can be labelled;
+    # pending resistant cells are (node, id, birth time)
+    stack0 = [(k, ids[k], 0.0, 0, k) for k in range(n0_init)]
+    stack1 = [(k, ids[k], 0.0) for k in range(n0_init, n_roots)]
     pop0, push0 = stack0.pop, stack0.append
     pop1, push1 = stack1.pop, stack1.append
     event_counts = [0, 0, 0, 0, 0]
@@ -203,39 +307,32 @@ def run(
     z0 = z1 = 0
 
     while stack0:
-        mother, born, g, rid = pop0()
-        t = born - math.log(1.0 - rand()) / c0
+        mother, x, born, g, rid = pop0()
+        t = born - plog(1.0 - uniform(x)) / c0
         if t >= t_obs:
             z0 += 1
             continue
-        if rand() >= divide0:
+        if uniform(mix(x + _DIVIDE & _M64)) >= divide0:
             status[mother] = STATUS_DEAD
             event_counts[1] += 1
             continue
         status[mother] = STATUS_DIVIDED
         g += 1
         flips = 0
-        for _ in (0, 1):
-            # the daughter's mutation count, inlined in both loops: a
-            # sampler call per daughter made run about 6% slower.  Counts
-            # 0, 1 and 2 are compared directly and larger ones bisected: at
-            # omega = 2 a bisection from 2 made run about 4% slower
-            u = rand()
-            m = 0
-            if u >= cdf0:
-                m = 1 if u < cdf1 else 2 if u < cdf2 else bisect_right(cdf, u, 3)
+        for d in (_GOLDEN, 2 * _GOLDEN):
+            y = mix(x + d & _M64)
             child = len(parent)
             parent.append(mother)
-            edge_mutations.append(m)
+            edge_mutations.append(bisect_right(cdf, uniform(mix(y + _MUTATION & _M64))))
             status.append(STATUS_ALIVE)
-            if rand() < gamma_n:
+            if uniform(mix(y + _RESISTANCE & _M64)) < gamma_n:
                 flips += 1
                 cell_type.append(RESISTANT)
-                push1((child, t))
+                push1((child, y, t))
                 ancestral.append((t, g, rid))
             else:
                 cell_type.append(SENSITIVE)
-                push0((child, t, g, rid))
+                push0((child, y, t, g, rid))
         event_counts[(0, 2, 3)[flips]] += 1
         if len(parent) > max_cells:
             raise _cap_error(max_cells, t_obs)
@@ -243,24 +340,21 @@ def run(
     # every node made from here on is a daughter of a resistant division
     first_resistant_daughter = len(parent)
     while stack1:
-        mother, born = pop1()
-        t = born - math.log(1.0 - rand()) / c1
+        mother, x, born = pop1()
+        t = born - plog(1.0 - uniform(x)) / c1
         if t >= t_obs:
             z1 += 1
             continue
-        if rand() >= divide1:
+        if uniform(mix(x + _DIVIDE & _M64)) >= divide1:
             status[mother] = STATUS_DEAD
             event_counts[4] += 1
             continue
         status[mother] = STATUS_DIVIDED
-        for _ in (0, 1):
-            u = rand()
-            m = 0
-            if u >= cdf0:
-                m = 1 if u < cdf1 else 2 if u < cdf2 else bisect_right(cdf, u, 3)
-            push1((len(parent), t))
+        for d in (_GOLDEN, 2 * _GOLDEN):
+            y = mix(x + d & _M64)
+            push1((len(parent), y, t))
             parent.append(mother)
-            edge_mutations.append(m)
+            edge_mutations.append(bisect_right(cdf, uniform(mix(y + _MUTATION & _M64))))
             status.append(STATUS_ALIVE)
         if len(parent) > max_cells:
             raise _cap_error(max_cells, t_obs)
@@ -284,128 +378,297 @@ def run(
     )
 
 
-def sample_sfs(
+class _Column:
+    """A growable numpy vector of one dtype: pieces are copied in, so they
+    never stay allocated as arrays of their own."""
+
+    def __init__(self, dtype) -> None:
+        import numpy as np
+
+        self._np = np
+        self.data = np.zeros(1024, dtype)
+        self.size = 0
+
+    def extend(self, values) -> None:
+        end = self.size + len(values)
+        if end > self.data.size:
+            grown = self._np.empty(max(end, 2 * self.data.size), self.data.dtype)
+            grown[: self.size] = self.data[: self.size]
+            self.data = grown
+        self.data[self.size : end] = values
+        self.size = end
+
+    @property
+    def values(self):
+        return self.data[: self.size]
+
+
+def sample_chunk(
     params: ModelParams,
     t_obs: float,
-    initial: tuple[int, int] | None = None,
+    initial: tuple[int, int] | None,
+    keys: list[int],
     *,
-    rng: Random,
+    i_max: int,
+    windows: tuple[float, ...] = (),
+    keep: bool = False,
     max_cells: int = 5_000_000,
-) -> tuple[SfsRecord, int, int]:
-    """``(extract_sfs(out), len(out.ancestral), out.z1_final)`` of
-    ``out = run(params, t_obs, initial, rng=rng, max_cells=max_cells)``,
-    bit for bit, without building the genealogy.
+):
+    """The rows of one chunk of replicates, replicate j keyed by ``keys[j]``
+    (a 64-bit integer), and their records when ``keep`` is set (else an
+    empty list).
 
-    The loop is ``run``'s, with the same stacks and the same draws in the
-    same order, so a given ``rng`` gives the same record.  Only dividing
-    cells are stored, each as one slot holding its mother's slot and its
-    edge's mutation count; a resistant cell alive at ``t_obs`` adds 1 to
-    its mother's slot and puts its own edge's mutations in bucket 1.  One
-    reverse pass over the slots (mothers come before daughters) then adds
-    each slot's carrier count to its mother's and fills the buckets.
-    Raises ``run``'s PopulationCapError at the same division.
+    Row j is, as floats, replicate j's dense s, s_resistant_origin and
+    s_sensitive_origin over i = 1..i_max; for each window edge x the
+    mutations with carrier count above x e^(lambda1 t_obs) (all windows'
+    totals, then resistant, then sensitive origin); and its founder count,
+    final resistant count and total mutation count.  For any key these are
+    the values ``extract_sfs``, ``dense_sfs``, ``window_counts``,
+    ``len(ancestral)`` and ``z1_final`` give for ``run`` on a generator
+    whose ``getrandbits(64)`` is that key, and record j equals that
+    ``extract_sfs`` record.
+
+    Pending cells wait in a first-in first-out queue, and batches of about
+    ``_BATCH`` of them are taken off its front: a batch draws its cells'
+    mutation counts and types, then their lifetimes, and appends the
+    daughters of the dividing ones at the back, so batches run generation
+    by generation.  A dividing cell gets a slot (its mother's slot, its
+    edge's mutation count, its replicate and its edge's origin); a
+    resistant cell alive at ``t_obs`` is a leaf, one carrier under its
+    mother's slot.  Counting then walks the batches backwards: a slot's
+    carrier count is complete once every later batch has added its leaves
+    and slots into their mothers, and ``bincount``s fill the rows.  Draws
+    are keyed by cell, so neither the batching nor the chunk changes a
+    replicate's values.
+
+    The keys run in blocks, in order, so the memory a chunk takes does not
+    grow with the chunk: a block's replicates hold at most ``_BLOCK_NODES``
+    genealogy nodes together, or ``max_cells`` if that is smaller.  A
+    block is sized to fill about half of that, first as if each root had 8
+    nodes, then from the nodes per replicate of the block before; a block
+    whose replicates exceed it is dropped after the batch that shows it and
+    run again in halves.  One replicate may take up to ``max_cells`` nodes
+    by itself, so one that takes more ends up alone and raises
+    PopulationCapError, which names its position in ``replicate``; it is
+    the lowest such replicate, and ``run`` on its key raises too.
     """
-    n0_init, n1_init = _initial(params, t_obs, initial)
+    initial = _initial(params, t_obs, initial)
+    windows = tuple(windows)
+    if not all(0 < x < math.inf for x in windows):
+        raise ValueError(f"requires finite window edges > 0, got {windows}")
+    return _sample(params, t_obs, initial, list(keys), i_max, windows, keep, max_cells)
 
-    c0 = params.b0 + params.d0
-    c1 = params.b1 + params.d1
-    divide0 = params.b0 / c0
-    divide1 = params.b1 / c1
-    gamma_n = params.gamma_n
-    cdf = _mutation_cdf(params.mutation_law, params.omega)
-    cdf0 = cdf[0]
-    cdf1, cdf2 = (cdf + (math.inf, math.inf))[1:3]
-    rand = rng.random
-    log = math.log
+
+def _sample(params, t_obs, initial, keys, i_max, windows, keep, max_cells):
+    """``sample_chunk`` on checked arguments, one block of keys at a time."""
+    import numpy as np
+
+    budget = min(max_cells, _BLOCK_NODES)
+    # blocks aim at half the budget: first at 8 nodes per root, then at the
+    # nodes per replicate of the block before
+    size = budget // (16 * sum(initial))
+    rows = [np.empty((0, 3 * i_max + 3 * len(windows) + 3))]
+    records = []
+    first = 0
+    while first < len(keys):
+        block = keys[first : first + max(size, 1)]
+        try:
+            result = _sample_block(
+                params, t_obs, initial, block, i_max, windows, keep, max_cells, budget
+            )
+        except PopulationCapError as exc:
+            exc.replicate = first
+            raise
+        if result is None:
+            size = len(block) // 2
+            continue
+        rows.append(result[0])
+        records += result[1]
+        first += len(block)
+        size = budget * len(block) // (2 * result[2])
+    return np.concatenate(rows), records
+
+
+def _sample_block(params, t_obs, initial, keys, i_max, windows, keep, max_cells, budget):
+    """The rows, records and genealogy node count of one block of keys; or
+    None if the block holds more than one replicate and they exceed
+    ``budget`` nodes together, checked before the roots and after every
+    batch."""
+    import numpy as np
+
+    n0_init, n1_init = initial
+    u64 = np.uint64
     n_roots = n0_init + n1_init
-    # the genealogy has n_roots + 2 * divisions nodes, so the division that
-    # makes slot max_slots + 1 is the one at which run exceeds max_cells
-    max_slots = (max_cells - n_roots) // 2
+    reps = len(keys)
+    if reps > 1 and reps * n_roots > budget:
+        return None
+    limit = budget if reps > 1 else max_cells
+    c = np.array([params.b0 + params.d0, params.b1 + params.d1])
+    divide = np.array([params.b0, params.b1]) / c
+    gamma_n = params.gamma_n
+    cdf = np.array(_mutation_cdf(params.mutation_law, params.omega))
+    mutates = cdf[0] < math.inf
+    # the block's nodes are its roots and two daughters per division; run
+    # raises at the division that takes it past max_cells nodes
+    max_divisions = max((limit - reps * n_roots) // 2, 0)
+    daughter_offsets = np.array([_GOLDEN, 2 * _GOLDEN & _M64], dtype=u64)
 
-    # slot 0 stands for the mothers of the roots; slot k > 0 is the k-th
-    # cell to divide.  A pending cell is (birth time, edge mutations, slot
-    # of its mother); roots carry no mutations
-    mother = [0]
-    muts = [0]
-    stack0 = [(0.0, 0, 0)] * n0_init
-    stack1 = [(0.0, 0, 0)] * n1_init
-    pop0, push0 = stack0.pop, stack0.append
-    pop1, push1 = stack1.pop, stack1.append
-    founders = 0
+    # a queue entry holds its pending cells' ids, birth times, mothers'
+    # slots and tags = 4 replicate + 2 origin + root.  A daughter's origin is
+    # its mother's type; a root has origin 0, carries no mutations and its
+    # type is the origin bit.  Slot 0 stands for the mothers of the roots
+    queue: deque = deque()
 
-    while stack0:
-        born, m, ms = pop0()
-        t = born - log(1.0 - rand()) / c0
-        if t >= t_obs or rand() >= divide0:
-            continue
-        slot = len(mother)
-        mother.append(ms)
-        muts.append(m)
-        for _ in (0, 1):
-            u = rand()
-            m = 0
-            if u >= cdf0:
-                m = 1 if u < cdf1 else 2 if u < cdf2 else bisect_right(cdf, u, 3)
-            if rand() < gamma_n:
-                founders += 1
-                push1((t, m, slot))
-            else:
-                push0((t, m, slot))
-        if slot > max_slots:
-            raise _cap_error(max_cells, t_obs)
+    def enqueue(*columns):
+        for lo in range(0, columns[0].size, _BATCH):
+            queue.append([part[lo : lo + _BATCH] for part in columns])
 
-    # an edge is of sensitive origin exactly when its mother's slot is
-    # below first_resistant
-    first_resistant = len(mother)
-    carriers = [0] * first_resistant
-    ones_res = ones_sen = 0
-    z1 = 0
-    while stack1:
-        born, m, ms = pop1()
-        t = born - log(1.0 - rand()) / c1
-        if t >= t_obs:
-            z1 += 1
-            carriers[ms] += 1
-            if m:
-                if ms < first_resistant:
-                    ones_sen += m
-                else:
-                    ones_res += m
-            continue
-        if rand() >= divide1:
-            continue
-        slot = len(mother)
-        mother.append(ms)
-        muts.append(m)
-        carriers.append(0)
-        for _ in (0, 1):
-            u = rand()
-            m = 0
-            if u >= cdf0:
-                m = 1 if u < cdf1 else 2 if u < cdf2 else bisect_right(cdf, u, 3)
-            push1((t, m, slot))
-        if slot > max_slots:
-            raise _cap_error(max_cells, t_obs)
+    x = np.repeat(np.array(keys, dtype=u64) ^ u64(_ROOT), n_roots)
+    x += np.tile(np.arange(1, n_roots + 1, dtype=u64) * u64(_GOLDEN), reps)
+    tag = np.repeat(4 * np.arange(reps) + 1, n_roots)
+    tag += np.tile(2 * (np.arange(n_roots) >= n0_init), reps)
+    enqueue(_mix64_array(x), np.zeros(x.size), np.zeros(x.size, dtype=np.intp), tag)
+    # an inert padding cell: a sensitive root born at t_obs
+    padding = (np.uint64(0), t_obs, 0, 1)
 
-    s_res: dict[int, int] = {1: ones_res} if ones_res else {}
-    s_sen: dict[int, int] = {1: ones_sen} if ones_sen else {}
-    for slot in range(len(mother) - 1, 0, -1):
-        c = carriers[slot]
-        if c:
-            ms = mother[slot]
-            carriers[ms] += c
-            m = muts[slot]
-            if m:
-                bucket = s_sen if ms < first_resistant else s_res
-                bucket[c] = bucket.get(c, 0) + m
-    return SfsRecord(s_resistant_origin=s_res, s_sensitive_origin=s_sen, t_obs=t_obs), founders, z1
+    founders = np.zeros(reps, dtype=np.intp)
+    z1 = np.zeros(reps, dtype=np.intp)
+    divisions = 0
+    # slot k > 0 is the k-th dividing cell: its mother's slot, its edge's
+    # mutations and 2 replicate + origin, in the smallest types that hold
+    # every value the cap allows
+    slot_type = np.min_scalar_type(max_divisions + 1)
+    group_type, mut_type = np.min_scalar_type(2 * reps), np.min_scalar_type(cdf.size)
+    slot_mother, slot_muts, slot_group = _Column(slot_type), _Column(mut_type), _Column(group_type)
+    for column in (slot_mother, slot_muts, slot_group):
+        column.extend([0])
+    # the leaves' mother slots, and the mutations and 2 replicate + origin
+    # of the leaves whose edge carries some
+    leaf_mother, leaf_muts, leaf_group = _Column(slot_type), _Column(mut_type), _Column(group_type)
+    # each batch's first slot and first leaf
+    bounds = [(1, 0)]
+
+    while queue:
+        batch = queue.popleft()
+        while queue and batch[0].size < _BATCH:
+            batch = [np.concatenate(pair) for pair in zip(batch, queue.popleft())]
+        pad = -batch[0].size % _PAD
+        if pad:
+            batch = [np.concatenate((part, np.full(pad, v))) for part, v in zip(batch, padding)]
+        x, born, mother, tag = batch
+        group = tag >> 1
+        rep = group >> 1
+        root = (tag & 1).astype(bool)
+        resistant = (group & 1).astype(bool)
+
+        if mutates:
+            u = _uniform_array(_mix64_array(x + u64(_MUTATION)))
+            muts = np.searchsorted(cdf, u, "right")
+            muts[root] = 0
+        else:
+            muts = np.zeros(x.size, dtype=np.intp)
+        if gamma_n > 0:
+            u = _uniform_array(_mix64_array(x + u64(_RESISTANCE)))
+            flips = (u < gamma_n) & ~resistant & ~root
+            resistant |= flips
+            founders += np.bincount(rep[flips], minlength=reps)
+        kind = resistant.view(np.int8)
+
+        t = born - _plog(1.0 - _uniform_array(x), np.frexp) / c[kind]
+        alive = t >= t_obs
+        leaves = alive & resistant
+        z1 += np.bincount(rep[leaves], minlength=reps)
+        leaf_mother.extend(mother[leaves])
+        leaves &= muts > 0
+        leaf_muts.extend(muts[leaves])
+        leaf_group.extend(group[leaves])
+        u = _uniform_array(_mix64_array(x + u64(_DIVIDE)))
+        dividing = np.flatnonzero(~alive & (u < divide[kind]))
+        slot_mother.extend(mother[dividing])
+        slot_muts.extend(muts[dividing])
+        slot_group.extend(group[dividing])
+        divisions += dividing.size
+        if divisions > max_divisions:
+            if reps > 1:
+                return None
+            raise _cap_error(max_cells, t_obs, 0)
+
+        # the daughters of a slot are adjacent
+        first = bounds[-1][0]
+        bounds.append((slot_mother.size, leaf_mother.size))
+        x = np.repeat(x[dividing], 2)
+        x.reshape(-1, 2)[...] += daughter_offsets
+        daughter_tag = 4 * rep + 2 * kind
+        enqueue(
+            _mix64_array(x),
+            np.repeat(t[dividing], 2),
+            np.repeat(np.arange(first, first + dividing.size), 2),
+            np.repeat(daughter_tag[dividing], 2),
+        )
+
+    # carrier counts, last batch first: the mothers of a batch's slots and
+    # leaves have lower slots than the batch's own
+    carried = np.zeros(slot_mother.size, dtype=np.min_scalar_type(max(max_cells, n_roots)))
+    for (first, leaf_first), (last, leaf_last) in zip(bounds[-2::-1], bounds[:0:-1]):
+        for into, weights in (
+            (slot_mother.values[first:last], carried[first:last]),
+            (leaf_mother.values[leaf_first:leaf_last], None),
+        ):
+            if into.size:
+                lo = int(into.min())
+                counts = np.bincount(np.subtract(into, lo, dtype=np.intp), weights, first - lo)
+                np.add(carried[lo:first], counts, out=carried[lo:first], casting="unsafe")
+    used = (carried > 0) & (slot_muts.values > 0)
+    carried = np.concatenate((carried[used], np.ones(leaf_muts.size, carried.dtype)))
+    m = np.concatenate((slot_muts.values[used], leaf_muts.values))
+    group = np.concatenate((slot_group.values[used], leaf_group.values))
+    del slot_mother, slot_muts, slot_group, leaf_mother, leaf_muts, leaf_group, used
+
+    def tally(keys, weights, length):
+        # bincount gives int64 zeros for no keys, whatever the weights
+        return np.bincount(keys, weights, length).astype(np.float64, copy=False)
+
+    nw = len(windows)
+    rows = np.empty((reps, 3 * i_max + 3 * nw + 3))
+    small = carried <= i_max
+    dense = tally(
+        group[small].astype(np.intp) * (i_max + 1) + carried[small],
+        m[small],
+        2 * reps * (i_max + 1),
+    ).reshape(reps, 2, i_max + 1)
+    sbar, sunder = rows[:, i_max : 2 * i_max], rows[:, 2 * i_max : 3 * i_max]
+    sbar[...] = dense[:, 1, 1:]
+    sunder[...] = dense[:, 0, 1:]
+    np.add(sbar, sunder, out=rows[:, :i_max])
+    scale = math.exp((params.b1 - params.d1) * t_obs)
+    for k, edge in enumerate(windows):
+        above = carried > edge * scale
+        counts = tally(group[above], m[above], 2 * reps).reshape(reps, 2)
+        rows[:, 3 * i_max + k] = counts[:, 1] + counts[:, 0]
+        rows[:, 3 * i_max + nw + k] = counts[:, 1]
+        rows[:, 3 * i_max + 2 * nw + k] = counts[:, 0]
+    rows[:, -3] = founders
+    rows[:, -2] = z1
+    rows[:, -1] = tally(group >> 1, m, reps)
+
+    records = []
+    if keep:
+        spectra = [({}, {}) for _ in range(reps)]  # (sensitive, resistant) origin
+        for g, i, count in zip(group.tolist(), carried.tolist(), m.tolist()):
+            bucket = spectra[g >> 1][g & 1]
+            bucket[i] = bucket.get(i, 0) + count
+        records = [
+            SfsRecord(dict(sorted(res.items())), dict(sorted(sen.items())), t_obs)
+            for sen, res in spectra
+        ]
+    return rows, records, reps * n_roots + 2 * divisions
 
 
 def extract_sfs(outcome: SimOutcome) -> SfsRecord:
     """Site frequency spectrum of the living resistant population.
 
     One bottom-up pass accumulates, for every genealogy edge, the number of
-    living resistant cells descending from it (inclusive); an edge carrying
+    living resistant descendants per edge (inclusive); an edge carrying
     m > 0 mutations adds m to the bucket of its descendant count, split by
     the type of the dividing mother.  Edges with zero living resistant
     descendants are discarded.
@@ -459,19 +722,13 @@ def window_counts(
     return WindowCounts(res, sen)
 
 
-def dense_into(spectrum: dict[int, int], i_max: int, out, offset: int) -> None:
-    """Write a sparse spectrum's counts over 1..i_max to out[offset + i];
-    the other slots of ``out`` are left as they are."""
-    for i, m in spectrum.items():
-        if i <= i_max:
-            out[offset + i] = m
-
-
 def dense_sfs(record: SfsRecord, i_max: int) -> tuple[list[int], list[int], list[int]]:
     """Dense (s, s_resistant_origin, s_sensitive_origin) vectors over
     1..i_max as length-(i_max+1) lists with slot 0 unused."""
     sr = [0] * (i_max + 1)
     ss = [0] * (i_max + 1)
-    dense_into(record.s_resistant_origin, i_max, sr, 0)
-    dense_into(record.s_sensitive_origin, i_max, ss, 0)
+    for dense, spectrum in ((sr, record.s_resistant_origin), (ss, record.s_sensitive_origin)):
+        for i, m in spectrum.items():
+            if i <= i_max:
+                dense[i] = m
     return [a + b for a, b in zip(sr, ss)], sr, ss

@@ -169,28 +169,22 @@ def test_replicate_sfs_equals_per_field_welford(windows, workers):
 def test_replicate_sfs_calls_simulator_through_its_module(monkeypatch):
     # a wrapper set on the simulator module's attribute sees every replicate
     calls = []
-    sample_sfs = sim.sample_sfs
+    sample_chunk = sim.sample_chunk
 
-    def counting_sample_sfs(*args, **kwargs):
-        calls.append(1)
-        return sample_sfs(*args, **kwargs)
+    def counting_sample_chunk(*args, **kwargs):
+        calls.extend(args[3])  # one key per replicate
+        return sample_chunk(*args, **kwargs)
 
-    monkeypatch.setattr(sim, "sample_sfs", counting_sample_sfs)
+    monkeypatch.setattr(sim, "sample_chunk", counting_sample_chunk)
     mc.replicate_sfs(TOY, T_OBS, replicates=12, seed=3, i_max=5, workers=1)
     assert len(calls) == 12
 
 
 def test_cap_hit_names_replicate_and_seed(monkeypatch):
-    calls = []
-    sample_sfs = sim.sample_sfs
-
     def capped_at_replicate_3(*args, **kwargs):
-        calls.append(1)
-        if len(calls) == 4:
-            raise sim.PopulationCapError("genealogy exceeded max_cells=10")
-        return sample_sfs(*args, **kwargs)
+        raise sim.PopulationCapError("genealogy exceeded max_cells=10", replicate=3)
 
-    monkeypatch.setattr(sim, "sample_sfs", capped_at_replicate_3)
+    monkeypatch.setattr(sim, "sample_chunk", capped_at_replicate_3)
     with pytest.raises(sim.PopulationCapError) as info:
         mc.replicate_sfs(TOY, T_OBS, replicates=8, seed=3, i_max=5, workers=1)
     message = str(info.value)
@@ -245,7 +239,7 @@ def test_replicate_sfs_rejects_bad_windows_before_any_replicate(monkeypatch, win
     def no_replicate(*args, **kwargs):
         raise AssertionError("windows must be checked before any replicate runs")
 
-    monkeypatch.setattr(sim, "sample_sfs", no_replicate)
+    monkeypatch.setattr(sim, "sample_chunk", no_replicate)
     with pytest.raises(ValueError, match="finite window edges > 0"):
         mc.replicate_sfs(TOY, T_OBS, replicates=4, seed=0, windows=windows)
 

@@ -30,13 +30,13 @@ SMALL = ModelParams(b0=1.0, d0=2.0, b1=1.2, d1=0.5, omega=2.0, gamma=0.3, alpha=
 
 
 def test_initial_validation():
-    # NaN and inf used to pass the t_obs < 0 check: sample_sfs returned an
-    # empty record at NaN, and run went on to the cell cap at inf
+    # NaN and inf used to pass the t_obs < 0 check: the replicate sampler
+    # returned an empty record at NaN, and run went on to the cell cap at inf
     for t_obs in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="t_obs"):
             sim.run(REF, t_obs, rng=Random(0))
         with pytest.raises(ValueError, match="t_obs"):
-            sim.sample_sfs(REF, t_obs, initial=(0, 1), rng=Random(1))
+            sim.sample_chunk(REF, t_obs, (0, 1), [1], i_max=5)
     with pytest.raises(ValueError):
         sim.run(REF, 1.0, initial=(0, 0), rng=Random(0))
 
@@ -66,21 +66,66 @@ def test_population_cap():
         gillespie(grow, 50.0, initial=(0, 5), rng=Random(1), max_cells=300)
 
 
-def test_sample_sfs_hits_the_cap_where_run_does():
+def test_sample_chunk_hits_the_cap_where_run_does():
     # d1 = 0 from (2, 1) to t = 6: most seeds exceed max_cells=400, some do not
     grow = dataclasses.replace(REF, d1=0.0)
-    hits = 0
+    keys, hits = [], []
     for seed in range(40):
+        keys.append(Random(seed).getrandbits(64))
         errors = []
-        for simulate in (sim.run, sim.sample_sfs):
-            try:
-                simulate(grow, 6.0, initial=(2, 1), rng=Random(seed), max_cells=400)
-                errors.append(None)
-            except sim.PopulationCapError as exc:
-                errors.append(str(exc))
+        try:
+            sim.run(grow, 6.0, initial=(2, 1), rng=Random(seed), max_cells=400)
+            errors.append(None)
+        except sim.PopulationCapError as exc:
+            errors.append(str(exc))
+        try:
+            sim.sample_chunk(grow, 6.0, (2, 1), keys[-1:], i_max=5, max_cells=400)
+            errors.append(None)
+        except sim.PopulationCapError as exc:
+            assert exc.replicate == 0
+            errors.append(str(exc))
         assert errors[0] == errors[1]
-        hits += errors[0] is not None
-    assert 0 < hits < 40
+        hits.append(errors[0] is not None)
+    assert 0 < sum(hits) < 40
+    # a chunk names the lowest replicate whose run exceeds the cap; without
+    # those replicates it runs through
+    with pytest.raises(sim.PopulationCapError, match="max_cells=400") as info:
+        sim.sample_chunk(grow, 6.0, (2, 1), keys, i_max=5, max_cells=400)
+    assert info.value.replicate == hits.index(True)
+    rest = [key for key, hit in zip(keys, hits) if not hit]
+    rows, _ = sim.sample_chunk(grow, 6.0, (2, 1), rest, i_max=5, max_cells=400)
+    assert rows.shape == (len(rest), 18)
+
+
+def test_sample_chunk_blocks_stay_within_the_cap(monkeypatch):
+    # 48 clones from 20 resistant roots, under a cap of three times the
+    # largest genealogy: the chunk runs in blocks whose replicates hold at
+    # most max_cells nodes together, not all 48 at once, and gives the rows
+    # of single-key calls
+    initial = (0, 20)
+    nodes = [sim.run(REF, 5.0, initial, rng=Random(seed)).n_nodes for seed in range(48)]
+    cap = 3 * max(nodes)
+    assert sum(nodes) > 8 * cap
+    keys = [Random(seed).getrandbits(64) for seed in range(48)]
+    blocks = []
+
+    def recording(params, t_obs, initial, keys, *args):
+        result = sample_block(params, t_obs, initial, keys, *args)
+        blocks.append((keys, None if result is None else result[2]))
+        return result
+
+    sample_block = sim._sample_block
+    monkeypatch.setattr(sim, "_sample_block", recording)
+    rows, _ = sim.sample_chunk(REF, 5.0, initial, keys, i_max=10, max_cells=cap)
+    done = [(block, count) for block, count in blocks if count is not None]
+    assert [key for block, _ in done for key in block] == keys
+    assert all(count <= cap for _, count in done)
+    # a block counts run's nodes; one that outgrew the cap was run again
+    assert all(count == sum(nodes[keys.index(key)] for key in block) for block, count in done)
+    assert len(done) < len(blocks) and max(len(block) for block, _ in done) > 1
+    monkeypatch.undo()
+    singles = [sim.sample_chunk(REF, 5.0, initial, [key], i_max=10)[0] for key in keys]
+    np.testing.assert_array_equal(rows, np.concatenate(singles))
 
 
 def test_event_class_probabilities_normalize():
@@ -117,8 +162,11 @@ def test_single_founder_growth():
 
 
 def test_expected_resistant_population_matches():
+    # the keys run would take from one generator, so rows[:, -2] are its
+    # z1_final values bit for bit
     rng = Random(103)
-    finals = [sim.run(REF, 2.0, rng=rng).z1_final for _ in range(1500)]
+    keys = [rng.getrandbits(64) for _ in range(1500)]
+    finals = sim.sample_chunk(REF, 2.0, None, keys, i_max=1)[0][:, -2]
     mean = np.mean(finals)
     sem = np.std(finals, ddof=1) / math.sqrt(len(finals))
     assert abs(mean - th.expected_resistant_population(2.0, REF)) <= 3.5 * sem
@@ -284,11 +332,10 @@ def test_mean_sfs_insensitive_to_mutation_law():
     means = {}
     for law in ("poisson", "bernoulli"):
         params = ModelParams(mutation_law=law, **base)
+        # the total mutation counts of extract_sfs(run(...)), bit for bit
         rng = Random(112)
-        totals = [
-            sim.extract_sfs(sim.run(params, t_obs, rng=rng)).total_mutations()
-            for _ in range(2500)
-        ]
+        keys = [rng.getrandbits(64) for _ in range(2500)]
+        totals = sim.sample_chunk(params, t_obs, None, keys, i_max=1)[0][:, -1]
         means[law] = (np.mean(totals), np.std(totals, ddof=1) / math.sqrt(len(totals)))
     (m1, s1), (m2, s2) = means["poisson"], means["bernoulli"]
     # 95% confidence intervals overlap
@@ -299,12 +346,12 @@ def test_mean_sfs_insensitive_to_mutation_law():
 # seeds 0, 1 and 2 at N = 40, t = 1.25 ln N: per-seed outputs of the
 # mutation-count sampler, pinned across changes to how it searches the cdf
 FOREST_DIGESTS = {
-    ("poisson", 0.0): "5d3b5000ed09d1092297e13221713928bd51c18a84ad9671b3380167bc56262c",
-    ("poisson", 2.0): "00e0a4ba7f19549aed09c3e7ca60adb2be1269030be8a3db7659c4bcd7adfa7f",
-    ("poisson", 30.0): "49950970beeb41f2b15efa8a7b5119eee1d0e510b7b52da82a9176108eadaa2e",
-    ("poisson", 2000.0): "09fa5a01a4a7e8b2d067772b8ac8fbdfce7a6f36ec53be326a990cb2e72f80b6",
-    ("bernoulli", 0.0): "5d3b5000ed09d1092297e13221713928bd51c18a84ad9671b3380167bc56262c",
-    ("bernoulli", 2.0): "2f489aa1cb52bf21daad749d8cb6729c4aa041e7500de372743abf01d2583de9",
+    ("poisson", 0.0): "7fb74b50823430ab044c17bce24c25548d38c904d7084cb462b7ab48ed5339a3",
+    ("poisson", 2.0): "ad18467372644ff7949b136206de54f2a35d3b025a4c1ce5bfcb7878f52aa0d4",
+    ("poisson", 30.0): "485e3135db28702860984a6dac9d6f651ef7268aa7a832016014d0c5ef8bccb8",
+    ("poisson", 2000.0): "2b698ec8be0f2a6af4acbb65bd3de49b373550b924c3426bcf04e428207c71c1",
+    ("bernoulli", 0.0): "7fb74b50823430ab044c17bce24c25548d38c904d7084cb462b7ab48ed5339a3",
+    ("bernoulli", 2.0): "3d87d1c9c9025d2d80b239754d6cc3c99e3673adf541bc4b7cce0f3d7b89bc42",
 }
 
 
@@ -477,6 +524,111 @@ def test_run_properties(case):
     rec = sim.extract_sfs(out)
     assert (rec.s, rec.s_resistant_origin, rec.s_sensitive_origin) == naive_sfs(out)
     assert sum(i * m for i, m in rec.s.items()) == carried_copy_total(out)
-    # the genealogy-free sampler makes the same draws, so the same record
-    sampled = sim.sample_sfs(params, t_obs, initial=initial, rng=Random(seed))
-    assert sampled == (rec, len(out.ancestral), out.z1_final)
+    # the chunk sampler draws the same cell-keyed numbers, so the same row
+    _check_chunk_equals_run(params, t_obs, initial, [seed], 8, (0.5, 3.0))
+
+
+# ---------------------------------------------------------------------------
+# the chunk sampler against run, and the cell-keyed draws
+# ---------------------------------------------------------------------------
+
+
+def _row_of_run(params, t_obs, initial, seed, i_max, windows):
+    """The sample_chunk row and record of run(rng=Random(seed)), built from
+    extract_sfs, dense_sfs and window_counts."""
+    out = sim.run(params, t_obs, initial, rng=Random(seed))
+    rec = sim.extract_sfs(out)
+    s, sbar, sunder = sim.dense_sfs(rec, i_max)
+    wcs = [sim.window_counts(rec, x, math.inf, params.b1 - params.d1) for x in windows]
+    row = s[1:] + sbar[1:] + sunder[1:]
+    row += [w.total for w in wcs] + [w.resistant_origin for w in wcs]
+    row += [w.sensitive_origin for w in wcs]
+    row += [len(out.ancestral), out.z1_final, rec.total_mutations()]
+    return np.asarray(row, dtype=float), rec
+
+
+def _check_chunk_equals_run(params, t_obs, initial, seeds, i_max, windows):
+    keys = [Random(seed).getrandbits(64) for seed in seeds]
+    rows, records = sim.sample_chunk(
+        params, t_obs, initial, keys, i_max=i_max, windows=windows, keep=True
+    )
+    assert rows.shape == (len(keys), 3 * i_max + 3 * len(windows) + 3)
+    for j, seed in enumerate(seeds):
+        row, rec = _row_of_run(params, t_obs, initial, seed, i_max, windows)
+        np.testing.assert_array_equal(rows[j], row, err_msg=f"seed {seed}")
+        assert records[j] == rec, seed
+
+
+N40 = dataclasses.replace(REF, n_init=40)
+T40 = 1.25 * math.log(40)
+BERNOULLI40 = dataclasses.replace(N40, mutation_law="bernoulli", omega=1.0)
+
+# (params, t_obs, initial, seeds, i_max, windows)
+CHUNK_CASES = {
+    "n40-windows": (N40, T40, None, range(60), 10, (0.5, 2.0)),
+    "reference": (REF, 1.25 * math.log(500), None, range(4), 121, (0.6, 1.0, 2.0, 4.0, 6.0)),
+    "clone": (REF, 2.0, (0, 1), range(150), 10, ()),
+    "initial-2-1": (REF, 2.0, (2, 1), range(100), 10, (0.5,)),
+    "bernoulli": (BERNOULLI40, T40, None, range(60), 10, (0.5,)),
+    "omega-0": (dataclasses.replace(N40, omega=0.0), T40, None, range(40), 10, (0.5,)),
+    "d1-0": (dataclasses.replace(N40, d1=0.0), T40, None, range(30), 10, (0.5,)),
+    "t-obs-0": (N40, 0.0, (3, 2), range(10), 10, (0.5,)),
+}
+
+
+@pytest.mark.parametrize("case", CHUNK_CASES.values(), ids=CHUNK_CASES)
+def test_sample_chunk_equals_run(case):
+    # rows and records bit for bit: every draw is keyed by its cell, so the
+    # breadth-first batches and run's depth-first stacks see the same numbers
+    _check_chunk_equals_run(*case)
+
+
+def test_sample_chunk_does_not_depend_on_the_chunk():
+    keys = [Random(seed).getrandbits(64) for seed in range(24)]
+    whole, _ = sim.sample_chunk(N40, T40, None, keys, i_max=10, windows=(0.5,))
+    parts = [
+        sim.sample_chunk(N40, T40, None, keys[k : k + 5], i_max=10, windows=(0.5,))[0]
+        for k in range(0, 24, 5)
+    ]
+    np.testing.assert_array_equal(whole, np.concatenate(parts))
+
+
+# SplitMix64 seeded with 0 (Steele, Lea & Flood 2014; the reference
+# splitmix64.c) outputs H(G), H(2 G), H(3 G), H(4 G)
+SPLITMIX64_FROM_0 = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F, 0xF88BB8A8724C81EC]
+# (64-bit word, its uniform)
+UNIFORMS = [(0, 0.0), (1 << 11, 2.0**-53), (2**63, 0.5), (2**64 - 1, 1.0 - 2.0**-53)]
+# x -> plog(x) as float.hex; each equals math.log(x)
+PLOGS = {
+    1.0: "0x0.0p+0",
+    0.5: "-0x1.62e42fefa39efp-1",
+    0.75: "-0x1.269621134db92p-2",
+    0.1: "-0x1.26bb1bbb55515p+1",
+    2.0**-53: "-0x1.25e4f7b2737fap+5",
+    1.0 - 2.0**-53: "-0x1.0000000000000p-53",
+    0.7071067811865476: "-0x1.62e42fefa39eep-2",
+    0.7071067811865475: "-0x1.62e42fefa39f1p-2",
+}
+
+
+def test_draw_kernels_pinned():
+    # the numpy operands stay np.uint64, so numpy 1.x and 2.x promote alike
+    words = [k * sim._GOLDEN % 2**64 for k in range(1, 5)]
+    assert [sim._mix64(w) for w in words] == SPLITMIX64_FROM_0
+    assert sim._mix64_array(np.array(words, dtype=np.uint64)).tolist() == SPLITMIX64_FROM_0
+    for word, u in UNIFORMS:
+        assert sim._uniform(word) == u
+        assert sim._uniform_array(np.array([word], dtype=np.uint64))[0] == u
+    assert [sim._plog(x).hex() for x in PLOGS] == list(PLOGS.values())
+    from_array = sim._plog(np.array(list(PLOGS)), np.frexp).tolist()
+    assert [y.hex() for y in from_array] == list(PLOGS.values())
+
+
+def test_plog_is_one_evaluation_for_floats_and_arrays():
+    # on the lifetimes' inputs 1 - u, u on the 53-bit grid, the numpy
+    # evaluation equals the Python one bit for bit, within one ulp of log
+    words = np.random.default_rng(7).integers(0, 2**64 - 1, size=20_000, dtype=np.uint64)
+    xs = 1.0 - sim._uniform_array(words)
+    for x, y in zip(xs.tolist(), sim._plog(xs, np.frexp).tolist()):
+        assert sim._plog(x) == y
+        assert abs(y - math.log(x)) <= math.ulp(math.log(x))

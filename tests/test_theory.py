@@ -29,6 +29,14 @@ NAN = math.nan
 # a quadrature tolerance that is not above 0: 0 and -1 used to fall back to
 # the 1e-8 relative floor, NaN to fail as a QuadratureError
 TOLS = (NAN, 0.0, -1.0)
+# (b0, d0, b1, d1) outside ModelParams' domain
+BAD_RATES = {
+    (2.0, 1.2, 1.2, 0.5): "b0-above-d0",
+    (1.2, 2.0, 0.5, 1.2): "d1-above-b1",
+    (0.0, 2.0, 1.2, 0.5): "b0-zero",
+    (1.2, 2.0, 1.2, -0.1): "d1-negative",
+    (NAN, 2.0, 1.2, 0.5): "b0-nan",
+}
 
 
 # NaN fails every comparison, so a domain check written as x < lo lets it
@@ -72,6 +80,9 @@ TOLS = (NAN, 0.0, -1.0)
         *(lambda tol=tol: th.window_weight_resistant(1.0, DP, tol) for tol in TOLS),
         *(lambda tol=tol: th.resistant_origin_mean_exact(1, T, REF, tol) for tol in TOLS),
         *(lambda tol=tol: th.sfs_window_asymptotic(0.6, 1.0, T, REF, tol) for tol in TOLS),
+        # derive_from_gamma_n checks the rates as ModelParams does: with
+        # b0 > d0 it gave x_n = -0.63 and appearance_time_pdf then -15.3
+        *(lambda rates=rates: derive_from_gamma_n(*rates, 0.2) for rates in BAD_RATES),
     ],
     ids=[
         "hi",
@@ -104,6 +115,7 @@ TOLS = (NAN, 0.0, -1.0)
         "clone-sfs-omega-nan",
         "clone-sfs-omega-negative",
         *(f"{name}-tol{tol}" for name in ("K", "exact-mean", "thm2") for tol in TOLS),
+        *(f"derive-{name}" for name in BAD_RATES.values()),
     ],
 )
 def test_nan_inputs_fail_loudly(call):
