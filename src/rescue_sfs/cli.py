@@ -269,6 +269,15 @@ class _TheoryInputs:
     u: float  # clone age for kappa
 
 
+def _theory_inputs(
+    cfg: RunConfig, tol: float = theory.DEFAULT_TOL, i: int = 1, u: float = 1.0
+) -> _TheoryInputs:
+    """The inputs of the formula table at a run config."""
+    params = cfg.params
+    t, t_abs = log_time(cfg.observation, params), observation_time(cfg.observation, params)
+    return _TheoryInputs(params, derive(params), t, t_abs, tol, i, u)
+
+
 def _value(tv: theory.TheoryValue, asymptotic="") -> tuple:
     """The (exact, asymptotic, error_bound) columns of one theory row."""
     return tv.value, asymptotic, tv.abs_error_bound
@@ -308,6 +317,12 @@ _FORMULAS = {
         ),
     ),
     "Q": ("i", lambda i, c: _value(theory.sensitive_origin_main_term(i, c.t, c.params, c.tol))),
+    # the exact comparators of compare's z-score gates
+    "exact-sbar": ("i", lambda i, c: _value(theory.resistant_origin_mean_exact(i, c.t, c.params, c.tol))),
+    "exact-sbar-window": (
+        "x",
+        lambda x, c: _value(theory.resistant_origin_window_exact(x, c.t, c.params, c.tol)),
+    ),
     "gn": ("i", lambda g, c: (theory.generation_pmf(c.dp, g), "", 0.0)),
     "tn": ("x", lambda x, c: (theory.appearance_time_pdf(c.dp, x), "", 0.0)),
     "tilde-gn": ("i", lambda g, c: (theory.generation_pmf_any(c.dp, g), "", 0.0)),
@@ -329,33 +344,43 @@ FORMULA_IDS = tuple(_FORMULAS)
 
 def _theory_rows(args, cfg: RunConfig):
     """(header, rows) for one formula id over the requested range."""
-    params = cfg.params
-    dp = derive(params)
-    t, t_abs = log_time(cfg.observation, params), observation_time(cfg.observation, params)
     fid = args.formula
     i_list = _parse_irange(args.i_range) if args.i_range else None
     x_list = _parse_grid(args.x_grid) if args.x_grid else None
     if fid not in _FORMULAS:
         raise ConfigError(f"unknown formula id {fid!r}; valid ids: {', '.join(FORMULA_IDS)}")
-    kind, row = _FORMULAS[fid]
+    kind = _FORMULAS[fid][0]
     if kind == "none":
-        points = [(0, None)]
+        indices, points = [0], [None]
     elif kind == "i":
         if not i_list:
             raise ConfigError(f"formula {fid!r} needs --i-range")
-        points = [(i, i) for i in i_list]
+        indices = points = i_list
     else:
         if not x_list:
             raise ConfigError(f"formula {fid!r} needs --x-grid")
-        points = [(x, x) for x in x_list]
+        indices = points = x_list
         if kind == "windows":
             if len(x_list) < 2:
                 raise ConfigError(f"{fid} needs an --x-grid with at least two points")
-            points = [(x1, (x1, x2)) for x1, x2 in zip(x_list, x_list[1:] + [math.inf])]
-    inputs = _TheoryInputs(params, dp, t, t_abs, _tol(args), args.i, args.u)
-    with _theory_domain(f"formula {fid!r}"):
-        rows = [(index, *row(point, inputs), fid) for index, point in points]
+            points = list(zip(x_list, x_list[1:] + [math.inf]))
+    columns = _evaluate(fid, points, _theory_inputs(cfg, _tol(args), args.i, args.u))
+    rows = [(index, *cols, fid) for index, cols in zip(indices, columns)]
     return ["index_or_x", "exact", "asymptotic", "error_bound", "formula_id"], rows
+
+
+def _evaluate(fid: str, points, inputs: _TheoryInputs, what: str = "") -> list[tuple]:
+    """The (exact, asymptotic, error_bound) columns of formula fid at each
+    point, for theory, compare and figures alike; a failing call is a config
+    error about `what` (by default the formula)."""
+    row = _FORMULAS[fid][1]
+    with _theory_domain(what or f"formula {fid!r}"):
+        return [row(point, inputs) for point in points]
+
+
+def _exact(fid: str, points, inputs: _TheoryInputs, what: str = "") -> list:
+    """The exact column of formula fid at each point."""
+    return [cols[0] for cols in _evaluate(fid, points, inputs, what)]
 
 
 @contextlib.contextmanager
@@ -409,38 +434,26 @@ def cmd_gw(args: argparse.Namespace, cfg: RunConfig, outputs: _OutputSet) -> int
 
 
 def cmd_compare(args: argparse.Namespace, cfg: RunConfig, outputs: _OutputSet) -> int:
-    t = log_time(cfg.observation, cfg.params)
-    tol = _tol(args)
+    inputs = _theory_inputs(cfg, _tol(args))
     if not 0 <= args.threshold < math.inf:
         raise ConfigError(f"--threshold must be finite and >= 0, got {args.threshold}")
     # theory before the simulation, so that parameters the theory cannot
     # evaluate fail at once
     if args.what == "small-i":
         i_max = _at_least_one("--i-max", args.i_max)
-        with _theory_domain("exact mean"):
-            tvals = [
-                theory.resistant_origin_mean_exact(i, t, cfg.params, tol).value
-                for i in range(1, i_max + 1)
-            ]
+        tvals = _exact("exact-sbar", range(1, i_max + 1), inputs, "exact mean")
         stats = _replicates(args, cfg, i_max).stats("sbar")
         what = "sbar vs exact mean"
     else:
         windows = _parse_windows(args.windows or "0.6,1,2,4,6")
-        with _theory_domain("window theory"):
-            if args.mode == "z-score":
-                # tight gate: the exact finite-N window expectation
-                tvals = [
-                    theory.resistant_origin_window_exact(x, t, cfg.params, tol).value
-                    for x in windows
-                ]
-                what = "sbar windows vs exact"
-            else:
-                dp = derive(cfg.params)
-                scale = theory.window_scale(cfg.params)
-                tvals = [
-                    scale * theory.window_weight_resistant(x, dp, tol).value for x in windows
-                ]
-                what = "sbar windows vs asymptotic"
+        if args.mode == "z-score":
+            # tight gate: the exact finite-N window expectation
+            tvals = _exact("exact-sbar-window", windows, inputs, "window theory")
+            what = "sbar windows vs exact"
+        else:
+            scale = theory.window_scale(cfg.params)
+            tvals = [scale * k for k in _exact("K", windows, inputs, "window theory")]
+            what = "sbar windows vs asymptotic"
         stats = _replicates(args, cfg, 1, windows).window_stats("sbar")
     if args.mode == "z-score" and cfg.replicates < _Z_GATE_MIN_REPLICATES:
         print(
@@ -493,10 +506,12 @@ def _fig2(args, cfg: RunConfig, outputs: _OutputSet) -> None:
     import numpy as np
 
     samples = _samples(args, 100_000)
+    base = _theory_inputs(cfg)
     rows_g = []
     rows_t = []
     for gamma_n in (0.2, 0.002):
         dp = derive_from_gamma_n(1.0, 2.0, cfg.params.b1, cfg.params.d1, gamma_n)
+        inputs = dataclasses.replace(base, dp=dp)
         law = gw_trees.GwLaw(p=dp.p_n, beta=dp.beta_n)
         rng = Random(cfg.seed)
         gens = []
@@ -507,21 +522,14 @@ def _fig2(args, cfg: RunConfig, outputs: _OutputSet) -> None:
             )
             gens.append(s.generation)
             times.append(s.lifetime)
-        table = gw_trees.pmf_table(gens, lambda g: theory.generation_pmf(dp, g))
+        table = gw_trees.pmf_table(gens, lambda g: _exact("gn", [g], inputs)[0])
         rows_g += [(gamma_n, *row) for row in table]
         hist, edges = np.histogram(times, bins=60, range=(0.0, max(times)))
         widths = np.diff(edges)
+        mids = [0.5 * (edges[k] + edges[k + 1]) for k in range(len(hist))]
+        pdf = _exact("tn", mids, inputs)
         for k, count in enumerate(hist):
-            mid = 0.5 * (edges[k] + edges[k + 1])
-            rows_t.append(
-                (
-                    gamma_n,
-                    mid,
-                    theory.appearance_time_pdf(dp, mid),
-                    count / (samples * widths[k]),
-                    int(count),
-                )
-            )
+            rows_t.append((gamma_n, mids[k], pdf[k], count / (samples * widths[k]), int(count)))
     _write_csv(outputs.path("fig2_gn.csv"), ["gamma_n", "g", "pmf_theory", "pmf_empirical", "count"], rows_g)
     _write_csv(
         outputs.path("fig2_tn.csv"),
@@ -532,9 +540,7 @@ def _fig2(args, cfg: RunConfig, outputs: _OutputSet) -> None:
 
 def _fig3(args, cfg: RunConfig, outputs: _OutputSet) -> None:
     """Small-i expected SFS: empirical S and Sbar vs the fixed-i asymptote."""
-    t = log_time(cfg.observation, cfg.params)
-    with _theory_domain("thm1"):
-        thm1 = [theory.sfs_small_asymptotic(i, t, cfg.params).value for i in range(1, 122)]
+    thm1 = _exact("thm1", range(1, 122), _theory_inputs(cfg), "thm1")
     agg = _replicates(args, cfg, 121)
     s = agg.stats("s")
     _write_columns(
@@ -561,10 +567,9 @@ def _fig4(args, cfg: RunConfig, outputs: _OutputSet) -> None:
     )
 
 
-def _window_figure(args, cfg: RunConfig, outputs: _OutputSet, kind: str, name: str, weight_fn):
+def _window_figure(args, cfg: RunConfig, outputs: _OutputSet, kind: str, name: str, fid: str):
     xs = [round(0.1 * k, 1) for k in range(1, 71)]
     stats = _replicates(args, cfg, 1, xs).window_stats(kind)
-    dp = derive(cfg.params)
     scale = theory.window_scale(cfg.params)
     _write_columns(
         outputs.path(name),
@@ -572,30 +577,21 @@ def _window_figure(args, cfg: RunConfig, outputs: _OutputSet, kind: str, name: s
         xs,
         stats.mean,
         stats.ci_halfwidth,
-        [scale * weight_fn(x, dp).value for x in xs],
+        [scale * w for w in _exact(fid, xs, _theory_inputs(cfg))],
         stats.count,
     )
 
 
 def _fig7(args, cfg: RunConfig, outputs: _OutputSet) -> None:
     """K and L on [0.6, 6] for four (b0, lambda0) combinations."""
+    base = _theory_inputs(cfg)
     rows = []
     xs = [round(0.6 + 0.05 * k, 2) for k in range(109)]
     for b0 in (1.2, 2.2):
         for lam0 in (0.8, 0.3):
-            dp = derive_from_gamma_n(
-                b0, b0 + lam0, cfg.params.b1, cfg.params.d1, cfg.params.gamma_n
-            )
-            for x in xs:
-                rows.append(
-                    (
-                        b0,
-                        lam0,
-                        x,
-                        theory.window_weight_resistant(x, dp).value,
-                        theory.window_weight_sensitive(x, dp).value,
-                    )
-                )
+            dp = derive_from_gamma_n(b0, b0 + lam0, cfg.params.b1, cfg.params.d1, cfg.params.gamma_n)
+            inputs = dataclasses.replace(base, dp=dp)
+            rows += [(b0, lam0, *cols) for cols in zip(xs, _exact("K", xs, inputs), _exact("L", xs, inputs))]
     _write_csv(outputs.path("fig7.csv"), ["b0", "lambda0", "x", "K", "L"], rows)
 
 
@@ -604,9 +600,9 @@ _FIGURE_BUILDERS = {
     "fig3": _fig3,
     "fig4": _fig4,
     # sensitive-origin window counts vs the hitch-hiking weight L
-    "fig5": lambda *a: _window_figure(*a, "sunder", "fig5.csv", theory.window_weight_sensitive),
+    "fig5": lambda *a: _window_figure(*a, "sunder", "fig5.csv", "L"),
     # resistant-origin window counts vs the weight K
-    "fig6": lambda *a: _window_figure(*a, "sbar", "fig6.csv", theory.window_weight_resistant),
+    "fig6": lambda *a: _window_figure(*a, "sbar", "fig6.csv", "K"),
     "fig7": _fig7,
 }
 

@@ -515,6 +515,8 @@ def window_weight_resistant(x: float, dp: DerivedParams, tol: float = DEFAULT_TO
 
     Positive and strictly decreasing in x (sign-normalized magnitude).
     """
+    if x == math.inf:  # no mutation has more than infinitely many carriers
+        return TheoryValue(0.0, 0.0)
     a, s_max = _window_cut(x, dp)
     lam0, lam1 = dp.lambda0, dp.lambda1
     pref = 2.0 / (lam0 + lam1)
@@ -533,6 +535,8 @@ def window_weight_sensitive(x: float, dp: DerivedParams, tol: float = DEFAULT_TO
 
     (1/b1) Int_0^inf (1 + 2 b0 s) e^(-lambda0 s) e^(-x (lambda1/b1) e^(lambda1 s)) ds.
     """
+    if x == math.inf:
+        return TheoryValue(0.0, 0.0)
     a, s_max = _window_cut(x, dp)
     b0, b1 = dp.b0, dp.b1
     lam0, lam1 = dp.lambda0, dp.lambda1
@@ -554,6 +558,8 @@ def window_weight_resistant_slope(
     (2 lambda1/(b1 (lambda0+lambda1))) Int_0^inf (1 - e^(-(lambda0+lambda1)s))
     e^(2 lambda1 s) e^(-x (lambda1/b1) e^(lambda1 s)) ds.
     """
+    if x == math.inf:
+        return TheoryValue(0.0, 0.0)
     a, s_max = _window_cut(x, dp)
     lam0, lam1 = dp.lambda0, dp.lambda1
     pref = 2.0 * lam1 / (dp.b1 * (lam0 + lam1))
@@ -618,8 +624,6 @@ def sfs_window_asymptotic(
     dp = derive(params)
 
     def j_value(x: float) -> TheoryValue:
-        if x == math.inf:
-            return TheoryValue(0.0, 0.0)
         k = window_weight_resistant(x, dp, tol)
         l = window_weight_sensitive(x, dp, tol)
         return TheoryValue(k.value + l.value, k.abs_error_bound + l.abs_error_bound)
@@ -843,7 +847,7 @@ def expected_resistant_population(t_abs: float, params: ModelParams) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Remainder order bounds (upper bounds only; exact values are out of reach)
+# Remainder order bounds (uniform-in-i upper bounds, for gates with no exact comparator yet)
 # ---------------------------------------------------------------------------
 
 

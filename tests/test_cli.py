@@ -59,10 +59,10 @@ SIMULATE_DIGESTS = {
 }
 
 # pinned outputs of the other commands at REF_CFG: one theory id per index
-# kind, both founder generation laws (theory gn and tilde-gn, gw under both
-# conditions), the figures that sample trees (fig2), simulate (fig3, fig4, fig5)
-# or only evaluate (fig7), and compare over both index sets and both gate
-# modes
+# kind, the exact comparators of compare's gates, both founder generation
+# laws (theory gn and tilde-gn, gw under both conditions), the figures that
+# sample trees (fig2), simulate (fig3, fig4, fig5) or only evaluate (fig7),
+# and compare over both index sets and both gate modes
 GOLDEN_DIGESTS = [
     (
         ["theory", "--formula", "I", "--i-range", "1:20"],
@@ -83,6 +83,14 @@ GOLDEN_DIGESTS = [
     (
         ["theory", "--formula", "Q", "--i-range", "1:5"],
         {"theory_Q.csv": "5b097ac776a4ac10d6a61d7eaeea036410db705acb7f095dc8f13f792130af6b"},
+    ),
+    (
+        ["theory", "--formula", "exact-sbar", "--i-range", "1:5"],
+        {"theory_exact_sbar.csv": "7594f293e626f2fd383b239a78bf55d655b9071e183cde3310d0f29e6ac3dc76"},
+    ),
+    (
+        ["theory", "--formula", "exact-sbar-window", "--x-grid", "0.6,1,2"],
+        {"theory_exact_sbar_window.csv": "fbda8805a5909674f5efbea43bb04d036815de5281a307aa70e2c1294d443b7e"},
     ),
     (
         ["theory", "--formula", "anc-one"],
@@ -377,9 +385,11 @@ def test_theory_tilde_gn_at_gamma_zero(cfg_path, tmp_path):
 
 
 def test_theory_x_grid_takes_inf(cfg_path, tmp_path):
-    # the grid rejects nan, but x = inf is the complete shape integral for hi
-    # and a zero density for tn
-    for formula, expected in (("hi", lambda row: float(row[2])), ("tn", lambda row: 0.0)):
+    # the grid rejects nan, but x = inf is the complete shape integral for hi,
+    # a zero density for tn and an empty window for the window weights
+    zero = lambda row: 0.0  # noqa: E731
+    cases = [("hi", lambda row: float(row[2])), ("tn", zero)] + [(f, zero) for f in ("K", "L", "Kslope")]
+    for formula, expected in cases:
         out = str(tmp_path / formula)
         argv = ["theory", "--config", cfg_path, "--formula", formula, "--x-grid", "inf"]
         assert cli.main(argv + ["--out-dir", out]) == 0
@@ -581,6 +591,28 @@ def test_compare_gate_exit_codes(cfg_path, tmp_path):
         ]
     )
     assert rc == 1
+
+
+@pytest.mark.parametrize(
+    "gate, table",
+    [
+        (["--what", "small-i", "--i-max", "4"], ["--formula", "exact-sbar", "--i-range", "1:4"]),
+        (["--what", "windows", "--windows", "0.5,1"], ["--formula", "exact-sbar-window", "--x-grid", "0.5,1"]),
+    ],
+    ids=["small-i", "windows"],
+)
+def test_compare_theory_is_the_formula_table_row(cfg_path, tmp_path, gate, table):
+    # compare's z-score gate reads its theory column from the same formula
+    # row that `theory` prints, bit for bit
+    common = ["--config", cfg_path, "--out-dir"]
+    assert cli.main(["compare"] + common + [str(tmp_path / "c"), "--workers", "1"] + gate) == 0
+    assert cli.main(["theory"] + common + [str(tmp_path / "t")] + table) == 0
+    report = _read_csv(os.path.join(tmp_path, "c", "report.csv"))
+    rows = _read_csv(os.path.join(tmp_path, "t", f"theory_{table[1].replace('-', '_')}.csv"))
+    assert report[0][3] == "theory" and rows[0][1] == "exact"
+    assert [float(r[0]) for r in report[1:]] == [float(r[0]) for r in rows[1:]]
+    assert [float(r[3]) for r in report[1:]] == [float(r[1]) for r in rows[1:]]
+    assert {r[2] for r in rows[1:]} == {""}  # no asymptote is computed
 
 
 def test_compare_warns_below_z_gate_minimum(cfg_path, tmp_path, capsys):
