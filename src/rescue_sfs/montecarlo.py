@@ -5,10 +5,11 @@ Replicates are reproducible and worker-count independent: replicate r of a
 run with master seed s is keyed by ``Random(seed_for_replicate(s, r))
 .getrandbits(64)``, the key ``simulator.run`` draws from that generator
 (seed_for_replicate is numpy's SeedSequence spawn, hashed here in one
-vectorised pass per chunk, replicate_seeds).  A chunk of replicates runs in
-one ``simulator.sample_chunk`` call and folds its rows into one Welford
-accumulator in replicate order; chunks cover fixed contiguous replicate
-ranges and merge in index order.
+vectorised pass per span, replicate_seeds).  Chunks define the statistics:
+a chunk of consecutive replicates folds its rows into one Welford
+accumulator in replicate order, and chunks merge in index order.  A span is
+a scheduling unit only: a run of whole chunks sampled in one
+``simulator.sample_chunk`` call, whose chunks fold side by side.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from rescue_sfs import simulator
 from rescue_sfs.params import ModelParams
 
 DEFAULT_CHUNK = 256
+# about 2 MB of rows: a span samples as many whole chunks as fit in one call
+_SPAN_FLOATS = 1 << 18
 
 SCALAR_FIELDS = ("ancestral_count", "z1_final", "total_mutations")
 
@@ -251,20 +254,21 @@ class SfsAggregate:
         return float(self.scalars.mean[k]), float(self.scalars.sem()[k])
 
 
-def _run_chunk(
-    start: int, stop: int, *, params: ModelParams, t_obs: float, initial: tuple[int, int],
-    master_seed: int, i_max: int, windows: tuple[float, ...], keep: bool,
-) -> tuple[SfsAggregate, list[simulator.SfsRecord]]:
-    """Aggregate of replicates start..stop-1, plus their records in
+def _run_span(
+    start: int, stop: int, *, chunk_size: int, params: ModelParams, t_obs: float,
+    initial: tuple[int, int], master_seed: int, i_max: int, windows: tuple[float, ...], keep: bool,
+) -> tuple[list[SfsAggregate], list[simulator.SfsRecord]]:
+    """Aggregates, in order, of the chunks of ``chunk_size`` replicates
+    that cover start..stop-1 (the last may be short), plus their records in
     replicate order when ``keep`` is set (else an empty list).
 
-    ``sample_chunk`` returns one row per replicate (s | sbar | sunder |
-    window s | window sbar | window sunder | scalars), and the rows go into
-    one Welford accumulator in replicate order; its update is elementwise,
-    so splitting it into the aggregate's statistics afterwards gives them
-    bit for bit what separate accumulators would hold.  Without windows the
-    window statistics stay empty (n = 0)."""
-    agg = SfsAggregate(params, t_obs, initial, master_seed, i_max, windows)
+    One ``sample_chunk`` call returns one row per replicate (s | sbar |
+    sunder | window s | window sbar | window sunder | scalars).  The chunks
+    fold their rows side by side, row j of each getting the elementwise
+    operations of ``VectorStat.update``, so splitting a chunk's accumulator
+    into the aggregate's statistics gives them bit for bit what separate
+    accumulators fed one replicate at a time would hold.  Without windows
+    the window statistics stay empty (n = 0)."""
     seeds = replicate_seeds(master_seed, start, stop)
     keys = [Random(rep_seed).getrandbits(64) for rep_seed in seeds]
     try:
@@ -273,24 +277,33 @@ def _run_chunk(
         )
     except simulator.PopulationCapError as exc:
         r = start + exc.replicate
-        seed = seeds[exc.replicate]
+        seed, key = seeds[exc.replicate], keys[exc.replicate]
         raise simulator.PopulationCapError(
-            f"replicate {r} (seed_for_replicate({master_seed}, {r}) = {seed}): {exc}"
+            f"replicate {r} (seed_for_replicate({master_seed}, {r}) = {seed}), key {key}: {exc}"
         ) from exc
     fields = ("s", "sbar", "sunder")
     if windows:
         fields += ("window_s", "window_sbar", "window_sunder")
     fields += ("scalars",)
-    stat = VectorStat.zeros(rows.shape[1])
-    for row in rows:
-        stat.update(row)
-    lo = 0
-    for name in fields:
-        hi = lo + getattr(agg, name).mean.size
-        setattr(agg, name, VectorStat(stat.n, stat.mean[lo:hi].copy(), stat.m2[lo:hi].copy()))
-        lo = hi
-    agg.replicates = stat.n
-    return agg, records
+    cut = len(keys) - len(keys) % chunk_size  # a short last chunk folds alone
+    parts = (rows[:cut].reshape(-1, chunk_size, rows.shape[1]), rows[None, cut:])
+    aggs = []
+    for part in (part for part in parts if part.size):
+        mean = np.zeros((part.shape[0], rows.shape[1]))
+        m2 = np.zeros_like(mean)
+        for j in range(part.shape[1]):
+            x = part[:, j]
+            delta = x - mean
+            mean += delta / (j + 1)
+            m2 += delta * (x - mean)
+        for c in range(part.shape[0]):
+            agg = SfsAggregate(params, t_obs, initial, master_seed, i_max, windows)
+            agg.replicates = n = part.shape[1]
+            edges = np.cumsum([getattr(agg, name).mean.size for name in fields])[:-1]
+            for name, m, q in zip(fields, np.split(mean[c], edges), np.split(m2[c], edges)):
+                setattr(agg, name, VectorStat(n, m.copy(), q.copy()))
+            aggs.append(agg)
+    return aggs, records
 
 
 def replicate_sfs(
@@ -308,27 +321,35 @@ def replicate_sfs(
     """Aggregate ``replicates`` independent runs.
 
     Deterministic given (params, t_obs, replicates, seed, i_max, windows,
-    chunk_size) regardless of ``workers``: chunks cover fixed contiguous
-    replicate ranges and merge in order.  A single chunk runs in-process,
-    and no more workers start than there are chunks.  ``on_record(r,
-    record)`` is called in this process for every replicate r, in
-    replicate order, with that replicate's SfsRecord.
+    chunk_size) regardless of ``workers``: chunks of ``chunk_size``
+    replicates cover fixed contiguous ranges and merge in order.  Spans
+    only schedule them: a span, a run of whole chunks of at most
+    ``_SPAN_FLOATS`` floats of rows (one chunk when ``on_record`` is set),
+    is sampled in one ``sample_chunk`` call and changes no bit.  A single
+    span runs in-process, and no more workers start than there are spans.
+    ``on_record(r, record)`` is called in this process for every replicate
+    r, in replicate order, with that replicate's SfsRecord.
     """
     if replicates < 2:
         raise ValueError(f"requires replicates >= 2, got {replicates}")
     if chunk_size < 1:
         raise ValueError(f"requires chunk_size >= 1, got {chunk_size}")
+    if workers < 1:
+        raise ValueError(f"requires workers >= 1, got {workers}")
     windows = tuple(windows)
     if not all(0 < x < math.inf for x in windows):
         raise ValueError(f"requires finite window edges > 0, got {windows}")
     if initial is None:
         initial = (params.n_init, 0)
-    run_chunk = partial(
-        _run_chunk, params=params, t_obs=t_obs, initial=initial, master_seed=seed, i_max=i_max,
-        windows=windows, keep=on_record is not None,
+    run_span = partial(
+        _run_span, chunk_size=chunk_size, params=params, t_obs=t_obs, initial=initial,
+        master_seed=seed, i_max=i_max, windows=windows, keep=on_record is not None,
     )
-    starts = range(0, replicates, chunk_size)
-    stops = [min(start + chunk_size, replicates) for start in starts]
+    width = 3 * i_max + 3 * len(windows) + len(SCALAR_FIELDS)
+    per_span = 1 if on_record else max(1, _SPAN_FLOATS // (width * chunk_size))
+    span = min(per_span, -(-replicates // (chunk_size * workers))) * chunk_size
+    starts = range(0, replicates, span)
+    stops = [min(start + span, replicates) for start in starts]
     total = SfsAggregate(params, t_obs, initial, seed, i_max, windows)
     workers = min(workers, len(starts))
     pool = nullcontext()
@@ -337,9 +358,10 @@ def replicate_sfs(
 
         pool = ProcessPoolExecutor(max_workers=workers)
     with pool:
-        results = (pool.map if workers > 1 else map)(run_chunk, starts, stops)
-        for start, (agg, records) in zip(starts, results):
-            total.merge(agg)
+        results = (pool.map if workers > 1 else map)(run_span, starts, stops)
+        for start, (aggs, records) in zip(starts, results):
+            for agg in aggs:
+                total.merge(agg)
             for r, record in enumerate(records, start):
                 on_record(r, record)
     return total

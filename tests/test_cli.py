@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from random import Random
 
 import pytest
 
@@ -751,8 +752,9 @@ def test_cap_hit_exits_2_naming_replicate_and_seed(cfg_path, tmp_path, capsys, m
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     seed = montecarlo.seed_for_replicate(4242, 0)
+    key = Random(seed).getrandbits(64)
     assert err == (
-        f"config error: replicate 0 (seed_for_replicate(4242, 0) = {seed}): "
+        f"config error: replicate 0 (seed_for_replicate(4242, 0) = {seed}), key {key}: "
         "genealogy exceeded max_cells=5000000\n"
     )
     assert not os.path.exists(out / "report.json")

@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import math
 from random import Random
 
@@ -192,6 +193,29 @@ def test_cap_hit_names_replicate_and_seed(monkeypatch):
     assert "max_cells=10" in message
 
 
+def test_cap_hit_in_a_later_span_names_replicate_seed_and_key(monkeypatch):
+    # spans of two chunks of 8: the second sample_chunk call covers 16..31
+    calls = []
+    sample_chunk = sim.sample_chunk
+
+    def capped_in_second_span(*args, **kwargs):
+        calls.append(len(args[3]))
+        if len(calls) == 2:
+            raise sim.PopulationCapError("genealogy exceeded max_cells=10", replicate=8 + 3)
+        return sample_chunk(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "sample_chunk", capped_in_second_span)
+    monkeypatch.setattr(mc, "_SPAN_FLOATS", 2 * 8 * (3 * 5 + 3))
+    with pytest.raises(sim.PopulationCapError) as info:
+        mc.replicate_sfs(TOY, T_OBS, replicates=40, seed=3, i_max=5, workers=1, chunk_size=8)
+    assert calls == [16, 16]
+    seed = mc.seed_for_replicate(3, 16 + 8 + 3)
+    key = Random(seed).getrandbits(64)
+    message = str(info.value)
+    assert f"replicate 27 (seed_for_replicate(3, 27) = {seed}), key {key}:" in message
+    assert "max_cells=10" in message
+
+
 def test_replicate_sfs_single_chunk_starts_no_pool(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a single chunk must run in-process")
@@ -231,6 +255,66 @@ def test_replicate_sfs_rejects_chunk_size_below_1(chunk_size):
     # -3 once gave an aggregate of 0 replicates, 0 a range() error
     with pytest.raises(ValueError, match="chunk_size"):
         mc.replicate_sfs(TOY, T_OBS, replicates=4, seed=0, chunk_size=chunk_size)
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_replicate_sfs_rejects_workers_below_1(monkeypatch, workers):
+    # both once ran in-process without a word
+    def no_replicate(*args, **kwargs):
+        raise AssertionError("workers must be checked before any replicate runs")
+
+    monkeypatch.setattr(sim, "sample_chunk", no_replicate)
+    with pytest.raises(ValueError, match="requires workers >= 1"):
+        mc.replicate_sfs(TOY, T_OBS, replicates=4, seed=0, workers=workers)
+
+
+def _aggregate_digest(agg):
+    """SHA-256 over the count, mean and M2 of all seven statistics."""
+    h = hashlib.sha256(f"replicates={agg.replicates}".encode())
+    for name in ("s", "sbar", "sunder", "window_s", "window_sbar", "window_sunder", "scalars"):
+        stat = getattr(agg, name)
+        h.update(f"{name}:{stat.n}".encode() + stat.mean.tobytes() + stat.m2.tobytes())
+    return h.hexdigest()
+
+
+# (replicates, initial, t_obs, chunk_size): TOY's founders, or one
+# resistant founder (the clone set-up)
+_SPAN_CASES = [(23, None, T_OBS, size) for size in (1, 7, 256)] + [
+    (600, initial, t_obs, size)
+    for initial, t_obs in ((None, T_OBS), ((0, 1), 2.0))
+    for size in (7, 256)
+]
+
+
+@pytest.mark.parametrize(
+    "replicates, initial, t_obs, chunk_size",
+    _SPAN_CASES,
+    ids=[f"{'clone' if c[1] else 'toy'}-{c[0]}-chunk{c[3]}" for c in _SPAN_CASES],
+)
+@pytest.mark.parametrize("windows", [(), (0.5, 2.0)], ids=["no-windows", "windows"])
+def test_replicate_sfs_spans_change_no_bit(
+    monkeypatch, windows, replicates, initial, t_obs, chunk_size
+):
+    # spans of one chunk against spans of every chunk (of half of them with
+    # two workers); chunks of 7 and 256 leave a short last chunk
+    def run(span_floats, workers, on_record=None):
+        monkeypatch.setattr(mc, "_SPAN_FLOATS", span_floats)
+        agg = mc.replicate_sfs(
+            TOY, t_obs, replicates, seed=21, initial=initial, i_max=6, windows=windows,
+            workers=workers, chunk_size=chunk_size, on_record=on_record,
+        )
+        return _aggregate_digest(agg)
+
+    digests, streams = set(), []
+    for workers in (1, 2):
+        for span_floats in (1, 1 << 40):
+            digests.add(run(span_floats, workers))
+        seen = []
+        digests.add(run(1 << 40, workers, lambda r, rec: seen.append((r, rec))))
+        streams.append(seen)
+    assert len(digests) == 1
+    assert [r for r, _ in streams[0]] == list(range(replicates))
+    assert streams[0] == streams[1]
 
 
 @pytest.mark.parametrize("windows", [(math.inf,), (1.0, math.nan), (0.5, -1.0)])
