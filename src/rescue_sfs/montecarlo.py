@@ -6,10 +6,11 @@ run with master seed s is keyed by ``Random(seed_for_replicate(s, r))
 .getrandbits(64)``, the key ``simulator.run`` draws from that generator
 (seed_for_replicate is numpy's SeedSequence spawn, hashed here in one
 vectorised pass per span, replicate_seeds).  Chunks define the statistics:
-a chunk of consecutive replicates folds its rows into one Welford
-accumulator in replicate order, and chunks merge in index order.  A span is
-a scheduling unit only: a run of whole chunks sampled in one
-``simulator.sample_chunk`` call, whose chunks fold side by side.
+a chunk of DEFAULT_CHUNK consecutive replicates folds its rows (laid out
+as ``simulator.ROW_FIELDS``) into one Welford accumulator in replicate
+order, and chunks merge in index order.  A span is a scheduling unit only:
+a run of whole chunks sampled in one ``sample_chunk`` call, folded side by
+side.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ from rescue_sfs.params import ModelParams
 DEFAULT_CHUNK = 256
 # about 2 MB of rows: a span samples as many whole chunks as fit in one call
 _SPAN_FLOATS = 1 << 18
-
-SCALAR_FIELDS = ("ancestral_count", "z1_final", "total_mutations")
 
 
 class IndexMismatchError(ValueError):
@@ -201,7 +200,8 @@ class SfsAggregate:
 
     Index grids: SFS vectors run over i = 1..i_max; window vectors follow
     the configured ``windows`` lower edges, each window being the open
-    interval (x e^(lambda1 t_obs), infinity); scalars follow SCALAR_FIELDS.
+    interval (x e^(lambda1 t_obs), infinity); the statistics and scalars
+    are ``simulator.ROW_FIELDS`` and ``SCALAR_FIELDS``.
     """
 
     params: ModelParams
@@ -220,55 +220,42 @@ class SfsAggregate:
     scalars: VectorStat = field(init=False)
 
     def __post_init__(self) -> None:
-        self.s = VectorStat.zeros(self.i_max)
-        self.sbar = VectorStat.zeros(self.i_max)
-        self.sunder = VectorStat.zeros(self.i_max)
-        nw = len(self.windows)
-        self.window_s = VectorStat.zeros(nw)
-        self.window_sbar = VectorStat.zeros(nw)
-        self.window_sunder = VectorStat.zeros(nw)
-        self.scalars = VectorStat.zeros(len(SCALAR_FIELDS))
+        widths = simulator.row_widths(self.i_max, len(self.windows))
+        for name, width in zip(simulator.ROW_FIELDS, widths):
+            setattr(self, name, VectorStat.zeros(width))
 
     def merge(self, other: "SfsAggregate") -> None:
         self.replicates += other.replicates
-        self.s.merge(other.s)
-        self.sbar.merge(other.sbar)
-        self.sunder.merge(other.sunder)
-        self.window_s.merge(other.window_s)
-        self.window_sbar.merge(other.window_sbar)
-        self.window_sunder.merge(other.window_sunder)
-        self.scalars.merge(other.scalars)
+        for name in simulator.ROW_FIELDS:
+            getattr(self, name).merge(getattr(other, name))
 
     def stats(self, kind: str) -> ReplicateStats:
         """ReplicateStats for one of s/sbar/sunder over i = 1..i_max."""
-        stat = {"s": self.s, "sbar": self.sbar, "sunder": self.sunder}[kind]
+        stat = {k: getattr(self, k) for k in simulator.ROW_FIELDS[:3]}[kind]
         return ReplicateStats.from_vector_stat(np.arange(1, self.i_max + 1), stat)
 
     def window_stats(self, kind: str) -> ReplicateStats:
-        stat = {"s": self.window_s, "sbar": self.window_sbar, "sunder": self.window_sunder}[kind]
+        stat = {k: getattr(self, "window_" + k) for k in simulator.ROW_FIELDS[:3]}[kind]
         return ReplicateStats.from_vector_stat(np.asarray(self.windows, dtype=float), stat)
 
     def scalar_stat(self, name: str) -> tuple[float, float]:
         """(mean, standard error) of one scalar field."""
-        k = SCALAR_FIELDS.index(name)
+        k = simulator.SCALAR_FIELDS.index(name)
         return float(self.scalars.mean[k]), float(self.scalars.sem()[k])
 
 
 def _run_span(
     start: int, stop: int, *, chunk_size: int, params: ModelParams, t_obs: float,
     initial: tuple[int, int], master_seed: int, i_max: int, windows: tuple[float, ...], keep: bool,
-) -> tuple[list[SfsAggregate], list[simulator.SfsRecord]]:
-    """Aggregates, in order, of the chunks of ``chunk_size`` replicates
-    that cover start..stop-1 (the last may be short), plus their records in
-    replicate order when ``keep`` is set (else an empty list).
+) -> tuple[list[VectorStat], list[simulator.SfsRecord]]:
+    """The row statistics, in order, of the chunks of ``chunk_size``
+    replicates that cover start..stop-1 (the last may be short), plus their
+    records in replicate order when ``keep`` is set (else an empty list).
 
-    One ``sample_chunk`` call returns one row per replicate (s | sbar |
-    sunder | window s | window sbar | window sunder | scalars).  The chunks
+    One ``sample_chunk`` call returns one row per replicate.  The chunks
     fold their rows side by side, row j of each getting the elementwise
-    operations of ``VectorStat.update``, so splitting a chunk's accumulator
-    into the aggregate's statistics gives them bit for bit what separate
-    accumulators fed one replicate at a time would hold.  Without windows
-    the window statistics stay empty (n = 0)."""
+    operations of ``VectorStat.update``, so a chunk's row statistic holds
+    bit for bit what one accumulator fed its rows one at a time would."""
     seeds = replicate_seeds(master_seed, start, stop)
     keys = [Random(rep_seed).getrandbits(64) for rep_seed in seeds]
     try:
@@ -281,13 +268,9 @@ def _run_span(
         raise simulator.PopulationCapError(
             f"replicate {r} (seed_for_replicate({master_seed}, {r}) = {seed}), key {key}: {exc}"
         ) from exc
-    fields = ("s", "sbar", "sunder")
-    if windows:
-        fields += ("window_s", "window_sbar", "window_sunder")
-    fields += ("scalars",)
     cut = len(keys) - len(keys) % chunk_size  # a short last chunk folds alone
     parts = (rows[:cut].reshape(-1, chunk_size, rows.shape[1]), rows[None, cut:])
-    aggs = []
+    stats = []
     for part in (part for part in parts if part.size):
         mean = np.zeros((part.shape[0], rows.shape[1]))
         m2 = np.zeros_like(mean)
@@ -296,14 +279,8 @@ def _run_span(
             delta = x - mean
             mean += delta / (j + 1)
             m2 += delta * (x - mean)
-        for c in range(part.shape[0]):
-            agg = SfsAggregate(params, t_obs, initial, master_seed, i_max, windows)
-            agg.replicates = n = part.shape[1]
-            edges = np.cumsum([getattr(agg, name).mean.size for name in fields])[:-1]
-            for name, m, q in zip(fields, np.split(mean[c], edges), np.split(m2[c], edges)):
-                setattr(agg, name, VectorStat(n, m.copy(), q.copy()))
-            aggs.append(agg)
-    return aggs, records
+        stats += [VectorStat(part.shape[1], m, q) for m, q in zip(mean, m2)]
+    return stats, records
 
 
 def replicate_sfs(
@@ -315,42 +292,38 @@ def replicate_sfs(
     i_max: int = 130,
     windows: Sequence[float] = (),
     workers: int = 1,
-    chunk_size: int = DEFAULT_CHUNK,
     on_record: Callable[[int, simulator.SfsRecord], None] | None = None,
 ) -> SfsAggregate:
     """Aggregate ``replicates`` independent runs.
 
-    Deterministic given (params, t_obs, replicates, seed, i_max, windows,
-    chunk_size) regardless of ``workers``: chunks of ``chunk_size``
-    replicates cover fixed contiguous ranges and merge in order.  Spans
-    only schedule them: a span, a run of whole chunks of at most
-    ``_SPAN_FLOATS`` floats of rows (one chunk when ``on_record`` is set),
-    is sampled in one ``sample_chunk`` call and changes no bit.  A single
-    span runs in-process, and no more workers start than there are spans.
+    Deterministic given (params, t_obs, replicates, seed, initial, i_max,
+    windows) regardless of ``workers``: chunks of DEFAULT_CHUNK replicates
+    cover fixed contiguous ranges, their row statistics merge in order, and
+    the merged row is split into the aggregate's statistics (without
+    windows those stay empty, n = 0).  Spans only schedule the chunks: a
+    span, a run of whole chunks of at most ``_SPAN_FLOATS`` floats of rows
+    (one chunk when ``on_record`` is set), is sampled in one
+    ``sample_chunk`` call and changes no bit.  A single span runs
+    in-process, and no more workers start than there are spans.
     ``on_record(r, record)`` is called in this process for every replicate
     r, in replicate order, with that replicate's SfsRecord.
     """
     if replicates < 2:
         raise ValueError(f"requires replicates >= 2, got {replicates}")
-    if chunk_size < 1:
-        raise ValueError(f"requires chunk_size >= 1, got {chunk_size}")
     if workers < 1:
         raise ValueError(f"requires workers >= 1, got {workers}")
-    windows = tuple(windows)
-    if not all(0 < x < math.inf for x in windows):
-        raise ValueError(f"requires finite window edges > 0, got {windows}")
-    if initial is None:
-        initial = (params.n_init, 0)
+    initial, windows = simulator.checked_args(params, t_obs, initial, i_max, windows)
+    chunk_size = DEFAULT_CHUNK
     run_span = partial(
         _run_span, chunk_size=chunk_size, params=params, t_obs=t_obs, initial=initial,
         master_seed=seed, i_max=i_max, windows=windows, keep=on_record is not None,
     )
-    width = 3 * i_max + 3 * len(windows) + len(SCALAR_FIELDS)
-    per_span = 1 if on_record else max(1, _SPAN_FLOATS // (width * chunk_size))
+    widths = simulator.row_widths(i_max, len(windows))
+    per_span = 1 if on_record else max(1, _SPAN_FLOATS // (sum(widths) * chunk_size))
     span = min(per_span, -(-replicates // (chunk_size * workers))) * chunk_size
     starts = range(0, replicates, span)
     stops = [min(start + span, replicates) for start in starts]
-    total = SfsAggregate(params, t_obs, initial, seed, i_max, windows)
+    row = VectorStat.zeros(sum(widths))
     workers = min(workers, len(starts))
     pool = nullcontext()
     if workers > 1:
@@ -359,11 +332,17 @@ def replicate_sfs(
         pool = ProcessPoolExecutor(max_workers=workers)
     with pool:
         results = (pool.map if workers > 1 else map)(run_span, starts, stops)
-        for start, (aggs, records) in zip(starts, results):
-            for agg in aggs:
-                total.merge(agg)
+        for start, (stats, records) in zip(starts, results):
+            for stat in stats:
+                row.merge(stat)
             for r, record in enumerate(records, start):
                 on_record(r, record)
+    total = SfsAggregate(params, t_obs, initial, seed, i_max, windows, replicates=row.n)
+    edges = np.cumsum(widths)[:-1]
+    parts = zip(simulator.ROW_FIELDS, np.split(row.mean, edges), np.split(row.m2, edges))
+    for name, mean, m2 in parts:
+        if mean.size:
+            setattr(total, name, VectorStat(row.n, mean.copy(), m2.copy()))
     return total
 
 

@@ -123,6 +123,17 @@ class WindowCounts:
         return self.resistant_origin + self.sensitive_origin
 
 
+# one replicate's row, as ``sample_chunk`` returns it: the statistics in
+# column order, the last of them the SCALAR_FIELDS
+ROW_FIELDS = ("s", "sbar", "sunder", "window_s", "window_sbar", "window_sunder", "scalars")
+SCALAR_FIELDS = ("ancestral_count", "z1_final", "total_mutations")
+
+
+def row_widths(i_max: int, n_windows: int) -> tuple[int, ...]:
+    """The ROW_FIELDS' widths in a row over i = 1..i_max and n_windows windows."""
+    return (i_max,) * 3 + (n_windows,) * 3 + (len(SCALAR_FIELDS),)
+
+
 # ---------------------------------------------------------------------------
 # Cell-keyed draws
 # ---------------------------------------------------------------------------
@@ -233,19 +244,25 @@ def _mutation_cdf(law: str, omega: float) -> tuple[float, ...]:
     return tuple(cdf)
 
 
-def _initial(
-    params: ModelParams, t_obs: float, initial: tuple[int, int] | None
-) -> tuple[int, int]:
-    """The checked starting (sensitive, resistant) population of a run to
-    ``t_obs``; ``initial`` defaults to (n_init, 0)."""
+def checked_args(
+    params: ModelParams, t_obs: float, initial: tuple[int, int] | None, i_max: int = 1, windows=()
+) -> tuple[tuple[int, int], tuple[float, ...]]:
+    """The checked starting (sensitive, resistant) population and window
+    edges of runs to ``t_obs`` with rows over i = 1..i_max; ``initial``
+    defaults to (n_init, 0)."""
     if not 0 <= t_obs < math.inf:
         raise ValueError(f"requires finite t_obs >= 0, got {t_obs}")
+    if i_max < 1:
+        raise ValueError(f"requires i_max >= 1, got {i_max}")
+    windows = tuple(windows)
+    if not all(0 < x < math.inf for x in windows):
+        raise ValueError(f"requires finite window edges > 0, got {windows}")
     if initial is None:
         initial = (params.n_init, 0)
     n0_init, n1_init = initial
     if n0_init < 0 or n1_init < 0 or n0_init + n1_init == 0:
         raise ValueError(f"initial population must be nonnegative and nonempty, got {initial}")
-    return n0_init, n1_init
+    return (n0_init, n1_init), windows
 
 
 def _cap_error(max_cells: int, t_obs: float, replicate: int | None = None) -> PopulationCapError:
@@ -276,7 +293,7 @@ def run(
     Raises PopulationCapError once the genealogy exceeds ``max_cells``
     nodes.
     """
-    n0_init, n1_init = _initial(params, t_obs, initial)
+    (n0_init, n1_init), _ = checked_args(params, t_obs, initial)
     key = rng.getrandbits(64) ^ _ROOT
 
     c0 = params.b0 + params.d0
@@ -418,7 +435,8 @@ def sample_chunk(
     (a 64-bit integer), and their records when ``keep`` is set (else an
     empty list).
 
-    Row j is, as floats, replicate j's dense s, s_resistant_origin and
+    Row j holds replicate j's ROW_FIELDS as floats, in that order and with
+    the widths ``row_widths`` gives: its dense s, s_resistant_origin and
     s_sensitive_origin over i = 1..i_max; for each window edge x the
     mutations with carrier count above x e^(lambda1 t_obs) (all windows'
     totals, then resistant, then sensitive origin); and its founder count,
@@ -452,10 +470,7 @@ def sample_chunk(
     PopulationCapError, which names its position in ``replicate``; it is
     the lowest such replicate, and ``run`` on its key raises too.
     """
-    initial = _initial(params, t_obs, initial)
-    windows = tuple(windows)
-    if not all(0 < x < math.inf for x in windows):
-        raise ValueError(f"requires finite window edges > 0, got {windows}")
+    initial, windows = checked_args(params, t_obs, initial, i_max, windows)
     return _sample(params, t_obs, initial, list(keys), i_max, windows, keep, max_cells)
 
 
@@ -467,7 +482,7 @@ def _sample(params, t_obs, initial, keys, i_max, windows, keep, max_cells):
     # blocks aim at half the budget: first at 8 nodes per root, then at the
     # nodes per replicate of the block before
     size = budget // (16 * sum(initial))
-    rows = [np.empty((0, 3 * i_max + 3 * len(windows) + 3))]
+    rows = [np.empty((0, sum(row_widths(i_max, len(windows)))))]
     records = []
     first = 0
     while first < len(keys):
@@ -628,28 +643,27 @@ def _sample_block(params, t_obs, initial, keys, i_max, windows, keep, max_cells,
         # bincount gives int64 zeros for no keys, whatever the weights
         return np.bincount(keys, weights, length).astype(np.float64, copy=False)
 
-    nw = len(windows)
-    rows = np.empty((reps, 3 * i_max + 3 * nw + 3))
+    widths = row_widths(i_max, len(windows))
+    rows = np.empty((reps, sum(widths)))
+    row = dict(zip(ROW_FIELDS, np.split(rows, np.cumsum(widths)[:-1], axis=1)))
     small = carried <= i_max
     dense = tally(
         group[small].astype(np.intp) * (i_max + 1) + carried[small],
         m[small],
         2 * reps * (i_max + 1),
     ).reshape(reps, 2, i_max + 1)
-    sbar, sunder = rows[:, i_max : 2 * i_max], rows[:, 2 * i_max : 3 * i_max]
-    sbar[...] = dense[:, 1, 1:]
-    sunder[...] = dense[:, 0, 1:]
-    np.add(sbar, sunder, out=rows[:, :i_max])
+    row["sbar"][...] = dense[:, 1, 1:]
+    row["sunder"][...] = dense[:, 0, 1:]
+    np.add(row["sbar"], row["sunder"], out=row["s"])
     scale = math.exp((params.b1 - params.d1) * t_obs)
     for k, edge in enumerate(windows):
         above = carried > edge * scale
         counts = tally(group[above], m[above], 2 * reps).reshape(reps, 2)
-        rows[:, 3 * i_max + k] = counts[:, 1] + counts[:, 0]
-        rows[:, 3 * i_max + nw + k] = counts[:, 1]
-        rows[:, 3 * i_max + 2 * nw + k] = counts[:, 0]
-    rows[:, -3] = founders
-    rows[:, -2] = z1
-    rows[:, -1] = tally(group >> 1, m, reps)
+        row["window_s"][:, k] = counts[:, 1] + counts[:, 0]
+        row["window_sbar"][:, k] = counts[:, 1]
+        row["window_sunder"][:, k] = counts[:, 0]
+    scalars = row["scalars"]
+    scalars[:, 0], scalars[:, 1], scalars[:, 2] = founders, z1, tally(group >> 1, m, reps)
 
     records = []
     if keep:

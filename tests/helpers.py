@@ -48,8 +48,8 @@ from rescue_sfs.simulator import (
     STATUS_DIVIDED,
     PopulationCapError,
     SimOutcome,
-    _initial,
     _mutation_cdf,
+    checked_args,
 )
 
 
@@ -91,7 +91,7 @@ def gillespie(
     chi-square oracle for rate faithfulness).  ``debug_checks`` checks the
     alive lists against the forest after every event and at the end.
     """
-    n0_init, n1_init = _initial(params, t_obs, initial)
+    (n0_init, n1_init), _ = checked_args(params, t_obs, initial)
 
     b0, d0, b1, d1 = params.b0, params.d0, params.b1, params.d1
     gamma_n = params.gamma_n

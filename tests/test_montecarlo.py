@@ -1,6 +1,10 @@
 import concurrent.futures
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
 
 import numpy as np
@@ -97,15 +101,12 @@ def test_vector_stat_merge_any_grouping():
             np.testing.assert_allclose(merged.m2, whole.m2, rtol=1e-10)
 
 
-def test_replicate_sfs_deterministic_and_worker_independent():
+def test_replicate_sfs_deterministic_and_worker_independent(monkeypatch):
     agg1 = mc.replicate_sfs(TOY, T_OBS, replicates=40, seed=7, i_max=10, windows=(0.5,))
     agg2 = mc.replicate_sfs(TOY, T_OBS, replicates=40, seed=7, i_max=10, windows=(0.5,))
-    agg3 = mc.replicate_sfs(
-        TOY, T_OBS, replicates=40, seed=7, i_max=10, windows=(0.5,), workers=2, chunk_size=8
-    )
-    agg4 = mc.replicate_sfs(
-        TOY, T_OBS, replicates=40, seed=7, i_max=10, windows=(0.5,), workers=1, chunk_size=8
-    )
+    monkeypatch.setattr(mc, "DEFAULT_CHUNK", 8)
+    agg3 = mc.replicate_sfs(TOY, T_OBS, replicates=40, seed=7, i_max=10, windows=(0.5,), workers=2)
+    agg4 = mc.replicate_sfs(TOY, T_OBS, replicates=40, seed=7, i_max=10, windows=(0.5,), workers=1)
     np.testing.assert_array_equal(agg1.s.mean, agg2.s.mean)
     np.testing.assert_array_equal(agg1.s.m2, agg2.s.m2)
     # same chunking => bit-identical regardless of worker count
@@ -153,11 +154,10 @@ def _per_field_aggregate(params, t_obs, replicates, seed, i_max, windows, chunk_
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("windows", [(), (0.5, 2.0)], ids=["no-windows", "windows"])
-def test_replicate_sfs_equals_per_field_welford(windows, workers):
+def test_replicate_sfs_equals_per_field_welford(monkeypatch, windows, workers):
     # 23 replicates in chunks of 8: the last chunk is short
-    agg = mc.replicate_sfs(
-        TOY, T_OBS, 23, seed=11, i_max=6, windows=windows, workers=workers, chunk_size=8
-    )
+    monkeypatch.setattr(mc, "DEFAULT_CHUNK", 8)
+    agg = mc.replicate_sfs(TOY, T_OBS, 23, seed=11, i_max=6, windows=windows, workers=workers)
     ref = _per_field_aggregate(TOY, T_OBS, 23, 11, 6, windows, 8)
     assert agg.replicates == ref.replicates == 23
     for name in ("s", "sbar", "sunder", "window_s", "window_sbar", "window_sunder", "scalars"):
@@ -206,8 +206,9 @@ def test_cap_hit_in_a_later_span_names_replicate_seed_and_key(monkeypatch):
 
     monkeypatch.setattr(sim, "sample_chunk", capped_in_second_span)
     monkeypatch.setattr(mc, "_SPAN_FLOATS", 2 * 8 * (3 * 5 + 3))
+    monkeypatch.setattr(mc, "DEFAULT_CHUNK", 8)
     with pytest.raises(sim.PopulationCapError) as info:
-        mc.replicate_sfs(TOY, T_OBS, replicates=40, seed=3, i_max=5, workers=1, chunk_size=8)
+        mc.replicate_sfs(TOY, T_OBS, replicates=40, seed=3, i_max=5, workers=1)
     assert calls == [16, 16]
     seed = mc.seed_for_replicate(3, 16 + 8 + 3)
     key = Random(seed).getrandbits(64)
@@ -221,11 +222,14 @@ def test_replicate_sfs_single_chunk_starts_no_pool(monkeypatch):
         raise AssertionError("a single chunk must run in-process")
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    agg = mc.replicate_sfs(TOY, T_OBS, replicates=20, seed=5, i_max=5, workers=4, chunk_size=20)
+    monkeypatch.setattr(mc, "DEFAULT_CHUNK", 20)
+    agg = mc.replicate_sfs(TOY, T_OBS, replicates=20, seed=5, i_max=5, workers=4)
     assert agg.replicates == 20
 
 
-def test_on_record_in_replicate_order_for_any_worker_count():
+def test_on_record_in_replicate_order_for_any_worker_count(monkeypatch):
+    monkeypatch.setattr(mc, "DEFAULT_CHUNK", 8)
+
     def records(workers):
         seen = []
         mc.replicate_sfs(
@@ -235,7 +239,6 @@ def test_on_record_in_replicate_order_for_any_worker_count():
             seed=7,
             i_max=5,
             workers=workers,
-            chunk_size=8,
             on_record=lambda r, rec: seen.append((r, rec.s, rec.s_resistant_origin)),
         )
         return seen
@@ -248,13 +251,6 @@ def test_on_record_in_replicate_order_for_any_worker_count():
 def test_replicate_sfs_requires_two():
     with pytest.raises(ValueError):
         mc.replicate_sfs(TOY, T_OBS, replicates=1, seed=0)
-
-
-@pytest.mark.parametrize("chunk_size", [0, -3])
-def test_replicate_sfs_rejects_chunk_size_below_1(chunk_size):
-    # -3 once gave an aggregate of 0 replicates, 0 a range() error
-    with pytest.raises(ValueError, match="chunk_size"):
-        mc.replicate_sfs(TOY, T_OBS, replicates=4, seed=0, chunk_size=chunk_size)
 
 
 @pytest.mark.parametrize("workers", [0, -2])
@@ -299,9 +295,10 @@ def test_replicate_sfs_spans_change_no_bit(
     # two workers); chunks of 7 and 256 leave a short last chunk
     def run(span_floats, workers, on_record=None):
         monkeypatch.setattr(mc, "_SPAN_FLOATS", span_floats)
+        monkeypatch.setattr(mc, "DEFAULT_CHUNK", chunk_size)
         agg = mc.replicate_sfs(
             TOY, t_obs, replicates, seed=21, initial=initial, i_max=6, windows=windows,
-            workers=workers, chunk_size=chunk_size, on_record=on_record,
+            workers=workers, on_record=on_record,
         )
         return _aggregate_digest(agg)
 
@@ -326,6 +323,75 @@ def test_replicate_sfs_rejects_bad_windows_before_any_replicate(monkeypatch, win
     monkeypatch.setattr(sim, "sample_chunk", no_replicate)
     with pytest.raises(ValueError, match="finite window edges > 0"):
         mc.replicate_sfs(TOY, T_OBS, replicates=4, seed=0, windows=windows)
+
+
+@pytest.mark.parametrize("i_max", [0, -1, -3])
+def test_replicate_sfs_rejects_i_max_below_1_before_any_replicate(monkeypatch, i_max):
+    # -1 once died dividing by zero in span sizing, 0 returned empty spectra
+    def no_replicate(*args, **kwargs):
+        raise AssertionError("i_max must be checked before any replicate runs")
+
+    monkeypatch.setattr(sim, "sample_chunk", no_replicate)
+    with pytest.raises(ValueError, match=f"requires i_max >= 1, got {i_max}"):
+        mc.replicate_sfs(TOY, T_OBS, replicates=4, seed=0, i_max=i_max)
+
+
+@pytest.mark.parametrize(
+    "t_obs, initial, message",
+    [
+        (math.nan, None, "finite t_obs"),
+        (-1.0, None, "finite t_obs"),
+        (math.inf, None, "finite t_obs"),
+        (T_OBS, (0, 0), "nonnegative and nonempty"),
+    ],
+)
+def test_replicate_sfs_rejects_bad_t_obs_or_initial_before_any_replicate(
+    monkeypatch, t_obs, initial, message
+):
+    # each once failed inside the first sample_chunk call, with two workers
+    # after the process pool had started
+    def no_replicate(*args, **kwargs):
+        raise AssertionError("t_obs and initial must be checked before any replicate runs")
+
+    monkeypatch.setattr(sim, "sample_chunk", no_replicate)
+    with pytest.raises(ValueError, match=message):
+        mc.replicate_sfs(TOY, t_obs, replicates=600, seed=0, initial=initial, workers=2)
+
+
+_SPAWN_SCRIPT = """
+import hashlib, math, multiprocessing
+from rescue_sfs import montecarlo as mc
+from rescue_sfs.params import ModelParams
+
+multiprocessing.set_start_method("spawn")
+toy = ModelParams(b0=1.0, d0=2.0, b1=1.2, d1=0.5, omega=2.0, gamma=0.4, alpha=1.0, n_init=30)
+for workers in (1, 2):
+    agg = mc.replicate_sfs(
+        toy, 1.25 * math.log(30), 600, seed=21, i_max=6, windows=(0.5, 2.0), workers=workers
+    )
+    h = hashlib.sha256(f"replicates={agg.replicates}".encode())
+    for name in ("s", "sbar", "sunder", "window_s", "window_sbar", "window_sunder", "scalars"):
+        stat = getattr(agg, name)
+        h.update(f"{name}:{stat.n}".encode() + stat.mean.tobytes() + stat.m2.tobytes())
+    print(h.hexdigest())
+"""
+
+
+def test_replicate_sfs_spawned_workers_change_no_bit():
+    # spawn, the default start method on macOS and Windows, starts workers
+    # that import the package afresh: two of them (three chunks in two
+    # spans) give the serial aggregate, and this process's too
+    src = Path(mc.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _SPAWN_SCRIPT],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.split()
+    here = mc.replicate_sfs(TOY, T_OBS, 600, seed=21, i_max=6, windows=(0.5, 2.0))
+    assert out == [_aggregate_digest(here)] * 2
 
 
 def test_replicate_sfs_all_zero_without_mutations():

@@ -573,6 +573,8 @@ CHUNK_CASES = {
     "omega-0": (dataclasses.replace(N40, omega=0.0), T40, None, range(40), 10, (0.5,)),
     "d1-0": (dataclasses.replace(N40, d1=0.0), T40, None, range(30), 10, (0.5,)),
     "t-obs-0": (N40, 0.0, (3, 2), range(10), 10, (0.5,)),
+    # the narrowest row: every statistic one column wide
+    "i-max-1": (N40, T40, None, range(30), 1, (0.5,)),
 }
 
 
@@ -581,6 +583,15 @@ def test_sample_chunk_equals_run(case):
     # rows and records bit for bit: every draw is keyed by its cell, so the
     # breadth-first batches and run's depth-first stacks see the same numbers
     _check_chunk_equals_run(*case)
+
+
+@pytest.mark.parametrize("i_max", [0, -1, -3])
+def test_sample_chunk_rejects_i_max_below_1(i_max):
+    # -1 once raised IndexError, -3 numpy's "negative dimensions", 0 gave
+    # empty spectra
+    keys = [Random(seed).getrandbits(64) for seed in range(3)]
+    with pytest.raises(ValueError, match=f"requires i_max >= 1, got {i_max}"):
+        sim.sample_chunk(N40, T40, None, keys, i_max=i_max, windows=(0.5,))
 
 
 def test_sample_chunk_does_not_depend_on_the_chunk():
