@@ -5,7 +5,10 @@ Replicates are reproducible and worker-count independent: replicate r of a
 run with master seed s is keyed by ``Random(seed_for_replicate(s, r))
 .getrandbits(64)``, the key ``simulator.run`` draws from that generator
 (seed_for_replicate is numpy's SeedSequence spawn, hashed here in one
-vectorised pass per span, replicate_seeds).  Chunks define the statistics:
+vectorised pass per span, replicate_seeds).  A span of at least
+_VECTOR_KEYS replicates computes the same keys vectorised, running
+CPython's Mersenne Twister seeding elementwise (_mt_keys); a shorter span
+builds one Random per replicate.  Chunks define the statistics:
 a chunk of DEFAULT_CHUNK consecutive replicates folds its rows (laid out
 as ``simulator.ROW_FIELDS``) into one Welford accumulator in replicate
 order, and chunks merge in index order.  A span is a scheduling unit only:
@@ -19,7 +22,7 @@ import math
 import operator
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from random import Random
 from typing import Callable, Sequence
 
@@ -80,12 +83,16 @@ def _master_pool(words: list[int]) -> list[int]:
     return pool
 
 
-def _child_states(master_seed: int, replicates: np.ndarray) -> list[np.ndarray]:
+def _child_states(master_seed: int, start: int, stop: int) -> list[np.ndarray]:
     """The four words of ``SeedSequence(master_seed, spawn_key=(r,))
-    .generate_state(4)``, elementwise over a uint64 array of replicates r."""
+    .generate_state(4)``, elementwise over r in range(start, stop), as
+    uint64 arrays."""
     master_seed = operator.index(master_seed)
     if master_seed < 0:
         raise ValueError(f"requires master seed >= 0, got {master_seed}")
+    if not 0 <= start <= stop <= 1 << 64:
+        raise ValueError(f"replicate indices must lie in [0, 2**64), got range({start}, {stop})")
+    replicates = np.arange(start, stop, dtype=np.uint64)
     # a child pads its seed's words with zeros to the pool size, as the
     # master's hash runs on with zeros, so it starts from the master's pool
     shifts = range(0, master_seed.bit_length(), 32)
@@ -104,10 +111,7 @@ def _child_states(master_seed: int, replicates: np.ndarray) -> list[np.ndarray]:
 def replicate_seeds(master_seed: int, start: int, stop: int) -> list[int]:
     """``seed_for_replicate(master_seed, r)`` for r in range(start, stop),
     hashed in one vectorised pass over the indices."""
-    if not 0 <= start <= stop <= 1 << 64:
-        raise ValueError(f"replicate indices must lie in [0, 2**64), got range({start}, {stop})")
-    state = _child_states(master_seed, np.arange(start, stop, dtype=np.uint64))
-    buf = np.stack(state, axis=1).astype(">u4").tobytes()
+    buf = np.stack(_child_states(master_seed, start, stop), axis=1).astype(">u4").tobytes()
     return [int.from_bytes(buf[k : k + 16], "big") for k in range(0, len(buf), 16)]
 
 
@@ -120,6 +124,114 @@ def seed_for_replicate(master_seed: int, replicate: int) -> int:
     """
     replicate = operator.index(replicate)
     return replicate_seeds(master_seed, replicate, replicate + 1)[0]
+
+
+# CPython's Random(seed) (Modules/_randommodule.c; MT19937, Matsumoto and
+# Nishimura 1998): init_by_array runs the seed's 32-bit words, least
+# significant first and leading zero words dropped, through two loops over
+# the table init_genrand(19650218); getrandbits(64) is out0 | out1 << 32,
+# the tempered outputs 0 and 1 of the first twist.  Every step is masked
+# to 32 bits, so uint32 arrays run the chain for many seeds at once.
+_MT_N = 624
+_MT_MULT_1, _MT_MULT_2 = 1664525, 1566083941
+_MT_MATRIX_A = 0x9908B0DF
+# spans of at least this many keys run _mt_keys: its fixed cost (about 7.5k
+# ufunc calls) makes it slower than one Random per key on fewer keys, and
+# the two cost the same at about 768 (numpy 2.4, x86-64)
+_VECTOR_KEYS = 768
+
+
+@cache
+def _mt_table() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(T_i, i) for i < 624 as 0-d uint32 arrays (numpy applies those faster
+    than scalars), T being init_genrand(19650218), the table init_by_array
+    starts from."""
+    table = [19650218]
+    for i in range(1, _MT_N):
+        table.append((1812433253 * (table[-1] ^ table[-1] >> 30) + i) & _MASK32)
+    return tuple((np.array(t, np.uint32), np.array(i, np.uint32)) for i, t in enumerate(table))
+
+
+def _mt_temper(y: np.ndarray) -> np.ndarray:
+    """MT19937's tempering of its output words."""
+    y = y ^ y >> 11
+    y = y ^ y << 7 & 0x9D2C5680
+    y = y ^ y << 15 & 0xEFC60000
+    return y ^ y >> 18
+
+
+def _mt_keys(words: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``Random(seed).getrandbits(64)`` elementwise, as uint64, for the seeds
+    whose CPython keys are the columns of a (4, R) uint32 array (words least
+    significant first, zero-padded) with ``lengths`` (1..4) words each.
+
+    Loop 1 writes A_i = (T_i ^ f(A_(i-1)) m1) + key[j] + j, j = (i - 1) %
+    length, for i = 1..623 from A_0 = T_0, then mt[1] once more from mt[0] =
+    A_623; loop 2 writes C_i = (A_i ^ f(C_(i-1)) m2) - i for i = 2..623 from
+    C_1 = that mt[1], then mt[1] again from mt[0] = C_623; f(x) = x ^ x >>
+    30.  The first twist reads only mt[0] = 2**31, mt[1], mt[2], mt[397] and
+    mt[398].  Loop 1 runs once, keeping A_1 and A_623; loop 2 then runs in
+    lockstep with loop 1 recomputed, as the two rows of one array, so memory
+    stays O(R)."""
+    table = _mt_table()
+    cols = np.arange(words.shape[1])
+    # every length divides 12, so loop 1's addends repeat with period 12
+    adds = []
+    for s in range(12):
+        j = (s % lengths).astype(np.uint32)
+        adds.append(words[j, cols] + j)
+    shift, m1 = np.array(30, np.uint32), np.array(_MT_MULT_1, np.uint32)
+    a = np.full(words.shape[1], table[0][0])
+    f = np.empty_like(a)
+    for i in range(1, _MT_N):
+        np.right_shift(a, shift, out=f)
+        f ^= a
+        f *= m1
+        f ^= table[i][0]
+        np.add(f, adds[(i - 1) % 12], out=a)
+        if i == 1:
+            a1 = a.copy()
+    c1 = (a1 ^ (a ^ a >> 30) * m1) + adds[(_MT_N - 1) % 12]
+    # loop 1 recomputed in row 0 and loop 2 in row 1 of two buffers: step i
+    # reads buffer i % 2 and writes the other
+    bufs = np.stack([a1, c1]), np.empty((2, a.size), np.uint32)
+    views = [(buf, buf[0], buf[1]) for buf in bufs]
+    # a full array: numpy multiplies it faster than a broadcast column
+    mult = np.repeat(np.array([[_MT_MULT_1], [_MT_MULT_2]], np.uint32), a.size, axis=1)
+    kept = {}
+    for i in range(2, _MT_N):
+        rows, (out, a, c) = bufs[i % 2], views[1 - i % 2]
+        np.right_shift(rows, shift, out=out)
+        out ^= rows
+        out *= mult
+        t, index = table[i]
+        a ^= t
+        a += adds[(i - 1) % 12]
+        c ^= a
+        c -= index
+        if i in (2, 397, 398):
+            kept[i] = c.copy()
+    c = bufs[_MT_N % 2][1]
+    mt1 = (c1 ^ (c ^ c >> 30) * _MT_MULT_2) - 1
+    y0 = mt1 & 0x7FFFFFFF | 0x80000000
+    y1 = mt1 & 0x80000000 | kept[2] & 0x7FFFFFFF
+    out0 = kept[397] ^ y0 >> 1 ^ (y0 & 1) * _MT_MATRIX_A
+    out1 = kept[398] ^ y1 >> 1 ^ (y1 & 1) * _MT_MATRIX_A
+    return _mt_temper(out0).astype(np.uint64) | _mt_temper(out1).astype(np.uint64) << 32
+
+
+def _replicate_keys(master_seed: int, start: int, stop: int) -> list[int]:
+    """``Random(seed_for_replicate(master_seed, r)).getrandbits(64)`` for r
+    in range(start, stop): one Random per key, or for at least
+    ``_VECTOR_KEYS`` keys the same keys from ``_mt_keys``, bit for bit."""
+    if stop - start < _VECTOR_KEYS:
+        return [Random(seed).getrandbits(64) for seed in replicate_seeds(master_seed, start, stop)]
+    # the seed packs the state's words big-endian: its key reverses them
+    words = np.stack(_child_states(master_seed, start, stop)[::-1]).astype(np.uint32)
+    lengths = np.ones(stop - start, np.int64)
+    for k in range(1, 4):
+        lengths[words[k] != 0] = k + 1
+    return _mt_keys(words, lengths).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -256,15 +368,14 @@ def _run_span(
     fold their rows side by side, row j of each getting the elementwise
     operations of ``VectorStat.update``, so a chunk's row statistic holds
     bit for bit what one accumulator fed its rows one at a time would."""
-    seeds = replicate_seeds(master_seed, start, stop)
-    keys = [Random(rep_seed).getrandbits(64) for rep_seed in seeds]
+    keys = _replicate_keys(master_seed, start, stop)
     try:
         rows, records = simulator.sample_chunk(
             params, t_obs, initial, keys, i_max=i_max, windows=windows, keep=keep
         )
     except simulator.PopulationCapError as exc:
         r = start + exc.replicate
-        seed, key = seeds[exc.replicate], keys[exc.replicate]
+        seed, key = seed_for_replicate(master_seed, r), keys[exc.replicate]
         raise simulator.PopulationCapError(
             f"replicate {r} (seed_for_replicate({master_seed}, {r}) = {seed}), key {key}: {exc}"
         ) from exc
@@ -312,6 +423,8 @@ def replicate_sfs(
         raise ValueError(f"requires replicates >= 2, got {replicates}")
     if workers < 1:
         raise ValueError(f"requires workers >= 1, got {workers}")
+    if operator.index(seed) < 0:
+        raise ValueError(f"requires master seed >= 0, got {seed}")
     initial, windows = simulator.checked_args(params, t_obs, initial, i_max, windows)
     chunk_size = DEFAULT_CHUNK
     run_span = partial(

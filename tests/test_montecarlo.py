@@ -34,10 +34,10 @@ def _spawned_seed(master_seed, r):
 
 # 2**96, 2**128 - 1 and 2**128 take 4, 4 and 5 words: the master's hash runs
 # 4 * max(4, words) steps before the spawn key's words
-@pytest.mark.parametrize(
-    "master_seed",
-    [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 2**96, 2**128 - 1, 2**128, 2**130 + 5, 20240601],
-)
+_MASTER_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 2**96, 2**128 - 1, 2**128, 2**130 + 5, 20240601]
+
+
+@pytest.mark.parametrize("master_seed", _MASTER_SEEDS)
 def test_replicate_seeds_match_seed_sequence(master_seed):
     chunk = mc.replicate_seeds(master_seed, 0, mc.DEFAULT_CHUNK)
     assert chunk == [_spawned_seed(master_seed, r) for r in range(mc.DEFAULT_CHUNK)]
@@ -57,6 +57,27 @@ def test_replicate_seeds_reject_negative_seed_or_index():
         mc.seed_for_replicate(-1, 0)
     with pytest.raises(ValueError):
         mc.seed_for_replicate(1, -1)
+
+
+@pytest.mark.parametrize("master_seed", _MASTER_SEEDS)
+def test_replicate_keys_equal_random(master_seed):
+    # a span as short as _mt_keys takes, from 0 and across 2**32
+    for start in (0, 2**32 - mc._VECTOR_KEYS // 2):
+        stop = start + mc._VECTOR_KEYS
+        want = [Random(seed).getrandbits(64) for seed in mc.replicate_seeds(master_seed, start, stop)]
+        assert mc._replicate_keys(master_seed, start, stop) == want
+
+
+def test_replicate_keys_equal_random_on_short_keys(monkeypatch):
+    # CPython keys a seed by its 32-bit words without the leading zero
+    # words: 0 and 2**32 - 1 take one word, 2**32 two, 2**64 and 2**96 - 1
+    # three, 2**128 - 1 four.  A replicate's seed is that short with
+    # probability 2**-32 or less, so these seeds stand in for a span's
+    seeds = [0, 2**32 - 1, 2**32, 2**64, 2**96 - 1, 2**128 - 1]
+    state = [np.array([seed >> 32 * (3 - k) & 0xFFFFFFFF for seed in seeds], np.uint64) for k in range(4)]
+    monkeypatch.setattr(mc, "_child_states", lambda master_seed, start, stop: state)
+    monkeypatch.setattr(mc, "_VECTOR_KEYS", 1)
+    assert mc._replicate_keys(0, 0, len(seeds)) == [Random(seed).getrandbits(64) for seed in seeds]
 
 
 def test_vector_stat_matches_numpy():
@@ -193,8 +214,11 @@ def test_cap_hit_names_replicate_and_seed(monkeypatch):
     assert "max_cells=10" in message
 
 
-def test_cap_hit_in_a_later_span_names_replicate_seed_and_key(monkeypatch):
-    # spans of two chunks of 8: the second sample_chunk call covers 16..31
+@pytest.mark.parametrize("vector_keys", [mc._VECTOR_KEYS, 1], ids=["default", "vector"])
+def test_cap_hit_in_a_later_span_names_replicate_seed_and_key(monkeypatch, vector_keys):
+    # spans of two chunks of 8: the second sample_chunk call covers 16..31,
+    # keyed by one Random per replicate or, at vector_keys 1, by _mt_keys
+    monkeypatch.setattr(mc, "_VECTOR_KEYS", vector_keys)
     calls = []
     sample_chunk = sim.sample_chunk
 
@@ -356,6 +380,36 @@ def test_replicate_sfs_rejects_bad_t_obs_or_initial_before_any_replicate(
     monkeypatch.setattr(sim, "sample_chunk", no_replicate)
     with pytest.raises(ValueError, match=message):
         mc.replicate_sfs(TOY, t_obs, replicates=600, seed=0, initial=initial, workers=2)
+
+
+@pytest.mark.parametrize(
+    "seed, error, message", [(-1, ValueError, "master seed >= 0"), (2.5, TypeError, "integer")]
+)
+def test_replicate_sfs_rejects_bad_master_seed_before_any_span(monkeypatch, seed, error, message):
+    # -1 once raised inside the first span, with two workers after the
+    # process pool had started
+    def no_replicate(*args, **kwargs):
+        raise AssertionError("the master seed must be checked before any replicate runs")
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the master seed must be checked before the pool starts")
+
+    monkeypatch.setattr(sim, "sample_chunk", no_replicate)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    with pytest.raises(error, match=message):
+        mc.replicate_sfs(TOY, T_OBS, replicates=600, seed=seed, workers=2)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_replicate_sfs_vector_keys_change_no_bit(monkeypatch, workers):
+    # every span keyed by _mt_keys gives the aggregate of the default split
+    def digest():
+        agg = mc.replicate_sfs(TOY, T_OBS, 600, seed=21, i_max=6, windows=(0.5, 2.0), workers=workers)
+        return _aggregate_digest(agg)
+
+    default = digest()
+    monkeypatch.setattr(mc, "_VECTOR_KEYS", 1)
+    assert digest() == default
 
 
 _SPAWN_SCRIPT = """
