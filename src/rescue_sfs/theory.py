@@ -17,11 +17,12 @@ them (``not x > 0``, ``not bound <= tol``): NaN fails every comparison, so
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from rescue_sfs.gw_trees import any_mark_pmf, geometric_pmf
 from rescue_sfs.params import DerivedParams, ModelParams, derive
@@ -112,18 +113,33 @@ _U = 2.0**-53  # unit roundoff of a double
 _EPS = 2.0 * _U  # machine epsilon
 _TINY = 2.0**-1022  # smallest normal double
 _GK_LIMIT = 400  # most panels one integral is split into
+_TABLE_SIZE = 256  # panels each node table keeps, least recently used dropped
+
+# An integrand is a panel function: f(a, b) gives its values at _nodes(a, b).
+# Its factors free of the index i or window edge m sit in bounded lru_cache
+# tables keyed by the panel and every float they use, so a curve over i or x
+# computes them once per panel, and each value only applies its power.  A
+# table does the point formula's IEEE operations in the same order, so no
+# value or bound depends on what a table held.
+_Panel = Callable[[float, float], Sequence[float]]
 
 
-def _gk61(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """(value, error estimate) of Int_a^b f by the 61-point rule.
+@functools.lru_cache(maxsize=_TABLE_SIZE)
+def _nodes(a: float, b: float) -> tuple[float, ...]:
+    """The rule's 61 abscissae on [a, b], left to right."""
+    return tuple(0.5 * (a + b) + 0.5 * (b - a) * x for x in _GK_X)
+
+
+def _gk61(f: _Panel, a: float, b: float) -> tuple[float, float]:
+    """(value, error estimate) of Int_a^b f by the 61-point rule, from the
+    values fv = f(a, b) at _nodes(a, b).
 
     The estimate is QUADPACK's: |K - G| scaled to resasc min(1, (200 |K - G|
     / resasc)^1.5), where resasc is the rule's mean absolute deviation of f
     from its mean, and never below 50 eps resabs, the rule applied to |f|.
     """
-    c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    fv = [f(c + h * x) for x in _GK_X]
+    fv = f(a, b)
     k = math.fsum(map(operator.mul, _GK_WK, fv))
     g = math.fsum(map(operator.mul, _GK_WG, fv[1::2]))
     half = 0.5 * k
@@ -140,7 +156,7 @@ def _gk61(f: Callable[[float], float], a: float, b: float) -> tuple[float, float
 
 
 def _gauss_kronrod(
-    f: Callable[[float], float], a: float, b: float, epsabs: float, epsrel: float
+    f: _Panel, a: float, b: float, epsabs: float, epsrel: float
 ) -> tuple[float, float]:
     """(value, error estimate) of Int_a^b f by globally adaptive G30/K61.
 
@@ -168,7 +184,7 @@ def _gauss_kronrod(
 
 def _integrate(
     scale: float,
-    f: Callable[[float], float],
+    f: _Panel,
     hi: float,
     tol: float,
     extra: Callable[[float, float], float],
@@ -190,11 +206,11 @@ def _integrate(
     return TheoryValue(scale * value, scale * err)
 
 
-def _relative_rounding(rel: float) -> Callable[[float, float], float]:
-    """``extra`` for _integrate where the integrand is nonnegative and
-    each evaluation is within rel units of u = 2^-53: the integral of |f| is
-    at most value + err, and 1.1 covers the second-order terms."""
-    return lambda value, err: 1.1 * rel * _U * (value + err)
+def _relative_rounding(rel: Callable[[float], float]) -> Callable[[float, float], float]:
+    """``extra`` for _integrate where f >= 0 and its rounding moves the
+    integral by at most rel(total) u total, u = 2^-53, where total = value +
+    err bounds Int |f|; 1.1 covers the second-order terms."""
+    return lambda value, err: 1.1 * rel(value + err) * _U * (value + err)
 
 
 # ---------------------------------------------------------------------------
@@ -306,50 +322,59 @@ def shape_integral_truncated(i: int, x: float, rho: float) -> TheoryValue:
     return TheoryValue(*_shape(i, x, rho))
 
 
-# A size law below is a function of the clone's scaled age z = lambda1 u,
-# y = e^-z, paired with a bound on its relative rounding error, in units of
-# u = 2^-53, for z up to a given z_max: z within 2u, rho taken as given,
-# libm calls within 1 ulp (2u) and the other steps within u each.  Both
-# laws hold q^n, q = (1-y)/(1-rho y); see _q_power for its bound.
-_SizeLaw = tuple[Callable[[float], float], Callable[[float], float]]
+# A size law below, P(clone size = i) or P(clone size > m) at the clone's
+# scaled age z = lambda1 u, y = e^-z, is (factors, n, rel): factors(lambda1,
+# t_N, rho, a, b) gives (f, d, g, y <= 1/2) at z = lambda1 (t_N - s) for the
+# nodes s of [a, b], where the law is f q^n / d (q^n: see _q_factors), and
+# rel(z_max, share) bounds its relative rounding error in units of u = 2^-53
+# for z up to z_max (share: see _size_tail), z within 2u, rho taken as given,
+# libm calls within 1 ulp (2u) and the other steps within u each.
+_SizeLaw = tuple[Callable[..., tuple], int, Callable[[float, float], float]]
 
 
-def _q_power(z: float, y: float, rho: float, c: float, n: int) -> tuple[float, float]:
-    """(1 - rho y, q^n) at y = e^-z, given c = 1 - rho.
+def _q_factors(z: float, rho: float, c: float) -> tuple[float, float, float, bool]:
+    """(y, 1 - rho y, g, y <= 1/2) at y = e^-z, given c = 1 - rho, where q =
+    (1-y)/(1-rho y) and q^n = e^(n g) if y <= 1/2, else g^n.
 
-    Where y <= 1/2, q^n = exp(n (log1p(-y) - log1p(-rho y))): q is near 1
-    there, and q rounded to a double would lose (n/2)u.  With e^-z within
-    (2 + 2z)u, the log1p difference is within (2.4 + 2z)u + (3.4 + 2z)u +
-    0.7u, so q^n is within n (9.6 + 4z) + 2 units, and 1 - rho y within
-    4 + 2z.  Where y > 1/2, 1 - y = -expm1(-z) is within 4u, since
-    z/(e^z - 1) <= 1, and 1 - rho y = (1 - rho) + rho (1 - y), a sum of
-    positives, within 6u, so q is within 11u and q^n within 11n + 2.
-    Either way: 1 - rho y within 6 + 2z units and q^n within n (11 + 4z) + 2.
-    """
+    Where y <= 1/2, g = log1p(-y) - log1p(-rho y), as q near 1 rounded to a
+    double would lose (n/2)u.  With e^-z within (2 + 2z)u, the two log1p, at
+    most 2y, are within (8 + 4z) y u and (10 + 4z) y u (y's error over
+    1 - y >= 1/2, rho y's rounding, 1 ulp), so n g is within n y (22 + 8z) u
+    with its own two roundings, q^n within n y (22 + 8z) + 2 units and
+    1 - rho y within 4 + 2z.  Where y > 1/2, 1 - y = -expm1(-z) is within
+    4u, as z/(e^z - 1) <= 1, and 1 - rho y = (1 - rho) + rho (1 - y), a sum
+    of positives, within 6u, so g = q is within 11u and q^n within 11n + 2.
+    So 1 - rho y is within 6 + 2z units and q^n within n e + 2, with
+    e <= min(11 + 4z, (22 + 8z) y)."""
+    y = math.exp(-z)
     if y <= 0.5:
-        return 1.0 - rho * y, math.exp(n * (math.log1p(-y) - math.log1p(-rho * y)))
+        return y, 1.0 - rho * y, math.log1p(-y) - math.log1p(-rho * y), True
     omy = -math.expm1(-z)  # 1 - y
     d = c + rho * omy  # 1 - rho y
-    return d, (omy / d) ** n
+    return y, d, omy / d, False
 
 
-def _size_pmf(i: int, b1: float, d1: float) -> _SizeLaw:
-    """z -> P(clone size = i) at scaled age z, z not checked, and its
-    rounding bound: (1 - rho)^2 (3u), e^-z, q^(i-1), (1 - rho y)^2 and
-    three products or quotients."""
+@functools.lru_cache(maxsize=_TABLE_SIZE)
+def _size_factors(pmf: bool, lam1: float, t_n: float, rho: float, a: float, b: float) -> tuple:
+    """A size law's factors from _q_factors: f = (1 - rho)^2 y and d =
+    (1 - rho y)^2 for the pmf, f = (1 - rho)/(1 - rho y) and d = 1 (exact)
+    for the tail."""
+    c = 1.0 - rho
+    out = []
+    for s in _nodes(a, b):
+        y, d, g, small = _q_factors(lam1 * (t_n - s), rho, c)
+        out.append((c * c * y, d * d, g, small) if pmf else (c / d, 1.0, g, small))
+    return tuple(out)
+
+
+def _size_pmf(i: int) -> _SizeLaw:
+    """P(clone size = i) and its rounding bound: (1 - rho)^2 (3u), e^-z,
+    q^(i-1), (1 - rho y)^2 and three products or quotients."""
     if not i >= 1:
         raise ValueError(f"requires i >= 1, got {i}")
-    rho = d1 / b1
-    c1 = 1.0 - rho  # lambda1 / b1
-    c = c1 * c1
-    a = i - 1
-
-    def pmf(z: float) -> float:
-        y = math.exp(-z)
-        d, q_a = _q_power(z, y, rho, c1, a)
-        return c * y * q_a / (d * d)
-
-    return pmf, lambda z_max: a * (11.0 + 4.0 * z_max) + 23.0 + 6.0 * z_max
+    n = i - 1
+    rel = lambda z_max, share: n * (11.0 + 4.0 * z_max) + 23.0 + 6.0 * z_max  # noqa: E731
+    return functools.partial(_size_factors, True), n, rel
 
 
 def _check_clone(b1: float, d1: float, omega: float = 0.0) -> None:
@@ -369,7 +394,12 @@ def clone_size_pmf(i: int, u: float, b1: float, d1: float) -> float:
     if not u >= 0:
         raise ValueError(f"requires u >= 0, got {u}")
     _check_clone(b1, d1)
-    return _size_pmf(i, b1, d1)[0]((b1 - d1) * u)
+    if not i >= 1:
+        raise ValueError(f"requires i >= 1, got {i}")
+    rho = d1 / b1
+    c = 1.0 - rho  # lambda1 / b1
+    y, d, g, small = _q_factors((b1 - d1) * u, rho, c)
+    return c * c * y * (math.exp((i - 1) * g) if small else g ** (i - 1)) / (d * d)
 
 
 def clone_extinction_prob(u: float, b1: float, d1: float) -> float:
@@ -515,17 +545,42 @@ def window_weight_resistant(x: float, dp: DerivedParams, tol: float = DEFAULT_TO
 
     Positive and strictly decreasing in x (sign-normalized magnitude).
     """
+    return _resistant_weight(x, dp, tol, slope=False)
+
+
+def window_weight_resistant_slope(
+    x: float, dp: DerivedParams, tol: float = DEFAULT_TOL
+) -> TheoryValue:
+    """Magnitude of the x-derivative of window_weight_resistant:
+
+    (2 lambda1/(b1 (lambda0+lambda1))) Int_0^inf (1 - e^(-(lambda0+lambda1)s))
+    e^(2 lambda1 s) e^(-x (lambda1/b1) e^(lambda1 s)) ds.
+    """
+    return _resistant_weight(x, dp, tol, slope=True)
+
+
+def _resistant_weight(x: float, dp: DerivedParams, tol: float, slope: bool) -> TheoryValue:
     if x == math.inf:  # no mutation has more than infinitely many carriers
         return TheoryValue(0.0, 0.0)
     a, s_max = _window_cut(x, dp)
     lam0, lam1 = dp.lambda0, dp.lambda1
-    pref = 2.0 / (lam0 + lam1)
+    if slope:
+        pref = 2.0 * lam1 / (dp.b1 * (lam0 + lam1))
+        # Int w e^(-a w) dw / lam1 over w >= e^(lam1 s_max), in closed form
+        w = math.exp(lam1 * s_max)
+        tail = pref * (w / a + 1.0 / a**2) * math.exp(-a * w) / lam1
+    else:
+        pref = 2.0 / (lam0 + lam1)
+        # integrand <= pref e^(lam1 s) e^(-a e^(lam1 s)); exact tail integral
+        tail = pref * math.exp(-a * math.exp(lam1 * s_max)) / (a * lam1)
+    rate = 2.0 * lam1 if slope else lam1  # of the factor e^(lambda1 s) or e^(2 lambda1 s)
 
-    def f(s: float) -> float:
-        return pref * (1.0 - math.exp(-(lam0 + lam1) * s)) * math.exp(lam1 * s - a * math.exp(lam1 * s))
+    def f(lo: float, hi: float) -> list[float]:
+        return [
+            pref * (1.0 - math.exp(-(lam0 + lam1) * s)) * math.exp(rate * s - a * math.exp(lam1 * s))
+            for s in _nodes(lo, hi)
+        ]
 
-    # integrand <= pref e^(lam1 s) e^(-a e^(lam1 s)); exact tail integral
-    tail = pref * math.exp(-a * math.exp(lam1 * s_max)) / (a * lam1)
     return _integrate(1.0, f, s_max, tol / 2, lambda value, err: tail)
 
 
@@ -541,37 +596,15 @@ def window_weight_sensitive(x: float, dp: DerivedParams, tol: float = DEFAULT_TO
     b0, b1 = dp.b0, dp.b1
     lam0, lam1 = dp.lambda0, dp.lambda1
 
-    def f(s: float) -> float:
-        return (1.0 + 2.0 * b0 * s) * math.exp(-lam0 * s - a * math.exp(lam1 * s)) / b1
+    def f(lo: float, hi: float) -> list[float]:
+        return [
+            (1.0 + 2.0 * b0 * s) * math.exp(-lam0 * s - a * math.exp(lam1 * s)) / b1
+            for s in _nodes(lo, hi)
+        ]
 
     # Int_s_max^inf (1+2 b0 u) e^(-lam0 u) du in closed form
     rest = math.exp(-lam0 * s_max) * ((1.0 + 2.0 * b0 * s_max) / lam0 + 2.0 * b0 / lam0**2)
     tail = math.exp(-a * math.exp(lam1 * s_max)) * rest / b1
-    return _integrate(1.0, f, s_max, tol / 2, lambda value, err: tail)
-
-
-def window_weight_resistant_slope(
-    x: float, dp: DerivedParams, tol: float = DEFAULT_TOL
-) -> TheoryValue:
-    """Magnitude of the x-derivative of window_weight_resistant:
-
-    (2 lambda1/(b1 (lambda0+lambda1))) Int_0^inf (1 - e^(-(lambda0+lambda1)s))
-    e^(2 lambda1 s) e^(-x (lambda1/b1) e^(lambda1 s)) ds.
-    """
-    if x == math.inf:
-        return TheoryValue(0.0, 0.0)
-    a, s_max = _window_cut(x, dp)
-    lam0, lam1 = dp.lambda0, dp.lambda1
-    pref = 2.0 * lam1 / (dp.b1 * (lam0 + lam1))
-
-    def f(s: float) -> float:
-        return pref * (1.0 - math.exp(-(lam0 + lam1) * s)) * math.exp(
-            2.0 * lam1 * s - a * math.exp(lam1 * s)
-        )
-
-    # Int w e^(-a w) dw / lam1 over w >= e^(lam1 s_max), in closed form
-    w = math.exp(lam1 * s_max)
-    tail = pref * (w / a + 1.0 / a**2) * math.exp(-a * w) / lam1
     return _integrate(1.0, f, s_max, tol / 2, lambda value, err: tail)
 
 
@@ -670,11 +703,10 @@ def resistant_origin_main_term(
     c = 1.0 - dp.rho
     slope = rate / lam1
     rt_n = rate * t_n
+    n = i - 1
 
-    def f(u: float) -> float:
-        em1 = math.expm1(u)
-        d = em1 + c  # e^u - rho
-        return (em1 / d) ** (i - 1) / (d * d) * -math.expm1(slope * u - rt_n)
+    def f(lo: float, hi: float) -> list[float]:
+        return [q**n / dd * e for q, dd, e in _main_factors(c, slope, rt_n, lo, hi)]
 
     pref = (
         params.n_init ** (1.0 + lam1 * t - params.alpha)
@@ -703,14 +735,30 @@ def resistant_origin_main_term(
     return _integrate(pref * c / rate, f, hi, tol, rounding, epsrel=1e-13)
 
 
-def _sensitive_founder_integral(
-    t: float, params: ModelParams, tol: float, size: _SizeLaw
-) -> TheoryValue:
-    """Mutations of single founders born at sensitive divisions, carried by
-    a clone of ``size`` (pmf or tail law and its rounding bound, see above):
+@functools.lru_cache(maxsize=_TABLE_SIZE)
+def _main_factors(c: float, slope: float, rt_n: float, a: float, b: float) -> tuple[tuple, ...]:
+    """((e^u - 1)/(e^u - rho), (e^u - rho)^2, 1 - e^(slope u - r t_N)) at the
+    nodes u of [a, b], given c = 1 - rho: the i-free factors of P's integrand."""
+    out = []
+    for u in _nodes(a, b):
+        em1 = math.expm1(u)
+        d = em1 + c  # e^u - rho
+        out.append((em1 / d, d * d, -math.expm1(slope * u - rt_n)))
+    return tuple(out)
 
-    N gamma_n (1-x_n) delta0 omega / (2 (1-gamma_n)) Int_0^(t_N)
-      size(lambda1 (t_N-s)) (1 + s delta0 (1-x_n)) e^(-s delta0 x_n) ds.
+
+def _founder_integral(
+    t: float, params: ModelParams, tol: float, size: _SizeLaw, division: bool
+) -> TheoryValue:
+    """Mutations carried by a clone of ``size`` (pmf or tail law and its
+    rounding bound, see above).  With ``division``, those born at resistant
+    divisions, all founders included, at rate omega b1 E[Z1(s)], each carried
+    by one fresh clone aged t_N - s: omega b1 Int_0^(t_N) E[Z1(s)]
+    size(lambda1 (t_N - s)) ds, with E[Z1(s)] = 2 gamma_n b0 N (e^(lambda1 s)
+    - e^(-lt0 s)) / (lambda1 + lt0) and lt0 = lambda0 + 2 gamma_n b0 the
+    sensitive population's decay rate.  Else those of single founders born
+    at sensitive divisions: N gamma_n (1-x_n) delta0 omega / (2 (1-gamma_n))
+    Int_0^(t_N) size(lambda1 (t_N-s)) (1 + s delta0 (1-x_n)) e^(-s delta0 x_n) ds.
     """
     if not t > 0:
         raise ValueError(f"requires t > 0, got {t}")
@@ -718,78 +766,79 @@ def _sensitive_founder_integral(
         return TheoryValue(0.0, 0.0)
     dp = derive(params)
     t_n = t * math.log(params.n_init)
-    lam1 = dp.lambda1
-    x = dp.x_n
-    d0 = dp.delta0
-    law, law_rel = size
+    lam1, rho, x, d0 = dp.lambda1, dp.rho, dp.x_n, dp.delta0
+    # the rates, rho and t_N taken as given: the law's rounding plus rel1 +
+    # rel2 units; w_tot >= Int_0^(t_N) w1 w2 for the weights (w1, w2)
+    if division:
+        k = lam1 + (dp.lambda0 + 2.0 * dp.gamma_n * dp.b0)  # lambda1 + lt0
+        pref = params.omega * dp.b1 * 2.0 * dp.gamma_n * dp.b0 * params.n_init / k
+        weights = functools.partial(_division_weights, lam1, k)
+        # 2u + u lambda1 s for e^(lambda1 s), 7u for the expm1 (k within
+        # 4u), 2u for the products and 12u for pref times the integral
+        rel1, rel2, w_tot = lam1 * t_n, 23.0, math.exp(lam1 * t_n) / lam1
+    else:
+        pref = params.n_init * dp.gamma_n * (1.0 - x) * d0 * params.omega / (2.0 * (1.0 - dp.gamma_n))
+        weights = functools.partial(_founder_weights, d0, x)
+        # 4u for the linear factor, 2u + 2u s delta0 x_n for the
+        # exponential, 2u for the products and 9u for pref times the integral
+        rel1, rel2, w_tot = 17.0, 2.0 * d0 * x * t_n, t_n * (1.0 + d0 * t_n)
+    factors, n, law_rel = size
 
-    def f(s: float) -> float:
-        return law(lam1 * (t_n - s)) * (1.0 + s * d0 * (1.0 - x)) * math.exp(-s * d0 * x)
+    def f(lo: float, hi: float) -> list[float]:
+        return [
+            q * (math.exp(n * g) if small else g**n) / d * w1 * w2
+            for (q, d, g, small), (w1, w2) in zip(factors(lam1, t_n, rho, lo, hi), weights(lo, hi))
+        ]
 
-    pref = params.n_init * dp.gamma_n * (1.0 - x) * d0 * params.omega / (2.0 * (1.0 - dp.gamma_n))
-    # the rates, rho and t_N taken as given: the law, 4u for the linear
-    # factor, 2u + 2u s delta0 x_n for the exponential, 2u for the products
-    # and 9u for pref times the integral
-    rel = law_rel(lam1 * t_n) + 17.0 + 2.0 * d0 * x * t_n
-    return _integrate(pref, f, t_n, tol, _relative_rounding(rel))
+    z_max = lam1 * t_n
+    extra = _relative_rounding(lambda total: law_rel(z_max, total / w_tot) + rel1 + rel2)
+    return _integrate(pref, f, t_n, tol, extra)
 
 
-def _resistant_division_integral(
-    t: float, params: ModelParams, tol: float, size: _SizeLaw
-) -> TheoryValue:
-    """Mutations born at resistant divisions, all founders included: they
-    appear at rate omega b1 E[Z1(s)], each carried by one fresh clone of
-    ``size`` (pmf or tail law and its rounding bound, see above) aged t_N - s:
+@functools.lru_cache(maxsize=_TABLE_SIZE)
+def _division_weights(lam1: float, k: float, a: float, b: float) -> tuple:
+    """(e^(lambda1 s) (1 - e^(-k s)), 1) at the nodes s of [a, b]: E[Z1(s)]'s
+    difference of exponentials without its cancellation at small s."""
+    return tuple((math.exp(lam1 * s) * -math.expm1(-k * s), 1.0) for s in _nodes(a, b))
 
-        omega b1 Int_0^(t_N) E[Z1(s)] size(lambda1 (t_N - s)) ds,
 
-    with E[Z1(s)] = 2 gamma_n b0 N (e^(lambda1 s) - e^(-lt0 s)) / (lambda1 + lt0)
-    and lt0 = lambda0 + 2 gamma_n b0 the sensitive population's decay rate.
-    """
-    if not t > 0:
-        raise ValueError(f"requires t > 0, got {t}")
-    if params.omega == 0.0:
-        return TheoryValue(0.0, 0.0)
-    dp = derive(params)
-    t_n = t * math.log(params.n_init)
-    lam1 = dp.lambda1
-    lt0 = dp.lambda0 + 2.0 * dp.gamma_n * dp.b0
-    k = lam1 + lt0
-    law, law_rel = size
-
-    def f(s: float) -> float:
-        # e^(lambda1 s) - e^(-lt0 s) without its cancellation at small s
-        return math.exp(lam1 * s) * -math.expm1(-k * s) * law(lam1 * (t_n - s))
-
-    pref = params.omega * dp.b1 * 2.0 * dp.gamma_n * dp.b0 * params.n_init / k
-    # the rates, rho and t_N taken as given: the law, 2u + u lambda1 s for
-    # e^(lambda1 s), 7u for the expm1 (k within 4u), 2u for the products and
-    # 12u for pref times the integral
-    rel = law_rel(lam1 * t_n) + lam1 * t_n + 23.0
-    return _integrate(pref, f, t_n, tol, _relative_rounding(rel))
+@functools.lru_cache(maxsize=_TABLE_SIZE)
+def _founder_weights(d0: float, x: float, a: float, b: float) -> tuple:
+    """(1 + s delta0 (1-x_n), e^(-s delta0 x_n)) at the nodes s of [a, b]."""
+    return tuple((1.0 + s * d0 * (1.0 - x), math.exp(-s * d0 * x)) for s in _nodes(a, b))
 
 
 def _size_tail(x: float, t: float, params: ModelParams) -> _SizeLaw:
-    """z -> P(clone size > m) at scaled age z, for the window edge
-    m = floor(x e^(lambda1 t_N)): the closed geometric tail
-    (1 - rho) q^m / (1 - rho y); at m = 0 this is the survival probability
-    1 - extinction mass, and the window (inf, inf) is empty, so its tail is
-    0.  With its rounding bound: 1 - rho (u), 1 - rho y, q^m and two
-    quotients or products."""
+    """P(clone size > m), for the window edge m = floor(x e^(lambda1 t_N)):
+    the closed geometric tail (1 - rho) q^m / (1 - rho y); at m = 0 this is
+    the survival probability 1 - extinction mass, and the window (inf, inf)
+    is empty, so its tail is 0.  With its rounding bound: 1 - rho (u),
+    1 - rho y, q^m and two quotients or products."""
     if not x > 0:
         raise ValueError(f"requires x > 0, got {x}")
-    if x == math.inf:
-        return (lambda z: 0.0), (lambda z_max: 0.0)
+    if x == math.inf:  # 0 q^0 / 1 at every node
+        return (lambda *panel: ((0.0, 1.0, 1.0, False),) * len(_GK_X)), 0, (lambda z_max, share: 0.0)
     b1, d1 = params.b1, params.d1
-    rho = d1 / b1
-    c = 1.0 - rho  # lambda1 / b1
+    c = 1.0 - d1 / b1  # lambda1 / b1
     m = math.floor(x * math.exp((b1 - d1) * (t * math.log(params.n_init))))
 
-    def tail(z: float) -> float:
-        d, q_m = _q_power(z, math.exp(-z), rho, c, m)
-        return c / d * q_m
+    def rel(z_max: float, share: float) -> float:
+        # q^m's m e units, e <= (22 + 8 z_max) y (see _q_factors), grow with
+        # m, but q^m is negligible where m y is large.  As -log q >= c y, with
+        # X = -m log q, q^m is within q^m (e^(kappa X) - 1), kappa = (22 +
+        # 8 z_max) u / c.  For L >= 2 and kappa L <= 0.09 that is at most
+        # 1.1 kappa L q^m where X <= L, and at most kappa X e^(-X/2) <=
+        # kappa L e^(-L/2) past it.  The integrand is the weight times c q^m
+        # / (1 - rho y) <= the weight, so over the integral, at most 1.1 kappa
+        # L total + kappa L e^(-L/2) w_tot (see _founder_integral), which at
+        # L = max(2, -2 ln share), share = total / w_tot, is 2.1 kappa L
+        # total: 2 L (22 + 8 z_max) / c units in place of m (11 + 4 z_max).
+        k = (22.0 + 8.0 * z_max) / c
+        cut = max(2.0, -2.0 * math.log(share)) if share > 0.0 else math.inf  # L
+        via_log = 2.0 * cut * k if cut * k * _U <= 0.09 else math.inf
+        return min(m * (11.0 + 4.0 * z_max), via_log) + 11.0 + 2.0 * z_max
 
-    return tail, lambda z_max: m * (11.0 + 4.0 * z_max) + 11.0 + 2.0 * z_max
+    return functools.partial(_size_factors, False), m, rel
 
 
 def sensitive_origin_main_term(
@@ -797,7 +846,7 @@ def sensitive_origin_main_term(
 ) -> TheoryValue:
     """Single-founder part of E[sensitive-origin S_i(t ln N)]: the founder
     integral with the clone-size pmf kappa_i."""
-    return _sensitive_founder_integral(t, params, tol, _size_pmf(i, params.b1, params.d1))
+    return _founder_integral(t, params, tol, _size_pmf(i), False)
 
 
 def sensitive_origin_window_main(
@@ -807,7 +856,7 @@ def sensitive_origin_window_main(
     (x e^(lambda1 t_N), inf)]: the sum of the per-index main terms over the
     open window, collapsed to one quadrature via the geometric tail of the
     clone-size law."""
-    return _sensitive_founder_integral(t, params, tol, _size_tail(x, t, params))
+    return _founder_integral(t, params, tol, _size_tail(x, t, params), False)
 
 
 def resistant_origin_window_exact(
@@ -816,7 +865,7 @@ def resistant_origin_window_exact(
     """Exact E[resistant-origin window count over (x e^(lambda1 t_N), inf)]:
     the window sum of resistant_origin_mean_exact collapsed to one
     quadrature via the clone-size tail."""
-    return _resistant_division_integral(t, params, tol, _size_tail(x, t, params))
+    return _founder_integral(t, params, tol, _size_tail(x, t, params), True)
 
 
 def resistant_origin_mean_exact(
@@ -826,7 +875,7 @@ def resistant_origin_mean_exact(
     resistant-division integral with the clone-size pmf kappa_i.  This is
     the single-founder main term plus the multi-founder remainder, so it is
     the tight Monte Carlo comparator."""
-    return _resistant_division_integral(t, params, tol, _size_pmf(i, params.b1, params.d1))
+    return _founder_integral(t, params, tol, _size_pmf(i), True)
 
 
 def expected_resistant_population(t_abs: float, params: ModelParams) -> float:

@@ -9,7 +9,7 @@ from random import Random
 
 import pytest
 
-from rescue_sfs import cli, gw_trees, montecarlo, simulator
+from rescue_sfs import cli, gw_trees, montecarlo, simulator, theory
 from rescue_sfs.params import load_config, observation_time
 
 REF_CFG = """
@@ -771,18 +771,30 @@ def test_rejection_limit_exits_2(cfg_path, tmp_path, capsys, monkeypatch):
     assert not os.path.exists(out / "gw_pmf.csv")
 
 
-def test_unreachable_quadrature_exits_2(tmp_path, capsys):
-    # at N = 1e5 and t = 3 the window count's rounding bound is 3.4e-4, so
-    # its quadrature cannot be certified; the theory runs before any
+def test_unreachable_quadrature_exits_2(tmp_path, capsys, monkeypatch):
+    # a quadrature whose error estimate cannot meet the tolerance (here every
+    # estimate is 1) is a config error; the theory runs before any
     # replicate, so this fails at once
+    monkeypatch.setattr(theory, "_gauss_kronrod", lambda f, a, b, epsabs, epsrel: (1.0, 1.0))
     cfg = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "reference.cfg")
     out = tmp_path / "o"
-    argv = ["compare", "--config", cfg, "--out-dir", str(out), "--n-init", "100000"]
-    argv += ["--t-mult", "3", "--what", "windows", "--windows", "0.6", "--workers", "1"]
+    argv = ["compare", "--config", cfg, "--out-dir", str(out)]
+    argv += ["--what", "windows", "--windows", "0.6", "--workers", "1"]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: window theory: requested tol") and "achieved" in err
     assert os.listdir(out) == []
+
+
+def test_window_theory_at_large_n_is_certified(tmp_path):
+    # the window edge is m = 1.9e10 here; the window count's rounding bound
+    # once grew with m (3.4e-4, a config error), and now stays near u
+    cfg = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "reference.cfg")
+    out = str(tmp_path / "o")
+    argv = ["theory", "--config", cfg, "--out-dir", out, "--formula", "exact-sbar-window"]
+    assert cli.main(argv + ["--x-grid", "0.6", "--n-init", "100000", "--t-mult", "3"]) == 0
+    (row,) = _read_csv(os.path.join(out, "theory_exact_sbar_window.csv"))[1:]
+    assert 0 < float(row[3]) <= 1e-8 * float(row[1])
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import time
 
@@ -26,6 +27,14 @@ def test_theory_value_invariants():
 
 
 NAN = math.nan
+
+
+def _panel(point):
+    """The panel integrand of a point function: its values at the rule's
+    nodes on [a, b]."""
+    return lambda a, b: [point(s) for s in th._nodes(a, b)]
+
+
 # a quadrature tolerance that is not above 0: 0 and -1 used to fall back to
 # the 1e-8 relative floor, NaN to fail as a QuadratureError
 TOLS = (NAN, 0.0, -1.0)
@@ -60,8 +69,10 @@ BAD_RATES = {
         lambda: th.resistant_origin_mean_exact(1, NAN, REF),
         lambda: th.resistant_origin_main_term(1, NAN, REF),
         lambda: th.sfs_small_asymptotic(1, NAN, REF),
-        lambda: th._integrate(1.0, lambda s: NAN, 1.0, 1e-10, lambda value, err: 0.0),
-        lambda: th._integrate(1.0, lambda s: NAN, 1.0, 1e-10, th._relative_rounding(1.0)),
+        lambda: th._integrate(1.0, _panel(lambda s: NAN), 1.0, 1e-10, lambda value, err: 0.0),
+        lambda: th._integrate(
+            1.0, _panel(lambda s: NAN), 1.0, 1e-10, th._relative_rounding(lambda total: 1.0)
+        ),
         lambda: th.TheoryValue(1.0, NAN),
         lambda: gw.geometric_pmf(0.5, NAN),
         lambda: gw.any_mark_pmf(0.3, 0.2, NAN),
@@ -150,19 +161,22 @@ def test_gauss_kronrod_rule_table():
 
 def test_gauss_kronrod_edge_cases():
     calls = []
-    assert th._gauss_kronrod(lambda s: calls.append(s) or 1.0, 0.5, 0.5, 1e-10, 1e-11) == (0.0, 0.0)
+    f = _panel(lambda s: calls.append(s) or 1.0)
+    assert th._gauss_kronrod(f, 0.5, 0.5, 1e-10, 1e-11) == (0.0, 0.0)
     assert calls == []
     # a NaN integrand stops after the first panel
-    value, err = th._gauss_kronrod(lambda s: calls.append(s) or NAN, 0.0, 1.0, 1e-10, 1e-11)
+    value, err = th._gauss_kronrod(_panel(lambda s: calls.append(s) or NAN), 0.0, 1.0, 1e-10, 1e-11)
     assert len(calls) == 61 and math.isnan(value) and math.isnan(err)
     # a kink needs many panels; the estimate still bounds the error
-    value, err = th._gauss_kronrod(lambda s: abs(s - 0.3), 0.0, 1.0, 1e-12, 1e-12)
+    value, err = th._gauss_kronrod(_panel(lambda s: abs(s - 0.3)), 0.0, 1.0, 1e-12, 1e-12)
     assert abs(value - 0.29) <= err <= 1e-12
 
 
 def test_quad_semi_infinite_exponential():
     # Int_0^inf e^-s = 1, truncated at 25 with the exact tail as extra
-    tv = th._integrate(1.0, lambda s: math.exp(-s), 25.0, 1e-10, lambda value, err: math.exp(-25.0))
+    tv = th._integrate(
+        1.0, _panel(lambda s: math.exp(-s)), 25.0, 1e-10, lambda value, err: math.exp(-25.0)
+    )
     assert tv.value == pytest.approx(1.0, abs=1e-10)
 
 
@@ -170,7 +184,7 @@ def test_quad_semi_infinite_closed_form():
     # (1 + 2*1.2 s) e^{-0.8 s} integrates to 1/0.8 + 2.4/0.64 = 5
     tail = math.exp(-0.8 * 50.0) * ((1 + 2.4 * 50.0) / 0.8 + 2.4 / 0.64)
     tv = th._integrate(
-        1.0, lambda s: (1 + 2.4 * s) * math.exp(-0.8 * s), 50.0, 1e-9, lambda value, err: tail
+        1.0, _panel(lambda s: (1 + 2.4 * s) * math.exp(-0.8 * s)), 50.0, 1e-9, lambda value, err: tail
     )
     assert tv.value == pytest.approx(5.0, abs=1e-9)
 
@@ -178,7 +192,9 @@ def test_quad_semi_infinite_closed_form():
 def test_quad_semi_infinite_reports_unreachable_tolerance():
     # the tail past s_max exceeds the requested tolerance
     with pytest.raises(th.QuadratureError, match="achieved"):
-        th._integrate(1.0, lambda s: math.exp(-s), 5.0, 1e-12, lambda value, err: math.exp(-5.0))
+        th._integrate(
+            1.0, _panel(lambda s: math.exp(-s)), 5.0, 1e-12, lambda value, err: math.exp(-5.0)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -732,6 +748,63 @@ def test_founder_integrals_pinned():
         assert value == pytest.approx(want, rel=1e-13, abs=0.0), (name, idx)
 
 
+I_GRID = range(1, 122)
+X_GRID = [round(0.6 + 0.1 * k, 1) for k in range(55)]  # 0.6 .. 6.0
+# sha256 over each founder-integral curve at T, i = 1..121 or x in X_GRID:
+# the repr of every value, and of every (value, bound) pair for P, Q and
+# the exact mean, pinned while each quadrature node still computed every
+# factor of its integrand itself
+CURVE_DIGESTS = {
+    ("reference", "P"): "9d7dba3417f270390a882cd23d7b13c7b84e9824f03de7b0d00398565da7534c",
+    ("reference", "Q"): "291e278ffabc4abc78d79515d3b8f015daa3c0d0b9c532868f22eedc40511aeb",
+    ("reference", "exact_mean"): "f5d1f0d12d2652dea803089ddc1234f7dc81f2dcd06a3d6533b3f85e0e062256",
+    ("reference", "window_sensitive"): "f8cd1f2820231e63a742addd665e3a60e1f4a0bf179b37f2e6052f7ef0a38a30",
+    ("reference", "window_exact"): "d69b0773e899587cbaab910381b4aa0cacfe35eff19126e1f6e7318a2b5dabcd",
+    ("near-critical", "P"): "8443270e19220054fff7644ff9cb490f7688cf8e8c6f3feb9788d0be131a5fcd",
+    ("near-critical", "Q"): "ae1fabda17206d86cac7b4c57278a694cdcfdd3ffba3eb877d27eb9b814e1ba4",
+    ("near-critical", "exact_mean"): "d99f956639fd3e271ff3bf86e5be0b1ea3bfc57bb386bb93ed2e5f6b1382264f",
+    ("near-critical", "window_sensitive"): "4c4fc75901fda0a1b22f07d4c7ba4901ed8f82bd4592f98cbdb45e91307833f9",
+    ("near-critical", "window_exact"): "1d754aa325ff5ebaf006d8127404be20d882b2553f0c508da628d6864715e7a8",
+}
+
+
+def test_founder_curves_pinned():
+    digests = {}
+    for pid, params in (("reference", REF), ("near-critical", NEAR_CRITICAL)):
+        for name, fn in FOUNDER_FNS.items():
+            window = name.startswith("window")
+            h = hashlib.sha256()
+            for arg in X_GRID if window else I_GRID:
+                tv = fn(arg, T, params)
+                h.update(repr(tv.value if window else (tv.value, tv.abs_error_bound)).encode())
+            digests[pid, name] = h.hexdigest()
+    assert digests == CURVE_DIGESTS
+
+
+def test_values_do_not_depend_on_table_state():
+    # the node tables are bounded caches, and what they hold when a value is
+    # asked for changes nothing: forward, then after clearing every table,
+    # in reverse, then interleaved over both parameter sets
+    tables = [f for f in vars(th).values() if hasattr(f, "cache_clear")]
+    assert len(tables) >= 4
+    assert all(isinstance(f.cache_info().maxsize, int) for f in tables)
+    calls = [
+        (params, name, arg)
+        for params in (REF, NEAR_CRITICAL)
+        for name in FOUNDER_FNS
+        for arg in ((0.6, 1.3, 6.0) if name.startswith("window") else (1, 2, 7, 60, 121))
+    ]
+
+    def values(order):
+        return {c: repr(FOUNDER_FNS[c[1]](c[2], T, c[0])) for c in order}
+
+    forward = values(calls)
+    for f in tables:
+        f.cache_clear()
+    assert values(calls[::-1]) == forward
+    assert values(calls[::2] + calls[1::2]) == forward
+
+
 def _weight_exact(name, x, dp):
     """K, L or Kslope to 30 digits on the float rates, integrated over
     w = e^(lambda1 s) in [1, inf) (the code integrates over s)."""
@@ -785,11 +858,27 @@ _WEIGHT_FNS = {
 }
 
 
-@pytest.mark.parametrize("params", [REF, NEAR_CRITICAL], ids=["reference", "near-critical"])
-@pytest.mark.parametrize(
-    "name", ["exact_mean", "Q", "window_exact", "window_sensitive", *_WEIGHT_FNS]
-)
-def test_quadrature_values_hold_their_bounds(params, name):
+# window counts at large window edges m = floor(x e^(lambda1 t_N)): m =
+# 1.9e10 at x = 0.6 with N = 1e5, t = 3, and 1.2e9 at x = 0.6 with d1 = 0.05,
+# N = 500, t = 3.  Their rounding bound once grew as m (11 + 4 z_max) u, to
+# 3.4e-4, 2.2e-4 and 7.9e-6, and they raised QuadratureError
+LARGE_WINDOWS = {
+    "n1e5-t3": (dataclasses.replace(REF, n_init=100_000), 3.0),
+    "d1-0.05-t3": (dataclasses.replace(REF, d1=0.05), 3.0),
+}
+BOUND_CASES = [
+    pytest.param(params, t, name, id=f"{name}-{pid}")
+    for pid, params, t in (("reference", REF, T), ("near-critical", NEAR_CRITICAL, T))
+    for name in ["exact_mean", "Q", "window_exact", "window_sensitive", *_WEIGHT_FNS]
+] + [
+    pytest.param(params, t, name, id=f"{name}-{pid}")
+    for pid, (params, t) in LARGE_WINDOWS.items()
+    for name in ("window_exact", "window_sensitive")
+]
+
+
+@pytest.mark.parametrize("params, t, name", BOUND_CASES)
+def test_quadrature_values_hold_their_bounds(params, t, name):
     # every quadrature-backed value (P has its own test above) against a
     # 30-digit reference, the rates and rho taken as given, at the default
     # tol.  Near critical, K and Kslope are about 1e6, where 1e-10 is out of
@@ -798,8 +887,8 @@ def test_quadrature_values_hold_their_bounds(params, name):
     if name in FOUNDER_FNS:
         args = (1, 2, 20, 121) if name in ("exact_mean", "Q") else (0.6, 1.0, 6.0)
         for arg in args:
-            tv = FOUNDER_FNS[name](arg, T, params)
-            want = _founder_integral_exact(name, arg, params, T)
+            tv = FOUNDER_FNS[name](arg, t, params)
+            want = _founder_integral_exact(name, arg, params, t)
             err = abs(mpmath.mpf(tv.value) - want)
             assert err <= tv.abs_error_bound, (arg, float(err), tv.abs_error_bound)
         return
