@@ -8,13 +8,8 @@ the quantity ``x = sqrt(1 - 4 p (1-p) (1-beta))`` is the geometric
 parameter of the generation of a marked leaf conditioned on exactly one
 mark.
 
-Conventions: a leaf's *generation* is its edge distance to the root (the
-root has generation 0).  The joint pmfs ``u_n`` / ``v_{g,n}`` follow the
-node-count convention of the underlying recursions, in which a single-node
-tree's leaf sits at g = 1; i.e. their ``g`` equals edge generation + 1.
-
-The laws and the sampler use only the standard library; numpy is imported
-inside the four array helpers, the only places that build arrays.
+A leaf's *generation* is its edge distance to the root (the root has
+generation 0).
 """
 
 from __future__ import annotations
@@ -22,12 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from random import Random
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
-
-DEFAULT_CUTOFF = 2000
 
 CONDITION_EXACTLY_ONE = "exactly-one-mark"
 CONDITION_AT_LEAST_ONE = "at-least-one-mark"
@@ -60,114 +49,6 @@ class GwLaw:
         return math.sqrt(1.0 - 4.0 * self.p * (1.0 - self.p) * (1.0 - self.beta))
 
 
-# ---------------------------------------------------------------------------
-# Exact combinatorics
-# ---------------------------------------------------------------------------
-
-
-def catalan_sequence(n_max: int) -> list[int]:
-    """First ``n_max`` terms of the convolution sequence a_1 = 1,
-    a_n = sum_{i<n} a_i a_{n-i} (the Catalan numbers shifted by one).
-
-    Exact arbitrary-precision integers; quadratic time, so intended for
-    moderate ``n_max`` (the closed-form helpers below cover large n).
-    """
-    if n_max < 1:
-        raise ValueError(f"requires n_max >= 1, got {n_max}")
-    if n_max > 20000:
-        raise OverflowError(
-            f"n_max={n_max} would require ~{n_max}-digit integers; use the "
-            "log-space helpers for large n"
-        )
-    seq = [0] * (n_max + 1)
-    seq[1] = 1
-    for n in range(2, n_max + 1):
-        seq[n] = sum(seq[i] * seq[n - i] for i in range(1, n))
-    return seq[1:]
-
-
-def _log_catalan(n: float) -> float:
-    # log of the n-th sequence term a_n = C_{n-1} = (2n-2)! / (n! (n-1)!)
-    return math.lgamma(2 * n - 1) - math.lgamma(n + 1) - math.lgamma(n)
-
-
-_CATALAN_MAX_TERMS = 100_000
-_CATALAN_TOL = 1e-12
-
-
-def catalan_series_sum(p: float):
-    """Partial sum of sum_n a_n p^n (1-p)^n with a certified tail bound.
-
-    The term ratio is bounded by r = 4 p (1-p) < 1, so the tail after a
-    term ``t`` is below ``t * r / (1 - r)``.  Returns (sum, tail_bound) once
-    the bound is below 1e-12, and raises ValueError where _CATALAN_MAX_TERMS
-    terms do not get there (p near 1/2).  The limit is p for every p < 1/2.
-    """
-    if not 0 < p < 0.5:
-        raise ValueError(f"requires 0 < p < 1/2, got p={p}")
-    r = 4.0 * p * (1.0 - p)
-    log_w = math.log(p * (1.0 - p))
-    total = 0.0
-    for n in range(1, _CATALAN_MAX_TERMS + 1):
-        term = math.exp(_log_catalan(n) + n * log_w)
-        total += term
-        bound = term * r / (1.0 - r)
-        if bound < _CATALAN_TOL:
-            return total, bound
-    raise ValueError(
-        f"p={p}: tail bound {bound:g} after {_CATALAN_MAX_TERMS} terms exceeds tol {_CATALAN_TOL:g}"
-    )
-
-
-def leaf_count_pmf_array(law: GwLaw, n_max: int) -> np.ndarray:
-    """Vector of leaf-count probabilities; entry [n] is
-    u_n = P(the tree has exactly n leaves) = a_n (1-p)^n p^(n-1), entry [0] is 0."""
-    import numpy as np
-
-    p = law.p
-    out = np.zeros(n_max + 1)
-    if p == 0.0:
-        out[1] = 1.0
-        return out
-    n = np.arange(1, n_max + 1, dtype=float)
-    log_a = np.array([_log_catalan(k) for k in n.tolist()])
-    out[1:] = np.exp(log_a + n * math.log1p(-p) + (n - 1) * math.log(p))
-    return out
-
-
-def joint_gen_leafcount_array(law: GwLaw, g_max: int, n_max: int) -> np.ndarray:
-    """Matrix v[g, n] = P(generation of a uniform leaf = g, leaf count = n).
-
-    Node-count generation convention (v[1, 1] = 1 - p).  Rows 1..g_max,
-    columns 0..n_max; index 0 rows/columns are zero padding.  Computed via
-    the scaled convolution recursion c_g = w * c_{g-1} with
-    w_n = a_n (p (1-p))^n, which keeps everything in floats.
-    """
-    if g_max < 1:
-        raise ValueError(f"requires g_max >= 1, got {g_max}")
-    import numpy as np
-
-    p = law.p
-    v = np.zeros((g_max + 1, n_max + 1))
-    v[1, 1] = 1.0 - p
-    if g_max == 1 or p == 0.0:
-        return v
-    u = leaf_count_pmf_array(law, n_max)
-    w = p * u  # w_n = a_n (p(1-p))^n
-    c = np.zeros(n_max + 1)
-    if n_max >= 2:
-        c[2:] = p * (1.0 - p) * w[1:-1]  # c_2[n] = p(1-p) w_{n-1}
-    n_idx = np.arange(n_max + 1, dtype=float)
-    n_idx[0] = 1.0  # avoid division by zero in the padding slot
-    for g in range(2, g_max + 1):
-        if g > 2:
-            c = np.convolve(w, c)[: n_max + 1]
-        row = (2 ** (g - 1)) * c / (n_idx * p)
-        row[:g] = 0.0  # v_{g,n} = 0 for n < g
-        v[g] = row
-    return v
-
-
 def p_tilde(y: float, p: float) -> float:
     """Unique root in [0, 1/2] of X(1-X) = y p (1-p).
 
@@ -179,36 +60,6 @@ def p_tilde(y: float, p: float) -> float:
     if not 0 <= p < 0.5:
         raise ValueError(f"requires 0 <= p < 1/2, got p={p}")
     return 0.5 * (1.0 - math.sqrt(1.0 - 4.0 * y * p * (1.0 - p)))
-
-
-def _mark_damping(beta: float, n_max: int) -> np.ndarray:
-    """Vector n (1-beta)^(n-1) with entry [n]; degenerates cleanly at beta=1."""
-    import numpy as np
-
-    n = np.arange(n_max + 1, dtype=float)
-    if beta == 1.0:
-        damp = np.zeros(n_max + 1)
-        damp[1] = 1.0
-        return damp
-    return n * np.exp(np.maximum(n - 1, 0.0) * math.log1p(-beta))
-
-
-def weighted_leaf_sums(law: GwLaw, g: int | None = None, cutoff: int = DEFAULT_CUTOFF) -> float:
-    """Partial sums of n (1-beta)^(n-1) against u_n or v_{g,n}.
-
-    With ``g=None`` the limit (cutoff to infinity) is (1-p)/x; with ``g``
-    given it is (1-x)^(g-1) (1-p).
-    """
-    if cutoff < 1:
-        raise ValueError(f"requires cutoff >= 1, got {cutoff}")
-    import numpy as np
-
-    damp = _mark_damping(law.beta, cutoff)
-    if g is None:
-        u = leaf_count_pmf_array(law, cutoff)
-        return float(np.dot(damp, u))
-    v = joint_gen_leafcount_array(law, g, cutoff)
-    return float(np.dot(damp, v[g]))
 
 
 def geometric_pmf(x: float, g: int) -> float:

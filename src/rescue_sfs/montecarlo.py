@@ -337,6 +337,15 @@ class SfsAggregate:
             setattr(self, name, VectorStat.zeros(width))
 
     def merge(self, other: "SfsAggregate") -> None:
+        """Add another run's replicates of the same experiment; the seeds may
+        differ.  A different experiment raises ValueError and changes
+        nothing."""
+        for name in ("params", "t_obs", "initial", "i_max", "windows"):
+            mine, theirs = getattr(self, name), getattr(other, name)
+            if name in ("initial", "windows"):
+                mine, theirs = tuple(mine), tuple(theirs)
+            if mine != theirs:
+                raise ValueError(f"cannot merge aggregates with different {name}: {mine!r} != {theirs!r}")
         self.replicates += other.replicates
         for name in simulator.ROW_FIELDS:
             getattr(self, name).merge(getattr(other, name))
@@ -365,9 +374,9 @@ def _run_span(
     records in replicate order when ``keep`` is set (else an empty list).
 
     One ``sample_chunk`` call returns one row per replicate.  The chunks
-    fold their rows side by side, row j of each getting the elementwise
-    operations of ``VectorStat.update``, so a chunk's row statistic holds
-    bit for bit what one accumulator fed its rows one at a time would."""
+    fold their rows side by side: one ``VectorStat.update`` per row
+    position, over a (chunks, width) mean, is elementwise each chunk's own
+    update."""
     keys = _replicate_keys(master_seed, start, stop)
     try:
         rows, records = simulator.sample_chunk(
@@ -383,14 +392,11 @@ def _run_span(
     parts = (rows[:cut].reshape(-1, chunk_size, rows.shape[1]), rows[None, cut:])
     stats = []
     for part in (part for part in parts if part.size):
-        mean = np.zeros((part.shape[0], rows.shape[1]))
-        m2 = np.zeros_like(mean)
+        shape = (part.shape[0], rows.shape[1])
+        fold = VectorStat(0, np.zeros(shape), np.zeros(shape))
         for j in range(part.shape[1]):
-            x = part[:, j]
-            delta = x - mean
-            mean += delta / (j + 1)
-            m2 += delta * (x - mean)
-        stats += [VectorStat(part.shape[1], m, q) for m, q in zip(mean, m2)]
+            fold.update(part[:, j])
+        stats += [VectorStat(fold.n, m, q) for m, q in zip(fold.mean, fold.m2)]
     return stats, records
 
 

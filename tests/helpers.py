@@ -1,10 +1,14 @@
 """Test-only oracles: the event-driven Gillespie simulator the lifetime
-simulator ``run`` is checked against, a direct sampler of the exactly-one-mark
-tree the rejection sampler is checked against, a naive per-cell mutation-set
-SFS algorithm, and a hand-built genealogy mirroring the worked one-root
-example (seven living resistant cells; spectrum S1=3, S3=1, S7=2), and the
-chi-square and Kolmogorov-Smirnov goodness-of-fit tests (p-values from
-scipy.special.chdtrc and scipy.stats.kstest) the statistical checks use.
+simulator ``run`` is checked against, the exact marked Galton-Watson tree
+recursions (the leaf-count pmf u_n, the joint law v_{g,n} of a leaf's
+generation and the leaf count, and the Catalan sums) that the generation
+laws of ``rescue_sfs.gw_trees`` are checked against, a direct sampler of the
+exactly-one-mark tree the rejection sampler is checked against, a naive
+per-cell mutation-set SFS algorithm, and a hand-built genealogy mirroring
+the worked one-root example (seven living resistant cells; spectrum S1=3,
+S3=1, S7=2), and the chi-square and Kolmogorov-Smirnov goodness-of-fit
+tests (p-values from scipy.special.chdtrc and scipy.stats.kstest) the
+statistical checks use.
 
 ``gillespie`` (Gillespie 1977) draws every event of the whole population in
 time order.  The mechanism-level divisions of ``run`` induce the aggregate
@@ -21,9 +25,11 @@ and ``gillespie`` can verify each event against it.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from random import Random
 from typing import Callable, Sequence
 
@@ -31,13 +37,7 @@ import numpy as np
 from scipy.special import chdtrc
 from scipy.stats import kstest
 
-from rescue_sfs.gw_trees import (
-    DEFAULT_CUTOFF,
-    GwLaw,
-    _mark_damping,
-    geometric_pmf,
-    leaf_count_pmf_array,
-)
+from rescue_sfs.gw_trees import GwLaw, geometric_pmf
 from rescue_sfs.montecarlo import IndexMismatchError
 from rescue_sfs.params import ModelParams
 from rescue_sfs.simulator import (
@@ -236,6 +236,171 @@ def event_class_probabilities(params: ModelParams, z0: int, z1: int) -> list[flo
     return [r / total for r in rates]
 
 
+# ---------------------------------------------------------------------------
+# Marked Galton-Watson tree recursions
+# ---------------------------------------------------------------------------
+#
+# The joint pmfs u_n / v_{g,n} follow the node-count convention of the
+# underlying recursions, in which a single-node tree's leaf sits at g = 1;
+# i.e. their g equals the gw_trees edge generation + 1.
+
+
+def catalan_sequence(n_max: int) -> list[int]:
+    """First ``n_max`` terms of the convolution sequence a_1 = 1,
+    a_n = sum_{i<n} a_i a_{n-i} (the Catalan numbers shifted by one).
+
+    Exact arbitrary-precision integers; quadratic time, so intended for
+    moderate ``n_max`` (the closed-form helpers below cover large n).
+    """
+    if n_max < 1:
+        raise ValueError(f"requires n_max >= 1, got {n_max}")
+    if n_max > 20000:
+        raise OverflowError(
+            f"n_max={n_max} would require ~{n_max}-digit integers; use the "
+            "log-space helpers for large n"
+        )
+    seq = [0] * (n_max + 1)
+    seq[1] = 1
+    for n in range(2, n_max + 1):
+        seq[n] = sum(seq[i] * seq[n - i] for i in range(1, n))
+    return seq[1:]
+
+
+def _log_catalan(n: float) -> float:
+    # log of the n-th sequence term a_n = C_{n-1} = (2n-2)! / (n! (n-1)!)
+    return math.lgamma(2 * n - 1) - math.lgamma(n + 1) - math.lgamma(n)
+
+
+_CATALAN_MAX_TERMS = 100_000
+_CATALAN_TOL = 1e-12
+
+
+def catalan_series_sum(p: float):
+    """Partial sum of sum_n a_n p^n (1-p)^n with a certified tail bound.
+
+    The term ratio is bounded by r = 4 p (1-p) < 1, so the tail after a
+    term ``t`` is below ``t * r / (1 - r)``.  Returns (sum, tail_bound) once
+    the bound is below 1e-12, and raises ValueError where _CATALAN_MAX_TERMS
+    terms do not get there (p near 1/2).  The limit is p for every p < 1/2.
+    """
+    if not 0 < p < 0.5:
+        raise ValueError(f"requires 0 < p < 1/2, got p={p}")
+    r = 4.0 * p * (1.0 - p)
+    log_w = math.log(p * (1.0 - p))
+    total = 0.0
+    for n in range(1, _CATALAN_MAX_TERMS + 1):
+        term = math.exp(_log_catalan(n) + n * log_w)
+        total += term
+        bound = term * r / (1.0 - r)
+        if bound < _CATALAN_TOL:
+            return total, bound
+    raise ValueError(
+        f"p={p}: tail bound {bound:g} after {_CATALAN_MAX_TERMS} terms exceeds tol {_CATALAN_TOL:g}"
+    )
+
+
+def leaf_count_pmf_array(law: GwLaw, n_max: int) -> np.ndarray:
+    """Vector of leaf-count probabilities; entry [n] is
+    u_n = P(the tree has exactly n leaves) = a_n (1-p)^n p^(n-1), entry [0] is 0."""
+    p = law.p
+    out = np.zeros(n_max + 1)
+    if p == 0.0:
+        out[1] = 1.0
+        return out
+    n = np.arange(1, n_max + 1, dtype=float)
+    log_a = np.array([_log_catalan(k) for k in n.tolist()])
+    out[1:] = np.exp(log_a + n * math.log1p(-p) + (n - 1) * math.log(p))
+    return out
+
+
+def joint_gen_leafcount_array(law: GwLaw, g_max: int, n_max: int) -> np.ndarray:
+    """Matrix v[g, n] = P(generation of a uniform leaf = g, leaf count = n).
+
+    Node-count generation convention (v[1, 1] = 1 - p).  Rows 1..g_max,
+    columns 0..n_max; index 0 rows/columns are zero padding.  Computed via
+    the scaled convolution recursion c_g = w * c_{g-1} with
+    w_n = a_n (p (1-p))^n, which keeps everything in floats.
+    """
+    if g_max < 1:
+        raise ValueError(f"requires g_max >= 1, got {g_max}")
+    p = law.p
+    v = np.zeros((g_max + 1, n_max + 1))
+    v[1, 1] = 1.0 - p
+    if g_max == 1 or p == 0.0:
+        return v
+    u = leaf_count_pmf_array(law, n_max)
+    w = p * u  # w_n = a_n (p(1-p))^n
+    c = np.zeros(n_max + 1)
+    if n_max >= 2:
+        c[2:] = p * (1.0 - p) * w[1:-1]  # c_2[n] = p(1-p) w_{n-1}
+    n_idx = np.arange(n_max + 1, dtype=float)
+    n_idx[0] = 1.0  # avoid division by zero in the padding slot
+    for g in range(2, g_max + 1):
+        if g > 2:
+            c = np.convolve(w, c)[: n_max + 1]
+        row = (2 ** (g - 1)) * c / (n_idx * p)
+        row[:g] = 0.0  # v_{g,n} = 0 for n < g
+        v[g] = row
+    return v
+
+
+def _mark_damping(beta: float, n_max: int) -> np.ndarray:
+    """Vector n (1-beta)^(n-1) with entry [n]; degenerates cleanly at beta=1."""
+    n = np.arange(n_max + 1, dtype=float)
+    if beta == 1.0:
+        damp = np.zeros(n_max + 1)
+        damp[1] = 1.0
+        return damp
+    return n * np.exp(np.maximum(n - 1, 0.0) * math.log1p(-beta))
+
+
+def weighted_leaf_sums(law: GwLaw, g: int | None, cutoff: int) -> float:
+    """Partial sums of n (1-beta)^(n-1) against u_n or v_{g,n}.
+
+    With ``g=None`` the limit (cutoff to infinity) is (1-p)/x; with ``g``
+    given it is (1-x)^(g-1) (1-p).
+    """
+    if cutoff < 1:
+        raise ValueError(f"requires cutoff >= 1, got {cutoff}")
+    damp = _mark_damping(law.beta, cutoff)
+    if g is None:
+        u = leaf_count_pmf_array(law, cutoff)
+        return float(np.dot(damp, u))
+    v = joint_gen_leafcount_array(law, g, cutoff)
+    return float(np.dot(damp, v[g]))
+
+
+def exact_v_tables(p: Fraction, n_max: int):
+    """(recursive v, closed-form v) tables over 1 <= g <= n <= n_max."""
+    cat = catalan_sequence(n_max)
+    u = [Fraction(0)] * (n_max + 1)
+    for n in range(1, n_max + 1):
+        u[n] = cat[n - 1] * (1 - p) ** n * p ** (n - 1)
+    v_rec = [[Fraction(0)] * (n_max + 1) for _ in range(n_max + 1)]
+    v_rec[1][1] = 1 - p
+    for g in range(2, n_max + 1):
+        for n in range(g, n_max + 1):
+            acc = Fraction(0)
+            for i in range(1, n):
+                acc += Fraction(n - i, n) * v_rec[g - 1][n - i] * u[i]
+            v_rec[g][n] = 2 * p * acc
+    # gamma_{2,n} = cat_{n-1}; gamma_{g,n} = sum_i cat_i gamma_{g-1,n-i}
+    gam = [[0] * (n_max + 1) for _ in range(n_max + 1)]
+    for n in range(2, n_max + 1):
+        gam[2][n] = cat[n - 2]
+    for g in range(3, n_max + 1):
+        for n in range(g, n_max + 1):
+            gam[g][n] = sum(cat[i - 1] * gam[g - 1][n - i] for i in range(1, n - g + 2))
+    v_closed = [[Fraction(0)] * (n_max + 1) for _ in range(n_max + 1)]
+    v_closed[1][1] = 1 - p
+    for g in range(2, n_max + 1):
+        for n in range(g, n_max + 1):
+            v_closed[g][n] = (
+                Fraction(2 ** (g - 1), n) * (1 - p) ** n * p ** (n - 1) * gam[g][n]
+            )
+    return v_rec, v_closed
+
+
 class DirectOneMarkSampler:
     """Importance-style direct sampler of the exactly-one-mark tree.
 
@@ -249,7 +414,7 @@ class DirectOneMarkSampler:
     def __init__(self, law: GwLaw, root_excluded: bool = True, tail_tol: float = 1e-12):
         self.law = law
         self.root_excluded = root_excluded
-        n_max = DEFAULT_CUTOFF
+        n_max = 2000
         u = leaf_count_pmf_array(law, n_max)
         weights = _mark_damping(law.beta, n_max) * u
         if root_excluded:

@@ -16,18 +16,20 @@ import numpy as np
 from conftest import REF, T_MULT, T_N, record_criterion
 from helpers import (
     build_single_root_example,
+    catalan_series_sum,
+    exact_v_tables,
     gillespie,
     gof_exponential,
     gof_geometric,
     gof_pooled_counts,
     naive_sfs,
+    weighted_leaf_sums,
 )
 from rescue_sfs import gw_trees as gw
 from rescue_sfs import montecarlo as mc
 from rescue_sfs import simulator as sim
 from rescue_sfs import theory as th
 from rescue_sfs.params import ModelParams, derive, derive_from_gamma_n
-from test_gw_trees import exact_v_tables
 
 FIG_DP = derive_from_gamma_n(1.0, 2.0, 1.2, 0.5, 0.2)
 FIG_LAW = gw.GwLaw(p=FIG_DP.p_n, beta=FIG_DP.beta_n)
@@ -48,12 +50,12 @@ def test_criterion_01_gw_series_identities():
     with stopwatch() as sw:
         law = FIG_LAW
         x = law.x
-        total = gw.weighted_leaf_sums(law, g=None, cutoff=2000)
+        total = weighted_leaf_sums(law, g=None, cutoff=2000)
         limit = (1.0 - law.p) / x
         gap0 = abs(total - limit)
         gaps = []
         for g in range(1, 11):
-            partial = gw.weighted_leaf_sums(law, g=g, cutoff=2000)
+            partial = weighted_leaf_sums(law, g=g, cutoff=2000)
             gaps.append(abs(partial - (1.0 - x) ** (g - 1) * (1.0 - law.p)))
     ok = (
         gap0 <= 1e-8
@@ -74,7 +76,7 @@ def test_criterion_02_catalan_and_exact_recursion():
     with stopwatch() as sw:
         series_gaps = {}
         for p in (0.1, 0.25, 0.4):
-            total, bound = gw.catalan_series_sum(p)
+            total, bound = catalan_series_sum(p)
             series_gaps[p] = abs(total - p)
         v_rec, v_closed = exact_v_tables(Fraction(1, 4), 60)
         rational_equal = all(

@@ -1,3 +1,4 @@
+import ast
 import math
 from collections import Counter
 from fractions import Fraction
@@ -7,11 +8,35 @@ import mpmath
 import numpy as np
 import pytest
 
-from helpers import DirectOneMarkSampler, gof_discrete, gof_geometric
+from helpers import (
+    DirectOneMarkSampler,
+    catalan_sequence,
+    catalan_series_sum,
+    exact_v_tables,
+    gof_discrete,
+    gof_geometric,
+    joint_gen_leafcount_array,
+    leaf_count_pmf_array,
+    weighted_leaf_sums,
+)
 from rescue_sfs import gw_trees as gw
 
 LAW = gw.GwLaw(p=4 / 15, beta=3 / 11)  # b0=1, d0=2, gamma_n=0.2
 X = LAW.x
+
+
+def test_gw_trees_imports_no_numpy():
+    # the laws and the sampler are standard library only, at module level
+    # and inside every function, so `rescue-sfs gw` runs without numpy
+    with open(gw.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    modules = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules.append(node.module or "")
+    assert [m for m in modules if m.split(".")[0] == "numpy"] == []
 
 
 def test_law_validation():
@@ -23,24 +48,24 @@ def test_law_validation():
 
 
 def test_catalan_sequence():
-    assert gw.catalan_sequence(5) == [1, 1, 2, 5, 14]
-    assert gw.catalan_sequence(2)[1] == 1  # a_2 = a_1 * a_1
+    assert catalan_sequence(5) == [1, 1, 2, 5, 14]
+    assert catalan_sequence(2)[1] == 1  # a_2 = a_1 * a_1
     with pytest.raises(ValueError):
-        gw.catalan_sequence(0)
+        catalan_sequence(0)
     with pytest.raises(OverflowError):
-        gw.catalan_sequence(50_000)
+        catalan_sequence(50_000)
 
 
 @pytest.mark.parametrize("p", [0.1, 0.25, 0.4])
 def test_catalan_series_identity(p):
-    total, bound = gw.catalan_series_sum(p)
+    total, bound = catalan_series_sum(p)
     assert bound < 1e-12
     assert abs(total - p) < 1e-10
 
 
 @pytest.mark.parametrize("p", [0.1, 0.4, 0.45, 0.49])
 def test_catalan_series_meets_its_tolerance(p):
-    total, bound = gw.catalan_series_sum(p)
+    total, bound = catalan_series_sum(p)
     assert abs(total - p) <= bound < 1e-12
 
 
@@ -48,16 +73,16 @@ def test_catalan_series_fails_loudly_near_one_half():
     # 100000 terms leave a tail bound of 7.5e-4 at p = 0.499; it used to be
     # returned as if it were the sum's accuracy
     with pytest.raises(ValueError, match=r"p=0\.499: tail bound 0\.000747.* tol 1e-12"):
-        gw.catalan_series_sum(0.499)
+        catalan_series_sum(0.499)
 
 
 def test_leaf_count_pmf():
-    assert gw.leaf_count_pmf_array(LAW, 1)[1] == pytest.approx(1 - LAW.p, rel=1e-14)
+    assert leaf_count_pmf_array(LAW, 1)[1] == pytest.approx(1 - LAW.p, rel=1e-14)
     law = gw.GwLaw(p=0.25, beta=0.5)
-    u = gw.leaf_count_pmf_array(law, 40)
+    u = leaf_count_pmf_array(law, 40)
     assert u[2] == pytest.approx(0.140625, rel=1e-12)
     # matches the exact integer form for moderate n
-    cat = gw.catalan_sequence(40)
+    cat = catalan_sequence(40)
     for n in (3, 10, 40):
         exact = cat[n - 1] * (1 - law.p) ** n * law.p ** (n - 1)
         assert u[n] == pytest.approx(exact, rel=1e-11)
@@ -66,12 +91,12 @@ def test_leaf_count_pmf():
 @pytest.mark.parametrize("p", [0.1, 0.3, 0.45])
 def test_leaf_count_normalization(p):
     law = gw.GwLaw(p=p, beta=0.5)
-    u = gw.leaf_count_pmf_array(law, 2000)
+    u = leaf_count_pmf_array(law, 2000)
     assert abs(u.sum() - 1.0) < 1e-10
 
 
 def test_joint_gen_leafcount_base_cases():
-    v = gw.joint_gen_leafcount_array(LAW, 5, 3)
+    v = joint_gen_leafcount_array(LAW, 5, 3)
     assert v[1, 1] == pytest.approx(1 - LAW.p, rel=1e-14)
     assert v[1, 2] == 0.0
     assert v[2, 2] == pytest.approx(LAW.p * (1 - LAW.p) ** 2, rel=1e-12)
@@ -80,7 +105,7 @@ def test_joint_gen_leafcount_base_cases():
 
 @pytest.mark.parametrize("g", range(1, 11))
 def test_joint_gen_leafcount_marginal(g):
-    v = gw.joint_gen_leafcount_array(LAW, g, 2000)
+    v = joint_gen_leafcount_array(LAW, g, 2000)
     closed = (2 * LAW.p) ** (g - 1) * (1.0 / g - 2.0 * LAW.p / (g + 1))
     assert abs(v[g].sum() - closed) < 1e-10
 
@@ -90,7 +115,7 @@ def test_p_tilde():
     assert gw.p_tilde(0.0, 0.3) == 0.0
     # generating function identity F(y) = p_tilde(y)/p against partial sums
     law = gw.GwLaw(p=0.3, beta=0.5)
-    u = gw.leaf_count_pmf_array(law, 2000)
+    u = leaf_count_pmf_array(law, 2000)
     y = 0.7
     partial = sum(u[n] * y**n for n in range(1, 2001))
     assert abs(partial - gw.p_tilde(y, 0.3) / 0.3) < 1e-10
@@ -99,21 +124,21 @@ def test_p_tilde():
 
 
 def test_weighted_leaf_sums_limits():
-    total = gw.weighted_leaf_sums(LAW, g=None, cutoff=2000)
+    total = weighted_leaf_sums(LAW, g=None, cutoff=2000)
     assert abs(total - (1 - LAW.p) / X) < 1e-8
     assert total == pytest.approx(1.116880, abs=1e-6)
-    assert gw.weighted_leaf_sums(LAW, g=1, cutoff=1) == pytest.approx(1 - LAW.p, rel=1e-14)
+    assert weighted_leaf_sums(LAW, g=1, cutoff=1) == pytest.approx(1 - LAW.p, rel=1e-14)
     for g in range(1, 11):
-        partial = gw.weighted_leaf_sums(LAW, g=g, cutoff=2000)
+        partial = weighted_leaf_sums(LAW, g=g, cutoff=2000)
         assert abs(partial - (1 - X) ** (g - 1) * (1 - LAW.p)) < 1e-8
 
 
 @pytest.mark.parametrize("p,beta", [(0.2, 0.1), (0.35, 0.5), (0.45, 0.2), (0.45, 0.9)])
 def test_gen_pmf_is_ratio_of_weighted_sums(p, beta):
     law = gw.GwLaw(p=p, beta=beta)
-    denom = gw.weighted_leaf_sums(law, g=None, cutoff=2000)
+    denom = weighted_leaf_sums(law, g=None, cutoff=2000)
     for g in range(1, 11):
-        ratio = gw.weighted_leaf_sums(law, g=g, cutoff=2000) / denom
+        ratio = weighted_leaf_sums(law, g=g, cutoff=2000) / denom
         assert abs(ratio - gw.gen_pmf_one_mark(law, g)) < 1e-8
 
 
@@ -171,37 +196,6 @@ def test_any_mark_pmf_matches_mpmath(p):
 # ---------------------------------------------------------------------------
 
 
-def exact_v_tables(p: Fraction, n_max: int):
-    """(recursive v, closed-form v) tables over 1 <= g <= n <= n_max."""
-    cat = gw.catalan_sequence(n_max)
-    u = [Fraction(0)] * (n_max + 1)
-    for n in range(1, n_max + 1):
-        u[n] = cat[n - 1] * (1 - p) ** n * p ** (n - 1)
-    v_rec = [[Fraction(0)] * (n_max + 1) for _ in range(n_max + 1)]
-    v_rec[1][1] = 1 - p
-    for g in range(2, n_max + 1):
-        for n in range(g, n_max + 1):
-            acc = Fraction(0)
-            for i in range(1, n):
-                acc += Fraction(n - i, n) * v_rec[g - 1][n - i] * u[i]
-            v_rec[g][n] = 2 * p * acc
-    # gamma_{2,n} = cat_{n-1}; gamma_{g,n} = sum_i cat_i gamma_{g-1,n-i}
-    gam = [[0] * (n_max + 1) for _ in range(n_max + 1)]
-    for n in range(2, n_max + 1):
-        gam[2][n] = cat[n - 2]
-    for g in range(3, n_max + 1):
-        for n in range(g, n_max + 1):
-            gam[g][n] = sum(cat[i - 1] * gam[g - 1][n - i] for i in range(1, n - g + 2))
-    v_closed = [[Fraction(0)] * (n_max + 1) for _ in range(n_max + 1)]
-    v_closed[1][1] = 1 - p
-    for g in range(2, n_max + 1):
-        for n in range(g, n_max + 1):
-            v_closed[g][n] = (
-                Fraction(2 ** (g - 1), n) * (1 - p) ** n * p ** (n - 1) * gam[g][n]
-            )
-    return v_rec, v_closed
-
-
 def test_exact_rational_recursion_small():
     v_rec, v_closed = exact_v_tables(Fraction(1, 4), 12)
     for g in range(1, 13):
@@ -209,7 +203,7 @@ def test_exact_rational_recursion_small():
             assert v_rec[g][n] == v_closed[g][n]
     # and the float pipeline agrees with the exact values
     law = gw.GwLaw(p=0.25, beta=0.5)
-    v = gw.joint_gen_leafcount_array(law, 12, 12)
+    v = joint_gen_leafcount_array(law, 12, 12)
     for g in range(1, 13):
         for n in range(g, 13):
             assert v[g][n] == pytest.approx(float(v_rec[g][n]), rel=1e-10, abs=1e-300)
@@ -238,7 +232,7 @@ def test_sample_tree_leaf_count_law():
     rng = Random(3)
     law = gw.GwLaw(p=0.25, beta=0.5)
     counts = [gw.sample_tree(law, rng).n_leaves for _ in range(100_000)]
-    u = gw.leaf_count_pmf_array(law, max(counts))
+    u = leaf_count_pmf_array(law, max(counts))
     res = gof_discrete(counts, lambda n: u[n])
     assert res.pvalue > 0.001
 
@@ -301,7 +295,7 @@ def test_sample_conditioned_accepted_leafcount_law():
         .tree.n_leaves
         for _ in range(30_000)
     ]
-    u = gw.leaf_count_pmf_array(law, 4000)
+    u = leaf_count_pmf_array(law, 4000)
     n = np.arange(4001.0)
     weights = n * (1 - law.beta) ** np.maximum(n - 1, 0) * u
     weights /= weights.sum()

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import hashlib
 import math
 import os
@@ -120,6 +121,29 @@ def test_vector_stat_merge_any_grouping():
             assert merged.n == 60
             np.testing.assert_allclose(merged.mean, whole.mean, rtol=1e-12)
             np.testing.assert_allclose(merged.m2, whole.m2, rtol=1e-10)
+
+
+def test_merge_rejects_a_different_experiment():
+    # a failed merge changes nothing; the seed may differ (the benchmark
+    # merges blocks run with different seeds)
+    kw = dict(replicates=20, i_max=6, windows=(0.5, 2.0))
+    base = mc.replicate_sfs(TOY, T_OBS, seed=1, **kw)
+    before = _aggregate_digest(base)
+    others = {
+        "params": mc.replicate_sfs(dataclasses.replace(TOY, omega=3.0), T_OBS, seed=1, **kw),
+        "t_obs": mc.replicate_sfs(TOY, T_OBS + 0.5, seed=1, **kw),
+        "initial": mc.replicate_sfs(TOY, T_OBS, seed=1, initial=(30, 1), **kw),
+        "i_max": mc.replicate_sfs(TOY, T_OBS, seed=1, **{**kw, "i_max": 7}),
+        "windows": mc.replicate_sfs(TOY, T_OBS, seed=1, **{**kw, "windows": ()}),
+    }
+    for name, other in others.items():
+        with pytest.raises(ValueError, match=f"different {name}"):
+            base.merge(other)
+        assert _aggregate_digest(base) == before
+    base.merge(mc.replicate_sfs(TOY, T_OBS, seed=2, **kw))
+    base.merge(mc.SfsAggregate(TOY, T_OBS, [30, 0], 3, 6, [0.5, 2.0]))
+    assert base.replicates == 40
+    assert {getattr(base, name).n for name in sim.ROW_FIELDS} == {40}
 
 
 def test_replicate_sfs_deterministic_and_worker_independent(monkeypatch):
