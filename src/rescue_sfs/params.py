@@ -12,6 +12,7 @@ lost.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import MISSING, dataclass, fields
 
@@ -96,6 +97,13 @@ class ModelParams:
         """Per-daughter resistance probability gamma / n_init**alpha."""
         return self.gamma * self.n_init ** (-self.alpha)
 
+    @functools.cached_property
+    def _derived(self) -> DerivedParams:
+        # kept on the instance, not keyed by equality: ModelParams(b0=1, ...)
+        # equals b0=1.0, and d1=0.0 equals -0.0, but their derived floats
+        # differ in type or in the sign of zero
+        return derive_from_gamma_n(self.b0, self.d0, self.b1, self.d1, self.gamma_n)
+
 
 @dataclass(frozen=True)
 class DerivedParams:
@@ -158,8 +166,9 @@ def derive_from_gamma_n(
 
 
 def derive(params: ModelParams) -> DerivedParams:
-    """Compute all derived scalars for a validated parameter set."""
-    return derive_from_gamma_n(params.b0, params.d0, params.b1, params.d1, params.gamma_n)
+    """All derived scalars of a validated parameter set, computed on the
+    instance's first call and returned by every later one."""
+    return params._derived
 
 
 @dataclass(frozen=True)

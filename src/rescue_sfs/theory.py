@@ -22,6 +22,7 @@ import heapq
 import math
 import operator
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, NamedTuple, Sequence
 
 from rescue_sfs.gw_trees import any_mark_pmf, geometric_pmf
@@ -144,7 +145,8 @@ def _gk61(f: _Panel, a: float, b: float) -> tuple[float, float]:
     g = math.fsum(map(operator.mul, _GK_WG, fv[1::2]))
     half = 0.5 * k
     dh = abs(h)
-    resasc = dh * math.fsum(w * abs(v - half) for w, v in zip(_GK_WK, fv))
+    deviation = map(abs, map(operator.sub, fv, repeat(half)))
+    resasc = dh * math.fsum(map(operator.mul, _GK_WK, deviation))
     # the rule on |f| is K itself where f >= 0
     resabs = dh * (k if min(fv) >= 0.0 else math.fsum(map(operator.mul, _GK_WK, map(abs, fv))))
     err = abs((k - g) * h)
@@ -163,12 +165,16 @@ def _gauss_kronrod(
     The panel with the largest error estimate is halved until the summed
     estimate is at most max(epsabs, epsrel |value|) or there are _GK_LIMIT
     panels; both sums are then taken again with math.fsum.  A NaN estimate
-    stops the loop at once (NaN fails the comparison), so the caller's
-    acceptance test sees it.
+    stops at once (NaN fails the comparison), so the caller's acceptance
+    test sees it.  A first panel that already stops the loop returns at
+    once, as value + 0.0 and err: the sums over one panel, fsum([-0.0])
+    being 0.0.
     """
     if a == b:
         return 0.0, 0.0
     value, err = _gk61(f, a, b)
+    if not err > max(epsabs, epsrel * abs(value)):
+        return value + 0.0, err
     panels = [(-err, a, b, value)]
     while err > max(epsabs, epsrel * abs(value)) and len(panels) < _GK_LIMIT:
         neg_e, lo, hi, v = heapq.heappop(panels)
@@ -323,13 +329,13 @@ def shape_integral_truncated(i: int, x: float, rho: float) -> TheoryValue:
 
 
 # A size law below, P(clone size = i) or P(clone size > m) at the clone's
-# scaled age z = lambda1 u, y = e^-z, is (factors, n, rel): factors(lambda1,
-# t_N, rho, a, b) gives (f, d, g, y <= 1/2) at z = lambda1 (t_N - s) for the
-# nodes s of [a, b], where the law is f q^n / d (q^n: see _q_factors), and
+# scaled age z = lambda1 u, y = e^-z, is (law, n, rel): law ("pmf", "tail"
+# or "empty") names its factors (f, d, g, y <= 1/2) at z = lambda1 (t_N - s)
+# in _founder_rows, where the law is f q^n / d (q^n: see _q_factors), and
 # rel(z_max, share) bounds its relative rounding error in units of u = 2^-53
 # for z up to z_max (share: see _size_tail), z within 2u, rho taken as given,
 # libm calls within 1 ulp (2u) and the other steps within u each.
-_SizeLaw = tuple[Callable[..., tuple], int, Callable[[float, float], float]]
+_SizeLaw = tuple[str, int, Callable[[float, float], float]]
 
 
 def _q_factors(z: float, rho: float, c: float) -> tuple[float, float, float, bool]:
@@ -355,15 +361,30 @@ def _q_factors(z: float, rho: float, c: float) -> tuple[float, float, float, boo
 
 
 @functools.lru_cache(maxsize=_TABLE_SIZE)
-def _size_factors(pmf: bool, lam1: float, t_n: float, rho: float, a: float, b: float) -> tuple:
-    """A size law's factors from _q_factors: f = (1 - rho)^2 y and d =
-    (1 - rho y)^2 for the pmf, f = (1 - rho)/(1 - rho y) and d = 1 (exact)
-    for the tail."""
+def _founder_rows(
+    law: str, lam1: float, t_n: float, rho: float, weights: tuple, a: float, b: float
+) -> tuple:
+    """Rows (f, d, g, small, w1[, w2]) of _founder_integral at the nodes s of
+    [a, b].  First a size law's factors from _q_factors: f = (1 - rho)^2 y
+    and d = (1 - rho y)^2 for the pmf, f = (1 - rho)/(1 - rho y) and d = 1
+    (exact) for the tail, f = 0 and d = g = 1 for the empty law.  Then the
+    weights: w1 = e^(lambda1 s) (1 - e^(-k s)) for weights = (k,), E[Z1(s)]'s
+    difference of exponentials without its cancellation at small s, or w1 =
+    1 + s delta0 (1-x_n) and w2 = e^(-s delta0 x_n) for weights = (delta0, x_n)."""
     c = 1.0 - rho
     out = []
     for s in _nodes(a, b):
-        y, d, g, small = _q_factors(lam1 * (t_n - s), rho, c)
-        out.append((c * c * y, d * d, g, small) if pmf else (c / d, 1.0, g, small))
+        if law == "empty":
+            row = (0.0, 1.0, 1.0, False)
+        else:
+            y, d, g, small = _q_factors(lam1 * (t_n - s), rho, c)
+            row = (c * c * y, d * d, g, small) if law == "pmf" else (c / d, 1.0, g, small)
+        if len(weights) == 1:
+            row += (math.exp(lam1 * s) * -math.expm1(-weights[0] * s),)
+        else:
+            d0, x = weights
+            row += (1.0 + s * d0 * (1.0 - x), math.exp(-s * d0 * x))
+        out.append(row)
     return tuple(out)
 
 
@@ -374,7 +395,7 @@ def _size_pmf(i: int) -> _SizeLaw:
         raise ValueError(f"requires i >= 1, got {i}")
     n = i - 1
     rel = lambda z_max, share: n * (11.0 + 4.0 * z_max) + 23.0 + 6.0 * z_max  # noqa: E731
-    return functools.partial(_size_factors, True), n, rel
+    return "pmf", n, rel
 
 
 def _check_clone(b1: float, d1: float, omega: float = 0.0) -> None:
@@ -573,15 +594,28 @@ def _resistant_weight(x: float, dp: DerivedParams, tol: float, slope: bool) -> T
         pref = 2.0 / (lam0 + lam1)
         # integrand <= pref e^(lam1 s) e^(-a e^(lam1 s)); exact tail integral
         tail = pref * math.exp(-a * math.exp(lam1 * s_max)) / (a * lam1)
-    rate = 2.0 * lam1 if slope else lam1  # of the factor e^(lambda1 s) or e^(2 lambda1 s)
+    # the factor e^(lambda1 s) or e^(2 lambda1 s): doubling is exact, so
+    # 2 (lambda1 s) is (2 lambda1) s bit for bit
+    times = 2.0 if slope else 1.0
 
     def f(lo: float, hi: float) -> list[float]:
         return [
-            pref * (1.0 - math.exp(-(lam0 + lam1) * s)) * math.exp(rate * s - a * math.exp(lam1 * s))
-            for s in _nodes(lo, hi)
+            pref * k1 * math.exp(times * ls - a * e1)
+            for k1, e1, ls, _, _ in _window_rows(dp.b0, lam0, lam1, lo, hi)
         ]
 
     return _integrate(1.0, f, s_max, tol / 2, lambda value, err: tail)
+
+
+@functools.lru_cache(maxsize=_TABLE_SIZE)
+def _window_rows(b0: float, lam0: float, lam1: float, a: float, b: float) -> tuple[tuple, ...]:
+    """(1 - e^(-(lambda0+lambda1) s), e^(lambda1 s), lambda1 s, -lambda0 s,
+    1 + 2 b0 s) at the nodes s of [a, b]: the x-free factors of K, Kslope
+    and L, which share the panel [0, s_max] at each window edge x."""
+    return tuple(
+        (1.0 - math.exp(-(lam0 + lam1) * s), math.exp(lam1 * s), lam1 * s, -lam0 * s, 1.0 + 2.0 * b0 * s)
+        for s in _nodes(a, b)
+    )
 
 
 def window_weight_sensitive(x: float, dp: DerivedParams, tol: float = DEFAULT_TOL) -> TheoryValue:
@@ -598,8 +632,8 @@ def window_weight_sensitive(x: float, dp: DerivedParams, tol: float = DEFAULT_TO
 
     def f(lo: float, hi: float) -> list[float]:
         return [
-            (1.0 + 2.0 * b0 * s) * math.exp(-lam0 * s - a * math.exp(lam1 * s)) / b1
-            for s in _nodes(lo, hi)
+            l1 * math.exp(nl0 - a * e1) / b1
+            for _, e1, _, nl0, l1 in _window_rows(b0, lam0, lam1, lo, hi)
         ]
 
     # Int_s_max^inf (1+2 b0 u) e^(-lam0 u) du in closed form
@@ -772,40 +806,30 @@ def _founder_integral(
     if division:
         k = lam1 + (dp.lambda0 + 2.0 * dp.gamma_n * dp.b0)  # lambda1 + lt0
         pref = params.omega * dp.b1 * 2.0 * dp.gamma_n * dp.b0 * params.n_init / k
-        weights = functools.partial(_division_weights, lam1, k)
+        weights = (k,)
         # 2u + u lambda1 s for e^(lambda1 s), 7u for the expm1 (k within
         # 4u), 2u for the products and 12u for pref times the integral
         rel1, rel2, w_tot = lam1 * t_n, 23.0, math.exp(lam1 * t_n) / lam1
     else:
         pref = params.n_init * dp.gamma_n * (1.0 - x) * d0 * params.omega / (2.0 * (1.0 - dp.gamma_n))
-        weights = functools.partial(_founder_weights, d0, x)
+        weights = (d0, x)
         # 4u for the linear factor, 2u + 2u s delta0 x_n for the
         # exponential, 2u for the products and 9u for pref times the integral
         rel1, rel2, w_tot = 17.0, 2.0 * d0 * x * t_n, t_n * (1.0 + d0 * t_n)
-    factors, n, law_rel = size
+    law, n, law_rel = size
 
     def f(lo: float, hi: float) -> list[float]:
+        rows = _founder_rows(law, lam1, t_n, rho, weights, lo, hi)
+        if division:
+            return [q * (math.exp(n * g) if small else g**n) / d * w for q, d, g, small, w in rows]
         return [
             q * (math.exp(n * g) if small else g**n) / d * w1 * w2
-            for (q, d, g, small), (w1, w2) in zip(factors(lam1, t_n, rho, lo, hi), weights(lo, hi))
+            for q, d, g, small, w1, w2 in rows
         ]
 
     z_max = lam1 * t_n
     extra = _relative_rounding(lambda total: law_rel(z_max, total / w_tot) + rel1 + rel2)
     return _integrate(pref, f, t_n, tol, extra)
-
-
-@functools.lru_cache(maxsize=_TABLE_SIZE)
-def _division_weights(lam1: float, k: float, a: float, b: float) -> tuple:
-    """(e^(lambda1 s) (1 - e^(-k s)), 1) at the nodes s of [a, b]: E[Z1(s)]'s
-    difference of exponentials without its cancellation at small s."""
-    return tuple((math.exp(lam1 * s) * -math.expm1(-k * s), 1.0) for s in _nodes(a, b))
-
-
-@functools.lru_cache(maxsize=_TABLE_SIZE)
-def _founder_weights(d0: float, x: float, a: float, b: float) -> tuple:
-    """(1 + s delta0 (1-x_n), e^(-s delta0 x_n)) at the nodes s of [a, b]."""
-    return tuple((1.0 + s * d0 * (1.0 - x), math.exp(-s * d0 * x)) for s in _nodes(a, b))
 
 
 def _size_tail(x: float, t: float, params: ModelParams) -> _SizeLaw:
@@ -817,7 +841,7 @@ def _size_tail(x: float, t: float, params: ModelParams) -> _SizeLaw:
     if not x > 0:
         raise ValueError(f"requires x > 0, got {x}")
     if x == math.inf:  # 0 q^0 / 1 at every node
-        return (lambda *panel: ((0.0, 1.0, 1.0, False),) * len(_GK_X)), 0, (lambda z_max, share: 0.0)
+        return "empty", 0, (lambda z_max, share: 0.0)
     b1, d1 = params.b1, params.d1
     c = 1.0 - d1 / b1  # lambda1 / b1
     m = math.floor(x * math.exp((b1 - d1) * (t * math.log(params.n_init))))
@@ -838,7 +862,7 @@ def _size_tail(x: float, t: float, params: ModelParams) -> _SizeLaw:
         via_log = 2.0 * cut * k if cut * k * _U <= 0.09 else math.inf
         return min(m * (11.0 + 4.0 * z_max), via_log) + 11.0 + 2.0 * z_max
 
-    return functools.partial(_size_factors, False), m, rel
+    return "tail", m, rel
 
 
 def sensitive_origin_main_term(

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import pytest
 
@@ -68,6 +70,30 @@ def test_derive_reference_set():
     assert dp.gamma_n == pytest.approx(math.exp(-0.9 * math.log(500)), rel=1e-14)
     assert dp.gamma_n == pytest.approx(0.003723, abs=1e-6)
     assert dp.rho == pytest.approx(0.5 / 1.2, rel=1e-15)
+
+
+def test_derive_runs_once_per_instance():
+    assert derive(REF) is derive(REF)
+    # equal parameter sets with int fields or d1 = -0.0 get their own
+    # derived values, not those of the equal float set: a memo keyed by
+    # equality would hand one the other's types and signs of zero
+    ints = ModelParams(b0=1, d0=2, b1=3, d1=1, omega=2, gamma=1, alpha=0.9, n_init=500)
+    floats = ModelParams(b0=1.0, d0=2.0, b1=3.0, d1=1.0, omega=2.0, gamma=1.0, alpha=0.9, n_init=500)
+    zero = dataclasses.replace(REF, d1=0.0)
+    minus_zero = dataclasses.replace(REF, d1=-0.0)
+    assert ints == floats and zero == minus_zero
+    for p in (floats, ints, zero, minus_zero):
+        want = derive_from_gamma_n(p.b0, p.d0, p.b1, p.d1, p.gamma_n)
+        assert repr(derive(p)) == repr(want)
+    assert repr(derive(ints)) != repr(derive(floats))
+    assert math.copysign(1.0, derive(minus_zero).rho) == -1.0
+    assert math.copysign(1.0, derive(zero).rho) == 1.0
+    # a replaced instance starts its own memo; a pickled one (as sent to a
+    # worker process) derives the same values
+    moved = dataclasses.replace(REF, d1=0.6)
+    assert derive(moved).rho == 0.6 / 1.2 and derive(REF).rho == 0.5 / 1.2
+    copy = pickle.loads(pickle.dumps(REF))
+    assert copy == REF and derive(copy) == derive(REF)
 
 
 @pytest.mark.parametrize("gamma_n", [0.0, 1e-12, 1e-6, 0.01, 0.2, 0.6])

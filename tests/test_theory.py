@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import heapq
 import math
 import time
 
@@ -170,6 +171,50 @@ def test_gauss_kronrod_edge_cases():
     # a kink needs many panels; the estimate still bounds the error
     value, err = th._gauss_kronrod(_panel(lambda s: abs(s - 0.3)), 0.0, 1.0, 1e-12, 1e-12)
     assert abs(value - 0.29) <= err <= 1e-12
+
+
+def _heap_gauss_kronrod(f, a, b, epsabs, epsrel):
+    """_gauss_kronrod without its first-panel return: every integral goes
+    through the heap and the closing fsum, one panel or many."""
+    if a == b:
+        return 0.0, 0.0
+    value, err = th._gk61(f, a, b)
+    panels = [(-err, a, b, value)]
+    while err > max(epsabs, epsrel * abs(value)) and len(panels) < th._GK_LIMIT:
+        neg_e, lo, hi, v = heapq.heappop(panels)
+        mid = 0.5 * (lo + hi)
+        v1, e1 = th._gk61(f, lo, mid)
+        v2, e2 = th._gk61(f, mid, hi)
+        heapq.heappush(panels, (-e1, lo, mid, v1))
+        heapq.heappush(panels, (-e2, mid, hi, v2))
+        value += v1 + v2 - v
+        err += e1 + e2 + neg_e
+    return math.fsum(p[3] for p in panels), math.fsum(-p[0] for p in panels)
+
+
+@pytest.mark.parametrize(
+    "point, a, b",
+    [
+        (math.exp, 0.0, 1.0),  # converges on the first panel
+        (lambda s: -math.sin(s), 0.0, 2.0),
+        (lambda s: abs(s - 0.3), 0.0, 1.0),  # a kink: many panels
+        (lambda s: -0.0, 1.0, 0.0),  # value -0.0 on a reversed panel
+        (lambda s: -1e-300, 0.0, 1e-30),  # value -0.0 by underflow
+        (lambda s: NAN, 0.0, 1.0),
+    ],
+    ids=["exp", "sin", "kink", "minus-zero-reversed", "minus-zero-underflow", "nan"],
+)
+def test_gauss_kronrod_first_panel_return(point, a, b):
+    # a first panel that meets tol, or whose estimate is NaN, returns what
+    # the heap path returned, bit for bit: the fsum over one panel turns a
+    # value of -0.0 into 0.0
+    f = _panel(point)
+    got = th._gauss_kronrod(f, a, b, 1e-12, 1e-12)
+    assert repr(got) == repr(_heap_gauss_kronrod(f, a, b, 1e-12, 1e-12))
+    if point(0.5) == 0.0:
+        assert repr(got) == repr((0.0, 0.0))
+    if math.isnan(point(0.5)):
+        assert math.isnan(got[0]) and math.isnan(got[1])
 
 
 def test_quad_semi_infinite_exponential():
@@ -781,6 +826,52 @@ def test_founder_curves_pinned():
     assert digests == CURVE_DIGESTS
 
 
+# sha256 over the repr of every (value, bound) pair of the other curves the
+# benchmark's theory_curves pass computes, at T, i = 1..121 or x in X_GRID:
+# the window weights K, L and Kslope, thm1, I at each set's rho and at
+# d1/b1 = 0.99, and both window counts with their bounds, pinned before
+# derive kept its result and before a converged first panel skipped the heap
+VALUE_BOUND_DIGESTS = {
+    ("reference", "K"): "0289a3f64620a7c8dfb1f3c2337951a6b30a370f23050d2669b151d60c86d01d",
+    ("reference", "L"): "a2ee322de5987bd17d846283b020bc4a0ff786f8757589acb4369da578889dea",
+    ("reference", "Kslope"): "7093d8b6edad8885d4624f9efa2a085507f449b888b0e71dbbef5cc291b37700",
+    ("reference", "thm1"): "a6c4e590780977bbb266fba6de14b8c25bf7a28bac959f694cc266131920feee",
+    ("reference", "I"): "5cad0a6b01acc63d8b6a6024b483220a2638edc4557a805b57b66361cb451383",
+    ("reference", "window_exact"): "a6df5873ed342b76f1623d6d62b9ed5b86f51ad6935ccdbdd647a4f8bce49854",
+    ("reference", "window_sensitive"): "bc428b7e84bd93668e34610cd400942134fa4b0eb104d34a435c13fe93861a68",
+    ("near-critical", "K"): "c51a61572f72e561a2175fe24cc6bce4554f22927e712427987d637c4dcc7f6f",
+    ("near-critical", "L"): "e8eb0e0c99cfd934e44d0bb8c1d3201f508243a7abd21019db715aa40ccb8cf8",
+    ("near-critical", "Kslope"): "c43206bedeca48b4a8f0147a34e15184384509cbb90756b3ecf3bae249368c28",
+    ("near-critical", "thm1"): "039f6e4743755840616540777209ff7896bdf6436cbe6630dc2dd7b896314bb6",
+    ("near-critical", "I"): "4911a3eef8a2e3c3545cf95705088921ffab82661a7035b71a4608ae3b38394e",
+    ("near-critical", "window_exact"): "3b7ef14041de713a5a862af926b871bd16f41dc134b2de3670cba31af8211322",
+    ("near-critical", "window_sensitive"): "a778d97f57588423802897433e6ddda9564e00e6d6c40eb8361ea25aa876fb64",
+    ("d1/b1=0.99", "I"): "107cbe48c803acf5fe0b65c4fe9c60ad66af5603509a64dbd7bba433afd3359f",
+}
+
+
+def test_theory_curves_pinned():
+    def digest(fn, grid):
+        h = hashlib.sha256()
+        for arg in grid:
+            tv = fn(arg)
+            h.update(repr((tv.value, tv.abs_error_bound)).encode())
+        return h.hexdigest()
+
+    digests = {}
+    for pid, params in (("reference", REF), ("near-critical", NEAR_CRITICAL)):
+        dp = derive(params)
+        for name, fn in _WEIGHT_FNS.items():
+            digests[pid, name] = digest(lambda x: fn(x, dp), X_GRID)
+        digests[pid, "thm1"] = digest(lambda i: th.sfs_small_asymptotic(i, T, params), I_GRID)
+        digests[pid, "I"] = digest(lambda i: th.shape_integral(i, dp.rho), I_GRID)
+        for name in ("window_exact", "window_sensitive"):
+            digests[pid, name] = digest(lambda x: FOUNDER_FNS[name](x, T, params), X_GRID)
+    rho = derive(dataclasses.replace(REF, d1=0.99 * REF.b1)).rho
+    digests["d1/b1=0.99", "I"] = digest(lambda i: th.shape_integral(i, rho), I_GRID)
+    assert digests == VALUE_BOUND_DIGESTS
+
+
 def test_values_do_not_depend_on_table_state():
     # the node tables are bounded caches, and what they hold when a value is
     # asked for changes nothing: forward, then after clearing every table,
@@ -791,12 +882,17 @@ def test_values_do_not_depend_on_table_state():
     calls = [
         (params, name, arg)
         for params in (REF, NEAR_CRITICAL)
-        for name in FOUNDER_FNS
-        for arg in ((0.6, 1.3, 6.0) if name.startswith("window") else (1, 2, 7, 60, 121))
+        for name in (*FOUNDER_FNS, *_WEIGHT_FNS)
+        for arg in ((1, 2, 7, 60, 121) if name in ("P", "Q", "exact_mean") else (0.6, 1.3, 6.0))
     ]
 
+    def value(params, name, arg):
+        if name in _WEIGHT_FNS:
+            return _WEIGHT_FNS[name](arg, derive(params))
+        return FOUNDER_FNS[name](arg, T, params)
+
     def values(order):
-        return {c: repr(FOUNDER_FNS[c[1]](c[2], T, c[0])) for c in order}
+        return {c: repr(value(*c)) for c in order}
 
     forward = values(calls)
     for f in tables:
