@@ -23,6 +23,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
 from random import Random
 
 import rescue_sfs
@@ -323,9 +324,9 @@ _FORMULAS = {
         "x",
         lambda x, c: _value(theory.resistant_origin_window_exact(x, c.t, c.params, c.tol)),
     ),
-    "gn": ("i", lambda g, c: (theory.generation_pmf(c.dp, g), "", 0.0)),
+    "gn": ("i", lambda g, c: (gw_trees.geometric_pmf(c.dp.x_n, g), "", 0.0)),
     "tn": ("x", lambda x, c: (theory.appearance_time_pdf(c.dp, x), "", 0.0)),
-    "tilde-gn": ("i", lambda g, c: (theory.generation_pmf_any(c.dp, g), "", 0.0)),
+    "tilde-gn": ("i", lambda g, c: (gw_trees.any_mark_pmf(c.dp.p_n, c.dp.p_tilde_n, g), "", 0.0)),
     "tilde-tn": ("x", lambda x, c: (theory.appearance_time_pdf_any(c.dp, x), "", 0.0)),
     "anc-count": ("none", lambda _, c: (*theory.ancestral_count_mean(c.params), 0.0)),
     "anc-one": ("none", lambda _, c: (*theory.prob_one_ancestral(c.dp), 0.0)),
@@ -420,9 +421,9 @@ def cmd_gw(args: argparse.Namespace, cfg: RunConfig, outputs: _OutputSet) -> int
         g = s.generation if args.root_excluded else s.generation + 1
         samples.append(g)
     if args.condition == gw_trees.CONDITION_EXACTLY_ONE:
-        pmf = lambda g: gw_trees.gen_pmf_one_mark(law, g)  # noqa: E731
+        pmf = partial(gw_trees.geometric_pmf, law.x)
     else:
-        pmf = lambda g: gw_trees.gen_pmf_atleast_one_mark(law, g)  # noqa: E731
+        pmf = partial(gw_trees.any_mark_pmf, law.p, gw_trees.p_tilde(1.0 - law.beta, law.p))
     rows = gw_trees.pmf_table(samples, pmf, g_max=g_max)
     _write_csv(outputs.path("gw_pmf.csv"), ["g", "pmf_theory", "pmf_empirical", "count"], rows)
     return 0

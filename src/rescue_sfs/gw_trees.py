@@ -15,6 +15,7 @@ generation 0).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from random import Random
 
@@ -62,14 +63,24 @@ def p_tilde(y: float, p: float) -> float:
     return 0.5 * (1.0 - math.sqrt(1.0 - 4.0 * y * p * (1.0 - p)))
 
 
+def _generation(g: int) -> int:
+    """g as an int >= 1, else ValueError: a float g such as 2.5 would get a
+    value between its neighbours'."""
+    try:
+        n = operator.index(g)
+    except TypeError:
+        n = 0
+    if not n >= 1:
+        raise ValueError(f"requires an integer g >= 1, got {g!r}")
+    return n
+
+
 def geometric_pmf(x: float, g: int) -> float:
     """Generation law of the marked leaf given exactly one mark: the
     geometric pmf x (1-x)^(g-1), g >= 1."""
     if not 0 < x <= 1:
         raise ValueError(f"requires 0 < x <= 1, got x={x}")
-    if not g >= 1:
-        raise ValueError(f"requires g >= 1, got {g}")
-    return x * (1.0 - x) ** (g - 1)
+    return x * (1.0 - x) ** (_generation(g) - 1)
 
 
 def _divided_power_difference(p: float, pt: float, m: int) -> float:
@@ -87,22 +98,11 @@ def any_mark_pmf(p: float, pt: float, g: int) -> float:
     """
     if not (0 <= p < 0.5 and 0 <= pt < 0.5):
         raise ValueError(f"requires 0 <= p, pt < 1/2, got p={p}, pt={pt}")
-    if not g >= 1:
-        raise ValueError(f"requires g >= 1, got {g}")
+    g = _generation(g)
     return 2.0 ** (g - 1) * (
         _divided_power_difference(p, pt, g) / g
         - 2.0 * _divided_power_difference(p, pt, g + 1) / (g + 1)
     )
-
-
-def gen_pmf_one_mark(law: GwLaw, g: int) -> float:
-    """geometric_pmf at the law's x (edge generations, root-conditioned tree)."""
-    return geometric_pmf(law.x, g)
-
-
-def gen_pmf_atleast_one_mark(law: GwLaw, g: int) -> float:
-    """any_mark_pmf at the law's p and p_tilde(1-beta)."""
-    return any_mark_pmf(law.p, p_tilde(1.0 - law.beta, law.p), g)
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +232,13 @@ def sample_conditioned(
 def pmf_table(
     samples: list[int], pmf, g_max: int | None = None
 ) -> list[tuple[int, float, float, int]]:
-    """Rows (g, pmf_theory, pmf_empirical, count) for a generation sample."""
+    """Rows (g, pmf_theory, pmf_empirical, count) for a generation sample,
+    from g = 1, the start of every generation law's support, to g_max
+    (default: the largest sample)."""
     if not samples:
         raise ValueError("empty sample")
+    if min(samples) < 1:
+        raise ValueError(f"generations start at 1, got {min(samples)}")
     top = max(samples)
     if g_max is None:
         g_max = top
@@ -242,7 +246,4 @@ def pmf_table(
     for g in samples:
         counts[g] += 1
     n = len(samples)
-    rows = []
-    for g in range(min(samples), g_max + 1):
-        rows.append((g, float(pmf(g)), counts[g] / n, counts[g]))
-    return rows
+    return [(g, float(pmf(g)), counts[g] / n, counts[g]) for g in range(1, g_max + 1)]

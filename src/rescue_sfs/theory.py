@@ -25,10 +25,21 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, NamedTuple, Sequence
 
-from rescue_sfs.gw_trees import any_mark_pmf, geometric_pmf
 from rescue_sfs.params import DerivedParams, ModelParams, derive
 
 DEFAULT_TOL = 1e-10
+
+
+def _index(i: int) -> int:
+    """i as an int >= 1, else ValueError: a float i such as 2.5 would get a
+    value between its neighbours'."""
+    try:
+        n = operator.index(i)
+    except TypeError:
+        n = 0
+    if not n >= 1:
+        raise ValueError(f"requires an integer i >= 1, got {i!r}")
+    return n
 
 
 class QuadratureError(RuntimeError):
@@ -319,8 +330,7 @@ def shape_integral_truncated(i: int, x: float, rho: float) -> TheoryValue:
     Series in rho with the upper limit's powers, or the recurrence of
     ``_shape`` where rho (x-1)/(x-rho) is near 1.
     """
-    if not i >= 1:
-        raise ValueError(f"requires i >= 1, got {i}")
+    i = _index(i)
     if not 0 <= rho < 1:
         raise ValueError(f"requires 0 <= rho < 1, got {rho}")
     if not x >= 1.0:
@@ -360,6 +370,13 @@ def _q_factors(z: float, rho: float, c: float) -> tuple[float, float, float, boo
     return y, d, omy / d, False
 
 
+def _z1_shape(lam1: float, k: float, s: float) -> float:
+    """e^(lambda1 s) (1 - e^(-k s)) with k = lambda1 + lt0: E[Z1(s)]'s
+    difference of exponentials e^(lambda1 s) - e^(-lt0 s) (see
+    _founder_integral), without its cancellation at small s."""
+    return math.exp(lam1 * s) * -math.expm1(-k * s)
+
+
 @functools.lru_cache(maxsize=_TABLE_SIZE)
 def _founder_rows(
     law: str, lam1: float, t_n: float, rho: float, weights: tuple, a: float, b: float
@@ -368,8 +385,7 @@ def _founder_rows(
     [a, b].  First a size law's factors from _q_factors: f = (1 - rho)^2 y
     and d = (1 - rho y)^2 for the pmf, f = (1 - rho)/(1 - rho y) and d = 1
     (exact) for the tail, f = 0 and d = g = 1 for the empty law.  Then the
-    weights: w1 = e^(lambda1 s) (1 - e^(-k s)) for weights = (k,), E[Z1(s)]'s
-    difference of exponentials without its cancellation at small s, or w1 =
+    weights: w1 = _z1_shape(lambda1, k, s) for weights = (k,), or w1 =
     1 + s delta0 (1-x_n) and w2 = e^(-s delta0 x_n) for weights = (delta0, x_n)."""
     c = 1.0 - rho
     out = []
@@ -380,7 +396,7 @@ def _founder_rows(
             y, d, g, small = _q_factors(lam1 * (t_n - s), rho, c)
             row = (c * c * y, d * d, g, small) if law == "pmf" else (c / d, 1.0, g, small)
         if len(weights) == 1:
-            row += (math.exp(lam1 * s) * -math.expm1(-weights[0] * s),)
+            row += (_z1_shape(lam1, weights[0], s),)
         else:
             d0, x = weights
             row += (1.0 + s * d0 * (1.0 - x), math.exp(-s * d0 * x))
@@ -391,9 +407,7 @@ def _founder_rows(
 def _size_pmf(i: int) -> _SizeLaw:
     """P(clone size = i) and its rounding bound: (1 - rho)^2 (3u), e^-z,
     q^(i-1), (1 - rho y)^2 and three products or quotients."""
-    if not i >= 1:
-        raise ValueError(f"requires i >= 1, got {i}")
-    n = i - 1
+    n = _index(i) - 1
     rel = lambda z_max, share: n * (11.0 + 4.0 * z_max) + 23.0 + 6.0 * z_max  # noqa: E731
     return "pmf", n, rel
 
@@ -415,8 +429,7 @@ def clone_size_pmf(i: int, u: float, b1: float, d1: float) -> float:
     if not u >= 0:
         raise ValueError(f"requires u >= 0, got {u}")
     _check_clone(b1, d1)
-    if not i >= 1:
-        raise ValueError(f"requires i >= 1, got {i}")
+    i = _index(i)
     rho = d1 / b1
     c = 1.0 - rho  # lambda1 / b1
     y, d, g, small = _q_factors((b1 - d1) * u, rho, c)
@@ -456,13 +469,8 @@ def single_clone_sfs_asymptotic(i: int, t: float, b1: float, d1: float, omega: f
 
 
 # ---------------------------------------------------------------------------
-# Founder generation / appearance-time laws
+# Founder appearance-time laws
 # ---------------------------------------------------------------------------
-
-
-def generation_pmf(dp: DerivedParams, g: int) -> float:
-    """Generation of the founder given exactly one founder: geometric(x_n)."""
-    return geometric_pmf(dp.x_n, g)
 
 
 def appearance_time_pdf(dp: DerivedParams, t: float) -> float:
@@ -474,16 +482,11 @@ def appearance_time_pdf(dp: DerivedParams, t: float) -> float:
     return rate * math.exp(-rate * t)
 
 
-def generation_pmf_any(dp: DerivedParams, g: int) -> float:
-    """Generation of a uniformly chosen founder given at least one founder:
-    the closed form in p = p_n and pt = p_tilde_n = (1-x_n)/2."""
-    return any_mark_pmf(dp.p_n, dp.p_tilde_n, g)
-
-
 def appearance_time_pdf_any(dp: DerivedParams, t: float) -> float:
     """Appearance time of a uniformly chosen founder given at least one.
 
-    Gamma mixture of generation_pmf_any: with eps = 2 t delta0 (p - pt),
+    Gamma mixture of the generation law gw_trees.any_mark_pmf(p_n,
+    p_tilde_n, .): with eps = 2 t delta0 (p - pt),
     E = 1 - e^-eps and phi = (eps - E) / eps^2, it is
     delta0 e^(-t delta0 (1 - 2p)) [(E/eps)(1 - 2pt) - 2(p - pt) phi].
     Both E/eps and phi cancel as eps -> 0, so below eps = 0.1 phi comes
@@ -724,8 +727,7 @@ def resistant_origin_main_term(
     pref (1-rho)/r Int_0^(lambda1 t_N) ((e^u-1)/(e^u-rho))^(i-1) (e^u-rho)^(-2)
       (1 - e^((r/lambda1) u - r t_N)) du.
     """
-    if not i >= 1:
-        raise ValueError(f"requires i >= 1, got {i}")
+    i = _index(i)
     if not t > 0:
         raise ValueError(f"requires t > 0, got {t}")
     if params.omega == 0.0:
@@ -907,16 +909,8 @@ def expected_resistant_population(t_abs: float, params: ModelParams) -> float:
     if not t_abs >= 0:
         raise ValueError(f"requires t_abs >= 0, got {t_abs}")
     dp = derive(params)
-    lt0 = dp.lambda0 + 2.0 * dp.gamma_n * dp.b0
-    lam1 = dp.lambda1
-    return (
-        2.0
-        * dp.gamma_n
-        * dp.b0
-        * params.n_init
-        * (math.exp(lam1 * t_abs) - math.exp(-lt0 * t_abs))
-        / (lam1 + lt0)
-    )
+    k = dp.lambda1 + (dp.lambda0 + 2.0 * dp.gamma_n * dp.b0)  # lambda1 + lt0
+    return 2.0 * dp.gamma_n * dp.b0 * params.n_init * _z1_shape(dp.lambda1, k, t_abs) / k
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ per-cell mutation-set SFS algorithm, and a hand-built genealogy mirroring
 the worked one-root example (seven living resistant cells; spectrum S1=3,
 S3=1, S7=2), and the chi-square and Kolmogorov-Smirnov goodness-of-fit
 tests (p-values from scipy.special.chdtrc and scipy.stats.kstest) the
-statistical checks use.
+statistical checks use, and the import list of a module's source that the
+dependency checks read.
 
 ``gillespie`` (Gillespie 1977) draws every event of the whole population in
 time order.  The mechanism-level divisions of ``run`` induce the aggregate
@@ -25,6 +26,7 @@ and ``gillespie`` can verify each event against it.
 
 from __future__ import annotations
 
+import ast
 import math
 from bisect import bisect_right
 from collections import Counter
@@ -634,3 +636,17 @@ def gof_pooled_counts(
     stat = float(((o - e) ** 2 / e).sum())
     dof = o.size - 1
     return GofResult(stat, float(chdtrc(dof, stat)), dof, o.size)
+
+
+def imported_modules(module) -> list[str]:
+    """The modules that a module's source imports, at module level and
+    inside every function ("" for a relative ``from . import``)."""
+    with open(module.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    modules = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules.append(node.module or "")
+    return modules

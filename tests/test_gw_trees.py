@@ -1,4 +1,3 @@
-import ast
 import math
 from collections import Counter
 from fractions import Fraction
@@ -15,6 +14,7 @@ from helpers import (
     exact_v_tables,
     gof_discrete,
     gof_geometric,
+    imported_modules,
     joint_gen_leafcount_array,
     leaf_count_pmf_array,
     weighted_leaf_sums,
@@ -23,19 +23,13 @@ from rescue_sfs import gw_trees as gw
 
 LAW = gw.GwLaw(p=4 / 15, beta=3 / 11)  # b0=1, d0=2, gamma_n=0.2
 X = LAW.x
+PT = gw.p_tilde(1 - LAW.beta, LAW.p)
 
 
 def test_gw_trees_imports_no_numpy():
     # the laws and the sampler are standard library only, at module level
     # and inside every function, so `rescue-sfs gw` runs without numpy
-    with open(gw.__file__, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
-    modules = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            modules += [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            modules.append(node.module or "")
+    modules = imported_modules(gw)
     assert [m for m in modules if m.split(".")[0] == "numpy"] == []
 
 
@@ -120,7 +114,7 @@ def test_p_tilde():
     partial = sum(u[n] * y**n for n in range(1, 2001))
     assert abs(partial - gw.p_tilde(y, 0.3) / 0.3) < 1e-10
     # p_tilde(1 - beta) = (1 - x)/2
-    assert gw.p_tilde(1 - LAW.beta, LAW.p) == pytest.approx((1 - X) / 2, rel=1e-13)
+    assert PT == pytest.approx((1 - X) / 2, rel=1e-13)
 
 
 def test_weighted_leaf_sums_limits():
@@ -139,19 +133,19 @@ def test_gen_pmf_is_ratio_of_weighted_sums(p, beta):
     denom = weighted_leaf_sums(law, g=None, cutoff=2000)
     for g in range(1, 11):
         ratio = weighted_leaf_sums(law, g=g, cutoff=2000) / denom
-        assert abs(ratio - gw.gen_pmf_one_mark(law, g)) < 1e-8
+        assert abs(ratio - gw.geometric_pmf(law.x, g)) < 1e-8
 
 
 def test_gen_pmf_one_mark():
-    assert gw.gen_pmf_one_mark(LAW, 1) == pytest.approx(X)
-    assert gw.gen_pmf_one_mark(LAW, 2) == pytest.approx(0.225479, abs=1e-6)
-    assert sum(gw.gen_pmf_one_mark(LAW, g) for g in range(1, 400)) == pytest.approx(
+    assert gw.geometric_pmf(X, 1) == pytest.approx(X)
+    assert gw.geometric_pmf(X, 2) == pytest.approx(0.225479, abs=1e-6)
+    assert sum(gw.geometric_pmf(X, g) for g in range(1, 400)) == pytest.approx(
         1.0, abs=1e-12
     )
 
 
 def test_gen_pmf_atleast_one_mark_normalization():
-    total = sum(gw.gen_pmf_atleast_one_mark(LAW, g) for g in range(1, 501))
+    total = sum(gw.any_mark_pmf(LAW.p, PT, g) for g in range(1, 501))
     assert abs(total - 1.0) < 1e-8
 
 
@@ -159,9 +153,10 @@ def test_gen_pmf_atleast_one_mark_beta_to_one():
     # with every leaf marked the conditioning is void: the pmf reduces to the
     # unconditioned leaf-generation marginal sum_n v_{g,n}
     law = gw.GwLaw(p=4 / 15, beta=1 - 1e-12)
+    pt = gw.p_tilde(1 - law.beta, law.p)
     for g in range(1, 8):
         marginal = (2 * law.p) ** (g - 1) * (1.0 / g - 2.0 * law.p / (g + 1))
-        assert gw.gen_pmf_atleast_one_mark(law, g) == pytest.approx(marginal, rel=1e-6)
+        assert gw.any_mark_pmf(law.p, pt, g) == pytest.approx(marginal, rel=1e-6)
 
 
 def _any_mark_exact(p, pt, g):
@@ -312,7 +307,7 @@ def test_sample_conditioned_at_least_one_matches_closed_form():
         + 1
         for _ in range(40_000)
     ]
-    res = gof_discrete(samples, lambda g: gw.gen_pmf_atleast_one_mark(LAW, g))
+    res = gof_discrete(samples, lambda g: gw.any_mark_pmf(LAW.p, PT, g))
     assert res.pvalue > 0.001
 
 
@@ -384,9 +379,17 @@ def test_direct_sampler_matches_rejection():
 
 
 def test_pmf_table():
-    rows = gw.pmf_table([1, 1, 2, 3], lambda g: gw.gen_pmf_one_mark(LAW, g), g_max=3)
+    rows = gw.pmf_table([1, 1, 2, 3], lambda g: gw.geometric_pmf(X, g), g_max=3)
     assert [r[0] for r in rows] == [1, 2, 3]
     assert [r[3] for r in rows] == [2, 1, 1]
     assert rows[0][2] == pytest.approx(0.5)
+    # the rows start at g = 1 whatever the smallest sample: here g = 1 and 2
+    # carry 0.75 of the law
+    rows = gw.pmf_table([3], lambda g: gw.geometric_pmf(0.5, g), g_max=5)
+    assert [r[0] for r in rows] == [1, 2, 3, 4, 5]
+    assert [r[3] for r in rows] == [0, 0, 1, 0, 0]
+    assert rows[0][1] + rows[1][1] == 0.75
     with pytest.raises(ValueError):
         gw.pmf_table([], lambda g: 0.5)
+    with pytest.raises(ValueError):
+        gw.pmf_table([0, 1], lambda g: 0.5)

@@ -17,7 +17,7 @@ from helpers import (
     carried_copy_total,
     event_class_probabilities,
     gillespie,
-    gof_discrete,
+    gof_geometric,
     gof_pooled_counts,
     naive_sfs,
 )
@@ -307,7 +307,7 @@ def test_one_founder_generation_law_is_geometric():
             first_gen.setdefault(rid, gen)
         gens.extend(first_gen[rid] for rid, k in per_root.items() if k == 1)
     assert len(gens) > 4000
-    res = gof_discrete(gens, lambda g: dp.x_n * (1 - dp.x_n) ** (g - 1))
+    res = gof_geometric(gens, dp.x_n)
     assert res.pvalue > 0.001
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from helpers import imported_modules
 from rescue_sfs import gw_trees as gw
 from rescue_sfs import theory as th
 from rescue_sfs.params import ModelParams, derive, derive_from_gamma_n
@@ -18,6 +19,13 @@ DP = derive(REF)
 T = 1.25
 RHO = 0.5 / 1.2
 FIG_DP = derive_from_gamma_n(1.0, 2.0, 1.2, 0.5, 0.2)  # b0=1, d0=2, gamma_n=0.2
+
+
+def test_theory_imports_only_params():
+    # each founder generation law has one owner, gw_trees, whose kernels the
+    # CLI calls directly: theory reads the package's params and nothing else
+    modules = imported_modules(th)
+    assert [m for m in modules if m.split(".")[0] == "rescue_sfs"] == ["rescue_sfs.params"]
 
 
 def test_theory_value_invariants():
@@ -47,6 +55,23 @@ BAD_RATES = {
     (1.2, 2.0, 1.2, -0.1): "d1-negative",
     (NAN, 2.0, 1.2, 0.5): "b0-nan",
 }
+
+
+# an index must be of an integer type: a float such as 2.5 would get a value
+# between those at 2 and 3 (the exact mean one with a certified bound), so
+# 2.0 is refused too
+INDEXED = {
+    "I": lambda i: th.shape_integral(i, RHO),
+    "clone-sfs": lambda i: th.single_clone_sfs(i, 2.0, 1.2, 0.5, 2.0),
+    "kappa": lambda i: th.clone_size_pmf(i, 1.0, 1.2, 0.5),
+    "thm1": lambda i: th.sfs_small_asymptotic(i, T, REF),
+    "P": lambda i: th.resistant_origin_main_term(i, T, REF),
+    "Q": lambda i: th.sensitive_origin_main_term(i, T, REF),
+    "exact-mean": lambda i: th.resistant_origin_mean_exact(i, T, REF),
+    "gn": lambda g: gw.geometric_pmf(0.5, g),
+    "tilde-gn": lambda g: gw.any_mark_pmf(0.3, 0.2, g),
+}
+NON_INTEGERS = (2.5, 2.0)
 
 
 # NaN fails every comparison, so a domain check written as x < lo lets it
@@ -95,6 +120,7 @@ BAD_RATES = {
         # derive_from_gamma_n checks the rates as ModelParams does: with
         # b0 > d0 it gave x_n = -0.63 and appearance_time_pdf then -15.3
         *(lambda rates=rates: derive_from_gamma_n(*rates, 0.2) for rates in BAD_RATES),
+        *(lambda f=f, i=i: f(i) for f in INDEXED.values() for i in NON_INTEGERS),
     ],
     ids=[
         "hi",
@@ -128,11 +154,18 @@ BAD_RATES = {
         "clone-sfs-omega-negative",
         *(f"{name}-tol{tol}" for name in ("K", "exact-mean", "thm2") for tol in TOLS),
         *(f"derive-{name}" for name in BAD_RATES.values()),
+        *(f"{name}-i{i}" for name in INDEXED for i in NON_INTEGERS),
     ],
 )
 def test_nan_inputs_fail_loudly(call):
     with pytest.raises((ValueError, th.QuadratureError)):
         call()
+
+
+@pytest.mark.parametrize("name", INDEXED)
+def test_numpy_integer_index_same_bits(name):
+    want = INDEXED[name](3)
+    assert INDEXED[name](np.int64(3)) == want
 
 
 # ---------------------------------------------------------------------------
@@ -389,19 +422,18 @@ def test_single_clone_sfs():
 
 
 def test_generation_pmf_matches_tree_module():
+    # the founder laws at DerivedParams' x_n and p_tilde_n equal the tree
+    # laws at GwLaw's x and p_tilde(1 - beta)
     law = gw.GwLaw(p=FIG_DP.p_n, beta=FIG_DP.beta_n)
+    pt = gw.p_tilde(1.0 - law.beta, law.p)
     for g in range(1, 15):
-        assert th.generation_pmf(FIG_DP, g) == pytest.approx(
-            gw.gen_pmf_one_mark(law, g), rel=1e-12
+        assert gw.geometric_pmf(FIG_DP.x_n, g) == pytest.approx(
+            gw.geometric_pmf(law.x, g), rel=1e-12
         )
-        assert th.generation_pmf_any(FIG_DP, g) == pytest.approx(
-            gw.gen_pmf_atleast_one_mark(law, g), rel=1e-9
+        assert gw.any_mark_pmf(FIG_DP.p_n, FIG_DP.p_tilde_n, g) == pytest.approx(
+            gw.any_mark_pmf(law.p, pt, g), rel=1e-9
         )
     assert law.x == pytest.approx(FIG_DP.x_n, rel=1e-12)
-
-
-def test_generation_pmf_head():
-    assert th.generation_pmf(FIG_DP, 1) == pytest.approx(FIG_DP.x_n, rel=1e-15)
 
 
 def test_appearance_time_pdf():
@@ -413,9 +445,8 @@ def test_appearance_time_pdf():
 
 
 def test_any_founder_laws_normalize():
-    assert sum(th.generation_pmf_any(FIG_DP, g) for g in range(1, 501)) == pytest.approx(
-        1.0, abs=1e-8
-    )
+    total = sum(gw.any_mark_pmf(FIG_DP.p_n, FIG_DP.p_tilde_n, g) for g in range(1, 501))
+    assert total == pytest.approx(1.0, abs=1e-8)
     val, _ = quad(lambda t: th.appearance_time_pdf_any(FIG_DP, t), 0, 100, limit=300)
     assert val == pytest.approx(1.0, abs=1e-6)
 
@@ -475,7 +506,7 @@ def test_any_founder_generation_law_as_beta_vanishes(gamma):
     dp = derive(params)
     for g in range(1, 51):
         want = _generation_pmf_any_exact(dp.b0, dp.d0, params.gamma_n, g)
-        assert th.generation_pmf_any(dp, g) == pytest.approx(float(want), rel=1e-12)
+        assert gw.any_mark_pmf(dp.p_n, dp.p_tilde_n, g) == pytest.approx(float(want), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -1008,10 +1039,19 @@ def test_window_sums_decreasing_in_x():
 
 
 def test_expected_resistant_population():
-    # exact two-type first-moment ODE solution
+    # exact two-type first-moment ODE solution, 2 gamma_n b0 N (e^(lambda1 t)
+    # - e^(-lt0 t)) / (lambda1 + lt0), against 40 digits on the rates as
+    # given: evaluated as that difference of exponentials it is off by 5e-5
+    # relative at t = 1e-12
     assert th.expected_resistant_population(0.0, REF) == 0.0
-    v = th.expected_resistant_population(2.0, REF)
-    assert v > 0
+    lt0 = DP.lambda0 + 2.0 * DP.gamma_n * DP.b0
+    with mpmath.workdps(40):
+        lam1, lt0 = mpmath.mpf(DP.lambda1), mpmath.mpf(lt0)
+        pref = 2 * mpmath.mpf(DP.gamma_n) * DP.b0 * REF.n_init / (lam1 + lt0)
+        for t in (1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1.25 * math.log(500)):
+            want = pref * (mpmath.exp(lam1 * t) - mpmath.exp(-lt0 * t))
+            got = th.expected_resistant_population(t, REF)
+            assert abs(got - want) <= 8 * th._U * want, t
     zero = ModelParams(
         b0=1.2, d0=2.0, b1=1.2, d1=0.5, omega=2.0, gamma=0.0, alpha=0.9, n_init=500
     )
