@@ -201,7 +201,6 @@ def sample_conditioned(
     root_excluded: bool = True,
     delta0: float | None = None,
     max_attempts: int = 1_000_000,
-    max_nodes: int = 1_000_000,
 ) -> ConditionedSample:
     """Rejection-sample a tree satisfying a mark condition.
 
@@ -213,7 +212,7 @@ def sample_conditioned(
         raise ValueError(f"unknown condition {condition!r}; valid: {_CONDITIONS}")
     exactly_one = condition == CONDITION_EXACTLY_ONE
     for _ in range(max_attempts):
-        tree = sample_tree(law, rng, root_excluded=root_excluded, max_nodes=max_nodes)
+        tree = sample_tree(law, rng, root_excluded=root_excluded)
         marks = tree.mark_count
         if (marks == 1) if exactly_one else (marks >= 1):
             gens = tree.marked_generations()

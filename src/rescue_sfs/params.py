@@ -29,19 +29,19 @@ class ConfigError(ValueError):
 
 
 def _check_rates(b0: float, d0: float, b1: float, d1: float) -> None:
-    """Sensitive cells subcritical, resistant cells supercritical; a NaN
-    fails every check."""
-    if not b0 > 0:
-        raise ParameterError(f"requires b0 > 0, got b0={b0}")
-    if not d0 > b0:
+    """Finite rates, sensitive cells subcritical, resistant cells
+    supercritical; a NaN fails every check."""
+    if not 0 < b0 < math.inf:
+        raise ParameterError(f"requires finite b0 > 0, got b0={b0}")
+    if not b0 < d0 < math.inf:
         raise ParameterError(
-            f"requires d0 > b0 (sensitive cells subcritical), got b0={b0}, d0={d0}"
+            f"requires finite d0 > b0 (sensitive cells subcritical), got b0={b0}, d0={d0}"
         )
     if not d1 >= 0:
         raise ParameterError(f"requires d1 >= 0, got d1={d1}")
-    if not b1 > d1:
+    if not d1 < b1 < math.inf:
         raise ParameterError(
-            f"requires b1 > d1 (resistant cells supercritical), got b1={b1}, d1={d1}"
+            f"requires finite b1 > d1 (resistant cells supercritical), got b1={b1}, d1={d1}"
         )
 
 
@@ -72,8 +72,8 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         _check_rates(self.b0, self.d0, self.b1, self.d1)
-        if not self.omega >= 0:
-            raise ParameterError(f"requires omega >= 0, got omega={self.omega}")
+        if not 0 <= self.omega < math.inf:
+            raise ParameterError(f"requires finite omega >= 0, got omega={self.omega}")
         # gamma == 0 is admitted: it switches resistance off entirely, which
         # several analytic test cases rely on.
         if not self.gamma >= 0:

@@ -29,7 +29,8 @@ its cells are simulated in:
 
 The lifetimes take a logarithm, and numpy's SIMD ``log`` can differ from
 libm's in the last bit; both paths therefore evaluate ``_plog``, one fixed
-sequence of IEEE operations.
+sequence of IEEE operations.  Like ``_plog``, ``_uniform`` is one evaluation
+for a Python int and a np.uint64 array.
 """
 
 from __future__ import annotations
@@ -187,16 +188,10 @@ def _mix64_array(z):
     return z
 
 
-def _uniform(z: int) -> float:
-    """The uniform on [0, 1) of a 64-bit word: its top 53 bits over 2^53."""
+def _uniform(z):
+    """The uniform on [0, 1) of a 64-bit word, a Python int or a np.uint64
+    array (a plain shift count keeps it uint64): its top 53 bits over 2^53."""
     return (z >> 11) * _TWO_M53
-
-
-def _uniform_array(z):
-    """``_uniform`` over a np.uint64 array."""
-    import numpy as np
-
-    return (z >> np.uint64(11)).astype(np.float64) * _TWO_M53
 
 
 def _plog(x, frexp=math.frexp):
@@ -471,16 +466,13 @@ def sample_chunk(
     the lowest such replicate, and ``run`` on its key raises too.
     """
     initial, windows = checked_args(params, t_obs, initial, i_max, windows)
-    return _sample(params, t_obs, initial, list(keys), i_max, windows, keep, max_cells)
-
-
-def _sample(params, t_obs, initial, keys, i_max, windows, keep, max_cells):
-    """``sample_chunk`` on checked arguments, one block of keys at a time."""
     import numpy as np
 
+    keys = list(keys)
     budget = min(max_cells, _BLOCK_NODES)
     # blocks aim at half the budget: first at 8 nodes per root, then at the
-    # nodes per replicate of the block before
+    # nodes per replicate of the block before, so a block of several
+    # replicates never holds more roots than the budget
     size = budget // (16 * sum(initial))
     rows = [np.empty((0, sum(row_widths(i_max, len(windows)))))]
     records = []
@@ -507,25 +499,22 @@ def _sample(params, t_obs, initial, keys, i_max, windows, keep, max_cells):
 def _sample_block(params, t_obs, initial, keys, i_max, windows, keep, max_cells, budget):
     """The rows, records and genealogy node count of one block of keys; or
     None if the block holds more than one replicate and they exceed
-    ``budget`` nodes together, checked before the roots and after every
-    batch."""
+    ``budget`` nodes together, checked after every batch."""
     import numpy as np
 
     n0_init, n1_init = initial
     u64 = np.uint64
     n_roots = n0_init + n1_init
     reps = len(keys)
-    if reps > 1 and reps * n_roots > budget:
-        return None
     limit = budget if reps > 1 else max_cells
     c = np.array([params.b0 + params.d0, params.b1 + params.d1])
     divide = np.array([params.b0, params.b1]) / c
     gamma_n = params.gamma_n
     cdf = np.array(_mutation_cdf(params.mutation_law, params.omega))
-    mutates = cdf[0] < math.inf
-    # the block's nodes are its roots and two daughters per division; run
-    # raises at the division that takes it past max_cells nodes
-    max_divisions = max((limit - reps * n_roots) // 2, 0)
+    # the block's nodes are its roots and two daughters per division, one
+    # slot each after slot 0; run raises at the division that takes it past
+    # max_cells nodes
+    max_slots = max((limit - reps * n_roots) // 2, 0) + 1
     daughter_offsets = np.array([_GOLDEN, 2 * _GOLDEN & _M64], dtype=u64)
 
     # a queue entry holds its pending cells' ids, birth times, mothers'
@@ -548,11 +537,10 @@ def _sample_block(params, t_obs, initial, keys, i_max, windows, keep, max_cells,
 
     founders = np.zeros(reps, dtype=np.intp)
     z1 = np.zeros(reps, dtype=np.intp)
-    divisions = 0
     # slot k > 0 is the k-th dividing cell: its mother's slot, its edge's
     # mutations and 2 replicate + origin, in the smallest types that hold
     # every value the cap allows
-    slot_type = np.min_scalar_type(max_divisions + 1)
+    slot_type = np.min_scalar_type(max_slots)
     group_type, mut_type = np.min_scalar_type(2 * reps), np.min_scalar_type(cdf.size)
     slot_mother, slot_muts, slot_group = _Column(slot_type), _Column(mut_type), _Column(group_type)
     for column in (slot_mother, slot_muts, slot_group):
@@ -576,20 +564,14 @@ def _sample_block(params, t_obs, initial, keys, i_max, windows, keep, max_cells,
         root = (tag & 1).astype(bool)
         resistant = (group & 1).astype(bool)
 
-        if mutates:
-            u = _uniform_array(_mix64_array(x + u64(_MUTATION)))
-            muts = np.searchsorted(cdf, u, "right")
-            muts[root] = 0
-        else:
-            muts = np.zeros(x.size, dtype=np.intp)
-        if gamma_n > 0:
-            u = _uniform_array(_mix64_array(x + u64(_RESISTANCE)))
-            flips = (u < gamma_n) & ~resistant & ~root
-            resistant |= flips
-            founders += np.bincount(rep[flips], minlength=reps)
+        muts = np.searchsorted(cdf, _uniform(_mix64_array(x + u64(_MUTATION))), "right")
+        muts[root] = 0
+        flips = (_uniform(_mix64_array(x + u64(_RESISTANCE))) < gamma_n) & ~resistant & ~root
+        resistant |= flips
+        founders += np.bincount(rep[flips], minlength=reps)
         kind = resistant.view(np.int8)
 
-        t = born - _plog(1.0 - _uniform_array(x), np.frexp) / c[kind]
+        t = born - _plog(1.0 - _uniform(x), np.frexp) / c[kind]
         alive = t >= t_obs
         leaves = alive & resistant
         z1 += np.bincount(rep[leaves], minlength=reps)
@@ -597,13 +579,12 @@ def _sample_block(params, t_obs, initial, keys, i_max, windows, keep, max_cells,
         leaves &= muts > 0
         leaf_muts.extend(muts[leaves])
         leaf_group.extend(group[leaves])
-        u = _uniform_array(_mix64_array(x + u64(_DIVIDE)))
+        u = _uniform(_mix64_array(x + u64(_DIVIDE)))
         dividing = np.flatnonzero(~alive & (u < divide[kind]))
         slot_mother.extend(mother[dividing])
         slot_muts.extend(muts[dividing])
         slot_group.extend(group[dividing])
-        divisions += dividing.size
-        if divisions > max_divisions:
+        if slot_mother.size > max_slots:
             if reps > 1:
                 return None
             raise _cap_error(max_cells, t_obs, 0)
@@ -621,6 +602,7 @@ def _sample_block(params, t_obs, initial, keys, i_max, windows, keep, max_cells,
             np.repeat(daughter_tag[dividing], 2),
         )
 
+    nodes = reps * n_roots + 2 * (slot_mother.size - 1)
     # carrier counts, last batch first: the mothers of a batch's slots and
     # leaves have lower slots than the batch's own
     carried = np.zeros(slot_mother.size, dtype=np.min_scalar_type(max(max_cells, n_roots)))
@@ -675,7 +657,7 @@ def _sample_block(params, t_obs, initial, keys, i_max, windows, keep, max_cells,
             SfsRecord(dict(sorted(res.items())), dict(sorted(sen.items())), t_obs)
             for sen, res in spectra
         ]
-    return rows, records, reps * n_roots + 2 * divisions
+    return rows, records, nodes
 
 
 def extract_sfs(outcome: SimOutcome) -> SfsRecord:

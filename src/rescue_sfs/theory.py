@@ -212,9 +212,12 @@ def _integrate(
     ``extra(value, err)``: the tail past hi where the integral runs to
     infinity, else the integrand's own rounding bound.  It is asked to meet
     tol / max(scale, 1), and this raises where it exceeds both that and
-    1e-8 |value|, as a large value in doubles cannot meet an absolute tol."""
+    1e-8 |value|, as a large value in doubles cannot meet an absolute tol.
+    An empty range (hi = 0, as at N = 1) gives 0 exactly."""
     if not tol > 0:
         raise ValueError(f"requires tol > 0, got {tol}")
+    if hi == 0.0:
+        return TheoryValue(0.0, 0.0)
     tol = tol / max(scale, 1.0)
     value, err = _gauss_kronrod(f, 0.0, hi, tol, epsrel)
     err += extra(value, err)
@@ -413,11 +416,11 @@ def _size_pmf(i: int) -> _SizeLaw:
 
 
 def _check_clone(b1: float, d1: float, omega: float = 0.0) -> None:
-    # a supercritical resistant clone, ModelParams' rule
-    if not 0 <= d1 < b1:
-        raise ValueError(f"requires 0 <= d1 < b1, got b1={b1}, d1={d1}")
-    if not omega >= 0:
-        raise ValueError(f"requires omega >= 0, got omega={omega}")
+    # a supercritical resistant clone with finite rates, ModelParams' rule
+    if not 0 <= d1 < b1 < math.inf:
+        raise ValueError(f"requires finite 0 <= d1 < b1, got b1={b1}, d1={d1}")
+    if not 0 <= omega < math.inf:
+        raise ValueError(f"requires finite omega >= 0, got omega={omega}")
 
 
 def clone_size_pmf(i: int, u: float, b1: float, d1: float) -> float:

@@ -385,6 +385,15 @@ def test_theory_tilde_gn_at_gamma_zero(cfg_path, tmp_path):
     assert [float(r[1]) for r in rows] == pytest.approx([0.25, 0.1875, 0.140625], rel=1e-14)
 
 
+def test_theory_q_at_n_1(cfg_path, tmp_path):
+    # t_N = 0 at N = 1: the sensitive-origin integrals are 0, not a crash
+    out = str(tmp_path / "o")
+    argv = ["theory", "--config", cfg_path, "--formula", "Q", "--i-range", "1:3"]
+    assert cli.main(argv + ["--n-init", "1", "--gamma", "0.5", "--out-dir", out]) == 0
+    rows = _read_csv(os.path.join(out, "theory_Q.csv"))[1:]
+    assert [float(r[1]) for r in rows] == [0.0, 0.0, 0.0]
+
+
 def test_theory_x_grid_takes_inf(cfg_path, tmp_path):
     # the grid rejects nan, but x = inf is the complete shape integral for hi,
     # a zero density for tn and an empty window for the window weights

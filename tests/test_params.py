@@ -36,6 +36,13 @@ REF = ModelParams(b0=1.2, d0=2.0, b1=1.2, d1=0.5, omega=2.0, gamma=1.0, alpha=0.
         (dict(mutation_law="uniform"), "mutation_law"),
         (dict(omega=3.0, mutation_law="bernoulli"), "omega <= 2"),
         (dict(gamma=1.0, n_init=1), "gamma_n < 1"),
+        # an infinite rate or omega once hung the sampler or gave inf or
+        # all-zero spectra
+        (dict(b0=math.inf, d0=math.inf), "finite b0"),
+        (dict(d0=math.inf), "finite d0"),
+        (dict(b1=math.inf), "finite b1"),
+        (dict(b1=math.inf, d1=0.0), "finite b1"),
+        (dict(omega=math.inf), "finite omega"),
     ],
 )
 def test_validation_names_constraint(kwargs, fragment):

@@ -571,6 +571,8 @@ CHUNK_CASES = {
     "initial-2-1": (REF, 2.0, (2, 1), range(100), 10, (0.5,)),
     "bernoulli": (BERNOULLI40, T40, None, range(60), 10, (0.5,)),
     "omega-0": (dataclasses.replace(N40, omega=0.0), T40, None, range(40), 10, (0.5,)),
+    # a mixed start: resistant clones exist, but no cell flips
+    "gamma-0": (dataclasses.replace(N40, gamma=0.0), T40, (3, 2), range(40), 10, (0.5,)),
     "d1-0": (dataclasses.replace(N40, d1=0.0), T40, None, range(30), 10, (0.5,)),
     "t-obs-0": (N40, 0.0, (3, 2), range(10), 10, (0.5,)),
     # the narrowest row: every statistic one column wide
@@ -629,7 +631,7 @@ def test_draw_kernels_pinned():
     assert sim._mix64_array(np.array(words, dtype=np.uint64)).tolist() == SPLITMIX64_FROM_0
     for word, u in UNIFORMS:
         assert sim._uniform(word) == u
-        assert sim._uniform_array(np.array([word], dtype=np.uint64))[0] == u
+        assert sim._uniform(np.array([word], dtype=np.uint64))[0] == u
     assert [sim._plog(x).hex() for x in PLOGS] == list(PLOGS.values())
     from_array = sim._plog(np.array(list(PLOGS)), np.frexp).tolist()
     assert [y.hex() for y in from_array] == list(PLOGS.values())
@@ -639,7 +641,7 @@ def test_plog_is_one_evaluation_for_floats_and_arrays():
     # on the lifetimes' inputs 1 - u, u on the 53-bit grid, the numpy
     # evaluation equals the Python one bit for bit, within one ulp of log
     words = np.random.default_rng(7).integers(0, 2**64 - 1, size=20_000, dtype=np.uint64)
-    xs = 1.0 - sim._uniform_array(words)
+    xs = 1.0 - sim._uniform(words)
     for x, y in zip(xs.tolist(), sim._plog(xs, np.frexp).tolist()):
         assert sim._plog(x) == y
         assert abs(y - math.log(x)) <= math.ulp(math.log(x))

@@ -54,6 +54,7 @@ BAD_RATES = {
     (0.0, 2.0, 1.2, 0.5): "b0-zero",
     (1.2, 2.0, 1.2, -0.1): "d1-negative",
     (NAN, 2.0, 1.2, 0.5): "b0-nan",
+    (1.2, math.inf, 1.2, 0.5): "d0-inf",
 }
 
 
@@ -114,6 +115,8 @@ NON_INTEGERS = (2.5, 2.0)
         lambda: th.single_clone_sfs_asymptotic(1, 1.0, 1.2, 0.5, NAN),
         lambda: th.single_clone_sfs(1, 1.0, 1.2, 0.5, NAN),
         lambda: th.single_clone_sfs(1, 1.0, 1.2, 0.5, -1.0),
+        lambda: th.single_clone_sfs(1, 1.0, math.inf, 0.0, 2.0),
+        lambda: th.single_clone_sfs(1, 1.0, 1.2, 0.5, math.inf),
         *(lambda tol=tol: th.window_weight_resistant(1.0, DP, tol) for tol in TOLS),
         *(lambda tol=tol: th.resistant_origin_mean_exact(1, T, REF, tol) for tol in TOLS),
         *(lambda tol=tol: th.sfs_window_asymptotic(0.6, 1.0, T, REF, tol) for tol in TOLS),
@@ -152,6 +155,8 @@ NON_INTEGERS = (2.5, 2.0)
         "clone-sfs-asymptotic-omega-nan",
         "clone-sfs-omega-nan",
         "clone-sfs-omega-negative",
+        "clone-sfs-b1-inf",
+        "clone-sfs-omega-inf",
         *(f"{name}-tol{tol}" for name in ("K", "exact-mean", "thm2") for tol in TOLS),
         *(f"derive-{name}" for name in BAD_RATES.values()),
         *(f"{name}-i{i}" for name in INDEXED for i in NON_INTEGERS),
@@ -653,6 +658,17 @@ def test_resistant_origin_main_term_zero_cases():
     )
     assert th.resistant_origin_main_term(1, T, zero).value == 0.0
     assert th.sensitive_origin_main_term(1, T, zero).value == 0.0
+
+
+@pytest.mark.parametrize(
+    "name, arg",
+    [("P", 3), ("Q", 3), ("exact_mean", 3), ("window_sensitive", 0.6), ("window_exact", 0.6)],
+)
+def test_founder_integrals_vanish_at_n_1(name, arg):
+    # t_N = t ln N = 0: an empty range, 0 exactly (Q and the sensitive
+    # window count once divided by its zero weight bound)
+    one = dataclasses.replace(REF, gamma=0.5, n_init=1)
+    assert FOUNDER_FNS[name](arg, 1.25, one) == th.TheoryValue(0.0, 0.0)
 
 
 NEAR_CRITICAL = dataclasses.replace(REF, d1=0.999 * REF.b1)
