@@ -414,6 +414,13 @@ def cmd_gw(args: argparse.Namespace, cfg: RunConfig, outputs: _OutputSet) -> int
         law = gw_trees.GwLaw(p=p, beta=beta)
     if args.root_excluded and p == 0:
         raise ConfigError("--root-excluded with p = 0: the root never divides, so no tree has a mark")
+    # any_mark_pmf is the law of root-included trees; root-excluded trees
+    # with at least one mark follow another law, which the package lacks
+    if args.root_excluded and args.condition == gw_trees.CONDITION_AT_LEAST_ONE:
+        raise ConfigError(
+            "--condition at-least-one-mark with --root-excluded: no theory law for root-excluded "
+            "trees with at least one mark"
+        )
     rng = Random(cfg.seed)
     samples = []
     for _ in range(_samples(args, 10_000)):

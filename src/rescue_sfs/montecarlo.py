@@ -1,4 +1,4 @@
-"""Replicate orchestration, mergeable statistics and theory-vs-empirics
+"""Replicate orchestration, exact mergeable statistics and theory-vs-empirics
 comparison reports.
 
 Replicates are reproducible and worker-count independent: replicate r of a
@@ -8,12 +8,9 @@ run with master seed s is keyed by ``Random(seed_for_replicate(s, r))
 vectorised pass per span, replicate_seeds).  A span of at least
 _VECTOR_KEYS replicates computes the same keys vectorised, running
 CPython's Mersenne Twister seeding elementwise (_mt_keys); a shorter span
-builds one Random per replicate.  Chunks define the statistics:
-a chunk of DEFAULT_CHUNK consecutive replicates folds its rows (laid out
-as ``simulator.ROW_FIELDS``) into one Welford accumulator in replicate
-order, and chunks merge in index order.  A span is a scheduling unit only:
-a run of whole chunks sampled in one ``sample_chunk`` call, folded side by
-side.
+builds one Random per replicate.  The statistics of the rows (laid out as
+``simulator.ROW_FIELDS``) are exact integer sums (VectorStat), so no chunk,
+span, order or worker count changes a bit.
 """
 
 from __future__ import annotations
@@ -31,8 +28,9 @@ import numpy as np
 from rescue_sfs import simulator
 from rescue_sfs.params import ModelParams
 
+# scheduling only: a span samples as many whole chunks of DEFAULT_CHUNK
+# replicates as fit in _SPAN_FLOATS floats of rows (about 2 MB)
 DEFAULT_CHUNK = 256
-# about 2 MB of rows: a span samples as many whole chunks as fit in one call
 _SPAN_FLOATS = 1 << 18
 
 
@@ -241,43 +239,43 @@ def _replicate_keys(master_seed: int, start: int, stop: int) -> list[int]:
 
 @dataclass
 class VectorStat:
-    """Welford accumulator over fixed-length vectors, mergeable pairwise."""
+    """Exact power sums of integer vectors: the count n and, per entry, the
+    sum and the sum of squares as Python ints (object arrays), which merge
+    alike in any order.  The mean sum_x/n and the variance (n sum_x2 -
+    sum_x^2)/(n(n-1)) are each one correctly rounded int / int."""
 
     n: int
-    mean: np.ndarray
-    m2: np.ndarray
+    sum_x: np.ndarray
+    sum_x2: np.ndarray
 
     @classmethod
     def zeros(cls, length: int) -> "VectorStat":
-        return cls(0, np.zeros(length), np.zeros(length))
+        return cls(0, np.zeros(length, dtype=object), np.zeros(length, dtype=object))
 
-    def update(self, x: np.ndarray) -> None:
-        self.n += 1
-        delta = x - self.mean
-        self.mean += delta / self.n
-        self.m2 += delta * (x - self.mean)
+    def update(self, x) -> None:
+        """Add one row; a non-integer entry, nan or inf raises ValueError."""
+        row = np.asarray(x).tolist()
+        if not all(isinstance(v, int) or isinstance(v, float) and v.is_integer() for v in row):
+            raise ValueError(f"requires integer entries, got {row}")
+        ints = np.array([int(v) for v in row], dtype=object)
+        self.merge(VectorStat(1, ints, ints * ints))
 
     def merge(self, other: "VectorStat") -> None:
-        if other.n == 0:
-            return
-        if self.n == 0:
-            self.n = other.n
-            self.mean = other.mean.copy()
-            self.m2 = other.m2.copy()
-            return
-        n = self.n + other.n
-        delta = other.mean - self.mean
-        self.mean = self.mean + delta * (other.n / n)
-        self.m2 = self.m2 + other.m2 + delta**2 * (self.n * other.n / n)
-        self.n = n
+        self.n += other.n
+        self.sum_x, self.sum_x2 = self.sum_x + other.sum_x, self.sum_x2 + other.sum_x2
+
+    @property
+    def mean(self) -> np.ndarray:
+        return _ratio(self.sum_x, self.n)
 
     def variance(self) -> np.ndarray:
-        if self.n < 2:
-            return np.full_like(self.mean, np.nan)
-        return self.m2 / (self.n - 1)
+        n = self.n
+        return _ratio(n * self.sum_x2 - self.sum_x * self.sum_x, n * (n - 1))
 
-    def sem(self) -> np.ndarray:
-        return np.sqrt(self.variance() / self.n)
+
+def _ratio(num: np.ndarray, den: int) -> np.ndarray:
+    """Python ints over a Python int, each correctly rounded; nan if den is 0."""
+    return (num / den).astype(float) if den else np.full(num.shape, np.nan)
 
 
 @dataclass(frozen=True)
@@ -292,10 +290,9 @@ class ReplicateStats:
 
     @classmethod
     def from_vector_stat(cls, indices: Sequence[float], stat: VectorStat) -> "ReplicateStats":
-        idx = np.asarray(indices, dtype=float)
         var = stat.variance()
-        ci = 1.96 * np.sqrt(var / stat.n) if stat.n > 1 else np.full_like(var, np.nan)
-        return cls(idx, stat.mean.copy(), var, stat.n, ci)
+        ci = 1.96 * np.sqrt(var / stat.n)
+        return cls(np.asarray(indices, dtype=float), stat.mean, var, stat.n, ci)
 
     def sem(self) -> np.ndarray:
         return np.sqrt(self.variance / self.count)
@@ -362,21 +359,19 @@ class SfsAggregate:
     def scalar_stat(self, name: str) -> tuple[float, float]:
         """(mean, standard error) of one scalar field."""
         k = simulator.SCALAR_FIELDS.index(name)
-        return float(self.scalars.mean[k]), float(self.scalars.sem()[k])
+        stats = ReplicateStats.from_vector_stat(range(len(simulator.SCALAR_FIELDS)), self.scalars)
+        return float(stats.mean[k]), float(stats.sem()[k])
 
 
 def _run_span(
-    start: int, stop: int, *, chunk_size: int, params: ModelParams, t_obs: float,
-    initial: tuple[int, int], master_seed: int, i_max: int, windows: tuple[float, ...], keep: bool,
-) -> tuple[list[VectorStat], list[simulator.SfsRecord]]:
-    """The row statistics, in order, of the chunks of ``chunk_size``
-    replicates that cover start..stop-1 (the last may be short), plus their
+    start: int, stop: int, *, params: ModelParams, t_obs: float, initial: tuple[int, int],
+    master_seed: int, i_max: int, windows: tuple[float, ...], keep: bool,
+) -> tuple[VectorStat, list[simulator.SfsRecord]]:
+    """The exact sums of the rows of replicates start..stop-1, plus their
     records in replicate order when ``keep`` is set (else an empty list).
 
-    One ``sample_chunk`` call returns one row per replicate.  The chunks
-    fold their rows side by side: one ``VectorStat.update`` per row
-    position, over a (chunks, width) mean, is elementwise each chunk's own
-    update."""
+    The rows' integer counts sum in int64 while max|x|^2 times the rows is
+    below 2^63, which bounds every sum, and in Python ints otherwise."""
     keys = _replicate_keys(master_seed, start, stop)
     try:
         rows, records = simulator.sample_chunk(
@@ -388,16 +383,11 @@ def _run_span(
         raise simulator.PopulationCapError(
             f"replicate {r} (seed_for_replicate({master_seed}, {r}) = {seed}), key {key}: {exc}"
         ) from exc
-    cut = len(keys) - len(keys) % chunk_size  # a short last chunk folds alone
-    parts = (rows[:cut].reshape(-1, chunk_size, rows.shape[1]), rows[None, cut:])
-    stats = []
-    for part in (part for part in parts if part.size):
-        shape = (part.shape[0], rows.shape[1])
-        fold = VectorStat(0, np.zeros(shape), np.zeros(shape))
-        for j in range(part.shape[1]):
-            fold.update(part[:, j])
-        stats += [VectorStat(fold.n, m, q) for m, q in zip(fold.mean, fold.m2)]
-    return stats, records
+    ints = rows.astype(np.int64)
+    if int(np.abs(ints).max()) ** 2 * len(ints) >= 1 << 63:
+        ints = ints.astype(object)
+    sums = (ints.sum(axis=0), (ints * ints).sum(axis=0))
+    return VectorStat(len(ints), *(part.astype(object) for part in sums)), records
 
 
 def replicate_sfs(
@@ -414,14 +404,12 @@ def replicate_sfs(
     """Aggregate ``replicates`` independent runs.
 
     Deterministic given (params, t_obs, replicates, seed, initial, i_max,
-    windows) regardless of ``workers``: chunks of DEFAULT_CHUNK replicates
-    cover fixed contiguous ranges, their row statistics merge in order, and
-    the merged row is split into the aggregate's statistics (without
-    windows those stay empty, n = 0).  Spans only schedule the chunks: a
-    span, a run of whole chunks of at most ``_SPAN_FLOATS`` floats of rows
-    (one chunk when ``on_record`` is set), is sampled in one
-    ``sample_chunk`` call and changes no bit.  A single span runs
-    in-process, and no more workers start than there are spans.
+    windows), whatever ``workers``: the spans' exact row sums add up to the
+    run's, split once into the aggregate's statistics (without windows those
+    stay empty, n = 0).  A span, sampled in one ``sample_chunk`` call, is a
+    run of whole chunks of DEFAULT_CHUNK replicates with at most
+    ``_SPAN_FLOATS`` floats of rows (one chunk when ``on_record`` is set).
+    A single span runs in-process, and no more workers start than spans.
     ``on_record(r, record)`` is called in this process for every replicate
     r, in replicate order, with that replicate's SfsRecord.
     """
@@ -432,14 +420,13 @@ def replicate_sfs(
     if operator.index(seed) < 0:
         raise ValueError(f"requires master seed >= 0, got {seed}")
     initial, windows = simulator.checked_args(params, t_obs, initial, i_max, windows)
-    chunk_size = DEFAULT_CHUNK
     run_span = partial(
-        _run_span, chunk_size=chunk_size, params=params, t_obs=t_obs, initial=initial,
-        master_seed=seed, i_max=i_max, windows=windows, keep=on_record is not None,
+        _run_span, params=params, t_obs=t_obs, initial=initial, master_seed=seed,
+        i_max=i_max, windows=windows, keep=on_record is not None,
     )
     widths = simulator.row_widths(i_max, len(windows))
-    per_span = 1 if on_record else max(1, _SPAN_FLOATS // (sum(widths) * chunk_size))
-    span = min(per_span, -(-replicates // (chunk_size * workers))) * chunk_size
+    per_span = 1 if on_record else max(1, _SPAN_FLOATS // (sum(widths) * DEFAULT_CHUNK))
+    span = min(per_span, -(-replicates // (DEFAULT_CHUNK * workers))) * DEFAULT_CHUNK
     starts = range(0, replicates, span)
     stops = [min(start + span, replicates) for start in starts]
     row = VectorStat.zeros(sum(widths))
@@ -451,17 +438,16 @@ def replicate_sfs(
         pool = ProcessPoolExecutor(max_workers=workers)
     with pool:
         results = (pool.map if workers > 1 else map)(run_span, starts, stops)
-        for start, (stats, records) in zip(starts, results):
-            for stat in stats:
-                row.merge(stat)
+        for start, (stat, records) in zip(starts, results):
+            row.merge(stat)
             for r, record in enumerate(records, start):
                 on_record(r, record)
     total = SfsAggregate(params, t_obs, initial, seed, i_max, windows, replicates=row.n)
     edges = np.cumsum(widths)[:-1]
-    parts = zip(simulator.ROW_FIELDS, np.split(row.mean, edges), np.split(row.m2, edges))
-    for name, mean, m2 in parts:
-        if mean.size:
-            setattr(total, name, VectorStat(row.n, mean.copy(), m2.copy()))
+    parts = zip(simulator.ROW_FIELDS, np.split(row.sum_x, edges), np.split(row.sum_x2, edges))
+    for name, sum_x, sum_x2 in parts:
+        if sum_x.size:
+            setattr(total, name, VectorStat(row.n, sum_x, sum_x2))
     return total
 
 
@@ -494,16 +480,10 @@ class ComparisonReport:
         return bool(np.all(self.passed))
 
     def rows(self):
-        for k in range(self.indices.size):
-            yield (
-                float(self.indices[k]),
-                float(self.empirical_mean[k]),
-                float(self.empirical_sem[k]),
-                float(self.theory[k]),
-                float(self.z_scores[k]),
-                float(self.rel_gaps[k]),
-                bool(self.passed[k]),
-            )
+        cols = (
+            self.indices, self.empirical_mean, self.empirical_sem, self.theory, self.z_scores, self.rel_gaps
+        )
+        return zip(*(col.tolist() for col in cols), self.passed.tolist())
 
     def to_json_dict(self) -> dict:
         """Strict-JSON form: a value with no JSON number (the infinite z of

@@ -42,7 +42,7 @@ from collections import deque
 from dataclasses import dataclass
 from random import Random
 
-from rescue_sfs.params import ModelParams
+from rescue_sfs.params import ModelParams, ParameterError
 
 SENSITIVE = 0
 RESISTANT = 1
@@ -239,12 +239,21 @@ def _mutation_cdf(law: str, omega: float) -> tuple[float, ...]:
     return tuple(cdf)
 
 
+# the largest omega simulated: _mutation_cdf tabulates the Poisson law of
+# mean omega/2 term by term to past its mean, about 10.9k entries (a few ms
+# to build) at this bound, but 10^6 entries and half a second at omega = 2e6
+_MAX_OMEGA = 2e4
+
+
 def checked_args(
     params: ModelParams, t_obs: float, initial: tuple[int, int] | None, i_max: int = 1, windows=()
 ) -> tuple[tuple[int, int], tuple[float, ...]]:
     """The checked starting (sensitive, resistant) population and window
     edges of runs to ``t_obs`` with rows over i = 1..i_max; ``initial``
-    defaults to (n_init, 0)."""
+    defaults to (n_init, 0).  An omega above ``_MAX_OMEGA`` raises
+    ParameterError."""
+    if params.omega > _MAX_OMEGA:
+        raise ParameterError(f"simulation requires omega <= {_MAX_OMEGA:g}, got omega={params.omega}")
     if not 0 <= t_obs < math.inf:
         raise ValueError(f"requires finite t_obs >= 0, got {t_obs}")
     if i_max < 1:

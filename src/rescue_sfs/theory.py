@@ -342,8 +342,8 @@ def shape_integral_truncated(i: int, x: float, rho: float) -> TheoryValue:
 
 
 # A size law below, P(clone size = i) or P(clone size > m) at the clone's
-# scaled age z = lambda1 u, y = e^-z, is (law, n, rel): law ("pmf", "tail"
-# or "empty") names its factors (f, d, g, y <= 1/2) at z = lambda1 (t_N - s)
+# scaled age z = lambda1 u, y = e^-z, is (law, n, rel): law ("pmf" or
+# "tail") names its factors (f, d, g, y <= 1/2) at z = lambda1 (t_N - s)
 # in _founder_rows, where the law is f q^n / d (q^n: see _q_factors), and
 # rel(z_max, share) bounds its relative rounding error in units of u = 2^-53
 # for z up to z_max (share: see _size_tail), z within 2u, rho taken as given,
@@ -387,17 +387,14 @@ def _founder_rows(
     """Rows (f, d, g, small, w1[, w2]) of _founder_integral at the nodes s of
     [a, b].  First a size law's factors from _q_factors: f = (1 - rho)^2 y
     and d = (1 - rho y)^2 for the pmf, f = (1 - rho)/(1 - rho y) and d = 1
-    (exact) for the tail, f = 0 and d = g = 1 for the empty law.  Then the
-    weights: w1 = _z1_shape(lambda1, k, s) for weights = (k,), or w1 =
-    1 + s delta0 (1-x_n) and w2 = e^(-s delta0 x_n) for weights = (delta0, x_n)."""
+    (exact) for the tail.  Then the weights: w1 = _z1_shape(lambda1, k, s)
+    for weights = (k,), or w1 = 1 + s delta0 (1-x_n) and w2 = e^(-s delta0
+    x_n) for weights = (delta0, x_n)."""
     c = 1.0 - rho
     out = []
     for s in _nodes(a, b):
-        if law == "empty":
-            row = (0.0, 1.0, 1.0, False)
-        else:
-            y, d, g, small = _q_factors(lam1 * (t_n - s), rho, c)
-            row = (c * c * y, d * d, g, small) if law == "pmf" else (c / d, 1.0, g, small)
+        y, d, g, small = _q_factors(lam1 * (t_n - s), rho, c)
+        row = (c * c * y, d * d, g, small) if law == "pmf" else (c / d, 1.0, g, small)
         if len(weights) == 1:
             row += (_z1_shape(lam1, weights[0], s),)
         else:
@@ -840,13 +837,10 @@ def _founder_integral(
 def _size_tail(x: float, t: float, params: ModelParams) -> _SizeLaw:
     """P(clone size > m), for the window edge m = floor(x e^(lambda1 t_N)):
     the closed geometric tail (1 - rho) q^m / (1 - rho y); at m = 0 this is
-    the survival probability 1 - extinction mass, and the window (inf, inf)
-    is empty, so its tail is 0.  With its rounding bound: 1 - rho (u),
-    1 - rho y, q^m and two quotients or products."""
+    the survival probability 1 - extinction mass.  With its rounding bound:
+    1 - rho (u), 1 - rho y, q^m and two quotients or products."""
     if not x > 0:
         raise ValueError(f"requires x > 0, got {x}")
-    if x == math.inf:  # 0 q^0 / 1 at every node
-        return "empty", 0, (lambda z_max, share: 0.0)
     b1, d1 = params.b1, params.d1
     c = 1.0 - d1 / b1  # lambda1 / b1
     m = math.floor(x * math.exp((b1 - d1) * (t * math.log(params.n_init))))
@@ -884,7 +878,9 @@ def sensitive_origin_window_main(
     """Single-founder part of E[sensitive-origin window count over
     (x e^(lambda1 t_N), inf)]: the sum of the per-index main terms over the
     open window, collapsed to one quadrature via the geometric tail of the
-    clone-size law."""
+    clone-size law.  The window (inf, inf) is empty: 0 at x = inf."""
+    if x == math.inf:
+        return TheoryValue(0.0, 0.0)
     return _founder_integral(t, params, tol, _size_tail(x, t, params), False)
 
 
@@ -893,7 +889,10 @@ def resistant_origin_window_exact(
 ) -> TheoryValue:
     """Exact E[resistant-origin window count over (x e^(lambda1 t_N), inf)]:
     the window sum of resistant_origin_mean_exact collapsed to one
-    quadrature via the clone-size tail."""
+    quadrature via the clone-size tail.  The window (inf, inf) is empty: 0
+    at x = inf."""
+    if x == math.inf:
+        return TheoryValue(0.0, 0.0)
     return _founder_integral(t, params, tol, _size_tail(x, t, params), True)
 
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from random import Random
 
 import pytest
@@ -50,13 +51,12 @@ def _digests(out_dir):
     return {os.path.basename(o["path"]): o["sha256"] for o in _manifest(out_dir)["outputs"]}
 
 
-# pinned `simulate` outputs of REF_CFG with --windows 0.5,2 --i-max 10: one
-# chunk of replicates, so they do not depend on how chunks are merged
+# pinned `simulate` outputs of REF_CFG with --windows 0.5,2 --i-max 10
 SIMULATE_DIGESTS = {
-    "aggregate.csv": "98167e69ebbbeb4024048bae7932675935a2ccf698ad1b9f247bc2c5eb7ebb77",
+    "aggregate.csv": "7d538df7befd032868d87b3c024a92e5ee61cf9801768711ea1c3c0c0087f915",
     "config_resolved.json": "89a2f92db45f06a791141f31c94d3437933c412ca54369d063b07092feea301c",
     "per_replicate.csv": "b34b8dd3febf81e2d910d265a3fd6e41868b3ef61a069f6cbdd2b70894820e35",
-    "windows.csv": "443bb1a8d700570d52f7d06f241427d93b83c8867d96b9cfbcb7bbd60e3dc743",
+    "windows.csv": "cfe41eca240372ab6e5419e3b9b11d36d185da79c5b6e3a9b0f2d954c38b0b62",
 }
 
 # pinned outputs of the other commands at REF_CFG: one theory id per index
@@ -126,7 +126,7 @@ GOLDEN_DIGESTS = [
     ),
     (
         ["figures", "--which", "fig3", "--workers", "1"],
-        {"fig3.csv": "7219993a3f48a2cfdc2bc36801b32a9b51f8812fd6d615c886125374dca493b1"},
+        {"fig3.csv": "dc83c4a6da939253a8c0470a163a973ce65ddd9746db52a14d3fcbf389a80e73"},
     ),
     (
         ["figures", "--which", "fig4", "--workers", "1"],
@@ -134,7 +134,7 @@ GOLDEN_DIGESTS = [
     ),
     (
         ["figures", "--which", "fig5", "--workers", "1"],
-        {"fig5.csv": "c7e3af771d1f849ad27b1777f8a06c21d5d39336b3f9a24b7fd0b3de7fc39a19"},
+        {"fig5.csv": "f6015a1f4d15771b335099552fcf94ce7da6dc82382c11b351d4f55d811fd901"},
     ),
     (
         ["figures", "--which", "fig7"],
@@ -143,23 +143,23 @@ GOLDEN_DIGESTS = [
     (
         ["compare", "--what", "small-i", "--i-max", "5", "--workers", "1"],
         {
-            "report.csv": "eb89e182b6d18de1e9ffc124c554dff7edb31e19a09e711559d3ef9fd77775a2",
-            "report.json": "6235c21b2f156cf6004797b85791e867193818832035cd4e51e9ea6a40cc56bf",
+            "report.csv": "8921ebd07f20b69af692c3e7dedfd48c8aa7df4e28000e0910105bb06be92acb",
+            "report.json": "96d188153235a985142ca4263e2a20e1580784891ff39ee7da10174734726763",
         },
     ),
     (
         ["compare", "--what", "windows", "--windows", "0.5,1", "--workers", "1"],
         {
-            "report.csv": "43f689bb0918b03a371bf2c9c04263db51e8470965338b3a333f4084cbd12b68",
-            "report.json": "f208a24ccecf04f0fdb35f19fc6ed10582941eb7fcbb254bcd9134d9a8247fc2",
+            "report.csv": "a7690d1bb0f7f0a7b3060d8cdae6499c31e354a27d5ec96f6fdac5823ade7da4",
+            "report.json": "964099ef21247ac6666143d8e93e3a38a6431baa145656c5a0dd2b22f3d6a8de",
         },
     ),
     (
         ["compare", "--what", "windows", "--windows", "0.5,1", "--mode", "relative"]
         + ["--threshold", "1", "--workers", "1"],
         {
-            "report.csv": "6a810fc70adc877e8a5974b49960b8707fe7e872a5e98010a436ce4b23a648a2",
-            "report.json": "715b537e2e84be97bd0373ec4cc4affdacf43341c2efef8f2a6466d899a762f3",
+            "report.csv": "fc07f0633627f6bfe0eb5c0f1a8750d943f0d3d7d7a361dad9a4860b34e892ad",
+            "report.json": "60829d70707d0c7fd9383e9997020a592262316dabfd755581382707d35522dd",
         },
     ),
 ]
@@ -226,6 +226,20 @@ def test_simulate_windows_output(cfg_path, tmp_path):
     )
     rows = _read_csv(os.path.join(out, "windows.csv"))
     assert rows[0][0] == "x" and len(rows) == 3
+
+
+def test_simulate_refuses_omega_above_its_bound_at_once(cfg_path, tmp_path, capsys):
+    # omega = 2e6 once spent half a second on one table of mutation counts
+    # and then simulated a million mutations per cell
+    out = tmp_path / "o"
+    started = time.perf_counter()
+    rc = cli.main(["simulate", "--config", cfg_path, "--omega", "2e6", "--out-dir", str(out)])
+    assert rc == 2 and time.perf_counter() - started < 1.0
+    assert capsys.readouterr().err.startswith("config error:")
+    assert list(out.iterdir()) == []
+    # the theory at that omega still runs
+    argv = ["theory", "--config", cfg_path, "--omega", "2e6", "--formula", "thm1", "--i-range", "1:3"]
+    assert cli.main(argv + ["--out-dir", str(tmp_path / "t")]) == 0
 
 
 def test_simulate_golden_digests(cfg_path, tmp_path):
@@ -374,6 +388,23 @@ def test_gw_any_mark_at_p_zero(cfg_path, tmp_path):
     rows = _read_csv(os.path.join(out, "gw_pmf.csv"))[1:]
     assert [float(r[1]) for r in rows] == [1.0] + [0.0] * (len(rows) - 1)
     assert rows[0][3] == "10"
+
+
+def test_gw_refuses_at_least_one_mark_with_root_excluded(cfg_path, tmp_path, capsys):
+    # any_mark_pmf is the law of root-included trees: at p = 0.375, beta =
+    # 0.2 the root-excluded table once read 0.375 in theory at g = 1 against
+    # 0.366 sampled, about z = -6
+    out = tmp_path / "o"
+    argv = ["gw", "--config", cfg_path, "--p", "0.375", "--beta", "0.2", "--root-excluded"]
+    rc = cli.main(argv + ["--condition", "at-least-one-mark", "--samples", "10", "--out-dir", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "at-least-one-mark with --root-excluded" in err
+    assert not out.exists() or list(out.iterdir()) == []
+    # exactly one mark with the root excluded still runs
+    assert cli.main(argv + ["--samples", "10", "--out-dir", str(out)]) == 0
+    assert (out / "gw_pmf.csv").exists()
 
 
 def test_theory_tilde_gn_at_gamma_zero(cfg_path, tmp_path):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from random import Random
 
@@ -81,28 +82,50 @@ def test_replicate_keys_equal_random_on_short_keys(monkeypatch):
     assert mc._replicate_keys(0, 0, len(seeds)) == [Random(seed).getrandbits(64) for seed in seeds]
 
 
+def _fraction_moments(rows):
+    """Each column's mean and sample variance over integer rows, exact as
+    Fractions (the variance by its two-pass definition) and rounded once."""
+    rows = [[int(v) for v in row] for row in rows]
+    n = len(rows)
+    means, variances = [], []
+    for col in zip(*rows):
+        mean = Fraction(sum(col), n)
+        means.append(float(mean))
+        variances.append(float(sum((v - mean) ** 2 for v in col) / (n - 1)))
+    return means, variances
+
+
+def _assert_moments(stat, rows):
+    means, variances = _fraction_moments(rows)
+    assert stat.n == len(rows)
+    assert stat.mean.tolist() == means
+    assert stat.variance().tolist() == variances
+
+
 def test_vector_stat_matches_numpy():
+    # integers of every size up to 2**40, negatives included
     rng = np.random.default_rng(1)
-    data = rng.normal(size=(40, 6))
+    data = rng.integers(-(2**40), 2**40, size=(40, 6)) >> rng.integers(0, 40, size=(40, 6))
     stat = mc.VectorStat.zeros(6)
     for row in data:
-        stat.update(row.copy())
-    assert stat.n == 40
+        stat.update(row.astype(float))
+    _assert_moments(stat, data)
     np.testing.assert_allclose(stat.mean, data.mean(axis=0), rtol=1e-12)
     np.testing.assert_allclose(stat.variance(), data.var(axis=0, ddof=1), rtol=1e-12)
 
 
 def test_vector_stat_merge_any_grouping():
     rng = np.random.default_rng(2)
-    data = rng.exponential(size=(60, 4))
+    data = rng.geometric(0.01, size=(60, 4))
 
     def stat_of(rows):
         s = mc.VectorStat.zeros(4)
         for row in rows:
-            s.update(row.copy())
+            s.update(row)
         return s
 
     whole = stat_of(data)
+    _assert_moments(whole, data)
     for split in ((10, 25), (1, 59), (20, 40)):
         a = stat_of(data[: split[0]])
         b = stat_of(data[split[0] : split[1]])
@@ -113,14 +136,31 @@ def test_vector_stat_merge_any_grouping():
         left.merge(c)
         right = mc.VectorStat.zeros(4)
         bc = mc.VectorStat.zeros(4)
-        bc.merge(b)
         bc.merge(c)
-        right.merge(a)
+        bc.merge(b)
         right.merge(bc)
+        right.merge(a)
         for merged in (left, right):
             assert merged.n == 60
-            np.testing.assert_allclose(merged.mean, whole.mean, rtol=1e-12)
-            np.testing.assert_allclose(merged.m2, whole.m2, rtol=1e-10)
+            assert merged.sum_x.tolist() == whole.sum_x.tolist()
+            assert merged.sum_x2.tolist() == whole.sum_x2.tolist()
+            _assert_moments(merged, data)
+
+
+@pytest.mark.parametrize("bad", [0.5, math.nan, math.inf, -math.inf])
+def test_vector_stat_update_rejects_non_integers(bad):
+    stat = mc.VectorStat.zeros(3)
+    stat.update([1, 2.0, 3])
+    with pytest.raises(ValueError, match="integer entries"):
+        stat.update([1.0, bad, 2.0])
+    assert stat.n == 1 and stat.sum_x.tolist() == [1, 2, 3]
+
+
+def test_vector_stat_without_rows_is_nan():
+    stat = mc.VectorStat.zeros(2)
+    assert np.isnan(stat.mean).all() and np.isnan(stat.variance()).all()
+    stat.update([4, 5])
+    assert stat.mean.tolist() == [4.0, 5.0] and np.isnan(stat.variance()).all()
 
 
 def test_merge_rejects_a_different_experiment():
@@ -153,11 +193,12 @@ def test_replicate_sfs_deterministic_and_worker_independent(monkeypatch):
     agg3 = mc.replicate_sfs(TOY, T_OBS, replicates=40, seed=7, i_max=10, windows=(0.5,), workers=2)
     agg4 = mc.replicate_sfs(TOY, T_OBS, replicates=40, seed=7, i_max=10, windows=(0.5,), workers=1)
     np.testing.assert_array_equal(agg1.s.mean, agg2.s.mean)
-    np.testing.assert_array_equal(agg1.s.m2, agg2.s.m2)
-    # same chunking => bit-identical regardless of worker count
-    np.testing.assert_array_equal(agg3.s.mean, agg4.s.mean)
-    np.testing.assert_array_equal(agg3.s.m2, agg4.s.m2)
-    np.testing.assert_array_equal(agg3.window_s.mean, agg4.window_s.mean)
+    np.testing.assert_array_equal(agg1.s.variance(), agg2.s.variance())
+    # bit-identical for any chunk size and worker count
+    for agg in (agg3, agg4):
+        np.testing.assert_array_equal(agg.s.mean, agg1.s.mean)
+        np.testing.assert_array_equal(agg.s.variance(), agg1.s.variance())
+        np.testing.assert_array_equal(agg.window_s.mean, agg1.window_s.mean)
     assert agg1.replicates == 40
     # different seed should actually change something
     agg5 = mc.replicate_sfs(TOY, T_OBS, replicates=40, seed=8, i_max=10, windows=(0.5,))
@@ -165,9 +206,9 @@ def test_replicate_sfs_deterministic_and_worker_independent(monkeypatch):
 
 
 def _per_field_aggregate(params, t_obs, replicates, seed, i_max, windows, chunk_size):
-    """replicate_sfs rebuilt from the public steps: seven VectorStats fed
-    field by field from run -> extract_sfs -> dense_sfs / window_counts,
-    chunk by chunk, the chunks merged in order."""
+    """replicate_sfs rebuilt from the public steps: seven VectorStats
+    updated field by field from run -> extract_sfs -> dense_sfs /
+    window_counts, chunk by chunk, the chunks merged in order."""
     lambda1 = params.b1 - params.d1
     initial = (params.n_init, 0)
     total = mc.SfsAggregate(params, t_obs, initial, seed, i_max, windows)
@@ -200,16 +241,19 @@ def _per_field_aggregate(params, t_obs, replicates, seed, i_max, windows, chunk_
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("windows", [(), (0.5, 2.0)], ids=["no-windows", "windows"])
 def test_replicate_sfs_equals_per_field_welford(monkeypatch, windows, workers):
-    # 23 replicates in chunks of 8: the last chunk is short
+    # the per-field rebuild in chunks of 5, replicate_sfs in chunks of 8:
+    # exact sums do not depend on either
     monkeypatch.setattr(mc, "DEFAULT_CHUNK", 8)
     agg = mc.replicate_sfs(TOY, T_OBS, 23, seed=11, i_max=6, windows=windows, workers=workers)
-    ref = _per_field_aggregate(TOY, T_OBS, 23, 11, 6, windows, 8)
+    ref = _per_field_aggregate(TOY, T_OBS, 23, 11, 6, windows, 5)
     assert agg.replicates == ref.replicates == 23
     for name in ("s", "sbar", "sunder", "window_s", "window_sbar", "window_sunder", "scalars"):
         got, want = getattr(agg, name), getattr(ref, name)
         assert got.n == want.n == (23 if windows or not name.startswith("window") else 0)
+        assert got.sum_x.tolist() == want.sum_x.tolist()
+        assert got.sum_x2.tolist() == want.sum_x2.tolist()
         np.testing.assert_array_equal(got.mean, want.mean)
-        np.testing.assert_array_equal(got.m2, want.m2)
+        np.testing.assert_array_equal(got.variance(), want.variance())
 
 
 def test_replicate_sfs_calls_simulator_through_its_module(monkeypatch):
@@ -313,11 +357,11 @@ def test_replicate_sfs_rejects_workers_below_1(monkeypatch, workers):
 
 
 def _aggregate_digest(agg):
-    """SHA-256 over the count, mean and M2 of all seven statistics."""
+    """SHA-256 over the count, mean and variance of all seven statistics."""
     h = hashlib.sha256(f"replicates={agg.replicates}".encode())
     for name in ("s", "sbar", "sunder", "window_s", "window_sbar", "window_sunder", "scalars"):
         stat = getattr(agg, name)
-        h.update(f"{name}:{stat.n}".encode() + stat.mean.tobytes() + stat.m2.tobytes())
+        h.update(f"{name}:{stat.n}".encode() + stat.mean.tobytes() + stat.variance().tobytes())
     return h.hexdigest()
 
 
@@ -340,7 +384,8 @@ def test_replicate_sfs_spans_change_no_bit(
     monkeypatch, windows, replicates, initial, t_obs, chunk_size
 ):
     # spans of one chunk against spans of every chunk (of half of them with
-    # two workers); chunks of 7 and 256 leave a short last chunk
+    # two workers), also with records kept; chunks of 7 and 256 leave a
+    # short last chunk
     def run(span_floats, workers, on_record=None):
         monkeypatch.setattr(mc, "_SPAN_FLOATS", span_floats)
         monkeypatch.setattr(mc, "DEFAULT_CHUNK", chunk_size)
@@ -360,6 +405,56 @@ def test_replicate_sfs_spans_change_no_bit(
     assert len(digests) == 1
     assert [r for r, _ in streams[0]] == list(range(replicates))
     assert streams[0] == streams[1]
+
+
+@pytest.mark.parametrize("windows", [(), (0.5, 2.0)], ids=["no-windows", "windows"])
+def test_replicate_sfs_chunks_spans_and_workers_change_no_bit(monkeypatch, windows):
+    # exact sums: no chunk size, span size or worker count moves a bit
+    digests = set()
+    for chunk_size in (1, 7, 256, 4096):
+        for span_floats in (1, 1 << 40):
+            for workers in (1, 2):
+                monkeypatch.setattr(mc, "DEFAULT_CHUNK", chunk_size)
+                monkeypatch.setattr(mc, "_SPAN_FLOATS", span_floats)
+                agg = mc.replicate_sfs(
+                    TOY, T_OBS, 300, seed=17, i_max=6, windows=windows, workers=workers
+                )
+                digests.add(_aggregate_digest(agg))
+    assert len(digests) == 1
+
+
+def _assert_aggregate_moments(agg, rows):
+    """Every field of the aggregate against the Fraction moments of its
+    columns of the rows."""
+    edges = np.cumsum(sim.row_widths(agg.i_max, len(agg.windows)))[:-1]
+    for name, part in zip(sim.ROW_FIELDS, np.split(rows, edges, axis=1)):
+        if part.shape[1]:
+            _assert_moments(getattr(agg, name), part)
+
+
+@pytest.mark.parametrize("windows", [(), (0.5, 2.0)], ids=["no-windows", "windows"])
+def test_replicate_sfs_moments_equal_fraction_reference(windows):
+    agg = mc.replicate_sfs(TOY, T_OBS, 200, seed=13, i_max=6, windows=windows, workers=2)
+    keys = mc._replicate_keys(13, 0, 200)
+    rows, _ = sim.sample_chunk(TOY, T_OBS, None, keys, i_max=6, windows=windows)
+    _assert_aggregate_moments(agg, rows)
+    assert agg.stats("s").mean.tolist() == agg.s.mean.tolist()
+    assert agg.window_stats("s").variance.tolist() == agg.window_s.variance().tolist()
+
+
+# (largest entry, rows): a span sums in int64 while top**2 * rows < 2**63;
+# (2**31 - 1)**2 * 2 is just below, the other two are not
+@pytest.mark.parametrize("top, replicates", [(2**31 - 1, 2), (2**31, 2), (2**32 - 3, 5)])
+def test_replicate_sfs_sums_entries_near_2_to_32_exactly(monkeypatch, top, replicates):
+    width = sum(sim.row_widths(3, 1))
+    spread = (np.arange(replicates)[:, None] * 5 + np.arange(width)) % 11
+
+    def synthetic_rows(params, t_obs, initial, keys, **kwargs):
+        return (top - spread[: len(keys)]).astype(float), []
+
+    monkeypatch.setattr(sim, "sample_chunk", synthetic_rows)
+    agg = mc.replicate_sfs(TOY, T_OBS, replicates, seed=1, i_max=3, windows=(1.0,))
+    _assert_aggregate_moments(agg, top - spread)
 
 
 @pytest.mark.parametrize("windows", [(math.inf,), (1.0, math.nan), (0.5, -1.0)])
@@ -450,7 +545,7 @@ for workers in (1, 2):
     h = hashlib.sha256(f"replicates={agg.replicates}".encode())
     for name in ("s", "sbar", "sunder", "window_s", "window_sbar", "window_sunder", "scalars"):
         stat = getattr(agg, name)
-        h.update(f"{name}:{stat.n}".encode() + stat.mean.tobytes() + stat.m2.tobytes())
+        h.update(f"{name}:{stat.n}".encode() + stat.mean.tobytes() + stat.variance().tobytes())
     print(h.hexdigest())
 """
 

@@ -23,7 +23,7 @@ from helpers import (
 )
 from rescue_sfs import simulator as sim
 from rescue_sfs import theory as th
-from rescue_sfs.params import MUTATION_LAWS, ModelParams, derive
+from rescue_sfs.params import MUTATION_LAWS, ModelParams, ParameterError, derive
 
 REF = ModelParams(b0=1.2, d0=2.0, b1=1.2, d1=0.5, omega=2.0, gamma=1.0, alpha=0.9, n_init=500)
 SMALL = ModelParams(b0=1.0, d0=2.0, b1=1.2, d1=0.5, omega=2.0, gamma=0.3, alpha=1.0, n_init=8)
@@ -594,6 +594,16 @@ def test_sample_chunk_rejects_i_max_below_1(i_max):
     keys = [Random(seed).getrandbits(64) for seed in range(3)]
     with pytest.raises(ValueError, match=f"requires i_max >= 1, got {i_max}"):
         sim.sample_chunk(N40, T40, None, keys, i_max=i_max, windows=(0.5,))
+
+
+def test_simulation_rejects_omega_above_its_bound():
+    # omega = 2e6 once built a table of 10^6 Poisson terms before the first draw
+    huge = dataclasses.replace(N40, omega=2e6)
+    with pytest.raises(ParameterError, match="omega <= 20000"):
+        sim.sample_chunk(huge, T40, None, [Random(0).getrandbits(64)], i_max=3)
+    with pytest.raises(ParameterError, match="omega <= 20000"):
+        sim.run(huge, T40, rng=Random(0))
+    assert sim.checked_args(dataclasses.replace(N40, omega=2e4), T40, None) == ((40, 0), ())
 
 
 def test_sample_chunk_does_not_depend_on_the_chunk():
