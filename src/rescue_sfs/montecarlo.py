@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from rescue_sfs import simulator
-from rescue_sfs.params import ModelParams
+from rescue_sfs.params import ModelParams, checked_index
 
 # scheduling only: a span samples as many whole chunks of DEFAULT_CHUNK
 # replicates as fit in _SPAN_FLOATS floats of rows (about 2 MB)
@@ -413,7 +413,7 @@ def replicate_sfs(
     ``on_record(r, record)`` is called in this process for every replicate
     r, in replicate order, with that replicate's SfsRecord.
     """
-    if replicates < 2:
+    if checked_index(replicates, "replicates") < 2:
         raise ValueError(f"requires replicates >= 2, got {replicates}")
     if workers < 1:
         raise ValueError(f"requires workers >= 1, got {workers}")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import MISSING, dataclass, fields
 
 MUTATION_LAWS = ("poisson", "bernoulli")
@@ -43,6 +44,15 @@ def _check_rates(b0: float, d0: float, b1: float, d1: float) -> None:
         raise ParameterError(
             f"requires finite b1 > d1 (resistant cells supercritical), got b1={b1}, d1={d1}"
         )
+
+
+def checked_index(value, name: str) -> int:
+    """``operator.index(value)``; anything else, 5.0 included, raises a
+    ValueError that names the argument, not an error from deep in numpy."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"requires an integer {name}, got {value!r}") from None
 
 
 def _check_gamma_n(gamma_n: float) -> None:

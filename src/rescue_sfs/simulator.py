@@ -19,13 +19,15 @@ its cells are simulated in:
   with mutations stored as counts on its edges; ``extract_sfs`` then counts
   living resistant descendants per edge in one bottom-up pass.
 - ``sample_chunk`` simulates a chunk of replicates breadth first with numpy,
-  in blocks of replicates whose genealogies stay within a node budget,
-  advancing a block's pending cells in batches, one lifetime each.  It
-  keeps only one slot per dividing cell and returns each replicate's dense
-  spectrum, window counts, founder count, final resistant count and total
-  mutation count as one row.  For the same key its row equals what
-  ``extract_sfs(run(...))`` gives, bit for bit, so ``run`` is its
-  full-genealogy twin.
+  in blocks whose genealogies stay within a node budget, in ``run``'s two
+  phases: the sensitive cells, which seed resistant clones, then the
+  clones.  A cell draws only what a row can see (a sensitive one a
+  lifetime only if it would divide; only dividing cells and living
+  resistant cells mutation counts), and only a dividing cell keeps a slot.
+  A row holds a replicate's dense spectrum, window counts, founder count,
+  final resistant count and total mutation count; for the same key it
+  equals what ``extract_sfs(run(...))`` gives, bit for bit, so ``run`` is
+  its full-genealogy twin.
 
 The lifetimes take a logarithm, and numpy's SIMD ``log`` can differ from
 libm's in the last bit; both paths therefore evaluate ``_plog``, one fixed
@@ -42,7 +44,7 @@ from collections import deque
 from dataclasses import dataclass
 from random import Random
 
-from rescue_sfs.params import ModelParams, ParameterError
+from rescue_sfs.params import ModelParams, ParameterError, checked_index
 
 SENSITIVE = 0
 RESISTANT = 1
@@ -154,7 +156,8 @@ _TWO_M53 = 2.0**-53
 # allocates, and pads a batch to a multiple of _PAD cells.  numpy keeps up
 # to seven freed buffers of every size below 1 KiB for reuse; with padded
 # batches and 8-byte gathers few such sizes occur, so that cache stays
-# small.  No result depends on any of these numbers
+# small.  A padding cell is born at nan, so it neither divides nor becomes
+# a leaf by living to t_obs.  No result depends on these numbers
 _BLOCK_NODES = 1 << 18
 _BATCH = 4096
 _PAD = 128
@@ -200,18 +203,35 @@ def _plog(x, frexp=math.frexp):
     x = m 2^k with m in [sqrt(1/2), sqrt(2)), then log x = k ln 2 + log(1 +
     f), f = m - 1.  After ``frexp`` it is a fixed sequence of IEEE + - * /,
     with no branch, so a Python float (``frexp=math.frexp``) and a numpy
-    float64 array (``frexp=numpy.frexp``) get the same bits."""
+    float64 array (``frexp=numpy.frexp``) get the same bits.  Its steps are
+    augmented assignments: in place on arrays, rebinding on floats."""
     m, k = frexp(x)
     low = m < _SQRT_HALF
-    m = m * (1.0 + low)  # doubling is exact
-    k = k - low
+    m *= 1.0 + low  # doubling is exact
+    k -= low
     f = m - 1.0  # exact: m lies within a factor 2 of 1
     s = f / (2.0 + f)
     z = s * s
     w = z * z
-    r = z * (_LG1 + w * (_LG3 + w * (_LG5 + w * _LG7))) + w * (_LG2 + w * (_LG4 + w * _LG6))
-    hfsq = 0.5 * f * f
-    return k * _LN2_HI - ((hfsq - (s * (hfsq + r) + k * _LN2_LO)) - f)
+    # r = z (LG1 + w (LG3 + w (LG5 + w LG7))) + w (LG2 + w (LG4 + w LG6)), and
+    # then log x = k ln2_hi - ((hfsq - (s (hfsq + r) + k ln2_lo)) - f)
+    r, q = w * _LG7, w * _LG6
+    for a, b in ((_LG5, _LG4), (_LG3, _LG2)):
+        r += a
+        r *= w
+        q += b
+        q *= w
+    r += _LG1
+    r *= z
+    r += q
+    hfsq = 0.5 * f
+    hfsq *= f
+    r += hfsq
+    r *= s
+    r += k * _LN2_LO
+    hfsq -= r
+    hfsq -= f
+    return k * _LN2_HI - hfsq
 
 
 @functools.lru_cache(maxsize=64)
@@ -256,14 +276,14 @@ def checked_args(
         raise ParameterError(f"simulation requires omega <= {_MAX_OMEGA:g}, got omega={params.omega}")
     if not 0 <= t_obs < math.inf:
         raise ValueError(f"requires finite t_obs >= 0, got {t_obs}")
-    if i_max < 1:
+    if checked_index(i_max, "i_max") < 1:
         raise ValueError(f"requires i_max >= 1, got {i_max}")
     windows = tuple(windows)
     if not all(0 < x < math.inf for x in windows):
         raise ValueError(f"requires finite window edges > 0, got {windows}")
     if initial is None:
         initial = (params.n_init, 0)
-    n0_init, n1_init = initial
+    n0_init, n1_init = (checked_index(n, "initial population") for n in initial)
     if n0_init < 0 or n1_init < 0 or n0_init + n1_init == 0:
         raise ValueError(f"initial population must be nonnegative and nonempty, got {initial}")
     return (n0_init, n1_init), windows
@@ -403,12 +423,12 @@ class _Column:
     """A growable numpy vector of one dtype: pieces are copied in, so they
     never stay allocated as arrays of their own."""
 
-    def __init__(self, dtype) -> None:
+    def __init__(self, dtype, size: int = 0) -> None:
         import numpy as np
 
         self._np = np
-        self.data = np.zeros(1024, dtype)
-        self.size = 0
+        self.data = np.zeros(max(1024, size), dtype)
+        self.size = size
 
     def extend(self, values) -> None:
         end = self.size + len(values)
@@ -450,18 +470,22 @@ def sample_chunk(
     whose ``getrandbits(64)`` is that key, and record j equals that
     ``extract_sfs`` record.
 
-    Pending cells wait in a first-in first-out queue, and batches of about
-    ``_BATCH`` of them are taken off its front: a batch draws its cells'
-    mutation counts and types, then their lifetimes, and appends the
-    daughters of the dividing ones at the back, so batches run generation
-    by generation.  A dividing cell gets a slot (its mother's slot, its
-    edge's mutation count, its replicate and its edge's origin); a
-    resistant cell alive at ``t_obs`` is a leaf, one carrier under its
-    mother's slot.  Counting then walks the batches backwards: a slot's
-    carrier count is complete once every later batch has added its leaves
-    and slots into their mothers, and ``bincount``s fill the rows.  Draws
-    are keyed by cell, so neither the batching nor the chunk changes a
-    replicate's values.
+    A block runs in ``run``'s two phases, every sensitive cell from one
+    first-in first-out queue and then every resistant cell from a second,
+    so a cell's type is its queue's; batches of about ``_BATCH`` cells come
+    off a queue's front and their dividing cells' daughters join the back,
+    so batches run generation by generation.  A cell draws only what a row
+    can see.  A sensitive cell that dies or lives to ``t_obs`` counts
+    nowhere: a daughter draws its resistance and divide-or-die uniforms at
+    birth, and joins the resistant queue if it flips, or the sensitive
+    queue, to draw a lifetime, if it would divide.  A resistant cell draws
+    its lifetime and divide-or-die; alive at ``t_obs`` it is a leaf, one
+    carrier under its mother's slot.  A dividing cell gets a slot, and
+    slots and leaves alone draw mutation counts.  Counting then walks the
+    batches backwards: a slot's carrier count is complete once every later
+    batch has added its slots into their mothers, and ``bincount``s fill
+    the rows.  Draws are keyed by cell, so neither the phases, the
+    batching nor the chunk changes a replicate's values.
 
     The keys run in blocks, in order, so the memory a chunk takes does not
     grow with the chunk: a block's replicates hold at most ``_BLOCK_NODES``
@@ -488,14 +512,10 @@ def sample_chunk(
     first = 0
     while first < len(keys):
         block = keys[first : first + max(size, 1)]
-        try:
-            result = _sample_block(
-                params, t_obs, initial, block, i_max, windows, keep, max_cells, budget
-            )
-        except PopulationCapError as exc:
-            exc.replicate = first
-            raise
+        result = _sample_block(params, t_obs, initial, block, i_max, windows, keep, max_cells)
         if result is None:
+            if len(block) == 1:
+                raise _cap_error(max_cells, t_obs, first)
             size = len(block) // 2
             continue
         rows.append(result[0])
@@ -505,130 +525,130 @@ def sample_chunk(
     return np.concatenate(rows), records
 
 
-def _sample_block(params, t_obs, initial, keys, i_max, windows, keep, max_cells, budget):
+def _sample_block(params, t_obs, initial, keys, i_max, windows, keep, max_cells):
     """The rows, records and genealogy node count of one block of keys; or
-    None if the block holds more than one replicate and they exceed
-    ``budget`` nodes together, checked after every batch."""
+    None, checked after every batch, if the block's replicates exceed
+    ``_BLOCK_NODES`` or ``max_cells`` nodes together, or its one replicate
+    ``max_cells``."""
     import numpy as np
 
-    n0_init, n1_init = initial
+    n0_init, n_roots = initial[0], sum(initial)
     u64 = np.uint64
-    n_roots = n0_init + n1_init
     reps = len(keys)
-    limit = budget if reps > 1 else max_cells
-    c = np.array([params.b0 + params.d0, params.b1 + params.d1])
-    divide = np.array([params.b0, params.b1]) / c
-    gamma_n = params.gamma_n
+    limit = min(max_cells, _BLOCK_NODES) if reps > 1 else max_cells
+    c0, c1 = params.b0 + params.d0, params.b1 + params.d1
+    divide0, divide1 = params.b0 / c0, params.b1 / c1
     cdf = np.array(_mutation_cdf(params.mutation_law, params.omega))
     # the block's nodes are its roots and two daughters per division, one
     # slot each after slot 0; run raises at the division that takes it past
     # max_cells nodes
     max_slots = max((limit - reps * n_roots) // 2, 0) + 1
-    daughter_offsets = np.array([_GOLDEN, 2 * _GOLDEN & _M64], dtype=u64)
+    # what a dividing cell, and a sensitive division's daughter at birth, hash at once
+    division_offsets = np.array([[_GOLDEN], [2 * _GOLDEN & _M64], [_MUTATION]], dtype=u64)
+    birth_offsets = np.array([[_RESISTANCE], [_DIVIDE]], dtype=u64)
 
-    # a queue entry holds its pending cells' ids, birth times, mothers'
-    # slots and tags = 4 replicate + 2 origin + root.  A daughter's origin is
-    # its mother's type; a root has origin 0, carries no mutations and its
-    # type is the origin bit.  Slot 0 stands for the mothers of the roots
-    queue: deque = deque()
+    # a queue entry holds pending cells' ids, birth times, mothers' slots
+    # (slot 0 for a root) and replicates; a cell's type is its queue's
+    sensitive, resistant = deque(), deque()
 
-    def enqueue(*columns):
+    def enqueue(queue, *columns):
         for lo in range(0, columns[0].size, _BATCH):
             queue.append([part[lo : lo + _BATCH] for part in columns])
 
+    def batches(queue):
+        # until the queue is empty or the slots overflow
+        while queue and slot_mother.size <= max_slots:
+            parts, size = [], 0
+            while queue and size < _BATCH:
+                parts.append(queue.popleft())
+                size += parts[-1][0].size
+            padded = zip(*parts, (np.full(-size % _PAD, v) for v in padding))
+            yield [np.concatenate(column) for column in padded]
+            if slot_mother.size > bounds[-1]:
+                bounds.append(slot_mother.size)
+
+    padding = (np.uint64(0), math.nan, 0, 0)
+    founders, z1 = np.zeros((2, reps), dtype=np.intp)
+    # slot k > 0 is the k-th dividing cell and a leaf a resistant cell alive
+    # at t_obs; each records its mother's slot, its edge's mutations and 2
+    # replicate + origin (its mother's type, resistant from first_resistant
+    # on), in the smallest types that hold every value the cap allows
+    types = [np.min_scalar_type(n) for n in (max_slots, cdf.size, 2 * reps)]
+    slot_mother, slot_muts, slot_group = slots = [_Column(dtype, 1) for dtype in types]
+    leaf_mother, leaf_muts, leaf_group = leaves = [_Column(dtype) for dtype in types]
+    first_resistant = max_slots + 1
+    # each batch's first slot, over batches that make slots
+    bounds = [1]
+
+    def record(columns, words, mother, rep):
+        # the edges above cells whose mutation words these are; a root's
+        # edge carries no mutations
+        muts = np.searchsorted(cdf, _uniform(words), "right")
+        muts[mother == 0] = 0
+        for column, values in zip(columns, (mother, muts, 2 * rep + (mother >= first_resistant))):
+            column.extend(values)
+
+    def divide(x, t, mother, rep):
+        # slots for the dividing cells x, and their daughters, born at t
+        y = _mix64_array(x + division_offsets)
+        first = slot_mother.size
+        record(slots, y[2], mother, rep)
+        mother = np.arange(first, slot_mother.size)
+        return [y[:2].ravel()] + [np.concatenate((part, part)) for part in (t, mother, rep)]
+
     x = np.repeat(np.array(keys, dtype=u64) ^ u64(_ROOT), n_roots)
-    x += np.tile(np.arange(1, n_roots + 1, dtype=u64) * u64(_GOLDEN), reps)
-    tag = np.repeat(4 * np.arange(reps) + 1, n_roots)
-    tag += np.tile(2 * (np.arange(n_roots) >= n0_init), reps)
-    enqueue(_mix64_array(x), np.zeros(x.size), np.zeros(x.size, dtype=np.intp), tag)
-    # an inert padding cell: a sensitive root born at t_obs
-    padding = (np.uint64(0), t_obs, 0, 1)
+    x = _mix64_array(x + np.tile(np.arange(1, n_roots + 1, dtype=u64) * u64(_GOLDEN), reps))
+    # a sensitive root draws divide-or-die first too
+    sensitive_root = np.tile(np.arange(n_roots) < n0_init, reps)
+    would = _uniform(_mix64_array(x + u64(_DIVIDE))) < divide0
+    for queue, cells in ((sensitive, sensitive_root & would), (resistant, ~sensitive_root)):
+        cells = np.flatnonzero(cells)
+        enqueue(queue, x[cells], np.zeros(cells.size), np.zeros_like(cells), cells // n_roots)
 
-    founders = np.zeros(reps, dtype=np.intp)
-    z1 = np.zeros(reps, dtype=np.intp)
-    # slot k > 0 is the k-th dividing cell: its mother's slot, its edge's
-    # mutations and 2 replicate + origin, in the smallest types that hold
-    # every value the cap allows
-    slot_type = np.min_scalar_type(max_slots)
-    group_type, mut_type = np.min_scalar_type(2 * reps), np.min_scalar_type(cdf.size)
-    slot_mother, slot_muts, slot_group = _Column(slot_type), _Column(mut_type), _Column(group_type)
-    for column in (slot_mother, slot_muts, slot_group):
-        column.extend([0])
-    # the leaves' mother slots, and the mutations and 2 replicate + origin
-    # of the leaves whose edge carries some
-    leaf_mother, leaf_muts, leaf_group = _Column(slot_type), _Column(mut_type), _Column(group_type)
-    # each batch's first slot and first leaf
-    bounds = [(1, 0)]
+    # the sensitive phase: a daughter draws its type and divide-or-die at
+    # birth, and only one that would divide is queued as sensitive
+    for x, born, mother, rep in batches(sensitive):
+        t = born - _plog(1.0 - _uniform(x), np.frexp) / c0
+        dividing = np.flatnonzero(t < t_obs)
+        daughters = divide(x[dividing], t[dividing], mother[dividing], rep[dividing])
+        u = _uniform(_mix64_array(daughters[0] + birth_offsets))
+        flips = np.flatnonzero(u[0] < params.gamma_n)
+        founders += np.bincount(daughters[3][flips], minlength=reps)
+        enqueue(resistant, *(part[flips] for part in daughters))
+        would = np.flatnonzero((u[0] >= params.gamma_n) & (u[1] < divide0))
+        enqueue(sensitive, *(part[would] for part in daughters))
+    first_resistant = slot_mother.size
 
-    while queue:
-        batch = queue.popleft()
-        while queue and batch[0].size < _BATCH:
-            batch = [np.concatenate(pair) for pair in zip(batch, queue.popleft())]
-        pad = -batch[0].size % _PAD
-        if pad:
-            batch = [np.concatenate((part, np.full(pad, v))) for part, v in zip(batch, padding)]
-        x, born, mother, tag = batch
-        group = tag >> 1
-        rep = group >> 1
-        root = (tag & 1).astype(bool)
-        resistant = (group & 1).astype(bool)
-
-        muts = np.searchsorted(cdf, _uniform(_mix64_array(x + u64(_MUTATION))), "right")
-        muts[root] = 0
-        flips = (_uniform(_mix64_array(x + u64(_RESISTANCE))) < gamma_n) & ~resistant & ~root
-        resistant |= flips
-        founders += np.bincount(rep[flips], minlength=reps)
-        kind = resistant.view(np.int8)
-
-        t = born - _plog(1.0 - _uniform(x), np.frexp) / c[kind]
-        alive = t >= t_obs
-        leaves = alive & resistant
-        z1 += np.bincount(rep[leaves], minlength=reps)
-        leaf_mother.extend(mother[leaves])
-        leaves &= muts > 0
-        leaf_muts.extend(muts[leaves])
-        leaf_group.extend(group[leaves])
+    # the resistant phase
+    for x, born, mother, rep in batches(resistant):
+        t = born - _plog(1.0 - _uniform(x), np.frexp) / c1
+        alive = np.flatnonzero(t >= t_obs)
+        z1 += np.bincount(rep[alive], minlength=reps)
+        record(leaves, _mix64_array(x[alive] + u64(_MUTATION)), mother[alive], rep[alive])
         u = _uniform(_mix64_array(x + u64(_DIVIDE)))
-        dividing = np.flatnonzero(~alive & (u < divide[kind]))
-        slot_mother.extend(mother[dividing])
-        slot_muts.extend(muts[dividing])
-        slot_group.extend(group[dividing])
-        if slot_mother.size > max_slots:
-            if reps > 1:
-                return None
-            raise _cap_error(max_cells, t_obs, 0)
-
-        # the daughters of a slot are adjacent
-        first = bounds[-1][0]
-        bounds.append((slot_mother.size, leaf_mother.size))
-        x = np.repeat(x[dividing], 2)
-        x.reshape(-1, 2)[...] += daughter_offsets
-        daughter_tag = 4 * rep + 2 * kind
-        enqueue(
-            _mix64_array(x),
-            np.repeat(t[dividing], 2),
-            np.repeat(np.arange(first, first + dividing.size), 2),
-            np.repeat(daughter_tag[dividing], 2),
-        )
+        dividing = np.flatnonzero((t < t_obs) & (u < divide1))
+        enqueue(resistant, *divide(x[dividing], t[dividing], mother[dividing], rep[dividing]))
+    if slot_mother.size > max_slots:
+        return None
 
     nodes = reps * n_roots + 2 * (slot_mother.size - 1)
-    # carrier counts, last batch first: the mothers of a batch's slots and
-    # leaves have lower slots than the batch's own
-    carried = np.zeros(slot_mother.size, dtype=np.min_scalar_type(max(max_cells, n_roots)))
-    for (first, leaf_first), (last, leaf_last) in zip(bounds[-2::-1], bounds[:0:-1]):
-        for into, weights in (
-            (slot_mother.values[first:last], carried[first:last]),
-            (leaf_mother.values[leaf_first:leaf_last], None),
-        ):
-            if into.size:
-                lo = int(into.min())
-                counts = np.bincount(np.subtract(into, lo, dtype=np.intp), weights, first - lo)
-                np.add(carried[lo:first], counts, out=carried[lo:first], casting="unsafe")
-    used = (carried > 0) & (slot_muts.values > 0)
-    carried = np.concatenate((carried[used], np.ones(leaf_muts.size, carried.dtype)))
-    m = np.concatenate((slot_muts.values[used], leaf_muts.values))
-    group = np.concatenate((slot_group.values[used], leaf_group.values))
-    del slot_mother, slot_muts, slot_group, leaf_mother, leaf_muts, leaf_group, used
+    # carrier counts: a leaf adds one to its mother's slot, and then the
+    # batches, last first, add their slots' counts into their mothers', which
+    # have lower slots than the batch's own
+    carried_type = np.min_scalar_type(max(max_cells, n_roots))
+    carried = np.bincount(leaf_mother.values, minlength=slot_mother.size).astype(carried_type)
+    for first, last in zip(bounds[-2::-1], bounds[:0:-1]):
+        into = slot_mother.values[first:last]
+        lo = int(into.min())
+        counts = np.bincount(np.subtract(into, lo, dtype=np.intp), carried[first:last], first - lo)
+        np.add(carried[lo:first], counts, out=carried[lo:first], casting="unsafe")
+    used = np.flatnonzero((carried > 0) & (slot_muts.values > 0))
+    carrying = np.flatnonzero(leaf_muts.values)
+    carried = np.concatenate((carried[used], np.ones(carrying.size, carried.dtype)))
+    m = np.concatenate((slot_muts.values[used], leaf_muts.values[carrying]))
+    group = np.concatenate((slot_group.values[used], leaf_group.values[carrying]))
+    del slots, leaves, slot_mother, slot_muts, slot_group, leaf_mother, leaf_muts, leaf_group
+    del used, carrying
 
     def tally(keys, weights, length):
         # bincount gives int64 zeros for no keys, whatever the weights

@@ -343,6 +343,9 @@ def test_on_record_in_replicate_order_for_any_worker_count(monkeypatch):
 def test_replicate_sfs_requires_two():
     with pytest.raises(ValueError):
         mc.replicate_sfs(TOY, T_OBS, replicates=1, seed=0)
+    # 4.0 once failed in range(): "'float' object cannot be interpreted as an integer"
+    with pytest.raises(ValueError, match="requires an integer replicates, got 4.0"):
+        mc.replicate_sfs(TOY, T_OBS, replicates=4.0, seed=0)
 
 
 @pytest.mark.parametrize("workers", [0, -2])
@@ -468,14 +471,16 @@ def test_replicate_sfs_rejects_bad_windows_before_any_replicate(monkeypatch, win
         mc.replicate_sfs(TOY, T_OBS, replicates=4, seed=0, windows=windows)
 
 
-@pytest.mark.parametrize("i_max", [0, -1, -3])
+@pytest.mark.parametrize("i_max", [0, -1, -3, 5.0])
 def test_replicate_sfs_rejects_i_max_below_1_before_any_replicate(monkeypatch, i_max):
-    # -1 once died dividing by zero in span sizing, 0 returned empty spectra
+    # -1 once died dividing by zero in span sizing, 0 returned empty spectra,
+    # and 5.0, not an integer, failed deep in numpy
     def no_replicate(*args, **kwargs):
         raise AssertionError("i_max must be checked before any replicate runs")
 
     monkeypatch.setattr(sim, "sample_chunk", no_replicate)
-    with pytest.raises(ValueError, match=f"requires i_max >= 1, got {i_max}"):
+    message = "requires an integer i_max" if isinstance(i_max, float) else "requires i_max >= 1"
+    with pytest.raises(ValueError, match=f"{message}, got {i_max}"):
         mc.replicate_sfs(TOY, T_OBS, replicates=4, seed=0, i_max=i_max)
 
 
@@ -486,6 +491,7 @@ def test_replicate_sfs_rejects_i_max_below_1_before_any_replicate(monkeypatch, i
         (-1.0, None, "finite t_obs"),
         (math.inf, None, "finite t_obs"),
         (T_OBS, (0, 0), "nonnegative and nonempty"),
+        (T_OBS, (2.0, 1), "requires an integer initial population, got 2.0"),
     ],
 )
 def test_replicate_sfs_rejects_bad_t_obs_or_initial_before_any_replicate(

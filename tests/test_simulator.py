@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 from collections import Counter
 from random import Random
 
@@ -23,6 +24,7 @@ from helpers import (
 )
 from rescue_sfs import simulator as sim
 from rescue_sfs import theory as th
+from rescue_sfs.montecarlo import _replicate_keys
 from rescue_sfs.params import MUTATION_LAWS, ModelParams, ParameterError, derive
 
 REF = ModelParams(b0=1.2, d0=2.0, b1=1.2, d1=0.5, omega=2.0, gamma=1.0, alpha=0.9, n_init=500)
@@ -39,6 +41,12 @@ def test_initial_validation():
             sim.sample_chunk(REF, t_obs, (0, 1), [1], i_max=5)
     with pytest.raises(ValueError):
         sim.run(REF, 1.0, initial=(0, 0), rng=Random(0))
+    # a float i_max or initial population once failed deep in numpy: "expected
+    # a sequence of integers" and "slice indices must be integers"
+    with pytest.raises(ValueError, match="requires an integer i_max, got 5.0"):
+        sim.sample_chunk(REF, 1.0, (0, 1), [1], i_max=5.0)
+    with pytest.raises(ValueError, match="requires an integer initial population, got 2.0"):
+        sim.sample_chunk(REF, 1.0, (2.0, 1), [1], i_max=5)
 
 
 def test_debug_checks_pass_on_small_runs():
@@ -562,6 +570,9 @@ def _check_chunk_equals_run(params, t_obs, initial, seeds, i_max, windows):
 N40 = dataclasses.replace(REF, n_init=40)
 T40 = 1.25 * math.log(40)
 BERNOULLI40 = dataclasses.replace(N40, mutation_law="bernoulli", omega=1.0)
+# gamma_n = 20 / 40 = 0.5: about half of every sensitive generation's
+# daughters move to the resistant queue
+FLIPS40 = dataclasses.replace(N40, gamma=20.0, alpha=1.0)
 
 # (params, t_obs, initial, seeds, i_max, windows)
 CHUNK_CASES = {
@@ -577,6 +588,12 @@ CHUNK_CASES = {
     "t-obs-0": (N40, 0.0, (3, 2), range(10), 10, (0.5,)),
     # the narrowest row: every statistic one column wide
     "i-max-1": (N40, T40, None, range(30), 1, (0.5,)),
+    # the phase boundary: sensitive cells flip as often as not, from a mixed start
+    "gamma-n-half": (FLIPS40, T40, (5, 3), range(40), 10, (0.5,)),
+    "gamma-n-half-bernoulli": (
+        dataclasses.replace(FLIPS40, mutation_law="bernoulli", omega=1.0),
+        T40, (5, 3), range(40), 10, (0.5,),
+    ),
 }
 
 
@@ -604,6 +621,28 @@ def test_simulation_rejects_omega_above_its_bound():
     with pytest.raises(ParameterError, match="omega <= 20000"):
         sim.run(huge, T40, rng=Random(0))
     assert sim.checked_args(dataclasses.replace(N40, omega=2e4), T40, None) == ((40, 0), ())
+
+
+def test_sample_chunk_peak_memory_stays_bounded():
+    # the traced peak of one call on each 32-key reference block (numpy
+    # reports its buffers to tracemalloc).  The one-queue sampler peaked at
+    # 1.67, 1.79, 1.60, 1.52, 1.66, 1.78, 1.55 and 1.64 MB on these blocks;
+    # one that drew every mutation count over the whole block after its
+    # walk peaked at 3.5-5.2 MB and raised the benchmark's peak RSS past its
+    # bound, so the largest peak may be at most 1.5 times the old largest
+    t_obs = 1.25 * math.log(500)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for s in range(8):
+            keys = _replicate_keys((901 << 20) + s, 0, 32)
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            sim.sample_chunk(REF, t_obs, None, keys, i_max=121, windows=(0.6, 1.0, 2.0, 4.0, 6.0))
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) <= 1.5 * 1.79e6, peaks
 
 
 def test_sample_chunk_does_not_depend_on_the_chunk():
