@@ -632,11 +632,11 @@ def _sample_block(params, t_obs, initial, keys, i_max, windows, keep, max_cells)
         return None
 
     nodes = reps * n_roots + 2 * (slot_mother.size - 1)
-    # carrier counts: a leaf adds one to its mother's slot, and then the
-    # batches, last first, add their slots' counts into their mothers', which
-    # have lower slots than the batch's own
-    carried_type = np.min_scalar_type(max(max_cells, n_roots))
-    carried = np.bincount(leaf_mother.values, minlength=slot_mother.size).astype(carried_type)
+    # carrier counts, signed so that sums with intp stay integers: a leaf
+    # adds one to its mother's slot, then the batches, last first, add their
+    # slots' counts into their mothers', which lie in earlier batches
+    carried = np.bincount(leaf_mother.values.astype(np.intp), minlength=slot_mother.size)
+    carried = carried.astype(np.min_scalar_type(-max(max_cells, n_roots)))
     for first, last in zip(bounds[-2::-1], bounds[:0:-1]):
         into = slot_mother.values[first:last]
         lo = int(into.min())

@@ -105,6 +105,17 @@ def test_sample_chunk_hits_the_cap_where_run_does():
     assert rows.shape == (len(rest), 18)
 
 
+def test_sample_chunk_takes_a_cap_past_2_to_32():
+    # a cap of 2^32 nodes or more once made the carrier counts uint64, whose
+    # sums with intp are floats, and the dense tally raised TypeError
+    keys = [Random(seed).getrandbits(64) for seed in range(3)]
+    rows, _ = sim.sample_chunk(N40, 4.0, None, keys, i_max=5, windows=(0.5,))
+    for cap in (2**32, 10**10):
+        for key, row in zip(keys, rows):
+            single, _ = sim.sample_chunk(N40, 4.0, None, [key], i_max=5, windows=(0.5,), max_cells=cap)
+            np.testing.assert_array_equal(single[0], row)
+
+
 def test_sample_chunk_blocks_stay_within_the_cap(monkeypatch):
     # 48 clones from 20 resistant roots, under a cap of three times the
     # largest genealogy: the chunk runs in blocks whose replicates hold at
