@@ -420,8 +420,8 @@ def run(
 
 
 class _Column:
-    """A growable numpy vector of one dtype: pieces are copied in, so they
-    never stay allocated as arrays of their own."""
+    """A growable numpy vector of one dtype, ``size`` zeros at first: pieces
+    are copied in, so they never stay allocated as arrays of their own."""
 
     def __init__(self, dtype, size: int = 0) -> None:
         import numpy as np
