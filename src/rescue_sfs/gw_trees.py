@@ -15,9 +15,10 @@ generation 0).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from random import Random
+
+from rescue_sfs.params import checked_index
 
 CONDITION_EXACTLY_ONE = "exactly-one-mark"
 CONDITION_AT_LEAST_ONE = "at-least-one-mark"
@@ -63,24 +64,12 @@ def p_tilde(y: float, p: float) -> float:
     return 0.5 * (1.0 - math.sqrt(1.0 - 4.0 * y * p * (1.0 - p)))
 
 
-def _generation(g: int) -> int:
-    """g as an int >= 1, else ValueError: a float g such as 2.5 would get a
-    value between its neighbours'."""
-    try:
-        n = operator.index(g)
-    except TypeError:
-        n = 0
-    if not n >= 1:
-        raise ValueError(f"requires an integer g >= 1, got {g!r}")
-    return n
-
-
 def geometric_pmf(x: float, g: int) -> float:
     """Generation law of the marked leaf given exactly one mark: the
     geometric pmf x (1-x)^(g-1), g >= 1."""
     if not 0 < x <= 1:
         raise ValueError(f"requires 0 < x <= 1, got x={x}")
-    return x * (1.0 - x) ** (_generation(g) - 1)
+    return x * (1.0 - x) ** (checked_index(g, "g", 1) - 1)
 
 
 def _divided_power_difference(p: float, pt: float, m: int) -> float:
@@ -98,7 +87,7 @@ def any_mark_pmf(p: float, pt: float, g: int) -> float:
     """
     if not (0 <= p < 0.5 and 0 <= pt < 0.5):
         raise ValueError(f"requires 0 <= p, pt < 1/2, got p={p}, pt={pt}")
-    g = _generation(g)
+    g = checked_index(g, "g", 1)
     return 2.0 ** (g - 1) * (
         _divided_power_difference(p, pt, g) / g
         - 2.0 * _divided_power_difference(p, pt, g + 1) / (g + 1)

@@ -413,8 +413,7 @@ def replicate_sfs(
     ``on_record(r, record)`` is called in this process for every replicate
     r, in replicate order, with that replicate's SfsRecord.
     """
-    if checked_index(replicates, "replicates") < 2:
-        raise ValueError(f"requires replicates >= 2, got {replicates}")
+    checked_index(replicates, "replicates", 2)
     if workers < 1:
         raise ValueError(f"requires workers >= 1, got {workers}")
     if operator.index(seed) < 0:

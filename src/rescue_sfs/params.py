@@ -46,13 +46,17 @@ def _check_rates(b0: float, d0: float, b1: float, d1: float) -> None:
         )
 
 
-def checked_index(value, name: str) -> int:
-    """``operator.index(value)``; anything else, 5.0 included, raises a
-    ValueError that names the argument, not an error from deep in numpy."""
+def checked_index(value, name: str, least: int | None = None) -> int:
+    """``operator.index(value)``, at least ``least`` if given, else a
+    ValueError that names the argument: a float, 5.0 included, would fail deep
+    in numpy or, as a formula's index, get a value between its neighbours'."""
     try:
-        return operator.index(value)
+        n = operator.index(value)
     except TypeError:
         raise ValueError(f"requires an integer {name}, got {value!r}") from None
+    if least is not None and n < least:
+        raise ValueError(f"requires {name} >= {least}, got {value}")
+    return n
 
 
 def _check_gamma_n(gamma_n: float) -> None:

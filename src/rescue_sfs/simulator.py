@@ -276,8 +276,7 @@ def checked_args(
         raise ParameterError(f"simulation requires omega <= {_MAX_OMEGA:g}, got omega={params.omega}")
     if not 0 <= t_obs < math.inf:
         raise ValueError(f"requires finite t_obs >= 0, got {t_obs}")
-    if checked_index(i_max, "i_max") < 1:
-        raise ValueError(f"requires i_max >= 1, got {i_max}")
+    checked_index(i_max, "i_max", 1)
     windows = tuple(windows)
     if not all(0 < x < math.inf for x in windows):
         raise ValueError(f"requires finite window edges > 0, got {windows}")

@@ -25,21 +25,9 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, NamedTuple, Sequence
 
-from rescue_sfs.params import DerivedParams, ModelParams, derive
+from rescue_sfs.params import DerivedParams, ModelParams, checked_index, derive
 
 DEFAULT_TOL = 1e-10
-
-
-def _index(i: int) -> int:
-    """i as an int >= 1, else ValueError: a float i such as 2.5 would get a
-    value between its neighbours'."""
-    try:
-        n = operator.index(i)
-    except TypeError:
-        n = 0
-    if not n >= 1:
-        raise ValueError(f"requires an integer i >= 1, got {i!r}")
-    return n
 
 
 class QuadratureError(RuntimeError):
@@ -124,6 +112,7 @@ _GK_WG = _WG + _WG[::-1]
 _U = 2.0**-53  # unit roundoff of a double
 _EPS = 2.0 * _U  # machine epsilon
 _TINY = 2.0**-1022  # smallest normal double
+_ETA = 2.0**-1074  # smallest subnormal double: twice the error of a result that underflows
 _GK_LIMIT = 400  # most panels one integral is split into
 _TABLE_SIZE = 256  # panels each node table keeps, least recently used dropped
 
@@ -249,23 +238,19 @@ def _shape(i: int, x: float, rho: float) -> tuple[float, float]:
     closed form instead).  Arguments are not checked.
 
     Where the series in rho converges within max(i, _SERIES_TERMS) terms it
-    is summed term by term with its geometric tail bound.  Past that (rho Y
-    near 1, O(1/(1 - rho Y)) terms) the value comes in i - 1 steps from
-    M_a = Int_0^Y y^(a-1) / (1-rho y) dy = sum_k rho^k Y^(a+k) / (a+k):
-    M_1 = -log1p(-rho Y)/rho, M_(a+1) = (M_a - Y^a/a)/rho and
-    h_i = (Y^i/i - (1-rho) M_i)/rho, wherever its rounding bound certifies SHAPE_TOL.
+    is summed term by term, and its bound is its geometric tail plus the
+    rounding of the terms it summed; at rho = 0 that is one term, the closed
+    form.  Past that (rho Y near 1, O(1/(1 - rho Y)) terms) the value comes
+    in i - 1 steps from M_a = Int_0^Y y^(a-1) / (1-rho y) dy = sum_k rho^k
+    Y^(a+k) / (a+k): M_1 = -log1p(-rho Y)/rho, M_(a+1) = (M_a - Y^a/a)/rho
+    and h_i = (Y^i/i - (1-rho) M_i)/rho, wherever its rounding bound
+    certifies SHAPE_TOL.
     """
     complete = x == math.inf
     y = 1.0 if complete else (x - 1.0) / (x - rho)
     if y <= 0.0:
         return 0.0, 0.0
     y_i = y**i
-    if rho == 0.0:
-        # one closed-form term, so the bound is its rounding (with that of Y)
-        if complete:
-            value = 1.0 / (i * (i + 1))
-            return value, _U * value
-        return y_i * (1.0 / i - y / (i + 1)), 10.0 * _U * y_i
     r = rho * y
     n = max(i, _SERIES_TERMS)
     if complete:
@@ -292,10 +277,15 @@ def _shape(i: int, x: float, rho: float) -> tuple[float, float]:
                 y_a *= y
                 m = (m - y_a / a) / rho
             return (y_a * y / i - (1.0 - rho) * m) / rho, bound
+    # The series' bound is its tail plus its rounding, u = 2^-53, rho and x
+    # taken as given.  Summing n terms from 0 rounds term k in n - max(k, 1)
+    # additions (recursive summation: Higham 2002, Accuracy and Stability of
+    # Numerical Algorithms, 4.2), and the tail is rounded too.
     total = 0.0
     k = 0
     if complete:
-        # term_k = rho^k / ((i+k)(i+k+1))
+        # term_k = rho^k / ((i+k)(i+k+1)), within (k + 2) u, so within (n + 2) u
+        # of its share of the sum; the tail within (n + 4) u
         rk = 1.0
         while True:
             total += rk / ((i + k) * (i + k + 1))
@@ -303,8 +293,14 @@ def _shape(i: int, x: float, rho: float) -> tuple[float, float]:
             k += 1
             tail = rk / ((i + k) * (i + k + 1) * (1.0 - rho))
             if tail < SHAPE_TOL:
-                return total, tail
-    # term_k = rho^k [ Y^(i+k)/(i+k) - Y^(i+k+1)/(i+k+1) ]
+                return total, tail + 1.1 * (k + 4) * _U * (total + tail)
+    # term_k = rho^k [ Y^(i+k)/(i+k) - Y^(i+k+1)/(i+k+1) ] = R_k (a_k - b_k):
+    # R_k = Y^i r^k within (2k + 2) u (the power within 1 ulp, k products, r's
+    # rounding), a_k - b_k within 2u (a_k + b_k) + u (a_k - b_k) <= 4.1u a_k, so
+    # term k is within (2n + 2) u of its share plus 4.1u R_k a_k, which sum to
+    # at most 4.1u Y^i / (i (1 - r)); the tail within (2n + 5) u + u/(1 - r).
+    # Y, within 3u, moves h_i by at most 3.2u Y^i, as dh_i/dY <= Y^(i-1), and
+    # each of the 3n + 4 products and quotients may underflow by _ETA/2.
     rk = y_i
     while True:
         total += rk * (1.0 / (i + k) - y / (i + k + 1))
@@ -312,16 +308,16 @@ def _shape(i: int, x: float, rho: float) -> tuple[float, float]:
         k += 1
         tail = rk / ((i + k) * (1.0 - r))
         if tail < SHAPE_TOL:
-            return total, tail
+            rounding = (2 * k + 5) * (total + tail) + (4.1 * y_i / i + tail) / (1.0 - r) + 3.2 * y_i
+            return total, tail + 1.1 * _U * rounding + (3 * k + 4) * _ETA
 
 
 def shape_integral(i: int, rho: float) -> TheoryValue:
     """Integral of (1-y) y^(i-1) / (1 - rho y) over [0, 1], to SHAPE_TOL.
 
-    The limiting per-founder SFS shape factor I(i): the series
-    sum_k rho^k / ((i+k)(i+k+1)) with a certified geometric tail bound, or
-    near rho = 1 the log1p-seeded recurrence of ``_shape`` with a certified
-    rounding bound.
+    The limiting per-founder SFS shape factor I(i): the series sum_k rho^k /
+    ((i+k)(i+k+1)), or near rho = 1 the log1p-seeded recurrence of
+    ``_shape``, each with a certified bound.
     """
     return shape_integral_truncated(i, math.inf, rho)
 
@@ -333,7 +329,7 @@ def shape_integral_truncated(i: int, x: float, rho: float) -> TheoryValue:
     Series in rho with the upper limit's powers, or the recurrence of
     ``_shape`` where rho (x-1)/(x-rho) is near 1.
     """
-    i = _index(i)
+    i = checked_index(i, "i", 1)
     if not 0 <= rho < 1:
         raise ValueError(f"requires 0 <= rho < 1, got {rho}")
     if not x >= 1.0:
@@ -407,7 +403,7 @@ def _founder_rows(
 def _size_pmf(i: int) -> _SizeLaw:
     """P(clone size = i) and its rounding bound: (1 - rho)^2 (3u), e^-z,
     q^(i-1), (1 - rho y)^2 and three products or quotients."""
-    n = _index(i) - 1
+    n = checked_index(i, "i", 1) - 1
     rel = lambda z_max, share: n * (11.0 + 4.0 * z_max) + 23.0 + 6.0 * z_max  # noqa: E731
     return "pmf", n, rel
 
@@ -429,7 +425,7 @@ def clone_size_pmf(i: int, u: float, b1: float, d1: float) -> float:
     if not u >= 0:
         raise ValueError(f"requires u >= 0, got {u}")
     _check_clone(b1, d1)
-    i = _index(i)
+    i = checked_index(i, "i", 1)
     rho = d1 / b1
     c = 1.0 - rho  # lambda1 / b1
     y, d, g, small = _q_factors((b1 - d1) * u, rho, c)
@@ -452,12 +448,19 @@ def single_clone_sfs(i: int, t: float, b1: float, d1: float, omega: float) -> Th
     if not t >= 0:
         raise ValueError(f"requires t >= 0, got {t}")
     _check_clone(b1, d1, omega)
-    if omega == 0.0 or t == 0.0:
+    if omega == 0.0:  # omega e^(lambda1 t) would be 0 * inf where growth overflows
         return TheoryValue(0.0, 0.0)
     lam1 = b1 - d1
+    rho = d1 / b1
     growth = math.exp(lam1 * t)
-    h = shape_integral_truncated(i, growth, d1 / b1)
-    return TheoryValue(omega * growth * h.value, omega * growth * h.abs_error_bound)
+    h = shape_integral_truncated(i, growth, rho)
+    value = omega * growth * h.value
+    # Rounding, u = 2^-53, lambda1 and rho taken as given: 2u for the products
+    # and (2 + lambda1 t) u relative for x = e^(lambda1 t), which moves x h_i(x)
+    # by that times x h_i + x^2 dh_i/dx <= x h_i + Y^(i-1) / (x - rho), x >= 1
+    y = 1.0 - (1.0 - rho) / (growth - rho)  # Y
+    spread = (2.0 + lam1 * t) * (value + omega * y ** (i - 1) / (growth - rho))
+    return TheoryValue(value, omega * growth * h.abs_error_bound + 1.1 * _U * (2.0 * value + spread))
 
 
 def single_clone_sfs_asymptotic(i: int, t: float, b1: float, d1: float, omega: float) -> float:
@@ -669,7 +672,12 @@ def sfs_small_asymptotic(i: int, t: float, params: ModelParams) -> TheoryValue:
         / (dp.lambda0 + dp.lambda1)
         * params.n_init ** (dp.lambda1 * t + 1.0 - params.alpha)
     )
-    return TheoryValue(shape.value * scale, shape.abs_error_bound * scale)
+    # Rounding, u = 2^-53, the rates taken as given: the exponent lambda1 t +
+    # 1 - alpha <= lambda1 t + 1 within (2 + 3 lambda1 t) u, times ln N for
+    # the power, itself within 2u, and 6u for the sum, quotient and products
+    value = shape.value * scale
+    rel = 8.0 + (2.0 + 3.0 * dp.lambda1 * t) * math.log(params.n_init)
+    return TheoryValue(value, shape.abs_error_bound * scale + 1.1 * _U * rel * value)
 
 
 def window_scale(params: ModelParams) -> float:
@@ -727,7 +735,7 @@ def resistant_origin_main_term(
     pref (1-rho)/r Int_0^(lambda1 t_N) ((e^u-1)/(e^u-rho))^(i-1) (e^u-rho)^(-2)
       (1 - e^((r/lambda1) u - r t_N)) du.
     """
-    i = _index(i)
+    i = checked_index(i, "i", 1)
     if not t > 0:
         raise ValueError(f"requires t > 0, got {t}")
     if params.omega == 0.0:

@@ -67,7 +67,7 @@ SIMULATE_DIGESTS = {
 GOLDEN_DIGESTS = [
     (
         ["theory", "--formula", "I", "--i-range", "1:20"],
-        {"theory_I.csv": "eb99f5d5c18bb0b412adb41980dceb937dc01ff06e68d80f0a62758f2f0f6d5b"},
+        {"theory_I.csv": "4ad3f09f20b9c4d8f9a77849ebe5af31fd894285f6f38d8b8ca450c70239f885"},
     ),
     (
         ["theory", "--formula", "K", "--x-grid", "0.6,1,2,4"],
@@ -99,7 +99,7 @@ GOLDEN_DIGESTS = [
     ),
     (
         ["theory", "--formula", "clone-sfs", "--i-range", "1:10"],
-        {"theory_clone_sfs.csv": "df9b4d249f24d2a9e02bc4252c78a5e7b4be4464b7e915a3be7b666d46102090"},
+        {"theory_clone_sfs.csv": "3313c21c38ef0c80538bc759108d8e192cca00a5eac5718d2a63cb6ffde43bce"},
     ),
     (
         ["theory", "--formula", "gn", "--i-range", "1:10"],
@@ -735,6 +735,10 @@ def test_compare_report_is_strict_json(tmp_path, capsys):
         ["simulate", "--t-mult", "inf"],
         ["simulate", "--t-mult", "1e308"],
         ["simulate", "--t-mode", "absolute", "--t-abs", "inf"],
+        ["theory", "--formula", "K", "--x-grid", "0.6,one"],
+        ["theory", "--formula", "K", "--x-grid", ","],
+        ["theory", "--formula", "I", "--i-range", "1-3"],
+        ["theory", "--formula", "K"],
     ],
     ids=[
         "d0-below-b0",
@@ -774,12 +778,17 @@ def test_compare_report_is_strict_json(tmp_path, capsys):
         "t-mult-inf",
         "t-mult-overflow",
         "t-abs-inf",
+        "x-grid-not-a-number",
+        "x-grid-empty",
+        "i-range-malformed",
+        "K-no-x-grid",
     ],
 )
 def test_bad_flag_values_exit_2(cfg_path, tmp_path, capsys, argv):
     rc = cli.main(argv[:1] + ["--config", cfg_path, "--out-dir", str(tmp_path / "o")] + argv[1:])
     assert rc == 2
-    assert capsys.readouterr().err.startswith("config error:")
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
 
 
 def test_cap_hit_exits_2_naming_replicate_and_seed(cfg_path, tmp_path, capsys, monkeypatch):

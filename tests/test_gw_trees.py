@@ -20,6 +20,7 @@ from helpers import (
     weighted_leaf_sums,
 )
 from rescue_sfs import gw_trees as gw
+from rescue_sfs import params
 
 LAW = gw.GwLaw(p=4 / 15, beta=3 / 11)  # b0=1, d0=2, gamma_n=0.2
 X = LAW.x
@@ -28,9 +29,11 @@ PT = gw.p_tilde(1 - LAW.beta, LAW.p)
 
 def test_gw_trees_imports_no_numpy():
     # the laws and the sampler are standard library only, at module level
-    # and inside every function, so `rescue-sfs gw` runs without numpy
+    # and inside every function, so `rescue-sfs gw` runs without numpy; the
+    # one module they read from the package, params, is standard library too
     modules = imported_modules(gw)
-    assert [m for m in modules if m.split(".")[0] == "numpy"] == []
+    assert [m for m in modules if m.split(".")[0] in ("numpy", "rescue_sfs")] == ["rescue_sfs.params"]
+    assert [m for m in imported_modules(params) if m.split(".")[0] in ("numpy", "rescue_sfs")] == []
 
 
 def test_law_validation():
@@ -39,6 +42,11 @@ def test_law_validation():
     with pytest.raises(ValueError):
         gw.GwLaw(p=0.3, beta=0.0)
     assert gw.GwLaw(p=0.0, beta=0.3).x == pytest.approx(1.0)
+    for y, p in ((1.5, 0.3), (-0.1, 0.3), (0.5, 0.5), (0.5, -0.1)):
+        with pytest.raises(ValueError, match="requires 0 <="):
+            gw.p_tilde(y, p)
+    with pytest.raises(ValueError, match="unknown condition 'two-marks'"):
+        gw.sample_conditioned(LAW, "two-marks", Random(0))
 
 
 def test_catalan_sequence():

@@ -679,6 +679,8 @@ def test_compare_relative_mode():
     assert not report.all_passed
     rows = list(report.rows())
     assert len(rows) == 3 and len(rows[0]) == 7
+    with pytest.raises(ValueError, match="unknown mode 'absolute'"):
+        mc.compare(stats, theory, mode="absolute", threshold=0.01)
 
 
 def test_ci_coverage_on_known_law():

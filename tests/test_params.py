@@ -206,6 +206,8 @@ def test_parse_config_errors_cite_key_and_line():
         make_config(parse_config_values(text, source="cfg"))
     with pytest.raises(ConfigError, match="expected 'key = value'"):
         make_config(parse_config_values("b0 : 1.0", source="cfg"))
+    with pytest.raises(ConfigError, match=r"cfg:2: empty value for key 'd0'"):
+        make_config(parse_config_values("b0 = 1.0\nd0 =  # none", source="cfg"))
 
 
 def test_parse_config_defaults():

@@ -74,35 +74,43 @@ def test_population_cap():
         gillespie(grow, 50.0, initial=(0, 5), rng=Random(1), max_cells=300)
 
 
+# (params, t_obs, initial, max_cells) where most seeds exceed the cap and
+# some do not: d1 = 0 from (2, 1), as the resistant cells grow, and gamma = 0
+# from (3, 0), at a sensitive division before any resistant cell exists
+CAP_CASES = [
+    (dataclasses.replace(REF, d1=0.0), 6.0, (2, 1), 400),
+    (dataclasses.replace(REF, gamma=0.0), 1.0, (3, 0), 4),
+]
+
+
 def test_sample_chunk_hits_the_cap_where_run_does():
-    # d1 = 0 from (2, 1) to t = 6: most seeds exceed max_cells=400, some do not
-    grow = dataclasses.replace(REF, d1=0.0)
-    keys, hits = [], []
-    for seed in range(40):
-        keys.append(Random(seed).getrandbits(64))
-        errors = []
-        try:
-            sim.run(grow, 6.0, initial=(2, 1), rng=Random(seed), max_cells=400)
-            errors.append(None)
-        except sim.PopulationCapError as exc:
-            errors.append(str(exc))
-        try:
-            sim.sample_chunk(grow, 6.0, (2, 1), keys[-1:], i_max=5, max_cells=400)
-            errors.append(None)
-        except sim.PopulationCapError as exc:
-            assert exc.replicate == 0
-            errors.append(str(exc))
-        assert errors[0] == errors[1]
-        hits.append(errors[0] is not None)
-    assert 0 < sum(hits) < 40
-    # a chunk names the lowest replicate whose run exceeds the cap; without
-    # those replicates it runs through
-    with pytest.raises(sim.PopulationCapError, match="max_cells=400") as info:
-        sim.sample_chunk(grow, 6.0, (2, 1), keys, i_max=5, max_cells=400)
-    assert info.value.replicate == hits.index(True)
-    rest = [key for key, hit in zip(keys, hits) if not hit]
-    rows, _ = sim.sample_chunk(grow, 6.0, (2, 1), rest, i_max=5, max_cells=400)
-    assert rows.shape == (len(rest), 18)
+    for params, t_obs, initial, max_cells in CAP_CASES:
+        keys, hits = [], []
+        for seed in range(40):
+            keys.append(Random(seed).getrandbits(64))
+            errors = []
+            try:
+                sim.run(params, t_obs, initial=initial, rng=Random(seed), max_cells=max_cells)
+                errors.append(None)
+            except sim.PopulationCapError as exc:
+                errors.append(str(exc))
+            try:
+                sim.sample_chunk(params, t_obs, initial, keys[-1:], i_max=5, max_cells=max_cells)
+                errors.append(None)
+            except sim.PopulationCapError as exc:
+                assert exc.replicate == 0
+                errors.append(str(exc))
+            assert errors[0] == errors[1]
+            hits.append(errors[0] is not None)
+        assert 0 < sum(hits) < 40
+        # a chunk names the lowest replicate whose run exceeds the cap;
+        # without those replicates it runs through
+        with pytest.raises(sim.PopulationCapError, match=f"max_cells={max_cells}") as info:
+            sim.sample_chunk(params, t_obs, initial, keys, i_max=5, max_cells=max_cells)
+        assert info.value.replicate == hits.index(True)
+        rest = [key for key, hit in zip(keys, hits) if not hit]
+        rows, _ = sim.sample_chunk(params, t_obs, initial, rest, i_max=5, max_cells=max_cells)
+        assert rows.shape == (len(rest), 18)
 
 
 def test_sample_chunk_takes_a_cap_past_2_to_32():

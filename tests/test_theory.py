@@ -117,6 +117,7 @@ NON_INTEGERS = (2.5, 2.0)
         lambda: th.single_clone_sfs(1, 1.0, 1.2, 0.5, -1.0),
         lambda: th.single_clone_sfs(1, 1.0, math.inf, 0.0, 2.0),
         lambda: th.single_clone_sfs(1, 1.0, 1.2, 0.5, math.inf),
+        lambda: th.resistant_origin_window_exact(0.0, T, REF),
         *(lambda tol=tol: th.window_weight_resistant(1.0, DP, tol) for tol in TOLS),
         *(lambda tol=tol: th.resistant_origin_mean_exact(1, T, REF, tol) for tol in TOLS),
         *(lambda tol=tol: th.sfs_window_asymptotic(0.6, 1.0, T, REF, tol) for tol in TOLS),
@@ -157,6 +158,7 @@ NON_INTEGERS = (2.5, 2.0)
         "clone-sfs-omega-negative",
         "clone-sfs-b1-inf",
         "clone-sfs-omega-inf",
+        "window-exact-x-0",
         *(f"{name}-tol{tol}" for name in ("K", "exact-mean", "thm2") for tol in TOLS),
         *(f"derive-{name}" for name in BAD_RATES.values()),
         *(f"{name}-i{i}" for name in INDEXED for i in NON_INTEGERS),
@@ -332,8 +334,9 @@ def test_shape_integral_rejects_bad_arguments(fn, args, match):
 def _shape_exact(i, x, rho):
     """h_i(x) to 50 digits: with Y = (x-1)/(x-rho) and
     M_i = Int_0^Y y^(i-1)/(1-rho y) dy = Y^i 2F1(1, i; i+1; rho Y)/i,
-    h_i = (Y^i/i - (1-rho) M_i)/rho."""
-    with mpmath.workdps(50):
+    h_i = (Y^i/i - (1-rho) M_i)/rho.  The difference loses about -log10(rho)
+    digits to cancellation, so it is taken with that many digits more."""
+    with mpmath.workdps(50 + (math.ceil(-math.log10(rho)) if rho > 0 else 0)):
         rho = mpmath.mpf(rho)
         y = mpmath.mpf(1) if x == math.inf else (mpmath.mpf(x) - 1) / (mpmath.mpf(x) - rho)
         if rho == 0:
@@ -342,10 +345,16 @@ def _shape_exact(i, x, rho):
         return (y**i / i - (1 - rho) * m) / rho
 
 
-@pytest.mark.parametrize("rho", [0.0, 0.417, 0.9, 0.99, 0.9999, 0.99999])
+# rho = 1e-300 to 1e-3 once failed: the series reported its tail alone as
+# its bound, and the tail was far below the rounding of the terms it summed.
+# At x = 1 + 1e-7, Y^121 is far below the smallest double: a value that
+# underflows to 0 once had the bound 0
+@pytest.mark.parametrize(
+    "rho", [0.0, 1e-300, 1e-30, 1e-10, 1e-6, 1e-3, 0.417, 0.9, 0.99, 0.9999, 0.99999]
+)
 def test_shape_integral_bounds_hold(rho):
     for i in (1, 2, 5, 40, 121):
-        for x in (1.5, 10.0, 1e3, math.inf):
+        for x in (1.0000001, 1.5, 10.0, 1e3, math.inf):
             if x == math.inf:
                 tv = th.shape_integral(i, rho)
                 assert th.shape_integral_truncated(i, x, rho) == tv
@@ -354,6 +363,36 @@ def test_shape_integral_bounds_hold(rho):
             with mpmath.workdps(50):
                 err = abs(mpmath.mpf(tv.value) - _shape_exact(i, x, rho))
             assert err <= tv.abs_error_bound <= 1e-12, (i, x, float(err), tv.abs_error_bound)
+
+
+@pytest.mark.parametrize("d1", [0.0, 1.2e-6], ids=["d1=0", "d1/b1=1e-6"])
+def test_scaled_shape_bounds_hold(d1):
+    # thm1 and clone-sfs multiply I(i) or h_i(e^(lambda1 t)) by a scale whose
+    # rounding no bound held: thm1 failed at every one of these points at
+    # d1 = 0, by up to 19.7 times its bound, and at some at d1/b1 = 1e-6.
+    # The 50-digit references take the rates, lambda1 and rho as given.
+    params = dataclasses.replace(REF, d1=d1)
+    dp = derive(params)
+    mp = mpmath.mpf
+    for t in (1.0, 1.25, 2.0):
+        with mpmath.workdps(50):
+            scale = (
+                2 * mp(params.b0) * mp(params.gamma) * mp(params.omega)
+                / (mp(dp.lambda0) + mp(dp.lambda1))
+                * mp(params.n_init) ** (mp(dp.lambda1) * t + 1 - mp(params.alpha))
+            )
+            growth = mpmath.exp(mp(dp.lambda1) * t)
+        for i in range(1, 121, 7):
+            thm1 = th.sfs_small_asymptotic(i, t, params)
+            clone = th.single_clone_sfs(i, t, params.b1, params.d1, params.omega)
+            with mpmath.workdps(50):
+                cases = {
+                    "thm1": (thm1, scale * _shape_exact(i, math.inf, dp.rho)),
+                    "clone-sfs": (clone, params.omega * growth * _shape_exact(i, growth, dp.rho)),
+                }
+                for name, (tv, want) in cases.items():
+                    err = abs(mp(tv.value) - want)
+                    assert err <= tv.abs_error_bound, (name, t, i, float(err), tv.abs_error_bound)
 
 
 def _timed(fn, arg_list):
@@ -645,6 +684,9 @@ def test_sfs_window_asymptotic():
         th.window_weight_sensitive(0.6, DP).value - th.window_weight_sensitive(2.5, DP).value
     )
     assert c.value == pytest.approx(k_part + l_part, rel=1e-9)
+    # no mutations, no windowed ones: 0 exactly, no quadrature run
+    zero = dataclasses.replace(REF, omega=0.0)
+    assert th.sfs_window_asymptotic(0.6, 1.0, T, zero) == th.TheoryValue(0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -882,14 +924,14 @@ VALUE_BOUND_DIGESTS = {
     ("reference", "K"): "0289a3f64620a7c8dfb1f3c2337951a6b30a370f23050d2669b151d60c86d01d",
     ("reference", "L"): "a2ee322de5987bd17d846283b020bc4a0ff786f8757589acb4369da578889dea",
     ("reference", "Kslope"): "7093d8b6edad8885d4624f9efa2a085507f449b888b0e71dbbef5cc291b37700",
-    ("reference", "thm1"): "a6c4e590780977bbb266fba6de14b8c25bf7a28bac959f694cc266131920feee",
-    ("reference", "I"): "5cad0a6b01acc63d8b6a6024b483220a2638edc4557a805b57b66361cb451383",
+    ("reference", "thm1"): "5f084a6cc966bb204cb43cc705573a7fe02723078d00a081748fc945d291e1f6",
+    ("reference", "I"): "683cf328a88865063bd9d19b75f815eada2cf4d5b1521ecc39a863bea8b45d04",
     ("reference", "window_exact"): "a6df5873ed342b76f1623d6d62b9ed5b86f51ad6935ccdbdd647a4f8bce49854",
     ("reference", "window_sensitive"): "bc428b7e84bd93668e34610cd400942134fa4b0eb104d34a435c13fe93861a68",
     ("near-critical", "K"): "c51a61572f72e561a2175fe24cc6bce4554f22927e712427987d637c4dcc7f6f",
     ("near-critical", "L"): "e8eb0e0c99cfd934e44d0bb8c1d3201f508243a7abd21019db715aa40ccb8cf8",
     ("near-critical", "Kslope"): "c43206bedeca48b4a8f0147a34e15184384509cbb90756b3ecf3bae249368c28",
-    ("near-critical", "thm1"): "039f6e4743755840616540777209ff7896bdf6436cbe6630dc2dd7b896314bb6",
+    ("near-critical", "thm1"): "a6657cadea0ef3eb114efecb24f754a747b245b897c9b98df1f63128113a143a",
     ("near-critical", "I"): "4911a3eef8a2e3c3545cf95705088921ffab82661a7035b71a4608ae3b38394e",
     ("near-critical", "window_exact"): "3b7ef14041de713a5a862af926b871bd16f41dc134b2de3670cba31af8211322",
     ("near-critical", "window_sensitive"): "a778d97f57588423802897433e6ddda9564e00e6d6c40eb8361ea25aa876fb64",
