@@ -8,6 +8,21 @@ The process is a Markov branching process (Harris 1963): every cell lives
 an independent Exp(b+d) lifetime and then divides or dies, so cells can be
 simulated one lifetime at a time, in any order, with no global event clock.
 
+Only the sensitive cells with a resistant descendant can be seen in a row,
+so the sensitive cells are simulated as the reduced tree of the marked
+Galton-Watson tree (O'Connell 1995; Lyons & Peres 2016), the marks being
+resistant daughters.  Lifetimes are independent of the discrete genealogy,
+so the tree is reduced without regard to time: a sensitive cell is kept if
+its untruncated progeny ever holds a resistant cell, which has probability
+h = 1 - g, g = 2 (d0/c0) / (1 + x_n), c0 = b0 + d0.  A kept cell always
+divides, at the end of its Exp(c0) lifetime if that comes before t_obs, and
+its two daughters are drawn together from the pairs of {resistant,
+kept sensitive, dropped sensitive}, with weights gamma_n, (1 - gamma_n) h
+and (1 - gamma_n) g, other than two dropped ones.  Dropped cells are never
+simulated.  Cut at t_obs, the reduced tree holds every resistant founder
+born before t_obs with its whole ancestry, so the rows have the law of the
+full process; the full-genealogy twin of ``run`` is a test oracle.
+
 Every random number is keyed by the cell it belongs to.  A replicate has a
 64-bit key K; a root and a daughter get 64-bit ids hashed from K and from
 their mother's id (SplitMix64, Steele, Lea & Flood 2014), and each of a
@@ -15,19 +30,19 @@ cell's uniforms is hashed from its id (a counter-based stream, Salmon et
 al. 2011).  A replicate's realization therefore does not depend on the order
 its cells are simulated in:
 
-- ``run`` simulates one replicate depth first and keeps the full genealogy,
-  with mutations stored as counts on its edges; ``extract_sfs`` then counts
-  living resistant descendants per edge in one bottom-up pass.
+- ``run`` simulates one replicate depth first and keeps its genealogy, the
+  reduced sensitive tree and every resistant cell, with mutations stored as
+  counts on its edges; ``extract_sfs`` then counts living resistant
+  descendants per edge in one bottom-up pass.
 - ``sample_chunk`` simulates a chunk of replicates breadth first with numpy,
   in blocks whose genealogies stay within a node budget, in ``run``'s two
-  phases: the sensitive cells, which seed resistant clones, then the
-  clones.  A cell draws only what a row can see (a sensitive one a
-  lifetime only if it would divide; only dividing cells and living
-  resistant cells mutation counts), and only a dividing cell keeps a slot.
-  A row holds a replicate's dense spectrum, window counts, founder count,
-  final resistant count and total mutation count; for the same key it
-  equals what ``extract_sfs(run(...))`` gives, bit for bit, so ``run`` is
-  its full-genealogy twin.
+  phases: the kept sensitive cells, which seed resistant clones, then the
+  clones.  A cell draws only what a row can see (only dividing cells and
+  living resistant cells draw mutation counts), and only a dividing cell
+  keeps a slot.  A row holds a replicate's dense spectrum, window counts,
+  founder count, final resistant count and total mutation count; for the
+  same key it equals what ``extract_sfs(run(...))`` gives, bit for bit, so
+  ``run`` is its inspectable twin.
 
 The lifetimes take a logarithm, and numpy's SIMD ``log`` can differ from
 libm's in the last bit; both paths therefore evaluate ``_plog``, one fixed
@@ -44,7 +59,7 @@ from collections import deque
 from dataclasses import dataclass
 from random import Random
 
-from rescue_sfs.params import ModelParams, ParameterError, checked_index
+from rescue_sfs.params import ModelParams, ParameterError, checked_index, derive
 
 SENSITIVE = 0
 RESISTANT = 1
@@ -65,11 +80,18 @@ class PopulationCapError(RuntimeError):
 
 @dataclass
 class SimOutcome:
-    """Full genealogy forest of one run plus run-level counters.
+    """Genealogy forest of one run plus run-level counters.
 
     Node arrays are parallel; parents always precede children.  ``status``
     is the node's state at the observation time.  An edge's origin is its
-    mother's type: ``cell_type[parent[idx]]``.
+    mother's type: ``cell_type[parent[idx]]``.  ``run``'s forest holds every
+    root, the reduced sensitive tree and every resistant cell; a sensitive
+    node's status says only whether it divided, since a dropped cell is
+    never simulated.  ``event_counts`` counts the simulated events in the
+    five classes of the process's rate table (sensitive divisions with no,
+    one and two resistant daughters in classes 0, 2 and 3, resistant
+    divisions in 2, resistant deaths in 4; the reduced tree has no
+    sensitive death, so class 1 stays 0).
     """
 
     params: ModelParams
@@ -79,7 +101,6 @@ class SimOutcome:
     edge_mutations: list[int]
     status: list[int]
     n_roots: int
-    z0_final: int
     z1_final: int
     event_counts: list[int]
     ancestral: list[tuple[float, int, int]]  # (birth time, generation, root id)
@@ -146,9 +167,9 @@ _GOLDEN = 0x9E3779B97F4A7C15  # the SplitMix64 increment G
 _ROOT = 0x5851F42D4C957F2D  # xored into the replicate key before roots are numbered
 _MUL1, _MUL2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 # a cell x draws its lifetime uniform from x itself and the rest from
-# _mix64(x + k G): daughters k = 1, 2, divide-or-die 3, mutation count 4,
-# resistance 5
-_DIVIDE, _MUTATION, _RESISTANCE = (k * _GOLDEN & _M64 for k in (3, 4, 5))
+# _mix64(x + k G): daughters k = 1, 2, divide-or-die (kept-or-dropped for a
+# sensitive root) 3, mutation count 4, a kept sensitive cell's daughter pair 5
+_DIVIDE, _MUTATION, _PAIR = (k * _GOLDEN & _M64 for k in (3, 4, 5))
 _TWO_M53 = 2.0**-53
 # ``sample_chunk`` runs its keys in blocks of at most _BLOCK_NODES genealogy
 # nodes together (it aims at half that, some 30 reference replicates),
@@ -264,6 +285,53 @@ def _mutation_cdf(law: str, omega: float) -> tuple[float, ...]:
 # to build) at this bound, but 10^6 entries and half a second at omega = 2e6
 _MAX_OMEGA = 2e4
 
+# the kinds of a kept sensitive cell's daughters: a recorded daughter's kind
+# is its cell type; the daughter pairs are (first, second), all but two
+# dropped daughters, in the order of the pair table
+_DROPPED = 2
+_PAIRS = tuple(
+    (a, b)
+    for a in (RESISTANT, SENSITIVE, _DROPPED)
+    for b in (RESISTANT, SENSITIVE, _DROPPED)
+    if a != _DROPPED or b != _DROPPED
+)
+
+
+def _reduced_tree(params: ModelParams) -> tuple[float, tuple[float, ...]]:
+    """(h, pair cdf) of the reduced sensitive tree: h is the probability that
+    a sensitive cell's untruncated progeny ever holds a resistant cell, and
+    a kept cell's daughter pair is _PAIRS[bisect_right(cdf, u)]."""
+    dp = derive(params)
+    gamma_n = dp.gamma_n
+    # h = 1 - g = (x_n - lambda0/delta0) / (1 + x_n), with x_n = (lambda0/delta0)
+    # sqrt(1 + a) as derive has it, so the difference is (lambda0/delta0) a /
+    # (1 + sqrt(1 + a)), free of the cancellation of 1 - g at small gamma_n
+    a = 4.0 * dp.b0 * dp.d0 * gamma_n * (2.0 - gamma_n) / dp.lambda0**2
+    h = dp.lambda0 / dp.delta0 * a / ((1.0 + math.sqrt(1.0 + a)) * (1.0 + dp.x_n))
+    return h, _pair_cdf(gamma_n, h, 2.0 * (dp.d0 / dp.delta0) / (1.0 + dp.x_n))
+
+
+@functools.lru_cache(maxsize=64)
+def _pair_cdf(gamma_n: float, h: float, g: float) -> tuple[float, ...]:
+    """Cumulative probabilities of _PAIRS, the last entry inf, like
+    ``_mutation_cdf``'s: each daughter resistant with weight gamma_n, kept
+    sensitive with (1 - gamma_n) h and dropped with (1 - gamma_n) g, given
+    that not both are dropped.  At h = 0 no cell is kept and the table is
+    never read."""
+    if h == 0.0:
+        return (math.inf,) * len(_PAIRS)
+    weight = {RESISTANT: gamma_n, SENSITIVE: (1.0 - gamma_n) * h, _DROPPED: (1.0 - gamma_n) * g}
+    # 1 - ((1 - gamma_n) g)^2 as the product of its two factors, 1 - (1 -
+    # gamma_n) g = h + gamma_n g with nothing cancelled
+    norm = (h + gamma_n * g) * (1.0 + (1.0 - gamma_n) * g)
+    cdf = []
+    total = 0.0
+    for a, b in _PAIRS:
+        total += weight[a] * weight[b] / norm
+        cdf.append(total)
+    cdf[-1] = math.inf
+    return tuple(cdf)
+
 
 def checked_args(
     params: ModelParams, t_obs: float, initial: tuple[int, int] | None, i_max: int = 1, windows=()
@@ -308,22 +376,24 @@ def run(
     every draw after it is keyed by its cell (see the module docstring), so
     ``sample_chunk`` on that key gives this run's spectrum.  ``initial`` is
     the starting (sensitive, resistant) population; it defaults to (n_init,
-    0).  Cells come off a LIFO stack, sensitive cells first and then the
-    resistant cells they produced.  Each cell born at time s dies or
-    divides at s + Exp(b+d); a cell whose lifetime reaches ``t_obs`` is
-    alive, otherwise it divides with probability b/(b+d) and dies
-    otherwise.  Daughters get their type and mutation count at birth.
-    Raises PopulationCapError once the genealogy exceeds ``max_cells``
-    nodes.
+    0).  Cells come off a LIFO stack, the kept sensitive cells first and
+    then the resistant cells they produced.  A sensitive root is kept with
+    probability h; a kept cell born at time s divides at s + Exp(b0+d0)
+    unless that reaches ``t_obs``, and its daughters come as one draw from
+    the pair table, a dropped daughter unrecorded.  A resistant cell born
+    at s dies or divides at s + Exp(b1+d1); one whose lifetime reaches
+    ``t_obs`` is alive, otherwise it divides with probability b1/(b1+d1).
+    Daughters get their mutation count at birth.  The genealogy counts its
+    roots and two nodes per division, a dropped daughter included; raises
+    PopulationCapError once that exceeds ``max_cells``.
     """
     (n0_init, n1_init), _ = checked_args(params, t_obs, initial)
     key = rng.getrandbits(64) ^ _ROOT
 
     c0 = params.b0 + params.d0
     c1 = params.b1 + params.d1
-    divide0 = params.b0 / c0
     divide1 = params.b1 / c1
-    gamma_n = params.gamma_n
+    h, pairs = _reduced_tree(params)
     cdf = _mutation_cdf(params.mutation_law, params.omega)
     mix, uniform, plog = _mix64, _uniform, _plog
     n_roots = n0_init + n1_init
@@ -335,46 +405,46 @@ def run(
     # every node enters alive; a cell that dies or divides before t_obs is
     # marked when it comes off its stack
     status = [STATUS_ALIVE] * n_roots
-    # pending sensitive cells are (node, id, birth time, generation, root
-    # id), so that the resistant founders they produce can be labelled;
+    # pending kept sensitive cells are (node, id, birth time, generation,
+    # root id), so that the resistant founders they produce can be labelled;
     # pending resistant cells are (node, id, birth time)
-    stack0 = [(k, ids[k], 0.0, 0, k) for k in range(n0_init)]
+    stack0 = [
+        (k, ids[k], 0.0, 0, k)
+        for k in range(n0_init)
+        if uniform(mix(ids[k] + _DIVIDE & _M64)) < h
+    ]
     stack1 = [(k, ids[k], 0.0) for k in range(n0_init, n_roots)]
     pop0, push0 = stack0.pop, stack0.append
     pop1, push1 = stack1.pop, stack1.append
     event_counts = [0, 0, 0, 0, 0]
     ancestral: list[tuple[float, int, int]] = []
-    z0 = z1 = 0
+    z1 = dropped = 0
 
     while stack0:
         mother, x, born, g, rid = pop0()
         t = born - plog(1.0 - uniform(x)) / c0
         if t >= t_obs:
-            z0 += 1
-            continue
-        if uniform(mix(x + _DIVIDE & _M64)) >= divide0:
-            status[mother] = STATUS_DEAD
-            event_counts[1] += 1
             continue
         status[mother] = STATUS_DIVIDED
         g += 1
-        flips = 0
-        for d in (_GOLDEN, 2 * _GOLDEN):
+        kinds = _PAIRS[bisect_right(pairs, uniform(mix(x + _PAIR & _M64)))]
+        for d, kind in zip((_GOLDEN, 2 * _GOLDEN), kinds):
+            if kind == _DROPPED:
+                dropped += 1
+                continue
             y = mix(x + d & _M64)
             child = len(parent)
             parent.append(mother)
+            cell_type.append(kind)
             edge_mutations.append(bisect_right(cdf, uniform(mix(y + _MUTATION & _M64))))
             status.append(STATUS_ALIVE)
-            if uniform(mix(y + _RESISTANCE & _M64)) < gamma_n:
-                flips += 1
-                cell_type.append(RESISTANT)
+            if kind == RESISTANT:
                 push1((child, y, t))
                 ancestral.append((t, g, rid))
             else:
-                cell_type.append(SENSITIVE)
                 push0((child, y, t, g, rid))
-        event_counts[(0, 2, 3)[flips]] += 1
-        if len(parent) > max_cells:
+        event_counts[(0, 2, 3)[kinds.count(RESISTANT)]] += 1
+        if len(parent) + dropped > max_cells:
             raise _cap_error(max_cells, t_obs)
 
     # every node made from here on is a daughter of a resistant division
@@ -396,7 +466,7 @@ def run(
             parent.append(mother)
             edge_mutations.append(bisect_right(cdf, uniform(mix(y + _MUTATION & _M64))))
             status.append(STATUS_ALIVE)
-        if len(parent) > max_cells:
+        if len(parent) + dropped > max_cells:
             raise _cap_error(max_cells, t_obs)
 
     n_resistant_daughters = len(parent) - first_resistant_daughter
@@ -411,7 +481,6 @@ def run(
         edge_mutations=edge_mutations,
         status=status,
         n_roots=n_roots,
-        z0_final=z0,
         z1_final=z1,
         event_counts=event_counts,
         ancestral=ancestral,
@@ -469,33 +538,35 @@ def sample_chunk(
     whose ``getrandbits(64)`` is that key, and record j equals that
     ``extract_sfs`` record.
 
-    A block runs in ``run``'s two phases, every sensitive cell from one
-    first-in first-out queue and then every resistant cell from a second,
-    so a cell's type is its queue's; batches of about ``_BATCH`` cells come
-    off a queue's front and their dividing cells' daughters join the back,
-    so batches run generation by generation.  A cell draws only what a row
-    can see.  A sensitive cell that dies or lives to ``t_obs`` counts
-    nowhere: a daughter draws its resistance and divide-or-die uniforms at
-    birth, and joins the resistant queue if it flips, or the sensitive
-    queue, to draw a lifetime, if it would divide.  A resistant cell draws
-    its lifetime and divide-or-die; alive at ``t_obs`` it is a leaf, one
-    carrier under its mother's slot.  A dividing cell gets a slot, and
-    slots and leaves alone draw mutation counts.  Counting then walks the
-    batches backwards: a slot's carrier count is complete once every later
-    batch has added its slots into their mothers, and ``bincount``s fill
-    the rows.  Draws are keyed by cell, so neither the phases, the
-    batching nor the chunk changes a replicate's values.
+    A block runs in ``run``'s two phases, every kept sensitive cell from
+    one first-in first-out queue and then every resistant cell from a
+    second, so a cell's type is its queue's; batches of about ``_BATCH``
+    cells come off a queue's front and their dividing cells' daughters join
+    the back, so batches run generation by generation.  A cell draws only
+    what a row can see.  The sensitive phase runs the reduced tree: a
+    sensitive root is queued only if it is kept, a kept cell draws its
+    lifetime and, if it divides, its daughter pair, and its resistant and
+    kept daughters join their queues while a dropped one is forgotten.  A
+    resistant cell draws its lifetime and divide-or-die; alive at ``t_obs``
+    it is a leaf, one carrier under its mother's slot.  A dividing cell gets
+    a slot, and slots and leaves alone draw mutation counts.  Counting then
+    walks the batches backwards: a slot's carrier count is complete once
+    every later batch has added its slots into their mothers, and
+    ``bincount``s fill the rows.  Draws are keyed by cell, so neither the
+    phases, the batching nor the chunk changes a replicate's values.
 
     The keys run in blocks, in order, so the memory a chunk takes does not
     grow with the chunk: a block's replicates hold at most ``_BLOCK_NODES``
-    genealogy nodes together, or ``max_cells`` if that is smaller.  A
-    block is sized to fill about half of that, first as if each root had 8
-    nodes, then from the nodes per replicate of the block before; a block
-    whose replicates exceed it is dropped after the batch that shows it and
-    run again in halves.  One replicate may take up to ``max_cells`` nodes
-    by itself, so one that takes more ends up alone and raises
-    PopulationCapError, which names its position in ``replicate``; it is
-    the lowest such replicate, and ``run`` on its key raises too.
+    genealogy nodes together, or ``max_cells`` if that is smaller, where a
+    replicate's nodes are its roots, every one kept or not, and two per
+    division, as ``run`` counts them.  A block is sized to fill about half
+    of that, first as if each root had 8 nodes, then from the nodes per
+    replicate of the block before; a block whose replicates exceed it is
+    dropped after the batch that shows it and run again in halves.  One
+    replicate may take up to ``max_cells`` nodes by itself, so one that
+    takes more ends up alone and raises PopulationCapError, which names its
+    position in ``replicate``; it is the lowest such replicate, and ``run``
+    on its key raises too.
     """
     initial, windows = checked_args(params, t_obs, initial, i_max, windows)
     import numpy as np
@@ -536,15 +607,18 @@ def _sample_block(params, t_obs, initial, keys, i_max, windows, keep, max_cells)
     reps = len(keys)
     limit = min(max_cells, _BLOCK_NODES) if reps > 1 else max_cells
     c0, c1 = params.b0 + params.d0, params.b1 + params.d1
-    divide0, divide1 = params.b0 / c0, params.b1 / c1
+    divide1 = params.b1 / c1
+    h, pairs = _reduced_tree(params)
+    pairs = np.array(pairs)
+    # a pair's first and second daughters' kinds, by its index in the table
+    first_kind, second_kind = np.array(_PAIRS, dtype=np.int8).T
     cdf = np.array(_mutation_cdf(params.mutation_law, params.omega))
-    # the block's nodes are its roots and two daughters per division, one
-    # slot each after slot 0; run raises at the division that takes it past
-    # max_cells nodes
+    # the block's nodes are its roots and two daughters per division, a
+    # dropped one included, one slot each after slot 0; run raises at the
+    # division that takes it past max_cells nodes
     max_slots = max((limit - reps * n_roots) // 2, 0) + 1
-    # what a dividing cell, and a sensitive division's daughter at birth, hash at once
+    # what a dividing cell hashes at once
     division_offsets = np.array([[_GOLDEN], [2 * _GOLDEN & _M64], [_MUTATION]], dtype=u64)
-    birth_offsets = np.array([[_RESISTANCE], [_DIVIDE]], dtype=u64)
 
     # a queue entry holds pending cells' ids, birth times, mothers' slots
     # (slot 0 for a root) and replicates; a cell's type is its queue's
@@ -597,25 +671,27 @@ def _sample_block(params, t_obs, initial, keys, i_max, windows, keep, max_cells)
 
     x = np.repeat(np.array(keys, dtype=u64) ^ u64(_ROOT), n_roots)
     x = _mix64_array(x + np.tile(np.arange(1, n_roots + 1, dtype=u64) * u64(_GOLDEN), reps))
-    # a sensitive root draws divide-or-die first too
+    # only the kept sensitive roots are queued
     sensitive_root = np.tile(np.arange(n_roots) < n0_init, reps)
-    would = _uniform(_mix64_array(x + u64(_DIVIDE))) < divide0
-    for queue, cells in ((sensitive, sensitive_root & would), (resistant, ~sensitive_root)):
+    kept = _uniform(_mix64_array(x + u64(_DIVIDE))) < h
+    for queue, cells in ((sensitive, sensitive_root & kept), (resistant, ~sensitive_root)):
         cells = np.flatnonzero(cells)
         enqueue(queue, x[cells], np.zeros(cells.size), np.zeros_like(cells), cells // n_roots)
 
-    # the sensitive phase: a daughter draws its type and divide-or-die at
-    # birth, and only one that would divide is queued as sensitive
+    # the sensitive phase, over the reduced tree: a kept cell divides if its
+    # lifetime ends before t_obs, and draws its daughters' kinds as one pair
     for x, born, mother, rep in batches(sensitive):
         t = born - _plog(1.0 - _uniform(x), np.frexp) / c0
         dividing = np.flatnonzero(t < t_obs)
-        daughters = divide(x[dividing], t[dividing], mother[dividing], rep[dividing])
-        u = _uniform(_mix64_array(daughters[0] + birth_offsets))
-        flips = np.flatnonzero(u[0] < params.gamma_n)
+        x = x[dividing]
+        daughters = divide(x, t[dividing], mother[dividing], rep[dividing])
+        pair = np.searchsorted(pairs, _uniform(_mix64_array(x + u64(_PAIR))), "right")
+        kind = np.concatenate((first_kind[pair], second_kind[pair]))
+        flips = np.flatnonzero(kind == RESISTANT)
         founders += np.bincount(daughters[3][flips], minlength=reps)
         enqueue(resistant, *(part[flips] for part in daughters))
-        would = np.flatnonzero((u[0] >= params.gamma_n) & (u[1] < divide0))
-        enqueue(sensitive, *(part[would] for part in daughters))
+        kept = np.flatnonzero(kind == SENSITIVE)
+        enqueue(sensitive, *(part[kept] for part in daughters))
     first_resistant = slot_mother.size
 
     # the resistant phase

@@ -313,21 +313,28 @@ def _shape(i: int, x: float, rho: float) -> tuple[float, float]:
 
 
 def shape_integral(i: int, rho: float) -> TheoryValue:
-    """Integral of (1-y) y^(i-1) / (1 - rho y) over [0, 1], to SHAPE_TOL.
+    """Integral of (1-y) y^(i-1) / (1 - rho y) over [0, 1], with a bound of
+    at most SHAPE_TOL plus the rounding term.
 
     The limiting per-founder SFS shape factor I(i): the series sum_k rho^k /
     ((i+k)(i+k+1)), or near rho = 1 the log1p-seeded recurrence of
-    ``_shape``, each with a certified bound.
+    ``_shape``, each with a certified bound.  The series stops once its tail
+    is below SHAPE_TOL and reports that tail plus the rounding of the terms
+    it summed, so its bound may exceed SHAPE_TOL by that rounding term; the
+    recurrence is used only where its whole bound is within SHAPE_TOL.
     """
     return shape_integral_truncated(i, math.inf, rho)
 
 
 def shape_integral_truncated(i: int, x: float, rho: float) -> TheoryValue:
-    """Integral of (1-y) y^(i-1) / (1 - rho y) over [0, (x-1)/(x-rho)], to SHAPE_TOL.
+    """Integral of (1-y) y^(i-1) / (1 - rho y) over [0, (x-1)/(x-rho)], with
+    a bound of at most SHAPE_TOL plus the rounding term.
 
     Defined for x >= 1 (zero at x = 1); shape_integral(i, rho) at x = inf.
-    Series in rho with the upper limit's powers, or the recurrence of
-    ``_shape`` where rho (x-1)/(x-rho) is near 1.
+    Series in rho with the upper limit's powers, whose bound is its tail,
+    below SHAPE_TOL, plus the rounding of the terms it summed, or the
+    recurrence of ``_shape`` where rho (x-1)/(x-rho) is near 1, whose whole
+    bound is within SHAPE_TOL.
     """
     i = checked_index(i, "i", 1)
     if not 0 <= rho < 1:

@@ -1,19 +1,23 @@
-"""Test-only oracles: the event-driven Gillespie simulator the lifetime
-simulator ``run`` is checked against, the exact marked Galton-Watson tree
-recursions (the leaf-count pmf u_n, the joint law v_{g,n} of a leaf's
-generation and the leaf count, and the Catalan sums) that the generation
-laws of ``rescue_sfs.gw_trees`` are checked against, a direct sampler of the
-exactly-one-mark tree the rejection sampler is checked against, a naive
-per-cell mutation-set SFS algorithm, and a hand-built genealogy mirroring
-the worked one-root example (seven living resistant cells; spectrum S1=3,
-S3=1, S7=2), and the chi-square and Kolmogorov-Smirnov goodness-of-fit
-tests (p-values from scipy.special.chdtrc and scipy.stats.kstest) the
-statistical checks use, and the import list of a module's source that the
+"""Test-only oracles: the full-genealogy lifetime simulator ``full_run``
+and the event-driven Gillespie simulator, which the reduced-tree simulator
+``run`` and the chunk sampler are checked against in distribution; the
+exact marked Galton-Watson tree recursions (the leaf-count pmf u_n, the
+joint law v_{g,n} of a leaf's generation and the leaf count, and the
+Catalan sums) that the generation laws of ``rescue_sfs.gw_trees`` are
+checked against; a direct sampler of the exactly-one-mark tree the
+rejection sampler is checked against; a naive per-cell mutation-set SFS
+algorithm; a hand-built genealogy mirroring the worked one-root example
+(seven living resistant cells; spectrum S1=3, S3=1, S7=2); the one- and
+two-sample chi-square and Kolmogorov-Smirnov goodness-of-fit tests
+(p-values from scipy.special.chdtrc and scipy.stats.kstest) that the
+statistical checks use; and the import list of a module's source that the
 dependency checks read.
 
-``gillespie`` (Gillespie 1977) draws every event of the whole population in
-time order.  The mechanism-level divisions of ``run`` induce the aggregate
-transition rates of the five-row table
+``full_run`` simulates every cell, each sensitive one included, one
+lifetime at a time with cell-keyed draws; its forests are pinned.  ``gillespie`` (Gillespie 1977)
+draws every event of the whole population in time order.  The
+mechanism-level divisions of both induce the aggregate transition rates of
+the five-row table
 
     (z0, z1) -> (z0+1, z1)    at (1-gamma_n)^2 b0 z0
     (z0, z1) -> (z0-1, z1)    at d0 z0
@@ -43,6 +47,12 @@ from rescue_sfs.gw_trees import GwLaw, geometric_pmf
 from rescue_sfs.montecarlo import IndexMismatchError
 from rescue_sfs.params import ModelParams
 from rescue_sfs.simulator import (
+    _DIVIDE,
+    _GOLDEN,
+    _M64,
+    _MUTATION,
+    _PAIR,
+    _ROOT,
     RESISTANT,
     SENSITIVE,
     STATUS_ALIVE,
@@ -50,17 +60,148 @@ from rescue_sfs.simulator import (
     STATUS_DIVIDED,
     PopulationCapError,
     SimOutcome,
+    _cap_error,
+    _mix64,
     _mutation_cdf,
+    _plog,
+    _uniform,
     checked_args,
 )
 
 
 @dataclass
 class OracleOutcome(SimOutcome):
-    """A ``gillespie`` run: the SimOutcome plus, with ``track_rates``, the
-    per-event expected class probabilities summed over the run."""
+    """A full-genealogy run (``full_run`` or ``gillespie``): the SimOutcome
+    of every cell, the final sensitive count ``z0_final`` and, with
+    ``gillespie``'s ``track_rates``, the per-event expected class
+    probabilities summed over the run."""
 
+    z0_final: int
     expected_class_weights: list[float] | None = None
+
+
+def full_run(
+    params: ModelParams,
+    t_obs: float,
+    initial: tuple[int, int] | None = None,
+    *,
+    rng: Random,
+    max_cells: int = 5_000_000,
+) -> OracleOutcome:
+    """Simulate the process exactly up to ``t_obs``, one cell at a time, every
+    sensitive cell included.
+
+    ``rng`` supplies one number, the replicate key ``rng.getrandbits(64)``;
+    every draw after it is keyed by its cell.  ``initial`` is the starting
+    (sensitive, resistant) population; it defaults to (n_init, 0).  Cells
+    come off a LIFO stack, sensitive cells first and then the resistant
+    cells they produced.  Each cell born at time s dies or divides at s +
+    Exp(b+d); a cell whose lifetime reaches ``t_obs`` is alive, otherwise it
+    divides with probability b/(b+d) and dies otherwise.  Daughters get
+    their type (resistant with probability gamma_n, by the uniform at
+    offset ``_PAIR``) and mutation count at birth.  Raises PopulationCapError once
+    the genealogy exceeds ``max_cells`` nodes.
+    """
+    (n0_init, n1_init), _ = checked_args(params, t_obs, initial)
+    key = rng.getrandbits(64) ^ _ROOT
+
+    c0 = params.b0 + params.d0
+    c1 = params.b1 + params.d1
+    divide0 = params.b0 / c0
+    divide1 = params.b1 / c1
+    gamma_n = params.gamma_n
+    cdf = _mutation_cdf(params.mutation_law, params.omega)
+    mix, uniform, plog = _mix64, _uniform, _plog
+    n_roots = n0_init + n1_init
+    ids = [mix(key + (k + 1) * _GOLDEN & _M64) for k in range(n_roots)]
+
+    parent = [-1] * n_roots
+    cell_type = [SENSITIVE] * n0_init + [RESISTANT] * n1_init
+    edge_mutations = [0] * n_roots
+    # every node enters alive; a cell that dies or divides before t_obs is
+    # marked when it comes off its stack
+    status = [STATUS_ALIVE] * n_roots
+    # pending sensitive cells are (node, id, birth time, generation, root
+    # id), so that the resistant founders they produce can be labelled;
+    # pending resistant cells are (node, id, birth time)
+    stack0 = [(k, ids[k], 0.0, 0, k) for k in range(n0_init)]
+    stack1 = [(k, ids[k], 0.0) for k in range(n0_init, n_roots)]
+    pop0, push0 = stack0.pop, stack0.append
+    pop1, push1 = stack1.pop, stack1.append
+    event_counts = [0, 0, 0, 0, 0]
+    ancestral: list[tuple[float, int, int]] = []
+    z0 = z1 = 0
+
+    while stack0:
+        mother, x, born, g, rid = pop0()
+        t = born - plog(1.0 - uniform(x)) / c0
+        if t >= t_obs:
+            z0 += 1
+            continue
+        if uniform(mix(x + _DIVIDE & _M64)) >= divide0:
+            status[mother] = STATUS_DEAD
+            event_counts[1] += 1
+            continue
+        status[mother] = STATUS_DIVIDED
+        g += 1
+        flips = 0
+        for d in (_GOLDEN, 2 * _GOLDEN):
+            y = mix(x + d & _M64)
+            child = len(parent)
+            parent.append(mother)
+            edge_mutations.append(bisect_right(cdf, uniform(mix(y + _MUTATION & _M64))))
+            status.append(STATUS_ALIVE)
+            if uniform(mix(y + _PAIR & _M64)) < gamma_n:
+                flips += 1
+                cell_type.append(RESISTANT)
+                push1((child, y, t))
+                ancestral.append((t, g, rid))
+            else:
+                cell_type.append(SENSITIVE)
+                push0((child, y, t, g, rid))
+        event_counts[(0, 2, 3)[flips]] += 1
+        if len(parent) > max_cells:
+            raise _cap_error(max_cells, t_obs)
+
+    # every node made from here on is a daughter of a resistant division
+    first_resistant_daughter = len(parent)
+    while stack1:
+        mother, x, born = pop1()
+        t = born - plog(1.0 - uniform(x)) / c1
+        if t >= t_obs:
+            z1 += 1
+            continue
+        if uniform(mix(x + _DIVIDE & _M64)) >= divide1:
+            status[mother] = STATUS_DEAD
+            event_counts[4] += 1
+            continue
+        status[mother] = STATUS_DIVIDED
+        for d in (_GOLDEN, 2 * _GOLDEN):
+            y = mix(x + d & _M64)
+            push1((len(parent), y, t))
+            parent.append(mother)
+            edge_mutations.append(bisect_right(cdf, uniform(mix(y + _MUTATION & _M64))))
+            status.append(STATUS_ALIVE)
+        if len(parent) > max_cells:
+            raise _cap_error(max_cells, t_obs)
+
+    n_resistant_daughters = len(parent) - first_resistant_daughter
+    event_counts[2] += n_resistant_daughters // 2
+    cell_type += [RESISTANT] * n_resistant_daughters
+    ancestral.sort()
+    return OracleOutcome(
+        params=params,
+        t_obs=t_obs,
+        parent=parent,
+        cell_type=cell_type,
+        edge_mutations=edge_mutations,
+        status=status,
+        n_roots=n_roots,
+        z0_final=z0,
+        z1_final=z1,
+        event_counts=event_counts,
+        ancestral=ancestral,
+    )
 
 
 def alive_counts(outcome: SimOutcome) -> tuple[int, int]:
@@ -542,7 +683,6 @@ def build_single_root_example(params: ModelParams) -> SimOutcome:
         edge_mutations=[r[2] for r in rows],
         status=[r[3] for r in rows],
         n_roots=1,
-        z0_final=2,
         z1_final=7,
         event_counts=[0, 0, 0, 0, 0],
         ancestral=[(0.0, 2, 0)],
@@ -636,6 +776,35 @@ def gof_pooled_counts(
     stat = float(((o - e) ** 2 / e).sum())
     dof = o.size - 1
     return GofResult(stat, float(chdtrc(dof, stat)), dof, o.size)
+
+
+def gof_two_samples(
+    a: Sequence[int], b: Sequence[int], min_expected: float = 5.0
+) -> GofResult:
+    """Chi-square test that two samples of integers >= 0 come from one law:
+    the 2 x k table of their counts, adjacent values pooled from the
+    smallest up until each pooled cell's expected count in both samples is
+    at least min_expected (a short last group joins the one before)."""
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    size = int(max(a.max(initial=0), b.max(initial=0))) + 1
+    counts = np.stack((np.bincount(a, minlength=size), np.bincount(b, minlength=size)))
+    need = min_expected * (a.size + b.size) / min(a.size, b.size)
+    groups, run = [], np.zeros(2)
+    for column in counts.T:
+        run = run + column
+        if run.sum() >= need:
+            groups.append(run)
+            run = np.zeros(2)
+    if groups and run.sum():
+        groups[-1] = groups[-1] + run
+    if len(groups) < 2:
+        raise DegenerateSampleError("samples too small or constant for a pooled chi-square test")
+    obs = np.array(groups).T
+    exp = np.outer(obs.sum(axis=1), obs.sum(axis=0)) / obs.sum()
+    stat = float(((obs - exp) ** 2 / exp).sum())
+    dof = obs.shape[1] - 1
+    return GofResult(stat, float(chdtrc(dof, stat)), dof, obs.shape[1])
 
 
 def imported_modules(module) -> list[str]:

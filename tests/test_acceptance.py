@@ -18,6 +18,7 @@ from helpers import (
     build_single_root_example,
     catalan_series_sum,
     exact_v_tables,
+    full_run,
     gillespie,
     gof_exponential,
     gof_geometric,
@@ -317,7 +318,7 @@ def test_criterion_09_rate_table_and_decay():
             b0=1.2, d0=2.0, b1=1.2, d1=0.5, omega=0.0, gamma=0.0, alpha=0.9, n_init=100
         )
         rng = Random(20910)
-        finals = [sim.run(decay_params, 1.0, rng=rng).z0_final for _ in range(10_000)]
+        finals = [full_run(decay_params, 1.0, rng=rng).z0_final for _ in range(10_000)]
         mean = float(np.mean(finals))
         sem = float(np.std(finals, ddof=1) / math.sqrt(len(finals)))
         expected = 100 * math.exp(-0.8)

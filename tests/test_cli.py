@@ -53,10 +53,10 @@ def _digests(out_dir):
 
 # pinned `simulate` outputs of REF_CFG with --windows 0.5,2 --i-max 10
 SIMULATE_DIGESTS = {
-    "aggregate.csv": "7d538df7befd032868d87b3c024a92e5ee61cf9801768711ea1c3c0c0087f915",
+    "aggregate.csv": "e924b3350dda1328ad2fd410d4a6af22bb7c2d3b622904762cb7a5935b114845",
     "config_resolved.json": "89a2f92db45f06a791141f31c94d3437933c412ca54369d063b07092feea301c",
-    "per_replicate.csv": "b34b8dd3febf81e2d910d265a3fd6e41868b3ef61a069f6cbdd2b70894820e35",
-    "windows.csv": "cfe41eca240372ab6e5419e3b9b11d36d185da79c5b6e3a9b0f2d954c38b0b62",
+    "per_replicate.csv": "249ba6173465d1936965bdfc2d8afdce6d5fa3e477f4c44cb10aa6d7d01c316a",
+    "windows.csv": "a03e0d620326ed245dbc5d2a8218dea2b2958fd9aadaefc08492883ea2409c72",
 }
 
 # pinned outputs of the other commands at REF_CFG: one theory id per index
@@ -126,7 +126,7 @@ GOLDEN_DIGESTS = [
     ),
     (
         ["figures", "--which", "fig3", "--workers", "1"],
-        {"fig3.csv": "dc83c4a6da939253a8c0470a163a973ce65ddd9746db52a14d3fcbf389a80e73"},
+        {"fig3.csv": "c9e34a692c36a07b4c3ed09b5b703a6cbc0f6085c40d3d1a29de158a914eab1b"},
     ),
     (
         ["figures", "--which", "fig4", "--workers", "1"],
@@ -134,7 +134,7 @@ GOLDEN_DIGESTS = [
     ),
     (
         ["figures", "--which", "fig5", "--workers", "1"],
-        {"fig5.csv": "f6015a1f4d15771b335099552fcf94ce7da6dc82382c11b351d4f55d811fd901"},
+        {"fig5.csv": "30876587aebae60f8edd74d12985dfb1e8f390dd9ed7d550f02ca0bd76a436ab"},
     ),
     (
         ["figures", "--which", "fig7"],
@@ -143,23 +143,23 @@ GOLDEN_DIGESTS = [
     (
         ["compare", "--what", "small-i", "--i-max", "5", "--workers", "1"],
         {
-            "report.csv": "8921ebd07f20b69af692c3e7dedfd48c8aa7df4e28000e0910105bb06be92acb",
-            "report.json": "96d188153235a985142ca4263e2a20e1580784891ff39ee7da10174734726763",
+            "report.csv": "cdb87e9b33957bf66f0fa068ce0b1dc9f0a28b03dfb24516c3ddac989e9bcdd6",
+            "report.json": "3379295ed6f10406c594c826ecdff5e44c507f2222d3caded04a448dba4f4060",
         },
     ),
     (
         ["compare", "--what", "windows", "--windows", "0.5,1", "--workers", "1"],
         {
-            "report.csv": "a7690d1bb0f7f0a7b3060d8cdae6499c31e354a27d5ec96f6fdac5823ade7da4",
-            "report.json": "964099ef21247ac6666143d8e93e3a38a6431baa145656c5a0dd2b22f3d6a8de",
+            "report.csv": "da307c2f030eb6e57b00bc02478ab2cdeab5f427cd7986bb19ab51ca06a76d72",
+            "report.json": "da5b6c82d95a205739a479e49862541e3048d8e70f93219d3b120d700b1c715a",
         },
     ),
     (
         ["compare", "--what", "windows", "--windows", "0.5,1", "--mode", "relative"]
         + ["--threshold", "1", "--workers", "1"],
         {
-            "report.csv": "fc07f0633627f6bfe0eb5c0f1a8750d943f0d3d7d7a361dad9a4860b34e892ad",
-            "report.json": "60829d70707d0c7fd9383e9997020a592262316dabfd755581382707d35522dd",
+            "report.csv": "3993e0a49bd64662f0afd101a750b5d70f8a8a8ba89cb18593cb23a426139256",
+            "report.json": "6859f0c9979b9d09512d1cee93ee34824838bc3796b786f213e486da3c572ebe",
         },
     ),
 ]

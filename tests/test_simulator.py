@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -6,6 +7,7 @@ import tracemalloc
 from collections import Counter
 from random import Random
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -17,9 +19,11 @@ from helpers import (
     build_single_root_example,
     carried_copy_total,
     event_class_probabilities,
+    full_run,
     gillespie,
     gof_geometric,
     gof_pooled_counts,
+    gof_two_samples,
     naive_sfs,
 )
 from rescue_sfs import simulator as sim
@@ -29,6 +33,12 @@ from rescue_sfs.params import MUTATION_LAWS, ModelParams, ParameterError, derive
 
 REF = ModelParams(b0=1.2, d0=2.0, b1=1.2, d1=0.5, omega=2.0, gamma=1.0, alpha=0.9, n_init=500)
 SMALL = ModelParams(b0=1.0, d0=2.0, b1=1.2, d1=0.5, omega=2.0, gamma=0.3, alpha=1.0, n_init=8)
+N40 = dataclasses.replace(REF, n_init=40)
+T40 = 1.25 * math.log(40)
+BERNOULLI40 = dataclasses.replace(N40, mutation_law="bernoulli", omega=1.0)
+# gamma_n = 20 / 40 = 0.5: about half of every kept sensitive cell's
+# daughters move to the resistant queue
+FLIPS40 = dataclasses.replace(N40, gamma=20.0, alpha=1.0)
 
 
 def test_initial_validation():
@@ -75,11 +85,12 @@ def test_population_cap():
 
 
 # (params, t_obs, initial, max_cells) where most seeds exceed the cap and
-# some do not: d1 = 0 from (2, 1), as the resistant cells grow, and gamma = 0
-# from (3, 0), at a sensitive division before any resistant cell exists
+# some do not: d1 = 0 from (2, 1), as the resistant cells grow, and gamma_n
+# = 0.5 from (5, 0), mostly at the second division of the reduced sensitive
+# tree, before any resistant cell divides
 CAP_CASES = [
     (dataclasses.replace(REF, d1=0.0), 6.0, (2, 1), 400),
-    (dataclasses.replace(REF, gamma=0.0), 1.0, (3, 0), 4),
+    (FLIPS40, T40, (5, 0), 8),
 ]
 
 
@@ -111,6 +122,27 @@ def test_sample_chunk_hits_the_cap_where_run_does():
         rest = [key for key, hit in zip(keys, hits) if not hit]
         rows, _ = sim.sample_chunk(params, t_obs, initial, rest, i_max=5, max_cells=max_cells)
         assert rows.shape == (len(rest), 18)
+
+
+def test_sample_chunk_hits_the_cap_in_the_reduced_sensitive_phase():
+    # the sensitive phase runs to its end before any resistant cell divides,
+    # so a replicate whose kept sensitive divisions alone take its roots
+    # past max_cells hits the cap there, in run and in sample_chunk alike
+    params, t_obs, initial, max_cells = CAP_CASES[1]
+    inside = 0
+    for seed in range(40):
+        out = sim.run(params, t_obs, initial, rng=Random(seed))
+        divisions = sum(
+            typ == sim.SENSITIVE and status == sim.STATUS_DIVIDED
+            for typ, status in zip(out.cell_type, out.status)
+        )
+        if sum(initial) + 2 * divisions > max_cells:
+            inside += 1
+            key = Random(seed).getrandbits(64)
+            with pytest.raises(sim.PopulationCapError) as info:
+                sim.sample_chunk(params, t_obs, initial, [key], i_max=5, max_cells=max_cells)
+            assert info.value.replicate == 0
+    assert inside > 0
 
 
 def test_sample_chunk_takes_a_cap_past_2_to_32():
@@ -168,13 +200,13 @@ def test_subcritical_decay_gamma_zero():
         b0=1.2, d0=2.0, b1=1.2, d1=0.5, omega=0.0, gamma=0.0, alpha=0.9, n_init=100
     )
     rng = Random(101)
-    finals = [sim.run(params, 1.0, rng=rng).z0_final for _ in range(4000)]
+    finals = [full_run(params, 1.0, rng=rng).z0_final for _ in range(4000)]
     mean = np.mean(finals)
     sem = np.std(finals, ddof=1) / math.sqrt(len(finals))
     expected = 100 * math.exp(-0.8)
     assert abs(mean - expected) <= 3 * sem
     # no resistance, no mutations: empty records
-    out = sim.run(params, 1.0, rng=rng)
+    out = full_run(params, 1.0, rng=rng)
     assert out.ancestral == []
     rec = sim.extract_sfs(out)
     assert rec.s == {} and rec.total_mutations() == 0
@@ -369,8 +401,8 @@ def test_mean_sfs_insensitive_to_mutation_law():
     assert m1 - 1.96 * s1 <= m2 + 1.96 * s2 and m2 - 1.96 * s2 <= m1 + 1.96 * s1
 
 
-# sha256 of run's forests (parent, cell_type, edge_mutations, status) over
-# seeds 0, 1 and 2 at N = 40, t = 1.25 ln N: per-seed outputs of the
+# sha256 of full_run's forests (parent, cell_type, edge_mutations, status)
+# over seeds 0, 1 and 2 at N = 40, t = 1.25 ln N: per-seed outputs of the
 # mutation-count sampler, pinned across changes to how it searches the cdf
 FOREST_DIGESTS = {
     ("poisson", 0.0): "7fb74b50823430ab044c17bce24c25548d38c904d7084cb462b7ab48ed5339a3",
@@ -390,7 +422,7 @@ def test_run_forests_pinned(law, omega):
     )
     h = hashlib.sha256()
     for seed in (0, 1, 2):
-        out = sim.run(params, 1.25 * math.log(40), rng=Random(seed))
+        out = full_run(params, 1.25 * math.log(40), rng=Random(seed))
         h.update(json.dumps([out.parent, out.cell_type, out.edge_mutations, out.status]).encode())
     assert h.hexdigest() == FOREST_DIGESTS[law, omega]
 
@@ -428,7 +460,7 @@ def test_run_agrees_with_gillespie_in_distribution():
     lambda1 = params.b1 - params.d1
     windows = (0.5, 2.0)
     samples = {}
-    for name, simulate, seed in (("run", sim.run, 401), ("gillespie", gillespie, 402)):
+    for name, simulate, seed in (("run", full_run, 401), ("gillespie", gillespie, 402)):
         rng = Random(seed)
         rows = []
         for _ in range(3000):
@@ -448,6 +480,138 @@ def test_run_agrees_with_gillespie_in_distribution():
     zs = [_welch_z(a[:, k], b[:, k]) for k in range(a.shape[1])]
     assert max(abs(z) for z in zs) <= 4.0, zs
     assert a[:, 5].sum() > 0 and b[:, 5].sum() > 0  # double flips happen in both
+
+
+# ---------------------------------------------------------------------------
+# the reduced sensitive tree
+# ---------------------------------------------------------------------------
+
+U = 2.0**-53
+RATES = [(1.2, 2.0), (1.0, 2.0), (1.99, 2.0), (0.01, 3.0)]
+GAMMAS_N = [1e-12, 1e-9, 1e-6, 1e-3, 0.01, 0.1, 0.3, 0.5]
+
+
+def _reduced_tree_exact(b0, d0, gamma_n):
+    """h and the daughter kinds' weights at 40 digits, the rates and gamma_n
+    taken as given: g = 1 - h solves g = d0/c + (b0/c) ((1 - gamma_n) g)^2,
+    c = b0 + d0."""
+    with mpmath.workdps(40):
+        b0, d0, gamma = mpmath.mpf(b0), mpmath.mpf(d0), mpmath.mpf(gamma_n)
+        p, q = b0 / (b0 + d0), d0 / (b0 + d0)
+        g = 2 * q / (1 + mpmath.sqrt(1 - 4 * p * q * (1 - gamma) ** 2))
+        weight = {sim.RESISTANT: gamma, sim.SENSITIVE: (1 - gamma) * (1 - g)}
+        weight[sim._DROPPED] = (1 - gamma) * g
+        return 1 - g, weight
+
+
+def _tree_params(b0, d0, gamma_n):
+    # n_init = 1 and alpha = 1, so gamma_n = gamma exactly
+    return ModelParams(b0=b0, d0=d0, b1=1.2, d1=0.5, omega=2.0, gamma=gamma_n, alpha=1.0, n_init=1)
+
+
+@pytest.mark.parametrize("b0, d0", RATES, ids=str)
+def test_reduced_tree_keep_probability(b0, d0):
+    # h within 32u: first-order sums of the roundings of each step (a within
+    # 8u, 1 + sqrt(1 + a) and 1 + x_n within 7u and 9u, lambda0/delta0 within
+    # 3u, and the product and quotients); 1 - g in floats would be off by
+    # about 1e-4 of h at gamma_n = 1e-12
+    for gamma_n in GAMMAS_N:
+        h, _ = sim._reduced_tree(_tree_params(b0, d0, gamma_n))
+        exact, _ = _reduced_tree_exact(b0, d0, gamma_n)
+        assert abs(h - exact) <= 32 * U * exact, (gamma_n, h, exact)
+
+
+@pytest.mark.parametrize("b0, d0", RATES, ids=str)
+def test_reduced_tree_pair_table(b0, d0):
+    # each entry within 128u: a weight holds h's 32u and one or two more
+    # roundings, a pair two weights and a quotient by a norm within 36u,
+    # and each partial sum at most 7 additions
+    for gamma_n in GAMMAS_N:
+        _, cdf = sim._reduced_tree(_tree_params(b0, d0, gamma_n))
+        _, weight = _reduced_tree_exact(b0, d0, gamma_n)
+        assert len(sim._PAIRS) == 8 and (sim._DROPPED, sim._DROPPED) not in sim._PAIRS
+        total = 0
+        with mpmath.workdps(40):
+            for (a, b), entry in zip(sim._PAIRS, cdf):
+                total += weight[a] * weight[b] / (1 - weight[sim._DROPPED] ** 2)
+                if entry != math.inf:
+                    assert abs(entry - total) <= 128 * U * total, (gamma_n, a, b)
+            assert cdf[-1] == math.inf and abs(total - 1) < 1e-25
+
+
+def test_gamma_zero_simulates_no_sensitive_cell():
+    # h = 0: no sensitive root is kept, so the forest is its roots and every
+    # founder count is 0
+    params = dataclasses.replace(N40, gamma=0.0)
+    assert sim._reduced_tree(params)[0] == 0.0
+    keys = [Random(seed).getrandbits(64) for seed in range(20)]
+    for seed in range(20):
+        out = sim.run(params, T40, rng=Random(seed))
+        assert out.n_nodes == out.n_roots == 40 and out.event_counts == [0] * 5
+    rows, _ = sim.sample_chunk(params, T40, None, keys, i_max=5, windows=(0.5,))
+    assert not rows.any()
+    rows, _ = sim.sample_chunk(params, T40, (3, 2), keys, i_max=5, windows=(0.5,))
+    assert not rows[:, -3].any() and rows[:, -2].any()
+
+
+# the reduced-tree run against the full-genealogy oracles in distribution:
+# (params, t_obs, initial, replicates of run, of full_run, of gillespie)
+REDUCED_CASES = {
+    "n40": (N40, T40, None, 1500, 1500, 1500),
+    "reference": (REF, 1.25 * math.log(500), None, 250, 150, 250),
+    "bernoulli": (BERNOULLI40, T40, None, 1000, 1000, 1000),
+    "gamma-n-half": (FLIPS40, T40, (5, 3), 1000, 1000, 1000),
+    "gamma-0": (dataclasses.replace(N40, gamma=0.0), T40, (3, 2), 500, 500, 500),
+}
+REDUCED_WINDOWS = (0.5, 2.0)
+
+
+@functools.lru_cache(maxsize=None)
+def _reduced_sample(case, sampler):
+    """One sampler's replicates of a REDUCED_CASES case: founder counts, each
+    root's first founder's (generation, birth time), z1_final, and columns
+    S_resistant_origin,i and S_sensitive_origin,i for i <= 10 and each
+    window's counts by origin."""
+    params, t_obs, initial, *sizes = REDUCED_CASES[case]
+    index = ("run", "full_run", "gillespie").index(sampler)
+    simulate = (sim.run, full_run, gillespie)[index]
+    rng = Random(501 + index)
+    founders, first, z1, columns = [], {}, [], []
+    for r in range(sizes[index]):
+        out = simulate(params, t_obs, initial, rng=rng)
+        founders.append(len(out.ancestral))
+        for t, g, rid in out.ancestral:
+            first.setdefault((r, rid), (g, t))
+        z1.append(out.z1_final)
+        rec = sim.extract_sfs(out)
+        _, sbar, sunder = sim.dense_sfs(rec, 10)
+        row = sbar[1:] + sunder[1:]
+        for x in REDUCED_WINDOWS:
+            wc = sim.window_counts(rec, x, math.inf, params.b1 - params.d1)
+            row += [wc.resistant_origin, wc.sensitive_origin]
+        columns.append(row)
+    generations = [g for g, _ in first.values()]
+    times = [t for _, t in first.values()]
+    return founders, generations, times, z1, np.asarray(columns, dtype=float)
+
+
+@pytest.mark.parametrize("oracle", ["full_run", "gillespie"])
+@pytest.mark.parametrize("case", REDUCED_CASES)
+def test_reduced_run_agrees_with_full_genealogy(case, oracle):
+    # run simulates only the kept sensitive cells, yet its founders (count
+    # per replicate and each root's first founder's generation, chi-square;
+    # its birth time, KS), z1_final (KS) and spectra and window counts of
+    # both origins (Welch |z| <= 4) have the full process's law
+    a, b = _reduced_sample(case, "run"), _reduced_sample(case, oracle)
+    if REDUCED_CASES[case][0].gamma == 0.0:
+        assert not any(a[0]) and not any(b[0])
+    else:
+        assert gof_two_samples(a[0], b[0]).pvalue > 0.001
+        assert gof_two_samples(a[1], b[1]).pvalue > 0.001
+        assert ks_2samp(a[2], b[2]).pvalue > 0.001
+    assert ks_2samp(a[3], b[3]).pvalue > 0.001
+    zs = [_welch_z(a[4][:, k], b[4][:, k]) for k in range(a[4].shape[1])]
+    assert max(abs(z) for z in zs) <= 4.0, zs
 
 
 # ---------------------------------------------------------------------------
@@ -480,8 +644,8 @@ def _edge(**overrides):
     return ModelParams(**(base | overrides))
 
 
-def _check_forest(out: sim.SimOutcome, initial: tuple[int, int]) -> None:
-    """The SimOutcome contract of a run started from ``initial``."""
+def _check_forest(out, initial: tuple[int, int]) -> None:
+    """The OracleOutcome contract of a full run started from ``initial``."""
     n = out.n_nodes
     assert out.n_roots == sum(initial)
     assert all(len(col) == n for col in (out.cell_type, out.edge_mutations, out.status))
@@ -520,6 +684,46 @@ def _check_forest(out: sim.SimOutcome, initial: tuple[int, int]) -> None:
     assert all(g >= 1 and 0 <= rid < initial[0] for _, g, rid in out.ancestral)
 
 
+def _check_reduced_forest(out: sim.SimOutcome, initial: tuple[int, int]) -> None:
+    """The SimOutcome contract of a reduced-tree run started from ``initial``:
+    every root, and below the sensitive ones only kept cells, which never
+    die and leave one or two recorded daughters when they divide."""
+    n = out.n_nodes
+    assert out.n_roots == sum(initial)
+    assert all(len(col) == n for col in (out.cell_type, out.edge_mutations, out.status))
+    children = [[] for _ in range(n)]
+    for idx in range(out.n_roots, n):
+        p = out.parent[idx]
+        assert 0 <= p < idx and out.edge_mutations[idx] >= 0
+        children[p].append(idx)
+        if out.cell_type[p] == sim.RESISTANT:
+            assert out.cell_type[idx] == sim.RESISTANT
+    assert all(out.parent[k] == -1 and out.edge_mutations[k] == 0 for k in range(out.n_roots))
+    roots = [sim.SENSITIVE] * initial[0] + [sim.RESISTANT] * initial[1]
+    assert out.cell_type[: out.n_roots] == roots
+    events = [0, 0, 0, 0, 0]
+    founders = 0
+    for idx in range(n):
+        divided = out.status[idx] == sim.STATUS_DIVIDED
+        if out.cell_type[idx] == sim.RESISTANT:
+            assert len(children[idx]) == (2 if divided else 0)
+            events[2] += divided
+            events[4] += out.status[idx] == sim.STATUS_DEAD
+        else:
+            assert out.status[idx] != sim.STATUS_DEAD
+            assert len(children[idx]) in ((1, 2) if divided else (0,))
+            flips = sum(out.cell_type[c] == sim.RESISTANT for c in children[idx])
+            founders += flips
+            if divided:
+                events[(0, 2, 3)[flips]] += 1
+    assert events == out.event_counts
+    assert alive_counts(out)[1] == out.z1_final
+    assert len(out.ancestral) == founders
+    times = [t for t, _, _ in out.ancestral]
+    assert times == sorted(times) and all(0.0 < t < out.t_obs for t in times)
+    assert all(g >= 1 and 0 <= rid < initial[0] for _, g, rid in out.ancestral)
+
+
 @settings(
     max_examples=60,
     deadline=None,
@@ -537,20 +741,23 @@ def _check_forest(out: sim.SimOutcome, initial: tuple[int, int]) -> None:
 @example((_edge(), (3, 2), 0.0, 7))
 def test_run_properties(case):
     params, initial, t_obs, seed = case
-    out = sim.run(params, t_obs, initial=initial, rng=Random(seed))
+    full = full_run(params, t_obs, initial=initial, rng=Random(seed))
+    reduced = sim.run(params, t_obs, initial=initial, rng=Random(seed))
     initial = initial or (params.n_init, 0)
-    _check_forest(out, initial)
-    if t_obs == 0.0:
-        assert out.n_nodes == out.n_roots
-    if params.gamma == 0.0:
-        assert out.ancestral == []
-    if params.omega == 0.0:
-        assert not any(out.edge_mutations)
-    if params.mutation_law == "bernoulli":
-        assert set(out.edge_mutations) <= {0, 1}
-    rec = sim.extract_sfs(out)
-    assert (rec.s, rec.s_resistant_origin, rec.s_sensitive_origin) == naive_sfs(out)
-    assert sum(i * m for i, m in rec.s.items()) == carried_copy_total(out)
+    _check_forest(full, initial)
+    _check_reduced_forest(reduced, initial)
+    for out in (full, reduced):
+        if t_obs == 0.0:
+            assert out.n_nodes == out.n_roots
+        if params.gamma == 0.0:
+            assert out.ancestral == []
+        if params.omega == 0.0:
+            assert not any(out.edge_mutations)
+        if params.mutation_law == "bernoulli":
+            assert set(out.edge_mutations) <= {0, 1}
+        rec = sim.extract_sfs(out)
+        assert (rec.s, rec.s_resistant_origin, rec.s_sensitive_origin) == naive_sfs(out)
+        assert sum(i * m for i, m in rec.s.items()) == carried_copy_total(out)
     # the chunk sampler draws the same cell-keyed numbers, so the same row
     _check_chunk_equals_run(params, t_obs, initial, [seed], 8, (0.5, 3.0))
 
@@ -585,13 +792,6 @@ def _check_chunk_equals_run(params, t_obs, initial, seeds, i_max, windows):
         np.testing.assert_array_equal(rows[j], row, err_msg=f"seed {seed}")
         assert records[j] == rec, seed
 
-
-N40 = dataclasses.replace(REF, n_init=40)
-T40 = 1.25 * math.log(40)
-BERNOULLI40 = dataclasses.replace(N40, mutation_law="bernoulli", omega=1.0)
-# gamma_n = 20 / 40 = 0.5: about half of every sensitive generation's
-# daughters move to the resistant queue
-FLIPS40 = dataclasses.replace(N40, gamma=20.0, alpha=1.0)
 
 # (params, t_obs, initial, seeds, i_max, windows)
 CHUNK_CASES = {
