@@ -44,10 +44,15 @@ its cells are simulated in:
   same key it equals what ``extract_sfs(run(...))`` gives, bit for bit, so
   ``run`` is its inspectable twin.
 
-The lifetimes take a logarithm, and numpy's SIMD ``log`` can differ from
-libm's in the last bit; both paths therefore evaluate ``_plog``, one fixed
-sequence of IEEE operations.  Like ``_plog``, ``_uniform`` is one evaluation
-for a Python int and a np.uint64 array.
+A lifetime is defined by ``_plog``, one fixed sequence of IEEE operations
+that a Python float and a numpy array evaluate to the same bits.  numpy's
+own ``log`` is about ten times faster on an array but can differ from it in
+the last bit, so ``sample_chunk`` takes numpy's and checks every end
+against a floating-point filter (Shewchuk 1997): a row sees a time only
+through its comparison with t_obs, and a block in which an end lies too
+close to t_obs for numpy's ``log`` to decide is simulated again with
+``_plog``.  Like ``_plog``, ``_uniform`` is one evaluation for a Python int
+and a np.uint64 array.
 """
 
 from __future__ import annotations
@@ -182,6 +187,25 @@ _TWO_M53 = 2.0**-53
 _BLOCK_NODES = 1 << 18
 _BATCH = 4096
 _PAD = 128
+# ``_sample_block`` walks a block with numpy's log, whose last bit may differ
+# from ``_plog``'s, and walks it again with ``_plog`` if a cell's end lies
+# within _NEAR t_obs of t_obs.  With eps = 2^-52, ulp(y) <= eps |y|.  While
+# every comparison with t_obs has agreed, both walks run the same cells on
+# the same words, and a cell's two ends differ by the errors of its own and
+# its ancestors' lifetimes L: np.log's, at most K eps L with K = _LOG_ULPS
+# (measured: at most 1 ulp), and the division's, eps L; plus eps t_obs for
+# each sum born + L (exact at a root, born 0).  The lifetimes add up to the
+# end, at most t_obs (1 + 2^-32) where it matters, so over a lineage of R
+# rounds, each generation a round of its own, the ends differ by at most
+# (K + 1) eps t_obs + (R - 1) eps t_obs, with room to spare within (K + 2R)
+# 2^-52 t_obs.  A cell whose fast end lies farther than that from t_obs makes
+# the same comparison in both walks.  _NEAR = 2^-32 covers K + 2R <= 2^20:
+# a walk of more than _FAST_ROUNDS rounds takes ``_plog``, and the margin is
+# at least _TINY = 2^-1022, since a subnormal's ulp is 2^-1074, not eps |y|
+_LOG_ULPS = 1 << 10
+_NEAR = 2.0**-32
+_FAST_ROUNDS = ((1 << 20) - _LOG_ULPS) // 2
+_TINY = 2.0**-1022
 
 # fdlibm e_log.c (Sun Microsystems 1993): ln 2 split in two and the minimax
 # coefficients of log(1+f) = f - f^2/2 + s R(s^2), s = f/(2+f)
@@ -599,7 +623,17 @@ def _sample_block(params, t_obs, initial, keys, i_max, windows, keep, max_cells)
     """The rows, records and genealogy node count of one block of keys; or
     None, checked after every batch, if the block's replicates exceed
     ``_BLOCK_NODES`` or ``max_cells`` nodes together, or its one replicate
-    ``max_cells``."""
+    ``max_cells``.
+
+    The block is walked first with numpy's ``log`` in the lifetimes and,
+    only if that walk cannot vouch for its rows, again with ``_plog``.  A
+    row sees a time only through t < t_obs and t >= t_obs, and a cell's two
+    ends differ by less than the margin max(_NEAR t_obs, _TINY) (see
+    _NEAR), so the first walk gives ``_plog``'s rows unless a cell's end
+    lies within the margin of t_obs or the walk takes more than
+    _FAST_ROUNDS rounds; it stops at that batch.  The rows are therefore
+    ``_plog``'s, and ``run``'s, whichever ``log`` numpy dispatches.
+    """
     import numpy as np
 
     n0_init, n_roots = initial[0], sum(initial)
@@ -617,94 +651,132 @@ def _sample_block(params, t_obs, initial, keys, i_max, windows, keep, max_cells)
     # dropped one included, one slot each after slot 0; run raises at the
     # division that takes it past max_cells nodes
     max_slots = max((limit - reps * n_roots) // 2, 0) + 1
-    # what a dividing cell hashes at once
-    division_offsets = np.array([[_GOLDEN], [2 * _GOLDEN & _M64], [_MUTATION]], dtype=u64)
-
-    # a queue entry holds pending cells' ids, birth times, mothers' slots
-    # (slot 0 for a root) and replicates; a cell's type is its queue's
-    sensitive, resistant = deque(), deque()
-
-    def enqueue(queue, *columns):
-        for lo in range(0, columns[0].size, _BATCH):
-            queue.append([part[lo : lo + _BATCH] for part in columns])
-
-    def batches(queue):
-        # until the queue is empty or the slots overflow
-        while queue and slot_mother.size <= max_slots:
-            parts, size = [], 0
-            while queue and size < _BATCH:
-                parts.append(queue.popleft())
-                size += parts[-1][0].size
-            padded = zip(*parts, (np.full(-size % _PAD, v) for v in padding))
-            yield [np.concatenate(column) for column in padded]
-            if slot_mother.size > bounds[-1]:
-                bounds.append(slot_mother.size)
-
-    padding = (np.uint64(0), math.nan, 0, 0)
-    founders, z1 = np.zeros((2, reps), dtype=np.intp)
+    # what a dividing kept sensitive cell and a resistant cell hash at once
+    sensitive_offsets = np.array([[_GOLDEN], [2 * _GOLDEN & _M64], [_PAIR], [_MUTATION]], dtype=u64)
+    resistant_offsets = np.array([[_DIVIDE], [_MUTATION]], dtype=u64)
+    daughter_offsets = sensitive_offsets[:2]
     # slot k > 0 is the k-th dividing cell and a leaf a resistant cell alive
-    # at t_obs; each records its mother's slot, its edge's mutations and 2
-    # replicate + origin (its mother's type, resistant from first_resistant
-    # on), in the smallest types that hold every value the cap allows
+    # at t_obs; each records its mother's slot, its edge's mutations and its
+    # group 2 replicate + origin (its mother's type), in the smallest types
+    # that hold every value the cap allows
     types = [np.min_scalar_type(n) for n in (max_slots, cdf.size, 2 * reps)]
-    slot_mother, slot_muts, slot_group = slots = [_Column(dtype, 1) for dtype in types]
-    leaf_mother, leaf_muts, leaf_group = leaves = [_Column(dtype) for dtype in types]
-    first_resistant = max_slots + 1
-    # each batch's first slot, over batches that make slots
-    bounds = [1]
-
-    def record(columns, words, mother, rep):
-        # the edges above cells whose mutation words these are; a root's
-        # edge carries no mutations
-        muts = np.searchsorted(cdf, _uniform(words), "right")
-        muts[mother == 0] = 0
-        for column, values in zip(columns, (mother, muts, 2 * rep + (mother >= first_resistant))):
-            column.extend(values)
-
-    def divide(x, t, mother, rep):
-        # slots for the dividing cells x, and their daughters, born at t
-        y = _mix64_array(x + division_offsets)
-        first = slot_mother.size
-        record(slots, y[2], mother, rep)
-        mother = np.arange(first, slot_mother.size)
-        return [y[:2].ravel()] + [np.concatenate((part, part)) for part in (t, mother, rep)]
+    # a padding cell's id, birth time, mother's slot and group
+    padding = [np.full(_PAD, v) for v in (u64(0), math.nan, 0, 0)]
 
     x = np.repeat(np.array(keys, dtype=u64) ^ u64(_ROOT), n_roots)
     x = _mix64_array(x + np.tile(np.arange(1, n_roots + 1, dtype=u64) * u64(_GOLDEN), reps))
     # only the kept sensitive roots are queued
     sensitive_root = np.tile(np.arange(n_roots) < n0_init, reps)
     kept = _uniform(_mix64_array(x + u64(_DIVIDE))) < h
-    for queue, cells in ((sensitive, sensitive_root & kept), (resistant, ~sensitive_root)):
-        cells = np.flatnonzero(cells)
-        enqueue(queue, x[cells], np.zeros(cells.size), np.zeros_like(cells), cells // n_roots)
+    roots = [
+        (x[cells], np.zeros(cells.size), np.zeros_like(cells), 2 * (cells // n_roots))
+        for cells in ((sensitive_root & kept).nonzero()[0], (~sensitive_root).nonzero()[0])
+    ]
 
-    # the sensitive phase, over the reduced tree: a kept cell divides if its
-    # lifetime ends before t_obs, and draws its daughters' kinds as one pair
-    for x, born, mother, rep in batches(sensitive):
-        t = born - _plog(1.0 - _uniform(x), np.frexp) / c0
-        dividing = np.flatnonzero(t < t_obs)
-        x = x[dividing]
-        daughters = divide(x, t[dividing], mother[dividing], rep[dividing])
-        pair = np.searchsorted(pairs, _uniform(_mix64_array(x + u64(_PAIR))), "right")
-        kind = np.concatenate((first_kind[pair], second_kind[pair]))
-        flips = np.flatnonzero(kind == RESISTANT)
-        founders += np.bincount(daughters[3][flips], minlength=reps)
-        enqueue(resistant, *(part[flips] for part in daughters))
-        kept = np.flatnonzero(kind == SENSITIVE)
-        enqueue(sensitive, *(part[kept] for part in daughters))
-    first_resistant = slot_mother.size
+    def walk(log, margin):
+        # the block's founder counts, slot and leaf columns and batch bounds
+        # with lifetimes by ``log``; None if the slots overflow, and False
+        # if a margin is set and the walk cannot vouch for its rows.  A
+        # queue entry holds pending cells' ids, birth times, mothers' slots
+        # (slot 0 for a root) and groups; a cell's type is its queue's
+        sensitive, resistant = deque(), deque()
+        slots = [_Column(dtype, 1) for dtype in types]
+        leaves = [_Column(dtype) for dtype in types]
+        slot_mother = slots[0]
+        # each batch's first slot, over batches that make slots
+        bounds = [1]
+        rounds = 0
 
-    # the resistant phase
-    for x, born, mother, rep in batches(resistant):
-        t = born - _plog(1.0 - _uniform(x), np.frexp) / c1
-        alive = np.flatnonzero(t >= t_obs)
-        z1 += np.bincount(rep[alive], minlength=reps)
-        record(leaves, _mix64_array(x[alive] + u64(_MUTATION)), mother[alive], rep[alive])
-        u = _uniform(_mix64_array(x + u64(_DIVIDE)))
-        dividing = np.flatnonzero((t < t_obs) & (u < divide1))
-        enqueue(resistant, *divide(x[dividing], t[dividing], mother[dividing], rep[dividing]))
-    if slot_mother.size > max_slots:
+        def enqueue(queue, *columns):
+            for lo in range(0, columns[0].size, _BATCH):
+                queue.append([part[lo : lo + _BATCH] for part in columns])
+
+        def batches(queue):
+            # until the queue is empty or the slots overflow
+            nonlocal rounds
+            while queue and slot_mother.size <= max_slots:
+                parts, size = [], 0
+                while queue and size < _BATCH:
+                    parts.append(queue.popleft())
+                    size += parts[-1][0].size
+                rounds += 1
+                pad = -size % _PAD
+                yield [np.concatenate((*column, v[:pad])) for column, v in zip(zip(*parts), padding)]
+                if slot_mother.size > bounds[-1]:
+                    bounds.append(slot_mother.size)
+
+        def unsure(t):
+            # whether an end t by ``log`` may fall on the other side of
+            # t_obs than ``_plog``'s
+            return margin is not None and (
+                rounds > _FAST_ROUNDS or bool((np.abs(t - t_obs) <= margin).any())
+            )
+
+        def record(columns, words, mother, group):
+            # the edges above cells whose mutation words these are
+            muts = cdf.searchsorted(_uniform(words), "right")
+            for column, values in zip(columns, (mother, muts, group)):
+                column.extend(values)
+
+        def daughters(ids, t, group):
+            # the daughters, given their ids, of the dividing cells whose
+            # slots were recorded last, ending at t
+            mother = np.arange(slot_mother.size - t.size, slot_mother.size)
+            return [ids] + [np.concatenate((part, part)) for part in (t, mother, group)]
+
+        for queue, columns in zip((sensitive, resistant), roots):
+            enqueue(queue, *columns)
+
+        # the sensitive phase, over the reduced tree: a kept cell divides if
+        # its lifetime ends before t_obs, and draws its daughters' kinds as
+        # one pair; a sensitive cell's group is even, so its daughters' too
+        founders = np.zeros(reps, dtype=np.intp)
+        for x, born, mother, group in batches(sensitive):
+            t = born - log(1.0 - _uniform(x)) / c0
+            if unsure(t):
+                return False
+            dividing = (t < t_obs).nonzero()[0]
+            y = _mix64_array(x[dividing] + sensitive_offsets)
+            group = group[dividing]
+            record(slots, y[3], mother[dividing], group)
+            pair = pairs.searchsorted(_uniform(y[2]), "right")
+            kind = np.concatenate((first_kind[pair], second_kind[pair]))
+            cells = daughters(y[:2].ravel(), t[dividing], group)
+            flips = (kind == RESISTANT).nonzero()[0]
+            founders += np.bincount(cells[3][flips] >> 1, minlength=reps)
+            enqueue(resistant, *(part[flips] for part in cells))
+            kept = (kind == SENSITIVE).nonzero()[0]
+            enqueue(sensitive, *(part[kept] for part in cells))
+
+        # the resistant phase: a resistant cell's daughters are of resistant
+        # origin
+        for x, born, mother, group in batches(resistant):
+            t = born - log(1.0 - _uniform(x)) / c1
+            if unsure(t):
+                return False
+            words = _mix64_array(x + resistant_offsets)
+            alive = (t >= t_obs).nonzero()[0]
+            record(leaves, words[1, alive], mother[alive], group[alive])
+            dividing = ((t < t_obs) & (_uniform(words[0]) < divide1)).nonzero()[0]
+            record(slots, words[1, dividing], mother[dividing], group[dividing])
+            ids = _mix64_array(x[dividing] + daughter_offsets).ravel()
+            enqueue(resistant, *daughters(ids, t[dividing], group[dividing] | 1))
+        if slot_mother.size > max_slots:
+            return None
+        # a root's edge carries no mutations
+        for mother, muts, _ in (slots, leaves):
+            muts.values[mother.values == 0] = 0
+        return founders, slots, leaves, bounds
+
+    result = walk(np.log, max(_NEAR * t_obs, _TINY))
+    if result is False:
+        result = walk(functools.partial(_plog, frexp=np.frexp), None)
+    if result is None:
         return None
+    founders, slots, leaves, bounds = result
+    slot_mother, slot_muts, slot_group = slots
+    leaf_mother, leaf_muts, leaf_group = leaves
+    z1 = np.bincount(leaf_group.values >> 1, minlength=reps)
 
     nodes = reps * n_roots + 2 * (slot_mother.size - 1)
     # carrier counts, signed so that sums with intp stay integers: a leaf
@@ -722,7 +794,7 @@ def _sample_block(params, t_obs, initial, keys, i_max, windows, keep, max_cells)
     carried = np.concatenate((carried[used], np.ones(carrying.size, carried.dtype)))
     m = np.concatenate((slot_muts.values[used], leaf_muts.values[carrying]))
     group = np.concatenate((slot_group.values[used], leaf_group.values[carrying]))
-    del slots, leaves, slot_mother, slot_muts, slot_group, leaf_mother, leaf_muts, leaf_group
+    del result, slots, leaves, slot_mother, slot_muts, slot_group, leaf_mother, leaf_muts, leaf_group
     del used, carrying
 
     def tally(keys, weights, length):

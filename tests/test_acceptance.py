@@ -303,6 +303,23 @@ def test_criterion_08_window_sfs_and_sign(ref_agg_50k):
     assert ok
 
 
+def test_criterion_08_resistant_origin_windows_against_the_exact_count(ref_agg_50k):
+    # criterion 8's resistant-origin windows against the exact finite-N
+    # count rather than the large-N weight, on the same replicates: a
+    # z-gate, which a relative gap under 0.20 cannot give
+    xs = (0.6, 1.0, 2.0, 4.0, 6.0)
+    exact = [th.resistant_origin_window_exact(x, T_MULT, REF).value for x in xs]
+    rep = mc.compare(ref_agg_50k.window_stats("sbar"), exact, mode="z-score", threshold=4.0)
+    zs = ", ".join(f"{z:+.2f}" for z in rep.z_scores)
+    record_criterion(
+        "08",
+        rep.all_passed,
+        f"resistant-origin windows (x,inf) x in {xs} vs the exact finite-N count: "
+        f"z = {zs} (gate |z| <= 4)",
+    )
+    assert rep.all_passed
+
+
 def test_criterion_09_rate_table_and_decay():
     with stopwatch() as sw:
         rng = Random(20909)

@@ -913,3 +913,53 @@ def test_plog_is_one_evaluation_for_floats_and_arrays():
     for x, y in zip(xs.tolist(), sim._plog(xs, np.frexp).tolist()):
         assert sim._plog(x) == y
         assert abs(y - math.log(x)) <= math.ulp(math.log(x))
+
+
+def test_plog_bounds_numpy_log_within_the_filter_margin():
+    # sample_chunk's fast walk takes numpy's log; its lifetimes' margin
+    # (simulator._NEAR) assumes np.log within _LOG_ULPS ulps of _plog on the
+    # lifetimes' inputs 1 - u, u on the 53-bit grid: here u = 0, u = 1 -
+    # 2^-53, the tiniest u, the grid around 1/2 and around plog's split at
+    # sqrt(1/2), and random words, 1.5e6 inputs in all
+    grid = np.arange(-100_000, 100_001, dtype=np.float64) * 2.0**-53
+    words = np.random.default_rng(35).integers(0, 2**64 - 1, size=10**6, dtype=np.uint64)
+    us = [
+        np.array([0.0, 1.0 - 2.0**-53]),
+        np.arange(1, 100_001) * 2.0**-53,
+        0.5 + grid,
+        np.floor((1.0 - 0.7071067811865476) * 2.0**53) * 2.0**-53 + grid,
+        sim._uniform(words),
+    ]
+    worst = 0.0
+    for u in us:
+        x = 1.0 - u
+        exact = sim._plog(x, np.frexp)
+        off = np.abs(np.log(x) - exact) / np.spacing(np.abs(exact))
+        worst = max(worst, float(off.max()))
+    assert worst <= sim._LOG_ULPS, worst
+
+
+def test_sample_chunk_takes_the_exact_walk_near_t_obs(monkeypatch):
+    # t_obs set to a division time of run's, the end of a founder's mother:
+    # numpy's log puts that end within a few ulps of t_obs, where only
+    # _plog's tells whether the mother divides, so the block is walked again
+    # with _plog, and the row and record still equal run's
+    lifetimes = []
+
+    def spy(x, frexp=math.frexp):
+        if isinstance(x, np.ndarray):
+            lifetimes.append(x.size)
+        return plog(x, frexp)
+
+    plog = sim._plog
+    monkeypatch.setattr(sim, "_plog", spy)
+    windows = (0.6, 1.0, 2.0, 4.0, 6.0)
+    t_ref = 1.25 * math.log(500)
+    _check_chunk_equals_run(REF, t_ref, None, [3], 121, windows)
+    assert lifetimes == []
+    births = sorted({t for t, _, _ in sim.run(REF, t_ref, rng=Random(3)).ancestral})
+    assert len(births) >= 3
+    for t_obs in births:
+        lifetimes.clear()
+        _check_chunk_equals_run(REF, t_obs, None, [3], 121, windows)
+        assert lifetimes, t_obs
