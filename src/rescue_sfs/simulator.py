@@ -37,12 +37,12 @@ its cells are simulated in:
 - ``sample_chunk`` simulates a chunk of replicates breadth first with numpy,
   in blocks whose genealogies stay within a node budget, in ``run``'s two
   phases: the kept sensitive cells, which seed resistant clones, then the
-  clones.  A cell draws only what a row can see (only dividing cells and
-  living resistant cells draw mutation counts), and only a dividing cell
-  keeps a slot.  A row holds a replicate's dense spectrum, window counts,
-  founder count, final resistant count and total mutation count; for the
-  same key it equals what ``extract_sfs(run(...))`` gives, bit for bit, so
-  ``run`` is its inspectable twin.
+  clones.  Each cell it simulates is an entry of a cell table, and it
+  compares words with probabilities as integers, exactly as ``run``
+  compares uniforms.  A row holds a replicate's dense spectrum, window
+  counts, founder count, final resistant count and total mutation count;
+  for the same key it equals what ``extract_sfs(run(...))`` gives, bit for
+  bit, so ``run`` is its inspectable twin.
 
 A lifetime is defined by ``_plog``, one fixed sequence of IEEE operations
 that a Python float and a numpy array evaluate to the same bits.  numpy's
@@ -182,8 +182,9 @@ _TWO_M53 = 2.0**-53
 # allocates, and pads a batch to a multiple of _PAD cells.  numpy keeps up
 # to seven freed buffers of every size below 1 KiB for reuse; with padded
 # batches and 8-byte gathers few such sizes occur, so that cache stays
-# small.  A padding cell is born at nan, so it neither divides nor becomes
-# a leaf by living to t_obs.  No result depends on these numbers
+# small.  A padding cell is born at nan, so it neither divides nor lives to
+# t_obs, and it never enters the cell table, or every step of the counting
+# walk would span the whole table.  No result depends on these numbers
 _BLOCK_NODES = 1 << 18
 _BATCH = 4096
 _PAD = 128
@@ -302,6 +303,46 @@ def _mutation_cdf(law: str, omega: float) -> tuple[float, ...]:
             break
     cdf[-1] = math.inf
     return tuple(cdf)
+
+
+# ``sample_chunk`` compares a word w with a probability c as integers:
+# _uniform(w) = floor(w / 2^11) 2^-53 and c 2^53 is exact (a power-of-two
+# scaling), so _uniform(w) < c exactly when the integer floor(w / 2^11) is
+# below c 2^53, that is below ceil(c 2^53), that is when w < W = ceil(c 2^53)
+# 2^11.  A double c < 1 is at most 1 - 2^-53, so W <= 2^64 - 2^11; an entry
+# c >= 1 (inf, or 1 at d1 = 0) holds for every word and is left out, so
+# bisect_right(cdf, _uniform(w)) counts the thresholds W <= w, if cdf is sorted
+def _thresholds(cdf) -> list[int]:
+    """The words W with _uniform(w) < c exactly when w < W, for each c < 1 of a cdf."""
+    return [math.ceil(c * 2.0**53) << 11 for c in cdf if c < 1.0]
+
+
+@functools.lru_cache(maxsize=64)
+def _mutation_table(law: str, omega: float):
+    """(thresholds, guide) of ``_mutation_cdf``: its ``_thresholds`` as a
+    np.uint64 array, and a guide table (Chen & Asau 1974) whose entry j is
+    the count of every word with top 16 bits j, or where a threshold splits
+    those words a marker above every count, the guide dtype's maximum."""
+    import numpy as np
+
+    thresholds = np.array(_thresholds(_mutation_cdf(law, omega)), dtype=np.uint64)
+    first = np.arange(1 << 16, dtype=np.uint64) << np.uint64(48)
+    lo, hi = (thresholds.searchsorted(w, "right") for w in (first, first + np.uint64(2**48 - 1)))
+    dtype = np.min_scalar_type(thresholds.size + 1)
+    guide = np.where(lo == hi, lo, np.iinfo(dtype).max).astype(dtype)
+    thresholds.flags.writeable = guide.flags.writeable = False
+    return thresholds, guide
+
+
+def _mutation_counts(words, thresholds, guide):
+    """bisect_right(cdf, _uniform(w)) for each w of a np.uint64 array: the
+    guide's entry (indexed by intp, faster than by np.uint64), and where
+    that is the marker a search of the thresholds."""
+    counts = guide[(words >> 48).view("i8")]
+    marked = (counts > thresholds.size).nonzero()[0]
+    if marked.size:
+        counts[marked] = thresholds.searchsorted(words[marked], "right")
+    return counts
 
 
 # the largest omega simulated: _mutation_cdf tabulates the Poisson law of
@@ -566,18 +607,14 @@ def sample_chunk(
     one first-in first-out queue and then every resistant cell from a
     second, so a cell's type is its queue's; batches of about ``_BATCH``
     cells come off a queue's front and their dividing cells' daughters join
-    the back, so batches run generation by generation.  A cell draws only
-    what a row can see.  The sensitive phase runs the reduced tree: a
-    sensitive root is queued only if it is kept, a kept cell draws its
-    lifetime and, if it divides, its daughter pair, and its resistant and
-    kept daughters join their queues while a dropped one is forgotten.  A
-    resistant cell draws its lifetime and divide-or-die; alive at ``t_obs``
-    it is a leaf, one carrier under its mother's slot.  A dividing cell gets
-    a slot, and slots and leaves alone draw mutation counts.  Counting then
-    walks the batches backwards: a slot's carrier count is complete once
-    every later batch has added its slots into their mothers, and
-    ``bincount``s fill the rows.  Draws are keyed by cell, so neither the
-    phases, the batching nor the chunk changes a replicate's values.
+    the back, so batches run generation by generation.  The sensitive phase
+    runs the reduced tree: a sensitive root is queued only if it is kept,
+    and a kept cell draws its lifetime and, if it divides, its daughter
+    pair.  A resistant cell draws its lifetime and divide-or-die.  Every
+    cell draws its mutation count and becomes an entry of the block's cell
+    table, from which counting fills the rows (see ``_sample_block``).
+    Draws are keyed by cell, so neither the phases, the batching nor the
+    chunk changes a replicate's values.
 
     The keys run in blocks, in order, so the memory a chunk takes does not
     grow with the chunk: a block's replicates hold at most ``_BLOCK_NODES``
@@ -625,6 +662,15 @@ def _sample_block(params, t_obs, initial, keys, i_max, windows, keep, max_cells)
     ``_BLOCK_NODES`` or ``max_cells`` nodes together, or its one replicate
     ``max_cells``.
 
+    The batches are the genealogy: a batch's real cells become entries of a
+    cell table (mother's entry, group 2 replicate + origin, whether it is a
+    resistant cell alive at ``t_obs``, edge's mutation count) after
+    entries 0..reps - 1, each replicate's sentinel, its roots' mother.
+    Draws compare words with thresholds (see ``_thresholds``).  Counting
+    walks the batches back, adding each entry's carrier count into its
+    mother's: the sentinels end with the final resistant counts, and the
+    entries with carriers and mutations under no sentinel fill the rows.
+
     The block is walked first with numpy's ``log`` in the lifetimes and,
     only if that walk cannot vouch for its rows, again with ``_plog``.  A
     row sees a time only through t < t_obs and t >= t_obs, and a cell's two
@@ -641,169 +687,154 @@ def _sample_block(params, t_obs, initial, keys, i_max, windows, keep, max_cells)
     reps = len(keys)
     limit = min(max_cells, _BLOCK_NODES) if reps > 1 else max_cells
     c0, c1 = params.b0 + params.d0, params.b1 + params.d1
-    divide1 = params.b1 / c1
+    divide = [u64(w) for w in _thresholds([params.b1 / c1])]
     h, pairs = _reduced_tree(params)
-    pairs = np.array(pairs)
-    # a pair's first and second daughters' kinds, by its index in the table
-    first_kind, second_kind = np.array(_PAIRS, dtype=np.int8).T
-    cdf = np.array(_mutation_cdf(params.mutation_law, params.omega))
-    # the block's nodes are its roots and two daughters per division, a
-    # dropped one included, one slot each after slot 0; run raises at the
-    # division that takes it past max_cells nodes
-    max_slots = max((limit - reps * n_roots) // 2, 0) + 1
-    # what a dividing kept sensitive cell and a resistant cell hash at once
+    pairs = np.array(_thresholds(pairs), dtype=u64)
+    # by a pair's index: its resistant daughters, and its two daughters'
+    # birth-time offsets in each queue, 0 in their kind's and nan elsewhere
+    kinds = np.array(_PAIRS).T
+    flips = (kinds == RESISTANT).sum(0)
+    unborn = np.where(kinds == np.array([SENSITIVE, RESISTANT])[:, None, None], 0.0, math.nan)
+    mutations = _mutation_table(params.mutation_law, params.omega)
+    # the block's nodes are its roots and two per division, a dropped daughter
+    # included; run raises at the division that takes it past max_cells
+    max_divisions = max((limit - reps * n_roots) // 2, 0)
+    # what a kept sensitive cell and a resistant cell hash at once
     sensitive_offsets = np.array([[_GOLDEN], [2 * _GOLDEN & _M64], [_PAIR], [_MUTATION]], dtype=u64)
     resistant_offsets = np.array([[_DIVIDE], [_MUTATION]], dtype=u64)
-    daughter_offsets = sensitive_offsets[:2]
-    # slot k > 0 is the k-th dividing cell and a leaf a resistant cell alive
-    # at t_obs; each records its mother's slot, its edge's mutations and its
-    # group 2 replicate + origin (its mother's type), in the smallest types
-    # that hold every value the cap allows
-    types = [np.min_scalar_type(n) for n in (max_slots, cdf.size, 2 * reps)]
-    # a padding cell's id, birth time, mother's slot and group
+    # the table's columns in the smallest types the cap allows: a sensitive
+    # division queues its daughters twice, and a batch may take up to 2 _BATCH
+    # divisions past max_divisions
+    entries = reps * (n_roots + 1) + 4 * (max_divisions + 2 * _BATCH)
+    types = [np.min_scalar_type(entries), np.min_scalar_type(2 * reps), bool, mutations[1].dtype]
+    # a padding cell's id, birth time, mother and group; a sensitive batch's leaf flags
     padding = [np.full(_PAD, v) for v in (u64(0), math.nan, 0, 0)]
+    no_leaves = np.zeros(2 * _BATCH, bool)
 
     x = np.repeat(np.array(keys, dtype=u64) ^ u64(_ROOT), n_roots)
     x = _mix64_array(x + np.tile(np.arange(1, n_roots + 1, dtype=u64) * u64(_GOLDEN), reps))
-    # only the kept sensitive roots are queued
+    # only the kept sensitive roots are queued, each under its replicate's sentinel
     sensitive_root = np.tile(np.arange(n_roots) < n0_init, reps)
     kept = _uniform(_mix64_array(x + u64(_DIVIDE))) < h
     roots = [
-        (x[cells], np.zeros(cells.size), np.zeros_like(cells), 2 * (cells // n_roots))
+        (x[cells], np.zeros(cells.size), cells // n_roots, 2 * (cells // n_roots))
         for cells in ((sensitive_root & kept).nonzero()[0], (~sensitive_root).nonzero()[0])
     ]
 
     def walk(log, margin):
-        # the block's founder counts, slot and leaf columns and batch bounds
-        # with lifetimes by ``log``; None if the slots overflow, and False
-        # if a margin is set and the walk cannot vouch for its rows.  A
-        # queue entry holds pending cells' ids, birth times, mothers' slots
-        # (slot 0 for a root) and groups; a cell's type is its queue's
+        # the founder counts, cell table, batch bounds and divisions with
+        # lifetimes by ``log``; None past max_divisions, False if a margin is
+        # set and the walk cannot vouch for its rows.  A queue entry holds
+        # cells' ids, birth times, mothers and groups; their type is the queue's
         sensitive, resistant = deque(), deque()
-        slots = [_Column(dtype, 1) for dtype in types]
-        leaves = [_Column(dtype) for dtype in types]
-        slot_mother = slots[0]
-        # each batch's first slot, over batches that make slots
-        bounds = [1]
-        rounds = 0
+        table = [_Column(dtype, reps) for dtype in types]
+        # each batch's first entry (bounds[-1] while it runs), and the table's end
+        bounds = [reps]
+        rounds = divisions = 0
 
         def enqueue(queue, *columns):
             for lo in range(0, columns[0].size, _BATCH):
                 queue.append([part[lo : lo + _BATCH] for part in columns])
 
         def batches(queue):
-            # until the queue is empty or the slots overflow
+            # until the queue is empty or the block divides too often
             nonlocal rounds
-            while queue and slot_mother.size <= max_slots:
+            while queue and divisions <= max_divisions:
                 parts, size = [], 0
                 while queue and size < _BATCH:
                     parts.append(queue.popleft())
                     size += parts[-1][0].size
                 rounds += 1
                 pad = -size % _PAD
-                yield [np.concatenate((*column, v[:pad])) for column, v in zip(zip(*parts), padding)]
-                if slot_mother.size > bounds[-1]:
-                    bounds.append(slot_mother.size)
+                yield size, *(np.concatenate((*c, v[:pad])) for c, v in zip(zip(*parts), padding))
+                bounds.append(table[0].size)
 
         def unsure(t):
             # whether an end t by ``log`` may fall on the other side of
-            # t_obs than ``_plog``'s
+            # t_obs than ``_plog``'s; nan, a padding cell's, is passed over
             return margin is not None and (
-                rounds > _FAST_ROUNDS or bool((np.abs(t - t_obs) <= margin).any())
+                rounds > _FAST_ROUNDS or np.fmin.reduce(np.abs(t - t_obs)) <= margin
             )
 
-        def record(columns, words, mother, group):
-            # the edges above cells whose mutation words these are
-            muts = cdf.searchsorted(_uniform(words), "right")
-            for column, values in zip(columns, (mother, muts, group)):
-                column.extend(values)
-
-        def daughters(ids, t, group):
-            # the daughters, given their ids, of the dividing cells whose
-            # slots were recorded last, ending at t
-            mother = np.arange(slot_mother.size - t.size, slot_mother.size)
-            return [ids] + [np.concatenate((part, part)) for part in (t, mother, group)]
+        def tabulate(size, mother, group, leaf, words):
+            # the batch's real cells into the table
+            counts = _mutation_counts(words, *mutations)
+            for column, values in zip(table, (mother, group, leaf, counts)):
+                column.extend(values[:size])
 
         for queue, columns in zip((sensitive, resistant), roots):
             enqueue(queue, *columns)
 
         # the sensitive phase, over the reduced tree: a kept cell divides if
         # its lifetime ends before t_obs, and draws its daughters' kinds as
-        # one pair; a sensitive cell's group is even, so its daughters' too
-        founders = np.zeros(reps, dtype=np.intp)
-        for x, born, mother, group in batches(sensitive):
+        # one pair.  They join both queues, born at nan in the one not theirs,
+        # where like padding they neither divide nor live to t_obs; a
+        # sensitive cell's group is even, so its daughters' too
+        founders = np.zeros(reps)
+        for size, x, born, mother, group in batches(sensitive):
             t = born - log(1.0 - _uniform(x)) / c0
             if unsure(t):
                 return False
+            y = _mix64_array(x + sensitive_offsets)
+            tabulate(size, mother, group, no_leaves, y[3])
             dividing = (t < t_obs).nonzero()[0]
-            y = _mix64_array(x[dividing] + sensitive_offsets)
-            group = group[dividing]
-            record(slots, y[3], mother[dividing], group)
-            pair = pairs.searchsorted(_uniform(y[2]), "right")
-            kind = np.concatenate((first_kind[pair], second_kind[pair]))
-            cells = daughters(y[:2].ravel(), t[dividing], group)
-            flips = (kind == RESISTANT).nonzero()[0]
-            founders += np.bincount(cells[3][flips] >> 1, minlength=reps)
-            enqueue(resistant, *(part[flips] for part in cells))
-            kept = (kind == SENSITIVE).nonzero()[0]
-            enqueue(sensitive, *(part[kept] for part in cells))
+            divisions += dividing.size
+            pair = pairs.searchsorted(y[2, dividing], "right")
+            mother, group, ids = bounds[-1] + dividing, group[dividing], y[:2, dividing]
+            founders += np.bincount(group >> 1, flips[pair], reps)
+            for queue, born in zip((sensitive, resistant), t[dividing] + unborn[:, :, pair]):
+                for part in zip(ids, born):
+                    enqueue(queue, *part, mother, group)
 
-        # the resistant phase: a resistant cell's daughters are of resistant
-        # origin
-        for x, born, mother, group in batches(resistant):
+        # the resistant phase: a resistant cell alive at t_obs is a leaf,
+        # and its daughters are of resistant origin
+        for size, x, born, mother, group in batches(resistant):
             t = born - log(1.0 - _uniform(x)) / c1
             if unsure(t):
                 return False
             words = _mix64_array(x + resistant_offsets)
-            alive = (t >= t_obs).nonzero()[0]
-            record(leaves, words[1, alive], mother[alive], group[alive])
-            dividing = ((t < t_obs) & (_uniform(words[0]) < divide1)).nonzero()[0]
-            record(slots, words[1, dividing], mother[dividing], group[dividing])
-            ids = _mix64_array(x[dividing] + daughter_offsets).ravel()
-            enqueue(resistant, *daughters(ids, t[dividing], group[dividing] | 1))
-        if slot_mother.size > max_slots:
-            return None
-        # a root's edge carries no mutations
-        for mother, muts, _ in (slots, leaves):
-            muts.values[mother.values == 0] = 0
-        return founders, slots, leaves, bounds
+            tabulate(size, mother, group, t >= t_obs, words[1])
+            dividing = t < t_obs
+            if divide:
+                dividing &= words[0] < divide[0]
+            dividing = dividing.nonzero()[0]
+            divisions += dividing.size
+            t, mother, group = t[dividing], bounds[-1] + dividing, group[dividing] | 1
+            for ids in _mix64_array(x[dividing] + sensitive_offsets[:2]):
+                enqueue(resistant, ids, t, mother, group)
+        return None if divisions > max_divisions else (founders, table, bounds, divisions)
 
     result = walk(np.log, max(_NEAR * t_obs, _TINY))
     if result is False:
         result = walk(functools.partial(_plog, frexp=np.frexp), None)
     if result is None:
         return None
-    founders, slots, leaves, bounds = result
-    slot_mother, slot_muts, slot_group = slots
-    leaf_mother, leaf_muts, leaf_group = leaves
-    z1 = np.bincount(leaf_group.values >> 1, minlength=reps)
-
-    nodes = reps * n_roots + 2 * (slot_mother.size - 1)
+    founders, (mother, group, leaf, muts), bounds, divisions = result
+    del result
     # carrier counts, signed so that sums with intp stay integers: a leaf
-    # adds one to its mother's slot, then the batches, last first, add their
-    # slots' counts into their mothers', which lie in earlier batches
-    carried = np.bincount(leaf_mother.values.astype(np.intp), minlength=slot_mother.size)
-    carried = carried.astype(np.min_scalar_type(-max(max_cells, n_roots)))
+    # carries itself, then the batches, last first, add their counts into
+    # their mothers', which lie in earlier batches or are sentinels
+    mother = mother.values
+    carried = leaf.values.astype(np.min_scalar_type(-max(max_cells, n_roots)))
     for first, last in zip(bounds[-2::-1], bounds[:0:-1]):
-        into = slot_mother.values[first:last]
-        lo = int(into.min())
-        counts = np.bincount(np.subtract(into, lo, dtype=np.intp), carried[first:last], first - lo)
+        lo = int(mother[first:last].min())
+        counts = np.subtract(mother[first:last], lo, dtype=np.intp)
+        counts = np.bincount(counts, carried[first:last], first - lo)
         np.add(carried[lo:first], counts, out=carried[lo:first], casting="unsafe")
-    used = np.flatnonzero((carried > 0) & (slot_muts.values > 0))
-    carrying = np.flatnonzero(leaf_muts.values)
-    carried = np.concatenate((carried[used], np.ones(carrying.size, carried.dtype)))
-    m = np.concatenate((slot_muts.values[used], leaf_muts.values[carrying]))
-    group = np.concatenate((slot_group.values[used], leaf_group.values[carrying]))
-    del result, slots, leaves, slot_mother, slot_muts, slot_group, leaf_mother, leaf_muts, leaf_group
-    del used, carrying
+    widths = row_widths(i_max, len(windows))
+    rows = np.empty((reps, sum(widths)))
+    row = dict(zip(ROW_FIELDS, np.split(rows, np.cumsum(widths)[:-1], axis=1)))
+    scalars = row["scalars"]
+    scalars[:, 0], scalars[:, 1] = founders, carried[:reps]
+    # a root's edge, under a sentinel, carries no mutations
+    used = ((carried > 0) & (muts.values > 0) & (mother >= reps)).nonzero()[0]
+    carried, m, group = carried[used], muts.values[used], group.values[used]
+    del mother, leaf, muts, used
 
     def tally(keys, weights, length):
         # bincount gives int64 zeros for no keys, whatever the weights
         return np.bincount(keys, weights, length).astype(np.float64, copy=False)
 
-    widths = row_widths(i_max, len(windows))
-    rows = np.empty((reps, sum(widths)))
-    row = dict(zip(ROW_FIELDS, np.split(rows, np.cumsum(widths)[:-1], axis=1)))
     small = carried <= i_max
     dense = tally(
         group[small].astype(np.intp) * (i_max + 1) + carried[small],
@@ -820,8 +851,7 @@ def _sample_block(params, t_obs, initial, keys, i_max, windows, keep, max_cells)
         row["window_s"][:, k] = counts[:, 1] + counts[:, 0]
         row["window_sbar"][:, k] = counts[:, 1]
         row["window_sunder"][:, k] = counts[:, 0]
-    scalars = row["scalars"]
-    scalars[:, 0], scalars[:, 1], scalars[:, 2] = founders, z1, tally(group >> 1, m, reps)
+    scalars[:, 2] = tally(group >> 1, m, reps)
 
     records = []
     if keep:
@@ -833,7 +863,7 @@ def _sample_block(params, t_obs, initial, keys, i_max, windows, keep, max_cells)
             SfsRecord(dict(sorted(res.items())), dict(sorted(sen.items())), t_obs)
             for sen, res in spectra
         ]
-    return rows, records, nodes
+    return rows, records, reps * n_roots + 2 * divisions
 
 
 def extract_sfs(outcome: SimOutcome) -> SfsRecord:

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+from bisect import bisect_right
 from collections import Counter
 from random import Random
 
@@ -143,6 +144,46 @@ def test_sample_chunk_hits_the_cap_in_the_reduced_sensitive_phase():
                 sim.sample_chunk(params, t_obs, initial, [key], i_max=5, max_cells=max_cells)
             assert info.value.replicate == 0
     assert inside > 0
+
+
+def test_sample_chunk_names_a_later_replicate_capped_in_the_sensitive_phase(monkeypatch):
+    # one root under max_cells=6, and resistant cells that rarely divide
+    # before t_obs: a replicate without divisions counts one node, so after
+    # its first block the chunk runs in blocks of three, and the first
+    # replicate that run caps, well inside the chunk, meets the cap in the
+    # kept sensitive divisions.  Its block stops at its division count and
+    # is run again in halves, and the call names that replicate with the
+    # message run raises on its key
+    params = dataclasses.replace(FLIPS40, b1=0.002, d1=0.001)
+    t_obs, initial, max_cells = T40, (1, 0), 6
+    seeds = range(60)
+    errors = []
+    for seed in seeds:
+        try:
+            sim.run(params, t_obs, initial, rng=Random(seed), max_cells=max_cells)
+        except sim.PopulationCapError as exc:
+            errors.append((seed, str(exc)))
+    (replicate, message), *_ = errors
+    assert replicate > 3
+    out = sim.run(params, t_obs, initial, rng=Random(replicate))
+    divided = Counter(
+        typ for typ, status in zip(out.cell_type, out.status) if status == sim.STATUS_DIVIDED
+    )
+    assert divided[sim.RESISTANT] == 0 and sum(initial) + 2 * divided[sim.SENSITIVE] > max_cells
+    blocks = []
+
+    def recording(params, t_obs, initial, keys, *args):
+        result = sample_block(params, t_obs, initial, keys, *args)
+        blocks.append((len(keys), result is None))
+        return result
+
+    sample_block = sim._sample_block
+    monkeypatch.setattr(sim, "_sample_block", recording)
+    keys = [Random(seed).getrandbits(64) for seed in seeds]
+    with pytest.raises(sim.PopulationCapError) as info:
+        sim.sample_chunk(params, t_obs, initial, keys, i_max=5, max_cells=max_cells)
+    assert (info.value.replicate, str(info.value)) == (replicate, message)
+    assert (3, False) in blocks and (3, True) in blocks and blocks[-1] == (1, True)
 
 
 def test_sample_chunk_takes_a_cap_past_2_to_32():
@@ -823,6 +864,16 @@ def test_sample_chunk_equals_run(case):
     _check_chunk_equals_run(*case)
 
 
+@pytest.mark.parametrize("omega", [600.0, 2e4])
+def test_sample_chunk_equals_run_at_large_omega(omega):
+    # a daughter's mutation count exceeds 255 here, so the counts and the
+    # guide table of their draws need more than 8 bits; at 2e4 the Poisson
+    # table has 10 861 entries
+    params = dataclasses.replace(N40, omega=omega)
+    assert max(sim.run(params, T40, rng=Random(0)).edge_mutations) > 255
+    _check_chunk_equals_run(params, T40, None, range(6), 10, (0.5, 2.0))
+
+
 @pytest.mark.parametrize("i_max", [0, -1, -3])
 def test_sample_chunk_rejects_i_max_below_1(i_max):
     # -1 once raised IndexError, -3 numpy's "negative dimensions", 0 gave
@@ -845,10 +896,14 @@ def test_simulation_rejects_omega_above_its_bound():
 def test_sample_chunk_peak_memory_stays_bounded():
     # the traced peak of one call on each 32-key reference block (numpy
     # reports its buffers to tracemalloc).  The one-queue sampler peaked at
-    # 1.67, 1.79, 1.60, 1.52, 1.66, 1.78, 1.55 and 1.64 MB on these blocks;
-    # one that drew every mutation count over the whole block after its
-    # walk peaked at 3.5-5.2 MB and raised the benchmark's peak RSS past its
-    # bound, so the largest peak may be at most 1.5 times the old largest
+    # 1.67, 1.79, 1.60, 1.52, 1.66, 1.78, 1.55 and 1.64 MB on these blocks,
+    # the sampler with slot and leaf records at 1.44, 1.50, 1.60, 1.27,
+    # 1.48, 1.27, 1.29 and 1.51 MB, and the cell-table sampler at 2.17, 2.02,
+    # 2.11, 1.42, 1.99, 1.42, 1.89 and 2.03 MB (the first call builds the
+    # cached guide table); one that drew every mutation count over the whole
+    # block after its walk peaked at 3.5-5.2 MB and raised the benchmark's
+    # peak RSS past its bound, so the largest peak may be at most 1.5 times
+    # the old largest
     t_obs = 1.25 * math.log(500)
     peaks = []
     tracemalloc.start()
@@ -903,6 +958,60 @@ def test_draw_kernels_pinned():
     assert [sim._plog(x).hex() for x in PLOGS] == list(PLOGS.values())
     from_array = sim._plog(np.array(list(PLOGS)), np.frexp).tolist()
     assert [y.hex() for y in from_array] == list(PLOGS.values())
+
+
+def _word_draw_tables():
+    """The tables whose entries the sampler turns into word thresholds, each
+    with the (law, omega) of its mutation table, if it is one."""
+    for omega in (2.0, 600.0, 2e4):
+        law = ("poisson", omega)
+        yield pytest.param(sim._mutation_cdf(*law), law, id=f"poisson-{omega:g}")
+    for omega in (1.0, 2.0):
+        law = ("bernoulli", omega)
+        yield pytest.param(sim._mutation_cdf(*law), law, id=f"bernoulli-{omega:g}")
+    for name, params in (("reference", REF), ("flips40", FLIPS40)):
+        yield pytest.param(sim._reduced_tree(params)[1], None, id=f"pairs-{name}")
+    # the divide probability at the reference, at d1 = 0, and at its extremes
+    for c in (REF.b1 / (REF.b1 + REF.d1), 1.0, 1.0 - 2.0**-53, 2.0**-60):
+        yield pytest.param((c,), None, id=f"divide-{c!r}")
+
+
+@pytest.mark.parametrize("cdf, law", _word_draw_tables())
+def test_draw_kernels_word_thresholds_equal_the_float_draws(cdf, law):
+    # sample_chunk compares words with thresholds, run compares uniforms
+    # with probabilities: w < W_k exactly when _uniform(w) < cdf[k], so a
+    # search of the thresholds is bisect_right(cdf, _uniform(w)), and so is
+    # the guide table's draw of a mutation count, a cell at a time or
+    # through its marker, at the words around every threshold and elsewhere
+    thresholds = sim._thresholds(cdf)
+    assert len(thresholds) == sum(c < 1.0 for c in cdf)
+    assert thresholds == sorted(thresholds) and all(0 <= w < 2**64 for w in thresholds)
+    words = {0, 2**64 - 2**11, 2**64 - 1}
+    words.update(w + d for w in thresholds for d in (-1, 0, 1) if 0 <= w + d < 2**64)
+    rng = np.random.default_rng(36)
+    words = sorted(words) + rng.integers(0, 2**64 - 1, 10**5, np.uint64, endpoint=True).tolist()
+    for w, c in zip(thresholds, cdf):
+        for word in (w - 1, w, w + 1):
+            if 0 <= word < 2**64:
+                assert (word < w) == (sim._uniform(word) < c), (word, c)
+    expected = [bisect_right(cdf, sim._uniform(word)) for word in words]
+    words = np.array(words, dtype=np.uint64)
+    searched = np.array(thresholds, dtype=np.uint64).searchsorted(words, "right")
+    assert searched.tolist() == expected
+    if law is not None:
+        table, guide = sim._mutation_table(*law)
+        assert table.tolist() == thresholds
+        assert sim._mutation_counts(words, table, guide).tolist() == expected
+        # every cell of the guide is exact or marked: its words' counts are
+        # one count, the guide's, or the guide holds the marker
+        first = np.arange(1 << 16, dtype=np.uint64) << np.uint64(48)
+        lo = table.searchsorted(first, "right")
+        hi = table.searchsorted(first | np.uint64((1 << 48) - 1), "right")
+        marker = np.iinfo(guide.dtype).max
+        assert marker > table.size and guide.size == 1 << 16
+        exact = guide != marker
+        assert (guide[exact] == lo[exact]).all() and (guide[exact] == hi[exact]).all()
+        assert (lo[~exact] < hi[~exact]).all()
 
 
 def test_plog_is_one_evaluation_for_floats_and_arrays():
