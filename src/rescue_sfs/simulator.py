@@ -37,12 +37,13 @@ its cells are simulated in:
 - ``sample_chunk`` simulates a chunk of replicates breadth first with numpy,
   in blocks whose genealogies stay within a node budget, in ``run``'s two
   phases: the kept sensitive cells, which seed resistant clones, then the
-  clones.  Each cell it simulates is an entry of a cell table, and it
-  compares words with probabilities as integers, exactly as ``run``
-  compares uniforms.  A row holds a replicate's dense spectrum, window
-  counts, founder count, final resistant count and total mutation count;
-  for the same key it equals what ``extract_sfs(run(...))`` gives, bit for
-  bit, so ``run`` is its inspectable twin.
+  clones.  Each daughter it simulates joins its own type's queue once, and
+  each cell is an entry of a cell table; it compares words with
+  probabilities as integers, exactly as ``run`` compares uniforms.  A row
+  holds a replicate's dense spectrum, window counts, founder count, final
+  resistant count and total mutation count; for the same key it equals
+  what ``extract_sfs(run(...))`` gives, bit for bit, so ``run`` is its
+  inspectable twin.
 
 A lifetime is defined by ``_plog``, one fixed sequence of IEEE operations
 that a Python float and a numpy array evaluate to the same bits.  numpy's
@@ -177,17 +178,11 @@ _MUL1, _MUL2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 _DIVIDE, _MUTATION, _PAIR = (k * _GOLDEN & _M64 for k in (3, 4, 5))
 _TWO_M53 = 2.0**-53
 # ``sample_chunk`` runs its keys in blocks of at most _BLOCK_NODES genealogy
-# nodes together (it aims at half that, some 30 reference replicates),
+# nodes together (it aims at half that, some 30 reference replicates) and
 # advances about _BATCH cells at a time, which bounds the arrays a batch
-# allocates, and pads a batch to a multiple of _PAD cells.  numpy keeps up
-# to seven freed buffers of every size below 1 KiB for reuse; with padded
-# batches and 8-byte gathers few such sizes occur, so that cache stays
-# small.  A padding cell is born at nan, so it neither divides nor lives to
-# t_obs, and it never enters the cell table, or every step of the counting
-# walk would span the whole table.  No result depends on these numbers
+# allocates.  No result depends on these numbers
 _BLOCK_NODES = 1 << 18
 _BATCH = 4096
-_PAD = 128
 # ``_sample_block`` walks a block with numpy's log, whose last bit may differ
 # from ``_plog``'s, and walks it again with ``_plog`` if a cell's end lies
 # within _NEAR t_obs of t_obs.  With eps = 2^-52, ulp(y) <= eps |y|.  While
@@ -603,18 +598,19 @@ def sample_chunk(
     whose ``getrandbits(64)`` is that key, and record j equals that
     ``extract_sfs`` record.
 
-    A block runs in ``run``'s two phases, every kept sensitive cell from
-    one first-in first-out queue and then every resistant cell from a
-    second, so a cell's type is its queue's; batches of about ``_BATCH``
-    cells come off a queue's front and their dividing cells' daughters join
-    the back, so batches run generation by generation.  The sensitive phase
-    runs the reduced tree: a sensitive root is queued only if it is kept,
-    and a kept cell draws its lifetime and, if it divides, its daughter
-    pair.  A resistant cell draws its lifetime and divide-or-die.  Every
-    cell draws its mutation count and becomes an entry of the block's cell
-    table, from which counting fills the rows (see ``_sample_block``).
-    Draws are keyed by cell, so neither the phases, the batching nor the
-    chunk changes a replicate's values.
+    A block runs in ``run``'s two phases, every kept sensitive cell from one
+    first-in first-out queue and then every resistant cell from a second, so
+    a cell's type is its queue's; batches of about ``_BATCH`` cells come off
+    a queue's front and their dividing cells' daughters join the back of
+    their own type's queue, so batches run generation by generation.  The
+    sensitive phase runs the reduced tree: a sensitive root is queued only
+    if it is kept, and a kept cell draws its lifetime and, if it divides,
+    its daughter pair, whose dropped daughters join no queue.  A resistant
+    cell draws its lifetime and divide-or-die.  Every cell draws its
+    mutation count and becomes an entry of the block's cell table, from
+    which counting fills the rows (see ``_sample_block``).  Draws are keyed
+    by cell, so neither the phases, the batching nor the chunk changes a
+    replicate's values.
 
     The keys run in blocks, in order, so the memory a chunk takes does not
     grow with the chunk: a block's replicates hold at most ``_BLOCK_NODES``
@@ -643,7 +639,8 @@ def sample_chunk(
     first = 0
     while first < len(keys):
         block = keys[first : first + max(size, 1)]
-        result = _sample_block(params, t_obs, initial, block, i_max, windows, keep, max_cells)
+        limit = max_cells if len(block) == 1 else budget
+        result = _sample_block(params, t_obs, initial, block, i_max, windows, keep, limit)
         if result is None:
             if len(block) == 1:
                 raise _cap_error(max_cells, t_obs, first)
@@ -656,13 +653,12 @@ def sample_chunk(
     return np.concatenate(rows), records
 
 
-def _sample_block(params, t_obs, initial, keys, i_max, windows, keep, max_cells):
+def _sample_block(params, t_obs, initial, keys, i_max, windows, keep, limit):
     """The rows, records and genealogy node count of one block of keys; or
     None, checked after every batch, if the block's replicates exceed
-    ``_BLOCK_NODES`` or ``max_cells`` nodes together, or its one replicate
-    ``max_cells``.
+    ``limit`` nodes together.
 
-    The batches are the genealogy: a batch's real cells become entries of a
+    The batches are the genealogy: every cell of a batch becomes an entry of a
     cell table (mother's entry, group 2 replicate + origin, whether it is a
     resistant cell alive at ``t_obs``, edge's mutation count) after
     entries 0..reps - 1, each replicate's sentinel, its roots' mother.
@@ -685,31 +681,23 @@ def _sample_block(params, t_obs, initial, keys, i_max, windows, keep, max_cells)
     n0_init, n_roots = initial[0], sum(initial)
     u64 = np.uint64
     reps = len(keys)
-    limit = min(max_cells, _BLOCK_NODES) if reps > 1 else max_cells
     c0, c1 = params.b0 + params.d0, params.b1 + params.d1
     divide = [u64(w) for w in _thresholds([params.b1 / c1])]
     h, pairs = _reduced_tree(params)
     pairs = np.array(_thresholds(pairs), dtype=u64)
-    # by a pair's index: its resistant daughters, and its two daughters'
-    # birth-time offsets in each queue, 0 in their kind's and nan elsewhere
-    kinds = np.array(_PAIRS).T
-    flips = (kinds == RESISTANT).sum(0)
-    unborn = np.where(kinds == np.array([SENSITIVE, RESISTANT])[:, None, None], 0.0, math.nan)
+    kinds = np.array(_PAIRS).T  # by a pair's index, its two daughters' kinds
     mutations = _mutation_table(params.mutation_law, params.omega)
     # the block's nodes are its roots and two per division, a dropped daughter
-    # included; run raises at the division that takes it past max_cells
+    # included, as run counts them; the walk stops at the batch past limit
     max_divisions = max((limit - reps * n_roots) // 2, 0)
     # what a kept sensitive cell and a resistant cell hash at once
     sensitive_offsets = np.array([[_GOLDEN], [2 * _GOLDEN & _M64], [_PAIR], [_MUTATION]], dtype=u64)
     resistant_offsets = np.array([[_DIVIDE], [_MUTATION]], dtype=u64)
-    # the table's columns in the smallest types the cap allows: a sensitive
-    # division queues its daughters twice, and a batch may take up to 2 _BATCH
+    # the table's columns in the smallest types the cap allows: a division
+    # queues each daughter at most once, and a batch may take up to 2 _BATCH
     # divisions past max_divisions
-    entries = reps * (n_roots + 1) + 4 * (max_divisions + 2 * _BATCH)
+    entries = reps * (n_roots + 1) + 2 * (max_divisions + 2 * _BATCH)
     types = [np.min_scalar_type(entries), np.min_scalar_type(2 * reps), bool, mutations[1].dtype]
-    # a padding cell's id, birth time, mother and group; a sensitive batch's leaf flags
-    padding = [np.full(_PAD, v) for v in (u64(0), math.nan, 0, 0)]
-    no_leaves = np.zeros(2 * _BATCH, bool)
 
     x = np.repeat(np.array(keys, dtype=u64) ^ u64(_ROOT), n_roots)
     x = _mix64_array(x + np.tile(np.arange(1, n_roots + 1, dtype=u64) * u64(_GOLDEN), reps))
@@ -745,55 +733,52 @@ def _sample_block(params, t_obs, initial, keys, i_max, windows, keep, max_cells)
                     parts.append(queue.popleft())
                     size += parts[-1][0].size
                 rounds += 1
-                pad = -size % _PAD
-                yield size, *(np.concatenate((*c, v[:pad])) for c, v in zip(zip(*parts), padding))
+                yield [np.concatenate(column) for column in zip(*parts)]
                 bounds.append(table[0].size)
 
         def unsure(t):
             # whether an end t by ``log`` may fall on the other side of
-            # t_obs than ``_plog``'s; nan, a padding cell's, is passed over
-            return margin is not None and (
-                rounds > _FAST_ROUNDS or np.fmin.reduce(np.abs(t - t_obs)) <= margin
-            )
+            # t_obs than ``_plog``'s
+            return margin is not None and (rounds > _FAST_ROUNDS or np.abs(t - t_obs).min() <= margin)
 
-        def tabulate(size, mother, group, leaf, words):
-            # the batch's real cells into the table
+        def tabulate(mother, group, leaf, words):
+            # the batch's cells into the table
             counts = _mutation_counts(words, *mutations)
             for column, values in zip(table, (mother, group, leaf, counts)):
-                column.extend(values[:size])
+                column.extend(values)
 
         for queue, columns in zip((sensitive, resistant), roots):
             enqueue(queue, *columns)
 
         # the sensitive phase, over the reduced tree: a kept cell divides if
         # its lifetime ends before t_obs, and draws its daughters' kinds as
-        # one pair.  They join both queues, born at nan in the one not theirs,
-        # where like padding they neither divide nor live to t_obs; a
-        # sensitive cell's group is even, so its daughters' too
+        # one pair.  Each daughter joins its kind's queue, a dropped one none;
+        # a sensitive cell's group is even, so its daughters' too
         founders = np.zeros(reps)
-        for size, x, born, mother, group in batches(sensitive):
+        for x, born, mother, group in batches(sensitive):
             t = born - log(1.0 - _uniform(x)) / c0
             if unsure(t):
                 return False
             y = _mix64_array(x + sensitive_offsets)
-            tabulate(size, mother, group, no_leaves, y[3])
+            tabulate(mother, group, np.zeros(x.size, bool), y[3])
             dividing = (t < t_obs).nonzero()[0]
             divisions += dividing.size
-            pair = pairs.searchsorted(y[2, dividing], "right")
-            mother, group, ids = bounds[-1] + dividing, group[dividing], y[:2, dividing]
-            founders += np.bincount(group >> 1, flips[pair], reps)
-            for queue, born in zip((sensitive, resistant), t[dividing] + unborn[:, :, pair]):
-                for part in zip(ids, born):
-                    enqueue(queue, *part, mother, group)
+            kind = kinds[:, pairs.searchsorted(y[2, dividing], "right")]
+            for queue, k in ((sensitive, SENSITIVE), (resistant, RESISTANT)):
+                daughter, cell = (kind == k).nonzero()
+                cell = dividing[cell]
+                enqueue(queue, y[daughter, cell], t[cell], bounds[-1] + cell, group[cell])
+            # the last kind's daughters, the resistant ones, are founders
+            founders += np.bincount(group[cell] >> 1, minlength=reps)
 
         # the resistant phase: a resistant cell alive at t_obs is a leaf,
         # and its daughters are of resistant origin
-        for size, x, born, mother, group in batches(resistant):
+        for x, born, mother, group in batches(resistant):
             t = born - log(1.0 - _uniform(x)) / c1
             if unsure(t):
                 return False
             words = _mix64_array(x + resistant_offsets)
-            tabulate(size, mother, group, t >= t_obs, words[1])
+            tabulate(mother, group, t >= t_obs, words[1])
             dividing = t < t_obs
             if divide:
                 dividing &= words[0] < divide[0]
@@ -815,7 +800,7 @@ def _sample_block(params, t_obs, initial, keys, i_max, windows, keep, max_cells)
     # carries itself, then the batches, last first, add their counts into
     # their mothers', which lie in earlier batches or are sentinels
     mother = mother.values
-    carried = leaf.values.astype(np.min_scalar_type(-max(max_cells, n_roots)))
+    carried = leaf.values.astype(np.min_scalar_type(-max(limit, n_roots)))
     for first, last in zip(bounds[-2::-1], bounds[:0:-1]):
         lo = int(mother[first:last].min())
         counts = np.subtract(mother[first:last], lo, dtype=np.intp)

@@ -854,6 +854,12 @@ CHUNK_CASES = {
         dataclasses.replace(FLIPS40, mutation_law="bernoulli", omega=1.0),
         T40, (5, 3), range(40), 10, (0.5,),
     ),
+    # about 5.1k kept roots per replicate (gamma_n = 0.05, h about 0.10): the
+    # first sensitive batch splits at _BATCH cells and later ones join pieces
+    "wide-sensitive": (
+        dataclasses.replace(REF, n_init=50_000, gamma=2500.0, alpha=1.0),
+        0.3, None, range(3), 10, (0.5,),
+    ),
 }
 
 
@@ -900,7 +906,9 @@ def test_sample_chunk_peak_memory_stays_bounded():
     # the sampler with slot and leaf records at 1.44, 1.50, 1.60, 1.27,
     # 1.48, 1.27, 1.29 and 1.51 MB, and the cell-table sampler at 2.17, 2.02,
     # 2.11, 1.42, 1.99, 1.42, 1.89 and 2.03 MB (the first call builds the
-    # cached guide table); one that drew every mutation count over the whole
+    # cached guide table), and with each daughter queued once, in its own
+    # type's queue, at 2.17, 2.00, 2.08, 1.40, 1.97, 1.40, 1.41 and 2.00 MB;
+    # one that drew every mutation count over the whole
     # block after its walk peaked at 3.5-5.2 MB and raised the benchmark's
     # peak RSS past its bound, so the largest peak may be at most 1.5 times
     # the old largest
