@@ -6,12 +6,12 @@ tree machinery for the resistant founders, closed-form / quadrature
 evaluation of the expected site frequency spectrum, and Monte Carlo
 comparison tooling.
 
-Importing the package loads only the standard library: ``compare`` and
-``replicate_sfs`` come from ``montecarlo``, which needs numpy, and are
-imported on first access.
+Importing the package loads ``params`` and the standard library only.
+The other names load their module on first access: ``compare`` and
+``replicate_sfs`` come from ``montecarlo``, which needs numpy, the tree
+names from ``gw_trees`` and the simulation names from ``simulator``.
 """
 
-from rescue_sfs.gw_trees import GwLaw, GwTree, sample_conditioned, sample_tree
 from rescue_sfs.params import (
     ConfigError,
     DerivedParams,
@@ -24,7 +24,6 @@ from rescue_sfs.params import (
     load_config,
     observation_time,
 )
-from rescue_sfs.simulator import SfsRecord, SimOutcome, extract_sfs, run, window_counts
 
 __version__ = "0.1.0"
 
@@ -54,10 +53,18 @@ __all__ = [
 ]
 
 
-def __getattr__(name: str):
-    # PEP 562: the numpy-backed Monte Carlo entry points load on first use
-    if name in ("compare", "replicate_sfs"):
-        from rescue_sfs import montecarlo
+# the names each module serves on first access (PEP 562)
+_LAZY = {
+    "montecarlo": ("compare", "replicate_sfs"),
+    "gw_trees": ("GwLaw", "GwTree", "sample_conditioned", "sample_tree"),
+    "simulator": ("SfsRecord", "SimOutcome", "extract_sfs", "run", "window_counts"),
+}
 
-        return getattr(montecarlo, name)
+
+def __getattr__(name: str):
+    for module, names in _LAZY.items():
+        if name in names:
+            import importlib
+
+            return getattr(importlib.import_module(f"{__name__}.{module}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -37,13 +37,12 @@ its cells are simulated in:
 - ``sample_chunk`` simulates a chunk of replicates breadth first with numpy,
   in blocks whose genealogies stay within a node budget, in ``run``'s two
   phases: the kept sensitive cells, which seed resistant clones, then the
-  clones.  Each daughter it simulates joins its own type's queue once, and
-  each cell is an entry of a cell table; it compares words with
-  probabilities as integers, exactly as ``run`` compares uniforms.  A row
-  holds a replicate's dense spectrum, window counts, founder count, final
-  resistant count and total mutation count; for the same key it equals
-  what ``extract_sfs(run(...))`` gives, bit for bit, so ``run`` is its
-  inspectable twin.
+  clones.  Each cell is an entry of a cell table made of the rounds' own
+  arrays; it compares words with probabilities as integers, exactly as
+  ``run`` compares uniforms.  A row holds a replicate's dense spectrum,
+  window counts, founder count, final resistant count and total mutation
+  count; for the same key it equals what ``extract_sfs(run(...))`` gives,
+  bit for bit, so ``run`` is its inspectable twin.
 
 A lifetime is defined by ``_plog``, one fixed sequence of IEEE operations
 that a Python float and a numpy array evaluate to the same bits.  numpy's
@@ -219,23 +218,35 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix64_array(z):
-    """``_mix64`` over a np.uint64 array, in place (the products wrap)."""
+@functools.cache
+def _operands(dtype: str, *values) -> tuple:
+    """``values`` as read-only 0-d numpy arrays of ``dtype``, built once: a
+    ufunc takes one of its other operand's dtype faster than a Python number
+    or a numpy scalar, which it converts on every call, with the same result."""
     import numpy as np
 
-    u = np.uint64
-    z ^= z >> u(30)
-    z *= u(_MUL1)
-    z ^= z >> u(27)
-    z *= u(_MUL2)
-    z ^= z >> u(31)
+    arrays = tuple(np.array(v, dtype) for v in values)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _mix64_array(z):
+    """``_mix64`` over a np.uint64 array, in place (the products wrap)."""
+    s30, mul1, s27, mul2, s31 = _operands("u8", 30, _MUL1, 27, _MUL2, 31)
+    z ^= z >> s30
+    z *= mul1
+    z ^= z >> s27
+    z *= mul2
+    z ^= z >> s31
     return z
 
 
-def _uniform(z):
+def _uniform(z, shift=11, unit=_TWO_M53):
     """The uniform on [0, 1) of a 64-bit word, a Python int or a np.uint64
-    array (a plain shift count keeps it uint64): its top 53 bits over 2^53."""
-    return (z >> 11) * _TWO_M53
+    array (a plain or a 0-d np.uint64 shift keeps it uint64): its top 53
+    bits over 2^53, the unit 2^-53 a float or a 0-d float64 array."""
+    return (z >> shift) * unit
 
 
 def _plog(x, frexp=math.frexp):
@@ -333,8 +344,10 @@ def _mutation_counts(words, thresholds, guide):
     """bisect_right(cdf, _uniform(w)) for each w of a np.uint64 array: the
     guide's entry (indexed by intp, faster than by np.uint64), and where
     that is the marker a search of the thresholds."""
-    counts = guide[(words >> 48).view("i8")]
-    marked = (counts > thresholds.size).nonzero()[0]
+    (shift,) = _operands("u8", 48)
+    (bound,) = _operands(guide.dtype.str, thresholds.size)
+    counts = guide[(words >> shift).view("i8")]
+    marked = (counts > bound).nonzero()[0]
     if marked.size:
         counts[marked] = thresholds.searchsorted(words[marked], "right")
     return counts
@@ -547,31 +560,6 @@ def run(
     )
 
 
-class _Column:
-    """A growable numpy vector of one dtype, ``size`` zeros at first: pieces
-    are copied in, so they never stay allocated as arrays of their own."""
-
-    def __init__(self, dtype, size: int = 0) -> None:
-        import numpy as np
-
-        self._np = np
-        self.data = np.zeros(max(1024, size), dtype)
-        self.size = size
-
-    def extend(self, values) -> None:
-        end = self.size + len(values)
-        if end > self.data.size:
-            grown = self._np.empty(max(end, 2 * self.data.size), self.data.dtype)
-            grown[: self.size] = self.data[: self.size]
-            self.data = grown
-        self.data[self.size : end] = values
-        self.size = end
-
-    @property
-    def values(self):
-        return self.data[: self.size]
-
-
 def sample_chunk(
     params: ModelParams,
     t_obs: float,
@@ -583,9 +571,9 @@ def sample_chunk(
     keep: bool = False,
     max_cells: int = 5_000_000,
 ):
-    """The rows of one chunk of replicates, replicate j keyed by ``keys[j]``
-    (a 64-bit integer), and their records when ``keep`` is set (else an
-    empty list).
+    """The rows of one chunk of replicates, replicate j keyed by ``keys[j]``,
+    and their records when ``keep`` is set (else an empty list).  A key is
+    an integer in [0, 2^64); any other raises ValueError naming its position.
 
     Row j holds replicate j's ROW_FIELDS as floats, in that order and with
     the widths ``row_widths`` gives: its dense s, s_resistant_origin and
@@ -598,21 +586,9 @@ def sample_chunk(
     whose ``getrandbits(64)`` is that key, and record j equals that
     ``extract_sfs`` record.
 
-    A block runs in ``run``'s two phases, every kept sensitive cell from one
-    first-in first-out queue and then every resistant cell from a second, so
-    a cell's type is its queue's; batches of about ``_BATCH`` cells come off
-    a queue's front and their dividing cells' daughters join the back of
-    their own type's queue, so batches run generation by generation.  The
-    sensitive phase runs the reduced tree: a sensitive root is queued only
-    if it is kept, and a kept cell draws its lifetime and, if it divides,
-    its daughter pair, whose dropped daughters join no queue.  A resistant
-    cell draws its lifetime and divide-or-die.  Every cell draws its
-    mutation count and becomes an entry of the block's cell table, from
-    which counting fills the rows (see ``_sample_block``).  Draws are keyed
-    by cell, so neither the phases, the batching nor the chunk changes a
-    replicate's values.
-
-    The keys run in blocks, in order, so the memory a chunk takes does not
+    Draws are keyed by cell, so neither the blocks, their phases and batches
+    (see ``_sample_block``) nor the chunk change a replicate's values.  The
+    keys run in blocks, in order, so the memory a chunk takes does not
     grow with the chunk: a block's replicates hold at most ``_BLOCK_NODES``
     genealogy nodes together, or ``max_cells`` if that is smaller, where a
     replicate's nodes are its roots, every one kept or not, and two per
@@ -628,7 +604,7 @@ def sample_chunk(
     initial, windows = checked_args(params, t_obs, initial, i_max, windows)
     import numpy as np
 
-    keys = list(keys)
+    keys = _key_words(keys)
     budget = min(max_cells, _BLOCK_NODES)
     # blocks aim at half the budget: first at 8 nodes per root, then at the
     # nodes per replicate of the block before, so a block of several
@@ -653,39 +629,64 @@ def sample_chunk(
     return np.concatenate(rows), records
 
 
+def _key_words(keys):
+    """``keys`` as a np.uint64 array, or a ValueError naming the position of the first
+    that is not an integer in [0, 2^64), which numpy would truncate or overflow on."""
+    import numpy as np
+
+    keys = list(keys)
+    if not set(map(type, keys)) <= {int} or min(keys, default=0) < 0 or max(keys, default=0) > _M64:
+        for j, key in enumerate(keys):
+            if checked_index(key, f"key at position {j}", 0) > _M64:
+                raise ValueError(f"requires key at position {j} < 2^64, got {key}")
+    return np.array(keys, dtype=np.uint64)
+
+
 def _sample_block(params, t_obs, initial, keys, i_max, windows, keep, limit):
     """The rows, records and genealogy node count of one block of keys; or
     None, checked after every batch, if the block's replicates exceed
     ``limit`` nodes together.
 
-    The batches are the genealogy: every cell of a batch becomes an entry of a
-    cell table (mother's entry, group 2 replicate + origin, whether it is a
-    resistant cell alive at ``t_obs``, edge's mutation count) after
-    entries 0..reps - 1, each replicate's sentinel, its roots' mother.
-    Draws compare words with thresholds (see ``_thresholds``).  Counting
-    walks the batches back, adding each entry's carrier count into its
-    mother's: the sentinels end with the final resistant counts, and the
-    entries with carriers and mutations under no sentinel fill the rows.
+    A round takes a batch of about ``_BATCH`` cells off the front of the
+    phase's first-in first-out queue, the kept sensitive cells' and then
+    the resistant cells', and their dividing cells' daughters join the back
+    of their own type's queue, a dropped one none.  A kept sensitive cell
+    draws its lifetime and, if it divides, its daughter pair; a resistant
+    cell its lifetime and divide-or-die.  Draws compare words with
+    thresholds (``_thresholds``).  A round's numpy calls are small and
+    mostly call overhead, so their constant operands are 0-d arrays of the
+    other operand's dtype, built once (``_operands``).
 
-    The block is walked first with numpy's ``log`` in the lifetimes and,
-    only if that walk cannot vouch for its rows, again with ``_plog``.  A
-    row sees a time only through t < t_obs and t >= t_obs, and a cell's two
-    ends differ by less than the margin max(_NEAR t_obs, _TINY) (see
-    _NEAR), so the first walk gives ``_plog``'s rows unless a cell's end
-    lies within the margin of t_obs or the walk takes more than
-    _FAST_ROUNDS rounds; it stops at that batch.  The rows are therefore
-    ``_plog``'s, and ``run``'s, whichever ``log`` numpy dispatches.
+    Every cell of a batch draws its mutation count and becomes an entry of
+    a cell table (mother's entry, group 2 replicate + origin, whether it is
+    a resistant cell alive at ``t_obs``, edge's mutation count) after
+    entries 0..reps - 1, each replicate's sentinel, its roots' mother; each
+    column is the rounds' arrays in the smallest type the cap allows,
+    joined when the walk ends.  Counting walks the batches back, adding
+    each entry's carrier count into its mother's: the sentinels end with
+    the final resistant counts, and the entries with carriers and mutations
+    under no sentinel fill the rows.
+
+    The block is walked with numpy's ``log`` and, only if that walk cannot
+    vouch for its rows, again with ``_plog``: a row sees a time only
+    through t < t_obs, and a cell's two ends differ by less than the margin
+    max(_NEAR t_obs, _TINY), so the walks agree unless an end lies within
+    the margin of t_obs or the walk takes more than _FAST_ROUNDS rounds.
     """
     import numpy as np
 
     n0_init, n_roots = initial[0], sum(initial)
     u64 = np.uint64
     reps = len(keys)
-    c0, c1 = params.b0 + params.d0, params.b1 + params.d1
-    divide = [u64(w) for w in _thresholds([params.b1 / c1])]
+    # the rounds' constant operands, 0-d arrays of their operands' dtypes
+    divide = [np.array(w, u64) for w in _thresholds([params.b1 / (params.b1 + params.d1)])]
+    (shift,), (unit, one) = _operands("u8", 11), _operands("f8", _TWO_M53, 1.0)
+    c0, c1, end = (np.array(v, np.float64) for v in (params.b0 + params.d0, params.b1 + params.d1, t_obs))
+    bit = np.array(1, np.intp)
     h, pairs = _reduced_tree(params)
     pairs = np.array(_thresholds(pairs), dtype=u64)
     kinds = np.array(_PAIRS).T  # by a pair's index, its two daughters' kinds
+    by_kind = [np.array(k, kinds.dtype) for k in (SENSITIVE, RESISTANT)]
     mutations = _mutation_table(params.mutation_law, params.omega)
     # the block's nodes are its roots and two per division, a dropped daughter
     # included, as run counts them; the walk stops at the batch past limit
@@ -699,7 +700,7 @@ def _sample_block(params, t_obs, initial, keys, i_max, windows, keep, limit):
     entries = reps * (n_roots + 1) + 2 * (max_divisions + 2 * _BATCH)
     types = [np.min_scalar_type(entries), np.min_scalar_type(2 * reps), bool, mutations[1].dtype]
 
-    x = np.repeat(np.array(keys, dtype=u64) ^ u64(_ROOT), n_roots)
+    x = np.repeat(keys ^ u64(_ROOT), n_roots)
     x = _mix64_array(x + np.tile(np.arange(1, n_roots + 1, dtype=u64) * u64(_GOLDEN), reps))
     # only the kept sensitive roots are queued, each under its replicate's sentinel
     sensitive_root = np.tile(np.arange(n_roots) < n0_init, reps)
@@ -715,7 +716,8 @@ def _sample_block(params, t_obs, initial, keys, i_max, windows, keep, limit):
         # set and the walk cannot vouch for its rows.  A queue entry holds
         # cells' ids, birth times, mothers and groups; their type is the queue's
         sensitive, resistant = deque(), deque()
-        table = [_Column(dtype, reps) for dtype in types]
+        # the table's columns as the rounds' arrays, the sentinels' first
+        table = [[np.zeros(reps, dtype)] for dtype in types]
         # each batch's first entry (bounds[-1] while it runs), and the table's end
         bounds = [reps]
         rounds = divisions = 0
@@ -733,19 +735,20 @@ def _sample_block(params, t_obs, initial, keys, i_max, windows, keep, limit):
                     parts.append(queue.popleft())
                     size += parts[-1][0].size
                 rounds += 1
-                yield [np.concatenate(column) for column in zip(*parts)]
-                bounds.append(table[0].size)
+                yield parts[0] if len(parts) == 1 else [np.concatenate(c) for c in zip(*parts)]
+                bounds.append(bounds[-1] + size)
 
         def unsure(t):
-            # whether an end t by ``log`` may fall on the other side of
-            # t_obs than ``_plog``'s
-            return margin is not None and (rounds > _FAST_ROUNDS or np.abs(t - t_obs).min() <= margin)
+            # whether an end t by ``log`` may fall on the other side of t_obs than ``_plog``'s
+            if margin is None:
+                return False
+            return rounds > _FAST_ROUNDS or np.minimum.reduce(np.abs(t - end)) <= margin
 
         def tabulate(mother, group, leaf, words):
             # the batch's cells into the table
             counts = _mutation_counts(words, *mutations)
-            for column, values in zip(table, (mother, group, leaf, counts)):
-                column.extend(values)
+            for column, values, dtype in zip(table, (mother, group, leaf, counts), types):
+                column.append(values.astype(dtype, copy=False))
 
         for queue, columns in zip((sensitive, resistant), roots):
             enqueue(queue, *columns)
@@ -756,38 +759,40 @@ def _sample_block(params, t_obs, initial, keys, i_max, windows, keep, limit):
         # a sensitive cell's group is even, so its daughters' too
         founders = np.zeros(reps)
         for x, born, mother, group in batches(sensitive):
-            t = born - log(1.0 - _uniform(x)) / c0
+            t = born - log(one - _uniform(x, shift, unit)) / c0
             if unsure(t):
                 return False
             y = _mix64_array(x + sensitive_offsets)
             tabulate(mother, group, np.zeros(x.size, bool), y[3])
-            dividing = (t < t_obs).nonzero()[0]
+            dividing = (t < end).nonzero()[0]
             divisions += dividing.size
             kind = kinds[:, pairs.searchsorted(y[2, dividing], "right")]
-            for queue, k in ((sensitive, SENSITIVE), (resistant, RESISTANT)):
+            for queue, k in zip((sensitive, resistant), by_kind):
                 daughter, cell = (kind == k).nonzero()
                 cell = dividing[cell]
                 enqueue(queue, y[daughter, cell], t[cell], bounds[-1] + cell, group[cell])
             # the last kind's daughters, the resistant ones, are founders
-            founders += np.bincount(group[cell] >> 1, minlength=reps)
+            founders += np.bincount(group[cell] >> bit, minlength=reps)
 
         # the resistant phase: a resistant cell alive at t_obs is a leaf,
         # and its daughters are of resistant origin
         for x, born, mother, group in batches(resistant):
-            t = born - log(1.0 - _uniform(x)) / c1
+            t = born - log(one - _uniform(x, shift, unit)) / c1
             if unsure(t):
                 return False
             words = _mix64_array(x + resistant_offsets)
-            tabulate(mother, group, t >= t_obs, words[1])
-            dividing = t < t_obs
+            tabulate(mother, group, t >= end, words[1])
+            dividing = t < end
             if divide:
                 dividing &= words[0] < divide[0]
             dividing = dividing.nonzero()[0]
             divisions += dividing.size
-            t, mother, group = t[dividing], bounds[-1] + dividing, group[dividing] | 1
+            t, mother, group = t[dividing], bounds[-1] + dividing, group[dividing] | bit
             for ids in _mix64_array(x[dividing] + sensitive_offsets[:2]):
                 enqueue(resistant, ids, t, mother, group)
-        return None if divisions > max_divisions else (founders, table, bounds, divisions)
+        if divisions > max_divisions:
+            return None
+        return founders, [np.concatenate(column) for column in table], bounds, divisions
 
     result = walk(np.log, max(_NEAR * t_obs, _TINY))
     if result is False:
@@ -799,10 +804,9 @@ def _sample_block(params, t_obs, initial, keys, i_max, windows, keep, limit):
     # carrier counts, signed so that sums with intp stay integers: a leaf
     # carries itself, then the batches, last first, add their counts into
     # their mothers', which lie in earlier batches or are sentinels
-    mother = mother.values
-    carried = leaf.values.astype(np.min_scalar_type(-max(limit, n_roots)))
+    carried = leaf.astype(np.min_scalar_type(-max(limit, n_roots)))
     for first, last in zip(bounds[-2::-1], bounds[:0:-1]):
-        lo = int(mother[first:last].min())
+        lo = int(np.minimum.reduce(mother[first:last]))
         counts = np.subtract(mother[first:last], lo, dtype=np.intp)
         counts = np.bincount(counts, carried[first:last], first - lo)
         np.add(carried[lo:first], counts, out=carried[lo:first], casting="unsafe")
@@ -812,8 +816,8 @@ def _sample_block(params, t_obs, initial, keys, i_max, windows, keep, limit):
     scalars = row["scalars"]
     scalars[:, 0], scalars[:, 1] = founders, carried[:reps]
     # a root's edge, under a sentinel, carries no mutations
-    used = ((carried > 0) & (muts.values > 0) & (mother >= reps)).nonzero()[0]
-    carried, m, group = carried[used], muts.values[used], group.values[used]
+    used = ((carried > 0) & (muts > 0) & (mother >= reps)).nonzero()[0]
+    carried, m, group = carried[used], muts[used], group[used]
     del mother, leaf, muts, used
 
     def tally(keys, weights, length):
@@ -821,21 +825,16 @@ def _sample_block(params, t_obs, initial, keys, i_max, windows, keep, limit):
         return np.bincount(keys, weights, length).astype(np.float64, copy=False)
 
     small = carried <= i_max
-    dense = tally(
-        group[small].astype(np.intp) * (i_max + 1) + carried[small],
-        m[small],
-        2 * reps * (i_max + 1),
-    ).reshape(reps, 2, i_max + 1)
-    row["sbar"][...] = dense[:, 1, 1:]
-    row["sunder"][...] = dense[:, 0, 1:]
-    np.add(row["sbar"], row["sunder"], out=row["s"])
+    cells = group[small].astype(np.intp) * (i_max + 1) + carried[small]
+    dense = tally(cells, m[small], 2 * reps * (i_max + 1)).reshape(reps, 2, i_max + 1)
+    row["sbar"][...], row["sunder"][...] = dense[:, 1, 1:], dense[:, 0, 1:]
     scale = math.exp((params.b1 - params.d1) * t_obs)
     for k, edge in enumerate(windows):
         above = carried > edge * scale
         counts = tally(group[above], m[above], 2 * reps).reshape(reps, 2)
-        row["window_s"][:, k] = counts[:, 1] + counts[:, 0]
-        row["window_sbar"][:, k] = counts[:, 1]
-        row["window_sunder"][:, k] = counts[:, 0]
+        row["window_sbar"][:, k], row["window_sunder"][:, k] = counts[:, 1], counts[:, 0]
+    for total in ("", "window_"):
+        np.add(row[total + "sbar"], row[total + "sunder"], out=row[total + "s"])
     scalars[:, 2] = tally(group >> 1, m, reps)
 
     records = []

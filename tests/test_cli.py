@@ -593,6 +593,23 @@ print(compare.__module__, replicate_sfs.__module__, "numpy" in sys.modules)
     ]
 
 
+def test_theory_import_loads_params_and_theory_only():
+    # the package's root once imported gw_trees and simulator only to
+    # re-export their names; they now load on first access
+    code = """
+import sys
+import rescue_sfs.theory
+print(sorted(k for k in sys.modules if k == "numpy" or k.startswith("rescue_sfs")))
+from rescue_sfs import run, GwLaw, SfsRecord
+print(run.__module__, GwLaw.__module__, SfsRecord.__module__, "numpy" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines() == [
+        "['rescue_sfs', 'rescue_sfs.params', 'rescue_sfs.theory']",
+        "rescue_sfs.simulator rescue_sfs.gw_trees rescue_sfs.simulator False",
+    ]
+
+
 def test_compare_gate_exit_codes(cfg_path, tmp_path):
     rc = cli.main(
         [

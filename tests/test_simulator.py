@@ -889,6 +889,28 @@ def test_sample_chunk_rejects_i_max_below_1(i_max):
         sim.sample_chunk(N40, T40, None, keys, i_max=i_max, windows=(0.5,))
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (1.5, "requires an integer key at position 2, got 1.5"),
+        (np.float64(7.0), "requires an integer key at position 2, got "),
+        ("3", "requires an integer key at position 2, got '3'"),
+        (-1, "requires key at position 2 >= 0, got -1"),
+        (2**64, f"requires key at position 2 < 2\\^64, got {2**64}"),
+    ],
+)
+def test_sample_chunk_rejects_keys_that_are_not_64_bit_integers(bad, message):
+    # 1.5 once ran silently as key 1, 2^64 and -1 raised numpy's OverflowError
+    keys = [Random(seed).getrandbits(64) for seed in range(4)]
+    with pytest.raises(ValueError, match=message):
+        sim.sample_chunk(N40, T40, None, keys[:2] + [bad] + keys[2:], i_max=3)
+    # numpy's integers and the largest key are integers in range
+    last = [0, 2**64 - 1]
+    rows, _ = sim.sample_chunk(N40, T40, None, keys + last, i_max=3)
+    words, _ = sim.sample_chunk(N40, T40, None, np.array(keys + last, dtype=np.uint64), i_max=3)
+    np.testing.assert_array_equal(words, rows)
+
+
 def test_simulation_rejects_omega_above_its_bound():
     # omega = 2e6 once built a table of 10^6 Poisson terms before the first draw
     huge = dataclasses.replace(N40, omega=2e6)
@@ -907,11 +929,12 @@ def test_sample_chunk_peak_memory_stays_bounded():
     # 1.48, 1.27, 1.29 and 1.51 MB, and the cell-table sampler at 2.17, 2.02,
     # 2.11, 1.42, 1.99, 1.42, 1.89 and 2.03 MB (the first call builds the
     # cached guide table), and with each daughter queued once, in its own
-    # type's queue, at 2.17, 2.00, 2.08, 1.40, 1.97, 1.40, 1.41 and 2.00 MB;
-    # one that drew every mutation count over the whole
-    # block after its walk peaked at 3.5-5.2 MB and raised the benchmark's
-    # peak RSS past its bound, so the largest peak may be at most 1.5 times
-    # the old largest
+    # type's queue, at 2.17, 2.00, 2.08, 1.40, 1.97, 1.40, 1.41 and 2.00 MB,
+    # and with a cell table made of the rounds' own arrays at 2.17, 1.61,
+    # 1.75, 1.38, 1.57, 1.37, 1.39 and 1.62 MB; one that drew every mutation
+    # count over the whole block after its walk peaked at 3.5-5.2 MB and
+    # raised the benchmark's peak RSS past its bound, so the largest peak
+    # may be at most 1.5 times the old largest
     t_obs = 1.25 * math.log(500)
     peaks = []
     tracemalloc.start()
