@@ -12,6 +12,8 @@ The other names load their module on first access: ``compare`` and
 names from ``gw_trees`` and the simulation names from ``simulator``.
 """
 
+import importlib
+
 from rescue_sfs.params import (
     ConfigError,
     DerivedParams,
@@ -64,7 +66,5 @@ _LAZY = {
 def __getattr__(name: str):
     for module, names in _LAZY.items():
         if name in names:
-            import importlib
-
             return getattr(importlib.import_module(f"{__name__}.{module}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
