@@ -9,7 +9,8 @@ comparison tooling.
 Importing the package loads ``params`` and the standard library only.
 The other names load their module on first access: ``compare`` and
 ``replicate_sfs`` come from ``montecarlo``, which needs numpy, the tree
-names from ``gw_trees`` and the simulation names from ``simulator``.
+names from ``gw_trees`` and ``SfsRecord``, the type of a replicate's
+record, from ``simulator``, which also holds ``run`` and its helpers.
 """
 
 import importlib
@@ -39,18 +40,14 @@ __all__ = [
     "ParameterError",
     "RunConfig",
     "SfsRecord",
-    "SimOutcome",
     "compare",
     "derive",
     "derive_from_gamma_n",
-    "extract_sfs",
     "load_config",
     "observation_time",
     "replicate_sfs",
-    "run",
     "sample_conditioned",
     "sample_tree",
-    "window_counts",
     "__version__",
 ]
 
@@ -59,7 +56,7 @@ __all__ = [
 _LAZY = {
     "montecarlo": ("compare", "replicate_sfs"),
     "gw_trees": ("GwLaw", "GwTree", "sample_conditioned", "sample_tree"),
-    "simulator": ("SfsRecord", "SimOutcome", "extract_sfs", "run", "window_counts"),
+    "simulator": ("SfsRecord",),
 }
 
 

@@ -686,12 +686,13 @@ def main(argv: list[str] | None = None) -> int:
     # a cap hit names its replicate and seed; the parameters grow a
     # population past the simulator's cap before the observation time.  A
     # rejection limit means the tree law's acceptance probability is too
-    # small to sample
+    # small to sample, a tree size error that its trees outgrow max_nodes
     except (
         ConfigError,
         ParameterError,
         simulator.PopulationCapError,
         gw_trees.RejectionLimitError,
+        gw_trees.TreeSizeError,
     ) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

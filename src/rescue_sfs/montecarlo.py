@@ -23,9 +23,11 @@ from functools import cache, partial
 from random import Random
 from typing import Callable, Sequence
 
+# simulator before numpy: compiled without a bytecode cache on top of
+# numpy's memory, simulator.py raised a short process's peak RSS by about 2 MB
+from rescue_sfs import simulator  # isort: skip
 import numpy as np
 
-from rescue_sfs import simulator
 from rescue_sfs.params import ModelParams, checked_index
 
 # scheduling only: a span samples as many whole chunks of DEFAULT_CHUNK

@@ -38,8 +38,9 @@ its cells are simulated in:
   in blocks whose genealogies stay within a node budget, in ``run``'s two
   phases: the kept sensitive cells, which seed resistant clones, then the
   clones.  Each cell is an entry of a cell table made of the rounds' own
-  arrays; it compares words with probabilities as integers, exactly as
-  ``run`` compares uniforms.  A row holds a replicate's dense spectrum,
+  arrays.  Every draw but a lifetime, a root's keep test included, compares
+  a word with an integer threshold, exactly as ``run`` compares a uniform
+  with a probability.  A row holds a replicate's dense spectrum,
   window counts, founder count, final resistant count and total mutation
   count; for the same key it equals what ``extract_sfs(run(...))`` gives,
   bit for bit, so ``run`` is its inspectable twin.
@@ -411,7 +412,8 @@ def checked_args(
 ) -> tuple[tuple[int, int], tuple[float, ...]]:
     """The checked starting (sensitive, resistant) population and window
     edges of runs to ``t_obs`` with rows over i = 1..i_max; ``initial``
-    defaults to (n_init, 0).  An omega above ``_MAX_OMEGA`` raises
+    defaults to (n_init, 0).  An omega above ``_MAX_OMEGA``, or a window
+    whose carrier edge x e^(lambda1 t_obs) passes the float range, raises
     ParameterError."""
     if params.omega > _MAX_OMEGA:
         raise ParameterError(f"simulation requires omega <= {_MAX_OMEGA:g}, got omega={params.omega}")
@@ -421,6 +423,11 @@ def checked_args(
     windows = tuple(windows)
     if not all(0 < x < math.inf for x in windows):
         raise ValueError(f"requires finite window edges > 0, got {windows}")
+    try:  # math.exp raises OverflowError past the float range, a product gives inf
+        if windows and max(windows) * math.exp((params.b1 - params.d1) * t_obs) == math.inf:
+            raise OverflowError
+    except OverflowError:
+        raise ParameterError(f"window edge {max(windows):g} e^(lambda1 t_obs) passes the float range") from None
     if initial is None:
         initial = (params.n_init, 0)
     n0_init, n1_init = (checked_index(n, "initial population") for n in initial)
@@ -652,10 +659,13 @@ def _sample_block(params, t_obs, initial, keys, i_max, windows, keep, limit):
     the resistant cells', and their dividing cells' daughters join the back
     of their own type's queue, a dropped one none.  A kept sensitive cell
     draws its lifetime and, if it divides, its daughter pair; a resistant
-    cell its lifetime and divide-or-die.  Draws compare words with
-    thresholds (``_thresholds``).  A round's numpy calls are small and
-    mostly call overhead, so their constant operands are 0-d arrays of the
-    other operand's dtype, built once (``_operands``).
+    cell its lifetime and divide-or-die.  Every other draw compares a word
+    with an integer (``_thresholds``): a root is kept below h's threshold (h
+    < 1), and a resistant cell divides at or below the top word W - 1 of its
+    threshold W, or 2^64 - 1 at d1 = 0.  The founders are counted once, in
+    the resistant queue when the sensitive phase ends, as it then holds
+    exactly the resistant roots and the founders.  A round's numpy calls are
+    small, so their constant operands are 0-d arrays (``_operands``).
 
     Every cell of a batch draws its mutation count and becomes an entry of
     a cell table (mother's entry, group 2 replicate + origin, whether it is
@@ -679,7 +689,7 @@ def _sample_block(params, t_obs, initial, keys, i_max, windows, keep, limit):
     u64 = np.uint64
     reps = len(keys)
     # the rounds' constant operands, 0-d arrays of their operands' dtypes
-    divide = [np.array(w, u64) for w in _thresholds([params.b1 / (params.b1 + params.d1)])]
+    divide_top = np.array(min(_thresholds([params.b1 / (params.b1 + params.d1)]), default=1 << 64) - 1, u64)
     (shift,), (unit, one) = _operands("u8", 11), _operands("f8", _TWO_M53, 1.0)
     c0, c1, end = (np.array(v, np.float64) for v in (params.b0 + params.d0, params.b1 + params.d1, t_obs))
     bit = np.array(1, np.intp)
@@ -704,7 +714,8 @@ def _sample_block(params, t_obs, initial, keys, i_max, windows, keep, limit):
     x = _mix64_array(x + np.tile(np.arange(1, n_roots + 1, dtype=u64) * u64(_GOLDEN), reps))
     # only the kept sensitive roots are queued, each under its replicate's sentinel
     sensitive_root = np.tile(np.arange(n_roots) < n0_init, reps)
-    kept = _uniform(_mix64_array(x + u64(_DIVIDE))) < h
+    (h_word,) = _thresholds([h])
+    kept = _mix64_array(x + u64(_DIVIDE)) < u64(h_word)
     roots = [
         (x[cells], np.zeros(cells.size), cells // n_roots, 2 * (cells // n_roots))
         for cells in ((sensitive_root & kept).nonzero()[0], (~sensitive_root).nonzero()[0])
@@ -718,9 +729,9 @@ def _sample_block(params, t_obs, initial, keys, i_max, windows, keep, limit):
         sensitive, resistant = deque(), deque()
         # the table's columns as the rounds' arrays, the sentinels' first
         table = [[np.zeros(reps, dtype)] for dtype in types]
-        # each batch's first entry (bounds[-1] while it runs), and the table's end
+        # each batch's first entry (bounds[-1] in round len(bounds)), and the table's end
         bounds = [reps]
-        rounds = divisions = 0
+        divisions = 0
 
         def enqueue(queue, *columns):
             for lo in range(0, columns[0].size, _BATCH):
@@ -728,21 +739,19 @@ def _sample_block(params, t_obs, initial, keys, i_max, windows, keep, limit):
 
         def batches(queue):
             # until the queue is empty or the block divides too often
-            nonlocal rounds
             while queue and divisions <= max_divisions:
                 parts, size = [], 0
                 while queue and size < _BATCH:
                     parts.append(queue.popleft())
                     size += parts[-1][0].size
-                rounds += 1
                 yield parts[0] if len(parts) == 1 else [np.concatenate(c) for c in zip(*parts)]
                 bounds.append(bounds[-1] + size)
 
         def unsure(t):
             # whether an end t by ``log`` may fall on the other side of t_obs than ``_plog``'s
-            if margin is None:
-                return False
-            return rounds > _FAST_ROUNDS or np.minimum.reduce(np.abs(t - end)) <= margin
+            return margin is not None and (
+                len(bounds) > _FAST_ROUNDS or np.minimum.reduce(np.abs(t - end)) <= margin
+            )
 
         def tabulate(mother, group, leaf, words):
             # the batch's cells into the table
@@ -757,7 +766,6 @@ def _sample_block(params, t_obs, initial, keys, i_max, windows, keep, limit):
         # its lifetime ends before t_obs, and draws its daughters' kinds as
         # one pair.  Each daughter joins its kind's queue, a dropped one none;
         # a sensitive cell's group is even, so its daughters' too
-        founders = np.zeros(reps)
         for x, born, mother, group in batches(sensitive):
             t = born - log(one - _uniform(x, shift, unit)) / c0
             if unsure(t):
@@ -771,8 +779,10 @@ def _sample_block(params, t_obs, initial, keys, i_max, windows, keep, limit):
                 daughter, cell = (kind == k).nonzero()
                 cell = dividing[cell]
                 enqueue(queue, y[daughter, cell], t[cell], bounds[-1] + cell, group[cell])
-            # the last kind's daughters, the resistant ones, are founders
-            founders += np.bincount(group[cell] >> bit, minlength=reps)
+
+        founders = np.full(reps, -initial[1])
+        for *_, group in resistant:
+            founders += np.bincount(group >> bit, minlength=reps)
 
         # the resistant phase: a resistant cell alive at t_obs is a leaf,
         # and its daughters are of resistant origin
@@ -782,10 +792,7 @@ def _sample_block(params, t_obs, initial, keys, i_max, windows, keep, limit):
                 return False
             words = _mix64_array(x + resistant_offsets)
             tabulate(mother, group, t >= end, words[1])
-            dividing = t < end
-            if divide:
-                dividing &= words[0] < divide[0]
-            dividing = dividing.nonzero()[0]
+            dividing = ((t < end) & (words[0] <= divide_top)).nonzero()[0]
             divisions += dividing.size
             t, mother, group = t[dividing], bounds[-1] + dividing, group[dividing] | bit
             for ids in _mix64_array(x[dividing] + sensitive_offsets[:2]):
@@ -828,9 +835,8 @@ def _sample_block(params, t_obs, initial, keys, i_max, windows, keep, limit):
     cells = group[small].astype(np.intp) * (i_max + 1) + carried[small]
     dense = tally(cells, m[small], 2 * reps * (i_max + 1)).reshape(reps, 2, i_max + 1)
     row["sbar"][...], row["sunder"][...] = dense[:, 1, 1:], dense[:, 0, 1:]
-    scale = math.exp((params.b1 - params.d1) * t_obs)
     for k, edge in enumerate(windows):
-        above = carried > edge * scale
+        above = carried > edge * math.exp((params.b1 - params.d1) * t_obs)
         counts = tally(group[above], m[above], 2 * reps).reshape(reps, 2)
         row["window_sbar"][:, k], row["window_sunder"][:, k] = counts[:, 1], counts[:, 0]
     for total in ("", "window_"):
@@ -898,14 +904,8 @@ def window_counts(
     scale = math.exp(lambda1 * record.t_obs)
     lo = x1 * scale
     hi = x2 * scale if x2 != math.inf else math.inf
-    res = sen = 0
-    for i, m in record.s_resistant_origin.items():
-        if lo < i < hi:
-            res += m
-    for i, m in record.s_sensitive_origin.items():
-        if lo < i < hi:
-            sen += m
-    return WindowCounts(res, sen)
+    spectra = (record.s_resistant_origin, record.s_sensitive_origin)
+    return WindowCounts(*(sum(m for i, m in s.items() if lo < i < hi) for s in spectra))
 
 
 def dense_sfs(record: SfsRecord, i_max: int) -> tuple[list[int], list[int], list[int]]:

@@ -242,6 +242,24 @@ def test_simulate_refuses_omega_above_its_bound_at_once(cfg_path, tmp_path, caps
     assert cli.main(argv + ["--out-dir", str(tmp_path / "t")]) == 0
 
 
+@pytest.mark.parametrize("windows, rc", [([], 0), (["--windows", "1"], 2)], ids=["no-windows", "windows"])
+def test_simulate_at_a_long_observation_time(cfg_path, tmp_path, capsys, windows, rc):
+    # e^(lambda1 t_obs) passes the float range at t_obs = 2000: it once
+    # raised OverflowError with or without windows; without, the run needs
+    # no such scale, and with, the window edge is refused before any
+    # replicate runs
+    out = tmp_path / "o"
+    argv = ["simulate", "--config", cfg_path, "--gamma", "0", "--t-mode", "absolute", "--t-abs", "2000"]
+    argv += ["--replicates", "2", "--workers", "1", "--out-dir", str(out)]
+    assert cli.main(argv + windows) == rc
+    err = capsys.readouterr().err
+    if rc:
+        assert err.startswith("config error: window edge 1 e^(lambda1 t_obs) passes the float range")
+        assert list(out.iterdir()) == []
+    else:
+        assert err == "" and (out / "aggregate.csv").exists()
+
+
 def test_simulate_golden_digests(cfg_path, tmp_path):
     out = str(tmp_path / "out")
     argv = ["simulate", "--config", cfg_path, "--out-dir", out, "--windows", "0.5,2", "--i-max", "10"]
@@ -600,13 +618,17 @@ def test_theory_import_loads_params_and_theory_only():
 import sys
 import rescue_sfs.theory
 print(sorted(k for k in sys.modules if k == "numpy" or k.startswith("rescue_sfs")))
-from rescue_sfs import run, GwLaw, SfsRecord
-print(run.__module__, GwLaw.__module__, SfsRecord.__module__, "numpy" in sys.modules)
+from rescue_sfs import GwLaw, SfsRecord
+print(GwLaw.__module__, SfsRecord.__module__, "numpy" in sys.modules)
+import rescue_sfs
+print([name for name in ("run", "extract_sfs", "window_counts", "SimOutcome") if hasattr(rescue_sfs, name)])
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout.splitlines() == [
         "['rescue_sfs', 'rescue_sfs.params', 'rescue_sfs.theory']",
-        "rescue_sfs.simulator rescue_sfs.gw_trees rescue_sfs.simulator False",
+        "rescue_sfs.gw_trees rescue_sfs.simulator False",
+        # the root serves no simulation helper: they stay in rescue_sfs.simulator
+        "[]",
     ]
 
 
@@ -827,14 +849,22 @@ def test_cap_hit_exits_2_naming_replicate_and_seed(cfg_path, tmp_path, capsys, m
 
 
 def test_rejection_limit_exits_2(cfg_path, tmp_path, capsys, monkeypatch):
-    def starved(*args, **kwargs):
-        raise gw_trees.RejectionLimitError("no accepted tree in 1000000 attempts")
+    # the second case: near-critical trees outgrow max_nodes (gw at p =
+    # 0.49999, beta = 0.5 once exited 1 with a TreeSizeError traceback)
+    errors = [
+        gw_trees.RejectionLimitError("no accepted tree in 1000000 attempts"),
+        gw_trees.TreeSizeError("tree exceeded max_nodes=1000000"),
+    ]
+    for k, error in enumerate(errors):
 
-    monkeypatch.setattr(gw_trees, "sample_conditioned", starved)
-    out = tmp_path / "o"
-    assert cli.main(["gw", "--config", cfg_path, "--out-dir", str(out)]) == 2
-    assert capsys.readouterr().err == "config error: no accepted tree in 1000000 attempts\n"
-    assert not os.path.exists(out / "gw_pmf.csv")
+        def starved(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(gw_trees, "sample_conditioned", starved)
+        out = tmp_path / f"o{k}"
+        assert cli.main(["gw", "--config", cfg_path, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {error}\n"
+        assert not os.path.exists(out / "gw_pmf.csv")
 
 
 def test_unreachable_quadrature_exits_2(tmp_path, capsys, monkeypatch):

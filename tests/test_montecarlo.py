@@ -573,6 +573,22 @@ def test_replicate_sfs_spawned_workers_change_no_bit():
     assert out == [_aggregate_digest(here)] * 2
 
 
+def test_montecarlo_imports_simulator_before_numpy():
+    # without a bytecode cache, simulator.py compiled on top of numpy's
+    # memory raised a short process's peak RSS by about 2 MB
+    src = Path(mc.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    code = "import sys\nfrom rescue_sfs.montecarlo import replicate_sfs\nprint(*sys.modules)"
+    modules = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.split()
+    assert modules.index("rescue_sfs.simulator") < modules.index("numpy")
+
+
 def test_replicate_sfs_all_zero_without_mutations():
     inert = ModelParams(
         b0=1.0, d0=2.0, b1=1.2, d1=0.5, omega=0.0, gamma=0.0, alpha=1.0, n_init=30

@@ -921,6 +921,25 @@ def test_simulation_rejects_omega_above_its_bound():
     assert sim.checked_args(dataclasses.replace(N40, omega=2e4), T40, None) == ((40, 0), ())
 
 
+def test_sample_chunk_equals_run_at_a_long_observation_time():
+    # e^(lambda1 t_obs) passes the float range at t_obs = 2000 (lambda1 =
+    # 0.7): the sampler once computed it with no window to scale and raised
+    # OverflowError
+    _check_chunk_equals_run(dataclasses.replace(REF, gamma=0.0), 2000.0, None, range(4), 10, ())
+
+
+def test_sample_chunk_refuses_a_window_edge_past_the_float_range():
+    # the windowed twin of the test above: it once raised OverflowError in
+    # the sampler, after the walk; the carrier edge is now refused first
+    params = dataclasses.replace(REF, gamma=0.0)
+    keys = [Random(seed).getrandbits(64) for seed in range(4)]
+    with pytest.raises(ParameterError, match="window edge 0.5 e\\^\\(lambda1 t_obs\\) passes the float range"):
+        sim.sample_chunk(params, 2000.0, None, keys, i_max=10, windows=(0.5,))
+    # the largest edge below the float range is taken: e^(0.7 * 1000) is
+    # about 1e304
+    assert sim.checked_args(params, 1000.0, None, 10, (0.5, 1e3)) == ((500, 0), (0.5, 1e3))
+
+
 def test_sample_chunk_peak_memory_stays_bounded():
     # the traced peak of one call on each 32-key reference block (numpy
     # reports its buffers to tracemalloc).  The one-queue sampler peaked at
