@@ -130,17 +130,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(flag, type=kind, dest=key, help=f"override config key {key}")
 
 
-def _workers(args: argparse.Namespace) -> int:
-    if args.workers is not None:
-        return _at_least_one("--workers", args.workers)
-    return os.cpu_count() or 1
-
-
 def _replicates(args, cfg: RunConfig, i_max: int, windows=(), on_record=None):
     """The configured Monte Carlo run, aggregated over i = 1..i_max and
-    the given window lower edges."""
+    the given window lower edges, on --workers processes or one per core."""
     from rescue_sfs import montecarlo
 
+    workers = args.workers if args.workers is not None else os.cpu_count() or 1
     return montecarlo.replicate_sfs(
         cfg.params,
         observation_time(cfg.observation, cfg.params),
@@ -148,7 +143,7 @@ def _replicates(args, cfg: RunConfig, i_max: int, windows=(), on_record=None):
         cfg.seed,
         i_max=i_max,
         windows=windows,
-        workers=_workers(args),
+        workers=workers,
         on_record=on_record,
     )
 
@@ -159,8 +154,7 @@ def _replicates(args, cfg: RunConfig, i_max: int, windows=(), on_record=None):
 
 
 def cmd_simulate(args: argparse.Namespace, cfg: RunConfig, outputs: _OutputSet) -> int:
-    i_max = _at_least_one("--i-max", args.i_max)
-    windows = _parse_windows(args.windows) if args.windows else ()
+    windows = _parse_grid(args.windows) if args.windows else ()
     with open(outputs.path("per_replicate.csv"), "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["replicate", "i", "s", "sbar", "sunder"])
@@ -171,7 +165,7 @@ def cmd_simulate(args: argparse.Namespace, cfg: RunConfig, outputs: _OutputSet) 
                 for i, m in sorted(record.s.items())
             )
 
-        agg = _replicates(args, cfg, i_max, windows, on_record=write_record)
+        agg = _replicates(args, cfg, args.i_max, windows, on_record=write_record)
     s, sbar, sunder = (agg.stats(kind) for kind in ("s", "sbar", "sunder"))
     _write_columns(
         outputs.path("aggregate.csv"),
@@ -218,13 +212,6 @@ def _parse_grid(text: str) -> list[float]:
     if any(math.isnan(v) for v in vals):
         raise ConfigError(f"grid {text!r} holds nan")
     return vals
-
-
-def _parse_windows(text: str) -> list[float]:
-    edges = _parse_grid(text)
-    if not all(0 < x < math.inf for x in edges):
-        raise ConfigError(f"window edges must be finite and > 0, got {text!r}")
-    return edges
 
 
 def _at_least_one(flag: str, value: int) -> int:
@@ -390,7 +377,9 @@ def _theory_domain(what: str):
     for a float, or a quadrature that cannot meet its tol as a config error."""
     try:
         yield
-    except (ValueError, OverflowError, theory.QuadratureError) as exc:
+    except OverflowError as exc:  # its text is an errno tuple or "math range error"
+        raise ConfigError(f"{what}: a value passes the float range") from exc
+    except (ValueError, theory.QuadratureError) as exc:
         raise ConfigError(f"{what}: {exc}") from exc
 
 
@@ -448,12 +437,11 @@ def cmd_compare(args: argparse.Namespace, cfg: RunConfig, outputs: _OutputSet) -
     # theory before the simulation, so that parameters the theory cannot
     # evaluate fail at once
     if args.what == "small-i":
-        i_max = _at_least_one("--i-max", args.i_max)
-        tvals = _exact("exact-sbar", range(1, i_max + 1), inputs, "exact mean")
-        stats = _replicates(args, cfg, i_max).stats("sbar")
+        tvals = _exact("exact-sbar", range(1, args.i_max + 1), inputs, "exact mean")
+        stats = _replicates(args, cfg, args.i_max).stats("sbar")
         what = "sbar vs exact mean"
     else:
-        windows = _parse_windows(args.windows or "0.6,1,2,4,6")
+        windows = _parse_grid(args.windows or "0.6,1,2,4,6")
         if args.mode == "z-score":
             # tight gate: the exact finite-N window expectation
             tvals = _exact("exact-sbar-window", windows, inputs, "window theory")

@@ -416,8 +416,7 @@ def replicate_sfs(
     r, in replicate order, with that replicate's SfsRecord.
     """
     checked_index(replicates, "replicates", 2)
-    if workers < 1:
-        raise ValueError(f"requires workers >= 1, got {workers}")
+    workers = checked_index(workers, "workers", 1)
     if operator.index(seed) < 0:
         raise ValueError(f"requires master seed >= 0, got {seed}")
     initial, windows = simulator.checked_args(params, t_obs, initial, i_max, windows)

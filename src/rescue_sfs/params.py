@@ -22,40 +22,61 @@ MUTATION_LAWS = ("poisson", "bernoulli")
 T_MODES = ("log-scaled", "absolute")
 
 class ParameterError(ValueError):
-    """A model parameter violates one of its constraints."""
+    """An input violates one of its constraints."""
 
 
 class ConfigError(ValueError):
     """A configuration file cannot be parsed into a valid run setup."""
 
 
-def _check_rates(b0: float, d0: float, b1: float, d1: float) -> None:
-    """Finite rates, sensitive cells subcritical, resistant cells
-    supercritical; a NaN fails every check."""
+def _check_rates(b0: float, d0: float, b1: float, d1: float, omega: float = 0.0) -> None:
+    """Finite rates, sensitive cells subcritical, and a resistant clone
+    with mutation rate ``omega`` (``check_clone``); a NaN fails every check."""
     if not 0 < b0 < math.inf:
         raise ParameterError(f"requires finite b0 > 0, got b0={b0}")
     if not b0 < d0 < math.inf:
         raise ParameterError(
             f"requires finite d0 > b0 (sensitive cells subcritical), got b0={b0}, d0={d0}"
         )
+    check_clone(b1, d1, omega)
+
+
+def check_clone(b1: float, d1: float, omega: float = 0.0) -> None:
+    """Raise ParameterError unless a resistant clone is supercritical with
+    finite rates, 0 <= d1 < b1, and its mutation rate ``omega`` is finite
+    and >= 0; a NaN fails every check."""
     if not d1 >= 0:
         raise ParameterError(f"requires d1 >= 0, got d1={d1}")
     if not d1 < b1 < math.inf:
         raise ParameterError(
             f"requires finite b1 > d1 (resistant cells supercritical), got b1={b1}, d1={d1}"
         )
+    if not 0 <= omega < math.inf:
+        raise ParameterError(f"requires finite omega >= 0, got omega={omega}")
+
+
+def carrier_edge(x: float, lambda1: float, t_obs: float) -> float:
+    """The carrier count x e^(lambda1 t_obs) at which the window of edge
+    ``x`` opens at time ``t_obs``; ParameterError where it passes the float
+    range."""
+    try:  # math.exp raises OverflowError past the float range, a product gives inf
+        if (edge := x * math.exp(lambda1 * t_obs)) != math.inf:
+            return edge
+    except OverflowError:
+        pass
+    raise ParameterError(f"window edge {x:g} e^(lambda1 t_obs) passes the float range")
 
 
 def checked_index(value, name: str, least: int | None = None) -> int:
-    """``operator.index(value)``, at least ``least`` if given, else a
-    ValueError that names the argument: a float, 5.0 included, would fail deep
+    """``operator.index(value)``, at least ``least`` if given, else
+    ParameterError naming the argument: a float, 5.0 included, would fail deep
     in numpy or, as a formula's index, get a value between its neighbours'."""
     try:
         n = operator.index(value)
     except TypeError:
-        raise ValueError(f"requires an integer {name}, got {value!r}") from None
+        raise ParameterError(f"requires an integer {name}, got {value!r}") from None
     if least is not None and n < least:
-        raise ValueError(f"requires {name} >= {least}, got {value}")
+        raise ParameterError(f"requires {name} >= {least}, got {value}")
     return n
 
 
@@ -85,17 +106,15 @@ class ModelParams:
     mutation_law: str = "poisson"
 
     def __post_init__(self) -> None:
-        _check_rates(self.b0, self.d0, self.b1, self.d1)
-        if not 0 <= self.omega < math.inf:
-            raise ParameterError(f"requires finite omega >= 0, got omega={self.omega}")
+        _check_rates(self.b0, self.d0, self.b1, self.d1, self.omega)
         # gamma == 0 is admitted: it switches resistance off entirely, which
         # several analytic test cases rely on.
         if not self.gamma >= 0:
             raise ParameterError(f"requires gamma >= 0, got gamma={self.gamma}")
         if not 0 < self.alpha <= 1:
             raise ParameterError(f"requires 0 < alpha <= 1, got alpha={self.alpha}")
-        if not (isinstance(self.n_init, int) and self.n_init >= 1):
-            raise ParameterError(f"requires integer n_init >= 1, got n_init={self.n_init!r}")
+        # the Python int, so that dataclasses.asdict stays JSON-serialisable
+        object.__setattr__(self, "n_init", checked_index(self.n_init, "n_init", 1))
         _check_gamma_n(self.gamma_n)
         if self.mutation_law not in MUTATION_LAWS:
             raise ParameterError(
@@ -242,12 +261,9 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.replicates, int) and self.replicates >= 2):
-            raise ParameterError(
-                f"requires integer replicates >= 2, got replicates={self.replicates!r}"
-            )
-        if not (isinstance(self.seed, int) and self.seed >= 0):
-            raise ParameterError(f"requires integer seed >= 0, got seed={self.seed!r}")
+        # Python ints, so that dataclasses.asdict stays JSON-serialisable
+        object.__setattr__(self, "replicates", checked_index(self.replicates, "replicates", 2))
+        object.__setattr__(self, "seed", checked_index(self.seed, "seed", 0))
 
 
 # every config key and the type of its value, in file and flag order: the

@@ -65,7 +65,7 @@ from collections import deque
 from dataclasses import dataclass
 from random import Random
 
-from rescue_sfs.params import ModelParams, ParameterError, checked_index, derive
+from rescue_sfs.params import ModelParams, ParameterError, carrier_edge, checked_index, derive
 
 SENSITIVE = 0
 RESISTANT = 1
@@ -412,27 +412,24 @@ def checked_args(
 ) -> tuple[tuple[int, int], tuple[float, ...]]:
     """The checked starting (sensitive, resistant) population and window
     edges of runs to ``t_obs`` with rows over i = 1..i_max; ``initial``
-    defaults to (n_init, 0).  An omega above ``_MAX_OMEGA``, or a window
-    whose carrier edge x e^(lambda1 t_obs) passes the float range, raises
-    ParameterError."""
+    defaults to (n_init, 0).  Each refusal raises ParameterError, among them
+    an omega above ``_MAX_OMEGA`` and a window whose carrier edge passes the
+    float range (``carrier_edge``)."""
     if params.omega > _MAX_OMEGA:
         raise ParameterError(f"simulation requires omega <= {_MAX_OMEGA:g}, got omega={params.omega}")
     if not 0 <= t_obs < math.inf:
-        raise ValueError(f"requires finite t_obs >= 0, got {t_obs}")
+        raise ParameterError(f"requires finite t_obs >= 0, got {t_obs}")
     checked_index(i_max, "i_max", 1)
     windows = tuple(windows)
     if not all(0 < x < math.inf for x in windows):
-        raise ValueError(f"requires finite window edges > 0, got {windows}")
-    try:  # math.exp raises OverflowError past the float range, a product gives inf
-        if windows and max(windows) * math.exp((params.b1 - params.d1) * t_obs) == math.inf:
-            raise OverflowError
-    except OverflowError:
-        raise ParameterError(f"window edge {max(windows):g} e^(lambda1 t_obs) passes the float range") from None
+        raise ParameterError(f"requires finite window edges > 0, got {windows}")
+    if windows:
+        carrier_edge(max(windows), params.b1 - params.d1, t_obs)
     if initial is None:
         initial = (params.n_init, 0)
     n0_init, n1_init = (checked_index(n, "initial population") for n in initial)
     if n0_init < 0 or n1_init < 0 or n0_init + n1_init == 0:
-        raise ValueError(f"initial population must be nonnegative and nonempty, got {initial}")
+        raise ParameterError(f"initial population must be nonnegative and nonempty, got {initial}")
     return (n0_init, n1_init), windows
 
 
@@ -609,6 +606,7 @@ def sample_chunk(
     on its key raises too.
     """
     initial, windows = checked_args(params, t_obs, initial, i_max, windows)
+    edges = [carrier_edge(x, params.b1 - params.d1, t_obs) for x in windows]
     import numpy as np
 
     keys = _key_words(keys)
@@ -623,7 +621,7 @@ def sample_chunk(
     while first < len(keys):
         block = keys[first : first + max(size, 1)]
         limit = max_cells if len(block) == 1 else budget
-        result = _sample_block(params, t_obs, initial, block, i_max, windows, keep, limit)
+        result = _sample_block(params, t_obs, initial, block, i_max, edges, keep, limit)
         if result is None:
             if len(block) == 1:
                 raise _cap_error(max_cells, t_obs, first)
@@ -649,10 +647,10 @@ def _key_words(keys):
     return np.array(keys, dtype=np.uint64)
 
 
-def _sample_block(params, t_obs, initial, keys, i_max, windows, keep, limit):
+def _sample_block(params, t_obs, initial, keys, i_max, edges, keep, limit):
     """The rows, records and genealogy node count of one block of keys; or
     None, checked after every batch, if the block's replicates exceed
-    ``limit`` nodes together.
+    ``limit`` nodes together.  ``edges`` are the windows' carrier edges.
 
     A round takes a batch of about ``_BATCH`` cells off the front of the
     phase's first-in first-out queue, the kept sensitive cells' and then
@@ -817,7 +815,7 @@ def _sample_block(params, t_obs, initial, keys, i_max, windows, keep, limit):
         counts = np.subtract(mother[first:last], lo, dtype=np.intp)
         counts = np.bincount(counts, carried[first:last], first - lo)
         np.add(carried[lo:first], counts, out=carried[lo:first], casting="unsafe")
-    widths = row_widths(i_max, len(windows))
+    widths = row_widths(i_max, len(edges))
     rows = np.empty((reps, sum(widths)))
     row = dict(zip(ROW_FIELDS, np.split(rows, np.cumsum(widths)[:-1], axis=1)))
     scalars = row["scalars"]
@@ -835,8 +833,8 @@ def _sample_block(params, t_obs, initial, keys, i_max, windows, keep, limit):
     cells = group[small].astype(np.intp) * (i_max + 1) + carried[small]
     dense = tally(cells, m[small], 2 * reps * (i_max + 1)).reshape(reps, 2, i_max + 1)
     row["sbar"][...], row["sunder"][...] = dense[:, 1, 1:], dense[:, 0, 1:]
-    for k, edge in enumerate(windows):
-        above = carried > edge * math.exp((params.b1 - params.d1) * t_obs)
+    for k, edge in enumerate(edges):
+        above = carried > edge
         counts = tally(group[above], m[above], 2 * reps).reshape(reps, 2)
         row["window_sbar"][:, k], row["window_sunder"][:, k] = counts[:, 1], counts[:, 0]
     for total in ("", "window_"):
@@ -901,9 +899,8 @@ def window_counts(
     (x1 e^(lambda1 t_obs), x2 e^(lambda1 t_obs)); x2 may be inf."""
     if not 0 < x1 < x2:
         raise ValueError(f"requires 0 < x1 < x2, got x1={x1}, x2={x2}")
-    scale = math.exp(lambda1 * record.t_obs)
-    lo = x1 * scale
-    hi = x2 * scale if x2 != math.inf else math.inf
+    lo = carrier_edge(x1, lambda1, record.t_obs)
+    hi = carrier_edge(x2, lambda1, record.t_obs) if x2 != math.inf else math.inf
     spectra = (record.s_resistant_origin, record.s_sensitive_origin)
     return WindowCounts(*(sum(m for i, m in s.items() if lo < i < hi) for s in spectra))
 

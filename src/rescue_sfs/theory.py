@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, NamedTuple, Sequence
 
-from rescue_sfs.params import DerivedParams, ModelParams, checked_index, derive
+from rescue_sfs.params import DerivedParams, ModelParams, carrier_edge, check_clone, checked_index, derive
 
 DEFAULT_TOL = 1e-10
 
@@ -415,14 +415,6 @@ def _size_pmf(i: int) -> _SizeLaw:
     return "pmf", n, rel
 
 
-def _check_clone(b1: float, d1: float, omega: float = 0.0) -> None:
-    # a supercritical resistant clone with finite rates, ModelParams' rule
-    if not 0 <= d1 < b1 < math.inf:
-        raise ValueError(f"requires finite 0 <= d1 < b1, got b1={b1}, d1={d1}")
-    if not 0 <= omega < math.inf:
-        raise ValueError(f"requires finite omega >= 0, got omega={omega}")
-
-
 def clone_size_pmf(i: int, u: float, b1: float, d1: float) -> float:
     """Classical linear birth-death size law from one founder (Harris form):
     P(clone of age u has size i) at scale y = e^(-lambda1 u) is
@@ -431,7 +423,7 @@ def clone_size_pmf(i: int, u: float, b1: float, d1: float) -> float:
     """
     if not u >= 0:
         raise ValueError(f"requires u >= 0, got {u}")
-    _check_clone(b1, d1)
+    check_clone(b1, d1)
     i = checked_index(i, "i", 1)
     rho = d1 / b1
     c = 1.0 - rho  # lambda1 / b1
@@ -443,7 +435,7 @@ def clone_extinction_prob(u: float, b1: float, d1: float) -> float:
     """P(the clone of one founder is extinct by age u)."""
     if not u >= 0:
         raise ValueError(f"requires u >= 0, got {u}")
-    _check_clone(b1, d1)
+    check_clone(b1, d1)
     lam1 = b1 - d1
     e = math.exp(-lam1 * u)
     return d1 * (1.0 - e) / (b1 - d1 * e)
@@ -454,7 +446,7 @@ def single_clone_sfs(i: int, t: float, b1: float, d1: float, omega: float) -> Th
     a clone grown from one founder: omega e^(lambda1 t) h_i(e^(lambda1 t))."""
     if not t >= 0:
         raise ValueError(f"requires t >= 0, got {t}")
-    _check_clone(b1, d1, omega)
+    check_clone(b1, d1, omega)
     if omega == 0.0:  # omega e^(lambda1 t) would be 0 * inf where growth overflows
         return TheoryValue(0.0, 0.0)
     lam1 = b1 - d1
@@ -474,7 +466,7 @@ def single_clone_sfs_asymptotic(i: int, t: float, b1: float, d1: float, omega: f
     """Large-time form omega e^(lambda1 t) I(i)."""
     if not t >= 0:
         raise ValueError(f"requires t >= 0, got {t}")
-    _check_clone(b1, d1, omega)
+    check_clone(b1, d1, omega)
     return omega * math.exp((b1 - d1) * t) * shape_integral(i, d1 / b1).value
 
 
@@ -858,7 +850,7 @@ def _size_tail(x: float, t: float, params: ModelParams) -> _SizeLaw:
         raise ValueError(f"requires x > 0, got {x}")
     b1, d1 = params.b1, params.d1
     c = 1.0 - d1 / b1  # lambda1 / b1
-    m = math.floor(x * math.exp((b1 - d1) * (t * math.log(params.n_init))))
+    m = math.floor(carrier_edge(x, b1 - d1, t * math.log(params.n_init)))
 
     def rel(z_max: float, share: float) -> float:
         # q^m's m e units, e <= (22 + 8 z_max) y (see _q_factors), grow with

@@ -242,6 +242,46 @@ def test_simulate_refuses_omega_above_its_bound_at_once(cfg_path, tmp_path, caps
     assert cli.main(argv + ["--out-dir", str(tmp_path / "t")]) == 0
 
 
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["theory", "--formula", "thm1", "--i-range", "1:3"], "formula 'thm1': a value passes the float range"),
+        (["theory", "--formula", "P", "--i-range", "1:3"], "formula 'P': a value passes the float range"),
+        (["theory", "--formula", "clone-sfs", "--i-range", "1:3"], "formula 'clone-sfs': a value passes"),
+        (["theory", "--formula", "exact-sbar-window", "--x-grid", "1"], "window edge 1 e^(lambda1 t_obs) passes"),
+        (["compare", "--workers", "1"], "exact mean: a value passes the float range"),
+    ],
+    ids=["thm1", "P", "clone-sfs", "exact-sbar-window", "compare"],
+)
+def test_theory_past_the_float_range_says_so(cfg_path, tmp_path, capsys, argv, fragment):
+    # at t_obs = 2000 the theory's scale e^(lambda1 t_obs) passes the float
+    # range: the error once read as an errno tuple, "(34, 'Numerical result
+    # out of range')", or as "math range error"
+    argv += ["--config", cfg_path, "--t-mode", "absolute", "--t-abs", "2000", "--out-dir", str(tmp_path / "o")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert fragment in err and "float range" in err and "(34," not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--windows", "0,1"], "requires finite window edges > 0, got (0.0, 1.0)"),
+        (["simulate", "--i-max", "0"], "requires i_max >= 1, got 0"),
+        (["compare", "--workers", "0"], "requires workers >= 1, got 0"),
+    ],
+    ids=["windows", "i-max", "workers"],
+)
+def test_library_rules_reach_the_cli_unrestated(cfg_path, tmp_path, capsys, argv, message):
+    # the window edge, i_max and workers rules are the library's: the CLI
+    # once checked each again under its own message
+    out = tmp_path / "o"
+    assert cli.main(argv + ["--config", cfg_path, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("windows, rc", [([], 0), (["--windows", "1"], 2)], ids=["no-windows", "windows"])
 def test_simulate_at_a_long_observation_time(cfg_path, tmp_path, capsys, windows, rc):
     # e^(lambda1 t_obs) passes the float range at t_obs = 2000: it once

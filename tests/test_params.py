@@ -1,7 +1,9 @@
 import dataclasses
+import json
 import math
 import pickle
 
+import numpy as np
 import pytest
 
 from rescue_sfs.params import (
@@ -9,6 +11,7 @@ from rescue_sfs.params import (
     ModelParams,
     ObservationSpec,
     ParameterError,
+    RunConfig,
     derive,
     derive_from_gamma_n,
     load_config,
@@ -257,3 +260,23 @@ def test_make_config_routes_keys_and_rejects_strays():
         make_config(values | {"replicates": 1})
     with pytest.raises(ParameterError, match="seed >= 0"):
         make_config(values | {"seed": -1})
+
+
+def test_integer_fields_take_numpy_integers_as_python_ints():
+    # checked_index is the one integer rule: isinstance(..., int) tests once
+    # refused the numpy integers it accepts.  The stored value is the Python
+    # int, so the config stays JSON-serialisable
+    base = dict(b0=1.2, d0=2.0, b1=1.2, d1=0.5, omega=2.0, gamma=1.0, alpha=0.9)
+    params = ModelParams(**base, n_init=np.int64(500))
+    assert params == ModelParams(**base, n_init=500) and type(params.n_init) is int
+    cfg = RunConfig(params, ObservationSpec(), replicates=np.int64(10), seed=np.uint32(3))
+    assert (cfg.replicates, cfg.seed) == (10, 3)
+    assert type(cfg.replicates) is int and type(cfg.seed) is int
+    assert json.loads(json.dumps(dataclasses.asdict(cfg)))["seed"] == 3
+    # the refusals keep the fragments the constraint tests above match
+    with pytest.raises(ParameterError, match="n_init"):
+        ModelParams(**base, n_init=500.0)
+    with pytest.raises(ParameterError, match="replicates >= 2"):
+        RunConfig(params, ObservationSpec(), replicates=1)
+    with pytest.raises(ParameterError, match="seed >= 0"):
+        RunConfig(params, ObservationSpec(), seed=-1)

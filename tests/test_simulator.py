@@ -363,6 +363,16 @@ def test_window_counts():
     assert sim.window_counts(empty, 0.5, math.inf, lam1).total == 0
 
 
+def test_window_counts_refuses_a_window_edge_past_the_float_range():
+    # e^(0.7 * 2000) passes the float range: it once raised a bare
+    # OverflowError; and at t_obs = 900 the upper edge 1e300 e^630 does,
+    # which once opened the window to every carrier count above x1
+    with pytest.raises(ParameterError, match=r"window edge 1 e\^\(lambda1 t_obs\) passes the float range"):
+        sim.window_counts(sim.SfsRecord({1: 2}, {}, 2000.0), 1.0, math.inf, 0.7)
+    with pytest.raises(ParameterError, match="window edge 1e\\+300 e"):
+        sim.window_counts(sim.SfsRecord({1: 2}, {}, 900.0), 1.0, 1e300, 0.7)
+
+
 # ---------------------------------------------------------------------------
 # ancestral records
 # ---------------------------------------------------------------------------

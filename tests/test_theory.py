@@ -12,7 +12,7 @@ from scipy.integrate import quad
 from helpers import imported_modules
 from rescue_sfs import gw_trees as gw
 from rescue_sfs import theory as th
-from rescue_sfs.params import ModelParams, derive, derive_from_gamma_n
+from rescue_sfs.params import ModelParams, ParameterError, derive, derive_from_gamma_n
 
 REF = ModelParams(b0=1.2, d0=2.0, b1=1.2, d1=0.5, omega=2.0, gamma=1.0, alpha=0.9, n_init=500)
 DP = derive(REF)
@@ -431,6 +431,21 @@ def test_resistant_origin_main_term_cost_near_critical():
 # ---------------------------------------------------------------------------
 # clone size laws
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "law",
+    [
+        lambda b1, d1: th.clone_size_pmf(2, 1.0, b1, d1),
+        lambda b1, d1: th.single_clone_sfs(2, 1.0, b1, d1, 2.0),
+    ],
+    ids=["kappa", "clone-sfs"],
+)
+@pytest.mark.parametrize("d1", [0.5, 0.6])
+def test_clone_laws_check_their_rates_through_params(law, d1):
+    # the clone laws share ModelParams' rule and its message
+    with pytest.raises(ParameterError, match=r"requires finite b1 > d1 \(resistant cells supercritical\)"):
+        law(0.5, d1)
 
 
 def test_clone_size_pmf_founder():
