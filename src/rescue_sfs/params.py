@@ -55,6 +55,18 @@ def check_clone(b1: float, d1: float, omega: float = 0.0) -> None:
         raise ParameterError(f"requires finite omega >= 0, got omega={omega}")
 
 
+def check_time(t: float, name: str = "t", positive: bool = False) -> None:
+    """Raise ParameterError naming ``name`` unless t >= 0, or t > 0 if ``positive``; a NaN fails."""
+    if not (t > 0 if positive else t >= 0):
+        raise ParameterError(f"requires {name} {'>' if positive else '>='} 0, got {t}")
+
+
+def check_window(x1: float, x2: float = math.inf) -> None:
+    """Raise ParameterError unless the window edges satisfy 0 < x1 < x2; a NaN fails."""
+    if not 0 < x1 < x2:
+        raise ParameterError(f"requires 0 < x1 < x2, got x1={x1}, x2={x2}")
+
+
 def carrier_edge(x: float, lambda1: float, t_obs: float) -> float:
     """The carrier count x e^(lambda1 t_obs) at which the window of edge
     ``x`` opens at time ``t_obs``; ParameterError where it passes the float

@@ -65,7 +65,7 @@ from collections import deque
 from dataclasses import dataclass
 from random import Random
 
-from rescue_sfs.params import ModelParams, ParameterError, carrier_edge, checked_index, derive
+from rescue_sfs.params import ModelParams, ParameterError, carrier_edge, check_window, checked_index, derive
 
 SENSITIVE = 0
 RESISTANT = 1
@@ -897,8 +897,7 @@ def window_counts(
 ) -> WindowCounts:
     """Mutation counts with carrier number in the open window
     (x1 e^(lambda1 t_obs), x2 e^(lambda1 t_obs)); x2 may be inf."""
-    if not 0 < x1 < x2:
-        raise ValueError(f"requires 0 < x1 < x2, got x1={x1}, x2={x2}")
+    check_window(x1, x2)
     lo = carrier_edge(x1, lambda1, record.t_obs)
     hi = carrier_edge(x2, lambda1, record.t_obs) if x2 != math.inf else math.inf
     spectra = (record.s_resistant_origin, record.s_sensitive_origin)

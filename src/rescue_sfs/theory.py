@@ -25,7 +25,9 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, NamedTuple, Sequence
 
-from rescue_sfs.params import DerivedParams, ModelParams, carrier_edge, check_clone, checked_index, derive
+from rescue_sfs.params import (
+    DerivedParams, ModelParams, carrier_edge, check_clone, check_time, check_window, checked_index, derive
+)
 
 DEFAULT_TOL = 1e-10
 
@@ -202,10 +204,10 @@ def _integrate(
     infinity, else the integrand's own rounding bound.  It is asked to meet
     tol / max(scale, 1), and this raises where it exceeds both that and
     1e-8 |value|, as a large value in doubles cannot meet an absolute tol.
-    An empty range (hi = 0, as at N = 1) gives 0 exactly."""
+    An empty range (hi = 0, as at N = 1) or a zero scale (omega = 0) gives 0 exactly."""
     if not tol > 0:
         raise ValueError(f"requires tol > 0, got {tol}")
-    if hi == 0.0:
+    if hi == 0.0 or scale == 0.0:
         return TheoryValue(0.0, 0.0)
     tol = tol / max(scale, 1.0)
     value, err = _gauss_kronrod(f, 0.0, hi, tol, epsrel)
@@ -387,19 +389,19 @@ def _z1_shape(lam1: float, k: float, s: float) -> float:
 def _founder_rows(
     law: str, lam1: float, t_n: float, rho: float, weights: tuple, a: float, b: float
 ) -> tuple:
-    """Rows (f, d, g, small, w1[, w2]) of _founder_integral at the nodes s of
+    """Rows (f, d, g, small, w1, w2) of _founder_integral at the nodes s of
     [a, b].  First a size law's factors from _q_factors: f = (1 - rho)^2 y
     and d = (1 - rho y)^2 for the pmf, f = (1 - rho)/(1 - rho y) and d = 1
     (exact) for the tail.  Then the weights: w1 = _z1_shape(lambda1, k, s)
-    for weights = (k,), or w1 = 1 + s delta0 (1-x_n) and w2 = e^(-s delta0
-    x_n) for weights = (delta0, x_n)."""
+    and w2 = 1 (exact) for weights = (k,), or w1 = 1 + s delta0 (1-x_n) and
+    w2 = e^(-s delta0 x_n) for weights = (delta0, x_n)."""
     c = 1.0 - rho
     out = []
     for s in _nodes(a, b):
         y, d, g, small = _q_factors(lam1 * (t_n - s), rho, c)
         row = (c * c * y, d * d, g, small) if law == "pmf" else (c / d, 1.0, g, small)
         if len(weights) == 1:
-            row += (_z1_shape(lam1, weights[0], s),)
+            row += (_z1_shape(lam1, weights[0], s), 1.0)
         else:
             d0, x = weights
             row += (1.0 + s * d0 * (1.0 - x), math.exp(-s * d0 * x))
@@ -421,8 +423,7 @@ def clone_size_pmf(i: int, u: float, b1: float, d1: float) -> float:
 
     (lambda1/b1)^2 y (1-y)^(i-1) / (1 - (d1/b1) y)^(i+1).
     """
-    if not u >= 0:
-        raise ValueError(f"requires u >= 0, got {u}")
+    check_time(u, "u")
     check_clone(b1, d1)
     i = checked_index(i, "i", 1)
     rho = d1 / b1
@@ -433,8 +434,7 @@ def clone_size_pmf(i: int, u: float, b1: float, d1: float) -> float:
 
 def clone_extinction_prob(u: float, b1: float, d1: float) -> float:
     """P(the clone of one founder is extinct by age u)."""
-    if not u >= 0:
-        raise ValueError(f"requires u >= 0, got {u}")
+    check_time(u, "u")
     check_clone(b1, d1)
     lam1 = b1 - d1
     e = math.exp(-lam1 * u)
@@ -444,9 +444,9 @@ def clone_extinction_prob(u: float, b1: float, d1: float) -> float:
 def single_clone_sfs(i: int, t: float, b1: float, d1: float, omega: float) -> TheoryValue:
     """Expected number of mutations carried by exactly i cells at time t in
     a clone grown from one founder: omega e^(lambda1 t) h_i(e^(lambda1 t))."""
-    if not t >= 0:
-        raise ValueError(f"requires t >= 0, got {t}")
+    check_time(t)
     check_clone(b1, d1, omega)
+    i = checked_index(i, "i", 1)
     if omega == 0.0:  # omega e^(lambda1 t) would be 0 * inf where growth overflows
         return TheoryValue(0.0, 0.0)
     lam1 = b1 - d1
@@ -464,8 +464,7 @@ def single_clone_sfs(i: int, t: float, b1: float, d1: float, omega: float) -> Th
 
 def single_clone_sfs_asymptotic(i: int, t: float, b1: float, d1: float, omega: float) -> float:
     """Large-time form omega e^(lambda1 t) I(i)."""
-    if not t >= 0:
-        raise ValueError(f"requires t >= 0, got {t}")
+    check_time(t)
     check_clone(b1, d1, omega)
     return omega * math.exp((b1 - d1) * t) * shape_integral(i, d1 / b1).value
 
@@ -478,8 +477,7 @@ def single_clone_sfs_asymptotic(i: int, t: float, b1: float, d1: float, omega: f
 def appearance_time_pdf(dp: DerivedParams, t: float) -> float:
     """Appearance time of the founder given exactly one founder:
     exponential with rate delta0 * x_n."""
-    if not t >= 0:
-        raise ValueError(f"requires t >= 0, got {t}")
+    check_time(t)
     rate = dp.delta0 * dp.x_n
     return rate * math.exp(-rate * t)
 
@@ -494,8 +492,7 @@ def appearance_time_pdf_any(dp: DerivedParams, t: float) -> float:
     Both E/eps and phi cancel as eps -> 0, so below eps = 0.1 phi comes
     from its series sum_k (-eps)^k / (k+2)! and E/eps = 1 - eps phi.
     """
-    if not t >= 0:
-        raise ValueError(f"requires t >= 0, got {t}")
+    check_time(t)
     p, pt, d0 = dp.p_n, dp.p_tilde_n, dp.delta0
     eps = 2.0 * t * d0 * (p - pt)
     if eps < 0.1:
@@ -556,8 +553,7 @@ def _window_cut(x: float, dp: DerivedParams) -> tuple[float, float]:
     Each weight integrates over [0, s_max] with its tail past s_max as the
     extra bound, asked for tol/2, so that J = K + L, which
     sfs_window_asymptotic takes at each edge, meets tol."""
-    if not x > 0:
-        raise ValueError(f"requires x > 0, got {x}")
+    check_window(x)
     a = x * dp.lambda1 / dp.b1
     return a, max(1.0, math.log(45.0 / a) / dp.lambda1)
 
@@ -657,10 +653,7 @@ def sfs_small_asymptotic(i: int, t: float, params: ModelParams) -> TheoryValue:
 
     I(i) * 2 b0 gamma omega / (lambda0 + lambda1) * N^(lambda1 t + 1 - alpha).
     """
-    if not t > 0:
-        raise ValueError(f"requires t > 0, got {t}")
-    if params.omega == 0.0:
-        return TheoryValue(0.0, 0.0)
+    check_time(t, positive=True)
     dp = derive(params)
     shape = shape_integral(i, dp.rho)
     scale = (
@@ -694,10 +687,8 @@ def sfs_window_asymptotic(
 
     b0 gamma omega lambda1 (J(x1) - J(x2)) N^(1-alpha),  J = K + L.
     """
-    if not 0 < x1 < x2:
-        raise ValueError(f"requires 0 < x1 < x2, got x1={x1}, x2={x2}")
-    if params.omega == 0.0:
-        return TheoryValue(0.0, 0.0)
+    check_window(x1, x2)
+    check_time(t, positive=True)
     dp = derive(params)
 
     def j_value(x: float) -> TheoryValue:
@@ -735,10 +726,7 @@ def resistant_origin_main_term(
       (1 - e^((r/lambda1) u - r t_N)) du.
     """
     i = checked_index(i, "i", 1)
-    if not t > 0:
-        raise ValueError(f"requires t > 0, got {t}")
-    if params.omega == 0.0:
-        return TheoryValue(0.0, 0.0)
+    check_time(t, positive=True)
     dp = derive(params)
     t_n = t * math.log(params.n_init)
     lam1 = dp.lambda1
@@ -803,10 +791,7 @@ def _founder_integral(
     at sensitive divisions: N gamma_n (1-x_n) delta0 omega / (2 (1-gamma_n))
     Int_0^(t_N) size(lambda1 (t_N-s)) (1 + s delta0 (1-x_n)) e^(-s delta0 x_n) ds.
     """
-    if not t > 0:
-        raise ValueError(f"requires t > 0, got {t}")
-    if params.omega == 0.0:
-        return TheoryValue(0.0, 0.0)
+    check_time(t, positive=True)
     dp = derive(params)
     t_n = t * math.log(params.n_init)
     lam1, rho, x, d0 = dp.lambda1, dp.rho, dp.x_n, dp.delta0
@@ -828,12 +813,9 @@ def _founder_integral(
     law, n, law_rel = size
 
     def f(lo: float, hi: float) -> list[float]:
-        rows = _founder_rows(law, lam1, t_n, rho, weights, lo, hi)
-        if division:
-            return [q * (math.exp(n * g) if small else g**n) / d * w for q, d, g, small, w in rows]
         return [
             q * (math.exp(n * g) if small else g**n) / d * w1 * w2
-            for q, d, g, small, w1, w2 in rows
+            for q, d, g, small, w1, w2 in _founder_rows(law, lam1, t_n, rho, weights, lo, hi)
         ]
 
     z_max = lam1 * t_n
@@ -846,8 +828,7 @@ def _size_tail(x: float, t: float, params: ModelParams) -> _SizeLaw:
     the closed geometric tail (1 - rho) q^m / (1 - rho y); at m = 0 this is
     the survival probability 1 - extinction mass.  With its rounding bound:
     1 - rho (u), 1 - rho y, q^m and two quotients or products."""
-    if not x > 0:
-        raise ValueError(f"requires x > 0, got {x}")
+    check_window(x)
     b1, d1 = params.b1, params.d1
     c = 1.0 - d1 / b1  # lambda1 / b1
     m = math.floor(carrier_edge(x, b1 - d1, t * math.log(params.n_init)))
@@ -915,8 +896,7 @@ def resistant_origin_mean_exact(
 
 def expected_resistant_population(t_abs: float, params: ModelParams) -> float:
     """Exact E[Z1(t)] from (N, 0) at absolute time t."""
-    if not t_abs >= 0:
-        raise ValueError(f"requires t_abs >= 0, got {t_abs}")
+    check_time(t_abs, "t_abs")
     dp = derive(params)
     k = dp.lambda1 + (dp.lambda0 + 2.0 * dp.gamma_n * dp.b0)  # lambda1 + lt0
     return 2.0 * dp.gamma_n * dp.b0 * params.n_init * _z1_shape(dp.lambda1, k, t_abs) / k
@@ -932,8 +912,7 @@ def resistant_origin_remainder_bound(t: float, params: ModelParams) -> float:
 
     omega (b1/lambda1) N^(1+lambda1 t) sum_{k>=2} k P(A_k), uniform in i.
     """
-    if not t > 0:
-        raise ValueError(f"requires t > 0, got {t}")
+    check_time(t, positive=True)
     dp = derive(params)
     multi = multi_ancestral_mean(dp).exact
     return (

@@ -264,6 +264,17 @@ def test_theory_past_the_float_range_says_so(cfg_path, tmp_path, capsys, argv, f
     assert fragment in err and "float range" in err and "(34," not in err
 
 
+@pytest.mark.parametrize("formula", ["P", "thm1", "exact-sbar"])
+def test_theory_domain_in_t_does_not_depend_on_omega(tmp_path, capsys, formula):
+    # at omega = 0 these laws once returned 0 before computing their scale,
+    # so t = 300 ln N printed zeros there and was refused at omega = 2
+    cfg = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "reference.cfg")
+    argv = ["theory", "--config", cfg, "--formula", formula, "--i-range", "1:2", "--omega", "0"]
+    assert cli.main(argv + ["--t-mult", "300", "--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1 and "float range" in err
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

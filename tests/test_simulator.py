@@ -373,6 +373,15 @@ def test_window_counts_refuses_a_window_edge_past_the_float_range():
         sim.window_counts(sim.SfsRecord({1: 2}, {}, 900.0), 1.0, 1e300, 0.7)
 
 
+@pytest.mark.parametrize("x1, x2", [(2.0, 1.0), (0.0, 1.0), (math.nan, 1.0), (1.0, math.nan)])
+def test_window_counts_edges_refused_by_their_owner(x1, x2):
+    # the window-edge rule has one owner, params.check_window, which the
+    # theory's window laws share; it was once restated here with a bare
+    # ValueError
+    with pytest.raises(ParameterError, match="requires 0 < x1 < x2, got x1="):
+        sim.window_counts(sim.SfsRecord({1: 2}, {}, 1.0), x1, x2, 0.7)
+
+
 # ---------------------------------------------------------------------------
 # ancestral records
 # ---------------------------------------------------------------------------

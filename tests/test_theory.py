@@ -169,6 +169,76 @@ def test_nan_inputs_fail_loudly(call):
         call()
 
 
+# every law with a time argument: (name of the argument, call at that time,
+# whether 0 is refused too).  The rule has one owner, params.check_time, so
+# each refusal is a ParameterError that names the argument; the rule was once
+# restated in each law, with a bare ValueError
+TIMED = {
+    "kappa": ("u", lambda u: th.clone_size_pmf(1, u, 1.2, 0.5), False),
+    "extinction": ("u", lambda u: th.clone_extinction_prob(u, 1.2, 0.5), False),
+    "clone-sfs": ("t", lambda t: th.single_clone_sfs(1, t, 1.2, 0.5, 2.0), False),
+    "clone-sfs-asymptotic": ("t", lambda t: th.single_clone_sfs_asymptotic(1, t, 1.2, 0.5, 2.0), False),
+    "tn": ("t", lambda t: th.appearance_time_pdf(DP, t), False),
+    "tilde-tn": ("t", lambda t: th.appearance_time_pdf_any(DP, t), False),
+    "resistant-population": ("t_abs", lambda t: th.expected_resistant_population(t, REF), False),
+    "thm1": ("t", lambda t: th.sfs_small_asymptotic(1, t, REF), True),
+    "P": ("t", lambda t: th.resistant_origin_main_term(1, t, REF), True),
+    "Q": ("t", lambda t: th.sensitive_origin_main_term(1, t, REF), True),
+    "exact-mean": ("t", lambda t: th.resistant_origin_mean_exact(1, t, REF), True),
+    "remainder-bound": ("t", lambda t: th.resistant_origin_remainder_bound(t, REF), True),
+    # thm2 took t and never read it: a NaN t gave a value
+    "thm2": ("t", lambda t: th.sfs_window_asymptotic(0.6, 1.0, t, REF), True),
+}
+
+
+@pytest.mark.parametrize(
+    "name, t",
+    [(name, t) for name, (_, _, strict) in TIMED.items() for t in (-1.0, NAN) + ((0.0,) if strict else ())],
+)
+def test_time_arguments_refused_by_their_owner(name, t):
+    arg, call, strict = TIMED[name]
+    with pytest.raises(ParameterError, match=f"requires {arg} {'>' if strict else '>='} 0, got {t}"):
+        call(t)
+
+
+ZERO_OMEGA = dataclasses.replace(REF, omega=0.0)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: th.single_clone_sfs(2.5, 1.0, 1.2, 0.5, 0.0), ParameterError, "requires an integer i, got 2.5"),
+        (lambda: th.sfs_small_asymptotic(0, T, ZERO_OMEGA), ParameterError, "requires i >= 1, got 0"),
+        (lambda: th.resistant_origin_mean_exact(1, T, ZERO_OMEGA, tol=-1), ValueError, "requires tol > 0, got -1"),
+        (lambda: th.resistant_origin_main_term(1, T, ZERO_OMEGA, tol=NAN), ValueError, "requires tol > 0, got nan"),
+        (lambda: th.sfs_window_asymptotic(0.6, 1.0, T, ZERO_OMEGA, tol=-1), ValueError, "requires tol > 0, got "),
+    ],
+    ids=["clone-sfs-i", "thm1-i", "exact-mean-tol", "P-tol", "thm2-tol"],
+)
+def test_zero_omega_checks_every_argument_first(call, error, message):
+    # at omega = 0 these laws once returned 0 before checking the index or
+    # the tol; the zero result now comes after every check
+    with pytest.raises(error, match=message):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: th.sfs_window_asymptotic(2.0, 1.0, T, REF),
+        lambda: th.sfs_window_asymptotic(NAN, 1.0, T, REF),
+        lambda: th.window_weight_resistant(-1.0, DP),
+        lambda: th.window_weight_sensitive(0.0, DP),
+        lambda: th.resistant_origin_window_exact(0.0, T, REF),
+        lambda: th.sensitive_origin_window_main(NAN, T, REF),
+    ],
+    ids=["thm2-reversed", "thm2-nan", "K", "L", "window-exact", "window-sensitive"],
+)
+def test_window_edges_refused_by_their_owner(call):
+    with pytest.raises(ParameterError, match="requires 0 < x1 < x2, got x1="):
+        call()
+
+
 @pytest.mark.parametrize("name", INDEXED)
 def test_numpy_integer_index_same_bits(name):
     want = INDEXED[name](3)
